@@ -17,7 +17,7 @@ from pathlib import Path
 
 from . import dispersion as disp
 from . import fv_sim, materials, soliton, spectral_sim, sweeps
-from .errors import ConfigError, LamwaveError
+from .errors import ConfigError, DomainError, LamwaveError
 from .homogenize import effective_model
 from .materials import HyperelasticModel, Laminate, MagneticLoad, Phase
 from .output import config_hash, write_csv, write_json
@@ -66,6 +66,13 @@ def _number(value, where: str) -> float:
     return float(value)
 
 
+def _integer(value, where: str, minimum: int) -> int:
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not float(value).is_integer() or value < minimum):
+        raise ConfigError(f"expected an integer >= {minimum}, got {value!r}", where)
+    return int(value)
+
+
 def phase_from_config(cfg: dict, where: str) -> Phase:
     _check_keys(cfg, {"model", "rho", "nu", "mu_rel", "br_t"}, where)
     model_cfg = _require(cfg, "model", where)
@@ -109,11 +116,14 @@ def load_from_config(cfg: dict | None) -> MagneticLoad:
     _check_keys(cfg, {"b_t", "bn_br_product"}, "load")
     if "b_t" in cfg and "bn_br_product" in cfg:
         raise ConfigError("give either b_t or bn_br_product, not both", "load")
-    if "b_t" in cfg:
-        return MagneticLoad(b=_number(cfg["b_t"], "load.b_t"))
-    if "bn_br_product" in cfg:
-        return MagneticLoad(bn_br_product=_number(cfg["bn_br_product"], "load.bn_br_product"))
-    raise ConfigError("load needs b_t or bn_br_product", "load")
+    if "b_t" not in cfg and "bn_br_product" not in cfg:
+        raise ConfigError("load needs b_t or bn_br_product", "load")
+    key = "b_t" if "b_t" in cfg else "bn_br_product"
+    value = _number(cfg[key], f"load.{key}")
+    try:
+        return MagneticLoad(b=value) if key == "b_t" else MagneticLoad(bn_br_product=value)
+    except DomainError as exc:
+        raise ConfigError(str(exc), f"load.{key}") from exc
 
 
 def parse_config(raw: dict) -> dict:
@@ -140,7 +150,7 @@ def _artifact(out: Path, command: str, tag: str, suffix: str) -> Path:
     return out / f"{command.replace('-', '_')}_{tag}.{suffix}"
 
 
-def _run_effective(cfg, out: Path, tag: str, threads: int) -> list[Path]:
+def _run_effective(cfg, out: Path, tag: str) -> list[Path]:
     stretch = _stretch_state(cfg)
     eff = effective_model(cfg["laminate"], stretch)
     path = _artifact(out, "effective", tag, "json")
@@ -148,7 +158,7 @@ def _run_effective(cfg, out: Path, tag: str, threads: int) -> list[Path]:
     return [path]
 
 
-def _run_magnetostatic(cfg, out: Path, tag: str, threads: int) -> list[Path]:
+def _run_magnetostatic(cfg, out: Path, tag: str) -> list[Path]:
     lam = cfg["laminate"]
     stretch = _stretch_state(cfg)
     norm = materials.load_normalization(lam)
@@ -166,13 +176,13 @@ def _run_magnetostatic(cfg, out: Path, tag: str, threads: int) -> list[Path]:
     return [path]
 
 
-def _run_dispersion(cfg, out: Path, tag: str, threads: int) -> list[Path]:
+def _run_dispersion(cfg, out: Path, tag: str) -> list[Path]:
     lam = cfg["laminate"]
     stretch = _stretch_state(cfg)
     p = cfg["params"]
     _check_keys(p, {"omega_max_over_pi", "n"}, "params")
     omega_max = _number(p.get("omega_max_over_pi", 2.6), "params.omega_max_over_pi") * math.pi
-    n = int(_number(p.get("n", 2000), "params.n"))
+    n = _integer(p.get("n", 2000), "params.n", 2)
     written = []
     for folded, name in ((False, "dispersion"), (True, "dispersion_folded")):
         header, rows = disp.dispersion_table(lam, stretch, omega_max, n, folded=folded)
@@ -191,19 +201,19 @@ def _run_dispersion(cfg, out: Path, tag: str, threads: int) -> list[Path]:
     return written
 
 
-def _run_bandgap(cfg, out: Path, tag: str, threads: int) -> list[Path]:
+def _run_bandgap(cfg, out: Path, tag: str) -> list[Path]:
     lam = cfg["laminate"]
     stretch = _stretch_state(cfg)
     p = cfg["params"]
     _check_keys(p, {"omega_max_over_pi", "n_scan"}, "params")
     omega_max = _number(p.get("omega_max_over_pi", 3.0), "params.omega_max_over_pi") * math.pi
-    n_scan = int(_number(p.get("n_scan", 10_000), "params.n_scan"))
+    n_scan = _integer(p.get("n_scan", 10_000), "params.n_scan", 1000)
     path = _artifact(out, "bandgap", tag, "json")
     write_json(path, disp.band_gap_records(lam, stretch, omega_max, n_scan))
     return [path]
 
 
-def _run_soliton(cfg, out: Path, tag: str, threads: int) -> list[Path]:
+def _run_soliton(cfg, out: Path, tag: str) -> list[Path]:
     lam = cfg["laminate"]
     stretch = _stretch_state(cfg)
     eff = effective_model(lam, stretch)
@@ -211,7 +221,7 @@ def _run_soliton(cfg, out: Path, tag: str, threads: int) -> list[Path]:
     _check_keys(p, {"speed_ratio", "xi_max", "n"}, "params")
     speed_ratio = _number(p.get("speed_ratio", 1.026), "params.speed_ratio")
     xi_max = _number(p.get("xi_max", 10.0), "params.xi_max")
-    n = int(_number(p.get("n", 801), "params.n"))
+    n = _integer(p.get("n", 801), "params.n", 2)
     written = []
     header, rows = soliton.waveform_table(eff, speed_ratio * eff.c, xi_max, n)
     path = out / f"soliton_waveform_{tag}.csv"
@@ -257,7 +267,7 @@ def _sim_params(cfg) -> dict:
     }
     _check_keys(p, allowed, "params")
     out = {
-        "cells_per_layer": int(p.get("cells_per_layer", 32)),
+        "cells_per_layer": _integer(p.get("cells_per_layer", 32), "params.cells_per_layer", 4),
         "V_over_c": _number(p.get("V_over_c", 2.0), "params.V_over_c"),
         "wavelengths_per_period": _number(
             p.get("wavelengths_per_period", 16.0), "params.wavelengths_per_period"
@@ -266,12 +276,23 @@ def _sim_params(cfg) -> dict:
         "t_final_factor": _number(p.get("t_final_factor", 1.25), "params.t_final_factor"),
         "limiter": str(p.get("limiter", "minmod")),
         "window_factor": _number(p.get("window_factor", 4.0), "params.window_factor"),
-        "n_points": int(p.get("n_points", 1024)),  # per forcing period
+        "n_points": _integer(p.get("n_points", 1024), "params.n_points", 2),  # per forcing period
         "dy_m": _number(p.get("dy_m", spectral_sim.DEFAULT_DY), "params.dy_m"),
         "viscosity": _number(p.get("viscosity", spectral_sim.DEFAULT_VISCOSITY), "params.viscosity"),
     }
+    if not out["V_over_c"] > 0.0:
+        raise ConfigError(f"must be positive, got {out['V_over_c']!r}", "params.V_over_c")
+    if out["limiter"] not in fv_sim.LIMITERS:
+        raise ConfigError(
+            f"unknown limiter {out['limiter']!r}; expected one of {sorted(fv_sim.LIMITERS)}",
+            "params.limiter",
+        )
     if not isinstance(out["probes"], list) or not out["probes"]:
-        raise ConfigError("probes_y_star_multiples must be a non-empty list", "params")
+        raise ConfigError("must be a non-empty list", "params.probes_y_star_multiples")
+    for i, m in enumerate(out["probes"]):
+        where = f"params.probes_y_star_multiples[{i}]"
+        if not _number(m, where) > 0.0:
+            raise ConfigError(f"expected a positive number, got {m!r}", where)
     return out
 
 
@@ -287,7 +308,7 @@ def _sim_geometry(cfg, p):
     return lam, stretch, eff, velocity, kappa, y_star, probes, t_final
 
 
-def _run_simulate_fv(cfg, out: Path, tag: str, threads: int) -> list[Path]:
+def _run_simulate_fv(cfg, out: Path, tag: str) -> list[Path]:
     p = _sim_params(cfg)
     lam, stretch, eff, velocity, kappa, y_star, probes, t_final = _sim_geometry(cfg, p)
     result = fv_sim.impact_run(
@@ -309,7 +330,7 @@ def _run_simulate_fv(cfg, out: Path, tag: str, threads: int) -> list[Path]:
     return [path, spath]
 
 
-def _run_simulate_mkdv(cfg, out: Path, tag: str, threads: int) -> list[Path]:
+def _run_simulate_mkdv(cfg, out: Path, tag: str) -> list[Path]:
     p = _sim_params(cfg)
     lam, stretch, eff, velocity, kappa, y_star, probes, t_final = _sim_geometry(cfg, p)
     scfg = spectral_sim.config_for_impact(
@@ -337,22 +358,24 @@ def _run_simulate_mkdv(cfg, out: Path, tag: str, threads: int) -> list[Path]:
     return [path, spath]
 
 
-def _run_sweep(cfg, out: Path, tag: str, threads: int) -> list[Path]:
+def _run_sweep(cfg, out: Path, tag: str) -> list[Path]:
     p = cfg["params"]
     _check_keys(p, {"variable", "lo", "hi", "n"}, "params")
-    spec = sweeps.SweepSpec(
-        variable=str(_require(p, "variable", "params")),
-        lo=_number(_require(p, "lo", "params"), "params.lo"),
-        hi=_number(_require(p, "hi", "params"), "params.hi"),
-        n=int(_number(p.get("n", 201), "params.n")),
-    )
+    variable = str(_require(p, "variable", "params"))
+    lo = _number(_require(p, "lo", "params"), "params.lo")
+    hi = _number(_require(p, "hi", "params"), "params.hi")
+    n = _integer(p.get("n", 201), "params.n", 2)
+    try:
+        spec = sweeps.SweepSpec(variable=variable, lo=lo, hi=hi, n=n)
+    except DomainError as exc:
+        raise ConfigError(str(exc), "params") from exc
     lam = cfg["laminate"]
     if spec.variable == "magnetic_load_product":
-        result = sweeps.sweep_magnetic(lam, spec, threads)
+        result = sweeps.sweep_magnetic(lam, spec)
     elif spec.variable == "volume_fraction_2":
-        result = sweeps.sweep_volume_fraction(lam, spec, threads)
+        result = sweeps.sweep_volume_fraction(lam, spec)
     else:
-        result = sweeps.sweep_contrast(lam, spec, threads)
+        result = sweeps.sweep_contrast(lam, spec)
     header, rows = sweeps.sweep_table(result)
     path = _artifact(out, "sweep", tag, "csv")
     freq_unit = (
@@ -384,7 +407,7 @@ _RUNNERS = {
 
 
 def run(config_path: str | Path, out_dir: str | Path, threads: int = 1) -> int:
-    """Execute one config; returns the process exit status (0/1/2)."""
+    """Execute one config; returns the exit status (0/1/2). ``threads`` is ignored."""
     try:
         text = Path(config_path).read_text()
     except OSError as exc:
@@ -406,7 +429,7 @@ def run(config_path: str | Path, out_dir: str | Path, threads: int = 1) -> int:
     tag = config_hash(raw)
     command = cfg["command"]
     try:
-        written = _RUNNERS[command](cfg, out, tag, threads)
+        written = _RUNNERS[command](cfg, out, tag)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -446,10 +469,12 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument("--config", required=True, help="path to the JSON run config")
     parser.add_argument("--out", default="out", help="output directory")
-    parser.add_argument("--threads", type=int, default=1, help="row-level parallelism for sweeps")
+    parser.add_argument(
+        "--threads", type=int, default=1, help="accepted and ignored; sweep rows run serially"
+    )
     parser.add_argument("--seed", type=int, default=0, help="accepted and ignored (no stochastic components)")
     args = parser.parse_args(argv)
-    return run(args.config, args.out, max(1, args.threads))
+    return run(args.config, args.out)
 
 
 if __name__ == "__main__":

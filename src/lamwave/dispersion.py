@@ -19,11 +19,9 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .errors import DomainError, NoGap
-from .homogenize import EffectiveModel, effective_model
-from .materials import Laminate, shear_coefficients
+from .homogenize import CellState, EffectiveModel, cell_state
+from .materials import Laminate
 
-#: maximum bisection iterations when refining a band edge
-EDGE_MAX_ITER = 200
 #: band-edge refinement tolerance in omega*ell/c
 EDGE_TOL = 1e-10
 
@@ -51,20 +49,13 @@ class DispersionBranch:
     index: int
 
 
-def _phase_travel(lam: Laminate, stretch: float):
-    """Per-layer (travel-time fraction, impedance) data for the Bloch relation."""
-    p1, p2 = lam.phases
-    sc1 = shear_coefficients(p1.model, stretch)
-    sc2 = shear_coefficients(p2.model, stretch)
-    c1 = math.sqrt(sc1.g / p1.density)
-    c2 = math.sqrt(sc2.g / p2.density)
-    eff = effective_model(lam, stretch)
-    # omega*ell_i/c_i = (omega*ell/c) * nu_i * c / c_i
-    t1 = p1.volume_fraction * eff.c / c1
-    t2 = p2.volume_fraction * eff.c / c2
-    z1 = p1.density * c1
-    z2 = p2.density * c2
-    return t1, t2, z1, z2
+def _cosine(st: CellState, omega_norm) -> np.ndarray | float:
+    w = np.asarray(omega_norm, dtype=float)
+    a1 = w * st.t1
+    a2 = w * st.t2
+    zz = 0.5 * (st.z1 / st.z2 + st.z2 / st.z1)
+    out = np.cos(a1) * np.cos(a2) - zz * np.sin(a1) * np.sin(a2)
+    return out if out.ndim else float(out)
 
 
 def bloch_cosine(lam: Laminate, stretch: float, omega_norm) -> np.ndarray | float:
@@ -73,13 +64,31 @@ def bloch_cosine(lam: Laminate, stretch: float, omega_norm) -> np.ndarray | floa
     Values outside [-1, 1] mark evanescent (band-gap) frequencies.
     Accepts scalars or arrays.
     """
-    t1, t2, z1, z2 = _phase_travel(lam, stretch)
-    w = np.asarray(omega_norm, dtype=float)
-    a1 = w * t1
-    a2 = w * t2
-    zz = 0.5 * (z1 / z2 + z2 / z1)
-    out = np.cos(a1) * np.cos(a2) - zz * np.sin(a1) * np.sin(a2)
-    return out if out.ndim else float(out)
+    return _cosine(cell_state(lam, stretch), omega_norm)
+
+
+def _band_gaps(st: CellState, omega_max: float, n_scan: int) -> list[BandGap]:
+    if not omega_max > 0.0:
+        raise DomainError("omega_max must be positive")
+    if n_scan < 1000:
+        raise DomainError("n_scan must be at least 1000")
+    w = np.linspace(0.0, omega_max, n_scan + 1)
+    w[0] = 1e-12 * omega_max
+    inside = np.abs(_cosine(st, w)) > 1.0
+
+    def refine(a: float, b: float) -> float:
+        return brentq(lambda x: abs(_cosine(st, x)) - 1.0, a, b, xtol=EDGE_TOL)
+
+    gaps: list[BandGap] = []
+    padded = np.concatenate([[False], inside, [False]])
+    flips = np.flatnonzero(padded[1:] != padded[:-1])
+    n = len(w)
+    for i, j in zip(flips[::2], flips[1::2] - 1):  # first and last scan index of each gap
+        lo = refine(w[i - 1], w[i]) if i > 0 else w[0]
+        hi = refine(w[j], w[j + 1]) if j + 1 < n else w[-1]
+        if hi > lo:
+            gaps.append(BandGap(lo=lo, hi=hi, index=len(gaps) + 1))
+    return gaps
 
 
 def bloch_band_gaps(
@@ -87,51 +96,11 @@ def bloch_band_gaps(
 ) -> list[BandGap]:
     """Band gaps of the exact dispersion relation up to ``omega_max`` (omega*ell/c).
 
-    Scans ``n_scan`` frequencies, then refines each edge by bisection of
-    |cos(kappa ell)| - 1 to ``EDGE_TOL``.  Returns an empty list when no gap
-    opens (e.g. matched impedances).
+    Scans ``n_scan`` frequencies, then refines each edge with Brent's method
+    on |cos(kappa ell)| - 1 to ``EDGE_TOL``.  Returns an empty list when no
+    gap opens (e.g. matched impedances).
     """
-    if not omega_max > 0.0:
-        raise DomainError("omega_max must be positive")
-    if n_scan < 1000:
-        raise DomainError("n_scan must be at least 1000")
-    w = np.linspace(0.0, omega_max, n_scan + 1)
-    w[0] = 1e-12 * omega_max
-    f = np.abs(np.asarray(bloch_cosine(lam, stretch, w))) - 1.0
-
-    def fscalar(x: float) -> float:
-        return abs(bloch_cosine(lam, stretch, x)) - 1.0
-
-    def refine(neg: float, pos: float) -> float:
-        # invariant: f(neg) <= 0 < f(pos); orientation-agnostic bisection
-        for _ in range(EDGE_MAX_ITER):
-            if abs(pos - neg) < EDGE_TOL:
-                break
-            m = 0.5 * (neg + pos)
-            if fscalar(m) <= 0.0:
-                neg = m
-            else:
-                pos = m
-        return 0.5 * (neg + pos)
-
-    gaps: list[BandGap] = []
-    inside = f > 0.0
-    idx = 0
-    i = 0
-    n = len(w)
-    while i < n:
-        if inside[i]:
-            j = i
-            while j + 1 < n and inside[j + 1]:
-                j += 1
-            lo = refine(w[i - 1], w[i]) if i > 0 else w[0]
-            hi = refine(w[j + 1], w[j]) if j + 1 < n else w[-1]
-            if hi > lo:
-                idx += 1
-                gaps.append(BandGap(lo=min(lo, hi), hi=max(lo, hi), index=idx))
-            i = j + 1
-        i += 1
-    return gaps
+    return _band_gaps(cell_state(lam, stretch), omega_max, n_scan)
 
 
 def exact_acoustic_frequency(lam: Laminate, stretch: float, kappa_ell: float) -> float:
@@ -141,13 +110,14 @@ def exact_acoustic_frequency(lam: Laminate, stretch: float, kappa_ell: float) ->
     if kappa_ell == 0.0:
         return 0.0
     target = math.cos(kappa_ell)
+    st = cell_state(lam, stretch)
 
     def f(w: float) -> float:
-        return float(bloch_cosine(lam, stretch, w)) - target
+        return _cosine(st, w) - target
 
     # the acoustic branch ends at the first |cos| = 1 crossing above omega = 0
     hi = math.pi
-    gaps = bloch_band_gaps(lam, stretch, omega_max=2.0 * math.pi, n_scan=2000)
+    gaps = _band_gaps(st, omega_max=2.0 * math.pi, n_scan=2000)
     if gaps:
         hi = gaps[0].lo
     return float(brentq(f, 1e-14, hi, xtol=1e-14, rtol=8.9e-16, maxiter=300))
@@ -213,8 +183,12 @@ def sample_exact_branches(
     Each branch carries the folded wave number (first Brillouin zone) and the
     monotone-continuation unfolded one.
     """
+    return _branches(cell_state(lam, stretch), omega_max, n)
+
+
+def _branches(st: CellState, omega_max: float, n: int) -> list[DispersionBranch]:
     w = np.linspace(0.0, omega_max, n)
-    rhs = np.asarray(bloch_cosine(lam, stretch, w))
+    rhs = _cosine(st, w)
     propagating = np.abs(rhs) <= 1.0
     # band index = number of completed gaps below each frequency
     gap = ~propagating
@@ -241,9 +215,10 @@ def dispersion_table(
     folded: bool = False,
 ) -> tuple[list[str], list[tuple]]:
     """Rows (kappa_ell, omega_norm, branch, theory) for all three theories."""
-    eff = effective_model(lam, stretch)
+    st = cell_state(lam, stretch)
+    eff = st.eff
     rows: list[tuple] = []
-    for br in sample_exact_branches(lam, stretch, omega_max, n):
+    for br in _branches(st, omega_max, n):
         k = br.kappa_ell_folded if folded else br.kappa_ell
         rows.extend(
             (float(ki), float(wi), br.index, "exact") for ki, wi in zip(k, br.omega_norm)
@@ -266,7 +241,7 @@ def band_gap_records(
     lam: Laminate, stretch: float = 1.0, omega_max: float = 3.0 * math.pi, n_scan: int = 10_000
 ) -> list[dict]:
     """JSON-ready gap records for both theories, frequencies in units of pi."""
-    eff = effective_model(lam, stretch)
+    st = cell_state(lam, stretch)
     records = [
         {
             "index": g.index,
@@ -274,10 +249,10 @@ def band_gap_records(
             "hi_over_pi": g.hi / math.pi,
             "theory": "exact",
         }
-        for g in bloch_band_gaps(lam, stretch, omega_max, n_scan)
+        for g in _band_gaps(st, omega_max, n_scan)
     ]
     try:
-        g = homogenized_band_gap(eff)
+        g = homogenized_band_gap(st.eff)
         records.append(
             {
                 "index": g.index,

@@ -22,8 +22,8 @@ from typing import Callable
 import numpy as np
 
 from .errors import CFLViolation, DomainError, GeometryError
-from .homogenize import effective_model
-from .materials import Laminate, ShearCoefficients, shear_coefficients
+from .homogenize import cell_state, effective_model
+from .materials import Laminate, ShearCoefficients
 
 
 @dataclass(frozen=True)
@@ -83,11 +83,10 @@ def build_grid(
         last = k == n_periods - 1
         pattern.append(np.full(half2 if last else cells_per_layer, 2, dtype=np.int8))
     phase = np.concatenate(pattern)
-    sc1 = shear_coefficients(lam.phase1.model, stretch)
-    sc2 = shear_coefficients(lam.phase2.model, stretch)
+    st = cell_state(lam, stretch)
     is2 = phase == 2
-    g = np.where(is2, sc2.g, sc1.g)
-    h = np.where(is2, sc2.h, sc1.h)
+    g = np.where(is2, st.sc2.g, st.sc1.g)
+    h = np.where(is2, st.sc2.h, st.sc1.h)
     rho = np.where(is2, lam.phase2.density, lam.phase1.density)
     n_cells = len(phase)
     return Grid1D(
@@ -411,10 +410,9 @@ def required_periods(
     margin covers nonlinear stiffening of the layer speeds.  The farthest
     probe plus two forcing wavelengths are added on top.
     """
-    crossing_time = 0.0
-    for p, thick in zip(lam.phases, lam.layer_thicknesses(stretch)):
-        sc = shear_coefficients(p.model, stretch)
-        crossing_time += thick / math.sqrt(sc.g / p.density)
+    st = cell_state(lam, stretch)
+    ell1, ell2 = lam.layer_thicknesses(stretch)
+    crossing_time = ell1 / st.c1 + ell2 / st.c2
     c_front = lam.deformed_period(stretch) / crossing_time * speed_margin
     length = c_front * t_final + probe_max + 2.0 * wavelength
     return int(math.ceil(length / lam.deformed_period(stretch)))

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import materials
 from .errors import DispersionTooStrong, DomainError, SingularDeformation
-from .materials import Laminate, shear_coefficients, uniaxial_first_invariant
+from .materials import Laminate, ShearCoefficients, shear_coefficients, uniaxial_first_invariant
 
 #: zone-edge value of eta_y forced by the zero-group-velocity condition
 ETA_Y_OPT = 1.0 / (2.0 * math.pi**2)
@@ -71,20 +71,35 @@ def optimized_dispersion_coeffs(eta: float) -> tuple[float, float, float]:
     return (ETA_Y_OPT, 0.0, ETA_Y_OPT - eta)
 
 
-def _phase_data(lam: Laminate, stretch: float):
-    p1, p2 = lam.phases
-    c1 = shear_coefficients(p1.model, stretch)
-    c2 = shear_coefficients(p2.model, stretch)
-    return p1, p2, c1, c2
+@dataclass(frozen=True)
+class CellState:
+    """Per-phase data of one laminate at one stretch, read by every analysis.
+
+    Holds the shear coefficients, layer speeds ``c_i = sqrt(g_i/rho_i)``,
+    impedances ``z_i = rho_i c_i``, travel fractions ``t_i = nu_i c / c_i``
+    (so that ``omega ell_i / c_i = t_i * omega ell / c``) and the effective model.
+    """
+
+    sc1: ShearCoefficients
+    sc2: ShearCoefficients
+    c1: float  # m/s
+    c2: float
+    z1: float  # kg/(m^2 s)
+    z2: float
+    t1: float
+    t2: float
+    eff: EffectiveModel
 
 
-def effective_model(lam: Laminate, stretch: float = 1.0) -> EffectiveModel:
-    """Homogenised wave model of the laminate at the given axial stretch.
+def cell_state(lam: Laminate, stretch: float = 1.0) -> CellState:
+    """Evaluate the per-phase data and the homogenised model of the laminate at ``stretch``.
 
     ``zeta`` and ``eta`` are evaluated from the normalised per-phase
     coefficients, which keeps them dimensionless by construction.
     """
-    p1, p2, sc1, sc2 = _phase_data(lam, stretch)
+    p1, p2 = lam.phases
+    sc1 = shear_coefficients(p1.model, stretch)
+    sc2 = shear_coefficients(p2.model, stretch)
     n1, n2 = p1.volume_fraction, p2.volume_fraction
     g_eff = 1.0 / (n1 / sc1.g + n2 / sc2.g)
     rho_eff = n1 * p1.density + n2 * p2.density
@@ -99,7 +114,7 @@ def effective_model(lam: Laminate, stretch: float = 1.0) -> EffectiveModel:
     eta = (n1 * n2) ** 2 / (g1 * g2) ** 2 * (r1 * g1 - r2 * g2) ** 2 / 12.0
 
     eta_y, eta_m, eta_t = optimized_dispersion_coeffs(eta)
-    return EffectiveModel(
+    eff = EffectiveModel(
         g_eff=g_eff,
         rho_eff=rho_eff,
         c=c,
@@ -111,6 +126,17 @@ def effective_model(lam: Laminate, stretch: float = 1.0) -> EffectiveModel:
         ell=lam.deformed_period(stretch),
         stretch=stretch,
     )
+    c1 = math.sqrt(sc1.g / p1.density)
+    c2 = math.sqrt(sc2.g / p2.density)
+    return CellState(
+        sc1=sc1, sc2=sc2, c1=c1, c2=c2, z1=p1.density * c1, z2=p2.density * c2,
+        t1=n1 * c / c1, t2=n2 * c / c2, eff=eff,
+    )
+
+
+def effective_model(lam: Laminate, stretch: float = 1.0) -> EffectiveModel:
+    """Homogenised wave model of the laminate at the given axial stretch."""
+    return cell_state(lam, stretch).eff
 
 
 def eta_dimensional(lam: Laminate, stretch: float = 1.0) -> float:
@@ -118,17 +144,16 @@ def eta_dimensional(lam: Laminate, stretch: float = 1.0) -> float:
 
     Alternate accessor; agrees with :func:`effective_model` by construction.
     """
-    p1, p2, sc1, sc2 = _phase_data(lam, stretch)
+    st = cell_state(lam, stretch)
+    p1, p2 = lam.phases
     n1, n2 = p1.volume_fraction, p2.volume_fraction
-    g_eff = 1.0 / (n1 / sc1.g + n2 / sc2.g)
-    rho_eff = n1 * p1.density + n2 * p2.density
-    c2 = g_eff / rho_eff
+    c2 = st.eff.g_eff / st.eff.rho_eff
     return (
         c2**2
         / 12.0
         * (n1 * n2) ** 2
-        / (sc1.g * sc2.g) ** 2
-        * (p1.density * sc1.g - p2.density * sc2.g) ** 2
+        / (st.sc1.g * st.sc2.g) ** 2
+        * (p1.density * st.sc1.g - p2.density * st.sc2.g) ** 2
     )
 
 
@@ -142,11 +167,11 @@ class CellCorrectors:
 
 def cell_correctors(lam: Laminate, stretch: float = 1.0) -> CellCorrectors:
     """First-order corrector slopes over the unit cell, in normalised variables."""
-    p1, p2, sc1, sc2 = _phase_data(lam, stretch)
-    n1, n2 = p1.volume_fraction, p2.volume_fraction
-    g_eff = 1.0 / (n1 / sc1.g + n2 / sc2.g)
-    g1, g2 = sc1.g / g_eff, sc2.g / g_eff
-    h1, h2 = sc1.h / g_eff, sc2.h / g_eff
+    st = cell_state(lam, stretch)
+    n1, n2 = lam.phase1.volume_fraction, lam.phase2.volume_fraction
+    g_eff = st.eff.g_eff
+    g1, g2 = st.sc1.g / g_eff, st.sc2.g / g_eff
+    h1, h2 = st.sc1.h / g_eff, st.sc2.h / g_eff
     mix = n1 * g2 + n2 * g1
     P = (g2 - g1) / mix
     Q = (h2 * g1**3 - h1 * g2**3) / (3.0 * mix**4)
@@ -160,17 +185,17 @@ def unit_cell_profiles(lam: Laminate, stretch: float, y_fast: np.ndarray) -> dic
     centred band |y| <= nu2/2.  Returns normalised ``g``, ``h``, ``rho`` plus
     the corrector slope factor ``tau`` and offset ``phi``.
     """
-    p1, p2, sc1, sc2 = _phase_data(lam, stretch)
+    st = cell_state(lam, stretch)
+    p1, p2 = lam.phases
     n1, n2 = p1.volume_fraction, p2.volume_fraction
-    g_eff = 1.0 / (n1 / sc1.g + n2 / sc2.g)
-    rho_eff = n1 * p1.density + n2 * p2.density
+    g_eff, rho_eff = st.eff.g_eff, st.eff.rho_eff
 
     y = np.asarray(y_fast, dtype=float)
     if np.any(np.abs(y) > 0.5 + 1e-12):
         raise DomainError("fast coordinate must lie in [-1/2, 1/2]")
     in2 = np.abs(y) <= 0.5 * n2
-    g = np.where(in2, sc2.g, sc1.g) / g_eff
-    h = np.where(in2, sc2.h, sc1.h) / g_eff
+    g = np.where(in2, st.sc2.g, st.sc1.g) / g_eff
+    h = np.where(in2, st.sc2.h, st.sc1.h) / g_eff
     rho = np.where(in2, p2.density, p1.density) / rho_eff
     tau = np.where(in2, -n1, n2)
     phi = np.where(in2, 0.0, np.where(y < 0.0, 0.5, -0.5))

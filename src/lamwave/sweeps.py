@@ -2,14 +2,13 @@
 
 Three sweep variables are supported: the normalised magnetic load product,
 the volume fraction of phase 2 (at unit stretch), and the shear-modulus
-contrast (at unit stretch).  Rows are mutually independent; with
-``threads > 1`` they are evaluated by a thread pool and merged in order.
+contrast (at unit stretch).  Rows are evaluated serially in grid order; the
+``threads`` argument of each sweep is accepted and ignored.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -17,7 +16,7 @@ from scipy.optimize import minimize_scalar
 
 from . import dispersion, materials, soliton
 from .errors import DomainError, GentLocking, LamwaveError, NoRoot
-from .homogenize import effective_model
+from .homogenize import cell_state, effective_model
 from .materials import Laminate, MagneticLoad
 
 VARIABLES = ("magnetic_load_product", "volume_fraction_2", "modulus_contrast")
@@ -38,13 +37,15 @@ class SweepSpec:
         if self.variable not in VARIABLES:
             raise DomainError(f"unknown sweep variable {self.variable!r}")
         if not self.lo < self.hi:
-            raise DomainError("sweep range must satisfy lo < hi")
+            raise DomainError(f"sweep range needs lo < hi, got lo = {self.lo!r}, hi = {self.hi!r}")
         if self.n < 2:
             raise DomainError("sweep needs at least 2 points")
         if self.variable == "volume_fraction_2" and not (0.0 < self.lo and self.hi < 1.0):
-            raise DomainError("volume fractions must stay inside (0, 1)")
+            raise DomainError(
+                f"volume fractions must stay inside (0, 1), got lo = {self.lo!r}, hi = {self.hi!r}"
+            )
         if self.variable == "modulus_contrast" and not self.lo > 0.0:
-            raise DomainError("modulus contrast must be positive")
+            raise DomainError(f"modulus contrast must be positive, got lo = {self.lo!r}")
 
     def grid(self) -> np.ndarray:
         if self.variable == "modulus_contrast":
@@ -93,13 +94,6 @@ def _bound_fields(row: dict, eff, speed_scale: float):
         row["max_strain"] = math.nan
 
 
-def _run_rows(values, worker, threads: int) -> list[dict]:
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(worker, values))
-    return [worker(v) for v in values]
-
-
 def sweep_magnetic(lam: Laminate, spec: SweepSpec, threads: int = 1) -> SweepResult:
     """Stretch, band gaps and solitary-wave bounds versus the magnetic load product.
 
@@ -139,7 +133,7 @@ def sweep_magnetic(lam: Laminate, spec: SweepSpec, threads: int = 1) -> SweepRes
         return row
 
     values = spec.grid()
-    rows = _run_rows(values, worker, threads)
+    rows = [worker(p) for p in values]
     unlocked = [r for r in rows if not r["locked"]]
     summary = {
         "n_locked": sum(r["locked"] for r in rows),
@@ -167,6 +161,20 @@ def _with_contrast(lam: Laminate, ratio: float) -> Laminate:
     return Laminate(lam.phase1, replace(lam.phase2, model=model2), lam.period)
 
 
+def _unit_stretch_rows(lam: Laminate, spec: SweepSpec, variant) -> tuple[np.ndarray, list[dict]]:
+    """Rows of a sweep over laminates ``variant(lam, x)`` at unit stretch."""
+    values = spec.grid()
+    rows = []
+    for x in values:
+        sub = variant(lam, float(x))
+        eff = effective_model(sub, 1.0)
+        row = {spec.variable: float(x), "eta": eff.eta, "zeta": eff.zeta}
+        _gap_fields(row, sub, 1.0, eff, spec, scale=1.0)
+        _bound_fields(row, eff, speed_scale=1.0)
+        rows.append(row)
+    return values, rows
+
+
 def _refine_argmax(fn, lo: float, hi: float) -> float:
     res = minimize_scalar(lambda x: -fn(x), bounds=(lo, hi), method="bounded",
                           options={"xatol": 1e-10})
@@ -177,17 +185,7 @@ def sweep_volume_fraction(lam: Laminate, spec: SweepSpec, threads: int = 1) -> S
     """Band gaps and solitary-wave bounds versus the phase-2 volume fraction (stretch 1)."""
     if spec.variable != "volume_fraction_2":
         raise DomainError("spec.variable must be 'volume_fraction_2'")
-
-    def worker(nu2: float) -> dict:
-        sub = _with_volume_fraction(lam, float(nu2))
-        eff = effective_model(sub, 1.0)
-        row = {"volume_fraction_2": float(nu2), "eta": eff.eta, "zeta": eff.zeta}
-        _gap_fields(row, sub, 1.0, eff, spec, scale=1.0)
-        _bound_fields(row, eff, speed_scale=1.0)
-        return row
-
-    values = spec.grid()
-    rows = _run_rows(values, worker, threads)
+    values, rows = _unit_stretch_rows(lam, spec, _with_volume_fraction)
 
     def eta_of(x: float) -> float:
         return effective_model(_with_volume_fraction(lam, x), 1.0).eta
@@ -206,14 +204,11 @@ def sweep_volume_fraction(lam: Laminate, spec: SweepSpec, threads: int = 1) -> S
         i = int(np.nanargmax(col))
         return max(values[0], values[i] - pad), min(values[-1], values[i] + pad)
 
-    sc1 = materials.shear_coefficients(lam.phase1.model, 1.0)
-    sc2 = materials.shear_coefficients(lam.phase2.model, 1.0)
-    c1 = math.sqrt(sc1.g / lam.phase1.density)
-    c2 = math.sqrt(sc2.g / lam.phase2.density)
+    st = cell_state(lam, 1.0)
     summary = {
         "argmax_eta": _refine_argmax(eta_of, *bracket(eta_col)),
         "argmax_max_strain": _refine_argmax(strain_of, *bracket(strain_col)),
-        "speed_ratio_prediction": c2 / (c1 + c2),
+        "speed_ratio_prediction": st.c2 / (st.c1 + st.c2),
     }
     return SweepResult(
         variable=spec.variable,
@@ -232,17 +227,7 @@ def sweep_contrast(lam: Laminate, spec: SweepSpec, threads: int = 1) -> SweepRes
     """
     if spec.variable != "modulus_contrast":
         raise DomainError("spec.variable must be 'modulus_contrast'")
-
-    def worker(ratio: float) -> dict:
-        sub = _with_contrast(lam, float(ratio))
-        eff = effective_model(sub, 1.0)
-        row = {"modulus_contrast": float(ratio), "eta": eff.eta, "zeta": eff.zeta}
-        _gap_fields(row, sub, 1.0, eff, spec, scale=1.0)
-        _bound_fields(row, eff, speed_scale=1.0)
-        return row
-
-    values = spec.grid()
-    rows = _run_rows(values, worker, threads)
+    values, rows = _unit_stretch_rows(lam, spec, _with_contrast)
     widths = [r["gap_exact_hi"] - r["gap_exact_lo"] for r in rows]
     summary = {
         "max_gap_width": float(np.nanmax(widths)) if widths else math.nan,

@@ -58,6 +58,43 @@ class TestValidation:
         assert cli.run(cfg, tmp_path / "out") == 1
         assert "phases[1]" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        ("command", "params", "load", "key"),
+        [
+            ("simulate-fv", {"cells_per_layer": "abc"}, None, "params.cells_per_layer"),
+            ("simulate-mkdv", {"n_points": 0}, None, "params.n_points"),
+            ("dispersion", {"n": -5}, None, "params.n"),
+            ("soliton", {"n": 10.5}, None, "params.n"),
+            ("bandgap", {"n_scan": 10}, None, "params.n_scan"),
+            ("sweep", {"variable": "modulus_contrast", "lo": 0.5, "hi": 2.0, "n": 3.7}, None,
+             "params.n"),
+            ("sweep", {"variable": "temperature", "lo": 0.0, "hi": 1.0}, None, "variable"),
+            ("sweep", {"variable": "modulus_contrast", "lo": 2.0, "hi": 0.5}, None, "lo"),
+            ("sweep", {"variable": "volume_fraction_2", "lo": 0.0, "hi": 1.2}, None, "hi"),
+            ("simulate-fv", {"V_over_c": -1.0}, None, "params.V_over_c"),
+            ("simulate-mkdv", {"V_over_c": 0.0}, None, "params.V_over_c"),
+            ("simulate-fv", {"limiter": "superbee"}, None, "params.limiter"),
+            ("simulate-fv", {"probes_y_star_multiples": ["x"]}, None,
+             "params.probes_y_star_multiples[0]"),
+            ("effective", {}, {"b_t": float("nan")}, "load.b_t"),
+        ],
+        ids=[
+            "cells_per_layer-str", "n_points-zero", "dispersion-n-negative", "soliton-n-fraction",
+            "n_scan-small", "sweep-n-fraction", "sweep-variable", "sweep-lo-above-hi",
+            "sweep-volume-fraction", "fv-V-negative", "mkdv-V-zero", "limiter", "probe-str",
+            "b_t-nan",
+        ],
+    )
+    def test_bad_param_exits_1_with_key_path(self, tmp_path, capsys, command, params, load, key):
+        payload = {"command": command, "laminate": BENCH_LAMINATE, "params": params}
+        if load is not None:
+            payload["load"] = load
+        cfg = write_config(tmp_path, payload)
+        assert cli.run(cfg, tmp_path / "out") == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert key in err
+
     def test_numerical_failure_exit_code(self, tmp_path, capsys):
         payload = {
             "command": "effective",

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -100,6 +101,21 @@ class TestBandGaps:
     def test_matched_impedance_gap_closes(self, matched_bilam):
         gaps = dsp.bloch_band_gaps(matched_bilam, 1.0, 2.0 * math.pi, 4000)
         assert not gaps or gaps[0].width < 1e-6
+
+    def test_scan_evaluates_coefficients_once_per_phase(self, bilam, monkeypatch):
+        original = m.shear_coefficients
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        for name, mod in list(sys.modules.items()):
+            if name.startswith("lamwave") and getattr(mod, "shear_coefficients", None) is original:
+                monkeypatch.setattr(mod, "shear_coefficients", counted)
+        gaps = dsp.bloch_band_gaps(bilam, 1.0, 3.0 * math.pi, 10_000)
+        assert gaps
+        assert len(calls) <= 2
 
     def test_edges_refined(self, bilam):
         gaps = dsp.bloch_band_gaps(bilam, 1.0, 2.0 * math.pi, 2000)

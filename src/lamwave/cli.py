@@ -13,6 +13,7 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import dataclass
 from pathlib import Path
 
 from . import dispersion as disp
@@ -22,30 +23,69 @@ from .homogenize import effective_model
 from .materials import HyperelasticModel, Laminate, MagneticLoad, Phase
 from .output import config_hash, write_csv, write_json
 
-COMMANDS = (
-    "effective",
-    "dispersion",
-    "bandgap",
-    "soliton",
-    "magnetostatic",
-    "simulate-fv",
-    "simulate-mkdv",
-    "sweep",
-)
+_FIGURES = {"dispersion": "fig3", "bandgap": "fig3", "soliton": "fig4a+fig4b",
+            "simulate-fv": "fig5", "simulate-mkdv": "fig5"}
+_SWEEP_FIGURES = {"magnetic_load_product": "fig6a+fig6b", "volume_fraction_2": "fig7",
+                  "modulus_contrast": "fig7"}
 
-_FIGURES = {
-    "dispersion": "fig3",
-    "bandgap": "fig3",
-    "soliton": "fig4a+fig4b",
-    "simulate-fv": "fig5",
-    "simulate-mkdv": "fig5",
+REQUIRED = object()  # default of a param that must be given
+
+
+@dataclass(frozen=True)
+class Param:
+    """One ``params`` key: its kind, its default and its bound.
+
+    ``kind`` is ``"float"``, ``"int"``, ``"choice"`` (one of ``choices``) or
+    ``"floats"`` (a non-empty list, each entry bounded like a float).  A number
+    must exceed ``gt``, be at least ``ge`` and, if ``even``, be even; every
+    float must also be finite.
+    """
+
+    kind: str
+    default: object = REQUIRED
+    gt: float | None = None
+    ge: float | None = None
+    even: bool = False
+    choices: tuple = ()
+
+
+# simulate-fv accepts and ignores the four spectral keys
+_SIMULATE = {
+    "cells_per_layer": Param("int", 32, ge=4, even=True),
+    "V_over_c": Param("float", 2.0, gt=0.0),
+    "wavelengths_per_period": Param("float", 16.0, gt=0.0),
+    "probes_y_star_multiples": Param("floats", [1.0, 2.0], gt=0.0),
+    "t_final_factor": Param("float", 1.25, gt=0.0),
+    "limiter": Param("choice", "minmod", choices=tuple(fv_sim.LIMITERS)),
+    "window_factor": Param("float", 4.0, ge=4.0),
+    "n_points": Param("int", 1024, ge=2),  # per forcing period
+    "dy_m": Param("float", spectral_sim.DEFAULT_DY, gt=0.0),
+    "viscosity": Param("float", spectral_sim.DEFAULT_VISCOSITY, ge=0.0),
 }
 
-_SWEEP_FIGURES = {
-    "magnetic_load_product": "fig6a+fig6b",
-    "volume_fraction_2": "fig7",
-    "modulus_contrast": "fig7",
+#: The params table of every command; the resolved ``params`` of a config carry
+#: every key of its command's table.
+PARAMS = {
+    "effective": {},
+    "dispersion": {"omega_max_over_pi": Param("float", 2.6, gt=0.0), "n": Param("int", 2000, ge=2)},
+    "bandgap": {"omega_max_over_pi": Param("float", 3.0, gt=0.0), "n_scan": Param("int", 10_000, ge=1000)},
+    "soliton": {
+        "speed_ratio": Param("float", 1.026),
+        "xi_max": Param("float", 10.0),
+        "n": Param("int", 801, ge=2),
+    },
+    "magnetostatic": {},
+    "simulate-fv": _SIMULATE,
+    "simulate-mkdv": _SIMULATE,
+    "sweep": {
+        "variable": Param("choice", choices=sweeps.VARIABLES),
+        "lo": Param("float"),
+        "hi": Param("float"),
+        "n": Param("int", 201, ge=2),
+    },
 }
+
+COMMANDS = tuple(PARAMS)
 
 
 def _require(mapping: dict, key: str, where: str):
@@ -55,6 +95,8 @@ def _require(mapping: dict, key: str, where: str):
 
 
 def _check_keys(mapping: dict, allowed: set[str], where: str) -> None:
+    if not isinstance(mapping, dict):
+        raise ConfigError(f"expected an object, got {type(mapping).__name__}", where)
     unknown = set(mapping) - allowed
     if unknown:
         raise ConfigError(f"unknown keys {sorted(unknown)}", where)
@@ -63,14 +105,54 @@ def _check_keys(mapping: dict, allowed: set[str], where: str) -> None:
 def _number(value, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"expected a number, got {value!r}", where)
-    return float(value)
+    try:
+        value = float(value)
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise ConfigError(f"expected a finite number, got {value!r}", where)
+    return value
 
 
-def _integer(value, where: str, minimum: int) -> int:
-    if (isinstance(value, bool) or not isinstance(value, (int, float))
-            or not float(value).is_integer() or value < minimum):
-        raise ConfigError(f"expected an integer >= {minimum}, got {value!r}", where)
-    return int(value)
+def _param(spec: Param, value, where: str):
+    """``value`` of one param, checked against its kind and bound."""
+    if spec.kind == "choice":
+        if value not in spec.choices:
+            raise ConfigError(f"expected one of {list(spec.choices)}, got {value!r}", where)
+        return value
+    if spec.kind == "floats":
+        if not isinstance(value, list) or not value:
+            raise ConfigError("expected a non-empty list of numbers", where)
+        entry = Param("float", gt=spec.gt, ge=spec.ge)
+        return [_param(entry, v, f"{where}[{i}]") for i, v in enumerate(value)]
+    if spec.kind == "int":
+        if isinstance(value, float) and value.is_integer():
+            value = int(value)
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ConfigError(f"expected an integer, got {value!r}", where)
+    else:
+        value = _number(value, where)
+    if spec.gt is not None and not value > spec.gt:
+        raise ConfigError(f"must be > {spec.gt:g}, got {value!r}", where)
+    if spec.ge is not None and not value >= spec.ge:
+        raise ConfigError(f"must be >= {spec.ge:g}, got {value!r}", where)
+    if spec.even and value % 2:
+        raise ConfigError(f"must be even, got {value!r}", where)
+    return value
+
+
+def _resolve_params(command: str, params) -> dict:
+    """``params`` checked against the command's table, with every default filled in."""
+    table = PARAMS[command]
+    params = params or {}
+    _check_keys(params, set(table), "params")
+    resolved = {}
+    for name, spec in table.items():
+        value = params.get(name, spec.default)
+        if value is REQUIRED:
+            raise ConfigError(f"missing required key {name!r}", "params")
+        resolved[name] = _param(spec, value, f"params.{name}")
+    return resolved
 
 
 def phase_from_config(cfg: dict, where: str) -> Phase:
@@ -127,19 +209,30 @@ def load_from_config(cfg: dict | None) -> MagneticLoad:
 
 
 def parse_config(raw: dict) -> dict:
+    """Validate a raw config: every config error is raised here, before any computation.
+
+    The returned ``params`` are resolved against :data:`PARAMS`, with every default
+    filled in; a ``sweep`` config also carries its :class:`~lamwave.sweeps.SweepSpec`.
+    """
     _check_keys(raw, {"command", "laminate", "load", "params"}, "config")
     command = _require(raw, "command", "config")
     if command not in COMMANDS:
         raise ConfigError(f"unknown command {command!r}; expected one of {COMMANDS}", "config.command")
     laminate_cfg = _require(raw, "laminate", "config")
     _check_keys(laminate_cfg, {"phases", "period_m"}, "config.laminate")
-    return {
+    cfg = {
         "command": command,
         "laminate": laminate_from_config(laminate_cfg),
         "load": load_from_config(raw.get("load")),
-        "params": raw.get("params", {}) or {},
+        "params": _resolve_params(command, raw.get("params")),
         "raw": raw,
     }
+    if command == "sweep":
+        try:
+            cfg["sweep"] = sweeps.SweepSpec(**cfg["params"])
+        except DomainError as exc:
+            raise ConfigError(str(exc), "params") from exc
+    return cfg
 
 
 def _stretch_state(cfg: dict) -> float:
@@ -180,19 +273,13 @@ def _run_dispersion(cfg, out: Path, tag: str) -> list[Path]:
     lam = cfg["laminate"]
     stretch = _stretch_state(cfg)
     p = cfg["params"]
-    _check_keys(p, {"omega_max_over_pi", "n"}, "params")
-    omega_max = _number(p.get("omega_max_over_pi", 2.6), "params.omega_max_over_pi") * math.pi
-    n = _integer(p.get("n", 2000), "params.n", 2)
+    omega_max = p["omega_max_over_pi"] * math.pi
     written = []
     for folded, name in ((False, "dispersion"), (True, "dispersion_folded")):
-        header, rows = disp.dispersion_table(lam, stretch, omega_max, n, folded=folded)
+        header, rows = disp.dispersion_table(lam, stretch, omega_max, p["n"], folded=folded)
         path = out / f"{name}_{tag}.csv"
-        write_csv(
-            path,
-            [f"stretch = {stretch!r}", "kappa_ell view: " + ("folded [0,pi]" if folded else "unfolded [0,2pi]")],
-            header,
-            rows,
-        )
+        view = "folded [0,pi]" if folded else "unfolded [0,2pi]"
+        write_csv(path, [f"stretch = {stretch!r}", f"kappa_ell view: {view}"], header, rows)
         written.append(path)
     gaps = disp.band_gap_records(lam, stretch)
     path = _artifact(out, "dispersion", tag, "json")
@@ -205,11 +292,8 @@ def _run_bandgap(cfg, out: Path, tag: str) -> list[Path]:
     lam = cfg["laminate"]
     stretch = _stretch_state(cfg)
     p = cfg["params"]
-    _check_keys(p, {"omega_max_over_pi", "n_scan"}, "params")
-    omega_max = _number(p.get("omega_max_over_pi", 3.0), "params.omega_max_over_pi") * math.pi
-    n_scan = _integer(p.get("n_scan", 10_000), "params.n_scan", 1000)
     path = _artifact(out, "bandgap", tag, "json")
-    write_json(path, disp.band_gap_records(lam, stretch, omega_max, n_scan))
+    write_json(path, disp.band_gap_records(lam, stretch, p["omega_max_over_pi"] * math.pi, p["n_scan"]))
     return [path]
 
 
@@ -218,19 +302,13 @@ def _run_soliton(cfg, out: Path, tag: str) -> list[Path]:
     stretch = _stretch_state(cfg)
     eff = effective_model(lam, stretch)
     p = cfg["params"]
-    _check_keys(p, {"speed_ratio", "xi_max", "n"}, "params")
-    speed_ratio = _number(p.get("speed_ratio", 1.026), "params.speed_ratio")
-    xi_max = _number(p.get("xi_max", 10.0), "params.xi_max")
-    n = _integer(p.get("n", 801), "params.n", 2)
-    written = []
-    header, rows = soliton.waveform_table(eff, speed_ratio * eff.c, xi_max, n)
-    path = out / f"soliton_waveform_{tag}.csv"
-    write_csv(path, [f"speed_ratio = {speed_ratio!r}"], header, rows)
-    written.append(path)
+    speed_ratio = p["speed_ratio"]
+    header, rows = soliton.waveform_table(eff, speed_ratio * eff.c, p["xi_max"], p["n"])
+    wpath = out / f"soliton_waveform_{tag}.csv"
+    write_csv(wpath, [f"speed_ratio = {speed_ratio!r}"], header, rows)
     header, rows = soliton.amplitude_table(eff)
-    path = out / f"soliton_amplitude_{tag}.csv"
-    write_csv(path, ["speed sweep up to the existence bound"], header, rows)
-    written.append(path)
+    apath = out / f"soliton_amplitude_{tag}.csv"
+    write_csv(apath, ["speed sweep up to the existence bound"], header, rows)
     summary = {"speed_ratio": speed_ratio}
     try:
         bound = soliton.existence_bound(eff)
@@ -245,130 +323,53 @@ def _run_soliton(cfg, out: Path, tag: str) -> list[Path]:
         )
     except LamwaveError as exc:
         summary["note"] = str(exc)
-    path = _artifact(out, "soliton", tag, "json")
-    write_json(path, summary)
-    written.append(path)
-    return written
+    spath = _artifact(out, "soliton", tag, "json")
+    write_json(spath, summary)
+    return [wpath, apath, spath]
 
 
-def _sim_params(cfg) -> dict:
-    p = dict(cfg["params"])
-    allowed = {
-        "cells_per_layer",
-        "V_over_c",
-        "wavelengths_per_period",
-        "probes_y_star_multiples",
-        "t_final_factor",
-        "limiter",
-        "window_factor",
-        "n_points",
-        "dy_m",
-        "viscosity",
-    }
-    _check_keys(p, allowed, "params")
-    out = {
-        "cells_per_layer": _integer(p.get("cells_per_layer", 32), "params.cells_per_layer", 4),
-        "V_over_c": _number(p.get("V_over_c", 2.0), "params.V_over_c"),
-        "wavelengths_per_period": _number(
-            p.get("wavelengths_per_period", 16.0), "params.wavelengths_per_period"
-        ),
-        "probes": p.get("probes_y_star_multiples", [1.0, 2.0]),
-        "t_final_factor": _number(p.get("t_final_factor", 1.25), "params.t_final_factor"),
-        "limiter": str(p.get("limiter", "minmod")),
-        "window_factor": _number(p.get("window_factor", 4.0), "params.window_factor"),
-        "n_points": _integer(p.get("n_points", 1024), "params.n_points", 2),  # per forcing period
-        "dy_m": _number(p.get("dy_m", spectral_sim.DEFAULT_DY), "params.dy_m"),
-        "viscosity": _number(p.get("viscosity", spectral_sim.DEFAULT_VISCOSITY), "params.viscosity"),
-    }
-    if not out["V_over_c"] > 0.0:
-        raise ConfigError(f"must be positive, got {out['V_over_c']!r}", "params.V_over_c")
-    if out["limiter"] not in fv_sim.LIMITERS:
-        raise ConfigError(
-            f"unknown limiter {out['limiter']!r}; expected one of {sorted(fv_sim.LIMITERS)}",
-            "params.limiter",
-        )
-    if not isinstance(out["probes"], list) or not out["probes"]:
-        raise ConfigError("must be a non-empty list", "params.probes_y_star_multiples")
-    for i, m in enumerate(out["probes"]):
-        where = f"params.probes_y_star_multiples[{i}]"
-        if not _number(m, where) > 0.0:
-            raise ConfigError(f"expected a positive number, got {m!r}", where)
-    return out
-
-
-def _sim_geometry(cfg, p):
-    lam = cfg["laminate"]
+def _run_simulate(cfg, out: Path, tag: str) -> list[Path]:
+    """Impact run of simulate-fv (finite volume) or simulate-mkdv (spectral march)."""
+    command, lam, p = cfg["command"], cfg["laminate"], cfg["params"]
     stretch = _stretch_state(cfg)
     eff = effective_model(lam, stretch)
     velocity = p["V_over_c"] * eff.c
     kappa = 2.0 * math.pi / (p["wavelengths_per_period"] * eff.ell)
     y_star = soliton.shock_distance(eff, velocity, kappa)
-    probes = [m * y_star for m in p["probes"]]
+    probes = [m * y_star for m in p["probes_y_star_multiples"]]
     t_final = p["t_final_factor"] * (max(probes) / eff.c + 3.0 * 2.0 * math.pi / (kappa * eff.c))
-    return lam, stretch, eff, velocity, kappa, y_star, probes, t_final
-
-
-def _run_simulate_fv(cfg, out: Path, tag: str) -> list[Path]:
-    p = _sim_params(cfg)
-    lam, stretch, eff, velocity, kappa, y_star, probes, t_final = _sim_geometry(cfg, p)
-    result = fv_sim.impact_run(
-        lam, stretch, velocity, kappa, probes, t_final,
-        cells_per_layer=p["cells_per_layer"], limiter=p["limiter"],
-    )
-    header, rows = fv_sim.probe_table(result)
-    path = _artifact(out, "simulate-fv", tag, "csv")
+    summary = {"y_star_m": y_star, "c_eff": eff.c}
+    if command == "simulate-fv":
+        result = fv_sim.impact_run(
+            lam, stretch, velocity, kappa, probes, t_final,
+            cells_per_layer=p["cells_per_layer"], limiter=p["limiter"],
+        )
+        header, rows = fv_sim.probe_table(result)
+        summary.update(
+            t_final_s=t_final,
+            steps=result.steps,
+            peak_v_over_c=max(float(abs(pr.v_over_c).max()) for pr in result.probes),
+        )
+    else:
+        scfg = spectral_sim.config_for_impact(
+            kappa, eff.c, window_factor=p["window_factor"], points_per_period=p["n_points"],
+            dy=p["dy_m"], viscosity=p["viscosity"],
+        )
+        result = spectral_sim.impact_march(eff, velocity, kappa, probes, cfg=scfg)
+        header, rows = spectral_sim.probe_table(result, kappa, eff.c)
+        summary.update(
+            window_s=scfg.window,
+            peak_v_over_c=max(float(abs(v).max()) / eff.c for v in result.records.values()),
+        )
+    path = _artifact(out, command, tag, "csv")
     write_csv(path, [f"y_star_m = {y_star!r}", f"V_m_per_s = {velocity!r}"], header, rows)
-    summary = {
-        "y_star_m": y_star,
-        "c_eff": eff.c,
-        "t_final_s": t_final,
-        "steps": result.steps,
-        "peak_v_over_c": max(float(abs(pr.v_over_c).max()) for pr in result.probes),
-    }
-    spath = _artifact(out, "simulate-fv", tag, "json")
-    write_json(spath, summary)
-    return [path, spath]
-
-
-def _run_simulate_mkdv(cfg, out: Path, tag: str) -> list[Path]:
-    p = _sim_params(cfg)
-    lam, stretch, eff, velocity, kappa, y_star, probes, t_final = _sim_geometry(cfg, p)
-    scfg = spectral_sim.config_for_impact(
-        kappa,
-        eff.c,
-        window_factor=p["window_factor"],
-        points_per_period=p["n_points"],
-        dy=p["dy_m"],
-        viscosity=p["viscosity"],
-    )
-    result = spectral_sim.impact_march(eff, velocity, kappa, probes, cfg=scfg)
-    header, rows = spectral_sim.probe_table(result, kappa, eff.c)
-    path = _artifact(out, "simulate-mkdv", tag, "csv")
-    write_csv(path, [f"y_star_m = {y_star!r}", f"V_m_per_s = {velocity!r}"], header, rows)
-    summary = {
-        "y_star_m": y_star,
-        "c_eff": eff.c,
-        "window_s": scfg.window,
-        "peak_v_over_c": max(
-            float(abs(v).max()) / eff.c for v in result.records.values()
-        ),
-    }
-    spath = _artifact(out, "simulate-mkdv", tag, "json")
+    spath = _artifact(out, command, tag, "json")
     write_json(spath, summary)
     return [path, spath]
 
 
 def _run_sweep(cfg, out: Path, tag: str) -> list[Path]:
-    p = cfg["params"]
-    _check_keys(p, {"variable", "lo", "hi", "n"}, "params")
-    variable = str(_require(p, "variable", "params"))
-    lo = _number(_require(p, "lo", "params"), "params.lo")
-    hi = _number(_require(p, "hi", "params"), "params.hi")
-    n = _integer(p.get("n", 201), "params.n", 2)
-    try:
-        spec = sweeps.SweepSpec(variable=variable, lo=lo, hi=hi, n=n)
-    except DomainError as exc:
-        raise ConfigError(str(exc), "params") from exc
+    spec = cfg["sweep"]
     lam = cfg["laminate"]
     if spec.variable == "magnetic_load_product":
         result = sweeps.sweep_magnetic(lam, spec)
@@ -400,8 +401,8 @@ _RUNNERS = {
     "dispersion": _run_dispersion,
     "bandgap": _run_bandgap,
     "soliton": _run_soliton,
-    "simulate-fv": _run_simulate_fv,
-    "simulate-mkdv": _run_simulate_mkdv,
+    "simulate-fv": _run_simulate,
+    "simulate-mkdv": _run_simulate,
     "sweep": _run_sweep,
 }
 
@@ -430,27 +431,18 @@ def run(config_path: str | Path, out_dir: str | Path, threads: int = 1) -> int:
     command = cfg["command"]
     try:
         written = _RUNNERS[command](cfg, out, tag)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except LamwaveError as exc:
         print(f"numerical failure in {command}: {exc}", file=sys.stderr)
         return 2
 
+    p = cfg["params"]
     figure = _FIGURES.get(command, "")
     if command == "sweep":
-        figure = _SWEEP_FIGURES.get(cfg["params"].get("variable", ""), "")
-    elif command in ("simulate-fv", "simulate-mkdv"):
-        p = cfg["params"]
-        low_dispersion = (
-            abs(p.get("V_over_c", 2.0) - math.sqrt(2.0)) < 1e-9
-            and p.get("wavelengths_per_period", 16) == 8
-        )
-        figure = "fig8" if low_dispersion else "fig5"
+        figure = _SWEEP_FIGURES[p["variable"]]
+    elif figure == "fig5" and abs(p["V_over_c"] - math.sqrt(2.0)) < 1e-9 and p["wavelengths_per_period"] == 8:
+        figure = "fig8"  # the low-dispersion impact
     manifest_path = out / "manifest.json"
-    manifest = {}
-    if manifest_path.exists():
-        manifest = json.loads(manifest_path.read_text())
+    manifest = json.loads(manifest_path.read_text()) if manifest_path.exists() else {}
     manifest[f"{command}_{tag}"] = {
         "command": command,
         "figure": figure,

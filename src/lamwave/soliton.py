@@ -62,6 +62,8 @@ def oscillator_coeffs(eff: EffectiveModel, variant: WaveModel, speed: float) -> 
     elif variant is WaveModel.SLOW_SPACE:
         if eff.eta <= 0.0:
             raise NoSoliton("unidirectional solitons need eta > 0")
+        if s == 0.0:
+            raise NoSoliton("the slow-space model has no travelling wave at zero speed")
         c3 = 1.0 / eff.eta
         c1 = 2.0 * (s - 1.0) / s**3 * c3
     elif variant is WaveModel.SLOW_TIME:
@@ -122,6 +124,8 @@ def strain_amplitude(eff: EffectiveModel, variant: WaveModel, speed: float) -> f
     if variant is WaveModel.FULL:
         ratio = s * s - 1.0
     elif variant is WaveModel.SLOW_SPACE:
+        if s == 0.0:
+            raise NoSoliton("the slow-space model has no travelling wave at zero speed")
         ratio = 2.0 * (s - 1.0) / s**3
     else:
         ratio = 2.0 * (s - 1.0)

@@ -1,11 +1,19 @@
 """CLI: config validation, artifact emission, determinism, figure manifest."""
 
+import contextlib
+import copy
+import io
 import json
+import math
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lamwave import cli
+from lamwave.errors import ConfigError
 
 BENCH_LAMINATE = {
     "phases": [
@@ -77,12 +85,26 @@ class TestValidation:
             ("simulate-fv", {"probes_y_star_multiples": ["x"]}, None,
              "params.probes_y_star_multiples[0]"),
             ("effective", {}, {"b_t": float("nan")}, "load.b_t"),
+            ("simulate-fv", {"wavelengths_per_period": 0}, None, "params.wavelengths_per_period"),
+            ("simulate-mkdv", {"viscosity": -1.0, "window_factor": 8}, None, "params.viscosity"),
+            ("simulate-fv", {"cells_per_layer": 5}, None, "params.cells_per_layer"),
+            ("simulate-fv", {"t_final_factor": -1.0}, None, "params.t_final_factor"),
+            ("simulate-mkdv", {"dy_m": 0.0}, None, "params.dy_m"),
+            ("simulate-mkdv", {"window_factor": 2.0}, None, "params.window_factor"),
+            ("bandgap", {"omega_max_over_pi": 0.0}, None, "params.omega_max_over_pi"),
+            ("dispersion", {"omega_max_over_pi": -1.0}, None, "params.omega_max_over_pi"),
+            ("simulate-fv", {"V_over_c": float("inf")}, None, "params.V_over_c"),
+            ("effective", {"foo": 1}, None, "params"),
+            ("magnetostatic", {"foo": 1}, None, "params"),
         ],
         ids=[
             "cells_per_layer-str", "n_points-zero", "dispersion-n-negative", "soliton-n-fraction",
             "n_scan-small", "sweep-n-fraction", "sweep-variable", "sweep-lo-above-hi",
             "sweep-volume-fraction", "fv-V-negative", "mkdv-V-zero", "limiter", "probe-str",
-            "b_t-nan",
+            "b_t-nan", "wavelengths-zero", "viscosity-negative", "cells_per_layer-odd",
+            "t_final_factor-negative", "dy-zero", "window_factor-small", "bandgap-omega-zero",
+            "dispersion-omega-negative", "V-infinite", "effective-unknown-key",
+            "magnetostatic-unknown-key",
         ],
     )
     def test_bad_param_exits_1_with_key_path(self, tmp_path, capsys, command, params, load, key):
@@ -94,6 +116,10 @@ class TestValidation:
         err = capsys.readouterr().err
         assert "Traceback" not in err
         assert key in err
+
+    @pytest.mark.parametrize("command", ["effective", "magnetostatic", "dispersion", "bandgap", "soliton"])
+    def test_documented_defaults_run(self, tmp_path, command):
+        run_ok(tmp_path, {"command": command, "laminate": BENCH_LAMINATE, "params": {}})
 
     def test_numerical_failure_exit_code(self, tmp_path, capsys):
         payload = {
@@ -245,3 +271,82 @@ class TestDeterminism:
         cfg = write_config(tmp_path, {"command": "effective", "laminate": BENCH_LAMINATE})
         status = cli.main(["--config", str(cfg), "--out", str(tmp_path / "m"), "--seed", "7"])
         assert status == 0
+
+
+SMALL_SIM = {"cells_per_layer": 8, "V_over_c": 1.0, "wavelengths_per_period": 8,
+             "probes_y_star_multiples": [0.1], "t_final_factor": 0.4, "window_factor": 8}
+#: One valid, quick config per command; the mutation test starts from these.
+VALID_CONFIGS = {
+    "effective": {"command": "effective", "laminate": BENCH_LAMINATE, "load": {"b_t": 0.0}},
+    "magnetostatic": {"command": "magnetostatic", "laminate": BENCH_LAMINATE,
+                      "load": {"bn_br_product": 150.0}, "params": {}},
+    "dispersion": {"command": "dispersion", "laminate": BENCH_LAMINATE,
+                   "params": {"omega_max_over_pi": 2.0, "n": 40}},
+    "bandgap": {"command": "bandgap", "laminate": BENCH_LAMINATE,
+                "params": {"omega_max_over_pi": 2.0, "n_scan": 1000}},
+    "soliton": {"command": "soliton", "laminate": BENCH_LAMINATE,
+                "params": {"speed_ratio": 1.026, "xi_max": 3.0, "n": 11}},
+    "sweep": {"command": "sweep", "laminate": BENCH_LAMINATE,
+              "params": {"variable": "magnetic_load_product", "lo": -1.0, "hi": 1.0, "n": 3}},
+    "simulate-fv": {"command": "simulate-fv", "laminate": BENCH_LAMINATE,
+                    "load": {"b_t": 0.0}, "params": dict(SMALL_SIM, limiter="mc")},
+    "simulate-mkdv": {"command": "simulate-mkdv", "laminate": BENCH_LAMINATE,
+                      "params": dict(SMALL_SIM, n_points=64, dy_m=1e-4, viscosity=0.0)},
+}
+#: Commands quick enough to run on every mutated config.
+FAST = ("effective", "magnetostatic", "dispersion", "bandgap", "soliton", "sweep")
+BAD_VALUES = ["x", "", True, False, None, math.nan, math.inf, -math.inf, 0, 0.0,
+              [], {}, [1.0], {"k": 1}]
+
+
+def _nodes(node, path=()):
+    """(path, value) of every node in a JSON tree, the root included."""
+    yield path, node
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield from _nodes(child, path + (key,))
+
+
+@st.composite
+def mutated_configs(draw):
+    """A valid config with one to three nodes swapped for bad values or given an unknown key."""
+    command = draw(st.sampled_from(sorted(VALID_CONFIGS)))
+    root = {"config": copy.deepcopy(VALID_CONFIGS[command])}
+    for _ in range(draw(st.integers(1, 3))):
+        nodes = list(_nodes(root["config"], ("config",)))
+        if draw(st.booleans()):  # half the mutations hit params, the rest anywhere
+            nodes = [n for n in nodes if n[0][:2] == ("config", "params")] or nodes
+        path, value = draw(st.sampled_from(nodes))
+        parent = root
+        for key in path[:-1]:
+            parent = parent[key]
+        if isinstance(value, dict) and draw(st.booleans()):
+            value["surprise"] = 1
+            continue
+        bad = st.sampled_from(BAD_VALUES)
+        if isinstance(value, (int, float)) and not isinstance(value, bool):
+            # a wrong sign or a zero keeps the type, so the config often gets past parsing
+            bad = st.one_of(st.sampled_from([-value, 0, 0.0]), bad)
+        parent[path[-1]] = copy.deepcopy(draw(bad))
+    return command, root["config"]
+
+
+class TestMutatedConfigs:
+    @settings(max_examples=150, deadline=None)
+    @given(mutated_configs())
+    def test_config_errors_never_crash(self, case):
+        command, config = case
+        try:
+            cli.parse_config(copy.deepcopy(config))
+        except ConfigError:
+            pass
+        if command not in FAST:
+            return
+        err = io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "run.json"
+            path.write_text(json.dumps(config))
+            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                status = cli.run(path, Path(tmp) / "out")
+        assert status in (0, 1, 2)
+        assert "Traceback" not in err.getvalue()

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 import time as _time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -42,7 +42,6 @@ class Grid1D:
     rho: np.ndarray
     ell: float
     domain_length: float
-    _ext_cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def cell_centers(self) -> np.ndarray:
         return (np.arange(self.n_cells) + 0.5) * self.dy
@@ -141,83 +140,33 @@ LIMITERS: dict[str, Callable[[np.ndarray], np.ndarray]] = {"minmod": _minmod, "m
 BoundarySpec = str | tuple[str, Callable[[float], float]]
 
 
-def _fill_ghosts(
-    arr_g: np.ndarray,
-    arr_v: np.ndarray,
-    left: BoundarySpec,
-    right: BoundarySpec,
-    t_mid: float,
-) -> None:
-    n = len(arr_g) - 4
+def _extend(a: np.ndarray, left: BoundarySpec, right: BoundarySpec) -> np.ndarray:
+    """Extend a per-cell quantity by two ghost cells per side.
+
+    ``outflow`` copies the edge cell, ``periodic`` wraps around the domain, and
+    ``wall`` and ``("velocity", fn)`` mirror the interior; velocity boundaries
+    are accepted on the left only.
+    """
+    n = len(a)
+    e = np.empty(n + 4)
+    e[2:-2] = a
     if left == "outflow":
-        arr_g[0] = arr_g[1] = arr_g[2]
-        arr_v[0] = arr_v[1] = arr_v[2]
-    elif left == "wall":
-        arr_g[1], arr_g[0] = arr_g[2], arr_g[3]
-        arr_v[1], arr_v[0] = -arr_v[2], -arr_v[3]
+        e[0] = e[1] = a[0]
     elif left == "periodic":
-        arr_g[0], arr_g[1] = arr_g[n], arr_g[n + 1]
-        arr_v[0], arr_v[1] = arr_v[n], arr_v[n + 1]
+        e[0], e[1] = a[n - 2], a[n - 1]
+    elif left == "wall" or (not isinstance(left, str) and left[0] == "velocity"):
+        e[1], e[0] = a[0], a[1]
     else:
-        kind, fn = left
-        if kind != "velocity":
-            raise DomainError(f"unknown boundary condition {left!r}")
-        vb = fn(t_mid)
-        arr_g[1], arr_g[0] = arr_g[2], arr_g[3]
-        arr_v[1], arr_v[0] = 2.0 * vb - arr_v[2], 2.0 * vb - arr_v[3]
+        raise DomainError(f"unknown boundary condition {left!r}")
     if right == "outflow":
-        arr_g[-1] = arr_g[-2] = arr_g[-3]
-        arr_v[-1] = arr_v[-2] = arr_v[-3]
-    elif right == "wall":
-        arr_g[-2], arr_g[-1] = arr_g[-3], arr_g[-4]
-        arr_v[-2], arr_v[-1] = -arr_v[-3], -arr_v[-4]
+        e[-2] = e[-1] = a[n - 1]
     elif right == "periodic":
-        arr_g[-2], arr_g[-1] = arr_g[2], arr_g[3]
-        arr_v[-2], arr_v[-1] = arr_v[2], arr_v[3]
+        e[-2], e[-1] = a[0], a[1]
+    elif right == "wall":
+        e[-2], e[-1] = a[n - 1], a[n - 2]
     else:
         raise DomainError(f"unknown boundary condition {right!r}")
-
-
-def _extend_cellwise(a: np.ndarray, left_kind: str, right_kind: str, out=None) -> np.ndarray:
-    """Extend a per-cell quantity by two ghosts per side, mirroring like the strain."""
-    n = len(a)
-    e = np.empty(n + 4) if out is None else out
-    e[2:-2] = a
-    if left_kind == "periodic":
-        e[0], e[1] = a[n - 2], a[n - 1]
-    elif left_kind == "outflow":
-        e[0] = e[1] = a[0]
-    else:  # mirrored ghosts for wall / velocity boundaries
-        e[1], e[0] = a[0], a[1]
-    if right_kind == "periodic":
-        e[-2], e[-1] = a[0], a[1]
-    elif right_kind == "outflow":
-        e[-2] = e[-1] = a[n - 1]
-    else:
-        e[-2], e[-1] = a[n - 1], a[n - 2]
     return e
-
-
-def _bc_kind(bc: BoundarySpec) -> str:
-    if isinstance(bc, str):
-        if bc not in ("outflow", "wall", "periodic"):
-            raise DomainError(f"unknown boundary condition {bc!r}")
-        return bc if bc != "wall" else "mirror"
-    kind, _ = bc
-    if kind != "velocity":
-        raise DomainError(f"unknown boundary condition {bc!r}")
-    return "mirror"
-
-
-def _extend_material(grid: Grid1D, left_kind: str, right_kind: str):
-    key = (left_kind, right_kind)
-    cached = grid._ext_cache.get(key)
-    if cached is None:
-        cached = tuple(
-            _extend_cellwise(a, left_kind, right_kind) for a in (grid.g, grid.h, grid.rho)
-        )
-        grid._ext_cache[key] = cached
-    return cached
 
 
 def step(
@@ -239,7 +188,6 @@ def step(
     phi = LIMITERS[limiter]
     n = grid.n_cells
     dy = grid.dy
-    lk, rk = _bc_kind(left), _bc_kind(right)
 
     gam2 = state.gamma * state.gamma
     c_int = np.sqrt((grid.g + grid.h * gam2) / grid.rho)
@@ -252,19 +200,21 @@ def step(
             f"wave speed {c_max:.6g} exceeds dy/dt = {dy / dt:.6g} at t = {state.time:.6g}"
         )
 
-    gam_e = np.empty(n + 4)
-    v_e = np.empty(n + 4)
-    gam_e[2:-2] = state.gamma
-    v_e[2:-2] = state.velocity
-    _fill_ghosts(gam_e, v_e, left, right, state.time + 0.5 * dt)
-    g_e, h_e, rho_e = _extend_material(grid, lk, rk)
-
-    # ghost strains mirror interior cells, so interior speeds/stresses extend too
-    c_e = _extend_cellwise(c_int, lk, rk)
-    z_e = rho_e * c_e
+    # every ghost cell copies one interior cell, so speeds, impedances and
+    # stresses extend directly; only the ghost velocities carry boundary data
+    c_e = _extend(c_int, left, right)
+    z_e = _extend(grid.rho * c_int, left, right)
     sig_int = (grid.g + grid.h * gam2 / 3.0) * state.gamma
+    v_e = _extend(state.velocity, left, right)
+    if left == "wall":
+        v_e[:2] = -v_e[:2]
+    elif not isinstance(left, str):
+        vb = left[1](state.time + 0.5 * dt)
+        v_e[:2] = 2.0 * vb - v_e[:2]
+    if right == "wall":
+        v_e[-2:] = -v_e[-2:]
     f1 = -v_e
-    f2 = -_extend_cellwise(sig_int, lk, rk)
+    f2 = -_extend(sig_int, left, right)
 
     # f-wave decomposition of the interface flux differences
     df1 = np.diff(f1)
@@ -280,7 +230,7 @@ def step(
     s2 = c_e[1:]
 
     coef = dt / dy
-    mom = rho_e[2:-2] * v_e[2:-2]
+    mom = grid.rho * state.velocity
     gam_new = state.gamma - coef * (w2g[1 : n + 1] + w1g[2 : n + 2])
     mom_new = mom - coef * (w2m[1 : n + 1] + w1m[2 : n + 2])
 

@@ -46,6 +46,13 @@ def canonical_kind(kind: str) -> str:
         raise DomainError(f"unknown hyperelastic model kind: {kind!r}") from None
 
 
+def _require_finite(obj, names: tuple[str, ...]) -> None:
+    for name in names:
+        value = getattr(obj, name)
+        if not math.isfinite(value):
+            raise DomainError(f"{name} must be finite, got {value}")
+
+
 @dataclass(frozen=True)
 class HyperelasticModel:
     """One-invariant incompressible model with ground-state modulus and nonlinearity.
@@ -60,6 +67,7 @@ class HyperelasticModel:
 
     def __post_init__(self):
         object.__setattr__(self, "kind", canonical_kind(self.kind))
+        _require_finite(self, ("shear_modulus", "beta"))
         if not self.shear_modulus > 0.0:
             raise DomainError(f"shear_modulus must be positive, got {self.shear_modulus}")
         if self.beta < 0.0:
@@ -216,6 +224,7 @@ class Phase:
     remnant_induction: float = 0.0  # T
 
     def __post_init__(self):
+        _require_finite(self, ("density", "volume_fraction", "permeability", "remnant_induction"))
         if not self.density > 0.0:
             raise DomainError(f"density must be positive, got {self.density}")
         if not 0.0 < self.volume_fraction < 1.0:

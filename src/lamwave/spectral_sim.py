@@ -38,14 +38,10 @@ QUIET_LEVEL = 1e-6
 class SpectralConfig:
     """Discretisation of the periodic time window and the y march."""
 
-    #: de-aliasing keeps modes below half the Nyquist frequency, which is the
-    #: alias-free bound for triple products (the quadratic-product 2/3 cutoff
-    #: left cubic aliasing that destabilised coarse inviscid marches)
     n_points: int
     window: float  # s
     dy: float = DEFAULT_DY
     viscosity: float = DEFAULT_VISCOSITY
-    dealias: bool = True
     quiet_zone_check: bool = True
 
     def __post_init__(self):
@@ -154,16 +150,13 @@ def mkdv_march(
     # cubic nonlinearity: (zeta/(2 c^3)) v^2 v_t = (zeta/(6 c^3)) d/dt (v^3)
     nl_scale = iw * eff.zeta / (6.0 * eff.c**3)
     # alias-free cutoff for triple products: retain modes below half Nyquist
-    keep = omega <= 0.5 * omega[-1] if cfg.dealias else None
+    # (the quadratic-product 2/3 cutoff left cubic aliasing that destabilised
+    # coarse inviscid marches)
+    keep = omega <= 0.5 * omega[-1]
 
     def nonlinear(vhat: np.ndarray) -> np.ndarray:
-        if keep is not None:
-            vhat = np.where(keep, vhat, 0.0)
-        v = np.fft.irfft(vhat, n)
-        out = nl_scale * np.fft.rfft(v * v * v)
-        if keep is not None:
-            out = np.where(keep, out, 0.0)
-        return out
+        v = np.fft.irfft(np.where(keep, vhat, 0.0), n)
+        return np.where(keep, nl_scale * np.fft.rfft(v * v * v), 0.0)
 
     stops = sorted(set(max(0, int(round(y / h))) for y in y_stops))
     n_steps = stops[-1] if stops else 0

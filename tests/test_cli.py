@@ -121,15 +121,41 @@ class TestValidation:
     def test_documented_defaults_run(self, tmp_path, command):
         run_ok(tmp_path, {"command": command, "laminate": BENCH_LAMINATE, "params": {}})
 
-    def test_numerical_failure_exit_code(self, tmp_path, capsys):
-        payload = {
-            "command": "effective",
-            "laminate": BENCH_LAMINATE,
-            "load": {"bn_br_product": 1e14},
-        }
+    @pytest.mark.parametrize(
+        "command, params, load, modulus",
+        [
+            ("effective", None, {"bn_br_product": 1e14}, None),
+            ("soliton", {"speed_ratio": 1e300}, None, None),
+            ("soliton", {"speed_ratio": -1e300}, None, None),
+            ("soliton", {"speed_ratio": 1e-300}, None, None),
+            ("dispersion", {"omega_max_over_pi": 1e300}, None, None),
+            ("effective", None, None, 1e300),
+            ("effective", None, None, 1e-300),
+            ("dispersion", {"n": 1e300}, None, None),
+            ("bandgap", {"n_scan": 1e300}, None, None),
+            ("soliton", {"n": 1e300}, None, None),
+            ("sweep", {"variable": "magnetic_load_product", "lo": -1.0, "hi": 1.0, "n": 1e300}, None, None),
+        ],
+        ids=[
+            "bn_br_product-1e14", "speed_ratio-1e300", "speed_ratio-minus-1e300",
+            "speed_ratio-1e-300", "omega_max_over_pi-1e300", "G_pa-1e300", "G_pa-1e-300",
+            "dispersion-n-1e300", "n_scan-1e300", "soliton-n-1e300", "sweep-n-1e300",
+        ],
+    )
+    def test_numerical_failure_exit_code(self, tmp_path, capsys, command, params, load, modulus):
+        """Library failures, extreme finite values among them, exit 2 without a traceback."""
+        payload = {"command": command, "laminate": copy.deepcopy(BENCH_LAMINATE)}
+        if params is not None:
+            payload["params"] = params
+        if load is not None:
+            payload["load"] = load
+        if modulus is not None:
+            payload["laminate"]["phases"][0]["model"]["G_pa"] = modulus
         cfg = write_config(tmp_path, payload)
         assert cli.run(cfg, tmp_path / "out") == 2
-        assert "numerical failure" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "numerical failure" in err
+        assert "Traceback" not in err
 
 
 class TestEffective:
@@ -325,8 +351,9 @@ def mutated_configs(draw):
             continue
         bad = st.sampled_from(BAD_VALUES)
         if isinstance(value, (int, float)) and not isinstance(value, bool):
-            # a wrong sign or a zero keeps the type, so the config often gets past parsing
-            bad = st.one_of(st.sampled_from([-value, 0, 0.0]), bad)
+            # a wrong sign, a zero or an extreme magnitude keeps the type, so the
+            # config often gets past parsing
+            bad = st.one_of(st.sampled_from([-value, 0, 0.0, 1e300, -1e300, 1e-300]), bad)
         parent[path[-1]] = copy.deepcopy(draw(bad))
     return command, root["config"]
 

@@ -10,7 +10,7 @@ import lamwave as lw
 from lamwave import dispersion as dsp
 from lamwave import fv_sim as fv
 from lamwave import soliton
-from lamwave.errors import GeometryError
+from lamwave.errors import DomainError, GeometryError
 from lamwave.homogenize import effective_model
 
 
@@ -106,6 +106,47 @@ class TestStep:
             fv.step(state, grid, left="periodic", right="periodic")
         assert state.gamma.sum() == pytest.approx(s_gamma, rel=1e-12)
         assert (grid.rho * state.velocity).sum() == pytest.approx(s_mom, rel=1e-12)
+
+    def test_conservation_walls(self, bilam):
+        """Walls pass no strain flux, so the strain sum stays put."""
+        grid = fv.build_grid(bilam, 1.0, 8, 10)
+        y = grid.cell_centers()
+        mid = 0.5 * grid.domain_length
+        gamma = 0.2 * np.exp(-(((y - mid) / (0.05 * grid.domain_length)) ** 2))
+        state = fv.SimState(gamma.copy(), np.zeros(grid.n_cells))
+        for _ in range(3000):
+            fv.step(state, grid, left="wall", right="wall")
+        assert state.gamma.sum() == pytest.approx(gamma.sum(), rel=1e-12)
+
+    def test_wall_is_zero_boundary_velocity(self, bilam):
+        grid = fv.build_grid(bilam, 1.0, 8, 4)
+        y = grid.cell_centers()
+        gamma = 0.1 * np.sin(2.0 * math.pi * y / grid.domain_length)
+        velocity = 4.0 + np.cos(3.0 * math.pi * y / grid.domain_length)
+
+        def run(left):
+            state = fv.SimState(gamma.copy(), velocity.copy())
+            for _ in range(200):
+                fv.step(state, grid, limiter="mc", left=left, right="wall")
+            return state
+
+        a, b = run("wall"), run(("velocity", lambda t: 0.0))
+        assert np.array_equal(a.gamma, b.gamma)
+        assert np.array_equal(a.velocity, b.velocity)
+
+    @pytest.mark.parametrize(
+        "bc",
+        [
+            {"left": "foo"},
+            {"right": "bar"},
+            {"left": ("bogus", lambda t: 0.0)},
+            {"right": ("velocity", lambda t: 0.0)},
+        ],
+    )
+    def test_unknown_boundary_rejected(self, bilam, bc):
+        grid = fv.build_grid(bilam, 1.0, 8, 2)
+        with pytest.raises(DomainError, match="boundary"):
+            fv.step(fv.SimState.quiescent(grid), grid, **bc)
 
     @pytest.mark.parametrize("limiter", ["minmod", "mc"])
     def test_second_order_convergence(self, limiter):

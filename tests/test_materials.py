@@ -276,3 +276,20 @@ class TestValidation:
     def test_unknown_kind(self):
         with pytest.raises(DomainError):
             lw.HyperelasticModel("ogden", 1e6)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            (f, v)
+            for f in ("shear_modulus", "beta", "density", "volume_fraction",
+                      "permeability", "remnant_induction")
+            for v in (math.nan, math.inf, -math.inf)
+        ],
+    )
+    def test_non_finite_material_data_rejected(self, field, value):
+        """A NaN or infinite entry would otherwise hang the stretch solve."""
+        model = {"kind": "gent", "shear_modulus": 1e6, "beta": 0.01}
+        phase = {"density": 1000.0, "volume_fraction": 0.5}
+        (model if field in model else phase)[field] = value
+        with pytest.raises(DomainError, match="finite"):
+            lw.Phase(lw.HyperelasticModel(**model), **phase)

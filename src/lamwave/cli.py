@@ -21,7 +21,7 @@ from . import fv_sim, materials, soliton, spectral_sim, sweeps
 from .errors import ConfigError, DomainError, LamwaveError
 from .homogenize import effective_model
 from .materials import HyperelasticModel, Laminate, MagneticLoad, Phase
-from .output import config_hash, write_csv, write_json
+from .output import config_hash, probe_table, write_csv, write_json
 
 _FIGURES = {"dispersion": "fig3", "bandgap": "fig3", "soliton": "fig4a+fig4b",
             "simulate-fv": "fig5", "simulate-mkdv": "fig5"}
@@ -232,6 +232,18 @@ def parse_config(raw: dict) -> dict:
             cfg["sweep"] = sweeps.SweepSpec(**cfg["params"])
         except DomainError as exc:
             raise ConfigError(str(exc), "params") from exc
+    if command in ("dispersion", "bandgap"):
+        # the Bloch cosine oscillates in omega*ell/c at rates up to t1 + t2 <= 1 (the
+        # layer travel fractions), so a scan step of at most pi/4 keeps 8 samples per
+        # oscillation
+        p = cfg["params"]
+        steps = p["n_scan"] if command == "bandgap" else p["n"] - 1
+        if 4.0 * p["omega_max_over_pi"] > steps:
+            raise ConfigError(
+                f"must be <= {steps}/4 for a scan step of at most pi/4, "
+                f"got {p['omega_max_over_pi']!r}",
+                "params.omega_max_over_pi",
+            )
     return cfg
 
 
@@ -344,23 +356,19 @@ def _run_simulate(cfg, out: Path, tag: str) -> list[Path]:
             lam, stretch, velocity, kappa, probes, t_final,
             cells_per_layer=p["cells_per_layer"], limiter=p["limiter"],
         )
-        header, rows = fv_sim.probe_table(result)
-        summary.update(
-            t_final_s=t_final,
-            steps=result.steps,
-            peak_v_over_c=max(float(abs(pr.v_over_c).max()) for pr in result.probes),
-        )
+        traces = [(pr.position, pr.times, pr.v_over_c) for pr in result.probes]
+        summary.update(t_final_s=t_final, steps=result.steps)
     else:
         scfg = spectral_sim.config_for_impact(
             kappa, eff.c, window_factor=p["window_factor"], points_per_period=p["n_points"],
             dy=p["dy_m"], viscosity=p["viscosity"],
         )
         result = spectral_sim.impact_march(eff, velocity, kappa, probes, cfg=scfg)
-        header, rows = spectral_sim.probe_table(result, kappa, eff.c)
-        summary.update(
-            window_s=scfg.window,
-            peak_v_over_c=max(float(abs(v).max()) / eff.c for v in result.records.values()),
-        )
+        traces = [(y, result.t, v / eff.c) for y, v in sorted(result.records.items())]
+        summary.update(window_s=scfg.window)
+    summary["peak_v_over_c"] = max(float(abs(v).max()) for _, _, v in traces)
+    theory = "fv" if command == "simulate-fv" else "mkdv"
+    header, rows = probe_table(traces, kappa * eff.c / (2.0 * math.pi), theory)
     path = _artifact(out, command, tag, "csv")
     write_csv(path, [f"y_star_m = {y_star!r}", f"V_m_per_s = {velocity!r}"], header, rows)
     spath = _artifact(out, command, tag, "json")
@@ -408,7 +416,11 @@ _RUNNERS = {
 
 
 def run(config_path: str | Path, out_dir: str | Path, threads: int = 1) -> int:
-    """Execute one config; returns the exit status (0/1/2). ``threads`` is ignored."""
+    """Execute one config; returns the exit status (0/1/2).
+
+    ``threads`` is accepted and ignored (sweep rows run serially); it stays in the
+    signature because callers such as the benchmark harness pass it.
+    """
     try:
         text = Path(config_path).read_text()
     except OSError as exc:

@@ -25,6 +25,9 @@ from .errors import CFLViolation, DomainError, GeometryError
 from .homogenize import cell_state, effective_model
 from .materials import Laminate, ShearCoefficients
 
+#: margin of the front speed over the period-crossing speed in ``required_periods``
+SPEED_MARGIN = 1.35
+
 
 @dataclass(frozen=True)
 class Grid1D:
@@ -275,20 +278,24 @@ class SimResult:
     grid: Grid1D
     state: SimState
     c_ref: float
-    kappa: float
-    velocity_amp: float
     steps: int
     elapsed_s: float
 
 
-def impact_signal(velocity: float, kappa: float, c_ref: float) -> Callable[[float], float]:
-    """Smooth single-hump boundary velocity: V sin^2(kappa c t / 2) over one period."""
+def impact_signal(velocity: float, kappa: float, c_ref: float) -> Callable:
+    """Smooth single-hump boundary velocity: V sin^2(kappa c t / 2) over one period.
 
-    def fn(t: float) -> float:
+    The returned function takes a scalar time or an array of times; the FV run
+    and the spectral march share it.
+    """
+
+    def fn(t):
         phase = kappa * c_ref * t
-        if 0.0 <= phase <= 2.0 * math.pi:
-            return velocity * math.sin(0.5 * phase) ** 2
-        return 0.0
+        return np.where(
+            (phase >= 0.0) & (phase <= 2.0 * math.pi),
+            velocity * np.sin(0.5 * phase) ** 2,
+            0.0,
+        )
 
     return fn
 
@@ -300,11 +307,7 @@ def simulate(
     t_final: float,
     probe_positions: list[float],
     c_ref: float,
-    kappa: float = 0.0,
-    velocity_amp: float = 0.0,
-    cfl: float = 0.95,
     limiter: str = "minmod",
-    right: BoundarySpec = "outflow",
 ) -> SimResult:
     """March a quiescent grid under a prescribed boundary velocity, recording probes."""
     state = SimState.quiescent(grid)
@@ -317,10 +320,8 @@ def simulate(
         step(
             state,
             grid,
-            cfl=cfl,
             limiter=limiter,
             left=("velocity", left_velocity),
-            right=right,
             dt_max=t_final - state.time,
         )
         steps += 1
@@ -338,8 +339,6 @@ def simulate(
         grid=grid,
         state=state,
         c_ref=c_ref,
-        kappa=kappa,
-        velocity_amp=velocity_amp,
         steps=steps,
         elapsed_s=elapsed,
     )
@@ -351,19 +350,18 @@ def required_periods(
     t_final: float,
     probe_max: float,
     wavelength: float,
-    speed_margin: float = 1.35,
 ) -> int:
     """Periods needed so the outflow boundary cannot reflect into any probe.
 
     A front crossing one period needs at least the sum of the per-layer
-    travel times, so the period-crossing speed bounds every signal; the
-    margin covers nonlinear stiffening of the layer speeds.  The farthest
-    probe plus two forcing wavelengths are added on top.
+    travel times, so the period-crossing speed bounds every signal;
+    ``SPEED_MARGIN`` covers nonlinear stiffening of the layer speeds.  The
+    farthest probe plus two forcing wavelengths are added on top.
     """
     st = cell_state(lam, stretch)
     ell1, ell2 = lam.layer_thicknesses(stretch)
     crossing_time = ell1 / st.c1 + ell2 / st.c2
-    c_front = lam.deformed_period(stretch) / crossing_time * speed_margin
+    c_front = lam.deformed_period(stretch) / crossing_time * SPEED_MARGIN
     length = c_front * t_final + probe_max + 2.0 * wavelength
     return int(math.ceil(length / lam.deformed_period(stretch)))
 
@@ -376,9 +374,7 @@ def impact_run(
     probe_positions: list[float],
     t_final: float,
     cells_per_layer: int = 32,
-    cfl: float = 0.95,
     limiter: str = "minmod",
-    speed_margin: float = 1.35,
 ) -> SimResult:
     """Impact problem on an initially quiescent half-space of the layered medium.
 
@@ -392,7 +388,7 @@ def impact_run(
     eff = effective_model(lam, stretch)
     wavelength = 2.0 * math.pi / kappa
     n_periods = required_periods(
-        lam, stretch, t_final, max(probe_positions, default=0.0), wavelength, speed_margin
+        lam, stretch, t_final, max(probe_positions, default=0.0), wavelength
     )
     grid = build_grid(lam, stretch, cells_per_layer, n_periods)
     return simulate(
@@ -401,20 +397,6 @@ def impact_run(
         t_final=t_final,
         probe_positions=probe_positions,
         c_ref=eff.c,
-        kappa=kappa,
-        velocity_amp=velocity,
-        cfl=cfl,
         limiter=limiter,
     )
 
-
-def probe_table(result: SimResult, theory: str = "fv") -> tuple[list[str], list[tuple]]:
-    """Rows (t_s, t_norm, v_over_c, probe_y_m, theory) for CSV emission."""
-    rows: list[tuple] = []
-    scale = result.kappa * result.c_ref / (2.0 * math.pi) if result.kappa else 0.0
-    for probe in result.probes:
-        rows.extend(
-            (float(t), float(t * scale), float(v), probe.position, theory)
-            for t, v in zip(probe.times, probe.v_over_c)
-        )
-    return ["t_s", "t_norm", "v_over_c", "probe_y_m", "theory"], rows

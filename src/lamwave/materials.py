@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 from .errors import DomainError, GentLocking, InversionFailure, NoRoot
 
@@ -286,15 +285,6 @@ class MagneticLoad:
             raise DomainError("magnetic load must be finite")
 
 
-@dataclass(frozen=True)
-class MagnetoCoefficients:
-    """Magnetic mixture coefficients and the stretch-dependent average modulus."""
-
-    mu_breve: float  # N/A^2
-    br_check: float  # T
-    average_modulus: Callable[[float], float]
-
-
 def arithmetic_modulus(lam: Laminate) -> float:
     """Volume-weighted arithmetic mean of the ground-state shear moduli (Pa)."""
     p1, p2 = lam.phases
@@ -326,15 +316,6 @@ def effective_remnant_induction(lam: Laminate) -> float:
     return mu_breve * (
         p1.volume_fraction * p1.remnant_induction / p1.permeability
         + p2.volume_fraction * p2.remnant_induction / p2.permeability
-    )
-
-
-def magneto_coefficients(lam: Laminate) -> MagnetoCoefficients:
-    """Bundle of the magnetic mixture rules used by the stretch balance."""
-    return MagnetoCoefficients(
-        mu_breve=effective_permeability(lam),
-        br_check=effective_remnant_induction(lam),
-        average_modulus=lambda stretch: average_shear_modulus(lam, stretch),
     )
 
 

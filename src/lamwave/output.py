@@ -30,6 +30,23 @@ def write_csv(path: Path, comments: list[str], header: list[str], rows: Iterable
             fh.write(",".join(fmt(v) for v in row) + "\n")
 
 
+def probe_table(traces: Iterable[tuple], t_scale: float, theory: str) -> tuple[list[str], list[tuple]]:
+    """Rows (t_s, t_norm, v_over_c, probe_y_m, theory) of the simulators' probe CSVs.
+
+    ``traces`` yields ``(y, t, v_over_c)`` per probe, with ``t`` and ``v_over_c``
+    arrays; ``t_norm`` is ``t * t_scale``.  Rows come in one block per probe, in
+    the order of ``traces``.
+    """
+    rows: list[tuple] = []
+    for y, t, v_over_c in traces:
+        y = float(y)
+        rows.extend(
+            (ti, tn, vi, y, theory)
+            for ti, tn, vi in zip(t.tolist(), (t * t_scale).tolist(), v_over_c.tolist())
+        )
+    return ["t_s", "t_norm", "v_over_c", "probe_y_m", "theory"], rows
+
+
 def write_json(path: Path, payload) -> None:
     with open(path, "w", newline="\n") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)

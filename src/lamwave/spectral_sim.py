@@ -21,6 +21,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainError, Instability
+from .fv_sim import impact_signal
 from .homogenize import EffectiveModel
 from .soliton import SolitonSolution, WaveModel, solve_soliton
 
@@ -254,16 +255,7 @@ def impact_march(
                 "march distance would push the signal front past the periodic "
                 f"window; need window > {2 * duration + max(y_stops) / eff.c:.6g} s"
             )
-
-    def signal(t: np.ndarray) -> np.ndarray:
-        phase = kappa * eff.c * t
-        return np.where(
-            (phase >= 0.0) & (phase <= 2.0 * math.pi),
-            velocity * np.sin(0.5 * phase) ** 2,
-            0.0,
-        )
-
-    return mkdv_march(eff, signal, cfg, y_stops)
+    return mkdv_march(eff, impact_signal(velocity, kappa, eff.c), cfg, y_stops)
 
 
 @dataclass(frozen=True)
@@ -323,15 +315,3 @@ def soliton_transport_test(
     )
     return TransportError(amplitude_drift=drift, shape_error=shape, distance=y_snap)
 
-
-def probe_table(result: MarchResult, kappa: float, c: float) -> tuple[list[str], list[tuple]]:
-    """Rows (t_s, t_norm, v_over_c, probe_y_m, theory) matching the FV emitter."""
-    rows: list[tuple] = []
-    scale = kappa * c / (2.0 * math.pi)
-    for y in sorted(result.records):
-        v = result.records[y]
-        rows.extend(
-            (float(ti), float(ti * scale), float(vi / c), float(y), "mkdv")
-            for ti, vi in zip(result.t, v)
-        )
-    return ["t_s", "t_norm", "v_over_c", "probe_y_m", "theory"], rows

@@ -2,8 +2,7 @@
 
 Three sweep variables are supported: the normalised magnetic load product,
 the volume fraction of phase 2 (at unit stretch), and the shear-modulus
-contrast (at unit stretch).  Rows are evaluated serially in grid order; the
-``threads`` argument of each sweep is accepted and ignored.
+contrast (at unit stretch).  Rows are evaluated serially in grid order.
 """
 
 from __future__ import annotations
@@ -20,6 +19,10 @@ from .homogenize import cell_state, effective_model
 from .materials import Laminate, MagneticLoad
 
 VARIABLES = ("magnetic_load_product", "volume_fraction_2", "modulus_contrast")
+#: exact band-gap scan ceiling of every row, in omega*ell/c
+OMEGA_MAX = 3.0 * math.pi
+#: frequencies scanned for the exact band gaps of every row
+N_SCAN = 4000
 
 
 @dataclass(frozen=True)
@@ -30,8 +33,6 @@ class SweepSpec:
     lo: float
     hi: float
     n: int = 201
-    omega_max: float = 3.0 * math.pi  # exact band-gap scan ceiling, in omega*ell/c
-    n_scan: int = 4000
 
     def __post_init__(self):
         if self.variable not in VARIABLES:
@@ -66,9 +67,9 @@ class SweepResult:
         return np.asarray([row.get(key, math.nan) for row in self.rows], dtype=float)
 
 
-def _gap_fields(row: dict, lam: Laminate, stretch: float, eff, spec: SweepSpec, scale: float):
+def _gap_fields(row: dict, lam: Laminate, stretch: float, eff, scale: float):
     """First exact and homogenised gap edges, rescaled by ``scale``."""
-    gaps = dispersion.bloch_band_gaps(lam, stretch, spec.omega_max, spec.n_scan)
+    gaps = dispersion.bloch_band_gaps(lam, stretch, OMEGA_MAX, N_SCAN)
     if gaps:
         row["gap_exact_lo"] = gaps[0].lo * scale
         row["gap_exact_hi"] = gaps[0].hi * scale
@@ -94,7 +95,7 @@ def _bound_fields(row: dict, eff, speed_scale: float):
         row["max_strain"] = math.nan
 
 
-def sweep_magnetic(lam: Laminate, spec: SweepSpec, threads: int = 1) -> SweepResult:
+def sweep_magnetic(lam: Laminate, spec: SweepSpec) -> SweepResult:
     """Stretch, band gaps and solitary-wave bounds versus the magnetic load product.
 
     Frequencies are reported as omega*L/c0 with c0 the undeformed effective
@@ -128,7 +129,7 @@ def sweep_magnetic(lam: Laminate, spec: SweepSpec, threads: int = 1) -> SweepRes
         row["zeta"] = eff.zeta
         # omega*L/c0 = (omega*ell/c) * c / (stretch * c0)
         scale = eff.c / (stretch * c0)
-        _gap_fields(row, lam, stretch, eff, spec, scale)
+        _gap_fields(row, lam, stretch, eff, scale)
         _bound_fields(row, eff, speed_scale=eff.c / c0)
         return row
 
@@ -169,7 +170,7 @@ def _unit_stretch_rows(lam: Laminate, spec: SweepSpec, variant) -> tuple[np.ndar
         sub = variant(lam, float(x))
         eff = effective_model(sub, 1.0)
         row = {spec.variable: float(x), "eta": eff.eta, "zeta": eff.zeta}
-        _gap_fields(row, sub, 1.0, eff, spec, scale=1.0)
+        _gap_fields(row, sub, 1.0, eff, scale=1.0)
         _bound_fields(row, eff, speed_scale=1.0)
         rows.append(row)
     return values, rows
@@ -181,7 +182,7 @@ def _refine_argmax(fn, lo: float, hi: float) -> float:
     return float(res.x)
 
 
-def sweep_volume_fraction(lam: Laminate, spec: SweepSpec, threads: int = 1) -> SweepResult:
+def sweep_volume_fraction(lam: Laminate, spec: SweepSpec) -> SweepResult:
     """Band gaps and solitary-wave bounds versus the phase-2 volume fraction (stretch 1)."""
     if spec.variable != "volume_fraction_2":
         raise DomainError("spec.variable must be 'volume_fraction_2'")
@@ -219,7 +220,7 @@ def sweep_volume_fraction(lam: Laminate, spec: SweepSpec, threads: int = 1) -> S
     )
 
 
-def sweep_contrast(lam: Laminate, spec: SweepSpec, threads: int = 1) -> SweepResult:
+def sweep_contrast(lam: Laminate, spec: SweepSpec) -> SweepResult:
     """Band gaps and solitary-wave bounds versus the shear-modulus contrast (stretch 1).
 
     The contrast multiplies the phase-1 modulus to give phase 2; the grid is

@@ -93,6 +93,8 @@ class TestValidation:
             ("simulate-mkdv", {"window_factor": 2.0}, None, "params.window_factor"),
             ("bandgap", {"omega_max_over_pi": 0.0}, None, "params.omega_max_over_pi"),
             ("dispersion", {"omega_max_over_pi": -1.0}, None, "params.omega_max_over_pi"),
+            ("dispersion", {"omega_max_over_pi": 1e300}, None, "params.omega_max_over_pi"),
+            ("bandgap", {"omega_max_over_pi": 1e300}, None, "params.omega_max_over_pi"),
             ("simulate-fv", {"V_over_c": float("inf")}, None, "params.V_over_c"),
             ("effective", {"foo": 1}, None, "params"),
             ("magnetostatic", {"foo": 1}, None, "params"),
@@ -103,8 +105,8 @@ class TestValidation:
             "sweep-volume-fraction", "fv-V-negative", "mkdv-V-zero", "limiter", "probe-str",
             "b_t-nan", "wavelengths-zero", "viscosity-negative", "cells_per_layer-odd",
             "t_final_factor-negative", "dy-zero", "window_factor-small", "bandgap-omega-zero",
-            "dispersion-omega-negative", "V-infinite", "effective-unknown-key",
-            "magnetostatic-unknown-key",
+            "dispersion-omega-negative", "dispersion-omega-1e300", "bandgap-omega-1e300",
+            "V-infinite", "effective-unknown-key", "magnetostatic-unknown-key",
         ],
     )
     def test_bad_param_exits_1_with_key_path(self, tmp_path, capsys, command, params, load, key):
@@ -128,7 +130,6 @@ class TestValidation:
             ("soliton", {"speed_ratio": 1e300}, None, None),
             ("soliton", {"speed_ratio": -1e300}, None, None),
             ("soliton", {"speed_ratio": 1e-300}, None, None),
-            ("dispersion", {"omega_max_over_pi": 1e300}, None, None),
             ("effective", None, None, 1e300),
             ("effective", None, None, 1e-300),
             ("dispersion", {"n": 1e300}, None, None),
@@ -138,7 +139,7 @@ class TestValidation:
         ],
         ids=[
             "bn_br_product-1e14", "speed_ratio-1e300", "speed_ratio-minus-1e300",
-            "speed_ratio-1e-300", "omega_max_over_pi-1e300", "G_pa-1e300", "G_pa-1e-300",
+            "speed_ratio-1e-300", "G_pa-1e300", "G_pa-1e-300",
             "dispersion-n-1e300", "n_scan-1e300", "soliton-n-1e300", "sweep-n-1e300",
         ],
     )
@@ -239,17 +240,25 @@ class TestSimulation:
             },
         }
 
-    def test_simulate_fv_probe_csv(self, tmp_path):
-        out = run_ok(tmp_path, self.small_sim_payload("simulate-fv"))
-        (csv_path,) = out.glob("simulate_fv_*.csv")
+    def probe_csv(self, tmp_path, command):
+        """Probe CSV lines (comments dropped) and the summary of one small run."""
+        out = run_ok(tmp_path, self.small_sim_payload(command))
+        stem = command.replace("-", "_")
+        (csv_path,) = out.glob(f"{stem}_*.csv")
+        (summary_path,) = out.glob(f"{stem}_*.json")
         lines = [l for l in csv_path.read_text().splitlines() if not l.startswith("#")]
+        summary = json.loads(summary_path.read_text())
+        # the summary peak is read off the same traces the CSV holds
+        assert summary["peak_v_over_c"] == max(abs(float(l.split(",")[2])) for l in lines[1:])
+        return lines
+
+    def test_simulate_fv_probe_csv(self, tmp_path):
+        lines = self.probe_csv(tmp_path, "simulate-fv")
         assert lines[0] == "t_s,t_norm,v_over_c,probe_y_m,theory"
         assert lines[1].endswith(",fv")
 
     def test_simulate_mkdv_probe_csv(self, tmp_path):
-        out = run_ok(tmp_path, self.small_sim_payload("simulate-mkdv"))
-        (csv_path,) = out.glob("simulate_mkdv_*.csv")
-        lines = [l for l in csv_path.read_text().splitlines() if not l.startswith("#")]
+        lines = self.probe_csv(tmp_path, "simulate-mkdv")
         assert lines[0] == "t_s,t_norm,v_over_c,probe_y_m,theory"
         assert lines[1].endswith(",mkdv")
 

@@ -204,6 +204,18 @@ class TestStep:
 
 
 class TestImpact:
+    def test_impact_signal_scalar_matches_array(self):
+        """One forcing serves the FV step (scalar t) and the spectral window (array t)."""
+        kappa, c, velocity = 40.0, 50.0, 3.0
+        duration = 2.0 * math.pi / (kappa * c)
+        t = np.linspace(-0.25 * duration, 1.5 * duration, 71)
+        forcing = fv.impact_signal(velocity, kappa, c)
+        on_array = forcing(t)
+        assert on_array.shape == t.shape
+        assert [float(forcing(ti)) for ti in t] == on_array.tolist()
+        assert np.all(on_array[(t < 0.0) | (t > duration)] == 0.0)
+        assert float(forcing(0.5 * duration)) == velocity
+
     def test_zero_velocity_gives_zero_probes(self, bilam):
         eff = effective_model(bilam, 1.0)
         kappa = 2.0 * math.pi / (16.0 * eff.ell)
@@ -272,14 +284,6 @@ class TestImpact:
             )
             series.append(res.probes[0].v_over_c)
         assert np.allclose(series[0], series[1], atol=1e-13)
-
-    def test_probe_table_schema(self, bilam):
-        eff = effective_model(bilam, 1.0)
-        kappa = 2.0 * math.pi / (16.0 * eff.ell)
-        res = fv.impact_run(bilam, 1.0, 0.1 * eff.c, kappa, [0.03], 1e-3, cells_per_layer=8)
-        header, rows = fv.probe_table(res)
-        assert header == ["t_s", "t_norm", "v_over_c", "probe_y_m", "theory"]
-        assert all(r[4] == "fv" for r in rows)
 
 
 class TestShockAndFission:

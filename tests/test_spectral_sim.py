@@ -183,10 +183,3 @@ class TestEmission:
         a = runs[0].records[runs[0].y_final]
         b = runs[1].records[runs[1].y_final]
         assert np.array_equal(a, b)
-
-    def test_probe_table_schema(self, eff):
-        kappa = 2.0 * math.pi / (16.0 * eff.ell)
-        res = sp.impact_march(eff, 0.1 * eff.c, kappa, [0.01], window_factor=4.0)
-        header, rows = sp.probe_table(res, kappa, eff.c)
-        assert header == ["t_s", "t_norm", "v_over_c", "probe_y_m", "theory"]
-        assert all(r[4] == "mkdv" for r in rows)

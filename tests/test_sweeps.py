@@ -175,9 +175,3 @@ class TestTableEmission:
         assert "volume_fraction_2" in header and "eta" in header
         assert len(rows) == 5
         assert all(len(r) == len(header) for r in rows)
-
-    def test_threaded_merge_is_deterministic(self, bilam):
-        spec = sweeps.SweepSpec("volume_fraction_2", 0.1, 0.9, 33)
-        seq = sweeps.sweep_volume_fraction(bilam, spec, threads=1)
-        par = sweeps.sweep_volume_fraction(bilam, spec, threads=4)
-        assert seq.rows == par.rows

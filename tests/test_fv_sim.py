@@ -9,6 +9,7 @@ import pytest
 import lamwave as lw
 from lamwave import dispersion as dsp
 from lamwave import fv_sim as fv
+from lamwave import output
 from lamwave import soliton
 from lamwave.errors import DomainError, GeometryError
 from lamwave.homogenize import effective_model
@@ -284,6 +285,16 @@ class TestImpact:
             )
             series.append(res.probes[0].v_over_c)
         assert np.allclose(series[0], series[1], atol=1e-13)
+
+    def test_probe_table_schema(self, bilam):
+        eff = effective_model(bilam, 1.0)
+        kappa = 2.0 * math.pi / (16.0 * eff.ell)
+        res = fv.impact_run(bilam, 1.0, 0.1 * eff.c, kappa, [0.03], 1e-3, cells_per_layer=8)
+        traces = [(pr.position, pr.times, pr.v_over_c) for pr in res.probes]
+        header, rows = output.probe_table(traces, kappa * eff.c / (2.0 * math.pi), "fv")
+        assert header == ["t_s", "t_norm", "v_over_c", "probe_y_m", "theory"]
+        assert len(rows) == len(res.probes[0].times)
+        assert all(r[3] == 0.03 and r[4] == "fv" for r in rows)
 
 
 class TestShockAndFission:

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import lamwave as lw
+from lamwave import output
 from lamwave import spectral_sim as sp
 from lamwave.errors import DomainError, Instability
 from lamwave.homogenize import effective_model
@@ -183,3 +184,12 @@ class TestEmission:
         a = runs[0].records[runs[0].y_final]
         b = runs[1].records[runs[1].y_final]
         assert np.array_equal(a, b)
+
+    def test_probe_table_schema(self, eff):
+        kappa = 2.0 * math.pi / (16.0 * eff.ell)
+        res = sp.impact_march(eff, 0.1 * eff.c, kappa, [0.01], window_factor=4.0)
+        traces = [(y, res.t, v / eff.c) for y, v in sorted(res.records.items())]
+        header, rows = output.probe_table(traces, kappa * eff.c / (2.0 * math.pi), "mkdv")
+        assert header == ["t_s", "t_norm", "v_over_c", "probe_y_m", "theory"]
+        assert len(rows) == len(res.records) * len(res.t)
+        assert all(r[4] == "mkdv" for r in rows)

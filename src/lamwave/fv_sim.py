@@ -9,14 +9,15 @@ with piecewise-constant (g, h, rho) per cell.  The update is a wave-propagation
 scheme: interface flux differences are decomposed exactly into two acoustic
 f-waves using the adjacent cells' nonlinear impedances, plus limited
 second-order correction waves.  The time step keeps a fixed Courant number
-against the instantaneous global maximum signal speed.
+against the instantaneous global maximum signal speed; a step updates only the
+active prefix of a state that started quiescent, in preallocated buffers.
 """
 
 from __future__ import annotations
 
 import math
 import time as _time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -45,6 +46,7 @@ class Grid1D:
     rho: np.ndarray
     ell: float
     domain_length: float
+    c_tail: np.ndarray  # [i]: max linear speed sqrt(g/rho) over cells i.., 0 at n_cells
 
     def cell_centers(self) -> np.ndarray:
         return (np.arange(self.n_cells) + 0.5) * self.dy
@@ -100,6 +102,7 @@ def build_grid(
         rho=rho,
         ell=lam.deformed_period(stretch),
         domain_length=n_cells * dy,
+        c_tail=np.append(np.maximum.accumulate(np.sqrt(g / rho)[::-1])[::-1], 0.0),
     )
 
 
@@ -119,57 +122,69 @@ def flux_and_speed(coeffs: ShearCoefficients, rho: float, gamma):
 
 @dataclass
 class SimState:
-    """Cell-averaged strain and velocity fields at one instant."""
+    """Cell-averaged strain and velocity fields at one instant.
+
+    ``front`` is the first cell at or beyond which ``gamma`` and ``velocity``
+    are exactly 0.0: 0 for a quiescent state, the whole grid by default.
+    ``step`` updates the arrays in place, using the buffers in ``work``.
+    """
 
     gamma: np.ndarray
     velocity: np.ndarray
     time: float = 0.0
+    front: int = field(init=False)
+    work: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.front = len(self.gamma)
+        self.work = np.empty((10, len(self.gamma) + 4))
 
     @classmethod
     def quiescent(cls, grid: Grid1D) -> "SimState":
-        return cls(np.zeros(grid.n_cells), np.zeros(grid.n_cells), 0.0)
+        state = cls(np.zeros(grid.n_cells), np.zeros(grid.n_cells))
+        state.front = 0
+        return state
 
 
-def _minmod(theta: np.ndarray) -> np.ndarray:
-    return np.clip(theta, 0.0, 1.0)
+def _minmod(theta: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    return np.clip(theta, 0.0, 1.0, out=theta)
 
 
-def _mc(theta: np.ndarray) -> np.ndarray:
-    return np.maximum(0.0, np.minimum(np.minimum(0.5 * (1.0 + theta), 2.0), 2.0 * theta))
+def _mc(theta: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    half = np.multiply(0.5, np.add(1.0, theta, out=scratch), out=scratch)
+    np.minimum(np.minimum(half, 2.0, out=half), np.multiply(2.0, theta, out=theta), out=theta)
+    return np.maximum(0.0, theta, out=theta)
 
 
-LIMITERS: dict[str, Callable[[np.ndarray], np.ndarray]] = {"minmod": _minmod, "mc": _mc}
+#: limiter phi(theta, scratch), evaluated in place in ``theta``
+LIMITERS: dict[str, Callable[[np.ndarray, np.ndarray], np.ndarray]] = {"minmod": _minmod, "mc": _mc}
 
 BoundarySpec = str | tuple[str, Callable[[float], float]]
 
 
-def _extend(a: np.ndarray, left: BoundarySpec, right: BoundarySpec) -> np.ndarray:
-    """Extend a per-cell quantity by two ghost cells per side.
+def _extend(e: np.ndarray, left: BoundarySpec, right: BoundarySpec) -> None:
+    """Fill the two ghost cells per side of ``e``, a per-cell quantity held in ``e[2:-2]``.
 
     ``outflow`` copies the edge cell, ``periodic`` wraps around the domain, and
     ``wall`` and ``("velocity", fn)`` mirror the interior; velocity boundaries
     are accepted on the left only.
     """
-    n = len(a)
-    e = np.empty(n + 4)
-    e[2:-2] = a
     if left == "outflow":
-        e[0] = e[1] = a[0]
+        e[0] = e[1] = e[2]
     elif left == "periodic":
-        e[0], e[1] = a[n - 2], a[n - 1]
+        e[0], e[1] = e[-4], e[-3]
     elif left == "wall" or (not isinstance(left, str) and left[0] == "velocity"):
-        e[1], e[0] = a[0], a[1]
+        e[1], e[0] = e[2], e[3]
     else:
         raise DomainError(f"unknown boundary condition {left!r}")
     if right == "outflow":
-        e[-2] = e[-1] = a[n - 1]
+        e[-2] = e[-1] = e[-3]
     elif right == "periodic":
-        e[-2], e[-1] = a[0], a[1]
+        e[-2], e[-1] = e[2], e[3]
     elif right == "wall":
-        e[-2], e[-1] = a[n - 1], a[n - 2]
+        e[-2], e[-1] = e[-3], e[-4]
     else:
         raise DomainError(f"unknown boundary condition {right!r}")
-    return e
 
 
 def step(
@@ -182,19 +197,30 @@ def step(
     right: BoundarySpec = "outflow",
     dt_max: float = math.inf,
 ) -> float:
-    """Advance the state by one conservative update; returns the dt taken.
+    """Advance the state in place by one conservative update; returns the dt taken.
 
-    The Courant number is enforced against the instantaneous global maximum
-    speed.  Ghost strains mirror the interior, so interior speeds already
-    bound the ghost speeds and fix dt before boundary data is evaluated.
+    Only the active window, cells ``[0, front + 4)``, is updated, with its real
+    neighbours as right ghost cells.  The stencil reaches two cells each way, so
+    a cell with an all-zero neighbourhood gets zero f-waves and theta =
+    0/(0 + 1e-300) = 0 and stays exactly 0.0: skipping it changes no bit.  The
+    whole grid is updated near the right edge and with a periodic boundary (a
+    window must not wrap).  dt still comes from the global maximum speed: the
+    window's or, beyond it, the linear ``grid.c_tail``.  Ghost strains mirror
+    the interior, so interior speeds bound the ghost speeds.
     """
-    phi = LIMITERS[limiter]
-    n = grid.n_cells
-    dy = grid.dy
+    phi, n, dy = LIMITERS[limiter], grid.n_cells, grid.dy
+    window = "periodic" not in (left, right) and state.front + 6 <= n
+    m, k = (state.front + 4, state.front + 6) if window else (n, n)  # cells updated, read
+    c_e, z_e, v_e, s_e, t1, t2, w1g, w2g, w1m, w2m = state.work[:, : k + 4]
+    cells = slice(2, k + 2)
 
-    gam2 = state.gamma * state.gamma
-    c_int = np.sqrt((grid.g + grid.h * gam2) / grid.rho)
-    c_max = float(c_int.max())
+    gam = state.gamma[:k]
+    hg = np.multiply(gam, gam, out=t1[:k])
+    hg *= grid.h[:k]
+    c = np.add(grid.g[:k], hg, out=c_e[cells])
+    c /= grid.rho[:k]
+    np.sqrt(c, out=c)
+    c_max = max(float(c[:m].max()), float(grid.c_tail[m]))
     if c_max <= 0.0:
         raise DomainError("non-positive signal speed")
     dt = min(cfl * dy / c_max, dt_max)
@@ -204,11 +230,15 @@ def step(
         )
 
     # every ghost cell copies one interior cell, so speeds, impedances and
-    # stresses extend directly; only the ghost velocities carry boundary data
-    c_e = _extend(c_int, left, right)
-    z_e = _extend(grid.rho * c_int, left, right)
-    sig_int = (grid.g + grid.h * gam2 / 3.0) * state.gamma
-    v_e = _extend(state.velocity, left, right)
+    # stresses extend directly; only the ghost velocities carry boundary data.
+    # A window reads its real neighbours past its right edge, never these ghosts.
+    np.multiply(grid.rho[:k], c, out=z_e[cells])
+    hg /= 3.0
+    sig = np.add(grid.g[:k], hg, out=s_e[cells])
+    sig *= gam
+    v_e[cells] = state.velocity[:k]
+    for e in (c_e, z_e, v_e, s_e):
+        _extend(e, left, right)
     if left == "wall":
         v_e[:2] = -v_e[:2]
     elif not isinstance(left, str):
@@ -216,49 +246,62 @@ def step(
         v_e[:2] = 2.0 * vb - v_e[:2]
     if right == "wall":
         v_e[-2:] = -v_e[-2:]
-    f1 = -v_e
-    f2 = -_extend(sig_int, left, right)
 
-    # f-wave decomposition of the interface flux differences
-    df1 = np.diff(f1)
-    df2 = np.diff(f2)
-    zl = z_e[:-1]
-    zr = z_e[1:]
-    den = zl + zr
-    b1 = (df1 * zr + df2) / den
-    b2 = (df1 * zl - df2) / den
-    w1g, w1m = b1, b1 * zl  # left-going, speed -c(left cell)
-    w2g, w2m = b2, -b2 * zr  # right-going, speed +c(right cell)
-    s1 = c_e[:-1]
-    s2 = c_e[1:]
+    # f-wave decomposition of the interface differences of the flux (-v, -sigma)
+    df1 = np.subtract(v_e[:-1], v_e[1:], out=t1[: k + 3])
+    df2 = np.subtract(s_e[:-1], s_e[1:], out=t2[: k + 3])
+    zl, zr = z_e[:-1], z_e[1:]
+    den = np.add(zl, zr, out=v_e[: k + 3])
+    w1g = np.multiply(df1, zr, out=w1g[: k + 3])  # left-going, speed -c(left cell)
+    w1g += df2
+    w1g /= den
+    w2g = np.multiply(df1, zl, out=w2g[: k + 3])  # right-going, speed +c(right cell)
+    w2g -= df2
+    w2g /= den
+    w1m = np.multiply(w1g, zl, out=w1m[: k + 3])
+    w2m = np.negative(w2g, out=w2m[: k + 3])
+    w2m *= zr
 
+    # limited second-order corrections on interfaces 1 .. m+1
     coef = dt / dy
-    mom = grid.rho * state.velocity
-    gam_new = state.gamma - coef * (w2g[1 : n + 1] + w1g[2 : n + 2])
-    mom_new = mom - coef * (w2m[1 : n + 1] + w1m[2 : n + 2])
+    sl = slice(1, m + 2)
+    a, b = t1[: m + 1], t2[: m + 1]
+    fac = []
+    for wg, wm, up, s, half, out in (
+        (w1g, w1m, slice(2, m + 3), c_e[:-1], -0.5, z_e),  # upwind of the left-going family
+        (w2g, w2m, slice(0, m + 1), c_e[1:], 0.5, v_e),  # upwind of the right-going family
+    ):
+        theta = np.multiply(wg[sl], wg[up], out=out[: m + 1])
+        theta += np.multiply(wm[sl], wm[up], out=a)
+        den_ = np.multiply(wg[sl], wg[sl], out=a)
+        den_ += np.multiply(wm[sl], wm[sl], out=b)
+        den_ += 1e-300
+        theta /= den_
+        p = phi(theta, a)
+        scale = np.subtract(1.0, np.multiply(s[sl], coef, out=a), out=a)
+        scale *= half
+        fac.append(np.multiply(scale, p, out=p))
 
-    # limited second-order corrections on interfaces 1 .. n+1
-    sl = slice(1, n + 2)
+    # first-order update, then the difference of the correction fluxes
+    mom = np.multiply(grid.rho[:m], state.velocity[:m], out=s_e[:m])
+    for q, wm, wp in ((state.gamma[:m], w1g, w2g), (mom, w1m, w2m)):
+        upd = np.add(wp[1 : m + 1], wm[2 : m + 2], out=b[:m])
+        upd *= coef
+        q -= upd
+        flux = np.multiply(fac[0], wm[sl], out=a)
+        flux += np.multiply(fac[1], wp[sl], out=b)
+        dflux = np.subtract(flux[1:], flux[:-1], out=b[:m])
+        dflux *= coef
+        q -= dflux
 
-    def theta(wg, wm, up):
-        num = wg[sl] * wg[up] + wm[sl] * wm[up]
-        den_ = wg[sl] * wg[sl] + wm[sl] * wm[sl]
-        return num / (den_ + 1e-300)
-
-    th1 = theta(w1g, w1m, slice(2, n + 3))  # upwind of the left-going family
-    th2 = theta(w2g, w2m, slice(0, n + 1))  # upwind of the right-going family
-    p1 = phi(th1)
-    p2 = phi(th2)
-    fac1 = -0.5 * (1.0 - s1[sl] * coef) * p1
-    fac2 = 0.5 * (1.0 - s2[sl] * coef) * p2
-    fg = fac1 * w1g[sl] + fac2 * w2g[sl]
-    fm = fac1 * w1m[sl] + fac2 * w2m[sl]
-    gam_new -= coef * np.diff(fg)
-    mom_new -= coef * np.diff(fm)
-
-    state.gamma = gam_new
-    state.velocity = mom_new / grid.rho
+    np.divide(mom, grid.rho[:m], out=state.velocity[:m])
     state.time += dt
+    if window:
+        lo = state.front
+        live = np.flatnonzero((state.gamma[lo:m] != 0.0) | (state.velocity[lo:m] != 0.0))
+        state.front += int(live[-1]) + 1 if live.size else 0
+    else:
+        state.front = n
     return dt
 
 
@@ -312,10 +355,8 @@ def simulate(
     """March a quiescent grid under a prescribed boundary velocity, recording probes."""
     state = SimState.quiescent(grid)
     cells = [grid.cell_at(y) for y in probe_positions]
-    times: list[float] = [0.0]
-    series: list[list[float]] = [[0.0] for _ in cells]
+    times, samples = [0.0], [state.velocity[cells]]
     t0 = _time.perf_counter()
-    steps = 0
     while state.time < t_final - 1e-15:
         step(
             state,
@@ -324,22 +365,20 @@ def simulate(
             left=("velocity", left_velocity),
             dt_max=t_final - state.time,
         )
-        steps += 1
         times.append(state.time)
-        for k, cell in enumerate(cells):
-            series[k].append(state.velocity[cell] / c_ref)
+        samples.append(state.velocity[cells])
     elapsed = _time.perf_counter() - t0
     t_arr = np.asarray(times)
     probes = [
-        ProbeRecord(position=y, cell=c, times=t_arr, v_over_c=np.asarray(s))
-        for y, c, s in zip(probe_positions, cells, series)
+        ProbeRecord(position=y, cell=c, times=t_arr, v_over_c=v)
+        for y, c, v in zip(probe_positions, cells, np.array(samples).T / c_ref)
     ]
     return SimResult(
         probes=probes,
         grid=grid,
         state=state,
         c_ref=c_ref,
-        steps=steps,
+        steps=len(times) - 1,
         elapsed_s=elapsed,
     )
 

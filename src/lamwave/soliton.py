@@ -111,8 +111,11 @@ def soliton_waveform(sol: SolitonSolution, xi) -> tuple[np.ndarray, np.ndarray]:
     ``pi * amplitude``; the sign picks the mirror-image branch.
     """
     x = np.asarray(xi, dtype=float) * sol.ell / sol.length
-    strain = sol.sign * sol.strain_amplitude / np.cosh(x)
-    displacement = sol.sign * sol.displacement_amplitude * np.arctan(np.sinh(x))
+    # far tails overflow cosh and sinh to inf, whose limits 1/inf = 0 and
+    # arctan(inf) = pi/2 are the right values
+    with np.errstate(over="ignore"):
+        strain = sol.sign * sol.strain_amplitude / np.cosh(x)
+        displacement = sol.sign * sol.displacement_amplitude * np.arctan(np.sinh(x))
     return strain, displacement
 
 

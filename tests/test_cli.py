@@ -2,10 +2,12 @@
 
 import contextlib
 import copy
+import hashlib
 import io
 import json
 import math
 import tempfile
+import warnings
 from pathlib import Path
 
 import pytest
@@ -205,6 +207,17 @@ class TestArtifacts:
         assert list(out.glob("soliton_waveform_*.csv"))
         assert list(out.glob("soliton_amplitude_*.csv"))
 
+    def test_soliton_far_tail_is_silent(self, tmp_path, capsys):
+        """sech and the Gudermannian overflow far out; the run must still print nothing."""
+        payload = {"command": "soliton", "laminate": BENCH_LAMINATE, "params": {"xi_max": 1000}}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = run_ok(tmp_path, payload)
+        assert capsys.readouterr().err == ""
+        (csv_path,) = out.glob("soliton_waveform_*.csv")
+        last = csv_path.read_text().splitlines()[-1].split(",")
+        assert float(last[1]) == 0.0  # the strain tail is exactly 0
+
     def test_sweep_artifacts_and_manifest(self, tmp_path):
         payload = {"command": "sweep", "laminate": BENCH_LAMINATE,
                    "params": {"variable": "volume_fraction_2", "lo": 0.1, "hi": 0.9, "n": 9}}
@@ -256,6 +269,17 @@ class TestSimulation:
         lines = self.probe_csv(tmp_path, "simulate-fv")
         assert lines[0] == "t_s,t_norm,v_over_c,probe_y_m,theory"
         assert lines[1].endswith(",fv")
+
+    def test_simulate_fv_golden_bytes(self, tmp_path):
+        """CSV and JSON bytes of one small FV run are pinned: no refactor may drift them."""
+        out = run_ok(tmp_path, VALID_CONFIGS["simulate-fv"])
+        (csv_path,) = out.glob("simulate_fv_*.csv")
+        (json_path,) = out.glob("simulate_fv_*.json")
+        digest = {p.suffix: hashlib.sha256(p.read_bytes()).hexdigest() for p in (csv_path, json_path)}
+        assert digest == {
+            ".csv": "09bb27e16fd03998634791d9e415833a50fc74c4ff8820d1078b9961878fa1ac",
+            ".json": "6ddfecc803db087964928f010cc9ea51447237a8a8fce737470e5d1546124024",
+        }
 
     def test_simulate_mkdv_probe_csv(self, tmp_path):
         lines = self.probe_csv(tmp_path, "simulate-mkdv")

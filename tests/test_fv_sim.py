@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -202,6 +203,66 @@ class TestStep:
         a, b = run(+1.0), run(-1.0)
         assert np.array_equal(a.velocity, -b.velocity)
         assert np.array_equal(a.gamma, -b.gamma)
+
+
+class TestActiveWindow:
+    @pytest.mark.parametrize("limiter", ["minmod", "mc"])
+    @pytest.mark.parametrize("crossings", [0.3, 0.8])
+    def test_window_is_bit_exact(self, bilam, limiter, crossings):
+        """Stepping only the active prefix matches stepping the whole grid bit for bit.
+
+        At 0.3 domain crossings the window is still open at the end; at 0.8 the
+        front has reached the right edge and the whole grid is being stepped.
+        """
+        eff = effective_model(bilam, 1.0)
+        forcing = fv.impact_signal(eff.c, 2.0 * math.pi / (8.0 * eff.ell), eff.c)
+        grid = fv.build_grid(bilam, 1.0, 8, 12)
+        t_final = crossings * grid.domain_length / eff.c
+        probes = [0.02, 0.05]
+        res = fv.simulate(
+            grid, left_velocity=forcing, t_final=t_final, probe_positions=probes,
+            c_ref=eff.c, limiter=limiter,
+        )
+
+        full = fv.SimState(np.zeros(grid.n_cells), np.zeros(grid.n_cells))
+        assert full.front == grid.n_cells
+        cells = [grid.cell_at(y) for y in probes]
+        times, traces = [0.0], [[0.0] for _ in cells]
+        while full.time < t_final - 1e-15:
+            fv.step(full, grid, limiter=limiter, left=("velocity", forcing),
+                    dt_max=t_final - full.time)
+            times.append(full.time)
+            for trace, cell in zip(traces, cells):
+                trace.append(full.velocity[cell] / eff.c)
+
+        assert res.probes[0].times.tobytes() == np.asarray(times).tobytes()
+        for pr, trace in zip(res.probes, traces):
+            assert pr.v_over_c.tobytes() == np.asarray(trace).tobytes()
+        assert res.state.gamma.tobytes() == full.gamma.tobytes()
+        assert res.state.velocity.tobytes() == full.velocity.tobytes()
+        front = res.state.front
+        assert (front < grid.n_cells) == (crossings < 0.5)
+        assert np.all(res.state.gamma[front:] == 0.0)
+        assert np.all(res.state.velocity[front:] == 0.0)
+
+    @pytest.mark.parametrize("quiescent", [True, False])
+    def test_step_allocates_no_field_copies(self, bilam, quiescent):
+        """After a warm-up step, a step on ~15k cells allocates under 64 KiB."""
+        eff = effective_model(bilam, 1.0)
+        forcing = fv.impact_signal(eff.c, 2.0 * math.pi / (16.0 * eff.ell), eff.c)
+        grid = fv.build_grid(bilam, 1.0, 32, 238)
+        assert grid.n_cells == 15232
+        zeros = np.zeros(grid.n_cells)
+        state = fv.SimState.quiescent(grid) if quiescent else fv.SimState(zeros, zeros.copy())
+        kw = {"limiter": "mc", "left": ("velocity", forcing)}
+        fv.step(state, grid, **kw)
+        tracemalloc.start()
+        try:
+            fv.step(state, grid, **kw)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
 
 
 class TestImpact:

@@ -443,7 +443,7 @@ def run(config_path: str | Path, out_dir: str | Path, threads: int = 1) -> int:
     command = cfg["command"]
     try:
         written = _RUNNERS[command](cfg, out, tag)
-    except (LamwaveError, ArithmeticError, ValueError) as exc:
+    except (LamwaveError, ArithmeticError, ValueError, MemoryError) as exc:
         print(f"numerical failure in {command}: {exc}", file=sys.stderr)
         return 2
 

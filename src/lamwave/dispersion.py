@@ -16,8 +16,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
+from ._roots import brentq
 from .errors import DomainError, NoGap
 from .homogenize import CellState, EffectiveModel, cell_state
 from .materials import Laminate
@@ -96,9 +96,10 @@ def bloch_band_gaps(
 ) -> list[BandGap]:
     """Band gaps of the exact dispersion relation up to ``omega_max`` (omega*ell/c).
 
-    Scans ``n_scan`` frequencies, then refines each edge with Brent's method
-    on |cos(kappa ell)| - 1 to ``EDGE_TOL``.  Returns an empty list when no
-    gap opens (e.g. matched impedances).
+    Scans ``n_scan`` frequencies, then refines each edge with the in-repo
+    Brent zero finder (:func:`lamwave._roots.brentq`) on |cos(kappa ell)| - 1
+    to ``EDGE_TOL``.  Returns an empty list when no gap opens (e.g. matched
+    impedances).
     """
     return _band_gaps(cell_state(lam, stretch), omega_max, n_scan)
 
@@ -120,7 +121,7 @@ def exact_acoustic_frequency(lam: Laminate, stretch: float, kappa_ell: float) ->
     gaps = _band_gaps(st, omega_max=2.0 * math.pi, n_scan=2000)
     if gaps:
         hi = gaps[0].lo
-    return float(brentq(f, 1e-14, hi, xtol=1e-14, rtol=8.9e-16, maxiter=300))
+    return brentq(f, 1e-14, hi, xtol=1e-14, rtol=8.9e-16, maxiter=300)
 
 
 def homogenized_branch_frequencies(eff: EffectiveModel, kappa_ell) -> np.ndarray:

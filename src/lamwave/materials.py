@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from ._roots import brentq
 from .errors import DomainError, GentLocking, InversionFailure, NoRoot
 
 MU0 = 4.0e-7 * math.pi  # vacuum permeability, N/A^2
@@ -397,8 +398,6 @@ def _newton_stretch(lam: Laminate, start: float, rhs_norm: float, tol: float) ->
 
 def _locking_stretch(lam: Laminate, side: float) -> float | None:
     """Stretch at which the stiffest Gent phase locks, on the tension/compression side."""
-    from scipy.optimize import brentq
-
     betas = [p.model.beta for p in lam.phases if p.model.kind == GENT and p.model.beta > 0.0]
     if not betas:
         return None
@@ -407,15 +406,10 @@ def _locking_stretch(lam: Laminate, side: float) -> float | None:
     def f(x: float) -> float:
         return uniaxial_first_invariant(x) - i1_lock
 
+    # f(1) = -1/beta < 0, while f(sqrt(I)) = 2/sqrt(I) > 0 and f(2/I) = 4/I^2 > 0
     if side >= 0.0:
-        hi = 2.0
-        while f(hi) < 0.0:
-            hi *= 2.0
-        return float(brentq(f, 1.0, hi, xtol=1e-14))
-    lo = 0.5
-    while f(lo) < 0.0:
-        lo *= 0.5
-    return float(brentq(f, lo, 1.0, xtol=1e-15))
+        return brentq(f, 1.0, math.sqrt(i1_lock), xtol=1e-14)
+    return brentq(f, 2.0 / i1_lock, 1.0, xtol=1e-15)
 
 
 def stretch_from_field(lam: Laminate, load: MagneticLoad, tol: float = 1e-12) -> float:

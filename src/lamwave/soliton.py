@@ -259,7 +259,7 @@ def amplitude_table(
     rows: list[tuple] = []
     for variant in WaveModel:
         hi = min(top, bound - 1e-9) if variant is WaveModel.FULL and math.isfinite(bound) else top
-        for s in np.linspace(1.0 + 1e-9, hi, n):
+        for s in np.linspace(1.0 + 1e-9, hi, n).tolist():
             try:
                 sol = solve_soliton(eff, variant, s * eff.c)
             except NoSoliton:

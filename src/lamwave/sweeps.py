@@ -11,9 +11,9 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from . import dispersion, materials, soliton
+from ._roots import golden_max
 from .errors import DomainError, GentLocking, LamwaveError, NoRoot
 from .homogenize import cell_state, effective_model
 from .materials import Laminate, MagneticLoad
@@ -134,7 +134,7 @@ def sweep_magnetic(lam: Laminate, spec: SweepSpec) -> SweepResult:
         return row
 
     values = spec.grid()
-    rows = [worker(p) for p in values]
+    rows = [worker(p) for p in values.tolist()]
     unlocked = [r for r in rows if not r["locked"]]
     summary = {
         "n_locked": sum(r["locked"] for r in rows),
@@ -176,12 +176,6 @@ def _unit_stretch_rows(lam: Laminate, spec: SweepSpec, variant) -> tuple[np.ndar
     return values, rows
 
 
-def _refine_argmax(fn, lo: float, hi: float) -> float:
-    res = minimize_scalar(lambda x: -fn(x), bounds=(lo, hi), method="bounded",
-                          options={"xatol": 1e-10})
-    return float(res.x)
-
-
 def sweep_volume_fraction(lam: Laminate, spec: SweepSpec) -> SweepResult:
     """Band gaps and solitary-wave bounds versus the phase-2 volume fraction (stretch 1)."""
     if spec.variable != "volume_fraction_2":
@@ -207,8 +201,8 @@ def sweep_volume_fraction(lam: Laminate, spec: SweepSpec) -> SweepResult:
 
     st = cell_state(lam, 1.0)
     summary = {
-        "argmax_eta": _refine_argmax(eta_of, *bracket(eta_col)),
-        "argmax_max_strain": _refine_argmax(strain_of, *bracket(strain_col)),
+        "argmax_eta": golden_max(eta_of, *bracket(eta_col), xatol=1e-10),
+        "argmax_max_strain": golden_max(strain_of, *bracket(strain_col), xatol=1e-10),
         "speed_ratio_prediction": st.c2 / (st.c1 + st.c2),
     }
     return SweepResult(

@@ -138,11 +138,20 @@ class TestValidation:
             ("bandgap", {"n_scan": 1e300}, None, None),
             ("soliton", {"n": 1e300}, None, None),
             ("sweep", {"variable": "magnetic_load_product", "lo": -1.0, "hi": 1.0, "n": 1e300}, None, None),
+            # arrays of more than 2**47 bytes: the allocation fails at once, it never pages
+            ("dispersion", {"n": 1e15}, None, None),
+            ("bandgap", {"n_scan": 1e15}, None, None),
+            ("soliton", {"n": 1e15}, None, None),
+            ("sweep", {"variable": "magnetic_load_product", "lo": -1.0, "hi": 1.0, "n": 1e15}, None, None),
+            ("simulate-mkdv", {"n_points": 1e15, "window_factor": 8}, None, None),
+            ("simulate-fv", {"cells_per_layer": 1e15}, None, None),
         ],
         ids=[
             "bn_br_product-1e14", "speed_ratio-1e300", "speed_ratio-minus-1e300",
             "speed_ratio-1e-300", "G_pa-1e300", "G_pa-1e-300",
             "dispersion-n-1e300", "n_scan-1e300", "soliton-n-1e300", "sweep-n-1e300",
+            "dispersion-n-1e15", "n_scan-1e15", "soliton-n-1e15", "sweep-n-1e15",
+            "n_points-1e15", "cells_per_layer-1e15",
         ],
     )
     def test_numerical_failure_exit_code(self, tmp_path, capsys, command, params, load, modulus):
@@ -207,16 +216,32 @@ class TestArtifacts:
         assert list(out.glob("soliton_waveform_*.csv"))
         assert list(out.glob("soliton_amplitude_*.csv"))
 
-    def test_soliton_far_tail_is_silent(self, tmp_path, capsys):
-        """sech and the Gudermannian overflow far out; the run must still print nothing."""
-        payload = {"command": "soliton", "laminate": BENCH_LAMINATE, "params": {"xi_max": 1000}}
+    @pytest.mark.parametrize(
+        "command, params, beta",
+        [
+            ("soliton", {"xi_max": 1000}, None),
+            ("soliton", {"speed_ratio": 1.026, "xi_max": 3.0, "n": 11}, 1e300),
+            ("sweep", {"variable": "magnetic_load_product", "lo": -1.0, "hi": 1e300, "n": 3}, None),
+        ],
+        ids=["xi_max-1000", "gent-beta-1e300", "sweep-hi-1e300"],
+    )
+    def test_soliton_far_tail_is_silent(self, tmp_path, capsys, command, params, beta):
+        """An exit-0 run whose arithmetic overflows inside numpy prints nothing.
+
+        sech and the Gudermannian overflow far out on the soliton axis; a huge
+        Gent beta or magnetic load product overflows the per-row arithmetic.
+        """
+        payload = {"command": command, "laminate": copy.deepcopy(BENCH_LAMINATE), "params": params}
+        if beta is not None:
+            payload["laminate"]["phases"][0]["model"]["beta"] = beta
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             out = run_ok(tmp_path, payload)
         assert capsys.readouterr().err == ""
-        (csv_path,) = out.glob("soliton_waveform_*.csv")
-        last = csv_path.read_text().splitlines()[-1].split(",")
-        assert float(last[1]) == 0.0  # the strain tail is exactly 0
+        if params.get("xi_max") == 1000:
+            (csv_path,) = out.glob("soliton_waveform_*.csv")
+            last = csv_path.read_text().splitlines()[-1].split(",")
+            assert float(last[1]) == 0.0  # the strain tail is exactly 0
 
     def test_sweep_artifacts_and_manifest(self, tmp_path):
         payload = {"command": "sweep", "laminate": BENCH_LAMINATE,

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -22,8 +23,10 @@ from .errors import DomainError, NoGap
 from .homogenize import CellState, EffectiveModel, cell_state
 from .materials import Laminate
 
-#: band-edge refinement tolerance in omega*ell/c
+#: accuracy of exact band edges in omega*ell/c (bisection resolves them to float spacing)
 EDGE_TOL = 1e-10
+#: scan samples (rows x frequencies) per slab of a first-gap search, 128 kB a float array
+SLAB = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -49,7 +52,7 @@ class DispersionBranch:
     index: int
 
 
-def _cosine(st: CellState, omega_norm) -> np.ndarray | float:
+def _cosine(st: CellState | BlochCell, omega_norm) -> np.ndarray | float:
     w = np.asarray(omega_norm, dtype=float)
     a1 = w * st.t1
     a2 = w * st.t2
@@ -67,28 +70,69 @@ def bloch_cosine(lam: Laminate, stretch: float, omega_norm) -> np.ndarray | floa
     return _cosine(cell_state(lam, stretch), omega_norm)
 
 
-def _band_gaps(st: CellState, omega_max: float, n_scan: int) -> list[BandGap]:
+def _scan_grid(omega_max: float, n_scan: int) -> np.ndarray:
+    """The ``n_scan + 1`` scan frequencies of every gap search, allocated up front."""
     if not omega_max > 0.0:
         raise DomainError("omega_max must be positive")
     if n_scan < 1000:
         raise DomainError("n_scan must be at least 1000")
     w = np.linspace(0.0, omega_max, n_scan + 1)
     w[0] = 1e-12 * omega_max
-    inside = np.abs(_cosine(st, w)) > 1.0
+    return w
 
-    def refine(a: float, b: float) -> float:
-        return brentq(lambda x: abs(_cosine(st, x)) - 1.0, a, b, xtol=EDGE_TOL)
 
-    gaps: list[BandGap] = []
-    padded = np.concatenate([[False], inside, [False]])
+class BlochCell(NamedTuple):
+    """What the Bloch relation reads of a cell state: travel fractions and impedances.
+
+    Floats for one cell (:meth:`of` a CellState), or arrays for many; a sweep
+    keeps one per row for :func:`first_band_gaps` instead of the whole state.
+    """
+
+    t1: float | np.ndarray
+    t2: float | np.ndarray
+    z1: float | np.ndarray
+    z2: float | np.ndarray
+
+    @classmethod
+    def of(cls, st: CellState | BlochCell) -> BlochCell:
+        return cls(st.t1, st.t2, st.z1, st.z2)
+
+    def take(self, index: np.ndarray) -> BlochCell:
+        return BlochCell(*(f[index] for f in self))
+
+
+def _evanescent(cells, w) -> np.ndarray:
+    return np.abs(_cosine(cells, w)) > 1.0
+
+
+def _refine_edges(cells, w: np.ndarray, start: np.ndarray, stop: np.ndarray) -> np.ndarray:
+    """Edges (lo, hi) of the gaps whose evanescent scan samples are ``w[start:stop]``.
+
+    ``cells`` is one CellState, or a BlochCell of arrays with one entry per
+    gap.  Each edge is bisected between its last scan samples on either side,
+    all at once, until a bracket no longer shrinks (adjacent floats), and the
+    evanescent end is kept, so lo <= hi.  Bisection reads only whether
+    |F| > 1, so the kink of |F| - 1 at an edge does no harm.  A gap that
+    starts at ``w[0]`` or runs to ``w[-1]`` keeps that sample as its edge.
+    """
+    inn = np.stack([w[start], w[stop - 1]])
+    out = np.stack([w[np.maximum(start - 1, 0)], w[np.minimum(stop, len(w) - 1)]])
+    while True:
+        mid = 0.5 * (inn + out)
+        if not np.any((mid != inn) & (mid != out)):
+            return inn
+        evanescent = _evanescent(cells, mid)
+        inn = np.where(evanescent, mid, inn)
+        out = np.where(evanescent, out, mid)
+
+
+def _band_gaps(st: CellState, omega_max: float, n_scan: int) -> list[BandGap]:
+    w = _scan_grid(omega_max, n_scan)
+    padded = np.concatenate([[False], _evanescent(st, w), [False]])
     flips = np.flatnonzero(padded[1:] != padded[:-1])
-    n = len(w)
-    for i, j in zip(flips[::2], flips[1::2] - 1):  # first and last scan index of each gap
-        lo = refine(w[i - 1], w[i]) if i > 0 else w[0]
-        hi = refine(w[j], w[j + 1]) if j + 1 < n else w[-1]
-        if hi > lo:
-            gaps.append(BandGap(lo=lo, hi=hi, index=len(gaps) + 1))
-    return gaps
+    start, stop = flips[::2], flips[1::2]  # first evanescent and next propagating sample
+    lo, hi = _refine_edges(st, w, start, stop).tolist()
+    return [BandGap(lo=a, hi=b, index=i + 1) for i, (a, b) in enumerate(zip(lo, hi))]
 
 
 def bloch_band_gaps(
@@ -96,12 +140,48 @@ def bloch_band_gaps(
 ) -> list[BandGap]:
     """Band gaps of the exact dispersion relation up to ``omega_max`` (omega*ell/c).
 
-    Scans ``n_scan`` frequencies, then refines each edge with the in-repo
-    Brent zero finder (:func:`lamwave._roots.brentq`) on |cos(kappa ell)| - 1
-    to ``EDGE_TOL``.  Returns an empty list when no gap opens (e.g. matched
-    impedances).
+    Scans ``n_scan`` frequencies for |cos(kappa ell)| > 1, then bisects every
+    gap edge to float resolution (well inside ``EDGE_TOL``).  Returns an empty
+    list when no gap opens (e.g. matched impedances).
     """
     return _band_gaps(cell_state(lam, stretch), omega_max, n_scan)
+
+
+def first_band_gaps(
+    states: list[CellState | BlochCell], omega_max: float = 3.0 * math.pi, n_scan: int = 10_000
+) -> tuple[np.ndarray, np.ndarray]:
+    """Edges (lo, hi) of the first exact band gap of every cell, NaN where none opens.
+
+    Scans the grid of :func:`bloch_band_gaps` in slabs of about ``SLAB``
+    (rows x frequencies) samples and stops scanning a row once its first gap
+    has closed; then bisects all edges at once like :func:`bloch_band_gaps`.
+    """
+    w = _scan_grid(omega_max, n_scan)
+    cells = BlochCell(*np.array([BlochCell.of(st) for st in states], dtype=float).reshape(-1, 4).T)
+    n = len(states)
+    # per row: first evanescent sample (-1: none yet) and the next propagating one
+    start = np.full(n, -1)
+    stop = np.full(n, len(w))
+    active = np.arange(n)  # rows whose first gap has not closed
+    c0 = 0
+    while active.size and c0 < len(w):
+        c1 = min(len(w), c0 + max(1, SLAB // active.size))
+        evanescent = _evanescent(cells.take(active[:, None]), w[c0:c1])
+        s = start[active]
+        opening = (s < 0) & evanescent.any(axis=1)
+        s[opening] = c0 + evanescent[opening].argmax(axis=1)
+        start[active] = s
+        after = np.arange(c0, c1) > s[:, None]
+        closing = ~evanescent & after & (s >= 0)[:, None]
+        closed = closing.any(axis=1)
+        stop[active[closed]] = c0 + closing[closed].argmax(axis=1)
+        active = active[~closed]
+        c0 = c1
+    lo = np.full(n, math.nan)
+    hi = np.full(n, math.nan)
+    rows = np.flatnonzero(start >= 0)
+    lo[rows], hi[rows] = _refine_edges(cells.take(rows), w, start[rows], stop[rows])
+    return lo, hi
 
 
 def exact_acoustic_frequency(lam: Laminate, stretch: float, kappa_ell: float) -> float:
@@ -116,11 +196,10 @@ def exact_acoustic_frequency(lam: Laminate, stretch: float, kappa_ell: float) ->
     def f(w: float) -> float:
         return _cosine(st, w) - target
 
-    # the acoustic branch ends at the first |cos| = 1 crossing above omega = 0
-    hi = math.pi
-    gaps = _band_gaps(st, omega_max=2.0 * math.pi, n_scan=2000)
-    if gaps:
-        hi = gaps[0].lo
+    # the acoustic branch ends at the first |cos| = 1 crossing above omega = 0; the
+    # gap edge is its evanescent end (cos < -1), so f changes sign up to kappa = pi
+    lo, _ = first_band_gaps([st], omega_max=2.0 * math.pi, n_scan=2000)
+    hi = float(lo[0]) if math.isfinite(lo[0]) else math.pi
     return brentq(f, 1e-14, hi, xtol=1e-14, rtol=8.9e-16, maxiter=300)
 
 

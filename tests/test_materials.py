@@ -247,6 +247,109 @@ class TestStretchFromField:
         I1 = m.uniaxial_first_invariant(lock)
         assert 1.0 - 0.0132 * (I1 - 3.0) == pytest.approx(0.0, abs=1e-9)
 
+    def test_extreme_compression_reports_locking_stretch(self):
+        lam = gent_bilaminate()
+        with pytest.raises(NoRoot) as err:
+            m.stretch_from_field(lam, lw.MagneticLoad(bn_br_product=-1e14))
+        lock = err.value.locking_stretch
+        assert lock is not None and lock < 1.0
+        I1 = m.uniaxial_first_invariant(lock)
+        assert 1.0 - 0.0132 * (I1 - 3.0) == pytest.approx(0.0, abs=1e-9)
+
+    @pytest.mark.parametrize("rhs", [1e30, -1e30])
+    def test_tiny_beta_locks_with_finite_stretch(self, rhs):
+        """The lock stretch is bracketed and found where I1_lock is 1e16."""
+        gent = lw.HyperelasticModel("gent", 1e6, 1e-16)
+        lam = lw.Laminate(lw.Phase(gent, 1000.0, 0.5), lw.Phase(gent, 1000.0, 0.5), 0.01)
+        with pytest.raises(NoRoot) as err:
+            m.stretch_from_field(lam, lw.MagneticLoad(bn_br_product=rhs))
+        lock = err.value.locking_stretch
+        assert lock is not None and math.isfinite(lock) and lock > 0.0
+        assert (lock > 1.0) == (rhs > 0.0)
+
+    def test_infinite_load_locks(self):
+        """bn^2 overflows to an infinite load; the solve reports the lock instead of looping."""
+        base = gent_bilaminate()
+        lam = lw.Laminate(
+            lw.Phase(base.phase1.model, 930.0, 0.5, permeability=2.0 * m.MU0), base.phase2, base.period
+        )
+        assert m.dimensionless_load_rhs(lam, lw.MagneticLoad(bn=1e300)) == math.inf
+        with pytest.raises(NoRoot) as err:
+            m.stretch_from_field(lam, lw.MagneticLoad(bn=1e300))
+        assert err.value.locking_stretch > 1.0
+
+    @pytest.mark.parametrize("rhs", [1e-130, -1e-130])
+    def test_load_below_resolution_is_identity(self, rhs):
+        assert m.stretch_from_field(gent_bilaminate(), lw.MagneticLoad(bn_br_product=rhs)) == 1.0
+
+    @pytest.mark.parametrize("rhs", [1e14, -1e14])
+    def test_root_next_to_gent_lock(self, rhs):
+        """A root whose Gent denominator is about 1e-8 is found, not reported as locked."""
+        gent = lw.HyperelasticModel("gent", 4.7e6, 1e-6)
+        lam = lw.Laminate(
+            lw.Phase(gent, 930.0, 0.5),
+            lw.Phase(lw.HyperelasticModel("gent", 0.94e6, 1e-6), 930.0, 0.5),
+            0.01,
+        )
+        stretch = m.stretch_from_field(lam, lw.MagneticLoad(bn_br_product=rhs))
+        assert 0.0 < 1.0 - 1e-6 * (m.uniaxial_first_invariant(stretch) - 3.0) < 1e-6
+        # the residual is too steep here to vanish in floats; it changes sign within 8 eps
+        eps8 = 8.0 * 2.0**-52
+        assert m._stretch_residual(lam, stretch * (1.0 - eps8), rhs) < 0.0
+        assert m._stretch_residual(lam, stretch * (1.0 + eps8), rhs) > 0.0
+
+    @pytest.mark.parametrize(
+        "kind, beta, rhs",
+        [
+            # exp(beta*(I1 - 3)) overflows at the bracket end, not at the root
+            ("fung-demiray", 8.0, 95.0),
+            ("fung-demiray", 8.0, -95.0),
+            # the root lies hundreds of binary orders from one bracket end
+            ("neo-hookean", 0.0, -1e300),
+            ("yeoh", 0.05, 1e300),
+        ],
+    )
+    def test_extreme_loads_solve(self, kind, beta, rhs):
+        model = lw.HyperelasticModel(kind, 1e6, beta)
+        lam = lw.Laminate(lw.Phase(model, 1000.0, 0.5), lw.Phase(model, 1000.0, 0.5), 0.01)
+        stretch = m.stretch_from_field(lam, lw.MagneticLoad(bn_br_product=rhs))
+        eps8 = 8.0 * 2.0**-52
+        assert m._stretch_residual(lam, stretch * (1.0 - eps8), rhs) < 0.0
+        assert m._stretch_residual(lam, stretch * (1.0 + eps8), rhs) > 0.0
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        kind=st.sampled_from(m.KINDS),
+        g1=st.floats(1e5, 1e7),
+        g2=st.floats(1e5, 1e7),
+        beta=st.floats(0.0, 0.05),
+        nu=st.floats(0.05, 0.95),
+        x=st.floats(0.05, 20.0),
+        ratio=st.floats(1.0 + 1e-6, 2.0),
+    )
+    def test_residual_strictly_increasing(self, kind, g1, g2, beta, nu, x, ratio):
+        """The balance residual rises wherever it is defined, so its root is unique."""
+        beta = 0.0 if kind == "neo-hookean" else beta
+        lam = lw.Laminate(
+            lw.Phase(lw.HyperelasticModel(kind, g1, beta), 1000.0, nu),
+            lw.Phase(lw.HyperelasticModel(kind, g2, beta), 1000.0, 1.0 - nu),
+            0.01,
+        )
+        try:
+            lo, hi = m._stretch_residual(lam, x, 0.0), m._stretch_residual(lam, x * ratio, 0.0)
+        except GentLocking:  # outside the Gent validity domain
+            return
+        assert lo < hi
+
+    def test_equal_beta_cubic_has_one_root(self):
+        lam = gent_bilaminate()
+        magnitudes = [10.0**e for e in range(-9, 3)] + [150.0 * k / 100 for k in range(1, 101)]
+        for rhs in [s * v for v in magnitudes for s in (1.0, -1.0)]:
+            roots = m.gent_equal_beta_stretch_roots(lam, rhs)
+            assert len(roots) == 1
+            stretch = m.stretch_from_field(lam, lw.MagneticLoad(bn_br_product=rhs))
+            assert abs(roots[0] - stretch) <= 1e-12 * stretch
+
     def test_normalization_scales(self):
         lam = gent_bilaminate()
         norm = m.load_normalization(lam)

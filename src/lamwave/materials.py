@@ -411,42 +411,8 @@ def stretch_from_field(lam: Laminate, load: MagneticLoad) -> float:
                 f"load {target:.6g} needs a stretch beyond the Gent locking stretch {lock:.6g}",
                 locking_stretch=lock,
             ) from None
+    if not math.isfinite(end):  # 1 + 2r overflowed, or r itself is inf or NaN
+        raise NoRoot(f"load {target:.6g} puts the stretch bracket beyond the float range")
     # at |r| near 1e300 the root lies some 1,000 halvings from a bracket end
     return brentq(f, min(1.0, end), max(1.0, end), xtol=0.0, maxiter=4000)
 
-
-def is_gent_equal_beta(lam: Laminate) -> bool:
-    """True when both phases are Gent with the same nonlinearity parameter."""
-    m1, m2 = lam.phase1.model, lam.phase2.model
-    return m1.kind == GENT and m2.kind == GENT and m1.beta == m2.beta and m1.beta > 0.0
-
-
-def gent_equal_beta_stretch_roots(lam: Laminate, rhs_norm: float) -> list[float]:
-    """All admissible closed-form stretch roots for an equal-beta Gent laminate.
-
-    The balance reduces to a cubic in the stretch; roots are filtered to the
-    positive axis and the Gent validity domain, and sorted ascending.  More
-    than one admissible root flags a multi-branch load state.
-    """
-    if not is_gent_equal_beta(lam):
-        raise DomainError("closed-form stretch roots require Gent phases with equal beta")
-    import numpy as np
-
-    beta = lam.phase1.model.beta
-    coeffs = [1.0 + beta * rhs_norm, 0.0, -rhs_norm * (1.0 + 3.0 * beta), 2.0 * beta * rhs_norm - 1.0]
-    roots = np.roots(coeffs)
-    good = []
-    for z in roots:
-        if abs(z.imag) > 1e-9 * max(1.0, abs(z.real)):
-            continue
-        x = float(z.real)
-        if x <= 0.0:
-            continue
-        denom = 1.0 - beta * (uniaxial_first_invariant(x) - 3.0)
-        if denom <= GENT_MARGIN:
-            continue
-        # reject spurious roots introduced by clearing denominators
-        if abs(_stretch_residual(lam, x, rhs_norm)) > 1e-6 * max(1.0, abs(rhs_norm)):
-            continue
-        good.append(x)
-    return sorted(good)

@@ -154,51 +154,90 @@ def mkdv_march(
     # (the quadratic-product 2/3 cutoff left cubic aliasing that destabilised
     # coarse inviscid marches)
     keep = omega <= 0.5 * omega[-1]
+    # keep is a prefix, and irfft zero-pads a short input, so the nonlinear
+    # stages transform and combine only the m kept modes; above the cutoff
+    # the nonlinear terms are exact zeros and modes advance by e_full alone
+    m = int(np.count_nonzero(keep))
+    eh, ef, scale = e_half[:m], e_full[:m], nl_scale[:m]
+    eh_h = eh * h
+    eh_2 = 2.0 * eh
 
-    def nonlinear(vhat: np.ndarray) -> np.ndarray:
-        v = np.fft.irfft(np.where(keep, vhat, 0.0), n)
-        return np.where(keep, nl_scale * np.fft.rfft(v * v * v), 0.0)
+    v = np.empty(n)
+    cube = np.empty(n)
+    spec = np.empty(omega.size, dtype=complex)
+    stage = np.empty(m, dtype=complex)
+    tmp = np.empty(m, dtype=complex)
+    n1, n2, n3, n4 = (np.empty(m, dtype=complex) for _ in range(4))
+
+    def nonlinear(xk: np.ndarray, out: np.ndarray) -> None:
+        np.fft.irfft(xk, n, out=v)
+        np.multiply(v, v, out=cube)
+        np.multiply(cube, v, out=cube)
+        np.fft.rfft(cube, out=spec)
+        np.multiply(scale, spec[:m], out=out)
 
     stops = sorted(set(max(0, int(round(y / h))) for y in y_stops))
     n_steps = stops[-1] if stops else 0
     stop_set = set(stops)
 
     vhat = np.fft.rfft(v0)
+    vk = vhat[:m]
     amp0 = float(np.max(np.abs(vhat)))
+    amp = np.empty(omega.size)
     records: dict[float, np.ndarray] = {}
     grad_y: list[float] = []
     grad_max: list[float] = []
     char_v: list[float] = []
     char_vt: list[float] = []
+    # rows [iw * vhat, vhat] go through one batched irfft: rows [v_t, v]
+    rec_in = np.empty((2, omega.size), dtype=complex)
+    rec = np.empty((2, n))
+    rec_abs = np.empty(n)
 
-    def record_gradient(step_index: int, vh: np.ndarray) -> None:
-        vt = np.fft.irfft(iw * vh, n)
-        i = int(np.argmax(np.abs(vt)))
+    def record_gradient(step_index: int) -> None:
+        np.multiply(iw, vhat, out=rec_in[0])
+        rec_in[1] = vhat
+        np.fft.irfft(rec_in, n, out=rec)
+        i = int(np.argmax(np.abs(rec[0], out=rec_abs)))
         grad_y.append(step_index * h)
-        grad_max.append(abs(float(vt[i])))
-        char_vt.append(float(vt[i]))
-        char_v.append(float(np.fft.irfft(vh, n)[i]))
+        grad_max.append(abs(float(rec[0, i])))
+        char_vt.append(float(rec[0, i]))
+        char_v.append(float(rec[1, i]))
 
-    record_gradient(0, vhat)
+    record_gradient(0)
     if 0 in stop_set:
         records[0.0] = v0.copy()
     for k in range(1, n_steps + 1):
-        n1 = nonlinear(vhat)
-        a = e_half * (vhat + 0.5 * h * n1)
-        n2 = nonlinear(a)
-        b = e_half * vhat + 0.5 * h * n2
-        n3 = nonlinear(b)
-        c_ = e_full * vhat + e_half * h * n3
-        n4 = nonlinear(c_)
-        vhat = e_full * vhat + (h / 6.0) * (e_full * n1 + 2.0 * e_half * (n2 + n3) + n4)
-        if amp0 > 0.0 and float(np.max(np.abs(vhat))) > BLOWUP_FACTOR * amp0:
+        nonlinear(vk, n1)
+        # a = e_half * (vhat + 0.5 * h * n1)
+        np.multiply(0.5 * h, n1, out=tmp)
+        np.add(vk, tmp, out=tmp)
+        nonlinear(np.multiply(eh, tmp, out=stage), n2)
+        # b = e_half * vhat + 0.5 * h * n2
+        np.multiply(eh, vk, out=stage)
+        np.multiply(0.5 * h, n2, out=tmp)
+        nonlinear(np.add(stage, tmp, out=stage), n3)
+        # c = e_full * vhat + e_half * h * n3
+        np.multiply(ef, vk, out=stage)
+        np.multiply(eh_h, n3, out=tmp)
+        nonlinear(np.add(stage, tmp, out=stage), n4)
+        # vhat = e_full * vhat + (h / 6) * (e_full * n1 + 2 e_half * (n2 + n3) + n4)
+        np.add(n2, n3, out=tmp)
+        np.multiply(eh_2, tmp, out=tmp)
+        np.multiply(ef, n1, out=n1)
+        np.add(n1, tmp, out=tmp)
+        np.add(tmp, n4, out=tmp)
+        np.multiply(h / 6.0, tmp, out=tmp)
+        np.multiply(e_full, vhat, out=vhat)
+        np.add(vk, tmp, out=vk)
+        if amp0 > 0.0 and float(np.max(np.abs(vhat, out=amp))) > BLOWUP_FACTOR * amp0:
             raise Instability(
                 f"spectral amplitude exceeded {BLOWUP_FACTOR:.0e} x initial at y = {k * h:.6g} m",
                 position=k * h,
             )
-        record_gradient(k, vhat)
+        record_gradient(k)
         if k in stop_set:
-            records[k * h] = np.fft.irfft(vhat, n)
+            records[k * h] = rec[1].copy()
     return MarchResult(
         t=t,
         records=records,

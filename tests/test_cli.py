@@ -309,6 +309,17 @@ class TestSimulation:
             ".json": "6ddfecc803db087964928f010cc9ea51447237a8a8fce737470e5d1546124024",
         }
 
+    def test_simulate_mkdv_golden_bytes(self, tmp_path):
+        """CSV and JSON bytes of one small spectral march are pinned: no refactor may drift them."""
+        out = run_ok(tmp_path, VALID_CONFIGS["simulate-mkdv"])
+        (csv_path,) = out.glob("simulate_mkdv_*.csv")
+        (json_path,) = out.glob("simulate_mkdv_*.json")
+        digest = {p.suffix: hashlib.sha256(p.read_bytes()).hexdigest() for p in (csv_path, json_path)}
+        assert digest == {
+            ".csv": "15e49f40429cc5e32ca83655ab60c8c76411fa38e310f445093860d7a7145d21",
+            ".json": "66b85b76c7b012eae5806be1d30d64933e2984b916bc4a3fae5cf45f30384c45",
+        }
+
     def test_simulate_mkdv_probe_csv(self, tmp_path):
         lines = self.probe_csv(tmp_path, "simulate-mkdv")
         assert lines[0] == "t_s,t_norm,v_over_c,probe_y_m,theory"

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,6 +14,37 @@ from lamwave.errors import DomainError, GentLocking, InversionFailure, NoRoot
 from conftest import gent_bilaminate
 
 KINDS_NL = ("yeoh", "fung-demiray", "gent")
+
+
+def is_gent_equal_beta(lam):
+    """True when both phases are Gent with the same nonlinearity parameter."""
+    m1, m2 = lam.phase1.model, lam.phase2.model
+    return m1.kind == m.GENT and m2.kind == m.GENT and m1.beta == m2.beta and m1.beta > 0.0
+
+
+def gent_equal_beta_stretch_roots(lam, rhs_norm):
+    """Independent oracle: every admissible stretch root of an equal-beta Gent laminate.
+
+    The balance reduces to a cubic in the stretch; roots are filtered to the
+    positive axis and the Gent validity domain, and sorted ascending.
+    """
+    assert is_gent_equal_beta(lam)
+    beta = lam.phase1.model.beta
+    coeffs = [1.0 + beta * rhs_norm, 0.0, -rhs_norm * (1.0 + 3.0 * beta), 2.0 * beta * rhs_norm - 1.0]
+    good = []
+    for z in np.roots(coeffs):
+        if abs(z.imag) > 1e-9 * max(1.0, abs(z.real)):
+            continue
+        x = float(z.real)
+        if x <= 0.0:
+            continue
+        if 1.0 - beta * (m.uniaxial_first_invariant(x) - 3.0) <= m.GENT_MARGIN:
+            continue
+        # reject spurious roots introduced by clearing denominators
+        if abs(m._stretch_residual(lam, x, rhs_norm)) > 1e-6 * max(1.0, abs(rhs_norm)):
+            continue
+        good.append(x)
+    return sorted(good)
 
 
 def finite_difference_modulus(model, I1, step=1e-6):
@@ -235,7 +267,7 @@ class TestStretchFromField:
         lam = gent_bilaminate()
         for rhs in (-150.0, -12.5, -0.3, 0.4, 17.0, 150.0):
             cont = m.stretch_from_field(lam, lw.MagneticLoad(bn_br_product=rhs))
-            roots = m.gent_equal_beta_stretch_roots(lam, rhs)
+            roots = gent_equal_beta_stretch_roots(lam, rhs)
             assert min(abs(r - cont) / cont for r in roots) < 1e-10
 
     def test_extreme_load_reports_locking_stretch(self):
@@ -277,6 +309,24 @@ class TestStretchFromField:
         with pytest.raises(NoRoot) as err:
             m.stretch_from_field(lam, lw.MagneticLoad(bn=1e300))
         assert err.value.locking_stretch > 1.0
+
+    def test_overflowing_tension_locks(self):
+        """At r >= 9e307 the bracket end sqrt(1 + 2r) overflows; the row locks instead of failing."""
+        model = lw.HyperelasticModel("neo-hookean", 1e6)
+        lam = lw.Laminate(lw.Phase(model, 1000.0, 0.5), lw.Phase(model, 1000.0, 0.5), 0.01)
+        with pytest.raises(NoRoot) as err:
+            m.stretch_from_field(lam, lw.MagneticLoad(bn_br_product=9.5e307))
+        assert err.value.locking_stretch is None
+
+    def test_infinite_load_locks_without_gent(self):
+        """bn^2 overflows on a Yeoh stack, where the residual at the bracket end is NaN."""
+        yeoh = lw.HyperelasticModel("yeoh", 1e6, 0.05)
+        lam = lw.Laminate(
+            lw.Phase(yeoh, 1000.0, 0.5, permeability=2.0 * m.MU0), lw.Phase(yeoh, 1000.0, 0.5), 0.01
+        )
+        assert m.dimensionless_load_rhs(lam, lw.MagneticLoad(b=1e300)) == math.inf
+        with pytest.raises(NoRoot):
+            m.stretch_from_field(lam, lw.MagneticLoad(b=1e300))
 
     @pytest.mark.parametrize("rhs", [1e-130, -1e-130])
     def test_load_below_resolution_is_identity(self, rhs):
@@ -345,7 +395,7 @@ class TestStretchFromField:
         lam = gent_bilaminate()
         magnitudes = [10.0**e for e in range(-9, 3)] + [150.0 * k / 100 for k in range(1, 101)]
         for rhs in [s * v for v in magnitudes for s in (1.0, -1.0)]:
-            roots = m.gent_equal_beta_stretch_roots(lam, rhs)
+            roots = gent_equal_beta_stretch_roots(lam, rhs)
             assert len(roots) == 1
             stretch = m.stretch_from_field(lam, lw.MagneticLoad(bn_br_product=rhs))
             assert abs(roots[0] - stretch) <= 1e-12 * stretch

@@ -22,6 +22,48 @@ def neo_hookean_stack():
     )
 
 
+def reference_march(eff, v0, cfg, n_steps):
+    """Full-spectrum march with the masked nonlinear term, one irfft per quantity.
+
+    Returns the field after each step and the (max|v_t|, v_t, v) gradient trace.
+    """
+    n, h = cfg.n_points, cfg.dy
+    omega = 2.0 * math.pi * np.fft.rfftfreq(n, d=cfg.dt)
+    iw = 1j * omega
+    iw[-1] = 0.0
+    lin = (
+        -iw / eff.c
+        + (eff.eta * eff.ell**2 / (2.0 * eff.c**3)) * iw**3
+        - cfg.viscosity * omega**2
+    )
+    e_half = np.exp(0.5 * h * lin)
+    e_full = e_half * e_half
+    nl_scale = iw * eff.zeta / (6.0 * eff.c**3)
+    keep = omega <= 0.5 * omega[-1]
+
+    def nonlinear(vhat):
+        v = np.fft.irfft(np.where(keep, vhat, 0.0), n)
+        return np.where(keep, nl_scale * np.fft.rfft(v * v * v), 0.0)
+
+    vhat = np.fft.rfft(v0)
+    fields, trace = [v0], []
+    for k in range(n_steps + 1):
+        if k:
+            n1 = nonlinear(vhat)
+            a = e_half * (vhat + 0.5 * h * n1)
+            n2 = nonlinear(a)
+            b = e_half * vhat + 0.5 * h * n2
+            n3 = nonlinear(b)
+            c_ = e_full * vhat + e_half * h * n3
+            n4 = nonlinear(c_)
+            vhat = e_full * vhat + (h / 6.0) * (e_full * n1 + 2.0 * e_half * (n2 + n3) + n4)
+            fields.append(np.fft.irfft(vhat, n))
+        vt = np.fft.irfft(iw * vhat, n)
+        i = int(np.argmax(np.abs(vt)))
+        trace.append((abs(float(vt[i])), float(vt[i]), float(np.fft.irfft(vhat, n)[i])))
+    return fields, np.array(trace)
+
+
 class TestConfig:
     def test_power_of_two_required(self):
         with pytest.raises(DomainError):
@@ -184,6 +226,20 @@ class TestEmission:
         a = runs[0].records[runs[0].y_final]
         b = runs[1].records[runs[1].y_final]
         assert np.array_equal(a, b)
+
+    def test_march_matches_full_spectrum_reference(self, eff):
+        """Stages on the kept modes only give the bits of the masked full-spectrum step."""
+        kappa = 2.0 * math.pi / (16.0 * eff.ell)
+        cfg = sp.SpectralConfig(n_points=512, window=4.0 * 2.0 * math.pi / (kappa * eff.c))
+        v0 = sp.impact_signal(2.0 * eff.c, kappa, eff.c)(cfg.times())
+        res = sp.mkdv_march(eff, v0, cfg, [0.0, 50 * cfg.dy, 100 * cfg.dy])
+        fields, trace = reference_march(eff, v0, cfg, 100)
+        assert len(res.records) == 3
+        for y, v in res.records.items():
+            assert np.array_equal(v, fields[round(y / cfg.dy)])
+        assert np.array_equal(res.grad_max, trace[:, 0])
+        assert np.array_equal(res.char_vt, trace[:, 1])
+        assert np.array_equal(res.char_v, trace[:, 2])
 
     def test_probe_table_schema(self, eff):
         kappa = 2.0 * math.pi / (16.0 * eff.ell)

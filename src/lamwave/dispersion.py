@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -25,8 +24,6 @@ from .materials import Laminate
 
 #: accuracy of exact band edges in omega*ell/c (bisection resolves them to float spacing)
 EDGE_TOL = 1e-10
-#: scan samples (rows x frequencies) per slab of a first-gap search, 128 kB a float array
-SLAB = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -52,7 +49,7 @@ class DispersionBranch:
     index: int
 
 
-def _cosine(st: CellState | BlochCell, omega_norm) -> np.ndarray | float:
+def _cosine(st: CellState, omega_norm) -> np.ndarray | float:
     w = np.asarray(omega_norm, dtype=float)
     a1 = w * st.t1
     a2 = w * st.t2
@@ -81,49 +78,35 @@ def _scan_grid(omega_max: float, n_scan: int) -> np.ndarray:
     return w
 
 
-class BlochCell(NamedTuple):
-    """What the Bloch relation reads of a cell state: travel fractions and impedances.
-
-    Floats for one cell (:meth:`of` a CellState), or arrays for many; a sweep
-    keeps one per row for :func:`first_band_gaps` instead of the whole state.
-    """
-
-    t1: float | np.ndarray
-    t2: float | np.ndarray
-    z1: float | np.ndarray
-    z2: float | np.ndarray
-
-    @classmethod
-    def of(cls, st: CellState | BlochCell) -> BlochCell:
-        return cls(st.t1, st.t2, st.z1, st.z2)
-
-    def take(self, index: np.ndarray) -> BlochCell:
-        return BlochCell(*(f[index] for f in self))
-
-
 def _evanescent(cells, w) -> np.ndarray:
     return np.abs(_cosine(cells, w)) > 1.0
 
 
-def _refine_edges(cells, w: np.ndarray, start: np.ndarray, stop: np.ndarray) -> np.ndarray:
-    """Edges (lo, hi) of the gaps whose evanescent scan samples are ``w[start:stop]``.
+def _bisect(inside, inn: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Bisect every bracket (inn, out) at once until none shrinks (adjacent floats).
 
-    ``cells`` is one CellState, or a BlochCell of arrays with one entry per
-    gap.  Each edge is bisected between its last scan samples on either side,
-    all at once, until a bracket no longer shrinks (adjacent floats), and the
-    evanescent end is kept, so lo <= hi.  Bisection reads only whether
-    |F| > 1, so the kink of |F| - 1 at an edge does no harm.  A gap that
-    starts at ``w[0]`` or runs to ``w[-1]`` keeps that sample as its edge.
+    ``inside(w)`` tells which frequencies lie on the ``inn`` side; returns the
+    ``inn`` ends.  Only the side is read, so a kink at an edge does no harm.
     """
-    inn = np.stack([w[start], w[stop - 1]])
-    out = np.stack([w[np.maximum(start - 1, 0)], w[np.minimum(stop, len(w) - 1)]])
     while True:
         mid = 0.5 * (inn + out)
         if not np.any((mid != inn) & (mid != out)):
             return inn
-        evanescent = _evanescent(cells, mid)
-        inn = np.where(evanescent, mid, inn)
-        out = np.where(evanescent, out, mid)
+        side = inside(mid)
+        inn = np.where(side, mid, inn)
+        out = np.where(side, out, mid)
+
+
+def _refine_edges(st: CellState, w: np.ndarray, start: np.ndarray, stop: np.ndarray) -> np.ndarray:
+    """Edges (lo, hi) of the gaps whose evanescent scan samples are ``w[start:stop]``.
+
+    Each edge is bisected between its last scan samples on either side on
+    whether |F| > 1, and the evanescent end is kept, so lo <= hi.  A gap that
+    starts at ``w[0]`` or runs to ``w[-1]`` keeps that sample as its edge.
+    """
+    inn = np.stack([w[start], w[stop - 1]])
+    out = np.stack([w[np.maximum(start - 1, 0)], w[np.minimum(stop, len(w) - 1)]])
+    return _bisect(lambda mid: _evanescent(st, mid), inn, out)
 
 
 def _band_gaps(st: CellState, omega_max: float, n_scan: int) -> list[BandGap]:
@@ -147,41 +130,41 @@ def bloch_band_gaps(
     return _band_gaps(cell_state(lam, stretch), omega_max, n_scan)
 
 
-def first_band_gaps(
-    states: list[CellState | BlochCell], omega_max: float = 3.0 * math.pi, n_scan: int = 10_000
-) -> tuple[np.ndarray, np.ndarray]:
+def _rytov_factors(t1, t2, w, q) -> np.ndarray:
+    """``cos x cos y - q sin x sin y`` at x = w t1 / 2, y = w t2 / 2."""
+    x = 0.5 * w * t1
+    y = 0.5 * w * t2
+    return np.cos(x) * np.cos(y) - q * (np.sin(x) * np.sin(y))
+
+
+def first_band_gaps(states: list[CellState]) -> tuple[np.ndarray, np.ndarray]:
     """Edges (lo, hi) of the first exact band gap of every cell, NaN where none opens.
 
-    Scans the grid of :func:`bloch_band_gaps` in slabs of about ``SLAB``
-    (rows x frequencies) samples and stops scanning a row once its first gap
-    has closed; then bisects all edges at once like :func:`bloch_band_gaps`.
+    Rytov's factorisation (README, "Notes on the numerics") brackets each gap
+    edge on (0, pi / max(t1, t2)) as the one zero there of a factor
+    P(q) = cos x cos y - q sin x sin y, x = omega t1 / 2, y = omega t2 / 2:
+    q = R = max(z1/z2, z2/z1) for the lower edge, 1/R for the upper one.  All
+    are bisected at once to adjacent floats, keeping the end inside the gap.
+    R = 1, or a gap holding no float, gives NaN.  A state is anything with
+    the fields t1, t2, z1, z2.
     """
-    w = _scan_grid(omega_max, n_scan)
-    cells = BlochCell(*np.array([BlochCell.of(st) for st in states], dtype=float).reshape(-1, 4).T)
-    n = len(states)
-    # per row: first evanescent sample (-1: none yet) and the next propagating one
-    start = np.full(n, -1)
-    stop = np.full(n, len(w))
-    active = np.arange(n)  # rows whose first gap has not closed
-    c0 = 0
-    while active.size and c0 < len(w):
-        c1 = min(len(w), c0 + max(1, SLAB // active.size))
-        evanescent = _evanescent(cells.take(active[:, None]), w[c0:c1])
-        s = start[active]
-        opening = (s < 0) & evanescent.any(axis=1)
-        s[opening] = c0 + evanescent[opening].argmax(axis=1)
-        start[active] = s
-        after = np.arange(c0, c1) > s[:, None]
-        closing = ~evanescent & after & (s >= 0)[:, None]
-        closed = closing.any(axis=1)
-        stop[active[closed]] = c0 + closing[closed].argmax(axis=1)
-        active = active[~closed]
-        c0 = c1
-    lo = np.full(n, math.nan)
-    hi = np.full(n, math.nan)
-    rows = np.flatnonzero(start >= 0)
-    lo[rows], hi[rows] = _refine_edges(cells.take(rows), w, start[rows], stop[rows])
-    return lo, hi
+    cells = np.array([(st.t1, st.t2, st.z1, st.z2) for st in states], dtype=float)
+    t1, t2, z1, z2 = cells.reshape(-1, 4).T
+    r = z1 / z2
+    big = np.maximum(r, 1.0 / r)
+    top = np.pi / np.maximum(t1, t2)
+    gap = (r != 1.0) & np.isfinite(top)
+    top = np.where(gap, top, 0.0)  # an empty bracket where no gap opens
+    q = np.stack([big, 1.0 / big])
+    # inside the gap P(R) < 0 (above the lower edge) and P(1/R) > 0 (below the upper one)
+    sign = np.array([[1.0], [-1.0]])
+    lo, hi = _bisect(
+        lambda mid: sign * _rytov_factors(t1, t2, mid, q) < 0.0,
+        np.stack([top, np.zeros_like(top)]),
+        np.stack([np.zeros_like(top), top]),
+    )
+    gap &= lo <= hi  # r within a few ulp of 1: no float lies inside the gap
+    return np.where(gap, lo, math.nan), np.where(gap, hi, math.nan)
 
 
 def exact_acoustic_frequency(lam: Laminate, stretch: float, kappa_ell: float) -> float:
@@ -192,13 +175,14 @@ def exact_acoustic_frequency(lam: Laminate, stretch: float, kappa_ell: float) ->
         return 0.0
     target = math.cos(kappa_ell)
     st = cell_state(lam, stretch)
+    r = st.z1 / st.z2
 
     def f(w: float) -> float:
-        return _cosine(st, w) - target
+        # cos(kappa ell) in Rytov's factors reads <= -1 at the gap edge even after rounding
+        p, p_inv = _rytov_factors(st.t1, st.t2, w, np.array([r, 1.0 / r]))
+        return 2.0 * p * p_inv - 1.0 - target
 
-    # the acoustic branch ends at the first |cos| = 1 crossing above omega = 0; the
-    # gap edge is its evanescent end (cos < -1), so f changes sign up to kappa = pi
-    lo, _ = first_band_gaps([st], omega_max=2.0 * math.pi, n_scan=2000)
+    lo, _ = first_band_gaps([st])
     hi = float(lo[0]) if math.isfinite(lo[0]) else math.pi
     return brentq(f, 1e-14, hi, xtol=1e-14, rtol=8.9e-16, maxiter=300)
 
@@ -301,14 +285,23 @@ def dispersion_table(
     for br in _branches(st, omega_max, n):
         k = br.kappa_ell_folded if folded else br.kappa_ell
         rows.extend(
-            (float(ki), float(wi), br.index, "exact") for ki, wi in zip(k, br.omega_norm)
+            (ki, wi, br.index, "exact") for ki, wi in zip(k.tolist(), br.omega_norm.tolist())
         )
+    # homogenized_branch_frequencies at every node at once, by the same operations;
+    # eta_t > 0, so each node's pair of roots comes out ascending
     kgrid = np.linspace(0.0, 2.0 * math.pi, n // 2)
-    for k in kgrid:
-        freqs = homogenized_branch_frequencies(eff, k)
-        kk = k if not folded else (k if k <= math.pi else 2.0 * math.pi - k)
-        for b, wv in enumerate(freqs):
-            rows.append((float(kk), float(wv), b, "homogenized"))
+    k2 = kgrid * kgrid
+    b = -(1.0 - eff.eta_m * k2)
+    c = k2 - eff.eta_y * k2 * k2
+    s = np.sqrt(b * b - 4.0 * eff.eta_t * c)  # real roots: eta_m = 0 and eta_t <= eta_y
+    chi = np.stack([(-b - s) / (2.0 * eff.eta_t), (-b + s) / (2.0 * eff.eta_t)], 1)
+    real = chi >= -1e-14
+    if folded:
+        kgrid = np.where(kgrid <= math.pi, kgrid, 2.0 * math.pi - kgrid)
+    kk = np.broadcast_to(kgrid[:, None], chi.shape)[real].tolist()
+    w = np.sqrt(np.clip(chi[real], 0.0, None)).tolist()
+    branch = (np.cumsum(real, axis=1) - 1)[real].tolist()
+    rows.extend((ki, wi, bi, "homogenized") for ki, wi, bi in zip(kk, w, branch))
     wgrid = np.linspace(0.0, omega_max, n // 2)
     km = np.asarray(mkdv_wavenumber(eff, wgrid))
     for ki, wi in zip(km, wgrid):

@@ -413,6 +413,8 @@ def stretch_from_field(lam: Laminate, load: MagneticLoad) -> float:
             ) from None
     if not math.isfinite(end):  # 1 + 2r overflowed, or r itself is inf or NaN
         raise NoRoot(f"load {target:.6g} puts the stretch bracket beyond the float range")
-    # at |r| near 1e300 the root lies some 1,000 halvings from a bracket end
-    return brentq(f, min(1.0, end), max(1.0, end), xtol=0.0, maxiter=4000)
+    # at |r| near 1e300 the root lies some 1,000 halvings from a bracket end; xtol (4 eps
+    # times the smallest normal float) keeps the stopping width from underflowing to 0
+    # at a subnormal root (r < -1.2e308)
+    return brentq(f, min(1.0, end), max(1.0, end), xtol=4.0 * math.ulp(0.0), maxiter=4000)
 

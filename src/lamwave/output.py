@@ -9,25 +9,33 @@ from __future__ import annotations
 
 import hashlib
 import json
+from operator import itemgetter
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Sequence
 
 
-def fmt(value) -> str:
-    if isinstance(value, bool):
-        return "1" if value else "0"
-    if isinstance(value, float):
-        return format(value, ".17g")
-    return str(value)
+def _row_format(n_columns: int, rows: Sequence[tuple]) -> str:
+    """One %-format line for all rows: '%s' for a text column, '%.17g' for one holding
+    a float (its integers print exactly up to 2**53), '%d' for integers and bools."""
+    specs = []
+    for i in range(n_columns):
+        kinds = set(map(type, map(itemgetter(i), rows)))
+        if all(issubclass(k, str) for k in kinds):
+            specs.append("%s")
+        elif any(issubclass(k, float) for k in kinds):
+            specs.append("%.17g")
+        else:
+            specs.append("%d")
+    return ",".join(specs) + "\n"
 
 
-def write_csv(path: Path, comments: list[str], header: list[str], rows: Iterable[tuple]) -> None:
+def write_csv(path: Path, comments: list[str], header: list[str], rows: Sequence[tuple]) -> None:
+    line = _row_format(len(header), rows)
     with open(path, "w", newline="\n") as fh:
-        for line in comments:
-            fh.write(f"# {line}\n")
+        for comment in comments:
+            fh.write(f"# {comment}\n")
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(fmt(v) for v in row) + "\n")
+        fh.writelines(map(line.__mod__, rows))
 
 
 def probe_table(traces: Iterable[tuple], t_scale: float, theory: str) -> tuple[list[str], list[tuple]]:

@@ -3,8 +3,10 @@
 Three sweep variables are supported: the normalised magnetic load product,
 the volume fraction of phase 2 (at unit stretch), and the shear-modulus
 contrast (at unit stretch).  Rows are evaluated serially in grid order, and
-the first exact band gaps of all rows are then found in one batched search
-(:func:`lamwave.dispersion.first_band_gaps`).
+the first exact band gaps of all rows are then found at once from Rytov's
+closed-form bracket (:func:`lamwave.dispersion.first_band_gaps`), with no
+frequency scan and no ceiling: a first gap reaching above 3 pi is reported
+with its true edges.
 """
 
 from __future__ import annotations
@@ -21,10 +23,6 @@ from .homogenize import CellState, cell_state, effective_model
 from .materials import Laminate, MagneticLoad
 
 VARIABLES = ("magnetic_load_product", "volume_fraction_2", "modulus_contrast")
-#: exact band-gap scan ceiling of every row, in omega*ell/c
-OMEGA_MAX = 3.0 * math.pi
-#: frequencies scanned for the exact band gaps of every row
-N_SCAN = 4000
 
 
 @dataclass(frozen=True)
@@ -76,7 +74,7 @@ def _gap_fields(row: dict, st: CellState, scale: float, pending: list) -> None:
     by :func:`_exact_gap_fields` once every row of the sweep is known.
     """
     row["gap_exact_lo"] = row["gap_exact_hi"] = math.nan
-    pending.append((row, dispersion.BlochCell.of(st), scale))
+    pending.append((row, st, scale))
     try:
         hg = dispersion.homogenized_band_gap(st.eff)
         row["gap_homog_lo"] = hg.lo * scale
@@ -87,11 +85,9 @@ def _gap_fields(row: dict, st: CellState, scale: float, pending: list) -> None:
 
 def _exact_gap_fields(pending: list) -> None:
     """First exact gap edges of every pending row, from one batched search."""
-    lo, hi = dispersion.first_band_gaps([cell for _, cell, _ in pending], OMEGA_MAX, N_SCAN)
+    lo, hi = dispersion.first_band_gaps([st for _, st, _ in pending])
     for (row, _, scale), a, b in zip(pending, lo.tolist(), hi.tolist()):
-        if math.isfinite(a):
-            row["gap_exact_lo"] = a * scale
-            row["gap_exact_hi"] = b * scale
+        row["gap_exact_lo"], row["gap_exact_hi"] = a * scale, b * scale
 
 
 def _bound_fields(row: dict, eff, speed_scale: float):

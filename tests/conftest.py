@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -18,6 +19,15 @@ import pytest
 import lamwave as lw
 from lamwave import fv_sim, soliton, spectral_sim
 from lamwave.homogenize import effective_model
+
+
+class Cell(NamedTuple):
+    """The four numbers the Bloch relation reads of a cell state, for cells no laminate gives."""
+
+    t1: float
+    t2: float
+    z1: float
+    z2: float
 
 
 def gent_bilaminate() -> lw.Laminate:

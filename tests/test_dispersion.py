@@ -6,12 +6,16 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import lamwave as lw
 from lamwave import dispersion as dsp
 from lamwave import materials as m
 from lamwave.errors import NoGap
 from lamwave.homogenize import cell_state, effective_model
+
+from conftest import Cell
 
 
 def monodromy_half_trace(lam: lw.Laminate, stretch: float, omega_norm: float) -> float:
@@ -130,19 +134,87 @@ class TestBandGaps:
                 assert abs(dsp.bloch_cosine(bilam, 1.0, math.nextafter(edge, outward))) <= 1.0
 
     def test_first_gaps_match_all_gaps(self, bilam, matched_bilam, low_disp_bilam):
-        """The batched first-gap search and the one-row scan give the same bits."""
+        """The closed-form first gaps and the first gaps of the one-row scan agree to EDGE_TOL."""
         lams = [bilam, matched_bilam, low_disp_bilam, bilam]
         stretches = [1.0, 1.0, 1.0, 1.6]
         states = [cell_state(lam, s) for lam, s in zip(lams, stretches)]
-        lo, hi = dsp.first_band_gaps(states, 3.0 * math.pi, 4000)
+        lo, hi = dsp.first_band_gaps(states)
         for st, a, b in zip(states, lo, hi):
             gaps = dsp._band_gaps(st, 3.0 * math.pi, 4000)
             if gaps:
-                assert (a, b) == (gaps[0].lo, gaps[0].hi)
+                assert abs(a - gaps[0].lo) <= dsp.EDGE_TOL
+                assert abs(b - gaps[0].hi) <= dsp.EDGE_TOL
             else:
                 assert math.isnan(a) and math.isnan(b)
-        empty = dsp.first_band_gaps([], 3.0 * math.pi, 4000)
+        empty = dsp.first_band_gaps([])
         assert [len(x) for x in empty] == [0, 0]
+
+
+def one_plus_cosine(cell, w: float) -> float:
+    """1 + cos(kappa ell) in Rytov's factored form, 2 P(R) P(1/R) with R = max(r, 1/r)."""
+    x, y = 0.5 * w * cell.t1, 0.5 * w * cell.t2
+    r = cell.z1 / cell.z2
+    big = max(r, 1.0 / r)
+    cc, ss = math.cos(x) * math.cos(y), math.sin(x) * math.sin(y)
+    return 2.0 * (cc - big * ss) * (cc - ss / big)
+
+
+class TestClosedFormFirstGap:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        t1=st.floats(0.02, 0.98),
+        shrink=st.floats(0.8, 1.0),
+        log_r=st.floats(math.log(1e-3), math.log(1e3)),
+    )
+    def test_matches_scan(self, t1, shrink, log_r):
+        """Where the scan resolves the first gap, both give its edges to EDGE_TOL."""
+        cell = Cell(t1=t1, t2=(1.0 - t1) * shrink, z1=math.exp(log_r), z2=1.0)
+        (lo,), (hi,) = dsp.first_band_gaps([cell])
+        omega_max, n_scan = 3.0 * math.pi, 4000
+        step = omega_max / n_scan
+        if not (hi - lo > step and hi < omega_max - step):
+            return  # too narrow for the scan, or cut by its ceiling
+        gap = dsp._band_gaps(cell, omega_max, n_scan)[0]
+        assert abs(lo - gap.lo) <= dsp.EDGE_TOL
+        assert abs(hi - gap.hi) <= dsp.EDGE_TOL
+
+    def test_edges_at_float_resolution(self, bilam, low_disp_bilam):
+        """Each edge is evanescent, and the next float outward propagates."""
+        cells = [cell_state(bilam, 1.0), cell_state(low_disp_bilam, 1.3),
+                 Cell(0.3, 0.65, 1e-3, 1.0), Cell(0.9, 0.05, 1.0, 7.0),
+                 Cell(0.05, 0.25, 30.0, 1.0)]
+        lo, hi = dsp.first_band_gaps(cells)
+        for cell, a, b in zip(cells, lo.tolist(), hi.tolist()):
+            assert 0.0 < a < b
+            for edge, outward in ((a, -math.inf), (b, math.inf)):
+                assert one_plus_cosine(cell, edge) < 0.0
+                assert one_plus_cosine(cell, math.nextafter(edge, outward)) >= 0.0
+                # the unfactored form loses about eps * (r + 1/r) / 2 to cancellation
+                assert dsp._cosine(cell, edge) == pytest.approx(-1.0, abs=1e-12)
+
+    def test_matched_impedance_has_none(self, matched_bilam):
+        cells = [cell_state(matched_bilam, 1.0), Cell(0.3, 0.7, 2.0, 2.0),
+                 Cell(0.9, 0.05, 5e3, 5e3)]
+        lo, hi = dsp.first_band_gaps(cells)
+        assert np.isnan(lo).all() and np.isnan(hi).all()
+
+    def test_gap_narrower_than_a_scan_step(self):
+        """A gap 1e-3 wide, under the 2.4e-3 step of a 4000-frequency scan to 3 pi, is found;
+        that scan steps over it and reports the second gap first."""
+        cell = Cell(t1=0.7148705720283964, t2=0.17192873424055835, z1=1.000801746581671, z2=1.0)
+        (lo,), (hi,) = dsp.first_band_gaps([cell])
+        assert 0.0 < hi - lo < 3.0 * math.pi / 4000
+        coarse = dsp._band_gaps(cell, 3.0 * math.pi, 4000)[0]
+        assert coarse.lo > hi + 1.0
+        fine = dsp._band_gaps(cell, 3.0 * math.pi, 100_000)[0]
+        assert abs(lo - fine.lo) <= dsp.EDGE_TOL
+        assert abs(hi - fine.hi) <= dsp.EDGE_TOL
+
+    def test_acoustic_branch_ends_at_lower_edge(self, bilam, low_disp_bilam):
+        """At kappa*ell = pi the acoustic-branch inversion returns the lower gap edge."""
+        for lam in (bilam, low_disp_bilam):
+            (lo,), _ = dsp.first_band_gaps([cell_state(lam, 1.0)])
+            assert dsp.exact_acoustic_frequency(lam, 1.0, math.pi) == pytest.approx(lo, rel=1e-14)
 
 
 class TestHomogenizedBranches:
@@ -253,6 +325,25 @@ class TestSampling:
         assert header == ["kappa_ell", "omega_norm", "branch", "theory"]
         theories = {r[3] for r in rows}
         assert theories == {"exact", "homogenized", "mkdv"}
+
+    @pytest.mark.parametrize("folded", [False, True])
+    @pytest.mark.parametrize("homogeneous", [False, True])
+    def test_homogenized_rows_match_scalar_roots(self, bilam, homogeneous, folded):
+        """The table's homogenised rows are the scalar roots at every node, bit for bit.
+
+        A homogeneous stack (eta = 0) on 1001 nodes has a double root at the
+        node kappa ell = pi."""
+        p = lw.Phase(lw.HyperelasticModel("neo-hookean", 2e6), 1000.0, 0.5)
+        lam = lw.Laminate(p, dataclasses.replace(p), 0.01) if homogeneous else bilam
+        n = 2002
+        _, rows = dsp.dispersion_table(lam, 1.0, 2.0 * math.pi, n, folded=folded)
+        want = []
+        eff = effective_model(lam, 1.0)
+        for k in np.linspace(0.0, 2.0 * math.pi, n // 2):
+            kk = k if not folded or k <= math.pi else 2.0 * math.pi - k
+            want += [(float(kk), float(w), b, "homogenized")
+                     for b, w in enumerate(dsp.homogenized_branch_frequencies(eff, k))]
+        assert [r for r in rows if r[3] == "homogenized"] == want
 
     def test_gap_records(self, bilam):
         records = dsp.band_gap_records(bilam, 1.0, 2.0 * math.pi, 4000)

@@ -1,6 +1,7 @@
 """Constitutive models, coefficient calibration, and the magneto-elastic stretch."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -317,6 +318,15 @@ class TestStretchFromField:
         with pytest.raises(NoRoot) as err:
             m.stretch_from_field(lam, lw.MagneticLoad(bn_br_product=9.5e307))
         assert err.value.locking_stretch is None
+
+    @pytest.mark.parametrize("rhs", [-1.5e308, -1.79e308])
+    def test_subnormal_root_solves(self, rhs):
+        """Near r = -1.8e308 the root is a subnormal float, about -1/r."""
+        model = lw.HyperelasticModel("neo-hookean", 1e6)
+        lam = lw.Laminate(lw.Phase(model, 1000.0, 0.5), lw.Phase(model, 1000.0, 0.5), 0.01)
+        stretch = m.stretch_from_field(lam, lw.MagneticLoad(bn_br_product=rhs))
+        assert 0.0 < stretch < sys.float_info.min
+        assert stretch == pytest.approx(-1.0 / rhs, rel=1e-12)
 
     def test_infinite_load_locks_without_gent(self):
         """bn^2 overflows on a Yeoh stack, where the residual at the bracket end is NaN."""

@@ -1,4 +1,6 @@
-"""Shared emission: the probe table both simulators write."""
+"""Shared emission: CSV formatting and the probe table both simulators write."""
+
+import math
 
 import numpy as np
 
@@ -23,3 +25,31 @@ def test_probe_table_schema():
         assert r[0] == t[i % 3]
         assert r[1] == t[i % 3] * scale  # bit for bit
     assert {r[4] for r in rows} == {"mkdv"}
+
+
+def reference_field(value) -> str:
+    """The per-value formatting the CSV writer must reproduce."""
+    if isinstance(value, bool):
+        return "1" if value else "0"
+    if isinstance(value, float):
+        return format(value, ".17g")
+    return str(value)
+
+
+def test_csv_rows_match_per_value_formatting(tmp_path):
+    """bool, int, NaN, inf, -0.0, text, numpy floats and a column mixing ints with floats."""
+    rows = [
+        (0.1, 1, True, "exact", 3, np.float64(2.0) / 3.0),
+        (math.nan, 2**53 + 1, False, "mkdv", math.nan, 1e-320),
+        (-math.inf, -7, True, "homogenized", 1, -0.0),
+        (math.inf, 0, False, "", 0.5, 1e300),
+    ]
+    header = ["a", "b", "c", "d", "e", "f"]
+    path = tmp_path / "t.csv"
+    output.write_csv(path, ["note", "k = 1"], header, rows)
+    want = "# note\n# k = 1\na,b,c,d,e,f\n" + "".join(
+        ",".join(reference_field(v) for v in row) + "\n" for row in rows
+    )
+    assert path.read_bytes() == want.encode()
+    output.write_csv(path, [], header, [])
+    assert path.read_text() == "a,b,c,d,e,f\n"

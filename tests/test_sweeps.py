@@ -12,6 +12,8 @@ from lamwave._roots import brentq
 from lamwave.errors import DomainError
 from lamwave.homogenize import cell_state, effective_model
 
+from conftest import Cell
+
 
 class TestSpec:
     def test_variable_validation(self):
@@ -181,9 +183,14 @@ class TestTableEmission:
         assert all(len(r) == len(header) for r in rows)
 
 
-def _oracle_first_gap(st) -> tuple[float, float]:
+#: scan of the oracle below: its ceiling and frequency count (omega*ell/c)
+ORACLE_OMEGA_MAX = 3.0 * math.pi
+ORACLE_N_SCAN = 4000
+
+
+def _oracle_first_gap(st, omega_max=ORACLE_OMEGA_MAX, n_scan=ORACLE_N_SCAN) -> tuple[float, float]:
     """First gap by an independent route: Brent on |cos(kappa ell)| - 1 in each scan bracket."""
-    w = np.linspace(0.0, sweeps.OMEGA_MAX, sweeps.N_SCAN + 1)
+    w = np.linspace(0.0, omega_max, n_scan + 1)
     w[0] = 1e-12 * w[-1]
     inside = np.abs(dispersion._cosine(st, w)) > 1.0
     if not inside.any():
@@ -226,22 +233,18 @@ SWEEP_FUNCTIONS = {
 
 class TestBatchedFirstGaps:
     @pytest.mark.parametrize(
-        "variable, lo, hi, n, omega_max, covers",
+        "variable, lo, hi, n, covers",
         [
-            ("magnetic_load_product", -1e14, 1e14, 3, sweeps.OMEGA_MAX, {"locked"}),
-            ("magnetic_load_product", -3.0, 3.0, 13, sweeps.OMEGA_MAX, set()),
-            ("volume_fraction_2", 0.02, 0.98, 25, sweeps.OMEGA_MAX, set()),
-            # first gaps cut by the scan ceiling
-            ("volume_fraction_2", 0.02, 0.98, 25, math.pi, {"ceiling"}),
+            ("magnetic_load_product", -1e14, 1e14, 3, {"locked"}),
+            ("magnetic_load_product", -3.0, 3.0, 13, set()),
+            ("volume_fraction_2", 0.02, 0.98, 25, set()),
             # row 100 is contrast 1, with no gap
-            ("modulus_contrast", 0.1, 10.0, 201, sweeps.OMEGA_MAX, {"no gap"}),
+            ("modulus_contrast", 0.1, 10.0, 201, {"no gap"}),
         ],
-        ids=["magnetic-locked", "magnetic", "volume", "volume-ceiling", "contrast"],
+        ids=["magnetic-locked", "magnetic", "volume", "contrast"],
     )
-    def test_rows_match_brent_oracle(self, bilam, monkeypatch, variable, lo, hi, n, omega_max,
-                                     covers):
+    def test_rows_match_brent_oracle(self, bilam, variable, lo, hi, n, covers):
         """Every row's first exact gap matches the per-row Brent refinement to EDGE_TOL."""
-        monkeypatch.setattr(sweeps, "OMEGA_MAX", omega_max)
         result = SWEEP_FUNCTIONS[variable](bilam, sweeps.SweepSpec(variable, lo, hi, n))
         seen = set()
         for row, state in zip(result.rows, _row_states(bilam, result)):
@@ -256,28 +259,42 @@ class TestBatchedFirstGaps:
                 assert all(math.isnan(x) for x in got)
                 seen.add("no gap")
                 continue
+            assert want[1] < ORACLE_OMEGA_MAX  # the oracle saw the whole gap
             for g, o in zip(got, want):
                 assert abs(g - o * scale) <= dispersion.EDGE_TOL * scale
-            if want[1] == omega_max:
-                assert got[1] == omega_max * scale
-                seen.add("ceiling")
         assert covers <= seen
 
+    def test_first_gap_above_old_ceiling(self):
+        """A high-contrast cell with thin layers: the first gap runs to 3.97 pi, past the
+        3 pi ceiling of the former scan, and is reported in full, not cut at the ceiling."""
+        cell = Cell(t1=0.05, t2=0.25, z1=30.0, z2=1.0)
+        (lo,), (hi,) = dispersion.first_band_gaps([cell])
+        want = _oracle_first_gap(cell, omega_max=6.0 * math.pi, n_scan=20_000)
+        assert want[1] > 3.9 * math.pi
+        assert lo == pytest.approx(want[0], abs=dispersion.EDGE_TOL)
+        assert hi == pytest.approx(want[1], abs=dispersion.EDGE_TOL)
+
     def test_search_cost_does_not_grow_with_rows(self, bilam, monkeypatch):
-        """One slab-wise search per sweep: few Bloch evaluations, one cell state per row."""
+        """One batched search per sweep: few Bloch evaluations, one cell state per row."""
         calls = {"cosine": 0, "shear": 0}
         cosine = dispersion._cosine
+        factors = dispersion._rytov_factors
         shear = materials.shear_coefficients
 
         def counted_cosine(*args):
             calls["cosine"] += 1
             return cosine(*args)
 
+        def counted_factors(*args):
+            calls["cosine"] += 1
+            return factors(*args)
+
         def counted_shear(*args, **kwargs):
             calls["shear"] += 1
             return shear(*args, **kwargs)
 
         monkeypatch.setattr(dispersion, "_cosine", counted_cosine)
+        monkeypatch.setattr(dispersion, "_rytov_factors", counted_factors)
         for name, mod in list(sys.modules.items()):
             if name.startswith("lamwave") and getattr(mod, "shear_coefficients", None) is shear:
                 monkeypatch.setattr(mod, "shear_coefficients", counted_shear)
@@ -286,12 +303,12 @@ class TestBatchedFirstGaps:
             calls.update(cosine=0, shear=0)
             sweeps.sweep_contrast(bilam, sweeps.SweepSpec("modulus_contrast", 0.1, 10.0, n))
             counts[n] = dict(calls)
-        assert counts[201]["cosine"] < 201
+        assert 0 < counts[201]["cosine"] < 201
         assert counts[201]["cosine"] <= 2 * counts[21]["cosine"]
         assert counts[201]["shear"] <= 2 * 201
 
     def test_search_memory_stays_in_slabs(self, bilam):
-        """The scan never holds a rows x frequencies matrix (201 x 4001 floats is 6.4 MB)."""
+        """The search never holds a rows x frequencies matrix (201 x 4001 floats is 6.4 MB)."""
         spec = sweeps.SweepSpec("modulus_contrast", 0.1, 10.0, 201)
         sweeps.sweep_contrast(bilam, sweeps.SweepSpec("modulus_contrast", 0.1, 10.0, 3))
         tracemalloc.start()

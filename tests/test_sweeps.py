@@ -233,18 +233,21 @@ SWEEP_FUNCTIONS = {
 
 class TestBatchedFirstGaps:
     @pytest.mark.parametrize(
-        "variable, lo, hi, n, covers",
+        "variable, lo, hi, n, ceiling, covers",
         [
-            ("magnetic_load_product", -1e14, 1e14, 3, {"locked"}),
-            ("magnetic_load_product", -3.0, 3.0, 13, set()),
-            ("volume_fraction_2", 0.02, 0.98, 25, set()),
+            ("magnetic_load_product", -1e14, 1e14, 3, ORACLE_OMEGA_MAX, {"locked"}),
+            ("magnetic_load_product", -3.0, 3.0, 13, ORACLE_OMEGA_MAX, set()),
+            ("volume_fraction_2", 0.02, 0.98, 25, ORACLE_OMEGA_MAX, set()),
+            # first gaps that a scan to pi would have cut are reported in full
+            ("volume_fraction_2", 0.02, 0.98, 25, math.pi, {"above ceiling"}),
             # row 100 is contrast 1, with no gap
-            ("modulus_contrast", 0.1, 10.0, 201, {"no gap"}),
+            ("modulus_contrast", 0.1, 10.0, 201, ORACLE_OMEGA_MAX, {"no gap"}),
         ],
-        ids=["magnetic-locked", "magnetic", "volume", "contrast"],
+        ids=["magnetic-locked", "magnetic", "volume", "volume-ceiling", "contrast"],
     )
-    def test_rows_match_brent_oracle(self, bilam, variable, lo, hi, n, covers):
-        """Every row's first exact gap matches the per-row Brent refinement to EDGE_TOL."""
+    def test_rows_match_brent_oracle(self, bilam, variable, lo, hi, n, ceiling, covers):
+        """Every row's first exact gap matches the per-row Brent refinement to EDGE_TOL,
+        also where it runs past a ceiling that a fixed scan would have cut it at."""
         result = SWEEP_FUNCTIONS[variable](bilam, sweeps.SweepSpec(variable, lo, hi, n))
         seen = set()
         for row, state in zip(result.rows, _row_states(bilam, result)):
@@ -262,6 +265,9 @@ class TestBatchedFirstGaps:
             assert want[1] < ORACLE_OMEGA_MAX  # the oracle saw the whole gap
             for g, o in zip(got, want):
                 assert abs(g - o * scale) <= dispersion.EDGE_TOL * scale
+            if want[1] > ceiling:
+                assert got[1] > ceiling * scale
+                seen.add("above ceiling")
         assert covers <= seen
 
     def test_first_gap_above_old_ceiling(self):

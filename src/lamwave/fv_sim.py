@@ -147,7 +147,9 @@ class SimState:
 
 
 def _minmod(theta: np.ndarray, scratch: np.ndarray) -> np.ndarray:
-    return np.clip(theta, 0.0, 1.0, out=theta)
+    # the same bits as np.clip(theta, 0, 1), -0.0 and NaN included, without its
+    # Python-level wrapper; the bound goes first so that -0.0 stays -0.0
+    return np.minimum(1.0, np.maximum(0.0, theta, out=theta), out=theta)
 
 
 def _mc(theta: np.ndarray, scratch: np.ndarray) -> np.ndarray:

@@ -76,12 +76,13 @@ class HyperelasticModel:
             raise DomainError("neo-Hookean model takes no beta parameter")
 
 
-def _gent_denominator(model: HyperelasticModel, I1: float) -> float:
-    denom = 1.0 - model.beta * (I1 - 3.0)
+def _gent_denominator(model: HyperelasticModel, d: float) -> float:
+    """1 - beta*d at the invariant excess d = I1 - 3, or :class:`GentLocking`."""
+    denom = 1.0 - model.beta * d
     if denom <= GENT_MARGIN:
         raise GentLocking(
-            f"Gent model locked: 1 - beta*(I1-3) = {denom:.3e} at I1 = {I1:.6g} "
-            f"(limit I1 = {3.0 + 1.0 / model.beta:.6g})"
+            f"Gent model locked: 1 - beta*(I1-3) = {denom:.3e} at I1 - 3 = {d:.6g} "
+            f"(limit I1 - 3 = {1.0 / model.beta:.6g})"
         )
     return denom
 
@@ -101,34 +102,44 @@ def strain_energy(model: HyperelasticModel, I1: float) -> float:
         return 0.5 * G * (d + 0.5 * b * d * d)
     if model.kind == FUNG_DEMIRAY:
         return 0.5 * G / b * math.expm1(b * d)
-    denom = _gent_denominator(model, I1)
+    denom = _gent_denominator(model, d)
     return -0.5 * G / b * math.log(denom)
 
 
-def generalized_shear_modulus(model: HyperelasticModel, I1: float) -> float:
-    """Generalised shear modulus G(I1) = 2 dW/dI1 in Pa."""
-    _check_invariant(I1)
-    G, b, d = model.shear_modulus, model.beta, I1 - 3.0
+def _modulus(model: HyperelasticModel, d: float) -> float:
+    """G at the invariant excess d = I1 - 3."""
+    G, b = model.shear_modulus, model.beta
     if model.kind == NEO_HOOKEAN or b == 0.0:
         return G
     if model.kind == YEOH:
         return G * (1.0 + b * d)
     if model.kind == FUNG_DEMIRAY:
         return G * math.exp(b * d)
-    return G / _gent_denominator(model, I1)
+    return G / _gent_denominator(model, d)
 
 
-def modulus_derivative(model: HyperelasticModel, I1: float) -> float:
-    """Derivative dG/dI1 in Pa."""
-    _check_invariant(I1)
-    G, b, d = model.shear_modulus, model.beta, I1 - 3.0
+def _modulus_slope(model: HyperelasticModel, d: float) -> float:
+    """dG/dI1 at the invariant excess d = I1 - 3."""
+    G, b = model.shear_modulus, model.beta
     if model.kind == NEO_HOOKEAN or b == 0.0:
         return 0.0
     if model.kind == YEOH:
         return G * b
     if model.kind == FUNG_DEMIRAY:
         return G * b * math.exp(b * d)
-    return G * b / _gent_denominator(model, I1) ** 2
+    return G * b / _gent_denominator(model, d) ** 2
+
+
+def generalized_shear_modulus(model: HyperelasticModel, I1: float) -> float:
+    """Generalised shear modulus G(I1) = 2 dW/dI1 in Pa."""
+    _check_invariant(I1)
+    return _modulus(model, I1 - 3.0)
+
+
+def modulus_derivative(model: HyperelasticModel, I1: float) -> float:
+    """Derivative dG/dI1 in Pa."""
+    _check_invariant(I1)
+    return _modulus_slope(model, I1 - 3.0)
 
 
 def uniaxial_first_invariant(stretch: float) -> float:
@@ -136,6 +147,19 @@ def uniaxial_first_invariant(stretch: float) -> float:
     if not stretch > 0.0:
         raise DomainError(f"stretch must be positive, got {stretch}")
     return stretch * stretch + 2.0 / stretch
+
+
+def uniaxial_invariant_excess(stretch: float) -> float:
+    """I1 - 3 of an isochoric uniaxial stretch x, as (x - 1)^2 (1 + 2/x).
+
+    Unlike x^2 + 2/x - 3, which cancels to a few ulp of 3 near x = 1, the
+    factored form keeps full relative precision there; an infinite stretch
+    gives inf.
+    """
+    if not stretch > 0.0:
+        raise DomainError(f"stretch must be positive, got {stretch}")
+    e = stretch - 1.0
+    return e * e * (1.0 + 2.0 / stretch)
 
 
 @dataclass(frozen=True)
@@ -152,10 +176,10 @@ def shear_coefficients(model: HyperelasticModel, stretch: float) -> ShearCoeffic
     ``g = stretch^2 * G(I1)`` and ``h = 3 * stretch^4 * G'(I1)`` evaluated at
     the uniaxial base state ``I1 = stretch^2 + 2/stretch``.
     """
-    I1 = uniaxial_first_invariant(stretch)
+    d = uniaxial_invariant_excess(stretch)
     l2 = stretch * stretch
-    g = l2 * generalized_shear_modulus(model, I1)
-    h = 3.0 * l2 * l2 * modulus_derivative(model, I1)
+    g = l2 * _modulus(model, d)
+    h = 3.0 * l2 * l2 * _modulus_slope(model, d)
     return ShearCoefficients(g=g, h=h)
 
 
@@ -171,8 +195,7 @@ def calibrate_from_gh(kind: str, g: float, h: float, stretch: float) -> Hyperela
         raise DomainError(f"g must be positive, got {g}")
     if h < 0.0:
         raise DomainError(f"h must be non-negative, got {h}")
-    I1 = uniaxial_first_invariant(stretch)
-    d = I1 - 3.0
+    d = uniaxial_invariant_excess(stretch)
     l2 = stretch * stretch
     beta_u = h / (3.0 * l2 * g)
     if h == 0.0:
@@ -297,11 +320,9 @@ def arithmetic_modulus(lam: Laminate) -> float:
 
 def average_shear_modulus(lam: Laminate, stretch: float) -> float:
     """Volume-weighted average of the generalised moduli at the stretched state."""
-    I1 = uniaxial_first_invariant(stretch)
+    d = uniaxial_invariant_excess(stretch)
     p1, p2 = lam.phases
-    return p1.volume_fraction * generalized_shear_modulus(
-        p1.model, I1
-    ) + p2.volume_fraction * generalized_shear_modulus(p2.model, I1)
+    return p1.volume_fraction * _modulus(p1.model, d) + p2.volume_fraction * _modulus(p2.model, d)
 
 
 def effective_permeability(lam: Laminate) -> float:
@@ -364,12 +385,13 @@ def _locking_stretch(lam: Laminate, side: float, margin: float = 0.0) -> float |
     betas = [p.model.beta for p in lam.phases if p.model.kind == GENT and p.model.beta > 0.0]
     if not betas:
         return None
-    i1 = 3.0 + (1.0 - margin) / max(betas)
+    d_lock = (1.0 - margin) / max(betas)
+    i1 = 3.0 + d_lock
 
     def f(x: float) -> float:
-        return uniaxial_first_invariant(x) - i1
+        return uniaxial_invariant_excess(x) - d_lock
 
-    # f(1) = (margin - 1)/beta < 0, while f(i1) = i1^2 + 2/i1 - i1 > 0 and
+    # f(1) = -d_lock < 0, while f(i1) = i1^2 + 2/i1 - i1 > 0 and
     # f(1/i1) = 1/i1^2 + i1 > 0 even after rounding
     if side >= 0.0:
         return brentq(f, 1.0, i1, xtol=0.0)

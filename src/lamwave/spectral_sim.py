@@ -52,6 +52,8 @@ class SpectralConfig:
             raise DomainError("window must be positive")
         if not self.dy > 0.0:
             raise DomainError("dy must be positive")
+        if not self.viscosity >= 0.0:
+            raise DomainError("viscosity must be non-negative")
 
     @property
     def dt(self) -> float:
@@ -87,9 +89,11 @@ def config_for_impact(
 class MarchResult:
     """Fields recorded along the march, plus the gradient-growth trace.
 
-    ``grad_max`` holds max|v_t| per step; ``char_v`` and ``char_vt`` the signed
-    field value and gradient at the steepest point, which drive the
-    shock-distance extrapolation.
+    ``grad_y`` holds the distance of every step, starting at 0.  Only a march
+    run with ``gradient=True`` samples the trace: ``grad_max`` holds max|v_t|
+    per step; ``char_v`` and ``char_vt`` the signed field value and gradient at
+    the steepest point, which drive the shock-distance extrapolation.  Without
+    it the three are empty.
     """
 
     t: np.ndarray
@@ -121,12 +125,16 @@ def mkdv_march(
     signal: Callable[[np.ndarray], np.ndarray] | np.ndarray,
     cfg: SpectralConfig,
     y_stops: list[float],
+    *,
+    gradient: bool = False,
 ) -> MarchResult:
     """March the boundary signal v(0, t) to each requested distance.
 
     ``signal`` is a callable evaluated on the window grid, or an array of
     ``n_points`` samples.  Distances snap to whole steps of ``cfg.dy``.
-    Raises :class:`Instability` on spectral blow-up or on wrap-around
+    ``gradient=True`` also samples the gradient trace after every step (for
+    :func:`gradient_blowup_distance`), at the cost of a 2-row inverse transform
+    a step.  Raises :class:`Instability` on spectral blow-up or on wrap-around
     contamination of the quiet zone.
     """
     t = cfg.times()
@@ -183,28 +191,27 @@ def mkdv_march(
     vhat = np.fft.rfft(v0)
     vk = vhat[:m]
     amp0 = float(np.max(np.abs(vhat)))
-    amp = np.empty(omega.size)
+    amp = np.empty(m)
     records: dict[float, np.ndarray] = {}
-    grad_y: list[float] = []
     grad_max: list[float] = []
     char_v: list[float] = []
     char_vt: list[float] = []
-    # rows [iw * vhat, vhat] go through one batched irfft: rows [v_t, v]
-    rec_in = np.empty((2, omega.size), dtype=complex)
-    rec = np.empty((2, n))
-    rec_abs = np.empty(n)
+    if gradient:
+        # rows [iw * vhat, vhat] go through one batched irfft: rows [v_t, v]
+        rec_in = np.empty((2, omega.size), dtype=complex)
+        rec = np.empty((2, n))
+        rec_abs = np.empty(n)
 
-    def record_gradient(step_index: int) -> None:
-        np.multiply(iw, vhat, out=rec_in[0])
-        rec_in[1] = vhat
-        np.fft.irfft(rec_in, n, out=rec)
-        i = int(np.argmax(np.abs(rec[0], out=rec_abs)))
-        grad_y.append(step_index * h)
-        grad_max.append(abs(float(rec[0, i])))
-        char_vt.append(float(rec[0, i]))
-        char_v.append(float(rec[1, i]))
+        def record_gradient() -> None:
+            np.multiply(iw, vhat, out=rec_in[0])
+            rec_in[1] = vhat
+            np.fft.irfft(rec_in, n, out=rec)
+            i = int(np.argmax(np.abs(rec[0], out=rec_abs)))
+            grad_max.append(abs(float(rec[0, i])))
+            char_vt.append(float(rec[0, i]))
+            char_v.append(float(rec[1, i]))
 
-    record_gradient(0)
+        record_gradient()
     if 0 in stop_set:
         records[0.0] = v0.copy()
     for k in range(1, n_steps + 1):
@@ -230,19 +237,22 @@ def mkdv_march(
         np.multiply(h / 6.0, tmp, out=tmp)
         np.multiply(e_full, vhat, out=vhat)
         np.add(vk, tmp, out=vk)
-        if amp0 > 0.0 and float(np.max(np.abs(vhat, out=amp))) > BLOWUP_FACTOR * amp0:
+        # modes above the cutoff only ever get multiplied by e_full, |e_full| <= 1 at
+        # viscosity >= 0, so they never exceed amp0: the kept modes decide blow-up
+        if amp0 > 0.0 and float(np.max(np.abs(vk, out=amp))) > BLOWUP_FACTOR * amp0:
             raise Instability(
                 f"spectral amplitude exceeded {BLOWUP_FACTOR:.0e} x initial at y = {k * h:.6g} m",
                 position=k * h,
             )
-        record_gradient(k)
+        if gradient:
+            record_gradient()
         if k in stop_set:
-            records[k * h] = rec[1].copy()
+            records[k * h] = np.fft.irfft(vhat, n)
     return MarchResult(
         t=t,
         records=records,
         y_final=n_steps * h,
-        grad_y=np.asarray(grad_y),
+        grad_y=np.arange(n_steps + 1) * h,
         grad_max=np.asarray(grad_max),
         char_v=np.asarray(char_v),
         char_vt=np.asarray(char_vt),
@@ -258,10 +268,12 @@ def gradient_blowup_distance(result: MarchResult, eff: EffectiveModel) -> float:
     gradient predicts its own blow-up distance; the minimum of those
     predictions over the march approaches the first-crossing distance from
     above (viscosity only inflates it).  Requires appreciable growth of
-    max|v_t| over the trace.
+    max|v_t| over the trace, so the march must have run with ``gradient=True``.
     """
     if eff.zeta <= 0.0:
         raise DomainError("a medium with zeta <= 0 does not steepen")
+    if not result.grad_max.size:
+        raise DomainError("march has no gradient trace; run it with gradient=True")
     g0 = result.grad_max[0]
     if g0 <= 0.0:
         raise DomainError("gradient trace starts at zero; nothing steepens")
@@ -282,8 +294,13 @@ def impact_march(
     y_stops: list[float],
     cfg: SpectralConfig | None = None,
     window_factor: float = 4.0,
+    *,
+    gradient: bool = False,
 ) -> MarchResult:
-    """Impact problem for the unidirectional model (same forcing as the FV run)."""
+    """Impact problem for the unidirectional model (same forcing as the FV run).
+
+    ``gradient`` is passed to :func:`mkdv_march`.
+    """
     if cfg is None:
         cfg = config_for_impact(kappa, eff.c, window_factor=window_factor)
     # signal content can shift by at most y/c in t; keep one duration of slack
@@ -294,7 +311,9 @@ def impact_march(
                 "march distance would push the signal front past the periodic "
                 f"window; need window > {2 * duration + max(y_stops) / eff.c:.6g} s"
             )
-    return mkdv_march(eff, impact_signal(velocity, kappa, eff.c), cfg, y_stops)
+    return mkdv_march(
+        eff, impact_signal(velocity, kappa, eff.c), cfg, y_stops, gradient=gradient
+    )
 
 
 @dataclass(frozen=True)

@@ -113,7 +113,9 @@ def mkdv_nonlinear_run(bilam):
 def mkdv_blowup_run(matched_bilam):
     """Spectral march of the non-dispersive analogue, past the shock distance."""
     e, velocity, kappa, y_star, _ = impact_geometry(matched_bilam, 2.0, 16.0)
-    result = spectral_sim.impact_march(e, velocity, kappa, [1.3 * y_star], window_factor=8.0)
+    result = spectral_sim.impact_march(
+        e, velocity, kappa, [1.3 * y_star], window_factor=8.0, gradient=True
+    )
     return {"result": result, "eff": e, "y_star": y_star}
 
 

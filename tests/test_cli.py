@@ -320,6 +320,22 @@ class TestSimulation:
             ".json": "66b85b76c7b012eae5806be1d30d64933e2984b916bc4a3fae5cf45f30384c45",
         }
 
+    def test_simulate_mkdv_marches_untraced(self, tmp_path, monkeypatch):
+        """No command reads the gradient trace, so simulate-mkdv marches without one."""
+        from lamwave import spectral_sim
+
+        march, results = spectral_sim.mkdv_march, []
+
+        def spy(*args, **kwargs):
+            results.append(march(*args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(spectral_sim, "mkdv_march", spy)
+        run_ok(tmp_path, VALID_CONFIGS["simulate-mkdv"])
+        assert len(results) == 1
+        assert results[0].grad_max.size == 0
+        assert len(results[0].grad_y) > 1
+
     def test_simulate_mkdv_probe_csv(self, tmp_path):
         lines = self.probe_csv(tmp_path, "simulate-mkdv")
         assert lines[0] == "t_s,t_norm,v_over_c,probe_y_m,theory"

@@ -88,6 +88,14 @@ class TestFluxAndSpeed:
 
 
 class TestStep:
+    def test_minmod_matches_clip_bits(self):
+        """The minmod limiter gives the bits of np.clip(theta, 0, 1), signed zeros and NaN too."""
+        special = [math.nan, -0.0, 0.0, 1.0, -1.0, 2.0, -math.inf, math.inf, 5e-324, -5e-324]
+        rng = np.random.default_rng(3)
+        for theta in (np.array(special), rng.normal(0.5, 2.0, 1001), np.array([-0.0] * 37)):
+            got = fv.LIMITERS["minmod"](theta.copy(), np.empty_like(theta))
+            assert got.tobytes() == np.clip(theta, 0.0, 1.0).tobytes()
+
     def test_quiescent_stays_quiescent(self, bilam):
         grid = fv.build_grid(bilam, 1.0, 8, 4)
         state = fv.SimState.quiescent(grid)

@@ -147,6 +147,18 @@ class TestCalibration:
         assert back.shear_modulus == pytest.approx(modulus, rel=1e-12)
         assert back.beta == pytest.approx(beta, rel=1e-12, abs=1e-15)
 
+    @pytest.mark.parametrize(
+        "stretch", [1.0, 1.0 + 2.0**-52, 1.0 - 2.0**-53, 1.0 + 1e-9, 0.99994, 1.00006, 0.3, 1.5, 7.0]
+    )
+    def test_invariant_excess_is_accurate(self, stretch):
+        """I1 - 3 to a few eps relative, also where x^2 + 2/x - 3 cancels."""
+        from fractions import Fraction
+
+        x = Fraction(stretch)
+        exact = x * x + 2 / x - 3
+        got = m.uniaxial_invariant_excess(stretch)
+        assert abs(Fraction(got) - exact) <= 4 * sys.float_info.epsilon * exact
+
     def test_yeoh_singular_inverse(self):
         # beta_u * (I1 - 3) = 1 makes the Yeoh inverse blow up
         stretch = 1.5
@@ -357,6 +369,27 @@ class TestStretchFromField:
         eps8 = 8.0 * 2.0**-52
         assert m._stretch_residual(lam, stretch * (1.0 - eps8), rhs) < 0.0
         assert m._stretch_residual(lam, stretch * (1.0 + eps8), rhs) > 0.0
+
+    @pytest.mark.parametrize("rhs", [-150.0, 150.0])
+    def test_stiff_gent_root_next_to_unit_stretch(self, rhs):
+        """Gent beta 1e8 puts the root within 6e-5 of stretch 1, where x^2 + 2/x - 3 cancels.
+
+        Computed that way, I1 - 3 kept about 7 significant digits there, and
+        at r = -150 the solve returned a stretch with residual +0.78.
+        """
+        gent = lw.HyperelasticModel("gent", 4.7e6, 1e8)
+        lam = lw.Laminate(
+            lw.Phase(gent, 930.0, 0.5),
+            lw.Phase(lw.HyperelasticModel("gent", 0.94e6, 1e8), 930.0, 0.5),
+            0.01,
+        )
+        try:
+            stretch = m.stretch_from_field(lam, lw.MagneticLoad(bn_br_product=rhs))
+        except NoRoot:
+            return
+        eps8 = 8.0 * 2.0**-52
+        assert m._stretch_residual(lam, stretch * (1.0 - eps8), rhs) <= 0.0
+        assert m._stretch_residual(lam, stretch * (1.0 + eps8), rhs) >= 0.0
 
     @pytest.mark.parametrize(
         "kind, beta, rhs",

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import lamwave as lw
-from lamwave import output
+from lamwave import output, soliton
 from lamwave import spectral_sim as sp
 from lamwave.errors import DomainError, Instability
 from lamwave.homogenize import effective_model
@@ -70,6 +70,12 @@ class TestConfig:
             sp.SpectralConfig(n_points=1000, window=1.0)
         with pytest.raises(DomainError):
             sp.SpectralConfig(n_points=128, window=1.0)
+
+    @pytest.mark.parametrize("viscosity", [-1e-8, math.nan])
+    def test_viscosity_must_be_non_negative(self, viscosity):
+        """Modes above the de-aliasing cutoff never grow only at viscosity >= 0."""
+        with pytest.raises(DomainError):
+            sp.SpectralConfig(n_points=256, window=1.0, viscosity=viscosity)
 
     def test_impact_window_sizing(self):
         cfg = sp.config_for_impact(kappa=40.0, c=40.0, window_factor=4.0)
@@ -202,7 +208,7 @@ class TestBlowup:
         y_star = mkdv_blowup_run["y_star"]
         kappa = 2.0 * math.pi / (16.0 * eff.ell)
         wide = sp.impact_march(
-            eff, 2.0 * eff.c, kappa, [1.3 * y_star], window_factor=16.0
+            eff, 2.0 * eff.c, kappa, [1.3 * y_star], window_factor=16.0, gradient=True
         )
         base = sp.gradient_blowup_distance(mkdv_blowup_run["result"], eff)
         doubled = sp.gradient_blowup_distance(wide, eff)
@@ -211,8 +217,29 @@ class TestBlowup:
     def test_no_blowup_without_steepening(self):
         eff = effective_model(neo_hookean_stack(), 1.0)
         cfg = sp.SpectralConfig(n_points=512, window=2e-2, quiet_zone_check=False)
-        res = sp.mkdv_march(eff, lambda t: np.sin(2.0 * math.pi * 8 * t / 2e-2), cfg, [0.02])
-        with pytest.raises(DomainError):
+        res = sp.mkdv_march(
+            eff, lambda t: np.sin(2.0 * math.pi * 8 * t / 2e-2), cfg, [0.02], gradient=True
+        )
+        with pytest.raises(DomainError, match="does not steepen"):
+            sp.gradient_blowup_distance(res, eff)
+
+    def test_no_blowup_before_growth(self, eff):
+        """A steepening medium whose gradient has not yet grown 4x gives no estimate."""
+        assert eff.zeta > 0.0
+        cfg = sp.SpectralConfig(n_points=512, window=2e-2, quiet_zone_check=False)
+        res = sp.mkdv_march(
+            eff, lambda t: 1e-3 * eff.c * np.sin(2.0 * math.pi * 8 * t / 2e-2), cfg, [0.02],
+            gradient=True,
+        )
+        with pytest.raises(DomainError, match="never grew enough"):
+            sp.gradient_blowup_distance(res, eff)
+
+    def test_untraced_march_has_no_estimate(self, eff):
+        """A march run without the gradient trace says so, rather than failing on an index."""
+        kappa = 2.0 * math.pi / (16.0 * eff.ell)
+        res = sp.impact_march(eff, 2.0 * eff.c, kappa, [0.01], window_factor=4.0)
+        assert res.grad_max.size == res.char_v.size == res.char_vt.size == 0
+        with pytest.raises(DomainError, match="no gradient trace; run it with gradient=True"):
             sp.gradient_blowup_distance(res, eff)
 
 
@@ -227,12 +254,40 @@ class TestEmission:
         b = runs[1].records[runs[1].y_final]
         assert np.array_equal(a, b)
 
+    @pytest.mark.parametrize("case", ["impact", "soliton"])
+    def test_untraced_march_is_bit_identical(self, eff, case):
+        """Skipping the gradient trace leaves the records, the distances and the steps unchanged."""
+        if case == "impact":
+            # the benchmark's window: 8 forcing durations, 8192 points
+            kappa = 2.0 * math.pi / (16.0 * eff.ell)
+            cfg = sp.config_for_impact(kappa, eff.c, window_factor=8.0)
+            assert cfg.n_points == 8192
+            signal = sp.impact_signal(2.0 * eff.c, kappa, eff.c)
+        else:
+            speed = 1.02 * eff.c
+            sol = soliton.solve_soliton(eff, soliton.WaveModel.SLOW_SPACE, speed)
+            cfg = sp.SpectralConfig(
+                n_points=4096, window=44.0 * sol.length / speed, viscosity=0.0,
+                quiet_zone_check=False,
+            )
+            signal = sp.soliton_boundary_signal(sol, speed, 0.5 * cfg.window)
+        stops = [0.0, 60 * cfg.dy, 150 * cfg.dy]
+        plain = sp.mkdv_march(eff, signal, cfg, stops)
+        traced = sp.mkdv_march(eff, signal, cfg, stops, gradient=True)
+        assert plain.records.keys() == traced.records.keys() and len(plain.records) == 3
+        for y, v in plain.records.items():
+            assert v.tobytes() == traced.records[y].tobytes()
+        assert plain.y_final == traced.y_final == 150 * cfg.dy
+        assert plain.grad_y.tobytes() == traced.grad_y.tobytes()
+        assert len(plain.grad_y) == len(traced.grad_max) == 150 + 1
+        assert plain.grad_max.size == plain.char_v.size == plain.char_vt.size == 0
+
     def test_march_matches_full_spectrum_reference(self, eff):
         """Stages on the kept modes only give the bits of the masked full-spectrum step."""
         kappa = 2.0 * math.pi / (16.0 * eff.ell)
         cfg = sp.SpectralConfig(n_points=512, window=4.0 * 2.0 * math.pi / (kappa * eff.c))
         v0 = sp.impact_signal(2.0 * eff.c, kappa, eff.c)(cfg.times())
-        res = sp.mkdv_march(eff, v0, cfg, [0.0, 50 * cfg.dy, 100 * cfg.dy])
+        res = sp.mkdv_march(eff, v0, cfg, [0.0, 50 * cfg.dy, 100 * cfg.dy], gradient=True)
         fields, trace = reference_march(eff, v0, cfg, 100)
         assert len(res.records) == 3
         for y, v in res.records.items():

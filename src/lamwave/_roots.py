@@ -1,16 +1,19 @@
-"""Scalar root finding and maximisation for the few one-dimensional solves.
+"""Root finding and maximisation for the one-dimensional solves.
 
 ``brentq`` is Brent's zero finder (Brent, *Algorithms for Minimization without
 Derivatives*, 1973, ch. 4), step for step the common C formulation of it, with
 its stopping rule ``|x - x0| <= xtol + rtol * |x0|``; the tests check that it
 returns the same bits as that routine.  ``golden_max`` is the golden-section
-search of ch. 5.
+search of ch. 5.  ``bisect`` halves many brackets at once, down to adjacent
+floats.
 """
 
 from __future__ import annotations
 
 import math
 import sys
+
+import numpy as np
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -89,3 +92,19 @@ def golden_max(f, lo: float, hi: float, xatol: float) -> float:
             d = a + _INV_PHI * (b - a)
             fd = f(d)
     return 0.5 * (a + b)
+
+
+def bisect(inside, inn: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Bisect every bracket (inn, out) at once until none shrinks (adjacent floats).
+
+    ``inside(x)`` tells which points of an array lie on the ``inn`` side; returns
+    the ``inn`` ends.  Only the side is read, so a kink at a root does no harm.
+    An empty bracket (inn == out) returns its end.
+    """
+    while True:
+        mid = 0.5 * (inn + out)
+        if not ((mid != inn) & (mid != out)).any():
+            return inn
+        side = inside(mid)
+        inn = np.where(side, mid, inn)
+        out = np.where(side, out, mid)

@@ -418,7 +418,7 @@ _RUNNERS = {
 def run(config_path: str | Path, out_dir: str | Path, threads: int = 1) -> int:
     """Execute one config; returns the exit status (0/1/2).
 
-    ``threads`` is accepted and ignored (sweep rows run serially); it stays in the
+    ``threads`` is accepted and ignored (a sweep runs in one process); it stays in the
     signature because callers such as the benchmark harness pass it.
     """
     try:
@@ -474,7 +474,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--config", required=True, help="path to the JSON run config")
     parser.add_argument("--out", default="out", help="output directory")
     parser.add_argument(
-        "--threads", type=int, default=1, help="accepted and ignored; sweep rows run serially"
+        "--threads", type=int, default=1, help="accepted and ignored; a sweep runs in one process"
     )
     parser.add_argument("--seed", type=int, default=0, help="accepted and ignored (no stochastic components)")
     args = parser.parse_args(argv)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._roots import brentq
+from ._roots import bisect, brentq
 from .errors import DomainError, NoGap
 from .homogenize import CellState, EffectiveModel, cell_state
 from .materials import Laminate
@@ -82,21 +82,6 @@ def _evanescent(cells, w) -> np.ndarray:
     return np.abs(_cosine(cells, w)) > 1.0
 
 
-def _bisect(inside, inn: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Bisect every bracket (inn, out) at once until none shrinks (adjacent floats).
-
-    ``inside(w)`` tells which frequencies lie on the ``inn`` side; returns the
-    ``inn`` ends.  Only the side is read, so a kink at an edge does no harm.
-    """
-    while True:
-        mid = 0.5 * (inn + out)
-        if not np.any((mid != inn) & (mid != out)):
-            return inn
-        side = inside(mid)
-        inn = np.where(side, mid, inn)
-        out = np.where(side, out, mid)
-
-
 def _refine_edges(st: CellState, w: np.ndarray, start: np.ndarray, stop: np.ndarray) -> np.ndarray:
     """Edges (lo, hi) of the gaps whose evanescent scan samples are ``w[start:stop]``.
 
@@ -106,7 +91,7 @@ def _refine_edges(st: CellState, w: np.ndarray, start: np.ndarray, stop: np.ndar
     """
     inn = np.stack([w[start], w[stop - 1]])
     out = np.stack([w[np.maximum(start - 1, 0)], w[np.minimum(stop, len(w) - 1)]])
-    return _bisect(lambda mid: _evanescent(st, mid), inn, out)
+    return bisect(lambda mid: _evanescent(st, mid), inn, out)
 
 
 def _band_gaps(st: CellState, omega_max: float, n_scan: int) -> list[BandGap]:
@@ -132,12 +117,12 @@ def bloch_band_gaps(
 
 def _rytov_factors(t1, t2, w, q) -> np.ndarray:
     """``cos x cos y - q sin x sin y`` at x = w t1 / 2, y = w t2 / 2."""
-    x = 0.5 * w * t1
-    y = 0.5 * w * t2
+    half = 0.5 * w
+    x, y = half * t1, half * t2
     return np.cos(x) * np.cos(y) - q * (np.sin(x) * np.sin(y))
 
 
-def first_band_gaps(states: list[CellState]) -> tuple[np.ndarray, np.ndarray]:
+def first_band_gaps(cells) -> tuple[np.ndarray, np.ndarray]:
     """Edges (lo, hi) of the first exact band gap of every cell, NaN where none opens.
 
     Rytov's factorisation (README, "Notes on the numerics") brackets each gap
@@ -145,11 +130,12 @@ def first_band_gaps(states: list[CellState]) -> tuple[np.ndarray, np.ndarray]:
     P(q) = cos x cos y - q sin x sin y, x = omega t1 / 2, y = omega t2 / 2:
     q = R = max(z1/z2, z2/z1) for the lower edge, 1/R for the upper one.  All
     are bisected at once to adjacent floats, keeping the end inside the gap.
-    R = 1, or a gap holding no float, gives NaN.  A state is anything with
-    the fields t1, t2, z1, z2.
+    R = 1, or a gap holding no float, gives NaN.  ``cells`` is anything with
+    the fields t1, t2, z1, z2, each a float or a column (a :class:`CellState`
+    of many cells); the edges come as arrays, one entry per cell.
     """
-    cells = np.array([(st.t1, st.t2, st.z1, st.z2) for st in states], dtype=float)
-    t1, t2, z1, z2 = cells.reshape(-1, 4).T
+    columns = (np.asarray(v, dtype=float) for v in (cells.t1, cells.t2, cells.z1, cells.z2))
+    t1, t2, z1, z2 = np.broadcast_arrays(*np.atleast_1d(*columns))
     r = z1 / z2
     big = np.maximum(r, 1.0 / r)
     top = np.pi / np.maximum(t1, t2)
@@ -158,7 +144,7 @@ def first_band_gaps(states: list[CellState]) -> tuple[np.ndarray, np.ndarray]:
     q = np.stack([big, 1.0 / big])
     # inside the gap P(R) < 0 (above the lower edge) and P(1/R) > 0 (below the upper one)
     sign = np.array([[1.0], [-1.0]])
-    lo, hi = _bisect(
+    lo, hi = bisect(
         lambda mid: sign * _rytov_factors(t1, t2, mid, q) < 0.0,
         np.stack([top, np.zeros_like(top)]),
         np.stack([np.zeros_like(top), top]),
@@ -182,7 +168,7 @@ def exact_acoustic_frequency(lam: Laminate, stretch: float, kappa_ell: float) ->
         p, p_inv = _rytov_factors(st.t1, st.t2, w, np.array([r, 1.0 / r]))
         return 2.0 * p * p_inv - 1.0 - target
 
-    lo, _ = first_band_gaps([st])
+    lo, _ = first_band_gaps(st)
     hi = float(lo[0]) if math.isfinite(lo[0]) else math.pi
     return brentq(f, 1e-14, hi, xtol=1e-14, rtol=8.9e-16, maxiter=300)
 
@@ -303,10 +289,10 @@ def dispersion_table(
     branch = (np.cumsum(real, axis=1) - 1)[real].tolist()
     rows.extend((ki, wi, bi, "homogenized") for ki, wi, bi in zip(kk, w, branch))
     wgrid = np.linspace(0.0, omega_max, n // 2)
-    km = np.asarray(mkdv_wavenumber(eff, wgrid))
-    for ki, wi in zip(km, wgrid):
-        kk = ki if not folded else math.acos(math.cos(ki))
-        rows.append((float(kk), float(wi), 0, "mkdv"))
+    km = np.asarray(mkdv_wavenumber(eff, wgrid)).tolist()
+    if folded:
+        km = [math.acos(math.cos(ki)) for ki in km]
+    rows.extend((ki, wi, 0, "mkdv") for ki, wi in zip(km, wgrid.tolist()))
     return ["kappa_ell", "omega_norm", "branch", "theory"], rows
 
 

@@ -165,26 +165,27 @@ BoundarySpec = str | tuple[str, Callable[[float], float]]
 
 
 def _extend(e: np.ndarray, left: BoundarySpec, right: BoundarySpec) -> None:
-    """Fill the two ghost cells per side of ``e``, a per-cell quantity held in ``e[2:-2]``.
+    """Fill the two ghost cells per side of ``e``, per-cell quantities held in ``e[..., 2:-2]``.
 
-    ``outflow`` copies the edge cell, ``periodic`` wraps around the domain, and
-    ``wall`` and ``("velocity", fn)`` mirror the interior; velocity boundaries
-    are accepted on the left only.
+    ``e`` is one quantity or a stack of them, one per row; cells run along the
+    last axis.  ``outflow`` copies the edge cell, ``periodic`` wraps around the
+    domain, and ``wall`` and ``("velocity", fn)`` mirror the interior; velocity
+    boundaries are accepted on the left only.
     """
     if left == "outflow":
-        e[0] = e[1] = e[2]
+        e[..., 0] = e[..., 1] = e[..., 2]
     elif left == "periodic":
-        e[0], e[1] = e[-4], e[-3]
+        e[..., 0], e[..., 1] = e[..., -4], e[..., -3]
     elif left == "wall" or (not isinstance(left, str) and left[0] == "velocity"):
-        e[1], e[0] = e[2], e[3]
+        e[..., 1], e[..., 0] = e[..., 2], e[..., 3]
     else:
         raise DomainError(f"unknown boundary condition {left!r}")
     if right == "outflow":
-        e[-2] = e[-1] = e[-3]
+        e[..., -2] = e[..., -1] = e[..., -3]
     elif right == "periodic":
-        e[-2], e[-1] = e[2], e[3]
+        e[..., -2], e[..., -1] = e[..., 2], e[..., 3]
     elif right == "wall":
-        e[-2], e[-1] = e[-3], e[-4]
+        e[..., -2], e[..., -1] = e[..., -3], e[..., -4]
     else:
         raise DomainError(f"unknown boundary condition {right!r}")
 
@@ -213,7 +214,8 @@ def step(
     phi, n, dy = LIMITERS[limiter], grid.n_cells, grid.dy
     window = "periodic" not in (left, right) and state.front + 6 <= n
     m, k = (state.front + 4, state.front + 6) if window else (n, n)  # cells updated, read
-    c_e, z_e, v_e, s_e, t1, t2, w1g, w2g, w1m, w2m = state.work[:, : k + 4]
+    c_e, z_e, v_e, s_e = ext = state.work[:4, : k + 4]  # extended with ghost cells
+    t1, t2, w1g, w2g, w1m, w2m = state.work[4:, : k + 4]
     cells = slice(2, k + 2)
 
     gam = state.gamma[:k]
@@ -239,8 +241,7 @@ def step(
     sig = np.add(grid.g[:k], hg, out=s_e[cells])
     sig *= gam
     v_e[cells] = state.velocity[:k]
-    for e in (c_e, z_e, v_e, s_e):
-        _extend(e, left, right)
+    _extend(ext, left, right)
     if left == "wall":
         v_e[:2] = -v_e[:2]
     elif not isinstance(left, str):
@@ -264,14 +265,19 @@ def step(
     w2m = np.negative(w2g, out=w2m[: k + 3])
     w2m *= zr
 
-    # limited second-order corrections on interfaces 1 .. m+1
+    # limited second-order corrections on interfaces 1 .. m+1; (1 - c dt/dy)/2 on cells
+    # 1 .. m+2, in place of the speeds read last above, serves the left-going family
+    # (negated below) and the right-going one
     coef = dt / dy
     sl = slice(1, m + 2)
     a, b = t1[: m + 1], t2[: m + 1]
+    half_c = c_e[1 : m + 3]
+    np.subtract(1.0, np.multiply(half_c, coef, out=half_c), out=half_c)
+    half_c *= 0.5
     fac = []
-    for wg, wm, up, s, half, out in (
-        (w1g, w1m, slice(2, m + 3), c_e[:-1], -0.5, z_e),  # upwind of the left-going family
-        (w2g, w2m, slice(0, m + 1), c_e[1:], 0.5, v_e),  # upwind of the right-going family
+    for wg, wm, up, scale, out in (
+        (w1g, w1m, slice(2, m + 3), half_c[: m + 1], z_e),  # upwind of the left-going family
+        (w2g, w2m, slice(0, m + 1), half_c[1:], v_e),  # upwind of the right-going family
     ):
         theta = np.multiply(wg[sl], wg[up], out=out[: m + 1])
         theta += np.multiply(wm[sl], wm[up], out=a)
@@ -280,8 +286,6 @@ def step(
         den_ += 1e-300
         theta /= den_
         p = phi(theta, a)
-        scale = np.subtract(1.0, np.multiply(s[sl], coef, out=a), out=a)
-        scale *= half
         fac.append(np.multiply(scale, p, out=p))
 
     # first-order update, then the difference of the correction fluxes
@@ -290,8 +294,9 @@ def step(
         upd = np.add(wp[1 : m + 1], wm[2 : m + 2], out=b[:m])
         upd *= coef
         q -= upd
-        flux = np.multiply(fac[0], wm[sl], out=a)
-        flux += np.multiply(fac[1], wp[sl], out=b)
+        # fac[0] is minus the left-going factor: the bits of (-fac[0]) wm + fac[1] wp
+        flux = np.multiply(fac[1], wp[sl], out=a)
+        flux -= np.multiply(fac[0], wm[sl], out=b)
         dflux = np.subtract(flux[1:], flux[:-1], out=b[:m])
         dflux *= coef
         q -= dflux
@@ -299,9 +304,10 @@ def step(
     np.divide(mom, grid.rho[:m], out=state.velocity[:m])
     state.time += dt
     if window:
-        lo = state.front
-        live = np.flatnonzero((state.gamma[lo:m] != 0.0) | (state.velocity[lo:m] != 0.0))
-        state.front += int(live[-1]) + 1 if live.size else 0
+        lo = state.front  # scan the at most 4 newly updated cells in Python
+        new = zip(state.gamma[lo:m].tolist(), state.velocity[lo:m].tolist())
+        live = [i for i, gv in enumerate(new) if any(gv)]
+        state.front += live[-1] + 1 if live else 0
     else:
         state.front = n
     return dt

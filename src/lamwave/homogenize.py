@@ -15,7 +15,7 @@ the first Brillouin zone; that optimised triple is stored alongside.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -29,7 +29,7 @@ ETA_Y_OPT = 1.0 / (2.0 * math.pi**2)
 
 @dataclass(frozen=True)
 class EffectiveModel:
-    """Coefficients of the homogenised shear-wave equation at one stretch state."""
+    """Coefficients of the homogenised shear-wave equation at one stretch state (or many)."""
 
     g_eff: float  # Pa
     rho_eff: float  # kg/m^3
@@ -43,30 +43,21 @@ class EffectiveModel:
     stretch: float
 
     def as_record(self) -> dict[str, float]:
-        """Flat key/value view used by CLI JSON output."""
-        return {
-            "g_eff": self.g_eff,
-            "rho_eff": self.rho_eff,
-            "c": self.c,
-            "zeta": self.zeta,
-            "eta": self.eta,
-            "eta_y": self.eta_y,
-            "eta_m": self.eta_m,
-            "eta_t": self.eta_t,
-            "ell": self.ell,
-            "stretch": self.stretch,
-        }
+        """Flat key/value view used by CLI JSON output, in field order."""
+        return asdict(self)
 
 
-def optimized_dispersion_coeffs(eta: float) -> tuple[float, float, float]:
+def optimized_dispersion_coeffs(eta) -> tuple[float, float, float]:
     """Split ``eta`` into the (eta_y, eta_m, eta_t) triple with zone-edge standing waves.
 
-    Requires ``eta < 1/(2 pi^2)`` so that ``eta_t`` stays positive.
+    Requires ``eta < 1/(2 pi^2)`` so that ``eta_t`` stays positive; of an array
+    of eta, the first entry too large is reported.
     """
-    if eta >= ETA_Y_OPT:
+    too_strong = np.asarray(eta >= ETA_Y_OPT)
+    if too_strong.any():
         raise DispersionTooStrong(
-            f"eta = {eta:.6g} >= 1/(2 pi^2) = {ETA_Y_OPT:.6g}; the optimised "
-            "coefficient set does not exist for this laminate"
+            f"eta = {float(np.asarray(eta)[too_strong][0]):.6g} >= 1/(2 pi^2) = {ETA_Y_OPT:.6g}; "
+            "the optimised coefficient set does not exist for this laminate"
         )
     return (ETA_Y_OPT, 0.0, ETA_Y_OPT - eta)
 
@@ -77,7 +68,8 @@ class CellState:
 
     Holds the shear coefficients, layer speeds ``c_i = sqrt(g_i/rho_i)``,
     impedances ``z_i = rho_i c_i``, travel fractions ``t_i = nu_i c / c_i``
-    (so that ``omega ell_i / c_i = t_i * omega ell / c``) and the effective model.
+    (so that ``omega ell_i / c_i = t_i * omega ell / c``) and the effective
+    model; a state of many cells holds arrays.
     """
 
     sc1: ShearCoefficients
@@ -91,47 +83,50 @@ class CellState:
     eff: EffectiveModel
 
 
-def cell_state(lam: Laminate, stretch: float = 1.0) -> CellState:
-    """Evaluate the per-phase data and the homogenised model of the laminate at ``stretch``.
+def _sqrt(x):
+    """Square root of a float as a float, of an array as an array."""
+    return np.sqrt(x) if isinstance(x, np.ndarray) else math.sqrt(x)
 
-    ``zeta`` and ``eta`` are evaluated from the normalised per-phase
-    coefficients, which keeps them dimensionless by construction.
+
+def cell_columns(sc: tuple[ShearCoefficients, ShearCoefficients], rho: tuple, nu: tuple,
+                 stretch, period: float) -> CellState:
+    """Cell states from the per-phase shear coefficients, densities and volume fractions.
+
+    Each of g, h, rho and nu, and the stretch, is a float or an array, all arrays
+    of one length: floats give one cell (:func:`cell_state`), arrays every cell
+    of a sweep.  ``zeta`` and ``eta`` are evaluated from the normalised
+    per-phase coefficients, which keeps them dimensionless by construction.
     """
-    p1, p2 = lam.phases
-    sc1 = shear_coefficients(p1.model, stretch)
-    sc2 = shear_coefficients(p2.model, stretch)
-    n1, n2 = p1.volume_fraction, p2.volume_fraction
+    (sc1, sc2), (rho1, rho2), (n1, n2) = sc, rho, nu
     g_eff = 1.0 / (n1 / sc1.g + n2 / sc2.g)
-    rho_eff = n1 * p1.density + n2 * p2.density
-    c = math.sqrt(g_eff / rho_eff)
+    rho_eff = n1 * rho1 + n2 * rho2
+    c = _sqrt(g_eff / rho_eff)
 
     g1, g2 = sc1.g / g_eff, sc2.g / g_eff
     h1, h2 = sc1.h / g_eff, sc2.h / g_eff
-    r1, r2 = p1.density / rho_eff, p2.density / rho_eff
+    r1, r2 = rho1 / rho_eff, rho2 / rho_eff
 
     mix = n1 * g2 + n2 * g1
-    zeta = (n1 * h1 * g2**4 + n2 * h2 * g1**4) / mix**4
-    eta = (n1 * n2) ** 2 / (g1 * g2) ** 2 * (r1 * g1 - r2 * g2) ** 2 / 12.0
+    with np.errstate(over="raise"):  # of arrays as of floats, a power that overflows raises
+        zeta = (n1 * h1 * g2**4 + n2 * h2 * g1**4) / mix**4
+        eta = (n1 * n2) ** 2 / (g1 * g2) ** 2 * (r1 * g1 - r2 * g2) ** 2 / 12.0
 
     eta_y, eta_m, eta_t = optimized_dispersion_coeffs(eta)
-    eff = EffectiveModel(
-        g_eff=g_eff,
-        rho_eff=rho_eff,
-        c=c,
-        zeta=zeta,
-        eta=eta,
-        eta_y=eta_y,
-        eta_m=eta_m,
-        eta_t=eta_t,
-        ell=lam.deformed_period(stretch),
-        stretch=stretch,
-    )
-    c1 = math.sqrt(sc1.g / p1.density)
-    c2 = math.sqrt(sc2.g / p2.density)
+    eff = EffectiveModel(g_eff, rho_eff, c, zeta, eta, eta_y, eta_m, eta_t, stretch * period, stretch)
+    c1 = _sqrt(sc1.g / rho1)
+    c2 = _sqrt(sc2.g / rho2)
     return CellState(
-        sc1=sc1, sc2=sc2, c1=c1, c2=c2, z1=p1.density * c1, z2=p2.density * c2,
+        sc1=sc1, sc2=sc2, c1=c1, c2=c2, z1=rho1 * c1, z2=rho2 * c2,
         t1=n1 * c / c1, t2=n2 * c / c2, eff=eff,
     )
+
+
+def cell_state(lam: Laminate, stretch: float = 1.0) -> CellState:
+    """Evaluate the per-phase data and the homogenised model of the laminate at ``stretch``."""
+    p1, p2 = lam.phases
+    sc = (shear_coefficients(p1.model, stretch), shear_coefficients(p2.model, stretch))
+    return cell_columns(sc, (p1.density, p2.density), (p1.volume_fraction, p2.volume_fraction),
+                        stretch, lam.period)
 
 
 def effective_model(lam: Laminate, stretch: float = 1.0) -> EffectiveModel:

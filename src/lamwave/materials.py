@@ -11,7 +11,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from ._roots import brentq
+import numpy as np
+
+from ._roots import bisect, brentq
 from .errors import DomainError, GentLocking, InversionFailure, NoRoot
 
 MU0 = 4.0e-7 * math.pi  # vacuum permeability, N/A^2
@@ -49,8 +51,18 @@ def canonical_kind(kind: str) -> str:
 def _require_finite(obj, names: tuple[str, ...]) -> None:
     for name in names:
         value = getattr(obj, name)
-        if not math.isfinite(value):
+        if not np.isfinite(value).all():
             raise DomainError(f"{name} must be finite, got {value}")
+
+
+def _exp(x):
+    """math.exp of a float (OverflowError past the float range), np.exp of an array."""
+    return np.exp(x) if isinstance(x, np.ndarray) else math.exp(x)
+
+
+def _least(x):
+    """The smallest entry of an array (NaN if any is NaN, inf if empty), or a float itself."""
+    return float(np.minimum.reduce(x, axis=None, initial=np.inf)) if isinstance(x, np.ndarray) else x
 
 
 @dataclass(frozen=True)
@@ -58,17 +70,18 @@ class HyperelasticModel:
     """One-invariant incompressible model with ground-state modulus and nonlinearity.
 
     ``shear_modulus`` is the small-strain shear modulus (Pa); ``beta`` is the
-    dimensionless stiffening parameter, absent (zero) for neo-Hookean.
+    dimensionless stiffening parameter, absent (zero) for neo-Hookean.  An
+    array of moduli stands for one model per entry (arrays of coefficients).
     """
 
     kind: str
-    shear_modulus: float
+    shear_modulus: float | np.ndarray
     beta: float = 0.0
 
     def __post_init__(self):
         object.__setattr__(self, "kind", canonical_kind(self.kind))
         _require_finite(self, ("shear_modulus", "beta"))
-        if not self.shear_modulus > 0.0:
+        if not _least(self.shear_modulus) > 0.0:
             raise DomainError(f"shear_modulus must be positive, got {self.shear_modulus}")
         if self.beta < 0.0:
             raise DomainError(f"beta must be non-negative, got {self.beta}")
@@ -76,12 +89,13 @@ class HyperelasticModel:
             raise DomainError("neo-Hookean model takes no beta parameter")
 
 
-def _gent_denominator(model: HyperelasticModel, d: float) -> float:
-    """1 - beta*d at the invariant excess d = I1 - 3, or :class:`GentLocking`."""
+def _gent_denominator(model: HyperelasticModel, d):
+    """1 - beta*d at the invariant excess d = I1 - 3, or :class:`GentLocking` if any locks."""
     denom = 1.0 - model.beta * d
-    if denom <= GENT_MARGIN:
+    worst = _least(denom)
+    if worst <= GENT_MARGIN:
         raise GentLocking(
-            f"Gent model locked: 1 - beta*(I1-3) = {denom:.3e} at I1 - 3 = {d:.6g} "
+            f"Gent model locked: 1 - beta*(I1-3) = {worst:.3e} at I1 - 3 = {float(np.max(d)):.6g} "
             f"(limit I1 - 3 = {1.0 / model.beta:.6g})"
         )
     return denom
@@ -106,7 +120,7 @@ def strain_energy(model: HyperelasticModel, I1: float) -> float:
     return -0.5 * G / b * math.log(denom)
 
 
-def _modulus(model: HyperelasticModel, d: float) -> float:
+def _modulus(model: HyperelasticModel, d):
     """G at the invariant excess d = I1 - 3."""
     G, b = model.shear_modulus, model.beta
     if model.kind == NEO_HOOKEAN or b == 0.0:
@@ -114,11 +128,11 @@ def _modulus(model: HyperelasticModel, d: float) -> float:
     if model.kind == YEOH:
         return G * (1.0 + b * d)
     if model.kind == FUNG_DEMIRAY:
-        return G * math.exp(b * d)
+        return G * _exp(b * d)
     return G / _gent_denominator(model, d)
 
 
-def _modulus_slope(model: HyperelasticModel, d: float) -> float:
+def _modulus_slope(model: HyperelasticModel, d):
     """dG/dI1 at the invariant excess d = I1 - 3."""
     G, b = model.shear_modulus, model.beta
     if model.kind == NEO_HOOKEAN or b == 0.0:
@@ -126,7 +140,7 @@ def _modulus_slope(model: HyperelasticModel, d: float) -> float:
     if model.kind == YEOH:
         return G * b
     if model.kind == FUNG_DEMIRAY:
-        return G * b * math.exp(b * d)
+        return G * b * _exp(b * d)
     return G * b / _gent_denominator(model, d) ** 2
 
 
@@ -149,14 +163,14 @@ def uniaxial_first_invariant(stretch: float) -> float:
     return stretch * stretch + 2.0 / stretch
 
 
-def uniaxial_invariant_excess(stretch: float) -> float:
+def uniaxial_invariant_excess(stretch):
     """I1 - 3 of an isochoric uniaxial stretch x, as (x - 1)^2 (1 + 2/x).
 
     Unlike x^2 + 2/x - 3, which cancels to a few ulp of 3 near x = 1, the
     factored form keeps full relative precision there; an infinite stretch
     gives inf.
     """
-    if not stretch > 0.0:
+    if not _least(stretch) > 0.0:
         raise DomainError(f"stretch must be positive, got {stretch}")
     e = stretch - 1.0
     return e * e * (1.0 + 2.0 / stretch)
@@ -166,15 +180,16 @@ def uniaxial_invariant_excess(stretch: float) -> float:
 class ShearCoefficients:
     """Linear and cubic stiffness of the shear stress law sigma = g*gamma + h/3*gamma^3."""
 
-    g: float  # Pa
-    h: float  # Pa
+    g: float | np.ndarray  # Pa
+    h: float | np.ndarray  # Pa
 
 
-def shear_coefficients(model: HyperelasticModel, stretch: float) -> ShearCoefficients:
+def shear_coefficients(model: HyperelasticModel, stretch) -> ShearCoefficients:
     """Shear-wave stiffness coefficients of a pre-stretched layer.
 
     ``g = stretch^2 * G(I1)`` and ``h = 3 * stretch^4 * G'(I1)`` evaluated at
-    the uniaxial base state ``I1 = stretch^2 + 2/stretch``.
+    the uniaxial base state ``I1 = stretch^2 + 2/stretch``; an array of
+    stretches (or of moduli) gives arrays.
     """
     d = uniaxial_invariant_excess(stretch)
     l2 = stretch * stretch
@@ -318,7 +333,7 @@ def arithmetic_modulus(lam: Laminate) -> float:
     )
 
 
-def average_shear_modulus(lam: Laminate, stretch: float) -> float:
+def average_shear_modulus(lam: Laminate, stretch):
     """Volume-weighted average of the generalised moduli at the stretched state."""
     d = uniaxial_invariant_excess(stretch)
     p1, p2 = lam.phases
@@ -372,20 +387,17 @@ def dimensionless_load_rhs(lam: Laminate, load: MagneticLoad) -> float:
     return vac_term * bn * bn + bn * norm.br_n
 
 
-def _stretch_residual(lam: Laminate, stretch: float, rhs_norm: float) -> float:
+def _stretch_residual(lam: Laminate, stretch, rhs_norm):
     gbar = average_shear_modulus(lam, stretch) / arithmetic_modulus(lam)
     return gbar * (stretch * stretch - 1.0 / stretch) - rhs_norm
 
 
-def _locking_stretch(lam: Laminate, side: float, margin: float = 0.0) -> float | None:
-    """Stretch at which the stiffest Gent phase's 1 - beta*(I1 - 3) falls to ``margin``.
+def _locking_stretch(beta: float, side: float, margin: float = 0.0) -> float:
+    """Stretch at which a Gent phase's 1 - beta*(I1 - 3) falls to ``margin``.
 
     ``side >= 0`` picks the tension side, a negative ``side`` the compression side.
     """
-    betas = [p.model.beta for p in lam.phases if p.model.kind == GENT and p.model.beta > 0.0]
-    if not betas:
-        return None
-    d_lock = (1.0 - margin) / max(betas)
+    d_lock = (1.0 - margin) / beta
     i1 = 3.0 + d_lock
 
     def f(x: float) -> float:
@@ -398,45 +410,59 @@ def _locking_stretch(lam: Laminate, side: float, margin: float = 0.0) -> float |
     return brentq(f, 1.0 / i1, 1.0, xtol=0.0)
 
 
+def stretch_roots(lam: Laminate, loads) -> tuple[np.ndarray, dict[int, NoRoot]]:
+    """Axial stretches of the laminate under an array of normalised loads r, in one solve.
+
+    Solves ``Gbar(x) / Gbar(1) * (x^2 - 1/x) = r``.  Every model has G'(I1) >= 0 and
+    dI1/dx has the sign of x^2 - 1/x, so the residual is strictly increasing and
+    has one root.  Gbar(x) >= Gbar(1) brackets it in closed form, with a margin of
+    at least |r|/2 against rounding: [1, sqrt(1 + 2r)] under tension,
+    [1/(1 - 2r), 1] under compression; where the Gent validity limit cuts a
+    bracket, its end moves to just inside it.  All brackets are bisected at once
+    on the residual's sign down to adjacent floats, and the lower float (residual
+    <= 0) is returned.
+
+    Returns the stretches, NaN where a load has no root, and the :class:`NoRoot`
+    of each such load by index: its root lies beyond the Gent limit (the error
+    carries the locking stretch), or its bracket leaves the float range (r >= 9e307,
+    or r infinite or NaN).
+    """
+    r = np.array(loads, dtype=float, ndmin=1)
+    errors: dict[int, NoRoot] = {}
+    # the stiffest Gent phase locks first
+    beta = max((p.model.beta for p in lam.phases if p.model.kind == GENT), default=0.0)
+    # inf is the intended value past the float range: sqrt(1 + 2r) at r >= 9e307 and a
+    # Fung-Demiray exp(beta*(I1 - 3)), which gives the residual the sign of r
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        end = np.where(r >= 0.0, np.sqrt(1.0 + 2.0 * r), 0.5 / (0.5 - r))  # 0 at r = -inf
+        for side in (1.0, -1.0) if beta else ():
+            d = uniaxial_invariant_excess(np.where(end > 0.0, end, np.inf))
+            rows = (1.0 - beta * d <= GENT_MARGIN) & (np.copysign(1.0, r) == side) & ~np.isnan(r)
+            if not rows.any():
+                continue
+            end[rows] = _locking_stretch(beta, side, margin=2.0 * GENT_MARGIN)
+            short = np.flatnonzero(rows)[_stretch_residual(lam, end[rows], r[rows]) * side < 0.0]
+            lock = _locking_stretch(beta, side)
+            for i in short.tolist():
+                errors[i] = NoRoot(f"load {r[i]:.6g} needs a stretch beyond the Gent locking "
+                                   f"stretch {lock:.6g}", locking_stretch=lock)
+        for i in np.flatnonzero(~((end > 0.0) & (end < np.inf))).tolist():
+            message = f"load {r[i]:.6g} puts the stretch bracket beyond the float range"
+            errors.setdefault(i, NoRoot(message))
+        live = np.ones(r.shape, dtype=bool)
+        live[list(errors)] = False
+        target, end = np.where(live, r, 0.0), np.where(live, end, 1.0)
+        x = bisect(lambda mid: _stretch_residual(lam, mid, target) <= 0.0,
+                   np.minimum(1.0, end), np.maximum(1.0, end))
+    return np.where(live, x, np.nan), errors
+
+
 def stretch_from_field(lam: Laminate, load: MagneticLoad) -> float:
     """Axial stretch produced by a permanent magnetic induction along the layers.
 
-    Solves ``Gbar(stretch) / Gbar(1) * (stretch^2 - 1/stretch) = r`` for the
-    normalised load ``r`` with Brent's method.  Every model has G'(I1) >= 0 and
-    dI1/dstretch has the sign of stretch^2 - 1/stretch, so the residual is
-    strictly increasing and has one root.  Gbar(stretch) >= Gbar(1) brackets
-    it in closed form, with a margin of at least |r|/2 against rounding:
-    [1, sqrt(1 + 2r)] under tension, [1/(1 - 2r), 1] under compression.  When
-    the Gent validity limit cuts the bracket, its end moves to just inside it.
-
-    Raises :class:`NoRoot` when the root lies beyond the Gent validity limit;
-    the exception carries the locking stretch.
+    The one-load call of :func:`stretch_roots`: raises its :class:`NoRoot`.
     """
-    target = dimensionless_load_rhs(lam, load)
-    end = math.sqrt(1.0 + 2.0 * target) if target >= 0.0 else 0.5 / (0.5 - target)
-    if end == 1.0:
-        return 1.0
-
-    def f(x: float) -> float:
-        try:
-            return _stretch_residual(lam, x, target)
-        except OverflowError:  # exp(beta*(I1 - 3)) of a Fung-Demiray phase
-            return math.copysign(math.inf, target)
-
-    try:
-        f(end)
-    except GentLocking:
-        end = _locking_stretch(lam, target, margin=2.0 * GENT_MARGIN)
-        if f(end) * math.copysign(1.0, target) < 0.0:
-            lock = _locking_stretch(lam, target)
-            raise NoRoot(
-                f"load {target:.6g} needs a stretch beyond the Gent locking stretch {lock:.6g}",
-                locking_stretch=lock,
-            ) from None
-    if not math.isfinite(end):  # 1 + 2r overflowed, or r itself is inf or NaN
-        raise NoRoot(f"load {target:.6g} puts the stretch bracket beyond the float range")
-    # at |r| near 1e300 the root lies some 1,000 halvings from a bracket end; xtol (4 eps
-    # times the smallest normal float) keeps the stopping width from underflowing to 0
-    # at a subnormal root (r < -1.2e308)
-    return brentq(f, min(1.0, end), max(1.0, end), xtol=4.0 * math.ulp(0.0), maxiter=4000)
-
+    (stretch,), errors = stretch_roots(lam, [dimensionless_load_rhs(lam, load)])
+    if errors:
+        raise errors[0]
+    return float(stretch)

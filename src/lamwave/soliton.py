@@ -237,6 +237,7 @@ def waveform_table(
 ) -> tuple[list[str], list[tuple]]:
     """Rows (xi, strain, displacement, variant) for all variants at one speed."""
     xi = np.linspace(-xi_max, xi_max, n)
+    xs = xi.tolist()
     rows: list[tuple] = []
     for variant in WaveModel:
         try:
@@ -245,7 +246,8 @@ def waveform_table(
             continue
         strain, disp = soliton_waveform(sol, xi)
         rows.extend(
-            (float(x), float(s), float(u), variant.value) for x, s, u in zip(xi, strain, disp)
+            (x, s, u, variant.value)
+            for x, s, u in zip(xs, strain.tolist(), disp.tolist())
         )
     return ["xi", "strain", "displacement", "variant"], rows
 

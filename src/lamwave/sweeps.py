@@ -2,25 +2,32 @@
 
 Three sweep variables are supported: the normalised magnetic load product,
 the volume fraction of phase 2 (at unit stretch), and the shear-modulus
-contrast (at unit stretch).  Rows are evaluated serially in grid order, and
-the first exact band gaps of all rows are then found at once from Rytov's
-closed-form bracket (:func:`lamwave.dispersion.first_band_gaps`), with no
-frequency scan and no ceiling: a first gap reaching above 3 pi is reported
-with its true edges.
+contrast (at unit stretch).  Rows are computed as columns: one batched
+stretch solve (:func:`lamwave.materials.stretch_roots`), one cell-state
+evaluation (:func:`lamwave.homogenize.cell_columns`) and one search for the
+first exact band gaps of all rows, from Rytov's closed-form bracket
+(:func:`lamwave.dispersion.first_band_gaps`), with no frequency scan and no
+ceiling: a first gap reaching above 3 pi is reported with its true edges.
+The columns become row dicts at the end, where the homogenised gaps and the
+soliton bounds are read row by row.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from . import dispersion, materials, soliton
 from ._roots import golden_max
-from .errors import DomainError, GentLocking, LamwaveError, NoRoot
-from .homogenize import CellState, cell_state, effective_model
-from .materials import Laminate, MagneticLoad
+from .errors import DomainError, LamwaveError
+from .homogenize import CellState, EffectiveModel, cell_columns, cell_state, effective_model
+from .materials import HyperelasticModel, Laminate, MagneticLoad, shear_coefficients
+
+#: Column arithmetic as on one row's floats: an overflow gives inf and an invalid
+#: operation NaN, silently, and a division by zero raises (an ArithmeticError).
+_FLOAT_ERRORS = {"over": "ignore", "invalid": "ignore", "divide": "raise"}
 
 VARIABLES = ("magnetic_load_product", "volume_fraction_2", "modulus_contrast")
 
@@ -67,39 +74,30 @@ class SweepResult:
         return np.asarray([row.get(key, math.nan) for row in self.rows], dtype=float)
 
 
-def _gap_fields(row: dict, st: CellState, scale: float, pending: list) -> None:
-    """Homogenised gap edges, rescaled by ``scale``; the exact ones wait in ``pending``.
-
-    The exact columns are placed now (keeping the CSV column order) and filled
-    by :func:`_exact_gap_fields` once every row of the sweep is known.
-    """
-    row["gap_exact_lo"] = row["gap_exact_hi"] = math.nan
-    pending.append((row, st, scale))
-    try:
-        hg = dispersion.homogenized_band_gap(st.eff)
-        row["gap_homog_lo"] = hg.lo * scale
-        row["gap_homog_hi"] = hg.hi * scale
-    except LamwaveError:
-        row["gap_homog_lo"] = row["gap_homog_hi"] = math.nan
-
-
-def _exact_gap_fields(pending: list) -> None:
-    """First exact gap edges of every pending row, from one batched search."""
-    lo, hi = dispersion.first_band_gaps([st for _, st, _ in pending])
-    for (row, _, scale), a, b in zip(pending, lo.tolist(), hi.tolist()):
-        row["gap_exact_lo"], row["gap_exact_hi"] = a * scale, b * scale
-
-
-def _bound_fields(row: dict, eff, speed_scale: float):
-    try:
-        bound = soliton.existence_bound(eff)
-        row["max_speed_ratio"] = bound * speed_scale if math.isfinite(bound) else math.inf
-        row["max_strain"] = (
-            soliton.max_strain_amplitude(eff) if math.isfinite(bound) else math.nan
-        )
-    except LamwaveError:
-        row["max_speed_ratio"] = math.nan
-        row["max_strain"] = math.nan
+def _rows(st: CellState, scale, speed_scale) -> list[dict]:
+    """eta, zeta, gap edges and soliton bounds of every cell of a column state, with gap
+    edges rescaled by ``scale`` and speed bounds by ``speed_scale`` (floats or columns)."""
+    lo, hi = dispersion.first_band_gaps(st)
+    n = len(lo)
+    effs = zip(*(np.broadcast_to(getattr(st.eff, f.name), n).tolist() for f in fields(EffectiveModel)))
+    scales = zip((lo * scale).tolist(), (hi * scale).tolist(), np.broadcast_to(scale, n).tolist(),
+                 np.broadcast_to(speed_scale, n).tolist())
+    rows = []
+    for eff, (a, b, s, v) in zip((EffectiveModel(*e) for e in effs), scales):
+        row = {"eta": eff.eta, "zeta": eff.zeta, "gap_exact_lo": a, "gap_exact_hi": b}
+        try:
+            hg = dispersion.homogenized_band_gap(eff)
+            row["gap_homog_lo"], row["gap_homog_hi"] = hg.lo * s, hg.hi * s
+        except LamwaveError:
+            row["gap_homog_lo"] = row["gap_homog_hi"] = math.nan
+        try:
+            bound = soliton.existence_bound(eff)
+            row["max_speed_ratio"] = bound * v if math.isfinite(bound) else math.inf
+            row["max_strain"] = soliton.max_strain_amplitude(eff) if math.isfinite(bound) else math.nan
+        except LamwaveError:
+            row["max_speed_ratio"] = row["max_strain"] = math.nan
+        rows.append(row)
+    return rows
 
 
 def sweep_magnetic(lam: Laminate, spec: SweepSpec) -> SweepResult:
@@ -109,95 +107,67 @@ def sweep_magnetic(lam: Laminate, spec: SweepSpec) -> SweepResult:
     speed, so rows are comparable across stretch states.  Rows where the
     stretch solve hits the Gent validity limit are flagged ``locked`` instead
     of aborting the sweep.  The stretch balance has one root at every load
-    (:func:`lamwave.materials.stretch_from_field`), so ``n_stretch_roots`` is 1
+    (:func:`lamwave.materials.stretch_roots`), so ``n_stretch_roots`` is 1
     on every row and the ``multi_root_rows`` summary is 0.
     """
     if spec.variable != "magnetic_load_product":
         raise DomainError("spec.variable must be 'magnetic_load_product'")
     c0 = effective_model(lam, 1.0).c
-    pending: list = []
-
-    def worker(p: float) -> dict:
-        row: dict = {"load_product": float(p), "locked": 0, "n_stretch_roots": 1}
-        try:
-            stretch = materials.stretch_from_field(lam, MagneticLoad(bn_br_product=p))
-            st = cell_state(lam, stretch)
-        except (NoRoot, GentLocking) as exc:
-            row["locked"] = 1
-            row["stretch"] = math.nan
-            row["eta"] = math.nan
-            for key in ("gap_exact_lo", "gap_exact_hi", "gap_homog_lo", "gap_homog_hi",
-                        "max_speed_ratio", "max_strain"):
-                row[key] = math.nan
-            row["note"] = str(exc)
-            return row
-        eff = st.eff
-        row["stretch"] = stretch
-        row["eta"] = eff.eta
-        row["zeta"] = eff.zeta
-        # omega*L/c0 = (omega*ell/c) * c / (stretch * c0)
-        scale = eff.c / (stretch * c0)
-        _gap_fields(row, st, scale, pending)
-        _bound_fields(row, eff, speed_scale=eff.c / c0)
-        return row
-
     values = spec.grid()
-    rows = [worker(p) for p in values.tolist()]
-    _exact_gap_fields(pending)
-    unlocked = [r for r in rows if not r["locked"]]
+    # every load passes the checks of a MagneticLoad: finite, and the product form
+    # needs a vacuum-permeability stack
+    if not np.isfinite(values).all():
+        raise DomainError("magnetic load must be finite")
+    materials.dimensionless_load_rhs(lam, MagneticLoad(bn_br_product=0.0))
+    stretch, errors = materials.stretch_roots(lam, values)
+    free = stretch[~np.isnan(stretch)]
+    with np.errstate(**_FLOAT_ERRORS):
+        st = cell_state(lam, free)
+        # omega*L/c0 = (omega*ell/c) * c / (stretch * c0)
+        unlocked = iter(_rows(st, st.eff.c / (free * c0), st.eff.c / c0))
+    no_root = dict.fromkeys(("stretch", "eta", "gap_exact_lo", "gap_exact_hi", "gap_homog_lo",
+                             "gap_homog_hi", "max_speed_ratio", "max_strain"), math.nan)
+    rows = []
+    for i, (p, x) in enumerate(zip(values.tolist(), stretch.tolist())):
+        row: dict = {"load_product": p, "locked": int(i in errors), "n_stretch_roots": 1}
+        if i in errors:
+            row.update(no_root, note=str(errors[i]))
+        else:
+            row.update(stretch=x, **next(unlocked))
+        rows.append(row)
     summary = {
-        "n_locked": sum(r["locked"] for r in rows),
-        "stretch_min": min((r["stretch"] for r in unlocked), default=math.nan),
-        "stretch_max": max((r["stretch"] for r in unlocked), default=math.nan),
+        "n_locked": len(errors),
+        "stretch_min": float(free.min()) if free.size else math.nan,
+        "stretch_max": float(free.max()) if free.size else math.nan,
         "multi_root_rows": 0,
     }
-    return SweepResult(
-        variable=spec.variable,
-        values=values,
-        rows=rows,
-        fixed={"period_m": lam.period},
-        summary=summary,
-    )
+    return SweepResult(spec.variable, values, rows, {"period_m": lam.period}, summary)
 
 
-def _with_volume_fraction(lam: Laminate, nu2: float) -> Laminate:
-    p1 = replace(lam.phase1, volume_fraction=1.0 - nu2)
-    p2 = replace(lam.phase2, volume_fraction=nu2)
-    return Laminate(p1, p2, lam.period)
-
-
-def _with_contrast(lam: Laminate, ratio: float) -> Laminate:
-    model2 = replace(lam.phase2.model, shear_modulus=ratio * lam.phase1.model.shear_modulus)
-    return Laminate(lam.phase1, replace(lam.phase2, model=model2), lam.period)
-
-
-def _unit_stretch_rows(lam: Laminate, spec: SweepSpec, variant) -> tuple[np.ndarray, list[dict]]:
-    """Rows of a sweep over laminates ``variant(lam, x)`` at unit stretch."""
-    values = spec.grid()
-    rows = []
-    pending: list = []
-    for x in values:
-        st = cell_state(variant(lam, float(x)), 1.0)
-        row = {spec.variable: float(x), "eta": st.eff.eta, "zeta": st.eff.zeta}
-        _gap_fields(row, st, 1.0, pending)
-        _bound_fields(row, st.eff, speed_scale=1.0)
-        rows.append(row)
-    _exact_gap_fields(pending)
-    return values, rows
+def _unit_stretch_rows(lam: Laminate, variable: str, values: np.ndarray, sc, nu) -> list[dict]:
+    """Rows at unit stretch from the phases' shear coefficients ``sc`` and volume
+    fractions ``nu``, each a pair of floats or columns with one entry per row."""
+    with np.errstate(**_FLOAT_ERRORS):
+        st = cell_columns(sc, (lam.phase1.density, lam.phase2.density), nu, 1.0, lam.period)
+        rows = _rows(st, 1.0, 1.0)
+    return [{variable: x, **row} for x, row in zip(values.tolist(), rows)]
 
 
 def sweep_volume_fraction(lam: Laminate, spec: SweepSpec) -> SweepResult:
     """Band gaps and solitary-wave bounds versus the phase-2 volume fraction (stretch 1)."""
     if spec.variable != "volume_fraction_2":
         raise DomainError("spec.variable must be 'volume_fraction_2'")
-    values, rows = _unit_stretch_rows(lam, spec, _with_volume_fraction)
+    values = spec.grid()
+    p1, p2 = lam.phases
+    sc = (shear_coefficients(p1.model, 1.0), shear_coefficients(p2.model, 1.0))
+    rows = _unit_stretch_rows(lam, spec.variable, values, sc, (1.0 - values, values))
 
-    def eta_of(x: float) -> float:
-        return effective_model(_with_volume_fraction(lam, x), 1.0).eta
+    def eff_of(x: float) -> EffectiveModel:
+        return cell_columns(sc, (p1.density, p2.density), (1.0 - x, x), 1.0, lam.period).eff
 
     def strain_of(x: float) -> float:
         try:
-            return soliton.max_strain_amplitude(effective_model(_with_volume_fraction(lam, x), 1.0))
+            return soliton.max_strain_amplitude(eff_of(x))
         except LamwaveError:
             return -math.inf
 
@@ -211,17 +181,11 @@ def sweep_volume_fraction(lam: Laminate, spec: SweepSpec) -> SweepResult:
 
     st = cell_state(lam, 1.0)
     summary = {
-        "argmax_eta": golden_max(eta_of, *bracket(eta_col), xatol=1e-10),
+        "argmax_eta": golden_max(lambda x: eff_of(x).eta, *bracket(eta_col), xatol=1e-10),
         "argmax_max_strain": golden_max(strain_of, *bracket(strain_col), xatol=1e-10),
         "speed_ratio_prediction": st.c2 / (st.c1 + st.c2),
     }
-    return SweepResult(
-        variable=spec.variable,
-        values=values,
-        rows=rows,
-        fixed={"stretch": 1.0, "period_m": lam.period},
-        summary=summary,
-    )
+    return SweepResult(spec.variable, values, rows, {"stretch": 1.0, "period_m": lam.period}, summary)
 
 
 def sweep_contrast(lam: Laminate, spec: SweepSpec) -> SweepResult:
@@ -232,27 +196,22 @@ def sweep_contrast(lam: Laminate, spec: SweepSpec) -> SweepResult:
     """
     if spec.variable != "modulus_contrast":
         raise DomainError("spec.variable must be 'modulus_contrast'")
-    values, rows = _unit_stretch_rows(lam, spec, _with_contrast)
+    values = spec.grid()
+    p1, p2 = lam.phases
+    with np.errstate(**_FLOAT_ERRORS):  # one model holding the column of phase-2 moduli
+        model2 = HyperelasticModel(p2.model.kind, values * p1.model.shear_modulus, p2.model.beta)
+        sc = (shear_coefficients(p1.model, 1.0), shear_coefficients(model2, 1.0))
+    rows = _unit_stretch_rows(lam, spec.variable, values, sc, (p1.volume_fraction, p2.volume_fraction))
     widths = [r["gap_exact_hi"] - r["gap_exact_lo"] for r in rows]
     summary = {
         "max_gap_width": float(np.nanmax(widths)) if widths else math.nan,
         "contrast_at_max_gap": float(values[int(np.nanargmax(widths))]) if widths else math.nan,
     }
-    return SweepResult(
-        variable=spec.variable,
-        values=values,
-        rows=rows,
-        fixed={"stretch": 1.0, "period_m": lam.period},
-        summary=summary,
-    )
+    return SweepResult(spec.variable, values, rows, {"stretch": 1.0, "period_m": lam.period}, summary)
 
 
 def sweep_table(result: SweepResult) -> tuple[list[str], list[tuple]]:
     """Column names and rows for CSV emission (union of row keys, stable order)."""
-    keys: list[str] = []
-    for row in result.rows:
-        for k in row:
-            if k not in keys and k != "note":
-                keys.append(k)
-    rows = [tuple(row.get(k, math.nan) for k in keys) for row in result.rows]
-    return keys, rows
+    keys = list(dict.fromkeys(k for row in result.rows for k in row if k != "note"))
+    missing = [math.nan] * len(keys)
+    return keys, [tuple(map(row.get, keys, missing)) for row in result.rows]

@@ -42,6 +42,24 @@ def with_phase2_density(lam: lw.Laminate, rho2: float) -> lw.Laminate:
     return lw.Laminate(lam.phase1, dataclasses.replace(lam.phase2, density=rho2), lam.period)
 
 
+def with_volume_fraction(lam: lw.Laminate, nu2: float) -> lw.Laminate:
+    """The laminate with phase-2 volume fraction nu2: one row of a volume-fraction sweep."""
+    p1 = dataclasses.replace(lam.phase1, volume_fraction=1.0 - nu2)
+    p2 = dataclasses.replace(lam.phase2, volume_fraction=nu2)
+    return lw.Laminate(p1, p2, lam.period)
+
+
+def with_contrast(lam: lw.Laminate, ratio: float) -> lw.Laminate:
+    """The laminate with phase-2 modulus ratio * phase 1's: one row of a contrast sweep."""
+    model2 = dataclasses.replace(lam.phase2.model, shear_modulus=ratio * lam.phase1.model.shear_modulus)
+    return lw.Laminate(lam.phase1, dataclasses.replace(lam.phase2, model=model2), lam.period)
+
+
+def columns(states) -> Cell:
+    """A list of cell states (or Cells) as one Cell of columns, as first_band_gaps reads them."""
+    return Cell(*np.array([(s.t1, s.t2, s.z1, s.z2) for s in states], dtype=float).reshape(-1, 4).T)
+
+
 @pytest.fixture(scope="session")
 def bilam() -> lw.Laminate:
     return gent_bilaminate()

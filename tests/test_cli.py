@@ -246,6 +246,29 @@ class TestArtifacts:
             last = csv_path.read_text().splitlines()[-1].split(",")
             assert float(last[1]) == 0.0  # the strain tail is exactly 0
 
+    @pytest.mark.parametrize("kind, beta", [("FungDemiray", 0.3), ("Gent", 0.0132)])
+    def test_extreme_magnetic_sweep_is_silent(self, tmp_path, capsys, kind, beta):
+        """Loads up to +-1e300 in one batched stretch solve print no numpy warning.
+
+        Past the float range inf is the intended value there, and on the Gent stack
+        the extreme rows lock; the Fung-Demiray stack stiffens fast enough to solve them.
+        """
+        payload = {"command": "sweep", "laminate": copy.deepcopy(BENCH_LAMINATE),
+                   "params": {"variable": "magnetic_load_product", "lo": -1e300, "hi": 1e300, "n": 21}}
+        for phase in payload["laminate"]["phases"]:
+            phase["model"].update(kind=kind, beta=beta)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = run_ok(tmp_path, payload)
+        assert capsys.readouterr().err == ""
+        (csv_path,) = out.glob("sweep_*.csv")
+        rows = [line.split(",") for line in csv_path.read_text().splitlines() if line[0] != "#"]
+        locked = [int(row[rows[0].index("locked")]) for row in rows[1:]]
+        if kind == "Gent":
+            assert locked[0] == locked[-1] == 1 and locked[10] == 0
+        else:
+            assert not any(locked)
+
     def test_sweep_artifacts_and_manifest(self, tmp_path):
         payload = {"command": "sweep", "laminate": BENCH_LAMINATE,
                    "params": {"variable": "volume_fraction_2", "lo": 0.1, "hi": 0.9, "n": 9}}

@@ -15,7 +15,7 @@ from lamwave import materials as m
 from lamwave.errors import NoGap
 from lamwave.homogenize import cell_state, effective_model
 
-from conftest import Cell
+from conftest import Cell, columns
 
 
 def monodromy_half_trace(lam: lw.Laminate, stretch: float, omega_norm: float) -> float:
@@ -138,7 +138,7 @@ class TestBandGaps:
         lams = [bilam, matched_bilam, low_disp_bilam, bilam]
         stretches = [1.0, 1.0, 1.0, 1.6]
         states = [cell_state(lam, s) for lam, s in zip(lams, stretches)]
-        lo, hi = dsp.first_band_gaps(states)
+        lo, hi = dsp.first_band_gaps(columns(states))
         for st, a, b in zip(states, lo, hi):
             gaps = dsp._band_gaps(st, 3.0 * math.pi, 4000)
             if gaps:
@@ -146,7 +146,7 @@ class TestBandGaps:
                 assert abs(b - gaps[0].hi) <= dsp.EDGE_TOL
             else:
                 assert math.isnan(a) and math.isnan(b)
-        empty = dsp.first_band_gaps([])
+        empty = dsp.first_band_gaps(columns([]))
         assert [len(x) for x in empty] == [0, 0]
 
 
@@ -169,7 +169,7 @@ class TestClosedFormFirstGap:
     def test_matches_scan(self, t1, shrink, log_r):
         """Where the scan resolves the first gap, both give its edges to EDGE_TOL."""
         cell = Cell(t1=t1, t2=(1.0 - t1) * shrink, z1=math.exp(log_r), z2=1.0)
-        (lo,), (hi,) = dsp.first_band_gaps([cell])
+        (lo,), (hi,) = dsp.first_band_gaps(cell)
         omega_max, n_scan = 3.0 * math.pi, 4000
         step = omega_max / n_scan
         if not (hi - lo > step and hi < omega_max - step):
@@ -183,7 +183,7 @@ class TestClosedFormFirstGap:
         cells = [cell_state(bilam, 1.0), cell_state(low_disp_bilam, 1.3),
                  Cell(0.3, 0.65, 1e-3, 1.0), Cell(0.9, 0.05, 1.0, 7.0),
                  Cell(0.05, 0.25, 30.0, 1.0)]
-        lo, hi = dsp.first_band_gaps(cells)
+        lo, hi = dsp.first_band_gaps(columns(cells))
         for cell, a, b in zip(cells, lo.tolist(), hi.tolist()):
             assert 0.0 < a < b
             for edge, outward in ((a, -math.inf), (b, math.inf)):
@@ -195,14 +195,14 @@ class TestClosedFormFirstGap:
     def test_matched_impedance_has_none(self, matched_bilam):
         cells = [cell_state(matched_bilam, 1.0), Cell(0.3, 0.7, 2.0, 2.0),
                  Cell(0.9, 0.05, 5e3, 5e3)]
-        lo, hi = dsp.first_band_gaps(cells)
+        lo, hi = dsp.first_band_gaps(columns(cells))
         assert np.isnan(lo).all() and np.isnan(hi).all()
 
     def test_gap_narrower_than_a_scan_step(self):
         """A gap 1e-3 wide, under the 2.4e-3 step of a 4000-frequency scan to 3 pi, is found;
         that scan steps over it and reports the second gap first."""
         cell = Cell(t1=0.7148705720283964, t2=0.17192873424055835, z1=1.000801746581671, z2=1.0)
-        (lo,), (hi,) = dsp.first_band_gaps([cell])
+        (lo,), (hi,) = dsp.first_band_gaps(cell)
         assert 0.0 < hi - lo < 3.0 * math.pi / 4000
         coarse = dsp._band_gaps(cell, 3.0 * math.pi, 4000)[0]
         assert coarse.lo > hi + 1.0
@@ -213,7 +213,7 @@ class TestClosedFormFirstGap:
     def test_acoustic_branch_ends_at_lower_edge(self, bilam, low_disp_bilam):
         """At kappa*ell = pi the acoustic-branch inversion returns the lower gap edge."""
         for lam in (bilam, low_disp_bilam):
-            (lo,), _ = dsp.first_band_gaps([cell_state(lam, 1.0)])
+            (lo,), _ = dsp.first_band_gaps(cell_state(lam, 1.0))
             assert dsp.exact_acoustic_frequency(lam, 1.0, math.pi) == pytest.approx(lo, rel=1e-14)
 
 

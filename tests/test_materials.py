@@ -453,6 +453,89 @@ class TestStretchFromField:
         assert rhs_b == pytest.approx(rhs_bn, rel=1e-12)
 
 
+def uniform_stack(kind: str, beta: float = 0.0) -> lw.Laminate:
+    """Two phases of one model kind, 4.7 and 0.94 MPa, as in the paper stack."""
+    return lw.Laminate(
+        lw.Phase(lw.HyperelasticModel(kind, 4.7e6, beta), 930.0, 0.5),
+        lw.Phase(lw.HyperelasticModel(kind, 0.94e6, beta), 930.0, 0.5),
+        0.01,
+    )
+
+
+#: one stack of each model kind, with the paper's Gent beta and moderate Yeoh/Fung-Demiray beta
+STACKS = {kind: uniform_stack(kind, beta) for kind, beta in
+          (("neo-hookean", 0.0), ("yeoh", 0.05), ("fung-demiray", 0.3), ("gent", 0.0132))}
+
+
+def random_loads(seed: int, n: int = 30) -> np.ndarray:
+    """Loads of both signs over twelve decades, plus zero."""
+    rng = np.random.default_rng(seed)
+    return np.append(rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-8.0, 4.0, n), 0.0)
+
+
+def one_row_outcome(lam, r: float):
+    """The stretch of the one-row call, or its NoRoot's message and locking stretch."""
+    try:
+        return m.stretch_from_field(lam, lw.MagneticLoad(bn_br_product=r))
+    except NoRoot as exc:
+        return str(exc), exc.locking_stretch
+
+
+def batched_outcome(stretch: np.ndarray, errors: dict, i: int):
+    if i in errors:
+        assert math.isnan(stretch[i])
+        return str(errors[i]), errors[i].locking_stretch
+    return float(stretch[i])
+
+
+class TestStretchRoots:
+    """The batched stretch solve: every row gets the outcome of its one-row call."""
+
+    def test_bench_sweep_rows_match_one_row_calls(self):
+        lam = gent_bilaminate()
+        loads = np.linspace(-3.0, 3.0, 201)  # the seed-0 bench magnetic sweep
+        stretch, errors = m.stretch_roots(lam, loads)
+        assert not errors
+        for x, r in zip(stretch.tolist(), loads.tolist()):
+            assert x == m.stretch_from_field(lam, lw.MagneticLoad(bn_br_product=r))
+
+    @pytest.mark.parametrize("kind", sorted(STACKS))
+    def test_random_loads_match_one_row_calls(self, kind):
+        lam, loads = STACKS[kind], random_loads(7)
+        stretch, errors = m.stretch_roots(lam, loads)
+        for i, r in enumerate(loads.tolist()):
+            assert batched_outcome(stretch, errors, i) == one_row_outcome(lam, r)
+
+    @pytest.mark.parametrize("kind", sorted(STACKS))
+    def test_residual_changes_sign_at_the_next_float(self, kind):
+        """The returned stretch is the last float where the residual is <= 0."""
+        lam, loads = STACKS[kind], random_loads(8, 1000)
+        stretch, errors = m.stretch_roots(lam, loads)
+        assert not errors
+        up = np.nextafter(stretch, np.inf)
+        assert (m._stretch_residual(lam, stretch, loads) <= 0.0).all()
+        assert (m._stretch_residual(lam, up, loads) > 0.0).all()
+
+    @pytest.mark.parametrize("kind", ["neo-hookean", "gent"])
+    def test_mixed_rows_keep_their_own_outcome(self, kind):
+        """Ordinary, Gent-locked, overflowing, infinite and subnormal-root loads in one call."""
+        lam = STACKS[kind]
+        loads = [0.4, -2.0, 1e14, -1e14, 9.5e307, math.inf, -math.inf, -1.5e308, 0.0, math.nan]
+        stretch, errors = m.stretch_roots(lam, loads)
+        for i, r in enumerate(loads):
+            alone = m.stretch_roots(lam, [r])
+            assert batched_outcome(stretch, errors, i) == batched_outcome(*alone, 0)
+            if math.isfinite(r):
+                assert batched_outcome(stretch, errors, i) == one_row_outcome(lam, r)
+        locked = {i for i, e in errors.items() if e.locking_stretch is not None}
+        if kind == "gent":
+            assert locked == {2, 3, 4, 5, 6, 7} and set(errors) == locked | {9}
+        else:
+            assert not locked and set(errors) == {4, 5, 6, 9}
+            assert 0.0 < stretch[7] < sys.float_info.min  # the subnormal root solves
+        assert stretch[8] == 1.0
+
+
 class TestValidation:
     def test_volume_fractions_must_sum(self):
         nh = lw.HyperelasticModel("neo-hookean", 1e6)

@@ -11,9 +11,11 @@ import numpy as np
 import pytest
 
 import lamwave
-from lamwave import dispersion, sweeps
+from lamwave import dispersion
 from lamwave._roots import brentq, golden_max
 from lamwave.homogenize import cell_state, effective_model
+
+from conftest import with_volume_fraction
 
 BRACKETS = [
     (lambda x: x**3 - 2.0 * x - 5.0, 2.0, 3.0, 1e-14),
@@ -77,7 +79,7 @@ def test_golden_max_finds_the_closed_form_eta_argmax(bilam):
     exact = st.c2 / (st.c1 + st.c2)
 
     def eta_of(nu2):
-        return effective_model(sweeps._with_volume_fraction(bilam, nu2), 1.0).eta
+        return effective_model(with_volume_fraction(bilam, nu2), 1.0).eta
 
     assert golden_max(eta_of, 0.2, 0.5, xatol=1e-10) == pytest.approx(exact, abs=1e-9)
     parabola_top = golden_max(lambda x: -((x - 0.7) ** 2), 0.0, 1.0, xatol=1e-12)

@@ -7,12 +7,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from lamwave import dispersion, materials, sweeps
+from lamwave import dispersion, materials, soliton, sweeps
 from lamwave._roots import brentq
-from lamwave.errors import DomainError
+from lamwave.errors import DomainError, LamwaveError
 from lamwave.homogenize import cell_state, effective_model
 
-from conftest import Cell
+from conftest import Cell, columns, with_contrast, with_volume_fraction
 
 
 class TestSpec:
@@ -219,8 +219,8 @@ def _row_states(lam, result) -> list:
             st = cell_state(lam, row["stretch"])
             out.append((st, st.eff.c / (row["stretch"] * c0)))
         return out
-    variant = {"volume_fraction_2": sweeps._with_volume_fraction,
-               "modulus_contrast": sweeps._with_contrast}[result.variable]
+    variant = {"volume_fraction_2": with_volume_fraction,
+               "modulus_contrast": with_contrast}[result.variable]
     return [(cell_state(variant(lam, float(x)), 1.0), 1.0) for x in result.values]
 
 
@@ -274,7 +274,7 @@ class TestBatchedFirstGaps:
         """A high-contrast cell with thin layers: the first gap runs to 3.97 pi, past the
         3 pi ceiling of the former scan, and is reported in full, not cut at the ceiling."""
         cell = Cell(t1=0.05, t2=0.25, z1=30.0, z2=1.0)
-        (lo,), (hi,) = dispersion.first_band_gaps([cell])
+        (lo,), (hi,) = dispersion.first_band_gaps(cell)
         want = _oracle_first_gap(cell, omega_max=6.0 * math.pi, n_scan=20_000)
         assert want[1] > 3.9 * math.pi
         assert lo == pytest.approx(want[0], abs=dispersion.EDGE_TOL)
@@ -324,3 +324,99 @@ class TestBatchedFirstGaps:
         finally:
             tracemalloc.stop()
         assert peak < 4e6
+
+
+#: largest relative move of a sweep column against the per-row evaluation: the
+#: column arithmetic differs from one row's floats only in numpy's rounding of x**4
+#: and x**2, about 1 ulp, which the band-gap and soliton formulas amplify a few times
+COLUMN_RTOL = 1e-14
+
+#: the seed-0 bench sweeps, at their default 201 rows
+BENCH_SWEEPS = [("magnetic_load_product", -3.0, 3.0), ("volume_fraction_2", 0.05, 0.95),
+                ("modulus_contrast", 0.1, 10.0)]
+
+
+def _per_row(lam, result) -> list[dict]:
+    """Every row's fields from its own laminate and scalar cell state, as a row-by-row sweep
+    would compute them (the first gaps of all rows in one search: it treats rows apart)."""
+    c0 = effective_model(lam, 1.0).c if result.variable == "magnetic_load_product" else None
+    states = _row_states(lam, result)
+    gaps = iter(zip(*dispersion.first_band_gaps(columns([s[0] for s in states if s]))))
+    out = []
+    for row, state in zip(result.rows, states):
+        if state is None:
+            out.append(None)
+            continue
+        st, scale = state
+        speed = st.eff.c / c0 if c0 else 1.0
+        lo, hi = next(gaps)
+        want = {"eta": st.eff.eta, "zeta": st.eff.zeta, "gap_exact_lo": lo * scale,
+                "gap_exact_hi": hi * scale}
+        try:
+            hg = dispersion.homogenized_band_gap(st.eff)
+            want.update(gap_homog_lo=hg.lo * scale, gap_homog_hi=hg.hi * scale)
+        except LamwaveError:
+            want.update(gap_homog_lo=math.nan, gap_homog_hi=math.nan)
+        try:
+            bound = soliton.existence_bound(st.eff)
+            want["max_speed_ratio"] = bound * speed if math.isfinite(bound) else math.inf
+            want["max_strain"] = (
+                soliton.max_strain_amplitude(st.eff) if math.isfinite(bound) else math.nan
+            )
+        except LamwaveError:
+            want.update(max_speed_ratio=math.nan, max_strain=math.nan)
+        out.append(want)
+    return out
+
+
+class TestColumns:
+    @pytest.mark.parametrize("variable, lo, hi", BENCH_SWEEPS)
+    def test_columns_match_per_row_cell_states(self, bilam, variable, lo, hi):
+        result = SWEEP_FUNCTIONS[variable](bilam, sweeps.SweepSpec(variable, lo, hi))
+        for row, want in zip(result.rows, _per_row(bilam, result)):
+            if want is None:
+                assert row["locked"]
+                continue
+            assert set(want) < set(row)
+            for key, value in want.items():
+                assert row[key] == pytest.approx(value, rel=COLUMN_RTOL, abs=0.0, nan_ok=True), key
+
+    @pytest.mark.parametrize("variable, lo, hi", BENCH_SWEEPS)
+    def test_one_solve_and_no_laminate_per_row(self, bilam, monkeypatch, variable, lo, hi):
+        """A sweep of 11 rows and one of 201 make the same calls: one stretch solve (magnetic),
+        one cell-state evaluation on columns, and no Laminate or Phase built per row."""
+        calls = {}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] = calls.get(name, 0) + 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        cell_columns = sys.modules["lamwave.homogenize"].cell_columns
+
+        def counted_columns(*args, **kwargs):
+            st = cell_columns(*args, **kwargs)
+            if np.ndim(st.eff.eta):  # one call for many cells, not one cell of a summary search
+                calls["column states"] = calls.get("column states", 0) + 1
+            return st
+
+        for name, mod in list(sys.modules.items()):
+            if name.startswith("lamwave") and getattr(mod, "cell_columns", None) is cell_columns:
+                monkeypatch.setattr(mod, "cell_columns", counted_columns)
+        for name in ("stretch_roots", "stretch_from_field"):
+            monkeypatch.setattr(materials, name, counted(name, getattr(materials, name)))
+        for cls in (materials.Laminate, materials.Phase, materials.HyperelasticModel):
+            monkeypatch.setattr(cls, "__post_init__", counted(cls.__name__, cls.__post_init__))
+        counts = {}
+        for n in (11, 201):
+            calls.clear()
+            result = SWEEP_FUNCTIONS[variable](bilam, sweeps.SweepSpec(variable, lo, hi, n))
+            assert len(result.rows) == n
+            counts[n] = dict(calls)
+        expected = {"column states": 1}
+        if variable == "magnetic_load_product":
+            expected["stretch_roots"] = 1
+        if variable == "modulus_contrast":  # the one model holding the column of moduli
+            expected["HyperelasticModel"] = 1
+        assert counts[11] == counts[201] == expected

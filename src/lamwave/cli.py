@@ -234,15 +234,14 @@ def parse_config(raw: dict) -> dict:
             raise ConfigError(str(exc), "params") from exc
     if command in ("dispersion", "bandgap"):
         # the Bloch cosine oscillates in omega*ell/c at rates up to t1 + t2 <= 1 (the
-        # layer travel fractions), so a scan step of at most pi/4 keeps 8 samples per
-        # oscillation
+        # layer travel fractions), so dispersion's node spacing of at most pi/4 keeps
+        # 8 nodes per oscillation; bandgap's n_scan caps omega_max_over_pi alike and
+        # sizes nothing
         p = cfg["params"]
         steps = p["n_scan"] if command == "bandgap" else p["n"] - 1
         if 4.0 * p["omega_max_over_pi"] > steps:
             raise ConfigError(
-                f"must be <= {steps}/4 for a scan step of at most pi/4, "
-                f"got {p['omega_max_over_pi']!r}",
-                "params.omega_max_over_pi",
+                f"must be <= {steps}/4, got {p['omega_max_over_pi']!r}", "params.omega_max_over_pi"
             )
     return cfg
 
@@ -303,9 +302,8 @@ def _run_dispersion(cfg, out: Path, tag: str) -> list[Path]:
 def _run_bandgap(cfg, out: Path, tag: str) -> list[Path]:
     lam = cfg["laminate"]
     stretch = _stretch_state(cfg)
-    p = cfg["params"]
     path = _artifact(out, "bandgap", tag, "json")
-    write_json(path, disp.band_gap_records(lam, stretch, p["omega_max_over_pi"] * math.pi, p["n_scan"]))
+    write_json(path, disp.band_gap_records(lam, stretch, cfg["params"]["omega_max_over_pi"] * math.pi))
     return [path]
 
 

@@ -67,90 +67,88 @@ def bloch_cosine(lam: Laminate, stretch: float, omega_norm) -> np.ndarray | floa
     return _cosine(cell_state(lam, stretch), omega_norm)
 
 
-def _scan_grid(omega_max: float, n_scan: int) -> np.ndarray:
-    """The ``n_scan + 1`` scan frequencies of every gap search, allocated up front."""
-    if not omega_max > 0.0:
-        raise DomainError("omega_max must be positive")
-    if n_scan < 1000:
-        raise DomainError("n_scan must be at least 1000")
-    w = np.linspace(0.0, omega_max, n_scan + 1)
-    w[0] = 1e-12 * omega_max
-    return w
-
-
-def _evanescent(cells, w) -> np.ndarray:
-    return np.abs(_cosine(cells, w)) > 1.0
-
-
-def _refine_edges(st: CellState, w: np.ndarray, start: np.ndarray, stop: np.ndarray) -> np.ndarray:
-    """Edges (lo, hi) of the gaps whose evanescent scan samples are ``w[start:stop]``.
-
-    Each edge is bisected between its last scan samples on either side on
-    whether |F| > 1, and the evanescent end is kept, so lo <= hi.  A gap that
-    starts at ``w[0]`` or runs to ``w[-1]`` keeps that sample as its edge.
-    """
-    inn = np.stack([w[start], w[stop - 1]])
-    out = np.stack([w[np.maximum(start - 1, 0)], w[np.minimum(stop, len(w) - 1)]])
-    return bisect(lambda mid: _evanescent(st, mid), inn, out)
-
-
-def _band_gaps(st: CellState, omega_max: float, n_scan: int) -> list[BandGap]:
-    w = _scan_grid(omega_max, n_scan)
-    padded = np.concatenate([[False], _evanescent(st, w), [False]])
-    flips = np.flatnonzero(padded[1:] != padded[:-1])
-    start, stop = flips[::2], flips[1::2]  # first evanescent and next propagating sample
-    lo, hi = _refine_edges(st, w, start, stop).tolist()
-    return [BandGap(lo=a, hi=b, index=i + 1) for i, (a, b) in enumerate(zip(lo, hi))]
-
-
-def bloch_band_gaps(
-    lam: Laminate, stretch: float = 1.0, omega_max: float = 3.0 * math.pi, n_scan: int = 10_000
-) -> list[BandGap]:
-    """Band gaps of the exact dispersion relation up to ``omega_max`` (omega*ell/c).
-
-    Scans ``n_scan`` frequencies for |cos(kappa ell)| > 1, then bisects every
-    gap edge to float resolution (well inside ``EDGE_TOL``).  Returns an empty
-    list when no gap opens (e.g. matched impedances).
-    """
-    return _band_gaps(cell_state(lam, stretch), omega_max, n_scan)
-
-
-def _rytov_factors(t1, t2, w, q) -> np.ndarray:
-    """``cos x cos y - q sin x sin y`` at x = w t1 / 2, y = w t2 / 2."""
+def _rytov_factors(t1, t2, w, turn=(1.0, 0.0)) -> tuple[np.ndarray, np.ndarray]:
+    """(a, b) with sin(k) P(q) - cos(k) S(q) = a - q b at x = w t1 / 2, y = w t2 / 2, for
+    ``turn`` = (sin k, cos k), k a multiple of pi/2: a = cos y sin(k - x) and
+    b = sin y cos(k - x).  k = pi/2 gives P(q) = cos x cos y - q sin x sin y, and
+    k = pi gives S(q) = sin x cos y + q cos x sin y."""
     half = 0.5 * w
     x, y = half * t1, half * t2
-    return np.cos(x) * np.cos(y) - q * (np.sin(x) * np.sin(y))
+    cx, sx = np.cos(x), np.sin(x)
+    sk, ck = turn
+    return np.cos(y) * (sk * cx - ck * sx), np.sin(y) * (ck * cx + sk * sx)
+
+
+def band_gap_edges(cells, n) -> tuple[np.ndarray, np.ndarray]:
+    """Edges (lo, hi) of exact band gap ``n`` of every cell, NaN where it is closed.
+
+    Rytov's factorisation (README, "Notes on the numerics"): the argument phi_q
+    of P(q) + i S(q) (see :func:`_rytov_factors`) rises with omega and stays
+    within pi/2 of x + y, and gap n lies between the frequencies where phi_R and
+    phi_{1/R} reach n pi/2, R = max(z1/z2, z2/z1).  Each is the one zero of
+    sin(n pi/2) P(q) - cos(n pi/2) S(q) on [(n - 1) pi, (n + 1) pi] / (t1 + t2),
+    which is positive below it.  The lower edge is where the first of the two
+    falls below 0, the upper where the last does; both are bisected at once, for
+    every cell and gap, to adjacent floats, keeping the end inside the gap.
+    R = 1, or a gap holding no float, gives NaN.  ``cells`` is anything with the
+    fields t1, t2, z1, z2, each a float or a column (a :class:`CellState` of
+    many cells), and ``n`` a gap number or an array of them; they broadcast.
+    """
+    columns = (np.asarray(v, dtype=float) for v in (cells.t1, cells.t2, cells.z1, cells.z2))
+    # every operand is stacked to the shape (2, cells) of the brackets, the lower edges
+    # in row 0, so that the bisection broadcasts nothing
+    t1, t2, z1, z2, n = (np.stack([v, v]) for v in np.broadcast_arrays(*np.atleast_1d(*columns, n)))
+    r = z1 / z2
+    big = np.maximum(r, 1.0 / r)
+    small = 1.0 / big
+    low = (n - 1) * np.pi / (t1 + t2)
+    # at n pi / max(t1, t2) the thicker layer's phase is n pi/2, so phi_q >= n pi/2
+    # there: for n = 1 the bracket is (0, pi / max(t1, t2)), where P(1/R) >= P(R)
+    top = np.minimum((n + 1) * np.pi / (t1 + t2), n * np.pi / np.maximum(t1, t2))
+    gap = (r != 1.0) & np.isfinite(top)
+    low, top = np.where(gap, low, 0.0), np.where(gap, top, 0.0)  # empty where no gap opens
+    # (sin, cos) of n pi/2, negated for the upper edge: inside the gap one factor is
+    # below 0 (above the lower edge) and the other above 0 (below the upper one)
+    turn = np.array([[0.0, 1.0, 0.0, -1.0], [1.0, 0.0, -1.0, 0.0]])[:, n % 4] * np.array([[1.0], [-1.0]])
+
+    def past_edge(mid):  # the smaller of the factors a - R b and a - b/R is below 0
+        a, b = _rytov_factors(t1, t2, mid, turn)
+        return a < np.maximum(big * b, small * b)
+
+    lo, hi = bisect(past_edge, np.stack([top[0], low[1]]), np.stack([low[0], top[1]]))
+    gap = gap[0] & (lo <= hi)  # r within a few ulp of 1, or a closed gap: no float inside
+    return np.where(gap, lo, math.nan), np.where(gap, hi, math.nan)
 
 
 def first_band_gaps(cells) -> tuple[np.ndarray, np.ndarray]:
-    """Edges (lo, hi) of the first exact band gap of every cell, NaN where none opens.
+    """Edges (lo, hi) of the first exact band gap of every cell, NaN where none opens:
+    :func:`band_gap_edges` at n = 1."""
+    return band_gap_edges(cells, 1)
 
-    Rytov's factorisation (README, "Notes on the numerics") brackets each gap
-    edge on (0, pi / max(t1, t2)) as the one zero there of a factor
-    P(q) = cos x cos y - q sin x sin y, x = omega t1 / 2, y = omega t2 / 2:
-    q = R = max(z1/z2, z2/z1) for the lower edge, 1/R for the upper one.  All
-    are bisected at once to adjacent floats, keeping the end inside the gap.
-    R = 1, or a gap holding no float, gives NaN.  ``cells`` is anything with
-    the fields t1, t2, z1, z2, each a float or a column (a :class:`CellState`
-    of many cells); the edges come as arrays, one entry per cell.
+
+def _band_gaps(st: CellState, omega_max: float) -> list[BandGap]:
+    """Every exact gap of one cell that opens below ``omega_max``, its upper edge cut
+    there, indexed by its Bloch gap number n (a closed gap leaves a hole)."""
+    if not omega_max > 0.0:
+        raise DomainError("omega_max must be positive")
+    # gap n lies above (n - 1) pi / (t1 + t2)
+    n = np.arange(1, math.floor(omega_max * (st.t1 + st.t2) / math.pi) + 2)
+    lo, hi = band_gap_edges(st, n)
+    keep = lo < omega_max
+    return [
+        BandGap(lo=a, hi=min(b, omega_max), index=i)
+        for a, b, i in zip(lo[keep].tolist(), hi[keep].tolist(), n[keep].tolist())
+    ]
+
+
+def bloch_band_gaps(lam: Laminate, stretch: float = 1.0, omega_max: float = 3.0 * math.pi) -> list[BandGap]:
+    """Band gaps of the exact dispersion relation up to ``omega_max`` (omega*ell/c).
+
+    Every gap n that opens below ``omega_max`` (:func:`band_gap_edges`), with
+    its edges at float resolution and its upper edge cut at ``omega_max``.
+    Returns an empty list when no gap opens (e.g. matched impedances).
     """
-    columns = (np.asarray(v, dtype=float) for v in (cells.t1, cells.t2, cells.z1, cells.z2))
-    t1, t2, z1, z2 = np.broadcast_arrays(*np.atleast_1d(*columns))
-    r = z1 / z2
-    big = np.maximum(r, 1.0 / r)
-    top = np.pi / np.maximum(t1, t2)
-    gap = (r != 1.0) & np.isfinite(top)
-    top = np.where(gap, top, 0.0)  # an empty bracket where no gap opens
-    q = np.stack([big, 1.0 / big])
-    # inside the gap P(R) < 0 (above the lower edge) and P(1/R) > 0 (below the upper one)
-    sign = np.array([[1.0], [-1.0]])
-    lo, hi = bisect(
-        lambda mid: sign * _rytov_factors(t1, t2, mid, q) < 0.0,
-        np.stack([top, np.zeros_like(top)]),
-        np.stack([np.zeros_like(top), top]),
-    )
-    gap &= lo <= hi  # r within a few ulp of 1: no float lies inside the gap
-    return np.where(gap, lo, math.nan), np.where(gap, hi, math.nan)
+    return _band_gaps(cell_state(lam, stretch), omega_max)
 
 
 def exact_acoustic_frequency(lam: Laminate, stretch: float, kappa_ell: float) -> float:
@@ -165,7 +163,8 @@ def exact_acoustic_frequency(lam: Laminate, stretch: float, kappa_ell: float) ->
 
     def f(w: float) -> float:
         # cos(kappa ell) in Rytov's factors reads <= -1 at the gap edge even after rounding
-        p, p_inv = _rytov_factors(st.t1, st.t2, w, np.array([r, 1.0 / r]))
+        a, b = _rytov_factors(st.t1, st.t2, w)
+        p, p_inv = a - np.array([r, 1.0 / r]) * b
         return 2.0 * p * p_inv - 1.0 - target
 
     lo, _ = first_band_gaps(st)
@@ -296,30 +295,15 @@ def dispersion_table(
     return ["kappa_ell", "omega_norm", "branch", "theory"], rows
 
 
-def band_gap_records(
-    lam: Laminate, stretch: float = 1.0, omega_max: float = 3.0 * math.pi, n_scan: int = 10_000
-) -> list[dict]:
+def band_gap_records(lam: Laminate, stretch: float = 1.0, omega_max: float = 3.0 * math.pi) -> list[dict]:
     """JSON-ready gap records for both theories, frequencies in units of pi."""
     st = cell_state(lam, stretch)
-    records = [
-        {
-            "index": g.index,
-            "lo_over_pi": g.lo / math.pi,
-            "hi_over_pi": g.hi / math.pi,
-            "theory": "exact",
-        }
-        for g in _band_gaps(st, omega_max, n_scan)
-    ]
+    gaps = [(g, "exact") for g in _band_gaps(st, omega_max)]
     try:
-        g = homogenized_band_gap(st.eff)
-        records.append(
-            {
-                "index": g.index,
-                "lo_over_pi": g.lo / math.pi,
-                "hi_over_pi": g.hi / math.pi,
-                "theory": "homogenized",
-            }
-        )
+        gaps.append((homogenized_band_gap(st.eff), "homogenized"))
     except NoGap:
         pass
-    return records
+    return [
+        {"index": g.index, "lo_over_pi": g.lo / math.pi, "hi_over_pi": g.hi / math.pi, "theory": theory}
+        for g, theory in gaps
+    ]

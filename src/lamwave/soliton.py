@@ -165,6 +165,8 @@ def existence_bound(eff: EffectiveModel) -> float:
 
 def max_strain_amplitude(eff: EffectiveModel) -> float:
     """Strain amplitude reached at the existence bound of the full model."""
+    if eff.zeta <= 0.0:
+        raise NoSoliton("solitary waves need a stiffening laminate (zeta > 0)")
     bound = existence_bound(eff)
     if math.isinf(bound):
         raise NoBound("solitary-wave speeds are unbounded; no strain ceiling exists")

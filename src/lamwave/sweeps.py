@@ -15,6 +15,7 @@ soliton bounds are read row by row.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -105,8 +106,9 @@ def sweep_magnetic(lam: Laminate, spec: SweepSpec) -> SweepResult:
 
     Frequencies are reported as omega*L/c0 with c0 the undeformed effective
     speed, so rows are comparable across stretch states.  Rows where the
-    stretch solve hits the Gent validity limit are flagged ``locked`` instead
-    of aborting the sweep.  The stretch balance has one root at every load
+    stretch solve hits the Gent validity limit, or whose stretch is so small that
+    its fourth power underflows, are flagged ``locked`` instead of aborting the
+    sweep.  The stretch balance has one root at every load
     (:func:`lamwave.materials.stretch_roots`), so ``n_stretch_roots`` is 1
     on every row and the ``multi_root_rows`` summary is 0.
     """
@@ -120,7 +122,13 @@ def sweep_magnetic(lam: Laminate, spec: SweepSpec) -> SweepResult:
         raise DomainError("magnetic load must be finite")
     materials.dimensionless_load_rhs(lam, MagneticLoad(bn_br_product=0.0))
     stretch, errors = materials.stretch_roots(lam, values)
-    free = stretch[~np.isnan(stretch)]
+    notes = {i: str(exc) for i, exc in errors.items()}
+    # g = x^2 G and h = 3 x^4 G' lose their value once x^4 leaves the normal float
+    # range (x < 1.2e-77: a neo-Hookean or Yeoh stack under a load near -1e300)
+    for i in np.flatnonzero(stretch < sys.float_info.min ** 0.25).tolist():
+        notes[i] = f"stretch {stretch[i]:.6g} underflows: its fourth power is below the float range"
+    locked = np.isin(np.arange(len(values)), list(notes))
+    free = stretch[~locked]
     with np.errstate(**_FLOAT_ERRORS):
         st = cell_state(lam, free)
         # omega*L/c0 = (omega*ell/c) * c / (stretch * c0)
@@ -129,14 +137,14 @@ def sweep_magnetic(lam: Laminate, spec: SweepSpec) -> SweepResult:
                              "gap_homog_hi", "max_speed_ratio", "max_strain"), math.nan)
     rows = []
     for i, (p, x) in enumerate(zip(values.tolist(), stretch.tolist())):
-        row: dict = {"load_product": p, "locked": int(i in errors), "n_stretch_roots": 1}
-        if i in errors:
-            row.update(no_root, note=str(errors[i]))
+        row: dict = {"load_product": p, "locked": int(i in notes), "n_stretch_roots": 1}
+        if i in notes:
+            row.update(no_root, note=notes[i])
         else:
             row.update(stretch=x, **next(unlocked))
         rows.append(row)
     summary = {
-        "n_locked": len(errors),
+        "n_locked": len(notes),
         "stretch_min": float(free.min()) if free.size else math.nan,
         "stretch_max": float(free.max()) if free.size else math.nan,
         "multi_root_rows": 0,

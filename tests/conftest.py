@@ -17,7 +17,8 @@ import numpy as np
 import pytest
 
 import lamwave as lw
-from lamwave import fv_sim, soliton, spectral_sim
+from lamwave import dispersion, fv_sim, soliton, spectral_sim
+from lamwave._roots import brentq
 from lamwave.homogenize import effective_model
 
 
@@ -58,6 +59,37 @@ def with_contrast(lam: lw.Laminate, ratio: float) -> lw.Laminate:
 def columns(states) -> Cell:
     """A list of cell states (or Cells) as one Cell of columns, as first_band_gaps reads them."""
     return Cell(*np.array([(s.t1, s.t2, s.z1, s.z2) for s in states], dtype=float).reshape(-1, 4).T)
+
+
+def oracle_gaps(cell, omega_max: float, n_scan: int) -> list[tuple[int, float, float]]:
+    """Every exact gap below ``omega_max`` by an independent route, as (n, lo, hi).
+
+    Scans |F| = |cos(kappa ell)| > 1 on ``n_scan + 1`` frequencies and refines each
+    edge by Brent on |F| - 1 between its two scan samples; a gap running past the
+    ceiling keeps it as its upper edge.  The gap number n is the unfolded wave
+    number kappa ell / pi at the gap: the total variation of arccos F below it,
+    in units of pi, which also counts a closed gap (F touching +-1).  A gap
+    narrower than a scan step may be missed, and a run of evanescent samples in
+    which F changes sign (a pass band inside one step) is left out.
+    """
+    w = np.linspace(0.0, omega_max, n_scan + 1)
+    w[0] = 1e-12 * w[-1]
+    f = dispersion._cosine(cell, w)
+    kappa = np.concatenate([[0.0], np.cumsum(np.abs(np.diff(np.arccos(np.clip(f, -1.0, 1.0)))))])
+    padded = np.concatenate([[False], np.abs(f) > 1.0, [False]])
+    flips = np.flatnonzero(padded[1:] != padded[:-1])
+
+    def edge(a: float, b: float) -> float:
+        return brentq(lambda x: abs(dispersion._cosine(cell, x)) - 1.0, a, b, xtol=dispersion.EDGE_TOL)
+
+    gaps = []
+    for i, j in zip(flips[::2], flips[1::2]):  # first evanescent and next propagating sample
+        if np.ptp(np.sign(f[i:j])):
+            continue
+        lo = edge(w[i - 1], w[i]) if i else w[0]
+        hi = edge(w[j - 1], w[j]) if j < len(w) else w[-1]
+        gaps.append((round(kappa[i] / math.pi), lo, hi))
+    return gaps
 
 
 @pytest.fixture(scope="session")

@@ -138,12 +138,13 @@ class TestValidation:
             ("effective", None, None, 1e300),
             ("effective", None, None, 1e-300),
             ("dispersion", {"n": 1e300}, None, None),
-            ("bandgap", {"n_scan": 1e300}, None, None),
+            # omega_max_over_pi at its cap n_scan/4: the gap numbers overflow memory
+            ("bandgap", {"n_scan": 1e300, "omega_max_over_pi": 1e300 / 4}, None, None),
             ("soliton", {"n": 1e300}, None, None),
             ("sweep", {"variable": "magnetic_load_product", "lo": -1.0, "hi": 1.0, "n": 1e300}, None, None),
             # arrays of more than 2**47 bytes: the allocation fails at once, it never pages
             ("dispersion", {"n": 1e15}, None, None),
-            ("bandgap", {"n_scan": 1e15}, None, None),
+            ("bandgap", {"n_scan": 1e15, "omega_max_over_pi": 1e15 / 4}, None, None),
             ("soliton", {"n": 1e15}, None, None),
             ("sweep", {"variable": "magnetic_load_product", "lo": -1.0, "hi": 1.0, "n": 1e15}, None, None),
             ("simulate-mkdv", {"n_points": 1e15, "window_factor": 8}, None, None),
@@ -201,6 +202,15 @@ class TestArtifacts:
         (records,) = [json.loads(p.read_text()) for p in out.glob("bandgap_*.json")]
         exact = [r for r in records if r["theory"] == "exact"]
         assert exact[0]["lo_over_pi"] == pytest.approx(0.83, abs=0.01)
+
+    def test_bandgap_bytes_do_not_depend_on_n_scan(self, tmp_path):
+        """n_scan only caps omega_max_over_pi: 1000 and 10^6 write the same gap records."""
+        written = []
+        for n_scan in (1000, 10**6):
+            payload = {"command": "bandgap", "laminate": BENCH_LAMINATE, "params": {"n_scan": n_scan}}
+            (path,) = run_ok(tmp_path, payload, f"n{n_scan}").glob("bandgap_*.json")
+            written.append(path.read_bytes())
+        assert written[0] == written[1]
 
     def test_dispersion_emits_both_views(self, tmp_path):
         payload = {"command": "dispersion", "laminate": BENCH_LAMINATE,

@@ -12,10 +12,11 @@ from hypothesis import strategies as st
 import lamwave as lw
 from lamwave import dispersion as dsp
 from lamwave import materials as m
+from lamwave._roots import bisect
 from lamwave.errors import NoGap
 from lamwave.homogenize import cell_state, effective_model
 
-from conftest import Cell, columns
+from conftest import Cell, columns, oracle_gaps
 
 
 def monodromy_half_trace(lam: lw.Laminate, stretch: float, omega_norm: float) -> float:
@@ -95,15 +96,15 @@ class TestBandGaps:
     def test_homogeneous_has_none(self):
         p = lw.Phase(lw.HyperelasticModel("neo-hookean", 2e6), 1000.0, 0.5)
         lam = lw.Laminate(p, dataclasses.replace(p), 0.01)
-        assert dsp.bloch_band_gaps(lam, 1.0, 3.0 * math.pi, 2000) == []
+        assert dsp.bloch_band_gaps(lam, 1.0, 3.0 * math.pi) == []
 
     def test_benchmark_first_gap(self, bilam):
-        gaps = dsp.bloch_band_gaps(bilam, 1.0, 3.0 * math.pi, 4000)
+        gaps = dsp.bloch_band_gaps(bilam, 1.0, 3.0 * math.pi)
         assert gaps[0].lo == pytest.approx(0.83 * math.pi, abs=0.01 * math.pi)
         assert gaps[0].hi == pytest.approx(1.27 * math.pi, abs=0.01 * math.pi)
 
     def test_matched_impedance_gap_closes(self, matched_bilam):
-        gaps = dsp.bloch_band_gaps(matched_bilam, 1.0, 2.0 * math.pi, 4000)
+        gaps = dsp.bloch_band_gaps(matched_bilam, 1.0, 2.0 * math.pi)
         assert not gaps or gaps[0].width < 1e-6
 
     def test_scan_evaluates_coefficients_once_per_phase(self, bilam, monkeypatch):
@@ -117,37 +118,105 @@ class TestBandGaps:
         for name, mod in list(sys.modules.items()):
             if name.startswith("lamwave") and getattr(mod, "shear_coefficients", None) is original:
                 monkeypatch.setattr(mod, "shear_coefficients", counted)
-        gaps = dsp.bloch_band_gaps(bilam, 1.0, 3.0 * math.pi, 10_000)
+        gaps = dsp.bloch_band_gaps(bilam, 1.0, 3.0 * math.pi)
         assert gaps
         assert len(calls) <= 2
 
     def test_edges_refined(self, bilam):
-        gaps = dsp.bloch_band_gaps(bilam, 1.0, 2.0 * math.pi, 2000)
+        gaps = dsp.bloch_band_gaps(bilam, 1.0, 2.0 * math.pi)
         for edge in (gaps[0].lo, gaps[0].hi):
             assert abs(abs(float(dsp.bloch_cosine(bilam, 1.0, edge))) - 1.0) < 1e-8
 
     def test_edges_at_float_resolution(self, bilam):
         """Each edge is evanescent, and the next float outward propagates."""
-        for gap in dsp.bloch_band_gaps(bilam, 1.0, 3.0 * math.pi, 4000):
+        for gap in dsp.bloch_band_gaps(bilam, 1.0, 3.0 * math.pi):
             for edge, outward in ((gap.lo, -math.inf), (gap.hi, math.inf)):
                 assert abs(dsp.bloch_cosine(bilam, 1.0, edge)) > 1.0
                 assert abs(dsp.bloch_cosine(bilam, 1.0, math.nextafter(edge, outward))) <= 1.0
 
     def test_first_gaps_match_all_gaps(self, bilam, matched_bilam, low_disp_bilam):
-        """The closed-form first gaps and the first gaps of the one-row scan agree to EDGE_TOL."""
+        """The first gaps of many cells are gap 1 of each one's all-gaps search, bit for bit,
+        and gap 1 of the scan oracle to EDGE_TOL."""
         lams = [bilam, matched_bilam, low_disp_bilam, bilam]
         stretches = [1.0, 1.0, 1.0, 1.6]
         states = [cell_state(lam, s) for lam, s in zip(lams, stretches)]
         lo, hi = dsp.first_band_gaps(columns(states))
-        for st, a, b in zip(states, lo, hi):
-            gaps = dsp._band_gaps(st, 3.0 * math.pi, 4000)
-            if gaps:
-                assert abs(a - gaps[0].lo) <= dsp.EDGE_TOL
-                assert abs(b - gaps[0].hi) <= dsp.EDGE_TOL
+        for st, a, b in zip(states, lo.tolist(), hi.tolist()):
+            gaps = [g for g in dsp._band_gaps(st, 3.0 * math.pi) if g.index == 1]
+            oracle = [(g_lo, g_hi) for n, g_lo, g_hi in oracle_gaps(st, 3.0 * math.pi, 4000) if n == 1]
+            if oracle:
+                assert (gaps[0].lo, gaps[0].hi) == (a, b)
+                assert abs(a - oracle[0][0]) <= dsp.EDGE_TOL
+                assert abs(b - oracle[0][1]) <= dsp.EDGE_TOL
             else:
-                assert math.isnan(a) and math.isnan(b)
+                assert not gaps and math.isnan(a) and math.isnan(b)
         empty = dsp.first_band_gaps(columns([]))
         assert [len(x) for x in empty] == [0, 0]
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        t1=st.floats(0.02, 0.98),
+        shrink=st.floats(0.8, 1.0),
+        log_r=st.floats(math.log(1e-3), math.log(1e3)),
+    )
+    def test_all_gaps_match_oracle(self, t1, shrink, log_r):
+        """Every gap the scan oracle resolves up to 6 pi is found, with its Bloch gap
+        number and its edges within EDGE_TOL."""
+        cell = Cell(t1=t1, t2=(1.0 - t1) * shrink, z1=math.exp(log_r), z2=1.0)
+        omega_max = 6.0 * math.pi
+        gaps = {g.index: g for g in dsp._band_gaps(cell, omega_max)}
+        for n, lo, hi in oracle_gaps(cell, omega_max, 20_000):
+            assert abs(gaps[n].lo - lo) <= dsp.EDGE_TOL
+            assert abs(gaps[n].hi - hi) <= dsp.EDGE_TOL
+
+    def test_gaps_a_scan_step_misses(self):
+        """Two near-matched neo-Hookean phases: gaps 1, 2 and 3 below 3 pi, each under
+        3e-4 wide.  A 10,000-frequency scan sees only gap 3, cut at 3 pi."""
+        lam = lw.Laminate(
+            lw.Phase(lw.HyperelasticModel("neo-hookean", 4.7e6), 930.0, 0.7),
+            lw.Phase(lw.HyperelasticModel("neo-hookean", 4.699e6), 930.0, 0.3),
+            0.01,
+        )
+        gaps = dsp.bloch_band_gaps(lam, 1.0, 3.0 * math.pi)
+        assert [g.index for g in gaps] == [1, 2, 3]
+        assert all(0.0 < g.width < 3e-4 for g in gaps)
+        (lo,), (hi,) = dsp.first_band_gaps(cell_state(lam, 1.0))
+        assert (gaps[0].lo, gaps[0].hi) == (lo, hi)
+        assert gaps[2].hi == 3.0 * math.pi
+        coarse = oracle_gaps(cell_state(lam, 1.0), 3.0 * math.pi, 10_000)
+        assert [n for n, _, _ in coarse] == [3]
+        fine = oracle_gaps(cell_state(lam, 1.0), 3.0 * math.pi, 200_000)
+        assert [n for n, _, _ in fine] == [1, 2, 3]
+        for gap, (_, a, b) in zip(gaps, fine):
+            assert abs(gap.lo - a) <= dsp.EDGE_TOL and abs(gap.hi - b) <= dsp.EDGE_TOL
+
+    def test_equal_travel_closes_even_gaps(self):
+        """With t1 = t2, S(q) = sin x cos x (1 + q) vanishes at x = pi/2 for both q: gap 2
+        closes (absent, or narrower than 1e-12) and the numbering of gap 3 holds."""
+        cell = Cell(t1=0.45, t2=0.45, z1=3.0, z2=1.0)
+        gaps = {g.index: g for g in dsp._band_gaps(cell, 4.0 * math.pi)}
+        assert gaps.keys() >= {1, 3}
+        assert 2 not in gaps or gaps[2].width < 1e-12
+        assert gaps[3].lo > gaps[1].hi + 1.0
+
+    def test_one_bisection_and_no_frequency_grid(self, bilam, monkeypatch):
+        """band_gap_records brackets both edges of each gap number once, all in one
+        bisection, and samples no frequency grid."""
+        brackets = []
+
+        def counted(inside, inn, out):
+            brackets.append(inn.shape)
+            return bisect(inside, inn, out)
+
+        def no_grid(*args, **kwargs):
+            raise AssertionError("a frequency grid was built")
+
+        monkeypatch.setattr(dsp, "bisect", counted)
+        monkeypatch.setattr(np, "linspace", no_grid)
+        records = dsp.band_gap_records(bilam, 1.0, 3.0 * math.pi)
+        # t1 + t2 = 0.93: gaps 1, 2 and 3 start below 3 pi (t1 + t2) / pi + 1; gap 3 opens above
+        assert brackets == [(2, 3)]
+        assert [r["index"] for r in records if r["theory"] == "exact"] == [1, 2]
 
 
 def one_plus_cosine(cell, w: float) -> float:
@@ -167,16 +236,15 @@ class TestClosedFormFirstGap:
         log_r=st.floats(math.log(1e-3), math.log(1e3)),
     )
     def test_matches_scan(self, t1, shrink, log_r):
-        """Where the scan resolves the first gap, both give its edges to EDGE_TOL."""
+        """Where the scan oracle resolves gap 1, both give its edges to EDGE_TOL."""
         cell = Cell(t1=t1, t2=(1.0 - t1) * shrink, z1=math.exp(log_r), z2=1.0)
         (lo,), (hi,) = dsp.first_band_gaps(cell)
-        omega_max, n_scan = 3.0 * math.pi, 4000
-        step = omega_max / n_scan
-        if not (hi - lo > step and hi < omega_max - step):
+        omega_max = 3.0 * math.pi
+        oracle = [(a, b) for n, a, b in oracle_gaps(cell, omega_max, 4000) if n == 1]
+        if not oracle or oracle[0][1] == omega_max:
             return  # too narrow for the scan, or cut by its ceiling
-        gap = dsp._band_gaps(cell, omega_max, n_scan)[0]
-        assert abs(lo - gap.lo) <= dsp.EDGE_TOL
-        assert abs(hi - gap.hi) <= dsp.EDGE_TOL
+        assert abs(lo - oracle[0][0]) <= dsp.EDGE_TOL
+        assert abs(hi - oracle[0][1]) <= dsp.EDGE_TOL
 
     def test_edges_at_float_resolution(self, bilam, low_disp_bilam):
         """Each edge is evanescent, and the next float outward propagates."""
@@ -200,15 +268,18 @@ class TestClosedFormFirstGap:
 
     def test_gap_narrower_than_a_scan_step(self):
         """A gap 1e-3 wide, under the 2.4e-3 step of a 4000-frequency scan to 3 pi, is found;
-        that scan steps over it and reports the second gap first."""
+        that scan steps over it, and its first gap is gap 2."""
         cell = Cell(t1=0.7148705720283964, t2=0.17192873424055835, z1=1.000801746581671, z2=1.0)
         (lo,), (hi,) = dsp.first_band_gaps(cell)
         assert 0.0 < hi - lo < 3.0 * math.pi / 4000
-        coarse = dsp._band_gaps(cell, 3.0 * math.pi, 4000)[0]
-        assert coarse.lo > hi + 1.0
-        fine = dsp._band_gaps(cell, 3.0 * math.pi, 100_000)[0]
-        assert abs(lo - fine.lo) <= dsp.EDGE_TOL
-        assert abs(hi - fine.hi) <= dsp.EDGE_TOL
+        gaps = dsp._band_gaps(cell, 3.0 * math.pi)
+        assert (gaps[0].index, gaps[0].lo, gaps[0].hi) == (1, lo, hi)
+        coarse = oracle_gaps(cell, 3.0 * math.pi, 4000)[0]
+        assert coarse[0] == 2 and coarse[1] > hi + 1.0
+        fine = oracle_gaps(cell, 3.0 * math.pi, 100_000)[0]
+        assert fine[0] == 1
+        assert abs(lo - fine[1]) <= dsp.EDGE_TOL
+        assert abs(hi - fine[2]) <= dsp.EDGE_TOL
 
     def test_acoustic_branch_ends_at_lower_edge(self, bilam, low_disp_bilam):
         """At kappa*ell = pi the acoustic-branch inversion returns the lower gap edge."""
@@ -303,7 +374,7 @@ class TestLongWaveAgreement:
         assert slope == pytest.approx(4.0, abs=0.4)
 
     def test_first_cutoff_within_two_percent(self, bilam, eff):
-        exact = dsp.bloch_band_gaps(bilam, 1.0, 2.0 * math.pi, 4000)[0]
+        exact = dsp.bloch_band_gaps(bilam, 1.0, 2.0 * math.pi)[0]
         homog = dsp.homogenized_band_gap(eff)
         assert homog.lo == pytest.approx(exact.lo, rel=0.02)
 
@@ -346,7 +417,7 @@ class TestSampling:
         assert [r for r in rows if r[3] == "homogenized"] == want
 
     def test_gap_records(self, bilam):
-        records = dsp.band_gap_records(bilam, 1.0, 2.0 * math.pi, 4000)
+        records = dsp.band_gap_records(bilam, 1.0, 2.0 * math.pi)
         exact = [r for r in records if r["theory"] == "exact"]
         homog = [r for r in records if r["theory"] == "homogenized"]
         assert exact and homog

@@ -36,7 +36,7 @@ def test_brentq_matches_scipy_bit_for_bit(f, a, b, xtol):
 
 
 def test_brentq_matches_scipy_on_every_gap_edge(bilam):
-    """The kinked |cos(kappa ell)| - 1 brackets that the band-gap scan refines."""
+    """The kinked |cos(kappa ell)| - 1 brackets that the test oracle of the band gaps refines."""
     optimize = pytest.importorskip("scipy.optimize")
     st = cell_state(bilam, 1.0)
     w = np.linspace(0.0, 6.0 * math.pi, 4001)
@@ -87,7 +87,7 @@ def test_golden_max_finds_the_closed_form_eta_argmax(bilam):
 
 
 def test_cli_runs_without_scipy(tmp_path):
-    """Importing the CLI and running a band-gap scan and an argmax sweep loads no scipy module."""
+    """Importing the CLI and running a band-gap search and an argmax sweep loads no scipy module."""
     laminate = {
         "phases": [
             {"model": {"kind": "Gent", "G_pa": g, "beta": 0.0132}, "rho": 930.0, "nu": 0.5,

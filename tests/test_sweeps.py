@@ -1,5 +1,8 @@
 """Tunability sweeps: magnetic load, volume fraction, modulus contrast."""
 
+import contextlib
+import io
+import json
 import math
 import sys
 import tracemalloc
@@ -7,12 +10,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from lamwave import dispersion, materials, soliton, sweeps
-from lamwave._roots import brentq
+from lamwave import cli, dispersion, materials, soliton, sweeps
 from lamwave.errors import DomainError, LamwaveError
 from lamwave.homogenize import cell_state, effective_model
 
-from conftest import Cell, columns, with_contrast, with_volume_fraction
+from conftest import Cell, columns, oracle_gaps, with_contrast, with_volume_fraction
 
 
 class TestSpec:
@@ -110,6 +112,31 @@ class TestMagneticSweep:
         assert math.isnan(res.rows[0]["stretch"])
         assert res.rows[1]["locked"] == 0  # the zero-load midpoint survives
 
+    @pytest.mark.parametrize("kind, beta", [("neo-hookean", None), ("yeoh", 0.0132)])
+    def test_underflowing_stretch_flagged_not_fatal(self, tmp_path, kind, beta):
+        """On a stack with no lock, a load near -1e300 gives a stretch whose fourth power
+        underflows: the run exits 0, that row is flagged locked with a note naming the
+        underflow, and every other row is the one its own cell state gives."""
+        phases = [{"model": {"kind": kind, "G_pa": g, **({"beta": beta} if beta else {})},
+                   "rho": 930.0, "nu": 0.5} for g in (4.7e6, 0.94e6)]
+        payload = {"command": "sweep", "laminate": {"phases": phases, "period_m": 0.01},
+                   "params": {"variable": "magnetic_load_product", "lo": -1e300, "hi": 1e300, "n": 5}}
+        path = tmp_path / "sweep.json"
+        path.write_text(json.dumps(payload))
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.run(path, tmp_path / "out") == 0
+        (table,) = (tmp_path / "out").glob("sweep_*.csv")
+        header, row0 = [line for line in table.read_text().splitlines() if line[0] != "#"][:2]
+        assert dict(zip(header.split(","), row0.split(",")))["locked"] == "1"
+
+        lam = cli.laminate_from_config(payload["laminate"])
+        result = sweeps.sweep_magnetic(lam, sweeps.SweepSpec(**payload["params"]))
+        assert "underflows" in result.rows[0]["note"]
+        assert result.summary["n_locked"] == sum(row["locked"] for row in result.rows) < 5
+        for row, want in zip(result.rows, _per_row(lam, result)):
+            for key, value in (want or {}).items():
+                assert row[key] == pytest.approx(value, rel=COLUMN_RTOL, abs=0.0, nan_ok=True), key
+
 
 class TestVolumeFractionSweep:
     @pytest.fixture
@@ -189,22 +216,9 @@ ORACLE_N_SCAN = 4000
 
 
 def _oracle_first_gap(st, omega_max=ORACLE_OMEGA_MAX, n_scan=ORACLE_N_SCAN) -> tuple[float, float]:
-    """First gap by an independent route: Brent on |cos(kappa ell)| - 1 in each scan bracket."""
-    w = np.linspace(0.0, omega_max, n_scan + 1)
-    w[0] = 1e-12 * w[-1]
-    inside = np.abs(dispersion._cosine(st, w)) > 1.0
-    if not inside.any():
-        return math.nan, math.nan
-    i = int(np.argmax(inside))
-    after = ~inside[i:]
-    j = i + int(np.argmax(after)) if after.any() else len(w)
-
-    def f(x):
-        return abs(dispersion._cosine(st, x)) - 1.0
-
-    lo = brentq(f, w[i - 1], w[i], xtol=dispersion.EDGE_TOL) if i else w[0]
-    hi = brentq(f, w[j - 1], w[j], xtol=dispersion.EDGE_TOL) if j < len(w) else w[-1]
-    return lo, hi
+    """Gap 1 by an independent route (the all-gaps scan oracle), NaN where it sees none."""
+    return next(((lo, hi) for n, lo, hi in oracle_gaps(st, omega_max, n_scan) if n == 1),
+                (math.nan, math.nan))
 
 
 def _row_states(lam, result) -> list:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._roots import bisect, brentq
+from ._roots import bisect
 from .errors import DomainError, NoGap
 from .homogenize import CellState, EffectiveModel, cell_state
 from .materials import Laminate
@@ -160,16 +160,17 @@ def exact_acoustic_frequency(lam: Laminate, stretch: float, kappa_ell: float) ->
     target = math.cos(kappa_ell)
     st = cell_state(lam, stretch)
     r = st.z1 / st.z2
+    q = np.array([r, 1.0 / r])
 
-    def f(w: float) -> float:
-        # cos(kappa ell) in Rytov's factors reads <= -1 at the gap edge even after rounding
+    def below(w):  # cos(kappa ell) = 2 P(R) P(1/R) - 1 falls with omega on the acoustic branch
         a, b = _rytov_factors(st.t1, st.t2, w)
-        p, p_inv = a - np.array([r, 1.0 / r]) * b
-        return 2.0 * p * p_inv - 1.0 - target
+        p, p_inv = a - q * b
+        return 2.0 * p * p_inv - 1.0 > target
 
+    # it reads 1 at omega = 0, and <= -1 at the first gap's lower edge even after rounding
     lo, _ = first_band_gaps(st)
     hi = float(lo[0]) if math.isfinite(lo[0]) else math.pi
-    return brentq(f, 1e-14, hi, xtol=1e-14, rtol=8.9e-16, maxiter=300)
+    return float(bisect(below, 0.0, hi))
 
 
 def homogenized_branch_frequencies(eff: EffectiveModel, kappa_ell) -> np.ndarray:

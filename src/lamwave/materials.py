@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._roots import bisect, brentq
+from ._roots import bisect
 from .errors import DomainError, GentLocking, InversionFailure, NoRoot
 
 MU0 = 4.0e-7 * math.pi  # vacuum permeability, N/A^2
@@ -194,7 +194,11 @@ def shear_coefficients(model: HyperelasticModel, stretch) -> ShearCoefficients:
     d = uniaxial_invariant_excess(stretch)
     l2 = stretch * stretch
     g = l2 * _modulus(model, d)
-    h = 3.0 * l2 * l2 * _modulus_slope(model, d)
+    slope = _modulus_slope(model, d)
+    if np.any(slope):
+        h = 3.0 * l2 * l2 * slope
+    else:  # G' = 0 (neo-Hookean, or beta = 0): h is 0, also where x^4 overflows
+        h = np.zeros(np.shape(l2)) if np.ndim(l2) else 0.0
     return ShearCoefficients(g=g, h=h)
 
 
@@ -396,18 +400,15 @@ def _locking_stretch(beta: float, side: float, margin: float = 0.0) -> float:
     """Stretch at which a Gent phase's 1 - beta*(I1 - 3) falls to ``margin``.
 
     ``side >= 0`` picks the tension side, a negative ``side`` the compression side.
+    Returns the last float, counted from 1, at which I1 - 3 <= (1 - margin)/beta:
+    the unlocked end of the adjacent-float pair across the lock.
     """
     d_lock = (1.0 - margin) / beta
     i1 = 3.0 + d_lock
-
-    def f(x: float) -> float:
-        return uniaxial_invariant_excess(x) - d_lock
-
-    # f(1) = -d_lock < 0, while f(i1) = i1^2 + 2/i1 - i1 > 0 and
-    # f(1/i1) = 1/i1^2 + i1 > 0 even after rounding
-    if side >= 0.0:
-        return brentq(f, 1.0, i1, xtol=0.0)
-    return brentq(f, 1.0 / i1, 1.0, xtol=0.0)
+    # I1 - 3 - d_lock is -d_lock < 0 at 1, while it is i1^2 + 2/i1 - i1 > 0 at i1 and
+    # 1/i1^2 + i1 > 0 at 1/i1 even after rounding
+    end = i1 if side >= 0.0 else 1.0 / i1
+    return float(bisect(lambda x: uniaxial_invariant_excess(x) <= d_lock, 1.0, end))
 
 
 def stretch_roots(lam: Laminate, loads) -> tuple[np.ndarray, dict[int, NoRoot]]:

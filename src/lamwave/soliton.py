@@ -18,11 +18,9 @@ from enum import Enum
 
 import numpy as np
 
+from ._roots import bisect
 from .errors import NoBound, NoSoliton, NotReached
 from .homogenize import EffectiveModel
-
-#: bisection tolerance on s/c used by validity-speed searches
-SPEED_TOL = 1e-8
 
 
 class WaveModel(Enum):
@@ -193,9 +191,11 @@ def _amplitude_ratio(variant: WaveModel, s: float) -> float:
 def mkdv_validity_speed(eff: EffectiveModel, variant: WaveModel, rel_err: float = 0.1) -> float:
     """Smallest s/c > 1 at which the variant's amplitude departs from the full model.
 
-    Bisects |delta_variant/delta_full - 1| = ``rel_err``.  The comparison uses
-    the closed amplitude-velocity laws, which remain defined past the full
-    model's existence bound.
+    Bisects |delta_variant/delta_full - 1| < ``rel_err`` to adjacent floats and
+    returns the last s/c at which it holds.  The comparison uses the closed
+    amplitude-velocity laws, which remain defined past the full model's
+    existence bound.  The amplitude error stays below 1 at every speed, so
+    ``rel_err >= 1`` (or NaN) raises :class:`NotReached`.
     """
     if rel_err < 0.0:
         raise NotReached("rel_err must be non-negative")
@@ -203,24 +203,13 @@ def mkdv_validity_speed(eff: EffectiveModel, variant: WaveModel, rel_err: float 
         return 1.0
     if variant is WaveModel.FULL:
         raise NotReached("the full model has zero amplitude error by definition")
-
-    def err(s: float) -> float:
-        return abs(_amplitude_ratio(variant, s) - 1.0)
-
-    lo, hi = 1.0, 1.0 + 1e-6
-    for _ in range(200):
-        if err(hi) >= rel_err:
-            break
-        lo, hi = hi, 1.0 + 2.0 * (hi - 1.0)
-    else:
+    if not rel_err < 1.0:
         raise NotReached(f"amplitude error never reaches {rel_err:.3g}")
-    while hi - lo > SPEED_TOL:
-        m = 0.5 * (lo + hi)
-        if err(m) < rel_err:
-            lo = m
-        else:
-            hi = m
-    return 0.5 * (lo + hi)
+    # the slow-time error 1 - sqrt(2/(s + 1)) reaches rel_err at s = 2/(1 - rel_err)^2 - 1;
+    # the slow-space amplitude ratio is smaller by s^(3/2) >= 1, so its error gets there
+    # no later; the bracket end 2/(1 - rel_err)^2 lies past both by more than rounding
+    hi = 2.0 / (1.0 - rel_err) ** 2
+    return float(bisect(lambda s: abs(_amplitude_ratio(variant, s) - 1.0) < rel_err, 1.0, hi))
 
 
 def shock_distance(eff: EffectiveModel, velocity: float, kappa: float) -> float:

@@ -133,8 +133,9 @@ def sweep_magnetic(lam: Laminate, spec: SweepSpec) -> SweepResult:
         st = cell_state(lam, free)
         # omega*L/c0 = (omega*ell/c) * c / (stretch * c0)
         unlocked = iter(_rows(st, st.eff.c / (free * c0), st.eff.c / c0))
-    no_root = dict.fromkeys(("stretch", "eta", "gap_exact_lo", "gap_exact_hi", "gap_homog_lo",
-                             "gap_homog_hi", "max_speed_ratio", "max_strain"), math.nan)
+    no_root = dict.fromkeys(("stretch", "eta", "zeta", "gap_exact_lo", "gap_exact_hi",
+                             "gap_homog_lo", "gap_homog_hi", "max_speed_ratio", "max_strain"),
+                            math.nan)
     rows = []
     for i, (p, x) in enumerate(zip(values.tolist(), stretch.tolist())):
         row: dict = {"load_product": p, "locked": int(i in notes), "n_stretch_roots": 1}

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import sys
 from typing import NamedTuple
 
 import numpy as np
@@ -18,8 +19,70 @@ import pytest
 
 import lamwave as lw
 from lamwave import dispersion, fv_sim, soliton, spectral_sim
-from lamwave._roots import brentq
 from lamwave.homogenize import effective_model
+
+
+# Brent's zero finder (Brent, *Algorithms for Minimization without Derivatives*,
+# 1973, ch. 4), step for step the common C formulation of it, with its stopping
+# rule |x - x0| <= xtol + rtol * |x0|; test_roots.py checks that it returns the
+# same bits as that routine.  The library bisects every root; this is the gap
+# oracle's independent route.
+def _value(f, x: float) -> float:
+    fx = float(f(x))
+    if math.isnan(fx):
+        raise ValueError(f"the function value at x={x} is NaN; solver cannot continue")
+    return fx
+
+
+def brentq(
+    f, a: float, b: float, xtol: float, rtol: float = 4 * sys.float_info.epsilon, maxiter: int = 100
+) -> float:
+    """Zero of ``f`` in [a, b], where f(a) and f(b) differ in sign.
+
+    Stops once the bracket is narrower than ``xtol + rtol * |x|``.  Raises
+    ``ValueError`` on a same-sign bracket, a NaN value or after ``maxiter``
+    steps without convergence.
+    """
+    xpre, xcur = float(a), float(b)
+    fpre, fcur = _value(f, xpre), _value(f, xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise ValueError("f(a) and f(b) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(maxiter):
+        if fpre != 0.0 and fcur != 0.0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):  # keep the best point in xcur
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2.0
+        sbis = (xblk - xcur) / 2.0
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # secant
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # inverse quadratic
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta):
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0.0 else -delta
+        fcur = _value(f, xcur)
+    raise ValueError(f"failed to converge after {maxiter} iterations, value is {xcur}")
 
 
 class Cell(NamedTuple):

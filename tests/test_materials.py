@@ -111,6 +111,17 @@ class TestShearCoefficients:
         gm = m.generalized_shear_modulus(model, I1 - step)
         assert sc.h == pytest.approx(3.0 * lam**4 * (gp - gm) / (2 * step), rel=1e-6)
 
+    @pytest.mark.parametrize("kind, beta", [("neo-hookean", 0.0), ("yeoh", 0.0), ("gent", 0.0)])
+    def test_h_is_zero_where_the_fourth_power_overflows(self, kind, beta):
+        """G' = 0 gives h = 0 exactly, also where x^4 overflows (inf * 0 would be NaN),
+        with the shape of the stretch."""
+        model = lw.HyperelasticModel(kind, 4.7e6, beta)
+        stretch = np.array([1.0, 7e149, 1e150])
+        sc = m.shear_coefficients(model, stretch)
+        assert sc.h.shape == (3,) and np.all(sc.h == 0.0)
+        one = m.shear_coefficients(model, 1e150)
+        assert type(one.h) is float and one.h == 0.0
+
     def test_positive_g_nonnegative_h(self):
         for kind in KINDS_NL:
             for stretch in (0.6, 1.0, 1.7):
@@ -300,6 +311,18 @@ class TestStretchFromField:
         assert lock is not None and lock < 1.0
         I1 = m.uniaxial_first_invariant(lock)
         assert 1.0 - 0.0132 * (I1 - 3.0) == pytest.approx(0.0, abs=1e-9)
+
+    @pytest.mark.parametrize("margin", [0.0, 2.0 * m.GENT_MARGIN])
+    @pytest.mark.parametrize("side", [1.0, -1.0])
+    @pytest.mark.parametrize("beta", [1e-6, 0.0132, 1e3])
+    def test_locking_stretch_is_the_last_unlocked_float(self, beta, side, margin):
+        """The locking stretch is the float, counted from 1, after which I1 - 3 first
+        exceeds (1 - margin)/beta: the unlocked end of the flip."""
+        x = m._locking_stretch(beta, side, margin)
+        assert (x > 1.0) if side > 0 else (x < 1.0)
+        d_lock = (1.0 - margin) / beta
+        beyond = np.nextafter(x, math.inf if side > 0 else 0.0)
+        assert m.uniaxial_invariant_excess(x) <= d_lock < m.uniaxial_invariant_excess(beyond)
 
     @pytest.mark.parametrize("rhs", [1e30, -1e30])
     def test_tiny_beta_locks_with_finite_stretch(self, rhs):

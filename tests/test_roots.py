@@ -1,4 +1,5 @@
-"""In-repo scalar solvers: Brent's zero finder and the golden-section argmax."""
+"""In-repo scalar solvers: the library's bisection and golden-section argmax, and the
+tests' Brent zero finder (conftest), the band-gap oracle's independent route."""
 
 import json
 import math
@@ -12,10 +13,10 @@ import pytest
 
 import lamwave
 from lamwave import dispersion
-from lamwave._roots import brentq, golden_max
+from lamwave._roots import bisect, golden_max
 from lamwave.homogenize import cell_state, effective_model
 
-from conftest import with_volume_fraction
+from conftest import brentq, with_volume_fraction
 
 BRACKETS = [
     (lambda x: x**3 - 2.0 * x - 5.0, 2.0, 3.0, 1e-14),
@@ -25,6 +26,38 @@ BRACKETS = [
     (lambda x: abs(x - 0.3) - 1.0, -1.0, 0.9, 1e-15),
     (lambda x: abs(2.0 * x + 0.1) - 1.0, -0.2, 3.0, 1e-10),
 ]
+
+
+def test_bisect_returns_the_inside_end_of_the_flip():
+    """x*x <= 2 flips between sqrt(2) (whose float squares to 2.0000000000000004) and the
+    float below it: the inn end is the last float inside, from either side and on 0-d or
+    array brackets."""
+    root = bisect(lambda x: x * x <= 2.0, 1.0, 2.0)
+    assert root.shape == () and root * root <= 2.0 < np.nextafter(root, 2.0) ** 2
+    assert np.nextafter(root, 2.0) == math.sqrt(2.0)
+    # inn above out: the bracket is bisected downward and keeps the inside end
+    high = bisect(lambda x: x * x > 2.0, 2.0, 1.0)
+    assert high == np.nextafter(root, 2.0)
+    roots = bisect(lambda x: x * x <= np.array([2.0, 3.0, 0.25]), np.zeros(3), np.full(3, 2.0))
+    assert roots.shape == (3,)
+    assert roots[0] == root and roots[2] == 0.5
+    assert np.all(roots * roots <= [2.0, 3.0, 0.25])
+    assert np.all(np.nextafter(roots, 2.0) ** 2 > [2.0, 3.0, 0.25])
+
+
+def test_bisect_on_an_empty_bracket_returns_its_end():
+    calls = []
+
+    def inside(x):
+        calls.append(x)
+        return x < 1.0
+
+    assert bisect(inside, 1.5, 1.5) == 1.5
+    assert calls == []  # a bracket holding no float is never evaluated
+    adjacent = np.nextafter(1.0, 2.0)
+    assert bisect(inside, adjacent, 1.0) == adjacent and calls == []
+    ends = bisect(lambda x: x < 1.0, np.array([0.5, 3.0]), np.array([2.0, 3.0]))
+    assert ends[1] == 3.0 and ends[0] == np.nextafter(1.0, 0.0)
 
 
 @pytest.mark.parametrize("f, a, b, xtol", BRACKETS)
@@ -87,7 +120,8 @@ def test_golden_max_finds_the_closed_form_eta_argmax(bilam):
 
 
 def test_cli_runs_without_scipy(tmp_path):
-    """Importing the CLI and running a band-gap search and an argmax sweep loads no scipy module."""
+    """Importing the CLI and running a band-gap search, an argmax sweep and the soliton
+    analysis (its validity speeds are bisected) loads no scipy module."""
     laminate = {
         "phases": [
             {"model": {"kind": "Gent", "G_pa": g, "beta": 0.0132}, "rho": 930.0, "nu": 0.5,
@@ -100,6 +134,7 @@ def test_cli_runs_without_scipy(tmp_path):
         {"command": "bandgap", "laminate": laminate, "params": {"n_scan": 2000}},
         {"command": "sweep", "laminate": laminate,
          "params": {"variable": "volume_fraction_2", "lo": 0.1, "hi": 0.9, "n": 9}},
+        {"command": "soliton", "laminate": laminate},
     ]
     paths = []
     for i, cfg in enumerate(configs):

@@ -1,11 +1,17 @@
 """Travelling-wave analysis: oscillator reduction, sech pulses, bounds, diagnostics."""
 
 import dataclasses
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import lamwave
 from lamwave import soliton as sol
 from lamwave.errors import NoBound, NoSoliton, NotReached
 from lamwave.soliton import WaveModel
@@ -201,6 +207,53 @@ class TestValiditySpeeds:
     def test_full_not_reached(self, eff):
         with pytest.raises(NotReached):
             sol.mkdv_validity_speed(eff, WaveModel.FULL)
+
+    @pytest.mark.parametrize("variant", [WaveModel.SLOW_SPACE, WaveModel.SLOW_TIME])
+    @pytest.mark.parametrize("rel_err", [1e-300, 1e-12, 0.01, 0.1, 0.5, 0.9])
+    def test_speed_is_the_last_float_inside(self, eff, variant, rel_err):
+        """The amplitude error is below rel_err at the speed and reaches it one float higher."""
+        s = sol.mkdv_validity_speed(eff, variant, rel_err)
+        assert _amplitude_error(variant, s) < rel_err <= _amplitude_error(variant, np.nextafter(s, 2.0 * s))
+
+    def test_large_speeds_end_and_unreachable_errors_raise(self):
+        """Where s/c is so large that floats are wider than any fixed tolerance, the search
+        still ends at the flip; an error of 1 or NaN is never reached.  Run in a child
+        process so that a search that never ends fails the test instead of hanging it."""
+        script = (
+            "import json, math\n"
+            "from lamwave import soliton as sol\n"
+            "from lamwave.errors import NotReached\n"
+            "from lamwave.homogenize import effective_model\n"
+            "from lamwave.materials import HyperelasticModel, Laminate, Phase\n"
+            "lam = Laminate(*(Phase(HyperelasticModel('gent', g, 0.0132), 930.0, 0.5)\n"
+            "                 for g in (4.7e6, 0.94e6)), 0.01)\n"
+            "eff = effective_model(lam, 1.0)\n"
+            "speeds = {v: sol.mkdv_validity_speed(eff, sol.WaveModel[v], e)\n"
+            "          for v, e in (('SLOW_TIME', 0.9999), ('SLOW_SPACE', 1.0 - 2.0**-53))}\n"
+            "raised = 0\n"
+            "for v in ('SLOW_SPACE', 'SLOW_TIME'):\n"
+            "    for e in (1.0, math.nan):\n"
+            "        try:\n"
+            "            sol.mkdv_validity_speed(eff, sol.WaveModel[v], e)\n"
+            "        except NotReached:\n"
+            "            raised += 1\n"
+            "print(json.dumps({'speeds': speeds, 'raised': raised}))\n"
+        )
+        src = str(Path(lamwave.__file__).resolve().parents[1])
+        done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              timeout=60, env=dict(os.environ, PYTHONPATH=src))
+        assert done.returncode == 0, done.stderr
+        result = json.loads(done.stdout.splitlines()[-1])
+        assert result["raised"] == 4
+        for name, rel_err in (("SLOW_TIME", 0.9999), ("SLOW_SPACE", 1.0 - 2.0**-53)):
+            variant, s = WaveModel[name], result["speeds"][name]
+            assert s > 2.0**26  # floats there are 1.5e-8 apart
+            assert _amplitude_error(variant, s) < rel_err <= _amplitude_error(variant, np.nextafter(s, 2.0 * s))
+
+
+def _amplitude_error(variant: WaveModel, s: float) -> float:
+    """|delta_variant/delta_full - 1| at s/c, the error the validity search bisects."""
+    return abs(sol._amplitude_ratio(variant, s) - 1.0)
 
 
 class TestShockDistance:

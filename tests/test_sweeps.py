@@ -116,7 +116,9 @@ class TestMagneticSweep:
     def test_underflowing_stretch_flagged_not_fatal(self, tmp_path, kind, beta):
         """On a stack with no lock, a load near -1e300 gives a stretch whose fourth power
         underflows: the run exits 0, that row is flagged locked with a note naming the
-        underflow, and every other row is the one its own cell state gives."""
+        underflow, and every other row is the one its own cell state gives.  Near +1e300
+        x^4 overflows, and zeta stays finite (0 on the neo-Hookean stack, where G' = 0).
+        The columns come in the order of a sweep with no locked row."""
         phases = [{"model": {"kind": kind, "G_pa": g, **({"beta": beta} if beta else {})},
                    "rho": 930.0, "nu": 0.5} for g in (4.7e6, 0.94e6)]
         payload = {"command": "sweep", "laminate": {"phases": phases, "period_m": 0.01},
@@ -130,8 +132,14 @@ class TestMagneticSweep:
         assert dict(zip(header.split(","), row0.split(",")))["locked"] == "1"
 
         lam = cli.laminate_from_config(payload["laminate"])
+        unlocked = sweeps.sweep_magnetic(lam, sweeps.SweepSpec("magnetic_load_product", 0.0, 1.0, 3))
+        assert header.split(",") == sweeps.sweep_table(unlocked)[0]
         result = sweeps.sweep_magnetic(lam, sweeps.SweepSpec(**payload["params"]))
         assert "underflows" in result.rows[0]["note"]
+        free = [row for row in result.rows if not row["locked"]]
+        assert free and all(math.isfinite(row["zeta"]) for row in free)
+        if kind == "neo-hookean":
+            assert all(row["zeta"] == 0.0 for row in free)
         assert result.summary["n_locked"] == sum(row["locked"] for row in result.rows) < 5
         for row, want in zip(result.rows, _per_row(lam, result)):
             for key, value in (want or {}).items():

@@ -22,10 +22,6 @@ from .errors import DomainError, NoGap
 from .homogenize import CellState, EffectiveModel, cell_state
 from .materials import Laminate
 
-#: accuracy of exact band edges in omega*ell/c (bisection resolves them to float spacing)
-EDGE_TOL = 1e-10
-
-
 @dataclass(frozen=True)
 class BandGap:
     """Frequency interval (in omega*ell/c) where harmonic waves cannot propagate."""
@@ -157,17 +153,18 @@ def exact_acoustic_frequency(lam: Laminate, stretch: float, kappa_ell: float) ->
         raise DomainError("acoustic-branch inversion needs kappa*ell in [0, pi]")
     if kappa_ell == 0.0:
         return 0.0
-    target = math.cos(kappa_ell)
+    target = math.sin(0.5 * kappa_ell) ** 2
     st = cell_state(lam, stretch)
     r = st.z1 / st.z2
     q = np.array([r, 1.0 / r])
 
-    def below(w):  # cos(kappa ell) = 2 P(R) P(1/R) - 1 falls with omega on the acoustic branch
-        a, b = _rytov_factors(st.t1, st.t2, w)
-        p, p_inv = a - q * b
-        return 2.0 * p * p_inv - 1.0 > target
+    def below(w):  # (1 - cos(kappa ell)) / 2 = S(R) S(1/R) rises with omega on the acoustic branch
+        a, b = _rytov_factors(st.t1, st.t2, w, turn=(0.0, -1.0))
+        s, s_inv = a - q * b
+        return s * s_inv < target
 
-    # it reads 1 at omega = 0, and <= -1 at the first gap's lower edge even after rounding
+    # it reads 0 at omega = 0 and > 1 at the first gap's lower edge; unlike F - cos(kappa ell),
+    # it keeps the relative precision of a small kappa ell
     lo, _ = first_band_gaps(st)
     hi = float(lo[0]) if math.isfinite(lo[0]) else math.pi
     return float(bisect(below, 0.0, hi))
@@ -219,41 +216,35 @@ def mkdv_wavenumber(eff: EffectiveModel, omega_norm) -> np.ndarray | float:
     return out if out.ndim else float(out)
 
 
-def _unfold(kappa_folded: np.ndarray, band: np.ndarray) -> np.ndarray:
-    """Monotone-continuation unfolding of kappa*ell onto [0, n*pi]."""
-    even = band % 2 == 0
-    return np.where(even, band * math.pi + kappa_folded, (band + 1) * math.pi - kappa_folded)
-
-
 def sample_exact_branches(
     lam: Laminate, stretch: float = 1.0, omega_max: float = 2.6 * math.pi, n: int = 2000
 ) -> list[DispersionBranch]:
-    """Sample the exact dispersion curves on an omega grid, split per pass band.
+    """Sample the exact dispersion curves on an omega grid, one branch per Bloch band.
 
-    Each branch carries the folded wave number (first Brillouin zone) and the
-    monotone-continuation unfolded one.
+    Branch ``index`` b is the band between exact gaps b and b + 1; frequencies
+    inside a gap are dropped.  Each branch carries the folded wave number (first
+    Brillouin zone) and the unfolded one, which rises from b pi to (b + 1) pi.
     """
     return _branches(cell_state(lam, stretch), omega_max, n)
 
 
 def _branches(st: CellState, omega_max: float, n: int) -> list[DispersionBranch]:
     w = np.linspace(0.0, omega_max, n)
-    rhs = _cosine(st, w)
-    propagating = np.abs(rhs) <= 1.0
-    # band index = number of completed gaps below each frequency
-    gap = ~propagating
-    band = np.cumsum(np.diff(np.concatenate([[False], gap]).astype(int)) == 1)
-    folded = np.arccos(np.clip(rhs, -1.0, 1.0))
+    # phi_q = x + y + arctan(...) is the argument of P(q) + i S(q) = e^{ix} (cos y + i q sin y)
+    # (band_gap_edges): band b, between gaps b and b + 1, is where floor(2 phi_q / pi) = b for
+    # both q = R and 1/R, and inside a gap the two floors differ
+    x, y = 0.5 * w * st.t1, 0.5 * w * st.t2
+    cy, sy = np.cos(y), np.sin(y)
+    q = np.array([[st.z1 / st.z2], [st.z2 / st.z1]])
+    phi = x + y + np.arctan((q - 1.0) * sy * cy / (cy * cy + q * sy * sy))
+    band, other = np.floor(2.0 * phi / math.pi).astype(int)
+    folded = np.arccos(np.clip(_cosine(st, w), -1.0, 1.0))
+    unfolded = np.where(band % 2 == 0, band * math.pi + folded, (band + 1) * math.pi - folded)
+    keep = band == other
     branches = []
-    for b in range(int(band.max()) + 1 if len(band) else 1):
-        sel = propagating & (band == b)
-        if not np.any(sel):
-            continue
-        kf = folded[sel]
-        ku = _unfold(kf, np.full(kf.shape, b))
-        branches.append(
-            DispersionBranch(kappa_ell=ku, kappa_ell_folded=kf, omega_norm=w[sel], index=b)
-        )
+    for b in sorted(set(band[keep].tolist())):  # np.unique's first call imports numpy.ma (15 ms)
+        sel = keep & (band == b)
+        branches.append(DispersionBranch(unfolded[sel], folded[sel], w[sel], index=b))
     return branches
 
 

@@ -425,8 +425,9 @@ def stretch_roots(lam: Laminate, loads) -> tuple[np.ndarray, dict[int, NoRoot]]:
 
     Returns the stretches, NaN where a load has no root, and the :class:`NoRoot`
     of each such load by index: its root lies beyond the Gent limit (the error
-    carries the locking stretch), or its bracket leaves the float range (r >= 9e307,
-    or r infinite or NaN).
+    carries the locking stretch), its bracket leaves the float range (r >= 9e307,
+    or r infinite or NaN), or the residual overflows at either float of the final
+    pair (a Fung-Demiray stack near |r| = 1e308).
     """
     r = np.array(loads, dtype=float, ndmin=1)
     errors: dict[int, NoRoot] = {}
@@ -453,8 +454,14 @@ def stretch_roots(lam: Laminate, loads) -> tuple[np.ndarray, dict[int, NoRoot]]:
         live = np.ones(r.shape, dtype=bool)
         live[list(errors)] = False
         target, end = np.where(live, r, 0.0), np.where(live, end, 1.0)
-        x = bisect(lambda mid: _stretch_residual(lam, mid, target) <= 0.0,
-                   np.minimum(1.0, end), np.maximum(1.0, end))
+        top = np.maximum(1.0, end)
+        x = bisect(lambda mid: _stretch_residual(lam, mid, target) <= 0.0, np.minimum(1.0, end), top)
+        # a sign flip to or from an infinite residual is an overflow, not a root; the final
+        # pair is x and its next float toward the top, x alone where the bracket was empty
+        pair = _stretch_residual(lam, np.stack([x, np.nextafter(x, top)]), target)
+        for i in np.flatnonzero(live & ~np.isfinite(pair).all(axis=0)).tolist():
+            errors[i] = NoRoot(f"load {r[i]:.6g}: the stretch residual overflows near its root {x[i]:.6g}")
+            live[i] = False
     return np.where(live, x, np.nan), errors
 
 

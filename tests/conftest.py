@@ -22,6 +22,11 @@ from lamwave import dispersion, fv_sim, soliton, spectral_sim
 from lamwave.homogenize import effective_model
 
 
+#: tolerance of the oracle's band edges in omega*ell/c, and of comparisons against
+#: them (the library bisects every edge to adjacent floats)
+EDGE_TOL = 1e-10
+
+
 # Brent's zero finder (Brent, *Algorithms for Minimization without Derivatives*,
 # 1973, ch. 4), step for step the common C formulation of it, with its stopping
 # rule |x - x0| <= xtol + rtol * |x0|; test_roots.py checks that it returns the
@@ -143,7 +148,7 @@ def oracle_gaps(cell, omega_max: float, n_scan: int) -> list[tuple[int, float, f
     flips = np.flatnonzero(padded[1:] != padded[:-1])
 
     def edge(a: float, b: float) -> float:
-        return brentq(lambda x: abs(dispersion._cosine(cell, x)) - 1.0, a, b, xtol=dispersion.EDGE_TOL)
+        return brentq(lambda x: abs(dispersion._cosine(cell, x)) - 1.0, a, b, xtol=EDGE_TOL)
 
     gaps = []
     for i, j in zip(flips[::2], flips[1::2]):  # first evanescent and next propagating sample

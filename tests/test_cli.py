@@ -279,6 +279,29 @@ class TestArtifacts:
         else:
             assert not any(locked)
 
+    @pytest.mark.parametrize("command, params, load", [
+        ("sweep", {"variable": "magnetic_load_product", "lo": -1.7e308, "hi": -1e308, "n": 3}, None),
+        ("magnetostatic", {}, -1.7e308),
+        ("magnetostatic", {}, 5e307),
+    ])
+    def test_overflowing_stretch_residual(self, tmp_path, capsys, command, params, load):
+        """A Fung-Demiray stretch solve whose residual overflows at the root has no root:
+        a sweep flags each such row locked, and magnetostatic exits 2 naming the overflow."""
+        payload = {"command": command, "laminate": copy.deepcopy(BENCH_LAMINATE), "params": params}
+        for phase in payload["laminate"]["phases"]:
+            phase["model"].update(kind="FungDemiray", beta=0.3)
+        if load is not None:
+            payload["load"] = {"bn_br_product": load}
+        status = cli.run(write_config(tmp_path, payload), tmp_path / "out")
+        if command == "sweep":
+            assert status == 0
+            (csv_path,) = (tmp_path / "out").glob("sweep_*.csv")
+            rows = [line.split(",") for line in csv_path.read_text().splitlines() if line[0] != "#"]
+            assert [row[rows[0].index("locked")] for row in rows[1:]] == ["1", "1", "1"]
+        else:
+            assert status == 2
+            assert "overflows" in capsys.readouterr().err
+
     def test_sweep_artifacts_and_manifest(self, tmp_path):
         payload = {"command": "sweep", "laminate": BENCH_LAMINATE,
                    "params": {"variable": "volume_fraction_2", "lo": 0.1, "hi": 0.9, "n": 9}}

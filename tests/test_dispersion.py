@@ -16,7 +16,7 @@ from lamwave._roots import bisect
 from lamwave.errors import NoGap
 from lamwave.homogenize import cell_state, effective_model
 
-from conftest import Cell, columns, oracle_gaps
+from conftest import EDGE_TOL, Cell, columns, oracle_gaps
 
 
 def monodromy_half_trace(lam: lw.Laminate, stretch: float, omega_norm: float) -> float:
@@ -146,8 +146,8 @@ class TestBandGaps:
             oracle = [(g_lo, g_hi) for n, g_lo, g_hi in oracle_gaps(st, 3.0 * math.pi, 4000) if n == 1]
             if oracle:
                 assert (gaps[0].lo, gaps[0].hi) == (a, b)
-                assert abs(a - oracle[0][0]) <= dsp.EDGE_TOL
-                assert abs(b - oracle[0][1]) <= dsp.EDGE_TOL
+                assert abs(a - oracle[0][0]) <= EDGE_TOL
+                assert abs(b - oracle[0][1]) <= EDGE_TOL
             else:
                 assert not gaps and math.isnan(a) and math.isnan(b)
         empty = dsp.first_band_gaps(columns([]))
@@ -166,8 +166,8 @@ class TestBandGaps:
         omega_max = 6.0 * math.pi
         gaps = {g.index: g for g in dsp._band_gaps(cell, omega_max)}
         for n, lo, hi in oracle_gaps(cell, omega_max, 20_000):
-            assert abs(gaps[n].lo - lo) <= dsp.EDGE_TOL
-            assert abs(gaps[n].hi - hi) <= dsp.EDGE_TOL
+            assert abs(gaps[n].lo - lo) <= EDGE_TOL
+            assert abs(gaps[n].hi - hi) <= EDGE_TOL
 
     def test_gaps_a_scan_step_misses(self):
         """Two near-matched neo-Hookean phases: gaps 1, 2 and 3 below 3 pi, each under
@@ -188,7 +188,7 @@ class TestBandGaps:
         fine = oracle_gaps(cell_state(lam, 1.0), 3.0 * math.pi, 200_000)
         assert [n for n, _, _ in fine] == [1, 2, 3]
         for gap, (_, a, b) in zip(gaps, fine):
-            assert abs(gap.lo - a) <= dsp.EDGE_TOL and abs(gap.hi - b) <= dsp.EDGE_TOL
+            assert abs(gap.lo - a) <= EDGE_TOL and abs(gap.hi - b) <= EDGE_TOL
 
     def test_equal_travel_closes_even_gaps(self):
         """With t1 = t2, S(q) = sin x cos x (1 + q) vanishes at x = pi/2 for both q: gap 2
@@ -243,8 +243,8 @@ class TestClosedFormFirstGap:
         oracle = [(a, b) for n, a, b in oracle_gaps(cell, omega_max, 4000) if n == 1]
         if not oracle or oracle[0][1] == omega_max:
             return  # too narrow for the scan, or cut by its ceiling
-        assert abs(lo - oracle[0][0]) <= dsp.EDGE_TOL
-        assert abs(hi - oracle[0][1]) <= dsp.EDGE_TOL
+        assert abs(lo - oracle[0][0]) <= EDGE_TOL
+        assert abs(hi - oracle[0][1]) <= EDGE_TOL
 
     def test_edges_at_float_resolution(self, bilam, low_disp_bilam):
         """Each edge is evanescent, and the next float outward propagates."""
@@ -278,8 +278,15 @@ class TestClosedFormFirstGap:
         assert coarse[0] == 2 and coarse[1] > hi + 1.0
         fine = oracle_gaps(cell, 3.0 * math.pi, 100_000)[0]
         assert fine[0] == 1
-        assert abs(lo - fine[1]) <= dsp.EDGE_TOL
-        assert abs(hi - fine[2]) <= dsp.EDGE_TOL
+        assert abs(lo - fine[1]) <= EDGE_TOL
+        assert abs(hi - fine[2]) <= EDGE_TOL
+
+    @pytest.mark.parametrize("kappa_ell", [1e-9, 1e-8, 1e-7])
+    def test_acoustic_inversion_at_small_kappa(self, bilam, kappa_ell):
+        """omega ell / c = kappa ell (1 + O(kappa ell^2)) on the long-wave end, and the
+        inversion keeps it to 1e-12 relative."""
+        w = dsp.exact_acoustic_frequency(bilam, 1.0, kappa_ell)
+        assert w == pytest.approx(kappa_ell, rel=1e-12)
 
     def test_acoustic_branch_ends_at_lower_edge(self, bilam, low_disp_bilam):
         """At kappa*ell = pi the acoustic-branch inversion returns the lower gap edge."""
@@ -379,6 +386,37 @@ class TestLongWaveAgreement:
         assert homog.lo == pytest.approx(exact.lo, rel=0.02)
 
 
+def assert_bloch_bands(cell, omega_max: float, n: int) -> list:
+    """The exact branches on ``n`` frequencies to ``omega_max`` are the Bloch bands
+    between the exact gaps of :func:`band_gap_edges`, and returns them.
+
+    No node inside an open gap lies on a branch, and a node outside them is left
+    out only where |F| = 1 (a closed gap: a node at one is a band edge, on either
+    side by rounding); unfolded kappa ell never falls across all branches; a node
+    of branch b lies above every gap up to b and below every gap past it; and each
+    branch end lies within one grid step of the gap edge next to it.
+    """
+    branches = dsp._branches(cell, omega_max, n)
+    w = np.linspace(0.0, omega_max, n)
+    step = 1.000001 * w[1]
+    gap = np.arange(1, math.floor(omega_max * (cell.t1 + cell.t2) / math.pi) + 2)
+    lo, hi = dsp.band_gap_edges(cell, gap)
+    gap, lo, hi = gap[~np.isnan(lo)], lo[~np.isnan(lo)], hi[~np.isnan(lo)]
+    inside = ((w[:, None] >= lo) & (w[:, None] <= hi)).any(axis=1)
+    kept = np.concatenate([br.omega_norm for br in branches])
+    assert not np.isin(kept, w[inside]).any()
+    dropped = np.setdiff1d(w[~inside], kept)
+    assert np.allclose(np.abs(dsp._cosine(cell, dropped)), 1.0, rtol=0.0, atol=1e-9)
+    assert (np.diff(np.concatenate([br.kappa_ell for br in branches])) >= 0.0).all()
+    assert [br.index for br in branches] == sorted({br.index for br in branches})
+    for br in branches:
+        first, last = br.omega_norm[0], br.omega_norm[-1]
+        assert (first > hi[gap <= br.index]).all() and (last < lo[gap > br.index]).all()
+        below, above = hi[gap == br.index], lo[gap == br.index + 1]
+        assert (first - below <= step).all() and (np.minimum(above, omega_max) - last <= step).all()
+    return branches
+
+
 class TestSampling:
     def test_branch_shapes(self, bilam):
         branches = dsp.sample_exact_branches(bilam, 1.0, 2.6 * math.pi, 1200)
@@ -390,6 +428,45 @@ class TestSampling:
         second = branches[1]
         # unfolded continuation enters the second zone
         assert second.kappa_ell.max() > math.pi
+
+    def test_bands_of_the_paper_stack(self, bilam):
+        branches = assert_bloch_bands(cell_state(bilam, 1.0), 2.6 * math.pi, 2000)
+        assert [br.index for br in branches] == [0, 1, 2]
+
+    def test_gaps_narrower_than_a_grid_step(self):
+        """Gaps 1 and 2 of the near-matched stack (under 2e-4 wide) fall between grid
+        nodes 4e-3 apart, and still split the bands: branches 0, 1 and 2."""
+        lam = lw.Laminate(
+            lw.Phase(lw.HyperelasticModel("neo-hookean", 4.7e6), 930.0, 0.7),
+            lw.Phase(lw.HyperelasticModel("neo-hookean", 4.699e6), 930.0, 0.3),
+            0.01,
+        )
+        branches = dsp.sample_exact_branches(lam, 1.0, 2.6 * math.pi, 2000)
+        assert [br.index for br in branches] == [0, 1, 2]
+        assert branches[-1].kappa_ell[-1] == pytest.approx(2.6 * math.pi, rel=1e-3)
+        assert_bloch_bands(cell_state(lam, 1.0), 2.6 * math.pi, 2000)
+
+    def test_closed_gap_splits_bands(self):
+        """With t1 = t2 the even gaps close; bands 1 and 2, and 3 and 4, meet there and
+        keep their own numbers."""
+        cell = Cell(t1=0.45, t2=0.45, z1=3.0, z2=1.0)
+        branches = assert_bloch_bands(cell, 4.0 * math.pi, 2000)
+        assert [br.index for br in branches] == [0, 1, 2, 3]
+        assert branches[1].kappa_ell[-1] < 2.0 * math.pi < branches[2].kappa_ell[0]
+        # the closed gap 2 lies at 2 pi / (t1 + t2), between two adjacent nodes
+        step = 4.0 * math.pi / 1999
+        assert branches[2].omega_norm[0] - branches[1].omega_norm[-1] == pytest.approx(step)
+        assert branches[1].omega_norm[-1] < 2.0 * math.pi / 0.9 < branches[2].omega_norm[0]
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        t1=st.floats(0.02, 0.98),
+        shrink=st.floats(0.8, 1.0),
+        log_r=st.floats(math.log(1e-3), math.log(1e3)),
+    )
+    def test_branches_are_bloch_bands(self, t1, shrink, log_r):
+        assert_bloch_bands(Cell(t1=t1, t2=(1.0 - t1) * shrink, z1=math.exp(log_r), z2=1.0),
+                           6.0 * math.pi, 2000)
 
     def test_tables(self, bilam):
         header, rows = dsp.dispersion_table(bilam, 1.0, 2.0 * math.pi, 400)

@@ -558,6 +558,18 @@ class TestStretchRoots:
             assert 0.0 < stretch[7] < sys.float_info.min  # the subnormal root solves
         assert stretch[8] == 1.0
 
+    @pytest.mark.parametrize("r", [-1.7e308, -1e308, -5e307, -1e307, 5e307])
+    def test_overflowing_residual_is_no_root(self, r):
+        """On a Fung-Demiray stack near |r| = 1e308 the residual's sign flips to or from
+        an infinite value: an overflow, which both calls report as a NoRoot."""
+        lam = STACKS["fung-demiray"]
+        stretch, errors = m.stretch_roots(lam, [r, 1e300, -1e300])
+        assert math.isnan(stretch[0]) and set(errors) == {0}
+        assert "overflows" in str(errors[0]) and errors[0].locking_stretch is None
+        assert np.isfinite(stretch[1:]).all()
+        with pytest.raises(NoRoot, match="overflows"):
+            m.stretch_from_field(lam, lw.MagneticLoad(bn_br_product=r))
+
 
 class TestValidation:
     def test_volume_fractions_must_sum(self):

@@ -16,7 +16,7 @@ from lamwave import dispersion
 from lamwave._roots import bisect, golden_max
 from lamwave.homogenize import cell_state, effective_model
 
-from conftest import brentq, with_volume_fraction
+from conftest import EDGE_TOL, brentq, with_volume_fraction
 
 BRACKETS = [
     (lambda x: x**3 - 2.0 * x - 5.0, 2.0, 3.0, 1e-14),
@@ -83,8 +83,8 @@ def test_brentq_matches_scipy_on_every_gap_edge(bilam):
 
     for i in edges:
         a, b = w[i], w[i + 1]
-        ours = brentq(f, a, b, xtol=dispersion.EDGE_TOL)
-        assert ours.hex() == optimize.brentq(f, a, b, xtol=dispersion.EDGE_TOL).hex()
+        ours = brentq(f, a, b, xtol=EDGE_TOL)
+        assert ours.hex() == optimize.brentq(f, a, b, xtol=EDGE_TOL).hex()
 
 
 def test_brentq_returns_an_exact_zero_endpoint():

@@ -14,7 +14,7 @@ from lamwave import cli, dispersion, materials, soliton, sweeps
 from lamwave.errors import DomainError, LamwaveError
 from lamwave.homogenize import cell_state, effective_model
 
-from conftest import Cell, columns, oracle_gaps, with_contrast, with_volume_fraction
+from conftest import EDGE_TOL, Cell, columns, oracle_gaps, with_contrast, with_volume_fraction
 
 
 class TestSpec:
@@ -286,7 +286,7 @@ class TestBatchedFirstGaps:
                 continue
             assert want[1] < ORACLE_OMEGA_MAX  # the oracle saw the whole gap
             for g, o in zip(got, want):
-                assert abs(g - o * scale) <= dispersion.EDGE_TOL * scale
+                assert abs(g - o * scale) <= EDGE_TOL * scale
             if want[1] > ceiling:
                 assert got[1] > ceiling * scale
                 seen.add("above ceiling")
@@ -299,8 +299,8 @@ class TestBatchedFirstGaps:
         (lo,), (hi,) = dispersion.first_band_gaps(cell)
         want = _oracle_first_gap(cell, omega_max=6.0 * math.pi, n_scan=20_000)
         assert want[1] > 3.9 * math.pi
-        assert lo == pytest.approx(want[0], abs=dispersion.EDGE_TOL)
-        assert hi == pytest.approx(want[1], abs=dispersion.EDGE_TOL)
+        assert lo == pytest.approx(want[0], abs=EDGE_TOL)
+        assert hi == pytest.approx(want[1], abs=EDGE_TOL)
 
     def test_search_cost_does_not_grow_with_rows(self, bilam, monkeypatch):
         """One batched search per sweep: few Bloch evaluations, one cell state per row."""

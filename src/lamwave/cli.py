@@ -19,7 +19,7 @@ from pathlib import Path
 from . import dispersion as disp
 from . import fv_sim, materials, soliton, spectral_sim, sweeps
 from .errors import ConfigError, DomainError, LamwaveError
-from .homogenize import effective_model
+from .homogenize import CellState, cell_state
 from .materials import HyperelasticModel, Laminate, MagneticLoad, Phase
 from .output import config_hash, probe_table, write_csv, write_json
 
@@ -246,8 +246,10 @@ def parse_config(raw: dict) -> dict:
     return cfg
 
 
-def _stretch_state(cfg: dict) -> float:
-    return materials.stretch_from_field(cfg["laminate"], cfg["load"])
+def _cell(cfg: dict) -> CellState:
+    """The one cell state of a run: the laminate at the stretch its load produces."""
+    lam = cfg["laminate"]
+    return cell_state(lam, materials.stretch_from_field(lam, cfg["load"]))
 
 
 def _artifact(out: Path, command: str, tag: str, suffix: str) -> Path:
@@ -255,16 +257,14 @@ def _artifact(out: Path, command: str, tag: str, suffix: str) -> Path:
 
 
 def _run_effective(cfg, out: Path, tag: str) -> list[Path]:
-    stretch = _stretch_state(cfg)
-    eff = effective_model(cfg["laminate"], stretch)
     path = _artifact(out, "effective", tag, "json")
-    write_json(path, eff.as_record())
+    write_json(path, _cell(cfg).eff.as_record())
     return [path]
 
 
 def _run_magnetostatic(cfg, out: Path, tag: str) -> list[Path]:
     lam = cfg["laminate"]
-    stretch = _stretch_state(cfg)
+    stretch = materials.stretch_from_field(lam, cfg["load"])
     norm = materials.load_normalization(lam)
     payload = {
         "stretch": stretch,
@@ -281,18 +281,17 @@ def _run_magnetostatic(cfg, out: Path, tag: str) -> list[Path]:
 
 
 def _run_dispersion(cfg, out: Path, tag: str) -> list[Path]:
-    lam = cfg["laminate"]
-    stretch = _stretch_state(cfg)
+    st = _cell(cfg)
     p = cfg["params"]
     omega_max = p["omega_max_over_pi"] * math.pi
     written = []
     for folded, name in ((False, "dispersion"), (True, "dispersion_folded")):
-        header, rows = disp.dispersion_table(lam, stretch, omega_max, p["n"], folded=folded)
+        header, rows = disp.dispersion_table(st, omega_max, p["n"], folded=folded)
         path = out / f"{name}_{tag}.csv"
         view = "folded [0,pi]" if folded else "unfolded [0,2pi]"
-        write_csv(path, [f"stretch = {stretch!r}", f"kappa_ell view: {view}"], header, rows)
+        write_csv(path, [f"stretch = {st.eff.stretch!r}", f"kappa_ell view: {view}"], header, rows)
         written.append(path)
-    gaps = disp.band_gap_records(lam, stretch)
+    gaps = disp.band_gap_records(st)
     path = _artifact(out, "dispersion", tag, "json")
     write_json(path, gaps)
     written.append(path)
@@ -300,17 +299,13 @@ def _run_dispersion(cfg, out: Path, tag: str) -> list[Path]:
 
 
 def _run_bandgap(cfg, out: Path, tag: str) -> list[Path]:
-    lam = cfg["laminate"]
-    stretch = _stretch_state(cfg)
     path = _artifact(out, "bandgap", tag, "json")
-    write_json(path, disp.band_gap_records(lam, stretch, cfg["params"]["omega_max_over_pi"] * math.pi))
+    write_json(path, disp.band_gap_records(_cell(cfg), cfg["params"]["omega_max_over_pi"] * math.pi))
     return [path]
 
 
 def _run_soliton(cfg, out: Path, tag: str) -> list[Path]:
-    lam = cfg["laminate"]
-    stretch = _stretch_state(cfg)
-    eff = effective_model(lam, stretch)
+    eff = _cell(cfg).eff
     p = cfg["params"]
     speed_ratio = p["speed_ratio"]
     header, rows = soliton.waveform_table(eff, speed_ratio * eff.c, p["xi_max"], p["n"])
@@ -340,9 +335,9 @@ def _run_soliton(cfg, out: Path, tag: str) -> list[Path]:
 
 def _run_simulate(cfg, out: Path, tag: str) -> list[Path]:
     """Impact run of simulate-fv (finite volume) or simulate-mkdv (spectral march)."""
-    command, lam, p = cfg["command"], cfg["laminate"], cfg["params"]
-    stretch = _stretch_state(cfg)
-    eff = effective_model(lam, stretch)
+    command, p = cfg["command"], cfg["params"]
+    st = _cell(cfg)
+    eff = st.eff
     velocity = p["V_over_c"] * eff.c
     kappa = 2.0 * math.pi / (p["wavelengths_per_period"] * eff.ell)
     y_star = soliton.shock_distance(eff, velocity, kappa)
@@ -351,7 +346,7 @@ def _run_simulate(cfg, out: Path, tag: str) -> list[Path]:
     summary = {"y_star_m": y_star, "c_eff": eff.c}
     if command == "simulate-fv":
         result = fv_sim.impact_run(
-            lam, stretch, velocity, kappa, probes, t_final,
+            st, velocity, kappa, probes, t_final,
             cells_per_layer=p["cells_per_layer"], limiter=p["limiter"],
         )
         traces = [(pr.position, pr.times, pr.v_over_c) for pr in result.probes]

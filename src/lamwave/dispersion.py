@@ -19,8 +19,7 @@ import numpy as np
 
 from ._roots import bisect
 from .errors import DomainError, NoGap
-from .homogenize import CellState, EffectiveModel, cell_state
-from .materials import Laminate
+from .homogenize import CellState, EffectiveModel
 
 @dataclass(frozen=True)
 class BandGap:
@@ -45,22 +44,18 @@ class DispersionBranch:
     index: int
 
 
-def _cosine(st: CellState, omega_norm) -> np.ndarray | float:
+def bloch_cosine(st: CellState, omega_norm) -> np.ndarray | float:
+    """cos(kappa*ell) of the exact layered medium at frequency omega*ell/c.
+
+    Values outside [-1, 1] mark evanescent (band-gap) frequencies.
+    Accepts scalars or arrays.
+    """
     w = np.asarray(omega_norm, dtype=float)
     a1 = w * st.t1
     a2 = w * st.t2
     zz = 0.5 * (st.z1 / st.z2 + st.z2 / st.z1)
     out = np.cos(a1) * np.cos(a2) - zz * np.sin(a1) * np.sin(a2)
     return out if out.ndim else float(out)
-
-
-def bloch_cosine(lam: Laminate, stretch: float, omega_norm) -> np.ndarray | float:
-    """cos(kappa*ell) of the exact layered medium at frequency omega*ell/c.
-
-    Values outside [-1, 1] mark evanescent (band-gap) frequencies.
-    Accepts scalars or arrays.
-    """
-    return _cosine(cell_state(lam, stretch), omega_norm)
 
 
 def _rytov_factors(t1, t2, w, turn=(1.0, 0.0)) -> tuple[np.ndarray, np.ndarray]:
@@ -116,15 +111,14 @@ def band_gap_edges(cells, n) -> tuple[np.ndarray, np.ndarray]:
     return np.where(gap, lo, math.nan), np.where(gap, hi, math.nan)
 
 
-def first_band_gaps(cells) -> tuple[np.ndarray, np.ndarray]:
-    """Edges (lo, hi) of the first exact band gap of every cell, NaN where none opens:
-    :func:`band_gap_edges` at n = 1."""
-    return band_gap_edges(cells, 1)
+def bloch_band_gaps(st: CellState, omega_max: float = 3.0 * math.pi) -> list[BandGap]:
+    """Band gaps of the exact dispersion relation up to ``omega_max`` (omega*ell/c).
 
-
-def _band_gaps(st: CellState, omega_max: float) -> list[BandGap]:
-    """Every exact gap of one cell that opens below ``omega_max``, its upper edge cut
-    there, indexed by its Bloch gap number n (a closed gap leaves a hole)."""
+    Every gap n of the cell that opens below ``omega_max`` (:func:`band_gap_edges`),
+    with its edges at float resolution, its upper edge cut at ``omega_max``, and
+    indexed by its Bloch gap number n (a closed gap leaves a hole).  Returns an
+    empty list when no gap opens (e.g. matched impedances).
+    """
     if not omega_max > 0.0:
         raise DomainError("omega_max must be positive")
     # gap n lies above (n - 1) pi / (t1 + t2)
@@ -137,24 +131,13 @@ def _band_gaps(st: CellState, omega_max: float) -> list[BandGap]:
     ]
 
 
-def bloch_band_gaps(lam: Laminate, stretch: float = 1.0, omega_max: float = 3.0 * math.pi) -> list[BandGap]:
-    """Band gaps of the exact dispersion relation up to ``omega_max`` (omega*ell/c).
-
-    Every gap n that opens below ``omega_max`` (:func:`band_gap_edges`), with
-    its edges at float resolution and its upper edge cut at ``omega_max``.
-    Returns an empty list when no gap opens (e.g. matched impedances).
-    """
-    return _band_gaps(cell_state(lam, stretch), omega_max)
-
-
-def exact_acoustic_frequency(lam: Laminate, stretch: float, kappa_ell: float) -> float:
+def exact_acoustic_frequency(st: CellState, kappa_ell: float) -> float:
     """Invert the exact relation on the acoustic branch: omega*ell/c at given kappa*ell."""
     if not 0.0 <= kappa_ell <= math.pi:
         raise DomainError("acoustic-branch inversion needs kappa*ell in [0, pi]")
     if kappa_ell == 0.0:
         return 0.0
     target = math.sin(0.5 * kappa_ell) ** 2
-    st = cell_state(lam, stretch)
     r = st.z1 / st.z2
     q = np.array([r, 1.0 / r])
 
@@ -165,7 +148,7 @@ def exact_acoustic_frequency(lam: Laminate, stretch: float, kappa_ell: float) ->
 
     # it reads 0 at omega = 0 and > 1 at the first gap's lower edge; unlike F - cos(kappa ell),
     # it keeps the relative precision of a small kappa ell
-    lo, _ = first_band_gaps(st)
+    lo, _ = band_gap_edges(st, 1)
     hi = float(lo[0]) if math.isfinite(lo[0]) else math.pi
     return float(bisect(below, 0.0, hi))
 
@@ -217,7 +200,7 @@ def mkdv_wavenumber(eff: EffectiveModel, omega_norm) -> np.ndarray | float:
 
 
 def sample_exact_branches(
-    lam: Laminate, stretch: float = 1.0, omega_max: float = 2.6 * math.pi, n: int = 2000
+    st: CellState, omega_max: float = 2.6 * math.pi, n: int = 2000
 ) -> list[DispersionBranch]:
     """Sample the exact dispersion curves on an omega grid, one branch per Bloch band.
 
@@ -225,10 +208,6 @@ def sample_exact_branches(
     inside a gap are dropped.  Each branch carries the folded wave number (first
     Brillouin zone) and the unfolded one, which rises from b pi to (b + 1) pi.
     """
-    return _branches(cell_state(lam, stretch), omega_max, n)
-
-
-def _branches(st: CellState, omega_max: float, n: int) -> list[DispersionBranch]:
     w = np.linspace(0.0, omega_max, n)
     # phi_q = x + y + arctan(...) is the argument of P(q) + i S(q) = e^{ix} (cos y + i q sin y)
     # (band_gap_edges): band b, between gaps b and b + 1, is where floor(2 phi_q / pi) = b for
@@ -238,7 +217,7 @@ def _branches(st: CellState, omega_max: float, n: int) -> list[DispersionBranch]
     q = np.array([[st.z1 / st.z2], [st.z2 / st.z1]])
     phi = x + y + np.arctan((q - 1.0) * sy * cy / (cy * cy + q * sy * sy))
     band, other = np.floor(2.0 * phi / math.pi).astype(int)
-    folded = np.arccos(np.clip(_cosine(st, w), -1.0, 1.0))
+    folded = np.arccos(np.clip(bloch_cosine(st, w), -1.0, 1.0))
     unfolded = np.where(band % 2 == 0, band * math.pi + folded, (band + 1) * math.pi - folded)
     keep = band == other
     branches = []
@@ -249,17 +228,15 @@ def _branches(st: CellState, omega_max: float, n: int) -> list[DispersionBranch]
 
 
 def dispersion_table(
-    lam: Laminate,
-    stretch: float = 1.0,
+    st: CellState,
     omega_max: float = 2.6 * math.pi,
     n: int = 2000,
     folded: bool = False,
 ) -> tuple[list[str], list[tuple]]:
     """Rows (kappa_ell, omega_norm, branch, theory) for all three theories."""
-    st = cell_state(lam, stretch)
     eff = st.eff
     rows: list[tuple] = []
-    for br in _branches(st, omega_max, n):
+    for br in sample_exact_branches(st, omega_max, n):
         k = br.kappa_ell_folded if folded else br.kappa_ell
         rows.extend(
             (ki, wi, br.index, "exact") for ki, wi in zip(k.tolist(), br.omega_norm.tolist())
@@ -287,10 +264,9 @@ def dispersion_table(
     return ["kappa_ell", "omega_norm", "branch", "theory"], rows
 
 
-def band_gap_records(lam: Laminate, stretch: float = 1.0, omega_max: float = 3.0 * math.pi) -> list[dict]:
+def band_gap_records(st: CellState, omega_max: float = 3.0 * math.pi) -> list[dict]:
     """JSON-ready gap records for both theories, frequencies in units of pi."""
-    st = cell_state(lam, stretch)
-    gaps = [(g, "exact") for g in _band_gaps(st, omega_max)]
+    gaps = [(g, "exact") for g in bloch_band_gaps(st, omega_max)]
     try:
         gaps.append((homogenized_band_gap(st.eff), "homogenized"))
     except NoGap:

@@ -23,8 +23,8 @@ from typing import Callable
 import numpy as np
 
 from .errors import CFLViolation, DomainError, GeometryError
-from .homogenize import cell_state, effective_model
-from .materials import Laminate, ShearCoefficients
+from .homogenize import CellState
+from .materials import ShearCoefficients
 
 #: margin of the front speed over the period-crossing speed in ``required_periods``
 SPEED_MARGIN = 1.35
@@ -58,9 +58,7 @@ class Grid1D:
         return i
 
 
-def build_grid(
-    lam: Laminate, stretch: float, cells_per_layer: int, n_periods: int
-) -> Grid1D:
+def build_grid(st: CellState, cells_per_layer: int, n_periods: int) -> Grid1D:
     """Discretise ``n_periods`` spatial periods with ``cells_per_layer`` cells per layer.
 
     ``cells_per_layer`` applies to the phase-2 layer (the one straddling the
@@ -72,7 +70,7 @@ def build_grid(
         raise GeometryError(f"cells_per_layer must be even and >= 4, got {cells_per_layer}")
     if n_periods < 1:
         raise GeometryError("n_periods must be at least 1")
-    ell1, ell2 = lam.layer_thicknesses(stretch)
+    ell1, ell2 = st.nu1 * st.eff.ell, st.nu2 * st.eff.ell
     dy = ell2 / cells_per_layer
     n1_f = ell1 / dy
     n1 = int(round(n1_f))
@@ -87,11 +85,10 @@ def build_grid(
         last = k == n_periods - 1
         pattern.append(np.full(half2 if last else cells_per_layer, 2, dtype=np.int8))
     phase = np.concatenate(pattern)
-    st = cell_state(lam, stretch)
     is2 = phase == 2
     g = np.where(is2, st.sc2.g, st.sc1.g)
     h = np.where(is2, st.sc2.h, st.sc1.h)
-    rho = np.where(is2, lam.phase2.density, lam.phase1.density)
+    rho = np.where(is2, st.rho2, st.rho1)
     n_cells = len(phase)
     return Grid1D(
         dy=dy,
@@ -100,7 +97,7 @@ def build_grid(
         g=g,
         h=h,
         rho=rho,
-        ell=lam.deformed_period(stretch),
+        ell=st.eff.ell,
         domain_length=n_cells * dy,
         c_tail=np.append(np.maximum.accumulate(np.sqrt(g / rho)[::-1])[::-1], 0.0),
     )
@@ -392,8 +389,7 @@ def simulate(
 
 
 def required_periods(
-    lam: Laminate,
-    stretch: float,
+    st: CellState,
     t_final: float,
     probe_max: float,
     wavelength: float,
@@ -405,17 +401,15 @@ def required_periods(
     ``SPEED_MARGIN`` covers nonlinear stiffening of the layer speeds.  The
     farthest probe plus two forcing wavelengths are added on top.
     """
-    st = cell_state(lam, stretch)
-    ell1, ell2 = lam.layer_thicknesses(stretch)
-    crossing_time = ell1 / st.c1 + ell2 / st.c2
-    c_front = lam.deformed_period(stretch) / crossing_time * SPEED_MARGIN
+    ell = st.eff.ell
+    crossing_time = st.nu1 * ell / st.c1 + st.nu2 * ell / st.c2
+    c_front = ell / crossing_time * SPEED_MARGIN
     length = c_front * t_final + probe_max + 2.0 * wavelength
-    return int(math.ceil(length / lam.deformed_period(stretch)))
+    return int(math.ceil(length / ell))
 
 
 def impact_run(
-    lam: Laminate,
-    stretch: float,
+    st: CellState,
     velocity: float,
     kappa: float,
     probe_positions: list[float],
@@ -432,18 +426,16 @@ def impact_run(
     """
     if velocity < 0.0 or kappa <= 0.0:
         raise DomainError("impact needs velocity >= 0 and kappa > 0")
-    eff = effective_model(lam, stretch)
+    c = st.eff.c
     wavelength = 2.0 * math.pi / kappa
-    n_periods = required_periods(
-        lam, stretch, t_final, max(probe_positions, default=0.0), wavelength
-    )
-    grid = build_grid(lam, stretch, cells_per_layer, n_periods)
+    n_periods = required_periods(st, t_final, max(probe_positions, default=0.0), wavelength)
+    grid = build_grid(st, cells_per_layer, n_periods)
     return simulate(
         grid,
-        left_velocity=impact_signal(velocity, kappa, eff.c),
+        left_velocity=impact_signal(velocity, kappa, c),
         t_final=t_final,
         probe_positions=probe_positions,
-        c_ref=eff.c,
+        c_ref=c,
         limiter=limiter,
     )
 

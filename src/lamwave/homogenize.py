@@ -66,14 +66,19 @@ def optimized_dispersion_coeffs(eta) -> tuple[float, float, float]:
 class CellState:
     """Per-phase data of one laminate at one stretch, read by every analysis.
 
-    Holds the shear coefficients, layer speeds ``c_i = sqrt(g_i/rho_i)``,
-    impedances ``z_i = rho_i c_i``, travel fractions ``t_i = nu_i c / c_i``
-    (so that ``omega ell_i / c_i = t_i * omega ell / c``) and the effective
-    model; a state of many cells holds arrays.
+    Holds the shear coefficients, densities, volume fractions, layer speeds
+    ``c_i = sqrt(g_i/rho_i)``, impedances ``z_i = rho_i c_i``, travel fractions
+    ``t_i = nu_i c / c_i`` (so that ``omega ell_i / c_i = t_i * omega ell / c``)
+    and the effective model; a state of many cells holds arrays.  Layer ``i``
+    is ``nu_i * eff.ell`` thick.
     """
 
     sc1: ShearCoefficients
     sc2: ShearCoefficients
+    rho1: float  # kg/m^3
+    rho2: float
+    nu1: float
+    nu2: float
     c1: float  # m/s
     c2: float
     z1: float  # kg/(m^2 s)
@@ -116,8 +121,8 @@ def cell_columns(sc: tuple[ShearCoefficients, ShearCoefficients], rho: tuple, nu
     c1 = _sqrt(sc1.g / rho1)
     c2 = _sqrt(sc2.g / rho2)
     return CellState(
-        sc1=sc1, sc2=sc2, c1=c1, c2=c2, z1=rho1 * c1, z2=rho2 * c2,
-        t1=n1 * c / c1, t2=n2 * c / c2, eff=eff,
+        sc1=sc1, sc2=sc2, rho1=rho1, rho2=rho2, nu1=n1, nu2=n2, c1=c1, c2=c2,
+        z1=rho1 * c1, z2=rho2 * c2, t1=n1 * c / c1, t2=n2 * c / c2, eff=eff,
     )
 
 
@@ -160,10 +165,9 @@ class CellCorrectors:
     Q: float
 
 
-def cell_correctors(lam: Laminate, stretch: float = 1.0) -> CellCorrectors:
+def cell_correctors(st: CellState) -> CellCorrectors:
     """First-order corrector slopes over the unit cell, in normalised variables."""
-    st = cell_state(lam, stretch)
-    n1, n2 = lam.phase1.volume_fraction, lam.phase2.volume_fraction
+    n1, n2 = st.nu1, st.nu2
     g_eff = st.eff.g_eff
     g1, g2 = st.sc1.g / g_eff, st.sc2.g / g_eff
     h1, h2 = st.sc1.h / g_eff, st.sc2.h / g_eff
@@ -173,16 +177,14 @@ def cell_correctors(lam: Laminate, stretch: float = 1.0) -> CellCorrectors:
     return CellCorrectors(P=P, Q=Q)
 
 
-def unit_cell_profiles(lam: Laminate, stretch: float, y_fast: np.ndarray) -> dict[str, np.ndarray]:
+def unit_cell_profiles(st: CellState, y_fast: np.ndarray) -> dict[str, np.ndarray]:
     """Piecewise material and corrector data sampled on the fast coordinate.
 
     ``y_fast`` lives on the unit cell [-1/2, 1/2] with phase 2 occupying the
     centred band |y| <= nu2/2.  Returns normalised ``g``, ``h``, ``rho`` plus
     the corrector slope factor ``tau`` and offset ``phi``.
     """
-    st = cell_state(lam, stretch)
-    p1, p2 = lam.phases
-    n1, n2 = p1.volume_fraction, p2.volume_fraction
+    n1, n2 = st.nu1, st.nu2
     g_eff, rho_eff = st.eff.g_eff, st.eff.rho_eff
 
     y = np.asarray(y_fast, dtype=float)
@@ -191,7 +193,7 @@ def unit_cell_profiles(lam: Laminate, stretch: float, y_fast: np.ndarray) -> dic
     in2 = np.abs(y) <= 0.5 * n2
     g = np.where(in2, st.sc2.g, st.sc1.g) / g_eff
     h = np.where(in2, st.sc2.h, st.sc1.h) / g_eff
-    rho = np.where(in2, p2.density, p1.density) / rho_eff
+    rho = np.where(in2, st.rho2, st.rho1) / rho_eff
     tau = np.where(in2, -n1, n2)
     phi = np.where(in2, 0.0, np.where(y < 0.0, 0.5, -0.5))
     return {"g": g, "h": h, "rho": rho, "tau": tau, "phi": phi}
@@ -266,8 +268,8 @@ def shear_invariants(stretch: float, gamma: float) -> tuple[float, float]:
     return I1, K
 
 
-def invariant_K(F: np.ndarray, n: np.ndarray) -> float:
-    """K = |F n|^2 - |F^-T n|^-2 for a unit lamination direction n."""
+def _normal_images(F: np.ndarray, n: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+    """The unit lamination direction n, F n, F^-T n and |F^-T n|^2."""
     n = np.asarray(n, dtype=float)
     n = n / np.linalg.norm(n)
     Fn = F @ n
@@ -275,6 +277,22 @@ def invariant_K(F: np.ndarray, n: np.ndarray) -> float:
     norm2 = float(FinvTn @ FinvTn)
     if norm2 == 0.0:
         raise SingularDeformation("F^-T n vanished; lamination direction degenerate")
+    return n, Fn, FinvTn, norm2
+
+
+def _rank_one_jump(lam: Laminate, I1: float) -> tuple[float, float, float]:
+    """Jump factor P = G_breve (G1 - G2)/(G1 G2) of the phase moduli at the macroscopic
+    invariant, and the phase weights (tau1, tau2) = (-nu2, nu1) of the jump."""
+    p1, p2 = lam.phases
+    G1 = materials.generalized_shear_modulus(p1.model, I1)
+    G2 = materials.generalized_shear_modulus(p2.model, I1)
+    G_breve = 1.0 / (p1.volume_fraction / G1 + p2.volume_fraction / G2)
+    return G_breve * (G1 - G2) / (G1 * G2), -p2.volume_fraction, p1.volume_fraction
+
+
+def invariant_K(F: np.ndarray, n: np.ndarray) -> float:
+    """K = |F n|^2 - |F^-T n|^-2 for a unit lamination direction n."""
+    _, Fn, _, norm2 = _normal_images(F, n)
     return float(Fn @ Fn) - 1.0 / norm2
 
 
@@ -290,28 +308,13 @@ def per_phase_deformation(
     whenever ``F`` is.
     """
     F = np.asarray(F, dtype=float)
-    n = np.asarray(n, dtype=float)
-    n = n / np.linalg.norm(n)
     det = np.linalg.det(F)
     if abs(det - 1.0) > 1e-8:
         raise DomainError(f"macroscopic deformation must be isochoric, det F = {det:.6g}")
-    I1 = float(np.tensordot(F, F))
-    p1, p2 = lam.phases
-    G1 = materials.generalized_shear_modulus(p1.model, I1)
-    G2 = materials.generalized_shear_modulus(p2.model, I1)
-    G_breve = 1.0 / (p1.volume_fraction / G1 + p2.volume_fraction / G2)
-
-    Fn = F @ n
-    FinvTn = np.linalg.solve(F.T, n)
-    norm2 = float(FinvTn @ FinvTn)
-    if norm2 == 0.0:
-        raise SingularDeformation("F^-T n vanished; lamination direction degenerate")
-    P = G_breve * (G1 - G2) / (G1 * G2)
+    P, tau1, tau2 = _rank_one_jump(lam, float(np.tensordot(F, F)))
+    n, Fn, FinvTn, norm2 = _normal_images(F, n)
     theta = P * (Fn - FinvTn / norm2)
-    tau1, tau2 = -p2.volume_fraction, p1.volume_fraction
-    F1 = F + tau1 * np.outer(theta, n)
-    F2 = F + tau2 * np.outer(theta, n)
-    return F1, F2, theta
+    return F + tau1 * np.outer(theta, n), F + tau2 * np.outer(theta, n), theta
 
 
 def per_phase_invariants(lam: Laminate, F: np.ndarray, n: np.ndarray) -> tuple[float, float]:
@@ -319,12 +322,7 @@ def per_phase_invariants(lam: Laminate, F: np.ndarray, n: np.ndarray) -> tuple[f
     F = np.asarray(F, dtype=float)
     I1 = float(np.tensordot(F, F))
     K = invariant_K(F, n)
-    p1, p2 = lam.phases
-    G1 = materials.generalized_shear_modulus(p1.model, I1)
-    G2 = materials.generalized_shear_modulus(p2.model, I1)
-    G_breve = 1.0 / (p1.volume_fraction / G1 + p2.volume_fraction / G2)
-    P = G_breve * (G1 - G2) / (G1 * G2)
-    tau1, tau2 = -p2.volume_fraction, p1.volume_fraction
+    P, tau1, tau2 = _rank_one_jump(lam, I1)
     i1 = I1 + tau1 * P * (2.0 + tau1 * P) * K
     i2 = I1 + tau2 * P * (2.0 + tau2 * P) * K
     return i1, i2

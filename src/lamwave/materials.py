@@ -150,12 +150,6 @@ def generalized_shear_modulus(model: HyperelasticModel, I1: float) -> float:
     return _modulus(model, I1 - 3.0)
 
 
-def modulus_derivative(model: HyperelasticModel, I1: float) -> float:
-    """Derivative dG/dI1 in Pa."""
-    _check_invariant(I1)
-    return _modulus_slope(model, I1 - 3.0)
-
-
 def uniaxial_first_invariant(stretch: float) -> float:
     """First invariant of an isochoric uniaxial stretch along the layer normal."""
     if not stretch > 0.0:
@@ -293,14 +287,6 @@ class Laminate:
     @property
     def phases(self) -> tuple[Phase, Phase]:
         return (self.phase1, self.phase2)
-
-    def deformed_period(self, stretch: float) -> float:
-        """Spatial period after a uniaxial stretch along the layer normal."""
-        return stretch * self.period
-
-    def layer_thicknesses(self, stretch: float) -> tuple[float, float]:
-        ell = self.deformed_period(stretch)
-        return (self.phase1.volume_fraction * ell, self.phase2.volume_fraction * ell)
 
     def swapped(self) -> "Laminate":
         """The same laminate with phase labels exchanged."""

@@ -293,16 +293,16 @@ def impact_march(
     kappa: float,
     y_stops: list[float],
     cfg: SpectralConfig | None = None,
-    window_factor: float = 4.0,
     *,
     gradient: bool = False,
 ) -> MarchResult:
     """Impact problem for the unidirectional model (same forcing as the FV run).
 
-    ``gradient`` is passed to :func:`mkdv_march`.
+    ``cfg`` defaults to :func:`config_for_impact` at its defaults; ``gradient``
+    is passed to :func:`mkdv_march`.
     """
     if cfg is None:
-        cfg = config_for_impact(kappa, eff.c, window_factor=window_factor)
+        cfg = config_for_impact(kappa, eff.c)
     # signal content can shift by at most y/c in t; keep one duration of slack
     duration = 2.0 * math.pi / (kappa * eff.c)
     if cfg.quiet_zone_check and y_stops:

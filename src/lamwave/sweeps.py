@@ -6,8 +6,8 @@ contrast (at unit stretch).  Rows are computed as columns: one batched
 stretch solve (:func:`lamwave.materials.stretch_roots`), one cell-state
 evaluation (:func:`lamwave.homogenize.cell_columns`) and one search for the
 first exact band gaps of all rows, from Rytov's closed-form bracket
-(:func:`lamwave.dispersion.first_band_gaps`), with no frequency scan and no
-ceiling: a first gap reaching above 3 pi is reported with its true edges.
+(:func:`lamwave.dispersion.band_gap_edges` at n = 1), with no frequency scan
+and no ceiling: a first gap reaching above 3 pi is reported with its true edges.
 The columns become row dicts at the end, where the homogenised gaps and the
 soliton bounds are read row by row.
 """
@@ -78,7 +78,7 @@ class SweepResult:
 def _rows(st: CellState, scale, speed_scale) -> list[dict]:
     """eta, zeta, gap edges and soliton bounds of every cell of a column state, with gap
     edges rescaled by ``scale`` and speed bounds by ``speed_scale`` (floats or columns)."""
-    lo, hi = dispersion.first_band_gaps(st)
+    lo, hi = dispersion.band_gap_edges(st, 1)
     n = len(lo)
     effs = zip(*(np.broadcast_to(getattr(st.eff, f.name), n).tolist() for f in fields(EffectiveModel)))
     scales = zip((lo * scale).tolist(), (hi * scale).tolist(), np.broadcast_to(scale, n).tolist(),
@@ -108,7 +108,8 @@ def sweep_magnetic(lam: Laminate, spec: SweepSpec) -> SweepResult:
     speed, so rows are comparable across stretch states.  Rows where the
     stretch solve hits the Gent validity limit, or whose stretch is so small that
     its fourth power underflows, are flagged ``locked`` instead of aborting the
-    sweep.  The stretch balance has one root at every load
+    sweep; the summary's ``locked_notes`` says why, one ``{"load_product", "note"}``
+    per locked row.  The stretch balance has one root at every load
     (:func:`lamwave.materials.stretch_roots`), so ``n_stretch_roots`` is 1
     on every row and the ``multi_root_rows`` summary is 0.
     """
@@ -149,6 +150,7 @@ def sweep_magnetic(lam: Laminate, spec: SweepSpec) -> SweepResult:
         "stretch_min": float(free.min()) if free.size else math.nan,
         "stretch_max": float(free.max()) if free.size else math.nan,
         "multi_root_rows": 0,
+        "locked_notes": [{"load_product": values[i].item(), "note": notes[i]} for i in sorted(notes)],
     }
     return SweepResult(spec.variable, values, rows, {"period_m": lam.period}, summary)
 

@@ -19,7 +19,7 @@ import pytest
 
 import lamwave as lw
 from lamwave import dispersion, fv_sim, soliton, spectral_sim
-from lamwave.homogenize import effective_model
+from lamwave.homogenize import cell_state, effective_model
 
 
 #: tolerance of the oracle's band edges in omega*ell/c, and of comparisons against
@@ -125,7 +125,7 @@ def with_contrast(lam: lw.Laminate, ratio: float) -> lw.Laminate:
 
 
 def columns(states) -> Cell:
-    """A list of cell states (or Cells) as one Cell of columns, as first_band_gaps reads them."""
+    """A list of cell states (or Cells) as one Cell of columns, as band_gap_edges reads them."""
     return Cell(*np.array([(s.t1, s.t2, s.z1, s.z2) for s in states], dtype=float).reshape(-1, 4).T)
 
 
@@ -142,13 +142,13 @@ def oracle_gaps(cell, omega_max: float, n_scan: int) -> list[tuple[int, float, f
     """
     w = np.linspace(0.0, omega_max, n_scan + 1)
     w[0] = 1e-12 * w[-1]
-    f = dispersion._cosine(cell, w)
+    f = dispersion.bloch_cosine(cell, w)
     kappa = np.concatenate([[0.0], np.cumsum(np.abs(np.diff(np.arccos(np.clip(f, -1.0, 1.0)))))])
     padded = np.concatenate([[False], np.abs(f) > 1.0, [False]])
     flips = np.flatnonzero(padded[1:] != padded[:-1])
 
     def edge(a: float, b: float) -> float:
-        return brentq(lambda x: abs(dispersion._cosine(cell, x)) - 1.0, a, b, xtol=EDGE_TOL)
+        return brentq(lambda x: abs(dispersion.bloch_cosine(cell, x)) - 1.0, a, b, xtol=EDGE_TOL)
 
     gaps = []
     for i, j in zip(flips[::2], flips[1::2]):  # first evanescent and next propagating sample
@@ -199,7 +199,7 @@ def fv_matched_run(matched_bilam):
     multiples = (0.3, 0.6, 0.9, 1.0, 1.1, 1.25, 1.4, 1.6, 1.8, 2.0)
     probes = [m * y_star for m in multiples]
     t_final = 2.0 * y_star / e.c + 3.0 * duration
-    result = fv_sim.impact_run(matched_bilam, 1.0, velocity, kappa, probes, t_final)
+    result = fv_sim.impact_run(cell_state(matched_bilam, 1.0), velocity, kappa, probes, t_final)
     return {"result": result, "eff": e, "y_star": y_star, "kappa": kappa, "velocity": velocity}
 
 
@@ -213,7 +213,7 @@ def fv_nonlinear_run(bilam):
     e, velocity, kappa, y_star, duration = impact_geometry(bilam, 2.0, 16.0)
     probes = [y_star, 2.0 * y_star, 3.0 * y_star]
     t_final = 3.0 * y_star / e.c + 4.0 * duration
-    result = fv_sim.impact_run(bilam, 1.0, velocity, kappa, probes, t_final)
+    result = fv_sim.impact_run(cell_state(bilam, 1.0), velocity, kappa, probes, t_final)
     return {"result": result, "eff": e, "y_star": y_star, "kappa": kappa, "velocity": velocity}
 
 
@@ -222,7 +222,7 @@ def mkdv_nonlinear_run(bilam):
     """Spectral march of the same nonlinear dispersive impact problem."""
     e, velocity, kappa, y_star, _ = impact_geometry(bilam, 2.0, 16.0)
     result = spectral_sim.impact_march(
-        e, velocity, kappa, [y_star, 2.0 * y_star], window_factor=8.0
+        e, velocity, kappa, [y_star, 2.0 * y_star], spectral_sim.config_for_impact(kappa, e.c, 8.0)
     )
     return {"result": result, "eff": e, "y_star": y_star, "kappa": kappa, "velocity": velocity}
 
@@ -232,7 +232,8 @@ def mkdv_blowup_run(matched_bilam):
     """Spectral march of the non-dispersive analogue, past the shock distance."""
     e, velocity, kappa, y_star, _ = impact_geometry(matched_bilam, 2.0, 16.0)
     result = spectral_sim.impact_march(
-        e, velocity, kappa, [1.3 * y_star], window_factor=8.0, gradient=True
+        e, velocity, kappa, [1.3 * y_star], spectral_sim.config_for_impact(kappa, e.c, 8.0),
+        gradient=True,
     )
     return {"result": result, "eff": e, "y_star": y_star}
 
@@ -243,8 +244,10 @@ def low_dispersion_pair(low_disp_bilam):
     e, velocity, kappa, y_star, duration = impact_geometry(low_disp_bilam, math.sqrt(2.0), 8.0)
     probes = [y_star, 2.0 * y_star]
     t_final = 2.0 * y_star / e.c + 3.0 * duration
-    fv_result = fv_sim.impact_run(low_disp_bilam, 1.0, velocity, kappa, probes, t_final)
-    mk_result = spectral_sim.impact_march(e, velocity, kappa, probes, window_factor=8.0)
+    fv_result = fv_sim.impact_run(cell_state(low_disp_bilam, 1.0), velocity, kappa, probes, t_final)
+    mk_result = spectral_sim.impact_march(
+        e, velocity, kappa, probes, spectral_sim.config_for_impact(kappa, e.c, 8.0)
+    )
     return {
         "fv": fv_result,
         "mkdv": mk_result,

@@ -19,7 +19,7 @@ import pytest
 import lamwave as lw
 from lamwave import dispersion as dsp
 from lamwave import materials, soliton, spectral_sim, sweeps
-from lamwave.homogenize import effective_model
+from lamwave.homogenize import cell_state, effective_model
 
 from test_dispersion import monodromy_half_trace, random_laminate
 
@@ -61,7 +61,7 @@ def test_criterion_01_effective_parameters(bilam):
 
 def test_criterion_02_band_gaps(bilam, eff):
     t0 = time.perf_counter()
-    gaps = dsp.bloch_band_gaps(bilam, 1.0, 3.0 * math.pi)
+    gaps = dsp.bloch_band_gaps(cell_state(bilam, 1.0), 3.0 * math.pi)
     elapsed = time.perf_counter() - t0
     exact = gaps[0]
     homog = dsp.homogenized_band_gap(eff)
@@ -93,7 +93,7 @@ def test_criterion_03_transfer_matrix_oracle():
         lam = random_laminate(rng)
         stretch = float(rng.uniform(0.8, 1.3))
         omega = float(rng.uniform(0.05, 8.0))
-        closed = float(dsp.bloch_cosine(lam, stretch, omega))
+        closed = float(dsp.bloch_cosine(cell_state(lam, stretch), omega))
         oracle = monodromy_half_trace(lam, stretch, omega)
         worst = max(worst, abs(closed - oracle) / max(1.0, abs(oracle)))
     elapsed = time.perf_counter() - t0
@@ -283,7 +283,7 @@ def test_criterion_11a_fv_convergence():
     c = math.sqrt(1e6 / 1000.0)
 
     def l1_error(cells_per_layer):
-        grid = fv_sim.build_grid(lam, 1.0, cells_per_layer, 40)
+        grid = fv_sim.build_grid(cell_state(lam, 1.0), cells_per_layer, 40)
         y = grid.cell_centers()
         pulse = 1e-3 * np.exp(-(((y - 0.1) / 0.02) ** 2))
         state = fv_sim.SimState(pulse.copy(), -c * pulse)

@@ -6,6 +6,7 @@ import hashlib
 import io
 import json
 import math
+import sys
 import tempfile
 import warnings
 from pathlib import Path
@@ -302,6 +303,20 @@ class TestArtifacts:
             assert status == 2
             assert "overflows" in capsys.readouterr().err
 
+    def test_locked_notes_reach_the_summary(self, tmp_path):
+        """Each locked row of a magnetic sweep says why in the summary JSON, in row order;
+        the summary of a sweep with no locked row carries an empty list."""
+        payload = {"command": "sweep", "laminate": copy.deepcopy(BENCH_LAMINATE),
+                   "params": {"variable": "magnetic_load_product", "lo": -1.7e308, "hi": -1e308, "n": 3}}
+        for phase in payload["laminate"]["phases"]:
+            phase["model"].update(kind="FungDemiray", beta=0.5)
+        (summary_path,) = run_ok(tmp_path, payload).glob("sweep_*.json")
+        notes = json.loads(summary_path.read_text())["locked_notes"]
+        assert [n["load_product"] for n in notes] == [-1.7e308, -1.35e308, -1e308]
+        assert all("overflows" in n["note"] for n in notes)
+        (summary_path,) = run_ok(tmp_path, VALID_CONFIGS["sweep"], "free").glob("sweep_*.json")
+        assert json.loads(summary_path.read_text())["locked_notes"] == []
+
     def test_sweep_artifacts_and_manifest(self, tmp_path):
         payload = {"command": "sweep", "laminate": BENCH_LAMINATE,
                    "params": {"variable": "volume_fraction_2", "lo": 0.1, "hi": 0.9, "n": 9}}
@@ -463,6 +478,28 @@ VALID_CONFIGS = {
     "simulate-mkdv": {"command": "simulate-mkdv", "laminate": BENCH_LAMINATE,
                       "params": dict(SMALL_SIM, n_points=64, dy_m=1e-4, viscosity=0.0)},
 }
+@pytest.mark.parametrize("command, builds", [
+    ("effective", 1), ("dispersion", 1), ("bandgap", 1), ("soliton", 1),
+    ("simulate-fv", 1), ("simulate-mkdv", 1), ("magnetostatic", 0),
+])
+def test_one_cell_state_per_run(tmp_path, monkeypatch, command, builds):
+    """A run builds the cell state of its laminate at its stretch once, and every analysis
+    reads that one state; magnetostatic needs only the stretch."""
+    from lamwave import homogenize
+
+    columns, calls = homogenize.cell_columns, []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return columns(*args, **kwargs)
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("lamwave") and getattr(mod, "cell_columns", None) is columns:
+            monkeypatch.setattr(mod, "cell_columns", counted)
+    run_ok(tmp_path, VALID_CONFIGS[command])
+    assert len(calls) == builds
+
+
 #: Commands quick enough to run on every mutated config.
 FAST = ("effective", "magnetostatic", "dispersion", "bandgap", "soliton", "sweep")
 BAD_VALUES = ["x", "", True, False, None, math.nan, math.inf, -math.inf, 0, 0.0,

@@ -26,10 +26,11 @@ def monodromy_half_trace(lam: lw.Laminate, stretch: float, omega_norm: float) ->
     with the standard harmonic-layer matrix and multiplies the two factors.
     """
     eff = effective_model(lam, stretch)
-    ell = lam.deformed_period(stretch)
+    ell = stretch * lam.period
     omega = omega_norm * eff.c / ell
     mat = np.eye(2)
-    for phase, thickness in zip(lam.phases, lam.layer_thicknesses(stretch)):
+    for phase in lam.phases:
+        thickness = phase.volume_fraction * ell
         sc = m.shear_coefficients(phase.model, stretch)
         c = math.sqrt(sc.g / phase.density)
         k = omega / c
@@ -59,25 +60,24 @@ def random_laminate(rng) -> lw.Laminate:
 
 class TestBlochCosine:
     def test_zero_frequency(self, bilam):
-        assert dsp.bloch_cosine(bilam, 1.0, 0.0) == 1.0
+        assert dsp.bloch_cosine(cell_state(bilam, 1.0), 0.0) == 1.0
 
     def test_homogeneous_limit(self):
         p = lw.Phase(lw.HyperelasticModel("neo-hookean", 2e6), 1000.0, 0.5)
         lam = lw.Laminate(p, dataclasses.replace(p), 0.01)
         w = np.linspace(0.0, 8.0, 50)
-        assert np.allclose(dsp.bloch_cosine(lam, 1.0, w), np.cos(w), atol=1e-13)
+        assert np.allclose(dsp.bloch_cosine(cell_state(lam, 1.0), w), np.cos(w), atol=1e-13)
 
     def test_even_in_frequency(self, bilam):
         w = np.linspace(0.1, 6.0, 17)
-        assert np.allclose(
-            dsp.bloch_cosine(bilam, 1.0, w), dsp.bloch_cosine(bilam, 1.0, -w), atol=1e-14
-        )
+        st = cell_state(bilam, 1.0)
+        assert np.allclose(dsp.bloch_cosine(st, w), dsp.bloch_cosine(st, -w), atol=1e-14)
 
     def test_relabeling_invariance(self, bilam):
         w = np.linspace(0.1, 6.0, 17)
         assert np.allclose(
-            dsp.bloch_cosine(bilam, 1.0, w),
-            dsp.bloch_cosine(bilam.swapped(), 1.0, w),
+            dsp.bloch_cosine(cell_state(bilam, 1.0), w),
+            dsp.bloch_cosine(cell_state(bilam.swapped(), 1.0), w),
             atol=1e-13,
         )
 
@@ -87,7 +87,7 @@ class TestBlochCosine:
             lam = random_laminate(rng)
             stretch = float(rng.uniform(0.8, 1.3))
             w = float(rng.uniform(0.05, 8.0))
-            closed = float(dsp.bloch_cosine(lam, stretch, w))
+            closed = float(dsp.bloch_cosine(cell_state(lam, stretch), w))
             oracle = monodromy_half_trace(lam, stretch, w)
             assert closed == pytest.approx(oracle, abs=1e-12 * max(1.0, abs(oracle)))
 
@@ -96,15 +96,15 @@ class TestBandGaps:
     def test_homogeneous_has_none(self):
         p = lw.Phase(lw.HyperelasticModel("neo-hookean", 2e6), 1000.0, 0.5)
         lam = lw.Laminate(p, dataclasses.replace(p), 0.01)
-        assert dsp.bloch_band_gaps(lam, 1.0, 3.0 * math.pi) == []
+        assert dsp.bloch_band_gaps(cell_state(lam, 1.0), 3.0 * math.pi) == []
 
     def test_benchmark_first_gap(self, bilam):
-        gaps = dsp.bloch_band_gaps(bilam, 1.0, 3.0 * math.pi)
+        gaps = dsp.bloch_band_gaps(cell_state(bilam, 1.0), 3.0 * math.pi)
         assert gaps[0].lo == pytest.approx(0.83 * math.pi, abs=0.01 * math.pi)
         assert gaps[0].hi == pytest.approx(1.27 * math.pi, abs=0.01 * math.pi)
 
     def test_matched_impedance_gap_closes(self, matched_bilam):
-        gaps = dsp.bloch_band_gaps(matched_bilam, 1.0, 2.0 * math.pi)
+        gaps = dsp.bloch_band_gaps(cell_state(matched_bilam, 1.0), 2.0 * math.pi)
         assert not gaps or gaps[0].width < 1e-6
 
     def test_scan_evaluates_coefficients_once_per_phase(self, bilam, monkeypatch):
@@ -118,21 +118,23 @@ class TestBandGaps:
         for name, mod in list(sys.modules.items()):
             if name.startswith("lamwave") and getattr(mod, "shear_coefficients", None) is original:
                 monkeypatch.setattr(mod, "shear_coefficients", counted)
-        gaps = dsp.bloch_band_gaps(bilam, 1.0, 3.0 * math.pi)
+        gaps = dsp.bloch_band_gaps(cell_state(bilam, 1.0), 3.0 * math.pi)
         assert gaps
         assert len(calls) <= 2
 
     def test_edges_refined(self, bilam):
-        gaps = dsp.bloch_band_gaps(bilam, 1.0, 2.0 * math.pi)
+        st = cell_state(bilam, 1.0)
+        gaps = dsp.bloch_band_gaps(st, 2.0 * math.pi)
         for edge in (gaps[0].lo, gaps[0].hi):
-            assert abs(abs(float(dsp.bloch_cosine(bilam, 1.0, edge))) - 1.0) < 1e-8
+            assert abs(abs(float(dsp.bloch_cosine(st, edge))) - 1.0) < 1e-8
 
     def test_edges_at_float_resolution(self, bilam):
         """Each edge is evanescent, and the next float outward propagates."""
-        for gap in dsp.bloch_band_gaps(bilam, 1.0, 3.0 * math.pi):
+        st = cell_state(bilam, 1.0)
+        for gap in dsp.bloch_band_gaps(st, 3.0 * math.pi):
             for edge, outward in ((gap.lo, -math.inf), (gap.hi, math.inf)):
-                assert abs(dsp.bloch_cosine(bilam, 1.0, edge)) > 1.0
-                assert abs(dsp.bloch_cosine(bilam, 1.0, math.nextafter(edge, outward))) <= 1.0
+                assert abs(dsp.bloch_cosine(st, edge)) > 1.0
+                assert abs(dsp.bloch_cosine(st, math.nextafter(edge, outward))) <= 1.0
 
     def test_first_gaps_match_all_gaps(self, bilam, matched_bilam, low_disp_bilam):
         """The first gaps of many cells are gap 1 of each one's all-gaps search, bit for bit,
@@ -140,9 +142,9 @@ class TestBandGaps:
         lams = [bilam, matched_bilam, low_disp_bilam, bilam]
         stretches = [1.0, 1.0, 1.0, 1.6]
         states = [cell_state(lam, s) for lam, s in zip(lams, stretches)]
-        lo, hi = dsp.first_band_gaps(columns(states))
+        lo, hi = dsp.band_gap_edges(columns(states), 1)
         for st, a, b in zip(states, lo.tolist(), hi.tolist()):
-            gaps = [g for g in dsp._band_gaps(st, 3.0 * math.pi) if g.index == 1]
+            gaps = [g for g in dsp.bloch_band_gaps(st, 3.0 * math.pi) if g.index == 1]
             oracle = [(g_lo, g_hi) for n, g_lo, g_hi in oracle_gaps(st, 3.0 * math.pi, 4000) if n == 1]
             if oracle:
                 assert (gaps[0].lo, gaps[0].hi) == (a, b)
@@ -150,7 +152,7 @@ class TestBandGaps:
                 assert abs(b - oracle[0][1]) <= EDGE_TOL
             else:
                 assert not gaps and math.isnan(a) and math.isnan(b)
-        empty = dsp.first_band_gaps(columns([]))
+        empty = dsp.band_gap_edges(columns([]), 1)
         assert [len(x) for x in empty] == [0, 0]
 
     @settings(max_examples=40, deadline=None)
@@ -164,7 +166,7 @@ class TestBandGaps:
         number and its edges within EDGE_TOL."""
         cell = Cell(t1=t1, t2=(1.0 - t1) * shrink, z1=math.exp(log_r), z2=1.0)
         omega_max = 6.0 * math.pi
-        gaps = {g.index: g for g in dsp._band_gaps(cell, omega_max)}
+        gaps = {g.index: g for g in dsp.bloch_band_gaps(cell, omega_max)}
         for n, lo, hi in oracle_gaps(cell, omega_max, 20_000):
             assert abs(gaps[n].lo - lo) <= EDGE_TOL
             assert abs(gaps[n].hi - hi) <= EDGE_TOL
@@ -177,10 +179,10 @@ class TestBandGaps:
             lw.Phase(lw.HyperelasticModel("neo-hookean", 4.699e6), 930.0, 0.3),
             0.01,
         )
-        gaps = dsp.bloch_band_gaps(lam, 1.0, 3.0 * math.pi)
+        gaps = dsp.bloch_band_gaps(cell_state(lam, 1.0), 3.0 * math.pi)
         assert [g.index for g in gaps] == [1, 2, 3]
         assert all(0.0 < g.width < 3e-4 for g in gaps)
-        (lo,), (hi,) = dsp.first_band_gaps(cell_state(lam, 1.0))
+        (lo,), (hi,) = dsp.band_gap_edges(cell_state(lam, 1.0), 1)
         assert (gaps[0].lo, gaps[0].hi) == (lo, hi)
         assert gaps[2].hi == 3.0 * math.pi
         coarse = oracle_gaps(cell_state(lam, 1.0), 3.0 * math.pi, 10_000)
@@ -194,7 +196,7 @@ class TestBandGaps:
         """With t1 = t2, S(q) = sin x cos x (1 + q) vanishes at x = pi/2 for both q: gap 2
         closes (absent, or narrower than 1e-12) and the numbering of gap 3 holds."""
         cell = Cell(t1=0.45, t2=0.45, z1=3.0, z2=1.0)
-        gaps = {g.index: g for g in dsp._band_gaps(cell, 4.0 * math.pi)}
+        gaps = {g.index: g for g in dsp.bloch_band_gaps(cell, 4.0 * math.pi)}
         assert gaps.keys() >= {1, 3}
         assert 2 not in gaps or gaps[2].width < 1e-12
         assert gaps[3].lo > gaps[1].hi + 1.0
@@ -213,7 +215,7 @@ class TestBandGaps:
 
         monkeypatch.setattr(dsp, "bisect", counted)
         monkeypatch.setattr(np, "linspace", no_grid)
-        records = dsp.band_gap_records(bilam, 1.0, 3.0 * math.pi)
+        records = dsp.band_gap_records(cell_state(bilam, 1.0), 3.0 * math.pi)
         # t1 + t2 = 0.93: gaps 1, 2 and 3 start below 3 pi (t1 + t2) / pi + 1; gap 3 opens above
         assert brackets == [(2, 3)]
         assert [r["index"] for r in records if r["theory"] == "exact"] == [1, 2]
@@ -238,7 +240,7 @@ class TestClosedFormFirstGap:
     def test_matches_scan(self, t1, shrink, log_r):
         """Where the scan oracle resolves gap 1, both give its edges to EDGE_TOL."""
         cell = Cell(t1=t1, t2=(1.0 - t1) * shrink, z1=math.exp(log_r), z2=1.0)
-        (lo,), (hi,) = dsp.first_band_gaps(cell)
+        (lo,), (hi,) = dsp.band_gap_edges(cell, 1)
         omega_max = 3.0 * math.pi
         oracle = [(a, b) for n, a, b in oracle_gaps(cell, omega_max, 4000) if n == 1]
         if not oracle or oracle[0][1] == omega_max:
@@ -251,28 +253,28 @@ class TestClosedFormFirstGap:
         cells = [cell_state(bilam, 1.0), cell_state(low_disp_bilam, 1.3),
                  Cell(0.3, 0.65, 1e-3, 1.0), Cell(0.9, 0.05, 1.0, 7.0),
                  Cell(0.05, 0.25, 30.0, 1.0)]
-        lo, hi = dsp.first_band_gaps(columns(cells))
+        lo, hi = dsp.band_gap_edges(columns(cells), 1)
         for cell, a, b in zip(cells, lo.tolist(), hi.tolist()):
             assert 0.0 < a < b
             for edge, outward in ((a, -math.inf), (b, math.inf)):
                 assert one_plus_cosine(cell, edge) < 0.0
                 assert one_plus_cosine(cell, math.nextafter(edge, outward)) >= 0.0
                 # the unfactored form loses about eps * (r + 1/r) / 2 to cancellation
-                assert dsp._cosine(cell, edge) == pytest.approx(-1.0, abs=1e-12)
+                assert dsp.bloch_cosine(cell, edge) == pytest.approx(-1.0, abs=1e-12)
 
     def test_matched_impedance_has_none(self, matched_bilam):
         cells = [cell_state(matched_bilam, 1.0), Cell(0.3, 0.7, 2.0, 2.0),
                  Cell(0.9, 0.05, 5e3, 5e3)]
-        lo, hi = dsp.first_band_gaps(columns(cells))
+        lo, hi = dsp.band_gap_edges(columns(cells), 1)
         assert np.isnan(lo).all() and np.isnan(hi).all()
 
     def test_gap_narrower_than_a_scan_step(self):
         """A gap 1e-3 wide, under the 2.4e-3 step of a 4000-frequency scan to 3 pi, is found;
         that scan steps over it, and its first gap is gap 2."""
         cell = Cell(t1=0.7148705720283964, t2=0.17192873424055835, z1=1.000801746581671, z2=1.0)
-        (lo,), (hi,) = dsp.first_band_gaps(cell)
+        (lo,), (hi,) = dsp.band_gap_edges(cell, 1)
         assert 0.0 < hi - lo < 3.0 * math.pi / 4000
-        gaps = dsp._band_gaps(cell, 3.0 * math.pi)
+        gaps = dsp.bloch_band_gaps(cell, 3.0 * math.pi)
         assert (gaps[0].index, gaps[0].lo, gaps[0].hi) == (1, lo, hi)
         coarse = oracle_gaps(cell, 3.0 * math.pi, 4000)[0]
         assert coarse[0] == 2 and coarse[1] > hi + 1.0
@@ -285,14 +287,15 @@ class TestClosedFormFirstGap:
     def test_acoustic_inversion_at_small_kappa(self, bilam, kappa_ell):
         """omega ell / c = kappa ell (1 + O(kappa ell^2)) on the long-wave end, and the
         inversion keeps it to 1e-12 relative."""
-        w = dsp.exact_acoustic_frequency(bilam, 1.0, kappa_ell)
+        w = dsp.exact_acoustic_frequency(cell_state(bilam, 1.0), kappa_ell)
         assert w == pytest.approx(kappa_ell, rel=1e-12)
 
     def test_acoustic_branch_ends_at_lower_edge(self, bilam, low_disp_bilam):
         """At kappa*ell = pi the acoustic-branch inversion returns the lower gap edge."""
         for lam in (bilam, low_disp_bilam):
-            (lo,), _ = dsp.first_band_gaps(cell_state(lam, 1.0))
-            assert dsp.exact_acoustic_frequency(lam, 1.0, math.pi) == pytest.approx(lo, rel=1e-14)
+            st = cell_state(lam, 1.0)
+            (lo,), _ = dsp.band_gap_edges(st, 1)
+            assert dsp.exact_acoustic_frequency(st, math.pi) == pytest.approx(lo, rel=1e-14)
 
 
 class TestHomogenizedBranches:
@@ -374,14 +377,14 @@ class TestLongWaveAgreement:
         ks = np.array([0.03, 0.06, 0.12, 0.24])
         errs = []
         for k in ks:
-            w_exact = dsp.exact_acoustic_frequency(bilam, 1.0, float(k))
+            w_exact = dsp.exact_acoustic_frequency(cell_state(bilam, 1.0), float(k))
             w_h = dsp.homogenized_branch_frequencies(eff, float(k))[0]
             errs.append(abs(w_h - w_exact) / w_exact)
         slope = np.polyfit(np.log(ks), np.log(errs), 1)[0]
         assert slope == pytest.approx(4.0, abs=0.4)
 
     def test_first_cutoff_within_two_percent(self, bilam, eff):
-        exact = dsp.bloch_band_gaps(bilam, 1.0, 2.0 * math.pi)[0]
+        exact = dsp.bloch_band_gaps(cell_state(bilam, 1.0), 2.0 * math.pi)[0]
         homog = dsp.homogenized_band_gap(eff)
         assert homog.lo == pytest.approx(exact.lo, rel=0.02)
 
@@ -396,7 +399,7 @@ def assert_bloch_bands(cell, omega_max: float, n: int) -> list:
     of branch b lies above every gap up to b and below every gap past it; and each
     branch end lies within one grid step of the gap edge next to it.
     """
-    branches = dsp._branches(cell, omega_max, n)
+    branches = dsp.sample_exact_branches(cell, omega_max, n)
     w = np.linspace(0.0, omega_max, n)
     step = 1.000001 * w[1]
     gap = np.arange(1, math.floor(omega_max * (cell.t1 + cell.t2) / math.pi) + 2)
@@ -406,7 +409,7 @@ def assert_bloch_bands(cell, omega_max: float, n: int) -> list:
     kept = np.concatenate([br.omega_norm for br in branches])
     assert not np.isin(kept, w[inside]).any()
     dropped = np.setdiff1d(w[~inside], kept)
-    assert np.allclose(np.abs(dsp._cosine(cell, dropped)), 1.0, rtol=0.0, atol=1e-9)
+    assert np.allclose(np.abs(dsp.bloch_cosine(cell, dropped)), 1.0, rtol=0.0, atol=1e-9)
     assert (np.diff(np.concatenate([br.kappa_ell for br in branches])) >= 0.0).all()
     assert [br.index for br in branches] == sorted({br.index for br in branches})
     for br in branches:
@@ -419,7 +422,7 @@ def assert_bloch_bands(cell, omega_max: float, n: int) -> list:
 
 class TestSampling:
     def test_branch_shapes(self, bilam):
-        branches = dsp.sample_exact_branches(bilam, 1.0, 2.6 * math.pi, 1200)
+        branches = dsp.sample_exact_branches(cell_state(bilam, 1.0), 2.6 * math.pi, 1200)
         assert len(branches) >= 3
         acoustic = branches[0]
         assert np.all(np.diff(acoustic.omega_norm) > 0)
@@ -441,7 +444,7 @@ class TestSampling:
             lw.Phase(lw.HyperelasticModel("neo-hookean", 4.699e6), 930.0, 0.3),
             0.01,
         )
-        branches = dsp.sample_exact_branches(lam, 1.0, 2.6 * math.pi, 2000)
+        branches = dsp.sample_exact_branches(cell_state(lam, 1.0), 2.6 * math.pi, 2000)
         assert [br.index for br in branches] == [0, 1, 2]
         assert branches[-1].kappa_ell[-1] == pytest.approx(2.6 * math.pi, rel=1e-3)
         assert_bloch_bands(cell_state(lam, 1.0), 2.6 * math.pi, 2000)
@@ -469,7 +472,7 @@ class TestSampling:
                            6.0 * math.pi, 2000)
 
     def test_tables(self, bilam):
-        header, rows = dsp.dispersion_table(bilam, 1.0, 2.0 * math.pi, 400)
+        header, rows = dsp.dispersion_table(cell_state(bilam, 1.0), 2.0 * math.pi, 400)
         assert header == ["kappa_ell", "omega_norm", "branch", "theory"]
         theories = {r[3] for r in rows}
         assert theories == {"exact", "homogenized", "mkdv"}
@@ -484,7 +487,7 @@ class TestSampling:
         p = lw.Phase(lw.HyperelasticModel("neo-hookean", 2e6), 1000.0, 0.5)
         lam = lw.Laminate(p, dataclasses.replace(p), 0.01) if homogeneous else bilam
         n = 2002
-        _, rows = dsp.dispersion_table(lam, 1.0, 2.0 * math.pi, n, folded=folded)
+        _, rows = dsp.dispersion_table(cell_state(lam, 1.0), 2.0 * math.pi, n, folded=folded)
         want = []
         eff = effective_model(lam, 1.0)
         for k in np.linspace(0.0, 2.0 * math.pi, n // 2):
@@ -494,7 +497,7 @@ class TestSampling:
         assert [r for r in rows if r[3] == "homogenized"] == want
 
     def test_gap_records(self, bilam):
-        records = dsp.band_gap_records(bilam, 1.0, 2.0 * math.pi)
+        records = dsp.band_gap_records(cell_state(bilam, 1.0), 2.0 * math.pi)
         exact = [r for r in records if r["theory"] == "exact"]
         homog = [r for r in records if r["theory"] == "homogenized"]
         assert exact and homog

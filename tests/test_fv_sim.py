@@ -13,7 +13,7 @@ from lamwave import fv_sim as fv
 from lamwave import output
 from lamwave import soliton
 from lamwave.errors import DomainError, GeometryError
-from lamwave.homogenize import effective_model
+from lamwave.homogenize import cell_state, effective_model
 
 
 def homogeneous_laminate(modulus=1e6, rho=1000.0):
@@ -23,12 +23,12 @@ def homogeneous_laminate(modulus=1e6, rho=1000.0):
 
 class TestGrid:
     def test_cell_size(self, bilam):
-        grid = fv.build_grid(bilam, 1.0, 32, 4)
+        grid = fv.build_grid(cell_state(bilam, 1.0), 32, 4)
         assert grid.dy == pytest.approx(0.005 / 32, rel=1e-14)
         assert grid.domain_length == pytest.approx(4 * 0.01, rel=1e-12)
 
     def test_material_map_layout(self, bilam):
-        grid = fv.build_grid(bilam, 1.0, 8, 3)
+        grid = fv.build_grid(cell_state(bilam, 1.0), 8, 3)
         # half layer of phase 2 at the origin, then alternation
         assert list(grid.phase_index[:4]) == [2, 2, 2, 2]
         assert list(grid.phase_index[4:12]) == [1] * 8
@@ -37,19 +37,19 @@ class TestGrid:
 
     def test_homogeneous_map_is_constant(self):
         lam = homogeneous_laminate()
-        grid = fv.build_grid(lam, 1.0, 8, 3)
+        grid = fv.build_grid(cell_state(lam, 1.0), 8, 3)
         assert np.all(grid.g == grid.g[0])
 
     def test_points_per_wavelength(self, bilam):
-        grid = fv.build_grid(bilam, 1.0, 32, 2)
+        grid = fv.build_grid(cell_state(bilam, 1.0), 32, 2)
         wavelength = 16.0 * 0.01
         assert wavelength / grid.dy == pytest.approx(1024.0, rel=1e-12)
 
     def test_odd_cells_rejected(self, bilam):
         with pytest.raises(GeometryError):
-            fv.build_grid(bilam, 1.0, 7, 2)
+            fv.build_grid(cell_state(bilam, 1.0), 7, 2)
         with pytest.raises(GeometryError):
-            fv.build_grid(bilam, 1.0, 2, 2)
+            fv.build_grid(cell_state(bilam, 1.0), 2, 2)
 
     def test_non_integer_layer_rejected(self):
         lam = lw.Laminate(
@@ -59,7 +59,7 @@ class TestGrid:
         )
         # phase-1 layer spans 0.003/0.0007 = 4.29 cells: not realisable
         with pytest.raises(GeometryError):
-            fv.build_grid(lam, 1.0, 10, 2)
+            fv.build_grid(cell_state(lam, 1.0), 10, 2)
 
 
 class TestFluxAndSpeed:
@@ -97,7 +97,7 @@ class TestStep:
             assert got.tobytes() == np.clip(theta, 0.0, 1.0).tobytes()
 
     def test_quiescent_stays_quiescent(self, bilam):
-        grid = fv.build_grid(bilam, 1.0, 8, 4)
+        grid = fv.build_grid(cell_state(bilam, 1.0), 8, 4)
         state = fv.SimState.quiescent(grid)
         for _ in range(20):
             fv.step(state, grid)
@@ -105,7 +105,7 @@ class TestStep:
         assert np.all(state.velocity == 0.0)
 
     def test_conservation_periodic(self, bilam):
-        grid = fv.build_grid(bilam, 1.0, 8, 10)
+        grid = fv.build_grid(cell_state(bilam, 1.0), 8, 10)
         y = grid.cell_centers()
         gamma = 0.3 + 0.2 * np.sin(2.0 * math.pi * y / grid.domain_length)
         velocity = 5.0 + 3.0 * np.cos(2.0 * math.pi * y / grid.domain_length)
@@ -119,7 +119,7 @@ class TestStep:
 
     def test_conservation_walls(self, bilam):
         """Walls pass no strain flux, so the strain sum stays put."""
-        grid = fv.build_grid(bilam, 1.0, 8, 10)
+        grid = fv.build_grid(cell_state(bilam, 1.0), 8, 10)
         y = grid.cell_centers()
         mid = 0.5 * grid.domain_length
         gamma = 0.2 * np.exp(-(((y - mid) / (0.05 * grid.domain_length)) ** 2))
@@ -129,7 +129,7 @@ class TestStep:
         assert state.gamma.sum() == pytest.approx(gamma.sum(), rel=1e-12)
 
     def test_wall_is_zero_boundary_velocity(self, bilam):
-        grid = fv.build_grid(bilam, 1.0, 8, 4)
+        grid = fv.build_grid(cell_state(bilam, 1.0), 8, 4)
         y = grid.cell_centers()
         gamma = 0.1 * np.sin(2.0 * math.pi * y / grid.domain_length)
         velocity = 4.0 + np.cos(3.0 * math.pi * y / grid.domain_length)
@@ -154,7 +154,7 @@ class TestStep:
         ],
     )
     def test_unknown_boundary_rejected(self, bilam, bc):
-        grid = fv.build_grid(bilam, 1.0, 8, 2)
+        grid = fv.build_grid(cell_state(bilam, 1.0), 8, 2)
         with pytest.raises(DomainError, match="boundary"):
             fv.step(fv.SimState.quiescent(grid), grid, **bc)
 
@@ -165,7 +165,7 @@ class TestStep:
         c = math.sqrt(1e6 / 1000.0)
 
         def l1_error(cells_per_layer):
-            grid = fv.build_grid(lam, 1.0, cells_per_layer, 40)
+            grid = fv.build_grid(cell_state(lam, 1.0), cells_per_layer, 40)
             y = grid.cell_centers()
             pulse = 1e-3 * np.exp(-(((y - 0.1) / 0.02) ** 2))
             state = fv.SimState(pulse.copy(), -c * pulse)
@@ -183,7 +183,7 @@ class TestStep:
     def test_cfl_violation_detected(self, bilam):
         from lamwave.errors import CFLViolation
 
-        grid = fv.build_grid(bilam, 1.0, 8, 2)
+        grid = fv.build_grid(cell_state(bilam, 1.0), 8, 2)
         state = fv.SimState.quiescent(grid)
         with pytest.raises(CFLViolation):
             fv.step(state, grid, cfl=1.5)
@@ -195,7 +195,7 @@ class TestStep:
         t_final = 10.0 * 2.0 * math.pi / (kappa * eff.c) / 8.0
 
         def run(sign):
-            grid = fv.build_grid(bilam, 1.0, 8, 12)
+            grid = fv.build_grid(cell_state(bilam, 1.0), 8, 12)
             state = fv.SimState.quiescent(grid)
             forcing = fv.impact_signal(sign * 0.5 * eff.c, kappa, eff.c)
             while state.time < t_final - 1e-15:
@@ -224,7 +224,7 @@ class TestActiveWindow:
         """
         eff = effective_model(bilam, 1.0)
         forcing = fv.impact_signal(eff.c, 2.0 * math.pi / (8.0 * eff.ell), eff.c)
-        grid = fv.build_grid(bilam, 1.0, 8, 12)
+        grid = fv.build_grid(cell_state(bilam, 1.0), 8, 12)
         t_final = crossings * grid.domain_length / eff.c
         probes = [0.02, 0.05]
         res = fv.simulate(
@@ -258,7 +258,7 @@ class TestActiveWindow:
         """After a warm-up step, a step on ~15k cells allocates under 64 KiB."""
         eff = effective_model(bilam, 1.0)
         forcing = fv.impact_signal(eff.c, 2.0 * math.pi / (16.0 * eff.ell), eff.c)
-        grid = fv.build_grid(bilam, 1.0, 32, 238)
+        grid = fv.build_grid(cell_state(bilam, 1.0), 32, 238)
         assert grid.n_cells == 15232
         zeros = np.zeros(grid.n_cells)
         state = fv.SimState.quiescent(grid) if quiescent else fv.SimState(zeros, zeros.copy())
@@ -289,7 +289,7 @@ class TestImpact:
     def test_zero_velocity_gives_zero_probes(self, bilam):
         eff = effective_model(bilam, 1.0)
         kappa = 2.0 * math.pi / (16.0 * eff.ell)
-        res = fv.impact_run(bilam, 1.0, 0.0, kappa, [0.05], 2e-3, cells_per_layer=8)
+        res = fv.impact_run(cell_state(bilam, 1.0), 0.0, kappa, [0.05], 2e-3, cells_per_layer=8)
         assert np.all(res.probes[0].v_over_c == 0.0)
 
     def test_matched_impedance_preserves_amplitude(self):
@@ -306,7 +306,7 @@ class TestImpact:
         probe = 0.15
         duration = 2.0 * math.pi / (kappa * eff.c)
         res = fv.impact_run(
-            lam, 1.0, velocity, kappa, [probe], probe / eff.c + 2.0 * duration,
+            cell_state(lam, 1.0), velocity, kappa, [probe], probe / eff.c + 2.0 * duration,
             cells_per_layer=32,
         )
         peak = float(np.max(res.probes[0].v_over_c))
@@ -315,7 +315,7 @@ class TestImpact:
     def test_band_gap_attenuation(self, bilam):
         """A broadband pulse through many layers loses its in-gap spectral content."""
         eff = effective_model(bilam, 1.0)
-        gap = dsp.bloch_band_gaps(bilam, 1.0, 2.0 * math.pi)[0]
+        gap = dsp.bloch_band_gaps(cell_state(bilam, 1.0), 2.0 * math.pi)[0]
         # short pulse centred near the gap: duration = one period at the gap centre
         w_center = 0.5 * (gap.lo + gap.hi) * eff.c / eff.ell
         kappa = w_center / eff.c
@@ -323,7 +323,9 @@ class TestImpact:
         probe = 10.5 * eff.ell
         duration = 2.0 * math.pi / (kappa * eff.c)
         t_final = probe / eff.c + 14.0 * duration
-        res = fv.impact_run(bilam, 1.0, velocity, kappa, [probe], t_final, cells_per_layer=16)
+        res = fv.impact_run(
+            cell_state(bilam, 1.0), velocity, kappa, [probe], t_final, cells_per_layer=16
+        )
         pr = res.probes[0]
         t = np.linspace(pr.times[0], pr.times[-1], 4096)
         v = np.interp(t, pr.times, pr.v_over_c)
@@ -341,10 +343,10 @@ class TestImpact:
         kappa = 2.0 * math.pi / (8.0 * eff.ell)
         forcing = fv.impact_signal(0.5 * eff.c, kappa, eff.c)
         t_final = 0.05 / eff.c + 2.0 * 2.0 * math.pi / (kappa * eff.c)
-        periods = fv.required_periods(bilam, 1.0, t_final, 0.05, 2.0 * math.pi / kappa)
+        periods = fv.required_periods(cell_state(bilam, 1.0), t_final, 0.05, 2.0 * math.pi / kappa)
         series = []
         for n in (periods, 2 * periods):
-            grid = fv.build_grid(bilam, 1.0, 8, n)
+            grid = fv.build_grid(cell_state(bilam, 1.0), 8, n)
             res = fv.simulate(
                 grid,
                 left_velocity=forcing,
@@ -358,7 +360,7 @@ class TestImpact:
     def test_probe_table_schema(self, bilam):
         eff = effective_model(bilam, 1.0)
         kappa = 2.0 * math.pi / (16.0 * eff.ell)
-        res = fv.impact_run(bilam, 1.0, 0.1 * eff.c, kappa, [0.03], 1e-3, cells_per_layer=8)
+        res = fv.impact_run(cell_state(bilam, 1.0), 0.1 * eff.c, kappa, [0.03], 1e-3, cells_per_layer=8)
         traces = [(pr.position, pr.times, pr.v_over_c) for pr in res.probes]
         header, rows = output.probe_table(traces, kappa * eff.c / (2.0 * math.pi), "fv")
         assert header == ["t_s", "t_norm", "v_over_c", "probe_y_m", "theory"]

@@ -118,17 +118,17 @@ class TestOptimizedCoefficients:
 
 class TestCellCorrectors:
     def test_identical_phases(self):
-        cc = hz.cell_correctors(uniform_laminate(), 1.0)
+        cc = hz.cell_correctors(hz.cell_state(uniform_laminate(), 1.0))
         assert cc.P == 0.0 and cc.Q == 0.0
 
     def test_benchmark_value(self, bilam):
-        cc = hz.cell_correctors(bilam, 1.0)
+        cc = hz.cell_correctors(hz.cell_state(bilam, 1.0))
         # normalised moduli 3.0 and 0.6: P = (0.6 - 3.0) / 1.8
         assert cc.P == pytest.approx(-4.0 / 3.0, rel=1e-12)
 
     def test_swap_antisymmetry(self, bilam):
-        cc = hz.cell_correctors(bilam, 1.0)
-        cs = hz.cell_correctors(bilam.swapped(), 1.0)
+        cc = hz.cell_correctors(hz.cell_state(bilam, 1.0))
+        cs = hz.cell_correctors(hz.cell_state(bilam.swapped(), 1.0))
         assert cs.P == pytest.approx(-cc.P, rel=1e-13)
 
     @pytest.mark.parametrize("nu2", [0.5, 0.3])
@@ -147,10 +147,10 @@ class TestCellCorrectors:
         )
         stretch = 1.1
         eff = hz.effective_model(lam, stretch)
-        cc = hz.cell_correctors(lam, stretch)
+        cc = hz.cell_correctors(hz.cell_state(lam, stretch))
         n = 10_000
         y = -0.5 + (np.arange(n) + 0.5) / n
-        prof = hz.unit_cell_profiles(lam, stretch, y)
+        prof = hz.unit_cell_profiles(hz.cell_state(lam, stretch), y)
         lin = np.mean(prof["g"] * (1.0 + prof["tau"] * cc.P))
         assert lin == pytest.approx(1.0, rel=1e-10)
         zeta_quad = np.mean(

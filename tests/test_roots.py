@@ -74,12 +74,12 @@ def test_brentq_matches_scipy_on_every_gap_edge(bilam):
     st = cell_state(bilam, 1.0)
     w = np.linspace(0.0, 6.0 * math.pi, 4001)
     w[0] = 1e-12 * w[-1]
-    inside = np.abs(dispersion._cosine(st, w)) > 1.0
+    inside = np.abs(dispersion.bloch_cosine(st, w)) > 1.0
     edges = np.flatnonzero(inside[1:] != inside[:-1])
     assert len(edges) >= 8
 
     def f(x):
-        return abs(dispersion._cosine(st, x)) - 1.0
+        return abs(dispersion.bloch_cosine(st, x)) - 1.0
 
     for i in edges:
         a, b = w[i], w[i + 1]

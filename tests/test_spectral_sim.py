@@ -171,7 +171,7 @@ class TestInvariants:
     def test_window_overrun_rejected(self, eff):
         kappa = 2.0 * math.pi / (16.0 * eff.ell)
         with pytest.raises(Instability):
-            sp.impact_march(eff, 0.1 * eff.c, kappa, [50.0], window_factor=4.0)
+            sp.impact_march(eff, 0.1 * eff.c, kappa, [50.0])
 
 
 class TestSolitonTransport:
@@ -208,7 +208,8 @@ class TestBlowup:
         y_star = mkdv_blowup_run["y_star"]
         kappa = 2.0 * math.pi / (16.0 * eff.ell)
         wide = sp.impact_march(
-            eff, 2.0 * eff.c, kappa, [1.3 * y_star], window_factor=16.0, gradient=True
+            eff, 2.0 * eff.c, kappa, [1.3 * y_star], sp.config_for_impact(kappa, eff.c, 16.0),
+            gradient=True,
         )
         base = sp.gradient_blowup_distance(mkdv_blowup_run["result"], eff)
         doubled = sp.gradient_blowup_distance(wide, eff)
@@ -237,7 +238,7 @@ class TestBlowup:
     def test_untraced_march_has_no_estimate(self, eff):
         """A march run without the gradient trace says so, rather than failing on an index."""
         kappa = 2.0 * math.pi / (16.0 * eff.ell)
-        res = sp.impact_march(eff, 2.0 * eff.c, kappa, [0.01], window_factor=4.0)
+        res = sp.impact_march(eff, 2.0 * eff.c, kappa, [0.01])
         assert res.grad_max.size == res.char_v.size == res.char_vt.size == 0
         with pytest.raises(DomainError, match="no gradient trace; run it with gradient=True"):
             sp.gradient_blowup_distance(res, eff)
@@ -247,7 +248,7 @@ class TestEmission:
     def test_march_bit_reproducible(self, eff):
         kappa = 2.0 * math.pi / (16.0 * eff.ell)
         runs = [
-            sp.impact_march(eff, 0.5 * eff.c, kappa, [0.02], window_factor=4.0)
+            sp.impact_march(eff, 0.5 * eff.c, kappa, [0.02])
             for _ in range(2)
         ]
         a = runs[0].records[runs[0].y_final]
@@ -298,7 +299,7 @@ class TestEmission:
 
     def test_probe_table_schema(self, eff):
         kappa = 2.0 * math.pi / (16.0 * eff.ell)
-        res = sp.impact_march(eff, 0.1 * eff.c, kappa, [0.01], window_factor=4.0)
+        res = sp.impact_march(eff, 0.1 * eff.c, kappa, [0.01])
         traces = [(y, res.t, v / eff.c) for y, v in sorted(res.records.items())]
         header, rows = output.probe_table(traces, kappa * eff.c / (2.0 * math.pi), "mkdv")
         assert header == ["t_s", "t_norm", "v_over_c", "probe_y_m", "theory"]

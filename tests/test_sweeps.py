@@ -296,7 +296,7 @@ class TestBatchedFirstGaps:
         """A high-contrast cell with thin layers: the first gap runs to 3.97 pi, past the
         3 pi ceiling of the former scan, and is reported in full, not cut at the ceiling."""
         cell = Cell(t1=0.05, t2=0.25, z1=30.0, z2=1.0)
-        (lo,), (hi,) = dispersion.first_band_gaps(cell)
+        (lo,), (hi,) = dispersion.band_gap_edges(cell, 1)
         want = _oracle_first_gap(cell, omega_max=6.0 * math.pi, n_scan=20_000)
         assert want[1] > 3.9 * math.pi
         assert lo == pytest.approx(want[0], abs=EDGE_TOL)
@@ -305,7 +305,7 @@ class TestBatchedFirstGaps:
     def test_search_cost_does_not_grow_with_rows(self, bilam, monkeypatch):
         """One batched search per sweep: few Bloch evaluations, one cell state per row."""
         calls = {"cosine": 0, "shear": 0}
-        cosine = dispersion._cosine
+        cosine = dispersion.bloch_cosine
         factors = dispersion._rytov_factors
         shear = materials.shear_coefficients
 
@@ -321,7 +321,7 @@ class TestBatchedFirstGaps:
             calls["shear"] += 1
             return shear(*args, **kwargs)
 
-        monkeypatch.setattr(dispersion, "_cosine", counted_cosine)
+        monkeypatch.setattr(dispersion, "bloch_cosine", counted_cosine)
         monkeypatch.setattr(dispersion, "_rytov_factors", counted_factors)
         for name, mod in list(sys.modules.items()):
             if name.startswith("lamwave") and getattr(mod, "shear_coefficients", None) is shear:
@@ -363,7 +363,7 @@ def _per_row(lam, result) -> list[dict]:
     would compute them (the first gaps of all rows in one search: it treats rows apart)."""
     c0 = effective_model(lam, 1.0).c if result.variable == "magnetic_load_product" else None
     states = _row_states(lam, result)
-    gaps = iter(zip(*dispersion.first_band_gaps(columns([s[0] for s in states if s]))))
+    gaps = iter(zip(*dispersion.band_gap_edges(columns([s[0] for s in states if s]), 1)))
     out = []
     for row, state in zip(result.rows, states):
         if state is None:

@@ -350,7 +350,7 @@ def _run_simulate(cfg, out: Path, tag: str) -> list[Path]:
             cells_per_layer=p["cells_per_layer"], limiter=p["limiter"],
         )
         traces = [(pr.position, pr.times, pr.v_over_c) for pr in result.probes]
-        summary.update(t_final_s=t_final, steps=result.steps)
+        summary["t_final_s"] = t_final
     else:
         scfg = spectral_sim.config_for_impact(
             kappa, eff.c, window_factor=p["window_factor"], points_per_period=p["n_points"],
@@ -358,7 +358,8 @@ def _run_simulate(cfg, out: Path, tag: str) -> list[Path]:
         )
         result = spectral_sim.impact_march(eff, velocity, kappa, probes, cfg=scfg)
         traces = [(y, result.t, v / eff.c) for y, v in sorted(result.records.items())]
-        summary.update(window_s=scfg.window)
+        summary.update(window_s=scfg.window, peak_growth=result.peak_growth)
+    summary["steps"] = result.steps
     summary["peak_v_over_c"] = max(float(abs(v).max()) for _, _, v in traces)
     theory = "fv" if command == "simulate-fv" else "mkdv"
     header, rows = probe_table(traces, kappa * eff.c / (2.0 * math.pi), theory)

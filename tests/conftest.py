@@ -260,7 +260,8 @@ def low_dispersion_pair(low_disp_bilam):
 
 @pytest.fixture(scope="session")
 def transport_results(bilam):
-    """Soliton transport at the default step (shape error sits near the window floor)."""
+    """Soliton transport at the default step (shape error about 4e-7, against a
+    4.5e-10 window floor that a march at half the step reaches)."""
     e = effective_model(bilam, 1.0)
     speed = 1.02 * e.c
     return {"default": spectral_sim.soliton_transport_test(e, speed), "eff": e, "speed": speed}
@@ -270,9 +271,11 @@ def transport_results(bilam):
 def march_refinement(bilam):
     """Step-halving error ladder of the spectral march against a fine reference.
 
-    At the production step the nonlinear stepping error is below rounding, so
-    the convergence order is exhibited on coarse steps of the nonlinear
-    impact march (pre-shock), all dividing the same target distance.
+    At the production step the stepping error is small (about 2e-7 relative at
+    2y* against a march at half the step), so the convergence order is
+    exhibited on coarse steps of the nonlinear impact march (pre-shock), all
+    dividing the same target distance, where it stands well above the error of
+    the 512-step reference.
     """
     e, velocity, kappa, _, _ = impact_geometry(bilam, 2.0, 16.0)
     y_target = 0.1

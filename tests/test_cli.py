@@ -387,8 +387,8 @@ class TestSimulation:
         (json_path,) = out.glob("simulate_mkdv_*.json")
         digest = {p.suffix: hashlib.sha256(p.read_bytes()).hexdigest() for p in (csv_path, json_path)}
         assert digest == {
-            ".csv": "15e49f40429cc5e32ca83655ab60c8c76411fa38e310f445093860d7a7145d21",
-            ".json": "66b85b76c7b012eae5806be1d30d64933e2984b916bc4a3fae5cf45f30384c45",
+            ".csv": "fc4cf93ab1c505586ba40da0b811e107fc1bfe3fd93b572c4f3e81f27c7a3ec2",
+            ".json": "96112d23b2acfe1462a6ceae5b1ec8d276de53fe8e5afc0681df4facbb0a2b45",
         }
 
     def test_simulate_mkdv_marches_untraced(self, tmp_path, monkeypatch):
@@ -406,6 +406,23 @@ class TestSimulation:
         assert len(results) == 1
         assert results[0].grad_max.size == 0
         assert len(results[0].grad_y) > 1
+
+    def test_simulate_mkdv_summary_counters(self, tmp_path, monkeypatch):
+        """The summary carries the march's step count and peak spectral growth."""
+        from lamwave import spectral_sim
+
+        march, results = spectral_sim.mkdv_march, []
+
+        def spy(*args, **kwargs):
+            results.append(march(*args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(spectral_sim, "mkdv_march", spy)
+        out = run_ok(tmp_path, VALID_CONFIGS["simulate-mkdv"])
+        (summary_path,) = out.glob("simulate_mkdv_*.json")
+        summary = json.loads(summary_path.read_text())
+        assert summary["steps"] == results[0].steps == len(results[0].grad_y) - 1 > 0
+        assert summary["peak_growth"] == results[0].peak_growth >= 1.0
 
     def test_simulate_mkdv_probe_csv(self, tmp_path):
         lines = self.probe_csv(tmp_path, "simulate-mkdv")

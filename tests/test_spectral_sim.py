@@ -22,9 +22,12 @@ def neo_hookean_stack():
     )
 
 
-def reference_march(eff, v0, cfg, n_steps):
+def reference_march(eff, v0, cfg, n_steps, multistep=False):
     """Full-spectrum march with the masked nonlinear term, one irfft per quantity.
 
+    Every step is classical RK4 (four evaluations), or with ``multistep=True``
+    the library's scheme: three RK4 steps, then integrating-factor
+    Adams-Bashforth-Moulton 4 in PEC mode, in the library's order of operations.
     Returns the field after each step and the (max|v_t|, v_t, v) gradient trace.
     """
     n, h = cfg.n_points, cfg.dy
@@ -40,16 +43,22 @@ def reference_march(eff, v0, cfg, n_steps):
     e_full = e_half * e_half
     nl_scale = iw * eff.zeta / (6.0 * eff.c**3)
     keep = omega <= 0.5 * omega[-1]
+    e2 = e_full * e_full
+    e3 = e2 * e_full
+    h24 = h / 24.0
+    predict = (55.0 * h24 * e_full, -59.0 * h24 * e2, 37.0 * h24 * e3, -9.0 * h24 * (e3 * e_full))
+    correct = (19.0 * h24 * e_full, -5.0 * h24 * e2, h24 * e3)
 
     def nonlinear(vhat):
         v = np.fft.irfft(np.where(keep, vhat, 0.0), n)
         return np.where(keep, nl_scale * np.fft.rfft(v * v * v), 0.0)
 
     vhat = np.fft.rfft(v0)
-    fields, trace = [v0], []
+    fields, trace, hist = [v0], [], []  # hist: N_k, N_k-1, ... newest first
     for k in range(n_steps + 1):
-        if k:
-            n1 = nonlinear(vhat)
+        if k and (not multistep or k <= 3):
+            hist.insert(0, nonlinear(vhat))
+            n1 = hist[0]
             a = e_half * (vhat + 0.5 * h * n1)
             n2 = nonlinear(a)
             b = e_half * vhat + 0.5 * h * n2
@@ -57,11 +66,29 @@ def reference_march(eff, v0, cfg, n_steps):
             c_ = e_full * vhat + e_half * h * n3
             n4 = nonlinear(c_)
             vhat = e_full * vhat + (h / 6.0) * (e_full * n1 + 2.0 * e_half * (n2 + n3) + n4)
+        elif k:
+            if k == 4:
+                hist.insert(0, nonlinear(vhat))
+            base = e_full * vhat
+            pred = base + predict[0] * hist[0] + predict[1] * hist[1] + predict[2] * hist[2]
+            pred = pred + predict[3] * hist[3]
+            hist.insert(0, nonlinear(pred))
+            vhat = base + correct[0] * hist[1] + correct[1] * hist[2] + correct[2] * hist[3]
+            vhat = vhat + 9.0 * h24 * hist[0]
+        del hist[4:]
+        if k:
             fields.append(np.fft.irfft(vhat, n))
         vt = np.fft.irfft(iw * vhat, n)
         i = int(np.argmax(np.abs(vt)))
         trace.append((abs(float(vt[i])), float(vt[i]), float(np.fft.irfft(vhat, n)[i])))
     return fields, np.array(trace)
+
+
+def small_impact(eff):
+    """A 512-point window of four forcing durations and its impact signal."""
+    kappa = 2.0 * math.pi / (16.0 * eff.ell)
+    cfg = sp.SpectralConfig(n_points=512, window=4.0 * 2.0 * math.pi / (kappa * eff.c))
+    return cfg, sp.impact_signal(2.0 * eff.c, kappa, eff.c)(cfg.times())
 
 
 class TestConfig:
@@ -182,7 +209,11 @@ class TestSolitonTransport:
         assert default.amplitude_drift < 1e-3
 
     def test_fourth_order_refinement(self, march_refinement):
-        """Halving the march step cuts the error by at least 8x (4th order gives ~16x)."""
+        """Halving the march step cuts the error by at least 8x.
+
+        A fourth-order scheme gives 16x in the limit; on these coarse steps the
+        multistep march gives about 76x and 34x, still approaching it from above.
+        """
         errors = march_refinement
         assert errors[16] / errors[32] >= 8.0
         assert errors[32] / errors[64] >= 8.0
@@ -284,18 +315,82 @@ class TestEmission:
         assert plain.grad_max.size == plain.char_v.size == plain.char_vt.size == 0
 
     def test_march_matches_full_spectrum_reference(self, eff):
-        """Stages on the kept modes only give the bits of the masked full-spectrum step."""
-        kappa = 2.0 * math.pi / (16.0 * eff.ell)
-        cfg = sp.SpectralConfig(n_points=512, window=4.0 * 2.0 * math.pi / (kappa * eff.c))
-        v0 = sp.impact_signal(2.0 * eff.c, kappa, eff.c)(cfg.times())
+        """Steps on the kept modes only give the bits of the masked full-spectrum scheme."""
+        cfg, v0 = small_impact(eff)
         res = sp.mkdv_march(eff, v0, cfg, [0.0, 50 * cfg.dy, 100 * cfg.dy], gradient=True)
-        fields, trace = reference_march(eff, v0, cfg, 100)
+        fields, trace = reference_march(eff, v0, cfg, 100, multistep=True)
         assert len(res.records) == 3
         for y, v in res.records.items():
             assert np.array_equal(v, fields[round(y / cfg.dy)])
         assert np.array_equal(res.grad_max, trace[:, 0])
         assert np.array_equal(res.char_vt, trace[:, 1])
         assert np.array_equal(res.char_v, trace[:, 2])
+
+    def test_startup_steps_are_rk4(self, eff):
+        """Stops at steps 0-4 are recorded; steps 1-3 give RK4's bits, step 4 the first
+        multistep one."""
+        cfg, v0 = small_impact(eff)
+        res = sp.mkdv_march(eff, v0, cfg, [k * cfg.dy for k in range(5)])
+        rk4, _ = reference_march(eff, v0, cfg, 4)
+        multistep, _ = reference_march(eff, v0, cfg, 4, multistep=True)
+        assert sorted(res.records) == [k * cfg.dy for k in range(5)]
+        for k in range(4):
+            assert res.records[k * cfg.dy].tobytes() == rk4[k].tobytes()
+        assert np.array_equal(res.records[4 * cfg.dy], multistep[4])
+        assert not np.array_equal(multistep[4], rk4[4])
+
+    @pytest.mark.parametrize("n_steps", [0, 1, 2, 3])
+    def test_march_shorter_than_history(self, eff, n_steps):
+        """A march that ends before the four-entry history is full is plain RK4."""
+        cfg, v0 = small_impact(eff)
+        res = sp.mkdv_march(eff, v0, cfg, [n_steps * cfg.dy])
+        rk4, _ = reference_march(eff, v0, cfg, n_steps)
+        assert res.steps == n_steps and len(res.grad_y) == n_steps + 1
+        assert res.y_final == n_steps * cfg.dy
+        assert res.records[res.y_final].tobytes() == rk4[n_steps].tobytes()
+
+    def test_march_within_rk4_oracle(self, eff):
+        """At twice the default step the multistep march stays within 1e-6 (relative L2)
+        of full-spectrum RK4 at 2y*, the farthest probe of the impact comparison (it is
+        at 3.8e-7 there, and at 1.7e-8 at the default step)."""
+        kappa = 2.0 * math.pi / (16.0 * eff.ell)
+        velocity = 2.0 * eff.c
+        cfg = sp.config_for_impact(
+            kappa, eff.c, 8.0, points_per_period=128, dy=2.0 * sp.DEFAULT_DY
+        )
+        assert cfg.n_points == 1024
+        v0 = sp.impact_signal(velocity, kappa, eff.c)(cfg.times())
+        n_steps = round(2.0 * soliton.shock_distance(eff, velocity, kappa) / cfg.dy)
+        res = sp.mkdv_march(eff, v0, cfg, [n_steps * cfg.dy])
+        fields, _ = reference_march(eff, v0, cfg, n_steps)
+        ref = fields[n_steps]
+        error = float(np.linalg.norm(res.records[res.y_final] - ref)) / float(np.linalg.norm(ref))
+        assert error <= 1e-6
+
+    def test_counters(self, eff):
+        """``steps`` counts the march; an impact's peak |v-hat| is its conserved mean."""
+        kappa = 2.0 * math.pi / (16.0 * eff.ell)
+        res = sp.impact_march(eff, 0.5 * eff.c, kappa, [0.02])
+        assert res.steps == round(0.02 / res.config.dy) == len(res.grad_y) - 1
+        assert res.peak_growth == 1.0
+        zero = sp.SpectralConfig(n_points=256, window=1e-2, quiet_zone_check=False)
+        assert sp.mkdv_march(eff, np.zeros(256), zero, [0.01]).peak_growth == 1.0
+
+    def test_peak_growth_is_largest_kept_amplitude(self, eff):
+        """On a coarse step that grows the kept modes short of the blow-up check,
+        ``peak_growth`` is the largest kept max|v-hat| of the recorded fields over the
+        initial max|v-hat|."""
+        dy = 0.01
+        cfg = sp.SpectralConfig(
+            n_points=512, window=5e-3, dy=dy, viscosity=0.0, quiet_zone_check=False
+        )
+        stops = [k * dy for k in range(20)]
+        res = sp.mkdv_march(eff, lambda t: eff.c * np.sin(2e3 * math.pi * t), cfg, stops)
+        amps = [np.abs(np.fft.rfft(res.records[y])) for y in stops]
+        m = cfg.n_points // 4 + 1
+        expected = max(float(a[:m].max()) for a in amps) / float(amps[0].max())
+        assert 10.0 < res.peak_growth < sp.BLOWUP_FACTOR
+        assert res.peak_growth == pytest.approx(expected, rel=1e-12)
 
     def test_probe_table_schema(self, eff):
         kappa = 2.0 * math.pi / (16.0 * eff.ell)

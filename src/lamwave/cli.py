@@ -358,7 +358,7 @@ def _run_simulate(cfg, out: Path, tag: str) -> list[Path]:
         )
         result = spectral_sim.impact_march(eff, velocity, kappa, probes, cfg=scfg)
         traces = [(y, result.t, v / eff.c) for y, v in sorted(result.records.items())]
-        summary.update(window_s=scfg.window, peak_growth=result.peak_growth)
+        summary.update(window_s=scfg.window, scheme=result.scheme)
     summary["steps"] = result.steps
     summary["peak_v_over_c"] = max(float(abs(v).max()) for _, _, v in traces)
     theory = "fv" if command == "simulate-fv" else "mkdv"

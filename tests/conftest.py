@@ -260,8 +260,7 @@ def low_dispersion_pair(low_disp_bilam):
 
 @pytest.fixture(scope="session")
 def transport_results(bilam):
-    """Soliton transport at the default step (shape error about 4e-7, against a
-    4.5e-10 window floor that a march at half the step reaches)."""
+    """Soliton transport at the default step (shape error sits near the window floor)."""
     e = effective_model(bilam, 1.0)
     speed = 1.02 * e.c
     return {"default": spectral_sim.soliton_transport_test(e, speed), "eff": e, "speed": speed}

@@ -349,7 +349,6 @@ def _run_simulate(cfg, out: Path, tag: str) -> list[Path]:
             st, velocity, kappa, probes, t_final,
             cells_per_layer=p["cells_per_layer"], limiter=p["limiter"],
         )
-        traces = [(pr.position, pr.times, pr.v_over_c) for pr in result.probes]
         summary["t_final_s"] = t_final
     else:
         scfg = spectral_sim.config_for_impact(
@@ -357,8 +356,8 @@ def _run_simulate(cfg, out: Path, tag: str) -> list[Path]:
             dy=p["dy_m"], viscosity=p["viscosity"],
         )
         result = spectral_sim.impact_march(eff, velocity, kappa, probes, cfg=scfg)
-        traces = [(y, result.t, v / eff.c) for y, v in sorted(result.records.items())]
         summary.update(window_s=scfg.window, scheme=result.scheme)
+    traces = [(y, result.t, v / eff.c) for y, v in zip(probes, result.records)]
     summary["steps"] = result.steps
     summary["peak_v_over_c"] = max(float(abs(v).max()) for _, _, v in traces)
     theory = "fv" if command == "simulate-fv" else "mkdv"
@@ -432,7 +431,19 @@ def run(config_path: str | Path, out_dir: str | Path, threads: int = 1) -> int:
         return 1
 
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        print(f"error: cannot create output directory: {exc}", file=sys.stderr)
+        return 1
+    manifest_path = out / "manifest.json"
+    try:
+        manifest = json.loads(manifest_path.read_text()) if manifest_path.exists() else {}
+        if not isinstance(manifest, dict):
+            raise ValueError("expected a JSON object")
+    except (OSError, ValueError) as exc:
+        print(f"error: cannot read {manifest_path}: {exc}", file=sys.stderr)
+        return 1
     tag = config_hash(raw)
     command = cfg["command"]
     try:
@@ -447,8 +458,6 @@ def run(config_path: str | Path, out_dir: str | Path, threads: int = 1) -> int:
         figure = _SWEEP_FIGURES[p["variable"]]
     elif figure == "fig5" and abs(p["V_over_c"] - math.sqrt(2.0)) < 1e-9 and p["wavelengths_per_period"] == 8:
         figure = "fig8"  # the low-dispersion impact
-    manifest_path = out / "manifest.json"
-    manifest = json.loads(manifest_path.read_text()) if manifest_path.exists() else {}
     manifest[f"{command}_{tag}"] = {
         "command": command,
         "figure": figure,

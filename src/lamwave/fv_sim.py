@@ -78,13 +78,9 @@ def build_grid(st: CellState, cells_per_layer: int, n_periods: int) -> Grid1D:
         raise GeometryError(
             f"phase-1 layer is not an integer number of cells: {ell1:.6g} / {dy:.6g}"
         )
+    # one period from the origin: half a phase-2 layer, a phase-1 layer, half a phase-2 layer
     half2 = cells_per_layer // 2
-    pattern: list[np.ndarray] = [np.full(half2, 2, dtype=np.int8)]
-    for k in range(n_periods):
-        pattern.append(np.full(n1, 1, dtype=np.int8))
-        last = k == n_periods - 1
-        pattern.append(np.full(half2 if last else cells_per_layer, 2, dtype=np.int8))
-    phase = np.concatenate(pattern)
+    phase = np.tile(np.repeat(np.array([2, 1, 2], dtype=np.int8), [half2, n1, half2]), n_periods)
     is2 = phase == 2
     g = np.where(is2, st.sc2.g, st.sc1.g)
     h = np.where(is2, st.sc2.h, st.sc1.h)
@@ -311,21 +307,18 @@ def step(
 
 
 @dataclass
-class ProbeRecord:
-    """Velocity time series recorded at a fixed position."""
-
-    position: float
-    cell: int
-    times: np.ndarray
-    v_over_c: np.ndarray
-
-
-@dataclass
 class SimResult:
-    probes: list[ProbeRecord]
+    """Probe velocities (m/s) of a run, its final state and its counters.
+
+    ``records`` holds one velocity array per requested probe, in request order
+    with repeats kept, each sampled at the probe's nearest cell centre at the
+    times ``t`` (the start and the end of every step).
+    """
+
+    t: np.ndarray
+    records: list[np.ndarray]
     grid: Grid1D
     state: SimState
-    c_ref: float
     steps: int
     elapsed_s: float
 
@@ -354,7 +347,6 @@ def simulate(
     left_velocity: Callable[[float], float],
     t_final: float,
     probe_positions: list[float],
-    c_ref: float,
     limiter: str = "minmod",
 ) -> SimResult:
     """March a quiescent grid under a prescribed boundary velocity, recording probes."""
@@ -373,16 +365,11 @@ def simulate(
         times.append(state.time)
         samples.append(state.velocity[cells])
     elapsed = _time.perf_counter() - t0
-    t_arr = np.asarray(times)
-    probes = [
-        ProbeRecord(position=y, cell=c, times=t_arr, v_over_c=v)
-        for y, c, v in zip(probe_positions, cells, np.array(samples).T / c_ref)
-    ]
     return SimResult(
-        probes=probes,
+        t=np.asarray(times),
+        records=list(np.array(samples).T),
         grid=grid,
         state=state,
-        c_ref=c_ref,
         steps=len(times) - 1,
         elapsed_s=elapsed,
     )
@@ -426,16 +413,14 @@ def impact_run(
     """
     if velocity < 0.0 or kappa <= 0.0:
         raise DomainError("impact needs velocity >= 0 and kappa > 0")
-    c = st.eff.c
     wavelength = 2.0 * math.pi / kappa
     n_periods = required_periods(st, t_final, max(probe_positions, default=0.0), wavelength)
     grid = build_grid(st, cells_per_layer, n_periods)
     return simulate(
         grid,
-        left_velocity=impact_signal(velocity, kappa, c),
+        left_velocity=impact_signal(velocity, kappa, st.eff.c),
         t_final=t_final,
         probe_positions=probe_positions,
-        c_ref=c,
         limiter=limiter,
     )
 

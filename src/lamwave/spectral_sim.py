@@ -34,8 +34,6 @@ DEFAULT_VISCOSITY = 1e-8
 DEFAULT_DY = 7.81e-5
 #: abort when any Fourier amplitude exceeds this multiple of the initial maximum
 BLOWUP_FACTOR = 1e3
-#: wrap-around contamination threshold relative to the window maximum
-QUIET_LEVEL = 1e-6
 #: the multistep scheme runs only where the viscous decay rate of the cutoff mode
 #: is at least this multiple of the cubic term's linearised rate there,
 #: omega |zeta| max v0^2 / (2 c^3); below it (an inviscid march among them) modes
@@ -53,7 +51,6 @@ class SpectralConfig:
     window: float  # s
     dy: float = DEFAULT_DY
     viscosity: float = DEFAULT_VISCOSITY
-    quiet_zone_check: bool = True
 
     def __post_init__(self):
         if self.n_points < 256 or self.n_points & (self.n_points - 1):
@@ -99,6 +96,9 @@ def config_for_impact(
 class MarchResult:
     """Fields recorded along the march, its counters and the gradient-growth trace.
 
+    ``records`` holds one field v(t) (m/s) per requested distance, in request
+    order with repeats kept (a repeat is the same array), each at the distance's
+    nearest whole step of ``config.dy``; ``y_final`` is the farthest of those.
     ``steps`` is the number of march steps, and ``scheme`` the one that took
     them: ``"abm4"`` (three RK4 steps, then the multistep scheme) or ``"rk4"``.
     ``grad_y`` holds the distance of every step, starting at 0.  Only a march
@@ -109,7 +109,7 @@ class MarchResult:
     """
 
     t: np.ndarray
-    records: dict[float, np.ndarray]
+    records: list[np.ndarray]
     y_final: float
     grad_y: np.ndarray
     grad_max: np.ndarray
@@ -118,20 +118,6 @@ class MarchResult:
     config: SpectralConfig
     steps: int
     scheme: str
-
-
-def _check_quiet(v: np.ndarray, n_edge: int) -> None:
-    """Reject boundary signals whose tails already touch the window edge."""
-    peak = float(np.max(np.abs(v)))
-    if peak == 0.0:
-        return
-    edge = float(np.max(np.abs(v[-n_edge:])))
-    if edge > QUIET_LEVEL * peak:
-        raise Instability(
-            f"wrap-around contamination: trailing window level {edge / peak:.3e} "
-            f"exceeds {QUIET_LEVEL:.0e}; enlarge the window",
-            position=0.0,
-        )
 
 
 def mkdv_march(
@@ -145,20 +131,18 @@ def mkdv_march(
     """March the boundary signal v(0, t) to each requested distance.
 
     ``signal`` is a callable evaluated on the window grid, or an array of
-    ``n_points`` samples.  Distances snap to whole steps of ``cfg.dy``.
+    ``n_points`` samples.  Each distance is recorded at its nearest whole step
+    of ``cfg.dy``, one record per entry of ``y_stops``.
     The scheme is chosen once, from ``cfg.viscosity`` and the signal's peak
     (:data:`MULTISTEP_DAMPING`).
     ``gradient=True`` also samples the gradient trace after every step (for
     :func:`gradient_blowup_distance`), at the cost of a 2-row inverse transform
-    a step.  Raises :class:`Instability` on spectral blow-up or on wrap-around
-    contamination of the quiet zone.
+    a step.  Raises :class:`Instability` on spectral blow-up.
     """
     t = cfg.times()
     v0 = np.asarray(signal(t) if callable(signal) else signal, dtype=float)
     if v0.shape != t.shape:
         raise DomainError(f"boundary signal must have {cfg.n_points} samples")
-    if cfg.quiet_zone_check:
-        _check_quiet(v0, max(cfg.n_points // 16, 4))
 
     n = cfg.n_points
     omega = 2.0 * math.pi * np.fft.rfftfreq(n, d=cfg.dt)
@@ -258,15 +242,16 @@ def mkdv_march(
         np.add(vk, tmp, out=vk)
         hist.insert(0, hist.pop())
 
-    stops = sorted(set(max(0, int(round(y / h))) for y in y_stops))
-    n_steps = stops[-1] if stops else 0
-    stop_set = set(stops)
+    stops = [max(0, int(round(y / h))) for y in y_stops]
+    n_steps = max(stops, default=0)
+    # sized before the march, so that a march too long to record fails at once
+    grad_y = np.arange(n_steps + 1) * h
+    fields = dict.fromkeys(stops)  # step -> field there
 
     vhat = np.fft.rfft(v0)
     vk = vhat[:m]
     amp0 = float(np.max(np.abs(vhat)))
     amp = np.empty(m)
-    records: dict[float, np.ndarray] = {}
     grad_max: list[float] = []
     char_v: list[float] = []
     char_vt: list[float] = []
@@ -286,8 +271,8 @@ def mkdv_march(
             char_v.append(float(rec[1, i]))
 
         record_gradient()
-    if 0 in stop_set:
-        records[0.0] = v0.copy()
+    if 0 in fields:
+        fields[0] = v0.copy()
     for k in range(1, n_steps + 1):
         if k <= 4 or not multistep:
             # N(v_k-1) is an RK4 step's first stage; in the multistep scheme the
@@ -307,13 +292,13 @@ def mkdv_march(
             )
         if gradient:
             record_gradient()
-        if k in stop_set:
-            records[k * h] = np.fft.irfft(vhat, n)
+        if k in fields:
+            fields[k] = np.fft.irfft(vhat, n)
     return MarchResult(
         t=t,
-        records=records,
+        records=[fields[k] for k in stops],
         y_final=n_steps * h,
-        grad_y=np.arange(n_steps + 1) * h,
+        grad_y=grad_y,
         grad_max=np.asarray(grad_max),
         char_v=np.asarray(char_v),
         char_vt=np.asarray(char_vt),
@@ -362,18 +347,20 @@ def impact_march(
     """Impact problem for the unidirectional model (same forcing as the FV run).
 
     ``cfg`` defaults to :func:`config_for_impact` at its defaults; ``gradient``
-    is passed to :func:`mkdv_march`.
+    is passed to :func:`mkdv_march`.  Raises :class:`Instability` unless the
+    window holds the forcing duration, its shift to the farthest stop and one
+    more duration of quiet zone.
     """
     if cfg is None:
         cfg = config_for_impact(kappa, eff.c)
     # signal content can shift by at most y/c in t; keep one duration of slack
     duration = 2.0 * math.pi / (kappa * eff.c)
-    if cfg.quiet_zone_check and y_stops:
-        if duration + max(y_stops) / eff.c + duration > cfg.window:
-            raise Instability(
-                "march distance would push the signal front past the periodic "
-                f"window; need window > {2 * duration + max(y_stops) / eff.c:.6g} s"
-            )
+    shift = max(y_stops, default=0.0) / eff.c
+    if duration + shift + duration > cfg.window:
+        raise Instability(
+            "march distance would push the signal front past the periodic "
+            f"window; need window > {2 * duration + shift:.6g} s"
+        )
     return mkdv_march(
         eff, impact_signal(velocity, kappa, eff.c), cfg, y_stops, gradient=gradient
     )
@@ -415,15 +402,13 @@ def soliton_transport_test(
     width_t = sol.length / speed
     if cfg is None:
         window = 44.0 * width_t
-        cfg = SpectralConfig(
-            n_points=4096, window=window, dy=DEFAULT_DY, viscosity=0.0, quiet_zone_check=False
-        )
+        cfg = SpectralConfig(n_points=4096, window=window, dy=DEFAULT_DY, viscosity=0.0)
     t_peak = 0.5 * cfg.window
     y_target = n_lengths * sol.length
     signal = soliton_boundary_signal(sol, speed, t_peak)
     result = mkdv_march(eff, signal, cfg, [y_target])
     y_snap = result.y_final
-    got = result.records[y_snap]
+    (got,) = result.records
     t = result.t
     # exact solution, delayed and wrapped onto the periodic window
     shift = (t - y_snap / speed - t_peak) % cfg.window

@@ -200,7 +200,8 @@ def fv_matched_run(matched_bilam):
     probes = [m * y_star for m in multiples]
     t_final = 2.0 * y_star / e.c + 3.0 * duration
     result = fv_sim.impact_run(cell_state(matched_bilam, 1.0), velocity, kappa, probes, t_final)
-    return {"result": result, "eff": e, "y_star": y_star, "kappa": kappa, "velocity": velocity}
+    return {"result": result, "probes": probes, "eff": e, "y_star": y_star, "kappa": kappa,
+            "velocity": velocity}
 
 
 @pytest.fixture(scope="session")
@@ -214,7 +215,8 @@ def fv_nonlinear_run(bilam):
     probes = [y_star, 2.0 * y_star, 3.0 * y_star]
     t_final = 3.0 * y_star / e.c + 4.0 * duration
     result = fv_sim.impact_run(cell_state(bilam, 1.0), velocity, kappa, probes, t_final)
-    return {"result": result, "eff": e, "y_star": y_star, "kappa": kappa, "velocity": velocity}
+    return {"result": result, "probes": probes, "eff": e, "y_star": y_star, "kappa": kappa,
+            "velocity": velocity}
 
 
 @pytest.fixture(scope="session")
@@ -251,6 +253,7 @@ def low_dispersion_pair(low_disp_bilam):
     return {
         "fv": fv_result,
         "mkdv": mk_result,
+        "probes": probes,
         "eff": e,
         "y_star": y_star,
         "kappa": kappa,
@@ -283,7 +286,7 @@ def march_refinement(bilam):
     for divisor in (16, 32, 64, 512):
         cfg = dataclasses.replace(base, dy=y_target / divisor)
         res = spectral_sim.impact_march(e, velocity, kappa, [y_target], cfg=cfg)
-        fields[divisor] = res.records[res.y_final]
+        fields[divisor] = res.records[-1]
     ref = fields[512]
     scale = float(np.linalg.norm(ref))
     errors = {

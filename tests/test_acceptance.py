@@ -153,9 +153,9 @@ def test_criterion_06_shock_distance_and_runtime(fv_matched_run):
     result = fv_matched_run["result"]
     analytic = soliton.shock_distance(eff, fv_matched_run["velocity"], fv_matched_run["kappa"])
     grads = []
-    for pr in result.probes:
-        dv = np.diff(pr.v_over_c) / np.diff(pr.times)
-        grads.append((pr.position, float(np.max(np.abs(dv)))))
+    for y, v in zip(fv_matched_run["probes"], result.records):
+        dv = np.diff(v / eff.c) / np.diff(result.t)
+        grads.append((y, float(np.max(np.abs(dv)))))
     steepest = max(grads, key=lambda g: g[1])[0]
     ok = (
         abs(analytic - 0.212) <= 0.005 * 0.212
@@ -190,11 +190,13 @@ def test_criterion_07_spectral_blowup(mkdv_blowup_run):
 def test_criterion_08_impact_amplitudes(fv_nonlinear_run, mkdv_nonlinear_run):
     y_star = fv_nonlinear_run["y_star"]
     fv_res = fv_nonlinear_run["result"]
-    fig_probes = [pr for pr in fv_res.probes if pr.position <= 2.0 * y_star + 1e-9]
-    fv_peak = max(float(np.max(np.abs(pr.v_over_c))) for pr in fig_probes)
+    fv_c = fv_nonlinear_run["eff"].c
+    fig_probes = [v for y, v in zip(fv_nonlinear_run["probes"], fv_res.records)
+                  if y <= 2.0 * y_star + 1e-9]
+    fv_peak = max(float(np.max(np.abs(v / fv_c))) for v in fig_probes)
     mk_res = mkdv_nonlinear_run["result"]
     eff = mkdv_nonlinear_run["eff"]
-    mk_peak = max(float(np.max(np.abs(v))) / eff.c for v in mk_res.records.values())
+    mk_peak = max(float(np.max(np.abs(v))) / eff.c for v in mk_res.records)
     ok = 2.3 <= fv_peak <= 2.7 and 2.8 <= mk_peak <= 3.2
     report(
         "criterion 8 (impact peak amplitudes)",
@@ -217,10 +219,10 @@ def test_criterion_09_low_dispersion_agreement(low_dispersion_pair):
     mk_res = low_dispersion_pair["mkdv"]
     eff = low_dispersion_pair["eff"]
     y_star = low_dispersion_pair["y_star"]
-    probe = min(fv_res.probes, key=lambda pr: abs(pr.position - y_star))
-    y_mk = min(mk_res.records, key=lambda y: abs(y - y_star))
-    v_mk = mk_res.records[y_mk] / eff.c
-    v_fv = np.interp(mk_res.t, probe.times, probe.v_over_c)
+    probes = low_dispersion_pair["probes"]
+    i = min(range(len(probes)), key=lambda i: abs(probes[i] - y_star))
+    v_mk = mk_res.records[i] / eff.c
+    v_fv = np.interp(mk_res.t, fv_res.t, fv_res.records[i] / eff.c)
     scale = float(np.linalg.norm(v_mk))
     raw = float(np.linalg.norm(v_fv - v_mk)) / scale
     aligned = min(

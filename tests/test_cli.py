@@ -6,6 +6,8 @@ import hashlib
 import io
 import json
 import math
+import os
+import subprocess
 import sys
 import tempfile
 import warnings
@@ -41,6 +43,16 @@ def run_ok(tmp_path, payload, subdir="out"):
     status = cli.run(cfg, out)
     assert status == 0
     return out
+
+
+def run_child(cfg: Path, out: Path) -> subprocess.CompletedProcess:
+    """``python -m lamwave.cli`` in a child process, so that a run that never ends
+    fails its test after 60 s instead of stalling the suite."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    return subprocess.run(
+        [sys.executable, "-m", "lamwave.cli", "--config", str(cfg), "--out", str(out)],
+        capture_output=True, text=True, timeout=60, env=dict(os.environ, PYTHONPATH=src),
+    )
 
 
 class TestValidation:
@@ -150,17 +162,23 @@ class TestValidation:
             ("sweep", {"variable": "magnetic_load_product", "lo": -1.0, "hi": 1.0, "n": 1e15}, None, None),
             ("simulate-mkdv", {"n_points": 1e15, "window_factor": 8}, None, None),
             ("simulate-fv", {"cells_per_layer": 1e15}, None, None),
+            # runs too long to record: 4e298 march steps, 1e301 layer periods
+            ("simulate-mkdv", {"dy_m": 1e-300, "window_factor": 8}, None, None),
+            ("simulate-fv", {"t_final_factor": 1e300}, None, None),
         ],
         ids=[
             "bn_br_product-1e14", "speed_ratio-1e300", "speed_ratio-minus-1e300",
             "speed_ratio-1e-300", "G_pa-1e300", "G_pa-1e-300",
             "dispersion-n-1e300", "n_scan-1e300", "soliton-n-1e300", "sweep-n-1e300",
             "dispersion-n-1e15", "n_scan-1e15", "soliton-n-1e15", "sweep-n-1e15",
-            "n_points-1e15", "cells_per_layer-1e15",
+            "n_points-1e15", "cells_per_layer-1e15", "dy_m-1e-300", "t_final_factor-1e300",
         ],
     )
     def test_numerical_failure_exit_code(self, tmp_path, capsys, command, params, load, modulus):
-        """Library failures, extreme finite values among them, exit 2 without a traceback."""
+        """Library failures, extreme finite values among them, exit 2 without a traceback.
+
+        The simulators march in a loop, so they run in a child process: one that
+        starts marching instead of failing fails the test instead of hanging it."""
         payload = {"command": command, "laminate": copy.deepcopy(BENCH_LAMINATE)}
         if params is not None:
             payload["params"] = params
@@ -169,10 +187,34 @@ class TestValidation:
         if modulus is not None:
             payload["laminate"]["phases"][0]["model"]["G_pa"] = modulus
         cfg = write_config(tmp_path, payload)
-        assert cli.run(cfg, tmp_path / "out") == 2
-        err = capsys.readouterr().err
+        if command.startswith("simulate"):
+            done = run_child(cfg, tmp_path / "out")
+            status, err = done.returncode, done.stderr
+        else:
+            status, err = cli.run(cfg, tmp_path / "out"), capsys.readouterr().err
+        assert status == 2
         assert "numerical failure" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("case", ["out-is-a-file", "manifest-list", "manifest-malformed"])
+    def test_unusable_out_exits_1(self, tmp_path, case):
+        """An output directory that cannot be made, or whose manifest is not a JSON
+        object, exits 1 with one error line naming the path, before the run starts."""
+        cfg = write_config(tmp_path, VALID_CONFIGS["effective"])
+        out = tmp_path / "out"
+        if case == "out-is-a-file":
+            out.write_text("")
+            named = out
+        else:
+            out.mkdir()
+            named = out / "manifest.json"
+            named.write_text("[1,2]" if case == "manifest-list" else "{bad")
+        before = sorted(p.name for p in tmp_path.rglob("*"))
+        done = run_child(cfg, out)
+        assert done.returncode == 1
+        (line,) = done.stderr.splitlines()
+        assert line.startswith("error: ") and str(named) in line
+        assert sorted(p.name for p in tmp_path.rglob("*")) == before
 
 
 class TestEffective:
@@ -387,7 +429,7 @@ class TestSimulation:
         (json_path,) = out.glob("simulate_mkdv_*.json")
         digest = {p.suffix: hashlib.sha256(p.read_bytes()).hexdigest() for p in (csv_path, json_path)}
         assert digest == {
-            ".csv": "15e49f40429cc5e32ca83655ab60c8c76411fa38e310f445093860d7a7145d21",
+            ".csv": "d9dc6a262c813640af7ab8ca0f8c82a951d181d93d85088c66b9cd09e6967eb5",
             ".json": "a952e8ff40365ed1f1d9fb11f05e0d925100d10ba31d3a748f9a9801b3931ae1",
         }
 
@@ -428,6 +470,26 @@ class TestSimulation:
         lines = self.probe_csv(tmp_path, "simulate-mkdv")
         assert lines[0] == "t_s,t_norm,v_over_c,probe_y_m,theory"
         assert lines[1].endswith(",mkdv")
+
+    @pytest.mark.parametrize("command", ["simulate-fv", "simulate-mkdv"])
+    def test_one_block_per_requested_probe(self, tmp_path, command):
+        """Both commands write the requested y, in config order, one block per probe,
+        a repeated probe twice."""
+        multiples = [0.2, 0.1, 0.1]
+        payload = self.small_sim_payload(command)
+        payload["params"]["probes_y_star_multiples"] = multiples
+        out = run_ok(tmp_path, payload)
+        stem = command.replace("-", "_")
+        (csv_path,) = out.glob(f"{stem}_*.csv")
+        (summary_path,) = out.glob(f"{stem}_*.json")
+        y_star = json.loads(summary_path.read_text())["y_star_m"]
+        lines = [l for l in csv_path.read_text().splitlines() if not l.startswith("#")]
+        rows = [l.split(",") for l in lines[1:]]
+        n = len(rows) // len(multiples)
+        assert n > 1 and len(rows) == n * len(multiples)
+        blocks = [rows[i * n:(i + 1) * n] for i in range(len(multiples))]
+        assert [{float(r[3]) for r in b} for b in blocks] == [{m * y_star} for m in multiples]
+        assert [r[:3] for r in blocks[1]] == [r[:3] for r in blocks[2]]
 
 
 class TestDeterminism:

@@ -35,6 +35,26 @@ class TestGrid:
         assert list(grid.phase_index[12:20]) == [2] * 8
         assert list(grid.phase_index[-4:]) == [2, 2, 2, 2]
 
+    @pytest.mark.parametrize(
+        "nu1, nu2, cells_per_layer, n1, n_periods",
+        [(0.5, 0.5, 8, 8, 1), (0.5, 0.5, 8, 8, 3), (0.3, 0.7, 14, 6, 5)],
+    )
+    def test_material_map_matches_layer_by_layer_build(self, nu1, nu2, cells_per_layer, n1, n_periods):
+        """The tiled map has the bytes of the map built one layer at a time from the origin."""
+        lam = lw.Laminate(
+            lw.Phase(lw.HyperelasticModel("neo-hookean", 2e6), 1000.0, nu1),
+            lw.Phase(lw.HyperelasticModel("neo-hookean", 1e6), 1000.0, nu2),
+            0.01,
+        )
+        grid = fv.build_grid(cell_state(lam, 1.0), cells_per_layer, n_periods)
+        half2 = cells_per_layer // 2
+        layers = [[2] * half2]
+        for k in range(n_periods):
+            layers += [[1] * n1, [2] * (half2 if k == n_periods - 1 else cells_per_layer)]
+        reference = np.array(sum(layers, []), dtype=np.int8)
+        assert grid.phase_index.tobytes() == reference.tobytes()
+        assert grid.n_cells == len(reference)
+
     def test_homogeneous_map_is_constant(self):
         lam = homogeneous_laminate()
         grid = fv.build_grid(cell_state(lam, 1.0), 8, 3)
@@ -229,7 +249,7 @@ class TestActiveWindow:
         probes = [0.02, 0.05]
         res = fv.simulate(
             grid, left_velocity=forcing, t_final=t_final, probe_positions=probes,
-            c_ref=eff.c, limiter=limiter,
+            limiter=limiter,
         )
 
         full = fv.SimState(np.zeros(grid.n_cells), np.zeros(grid.n_cells))
@@ -243,9 +263,9 @@ class TestActiveWindow:
             for trace, cell in zip(traces, cells):
                 trace.append(full.velocity[cell] / eff.c)
 
-        assert res.probes[0].times.tobytes() == np.asarray(times).tobytes()
-        for pr, trace in zip(res.probes, traces):
-            assert pr.v_over_c.tobytes() == np.asarray(trace).tobytes()
+        assert res.t.tobytes() == np.asarray(times).tobytes()
+        for v, trace in zip(res.records, traces):
+            assert (v / eff.c).tobytes() == np.asarray(trace).tobytes()
         assert res.state.gamma.tobytes() == full.gamma.tobytes()
         assert res.state.velocity.tobytes() == full.velocity.tobytes()
         front = res.state.front
@@ -290,7 +310,7 @@ class TestImpact:
         eff = effective_model(bilam, 1.0)
         kappa = 2.0 * math.pi / (16.0 * eff.ell)
         res = fv.impact_run(cell_state(bilam, 1.0), 0.0, kappa, [0.05], 2e-3, cells_per_layer=8)
-        assert np.all(res.probes[0].v_over_c == 0.0)
+        assert np.all(res.records[0] / eff.c == 0.0)
 
     def test_matched_impedance_preserves_amplitude(self):
         """No internal reflections: a compact pulse passes a probe at full height."""
@@ -309,7 +329,7 @@ class TestImpact:
             cell_state(lam, 1.0), velocity, kappa, [probe], probe / eff.c + 2.0 * duration,
             cells_per_layer=32,
         )
-        peak = float(np.max(res.probes[0].v_over_c))
+        peak = float(np.max(res.records[0] / eff.c))
         assert peak == pytest.approx(velocity / eff.c, rel=5e-3)
 
     def test_band_gap_attenuation(self, bilam):
@@ -326,9 +346,8 @@ class TestImpact:
         res = fv.impact_run(
             cell_state(bilam, 1.0), velocity, kappa, [probe], t_final, cells_per_layer=16
         )
-        pr = res.probes[0]
-        t = np.linspace(pr.times[0], pr.times[-1], 4096)
-        v = np.interp(t, pr.times, pr.v_over_c)
+        t = np.linspace(res.t[0], res.t[-1], 4096)
+        v = np.interp(t, res.t, res.records[0] / eff.c)
         spec = np.abs(np.fft.rfft(v))
         freq_norm = 2.0 * math.pi * np.fft.rfftfreq(len(t), d=t[1] - t[0]) * eff.ell / eff.c
         # gap edges decay slowly (vanishing evanescent depth); test the core
@@ -352,19 +371,18 @@ class TestImpact:
                 left_velocity=forcing,
                 t_final=t_final,
                 probe_positions=[0.05],
-                c_ref=eff.c,
             )
-            series.append(res.probes[0].v_over_c)
+            series.append(res.records[0] / eff.c)
         assert np.allclose(series[0], series[1], atol=1e-13)
 
     def test_probe_table_schema(self, bilam):
         eff = effective_model(bilam, 1.0)
         kappa = 2.0 * math.pi / (16.0 * eff.ell)
         res = fv.impact_run(cell_state(bilam, 1.0), 0.1 * eff.c, kappa, [0.03], 1e-3, cells_per_layer=8)
-        traces = [(pr.position, pr.times, pr.v_over_c) for pr in res.probes]
+        traces = [(y, res.t, v / eff.c) for y, v in zip([0.03], res.records)]
         header, rows = output.probe_table(traces, kappa * eff.c / (2.0 * math.pi), "fv")
         assert header == ["t_s", "t_norm", "v_over_c", "probe_y_m", "theory"]
-        assert len(rows) == len(res.probes[0].times)
+        assert len(rows) == len(res.t)
         assert all(r[3] == 0.03 and r[4] == "fv" for r in rows)
 
 
@@ -386,10 +404,11 @@ class TestShockAndFission:
         """The steepest probe gradient localises inside [y*, 2 y*]."""
         res = fv_matched_run["result"]
         y_star = fv_matched_run["y_star"]
+        eff = fv_matched_run["eff"]
         grads = []
-        for pr in res.probes:
-            dv = np.diff(pr.v_over_c) / np.diff(pr.times)
-            grads.append((pr.position, float(np.max(np.abs(dv)))))
+        for y, v in zip(fv_matched_run["probes"], res.records):
+            dv = np.diff(v / eff.c) / np.diff(res.t)
+            grads.append((y, float(np.max(np.abs(dv)))))
         steepest = max(grads, key=lambda g: g[1])[0]
         assert y_star - 1e-9 <= steepest <= 2.0 * y_star + 1e-9
         # growth through the ladder: clearly sub-critical before y*
@@ -408,12 +427,12 @@ class TestShockAndFission:
         res = fv_nonlinear_run["result"]
         eff = fv_nonlinear_run["eff"]
 
-        def crests(pr):
-            v = np.abs(pr.v_over_c)
+        def crests(v_probe):
+            v = np.abs(v_probe / eff.c)
             idx = crest_indices(v, height=0.4 * float(v.max()), distance=200)
-            return [(float(pr.times[i]), float(v[i])) for i in idx]
+            return [(float(res.t[i]), float(v[i])) for i in idx]
 
-        trains = [crests(pr) for pr in res.probes]
+        trains = [crests(v) for v in res.records]
         for train in trains[1:]:
             amps = [a for _, a in train]
             assert len(amps) >= 3
@@ -428,7 +447,8 @@ class TestShockAndFission:
         assert increments[1] < increments[0]
 
         (t2, _), (t3, a3) = lead[1], lead[2]
-        speed = (res.probes[2].position - res.probes[1].position) / (t3 - t2)
+        probes = fv_nonlinear_run["probes"]
+        speed = (probes[2] - probes[1]) / (t3 - t2)
         assert speed / eff.c > 1.0
         # invert the measured amplitude through the law delta(s) * s = a
         s2 = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * a3**2 * eff.zeta / 6.0))

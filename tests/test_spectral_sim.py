@@ -114,49 +114,43 @@ class TestConfig:
 
 class TestLinear:
     def test_zero_signal_stays_zero(self, eff):
-        cfg = sp.SpectralConfig(n_points=256, window=1e-2, quiet_zone_check=False)
+        cfg = sp.SpectralConfig(n_points=256, window=1e-2)
         res = sp.mkdv_march(eff, lambda t: np.zeros_like(t), cfg, [0.01])
-        assert np.all(res.records[res.y_final] == 0.0)
+        assert np.all(res.records[-1] == 0.0)
 
     def test_single_harmonic_phase_shift(self):
         """With zeta = 0 each mode advances by exactly kappa(omega) * y."""
         eff = effective_model(neo_hookean_stack(), 1.0)
         assert eff.zeta == 0.0
         window = 0.02
-        cfg = sp.SpectralConfig(
-            n_points=1024, window=window, viscosity=0.0, quiet_zone_check=False
-        )
+        cfg = sp.SpectralConfig(n_points=1024, window=window, viscosity=0.0)
         m_mode = 12
         omega = 2.0 * math.pi * m_mode / window
         res = sp.mkdv_march(eff, lambda t: np.sin(omega * t), cfg, [0.05])
         y = res.y_final
         kappa = omega / eff.c + eff.eta * eff.ell**2 * omega**3 / (2.0 * eff.c**3)
         exact = np.sin(omega * res.t - kappa * y)
-        assert np.max(np.abs(res.records[y] - exact)) < 1e-10
+        assert np.max(np.abs(res.records[-1] - exact)) < 1e-10
 
     def test_l2_norm_conserved(self):
         """Linear inviscid evolution is unitary: discrete L2 exactly preserved."""
         eff = effective_model(neo_hookean_stack(), 1.0)
-        cfg = sp.SpectralConfig(
-            n_points=256, window=5e-3, dy=1e-4, viscosity=0.0, quiet_zone_check=False
-        )
+        cfg = sp.SpectralConfig(n_points=256, window=5e-3, dy=1e-4, viscosity=0.0)
         rng = np.random.default_rng(3)
         sig = rng.standard_normal(256)
         res = sp.mkdv_march(eff, sig, cfg, [10_000 * cfg.dy])
         n0 = float(np.linalg.norm(sig))
-        n1 = float(np.linalg.norm(res.records[res.y_final]))
+        n1 = float(np.linalg.norm(res.records[-1]))
         assert abs(n1 - n0) / n0 < 1e-10
 
     def test_viscosity_decays_modes(self):
         eff = effective_model(neo_hookean_stack(), 1.0)
         window = 0.02
-        cfg = sp.SpectralConfig(
-            n_points=1024, window=window, viscosity=1e-6, quiet_zone_check=False
-        )
+        cfg = sp.SpectralConfig(n_points=1024, window=window, viscosity=1e-6)
         m_mode = 20
         omega = 2.0 * math.pi * m_mode / window
         res = sp.mkdv_march(eff, lambda t: np.sin(omega * t), cfg, [0.05])
-        amp = float(np.max(np.abs(res.records[res.y_final])))
+        amp = float(np.max(np.abs(res.records[-1])))
         assert amp == pytest.approx(math.exp(-1e-6 * omega**2 * res.y_final), rel=1e-3)
 
 
@@ -175,7 +169,7 @@ class TestInvariants:
         res = sp.impact_march(eff, velocity, kappa, [0.5 * y_star], cfg=cfg)
         v0 = velocity * np.sin(0.5 * kappa * eff.c * res.t) ** 2
         v0[res.t > 2.0 * math.pi / (kappa * eff.c)] = 0.0
-        v1 = res.records[res.y_final]
+        v1 = res.records[-1]
         for power in (1, 2):
             i0 = float(np.sum(v0**power))
             i1 = float(np.sum(v1**power))
@@ -183,17 +177,18 @@ class TestInvariants:
 
     def test_instability_detected(self, eff):
         """A huge step size blows the nonlinear stage up and is reported."""
-        cfg = sp.SpectralConfig(
-            n_points=512, window=5e-3, dy=1.0, viscosity=0.0, quiet_zone_check=False
-        )
+        cfg = sp.SpectralConfig(n_points=512, window=5e-3, dy=1.0, viscosity=0.0)
         big = 50.0 * eff.c
         with pytest.raises(Instability):
             sp.mkdv_march(eff, lambda t: big * np.sin(2e3 * math.pi * t), cfg, [100.0])
 
-    def test_quiet_zone_enforced(self, eff):
-        cfg = sp.SpectralConfig(n_points=512, window=1e-2)
-        with pytest.raises(Instability):
-            sp.mkdv_march(eff, lambda t: np.sin(2.0 * math.pi * t / 1e-2), cfg, [0.01])
+    def test_impact_window_holds_forcing_and_quiet_zone(self, eff):
+        """Without stops the window must still hold the forcing and one quiet duration."""
+        kappa = 2.0 * math.pi / (16.0 * eff.ell)
+        duration = 2.0 * math.pi / (kappa * eff.c)
+        cfg = sp.SpectralConfig(n_points=512, window=1.5 * duration)
+        with pytest.raises(Instability, match="past the periodic window"):
+            sp.impact_march(eff, 0.1 * eff.c, kappa, [], cfg)
 
     def test_window_overrun_rejected(self, eff):
         kappa = 2.0 * math.pi / (16.0 * eff.ell)
@@ -256,7 +251,7 @@ class TestBlowup:
 
     def test_no_blowup_without_steepening(self):
         eff = effective_model(neo_hookean_stack(), 1.0)
-        cfg = sp.SpectralConfig(n_points=512, window=2e-2, quiet_zone_check=False)
+        cfg = sp.SpectralConfig(n_points=512, window=2e-2, )
         res = sp.mkdv_march(
             eff, lambda t: np.sin(2.0 * math.pi * 8 * t / 2e-2), cfg, [0.02], gradient=True
         )
@@ -266,7 +261,7 @@ class TestBlowup:
     def test_no_blowup_before_growth(self, eff):
         """A steepening medium whose gradient has not yet grown 4x gives no estimate."""
         assert eff.zeta > 0.0
-        cfg = sp.SpectralConfig(n_points=512, window=2e-2, quiet_zone_check=False)
+        cfg = sp.SpectralConfig(n_points=512, window=2e-2, )
         res = sp.mkdv_march(
             eff, lambda t: 1e-3 * eff.c * np.sin(2.0 * math.pi * 8 * t / 2e-2), cfg, [0.02],
             gradient=True,
@@ -290,8 +285,8 @@ class TestEmission:
             sp.impact_march(eff, 0.5 * eff.c, kappa, [0.02])
             for _ in range(2)
         ]
-        a = runs[0].records[runs[0].y_final]
-        b = runs[1].records[runs[1].y_final]
+        a = runs[0].records[-1]
+        b = runs[1].records[-1]
         assert np.array_equal(a, b)
 
     @pytest.mark.parametrize("case", ["impact", "soliton"])
@@ -307,16 +302,15 @@ class TestEmission:
             speed = 1.02 * eff.c
             sol = soliton.solve_soliton(eff, soliton.WaveModel.SLOW_SPACE, speed)
             cfg = sp.SpectralConfig(
-                n_points=4096, window=44.0 * sol.length / speed, viscosity=0.0,
-                quiet_zone_check=False,
+                n_points=4096, window=44.0 * sol.length / speed, viscosity=0.0
             )
             signal = sp.soliton_boundary_signal(sol, speed, 0.5 * cfg.window)
         stops = [0.0, 60 * cfg.dy, 150 * cfg.dy]
         plain = sp.mkdv_march(eff, signal, cfg, stops)
         traced = sp.mkdv_march(eff, signal, cfg, stops, gradient=True)
-        assert plain.records.keys() == traced.records.keys() and len(plain.records) == 3
-        for y, v in plain.records.items():
-            assert v.tobytes() == traced.records[y].tobytes()
+        assert len(plain.records) == len(traced.records) == 3
+        for v, w in zip(plain.records, traced.records):
+            assert v.tobytes() == w.tobytes()
         assert plain.y_final == traced.y_final == 150 * cfg.dy
         assert plain.grad_y.tobytes() == traced.grad_y.tobytes()
         assert len(plain.grad_y) == len(traced.grad_max) == 150 + 1
@@ -325,10 +319,11 @@ class TestEmission:
     def test_march_matches_full_spectrum_reference(self, eff):
         """Steps on the kept modes only give the bits of the masked full-spectrum scheme."""
         cfg, v0 = small_impact(eff)
-        res = sp.mkdv_march(eff, v0, cfg, [0.0, 50 * cfg.dy, 100 * cfg.dy], gradient=True)
+        stops = [0.0, 50 * cfg.dy, 100 * cfg.dy]
+        res = sp.mkdv_march(eff, v0, cfg, stops, gradient=True)
         fields, trace = reference_march(eff, v0, cfg, 100, multistep=True)
         assert res.scheme == "abm4" and len(res.records) == 3
-        for y, v in res.records.items():
+        for y, v in zip(stops, res.records):
             assert np.array_equal(v, fields[round(y / cfg.dy)])
         assert np.array_equal(res.grad_max, trace[:, 0])
         assert np.array_equal(res.char_vt, trace[:, 1])
@@ -341,10 +336,10 @@ class TestEmission:
         res = sp.mkdv_march(eff, v0, cfg, [k * cfg.dy for k in range(5)])
         rk4, _ = reference_march(eff, v0, cfg, 4)
         multistep, _ = reference_march(eff, v0, cfg, 4, multistep=True)
-        assert sorted(res.records) == [k * cfg.dy for k in range(5)]
+        assert len(res.records) == 5
         for k in range(4):
-            assert res.records[k * cfg.dy].tobytes() == rk4[k].tobytes()
-        assert np.array_equal(res.records[4 * cfg.dy], multistep[4])
+            assert res.records[k].tobytes() == rk4[k].tobytes()
+        assert np.array_equal(res.records[4], multistep[4])
         assert not np.array_equal(multistep[4], rk4[4])
 
     @pytest.mark.parametrize("n_steps", [0, 1, 2, 3])
@@ -355,7 +350,7 @@ class TestEmission:
         rk4, _ = reference_march(eff, v0, cfg, n_steps)
         assert res.steps == n_steps and len(res.grad_y) == n_steps + 1
         assert res.y_final == n_steps * cfg.dy
-        assert res.records[res.y_final].tobytes() == rk4[n_steps].tobytes()
+        assert res.records[-1].tobytes() == rk4[n_steps].tobytes()
 
     def test_march_within_rk4_oracle(self, eff):
         """At twice the default step the multistep march stays within 1e-6 (relative L2)
@@ -373,7 +368,7 @@ class TestEmission:
         assert res.scheme == "abm4"
         fields, _ = reference_march(eff, v0, cfg, n_steps)
         ref = fields[n_steps]
-        error = float(np.linalg.norm(res.records[res.y_final] - ref)) / float(np.linalg.norm(ref))
+        error = float(np.linalg.norm(res.records[-1] - ref)) / float(np.linalg.norm(ref))
         assert error <= 1e-6
 
     @pytest.mark.parametrize("damping, scheme", [(0.0, "rk4"), (0.99, "rk4"), (1.01, "abm4")])
@@ -389,20 +384,20 @@ class TestEmission:
         res = sp.mkdv_march(eff, v0, cfg, [20 * cfg.dy])
         fields, _ = reference_march(eff, v0, cfg, 20, multistep=scheme == "abm4")
         assert res.scheme == scheme
-        assert res.records[res.y_final].tobytes() == fields[20].tobytes()
+        assert res.records[-1].tobytes() == fields[20].tobytes()
 
     def test_counters(self, eff):
         """``steps`` counts the march; a zero signal needs no damping for the multistep scheme."""
         kappa = 2.0 * math.pi / (16.0 * eff.ell)
         res = sp.impact_march(eff, 0.5 * eff.c, kappa, [0.02])
         assert res.steps == round(0.02 / res.config.dy) == len(res.grad_y) - 1
-        zero = sp.SpectralConfig(n_points=256, window=1e-2, viscosity=0.0, quiet_zone_check=False)
+        zero = sp.SpectralConfig(n_points=256, window=1e-2, viscosity=0.0, )
         assert sp.mkdv_march(eff, np.zeros(256), zero, [0.01]).scheme == "abm4"
 
     def test_probe_table_schema(self, eff):
         kappa = 2.0 * math.pi / (16.0 * eff.ell)
         res = sp.impact_march(eff, 0.1 * eff.c, kappa, [0.01])
-        traces = [(y, res.t, v / eff.c) for y, v in sorted(res.records.items())]
+        traces = [(y, res.t, v / eff.c) for y, v in zip([0.01], res.records)]
         header, rows = output.probe_table(traces, kappa * eff.c / (2.0 * math.pi), "mkdv")
         assert header == ["t_s", "t_norm", "v_over_c", "probe_y_m", "theory"]
         assert len(rows) == len(res.records) * len(res.t)

@@ -333,6 +333,16 @@ def _run_soliton(cfg, out: Path, tag: str) -> list[Path]:
     return [wpath, apath, spath]
 
 
+#: the most cells, window points or march steps a simulate run may ask for
+MAX_RUN_SIZE = 2**31
+
+
+def _check_size(size: float, key: str, what: str) -> None:
+    """A run too large to hold fails here, before it allocates, naming ``params.<key>``."""
+    if not size <= MAX_RUN_SIZE:
+        raise DomainError(f"params.{key} asks for {size:.3g} {what}, more than {MAX_RUN_SIZE}")
+
+
 def _run_simulate(cfg, out: Path, tag: str) -> list[Path]:
     """Impact run of simulate-fv (finite volume) or simulate-mkdv (spectral march)."""
     command, p = cfg["command"], cfg["params"]
@@ -345,6 +355,14 @@ def _run_simulate(cfg, out: Path, tag: str) -> list[Path]:
     t_final = p["t_final_factor"] * (max(probes) / eff.c + 3.0 * 2.0 * math.pi / (kappa * eff.c))
     summary = {"y_star_m": y_star, "c_eff": eff.c}
     if command == "simulate-fv":
+        try:
+            periods = fv_sim.required_periods(st, t_final, max(probes), 2.0 * math.pi / kappa)
+        except OverflowError:
+            periods = math.inf
+        # too large at the default cells_per_layer, the run is too long; else too fine
+        scale = periods / st.nu2  # cells per unit of cells_per_layer
+        _check_size(scale * _SIMULATE["cells_per_layer"].default, "t_final_factor", "cells")
+        _check_size(scale * p["cells_per_layer"], "cells_per_layer", "cells")
         result = fv_sim.impact_run(
             st, velocity, kappa, probes, t_final,
             cells_per_layer=p["cells_per_layer"], limiter=p["limiter"],
@@ -355,6 +373,11 @@ def _run_simulate(cfg, out: Path, tag: str) -> list[Path]:
             kappa, eff.c, window_factor=p["window_factor"], points_per_period=p["n_points"],
             dy=p["dy_m"], viscosity=p["viscosity"],
         )
+        # too many points at the default n_points, the window is too long; else too fine
+        wide = round(p["window_factor"]) * _SIMULATE["n_points"].default > MAX_RUN_SIZE
+        _check_size(scfg.n_points, "window_factor" if wide else "n_points", "window points")
+        # a march beyond the window's reach fails its own check in impact_march
+        _check_size(min(max(probes), scfg.window * eff.c) / p["dy_m"], "dy_m", "march steps")
         result = spectral_sim.impact_march(eff, velocity, kappa, probes, cfg=scfg)
         summary.update(window_s=scfg.window, scheme=result.scheme)
     traces = [(y, result.t, v / eff.c) for y, v in zip(probes, result.records)]

@@ -24,7 +24,6 @@ import numpy as np
 
 from .errors import CFLViolation, DomainError, GeometryError
 from .homogenize import CellState
-from .materials import ShearCoefficients
 
 #: margin of the front speed over the period-crossing speed in ``required_periods``
 SPEED_MARGIN = 1.35
@@ -99,27 +98,15 @@ def build_grid(st: CellState, cells_per_layer: int, n_periods: int) -> Grid1D:
     )
 
 
-def flux_and_speed(coeffs: ShearCoefficients, rho: float, gamma):
-    """Shear stress and local signal speed at strain gamma.
-
-    ``sigma = g gamma + (h/3) gamma^3`` and ``c = sqrt((g + h gamma^2)/rho)``.
-    Vectorised over gamma.
-    """
-    gam = np.asarray(gamma, dtype=float)
-    sigma = (coeffs.g + coeffs.h * gam * gam / 3.0) * gam
-    speed = np.sqrt((coeffs.g + coeffs.h * gam * gam) / rho)
-    if sigma.ndim:
-        return sigma, speed
-    return float(sigma), float(speed)
-
-
 @dataclass
 class SimState:
     """Cell-averaged strain and velocity fields at one instant.
 
     ``front`` is the first cell at or beyond which ``gamma`` and ``velocity``
     are exactly 0.0: 0 for a quiescent state, the whole grid by default.
-    ``step`` updates the arrays in place, using the buffers in ``work``.
+    ``step`` updates the arrays in place, using the buffers in ``work`` through
+    views it keeps in ``_plan``; they are built again when the window's block
+    changes or the grid, a field array or ``work`` is another object.
     """
 
     gamma: np.ndarray
@@ -127,6 +114,7 @@ class SimState:
     time: float = 0.0
     front: int = field(init=False)
     work: np.ndarray = field(init=False, repr=False)
+    _plan: _Plan | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.front = len(self.gamma)
@@ -139,16 +127,21 @@ class SimState:
         return state
 
 
+# the constant operands of the step's ufunc calls, as 0-d float64 arrays: the same
+# bits as Python floats, which numpy converts again on every call (about 0.8 us)
+_ZERO, _HALF, _ONE, _TWO, _THREE, _TINY = map(np.array, (0.0, 0.5, 1.0, 2.0, 3.0, 1e-300))
+
+
 def _minmod(theta: np.ndarray, scratch: np.ndarray) -> np.ndarray:
-    # the same bits as np.clip(theta, 0, 1), -0.0 and NaN included, without its
-    # Python-level wrapper; the bound goes first so that -0.0 stays -0.0
-    return np.minimum(1.0, np.maximum(0.0, theta, out=theta), out=theta)
+    # np.clip(theta, 0, 1) to the bit, -0.0 and NaN included, without its Python
+    # wrapper; the bound goes first so that -0.0 stays -0.0 (out= by keyword, as numpy asks)
+    return np.minimum(_ONE, np.maximum(_ZERO, theta, out=theta), out=theta)
 
 
 def _mc(theta: np.ndarray, scratch: np.ndarray) -> np.ndarray:
-    half = np.multiply(0.5, np.add(1.0, theta, out=scratch), out=scratch)
-    np.minimum(np.minimum(half, 2.0, out=half), np.multiply(2.0, theta, out=theta), out=theta)
-    return np.maximum(0.0, theta, out=theta)
+    half = np.multiply(_HALF, np.add(_ONE, theta, scratch), scratch)
+    np.minimum(np.minimum(half, _TWO, out=half), np.multiply(_TWO, theta, theta), out=theta)
+    return np.maximum(_ZERO, theta, out=theta)
 
 
 #: limiter phi(theta, scratch), evaluated in place in ``theta``
@@ -157,30 +150,70 @@ LIMITERS: dict[str, Callable[[np.ndarray, np.ndarray], np.ndarray]] = {"minmod":
 BoundarySpec = str | tuple[str, Callable[[float], float]]
 
 
-def _extend(e: np.ndarray, left: BoundarySpec, right: BoundarySpec) -> None:
-    """Fill the two ghost cells per side of ``e``, per-cell quantities held in ``e[..., 2:-2]``.
+def _extend(e: tuple[np.ndarray, ...], left: BoundarySpec, right: BoundarySpec) -> None:
+    """Fill the two ghost cells per side of an extended row, or a stack of them.
 
-    ``e`` is one quantity or a stack of them, one per row; cells run along the
-    last axis.  ``outflow`` copies the edge cell, ``periodic`` wraps around the
-    domain, and ``wall`` and ``("velocity", fn)`` mirror the interior; velocity
-    boundaries are accepted on the left only.
+    ``e`` holds the views of its columns 0, 1, 2, 3 and -4, -3, -2, -1: per side
+    two ghost cells and two edge cells.  ``outflow`` copies the edge cell,
+    ``periodic`` wraps around the domain, and ``wall`` and ``("velocity", fn)``
+    mirror the interior; velocity boundaries are accepted on the left only.
     """
+    l0, l1, l2, l3, r4, r3, r2, r1 = e
     if left == "outflow":
-        e[..., 0] = e[..., 1] = e[..., 2]
+        l0[...] = l1[...] = l2
     elif left == "periodic":
-        e[..., 0], e[..., 1] = e[..., -4], e[..., -3]
+        l0[...], l1[...] = r4, r3
     elif left == "wall" or (not isinstance(left, str) and left[0] == "velocity"):
-        e[..., 1], e[..., 0] = e[..., 2], e[..., 3]
+        l1[...], l0[...] = l2, l3
     else:
         raise DomainError(f"unknown boundary condition {left!r}")
     if right == "outflow":
-        e[..., -2] = e[..., -1] = e[..., -3]
+        r2[...] = r1[...] = r3
     elif right == "periodic":
-        e[..., -2], e[..., -1] = e[..., 2], e[..., 3]
+        r2[...], r1[...] = l2, l3
     elif right == "wall":
-        e[..., -2], e[..., -1] = e[..., -3], e[..., -4]
+        r2[...], r1[...] = r3, r4
     else:
         raise DomainError(f"unknown boundary condition {right!r}")
+
+
+#: a window updates a whole number of blocks of cells, so that its views change
+#: only when the front crosses a block edge
+_BLOCK = 64
+
+
+class _Plan:
+    """Every view a step reads or writes, for ``key[0]`` cells updated and ``k`` read.
+
+    ``state.work`` rows: speed, impedance, velocity and stress, each with two ghost
+    cells a side, then two scratch rows and the f-waves w1g, w2g, w1m, w2m.
+    """
+
+    def __init__(self, state: SimState, grid: Grid1D, key: tuple[int, ...], k: int):
+        # keyed by ids, so that a copied state builds its own views; the objects are
+        # held so that their ids cannot pass to new ones
+        m, self.key, self.held = key[0], key, (grid, state.gamma, state.velocity, state.work)
+        c_e, z_e, v_e, s_e, t1, t2, *waves = rows = state.work[:, : k + 4]
+        cells, sl = slice(2, k + 2), slice(1, m + 2)
+        self.c_tail = float(grid.c_tail[m])
+        self.cells = (state.gamma[:k], state.velocity[:k], grid.g[:k], grid.h[:k], grid.rho[:k],
+                      t1[:k], c_e[cells], c_e[2 : m + 2], z_e[cells], s_e[cells], v_e[cells])
+        self.ghosts = tuple(rows[:4, j] for j in (0, 1, 2, 3, -4, -3, -2, -1)), v_e[:2], v_e[-2:]
+        w1g, w2g, w1m, w2m = (w[: k + 3] for w in waves)
+        self.faces = (v_e[:-1], v_e[1:], s_e[:-1], s_e[1:], z_e[:-1], z_e[1:],
+                      t1[: k + 3], t2[: k + 3], v_e[: k + 3], w1g, w2g, w1m, w2m)
+        # (1 - c dt/dy)/2 on cells 1 .. m+2, and theta on interfaces 1 .. m+1 per family:
+        # the left-going family reads upwind interfaces 2 .. m+2, the right-going 0 .. m
+        self.half_c, self.a, self.b = c_e[1 : m + 3], t1[: m + 1], t2[: m + 1]
+        self.coef = np.empty(())  # dt/dy, a 0-d operand like the constants
+        self.families = (
+            (w1g[sl], w1g[2 : m + 3], w1m[sl], w1m[2 : m + 3], self.half_c[: m + 1], z_e[: m + 1]),
+            (w2g[sl], w2g[: m + 1], w2m[sl], w2m[: m + 1], self.half_c[1:], v_e[: m + 1]),
+        )
+        self.mom = grid.rho[:m], state.velocity[:m], s_e[:m]
+        self.rows = ((state.gamma[:m], w2g[1 : m + 1], w1g[2 : m + 2], w2g[sl], w1g[sl]),
+                     (s_e[:m], w2m[1 : m + 1], w1m[2 : m + 2], w2m[sl], w1m[sl]))
+        self.flux = self.a[1:], self.a[:-1], self.b[:m], z_e[: m + 1], v_e[: m + 1]
 
 
 def step(
@@ -195,29 +228,28 @@ def step(
 ) -> float:
     """Advance the state in place by one conservative update; returns the dt taken.
 
-    Only the active window, cells ``[0, front + 4)``, is updated, with its real
-    neighbours as right ghost cells.  The stencil reaches two cells each way, so
-    a cell with an all-zero neighbourhood gets zero f-waves and theta =
-    0/(0 + 1e-300) = 0 and stays exactly 0.0: skipping it changes no bit.  The
-    whole grid is updated near the right edge and with a periodic boundary (a
-    window must not wrap).  dt still comes from the global maximum speed: the
-    window's or, beyond it, the linear ``grid.c_tail``.  Ghost strains mirror
-    the interior, so interior speeds bound the ghost speeds.
+    Only the active window is updated: cells ``[0, front + 4)`` rounded up to whole
+    ``_BLOCK``s, at most ``n_cells - 2``, with its real neighbours as right ghost
+    cells.  The stencil reaches two cells each way, so a cell with an all-zero
+    neighbourhood gets zero f-waves and theta = 0/(0 + 1e-300) = 0 and steps to
+    +0.0: skipping or stepping it changes no bit.  The whole grid is updated near
+    the right edge and with a periodic boundary (a window must not wrap).  dt
+    comes from the global maximum speed: the window's or, beyond it, the linear
+    ``grid.c_tail``.  Ghost strains mirror the interior, so interior speeds bound
+    the ghost speeds.  Every kernel writes into views built once per block (``_Plan``).
     """
     phi, n, dy = LIMITERS[limiter], grid.n_cells, grid.dy
     window = "periodic" not in (left, right) and state.front + 6 <= n
-    m, k = (state.front + 4, state.front + 6) if window else (n, n)  # cells updated, read
-    c_e, z_e, v_e, s_e = ext = state.work[:4, : k + 4]  # extended with ghost cells
-    t1, t2, w1g, w2g, w1m, w2m = state.work[4:, : k + 4]
-    cells = slice(2, k + 2)
+    m = min(-(-(state.front + 4) // _BLOCK) * _BLOCK, n - 2) if window else n  # cells updated
+    key = (m, id(grid), id(state.gamma), id(state.velocity), id(state.work))
+    p = state._plan
+    if p is None or p.key != key:
+        p = state._plan = _Plan(state, grid, key, m + 2 if window else n)
+    gam, vel, g, h, rho, hg, c, c_m, z, sig, v = p.cells
 
-    gam = state.gamma[:k]
-    hg = np.multiply(gam, gam, out=t1[:k])
-    hg *= grid.h[:k]
-    c = np.add(grid.g[:k], hg, out=c_e[cells])
-    c /= grid.rho[:k]
-    np.sqrt(c, out=c)
-    c_max = max(float(c[:m].max()), float(grid.c_tail[m]))
+    np.multiply(np.multiply(gam, gam, hg), h, hg)
+    np.sqrt(np.divide(np.add(g, hg, c), rho, c), c)
+    c_max = max(float(np.maximum.reduce(c_m)), p.c_tail)
     if c_max <= 0.0:
         raise DomainError("non-positive signal speed")
     dt = min(cfl * dy / c_max, dt_max)
@@ -229,78 +261,53 @@ def step(
     # every ghost cell copies one interior cell, so speeds, impedances and
     # stresses extend directly; only the ghost velocities carry boundary data.
     # A window reads its real neighbours past its right edge, never these ghosts.
-    np.multiply(grid.rho[:k], c, out=z_e[cells])
-    hg /= 3.0
-    sig = np.add(grid.g[:k], hg, out=s_e[cells])
-    sig *= gam
-    v_e[cells] = state.velocity[:k]
-    _extend(ext, left, right)
+    np.multiply(rho, c, z)
+    np.multiply(np.add(g, np.divide(hg, _THREE, hg), sig), gam, sig)
+    v[...] = vel
+    ghosts, v_lo, v_hi = p.ghosts
+    _extend(ghosts, left, right)
     if left == "wall":
-        v_e[:2] = -v_e[:2]
+        np.negative(v_lo, v_lo)
     elif not isinstance(left, str):
-        vb = left[1](state.time + 0.5 * dt)
-        v_e[:2] = 2.0 * vb - v_e[:2]
+        np.subtract(2.0 * left[1](state.time + 0.5 * dt), v_lo, v_lo)
     if right == "wall":
-        v_e[-2:] = -v_e[-2:]
+        np.negative(v_hi, v_hi)
 
     # f-wave decomposition of the interface differences of the flux (-v, -sigma)
-    df1 = np.subtract(v_e[:-1], v_e[1:], out=t1[: k + 3])
-    df2 = np.subtract(s_e[:-1], s_e[1:], out=t2[: k + 3])
-    zl, zr = z_e[:-1], z_e[1:]
-    den = np.add(zl, zr, out=v_e[: k + 3])
-    w1g = np.multiply(df1, zr, out=w1g[: k + 3])  # left-going, speed -c(left cell)
-    w1g += df2
-    w1g /= den
-    w2g = np.multiply(df1, zl, out=w2g[: k + 3])  # right-going, speed +c(right cell)
-    w2g -= df2
-    w2g /= den
-    w1m = np.multiply(w1g, zl, out=w1m[: k + 3])
-    w2m = np.negative(w2g, out=w2m[: k + 3])
-    w2m *= zr
+    v_l, v_r, s_l, s_r, zl, zr, df1, df2, den, w1g, w2g, w1m, w2m = p.faces
+    np.subtract(v_l, v_r, df1)
+    np.subtract(s_l, s_r, df2)
+    np.add(zl, zr, den)
+    np.divide(np.add(np.multiply(df1, zr, w1g), df2, w1g), den, w1g)  # left-going, speed -c(left)
+    np.divide(np.subtract(np.multiply(df1, zl, w2g), df2, w2g), den, w2g)  # right-going, +c(right)
+    np.multiply(w1g, zl, w1m)
+    np.multiply(np.negative(w2g, w2m), zr, w2m)
 
-    # limited second-order corrections on interfaces 1 .. m+1; (1 - c dt/dy)/2 on cells
-    # 1 .. m+2, in place of the speeds read last above, serves the left-going family
-    # (negated below) and the right-going one
-    coef = dt / dy
-    sl = slice(1, m + 2)
-    a, b = t1[: m + 1], t2[: m + 1]
-    half_c = c_e[1 : m + 3]
-    np.subtract(1.0, np.multiply(half_c, coef, out=half_c), out=half_c)
-    half_c *= 0.5
-    fac = []
-    for wg, wm, up, scale, out in (
-        (w1g, w1m, slice(2, m + 3), half_c[: m + 1], z_e),  # upwind of the left-going family
-        (w2g, w2m, slice(0, m + 1), half_c[1:], v_e),  # upwind of the right-going family
-    ):
-        theta = np.multiply(wg[sl], wg[up], out=out[: m + 1])
-        theta += np.multiply(wm[sl], wm[up], out=a)
-        den_ = np.multiply(wg[sl], wg[sl], out=a)
-        den_ += np.multiply(wm[sl], wm[sl], out=b)
-        den_ += 1e-300
-        theta /= den_
-        p = phi(theta, a)
-        fac.append(np.multiply(scale, p, out=p))
+    # limited second-order corrections; (1 - c dt/dy)/2, in place of the speeds read
+    # last above, serves the left-going family (negated below) and the right-going one
+    coef, a, b, half_c = p.coef, p.a, p.b, p.half_c
+    coef[()] = dt / dy
+    np.multiply(np.subtract(_ONE, np.multiply(half_c, coef, half_c), half_c), _HALF, half_c)
+    for wg, wg_up, wm, wm_up, scale, theta in p.families:
+        np.add(np.multiply(wg, wg_up, theta), np.multiply(wm, wm_up, a), theta)
+        np.add(np.add(np.multiply(wg, wg, a), np.multiply(wm, wm, b), a), _TINY, a)
+        np.multiply(scale, phi(np.divide(theta, a, theta), a), theta)
 
-    # first-order update, then the difference of the correction fluxes
-    mom = np.multiply(grid.rho[:m], state.velocity[:m], out=s_e[:m])
-    for q, wm, wp in ((state.gamma[:m], w1g, w2g), (mom, w1m, w2m)):
-        upd = np.add(wp[1 : m + 1], wm[2 : m + 2], out=b[:m])
-        upd *= coef
-        q -= upd
-        # fac[0] is minus the left-going factor: the bits of (-fac[0]) wm + fac[1] wp
-        flux = np.multiply(fac[1], wp[sl], out=a)
-        flux -= np.multiply(fac[0], wm[sl], out=b)
-        dflux = np.subtract(flux[1:], flux[:-1], out=b[:m])
-        dflux *= coef
-        q -= dflux
+    # first-order update, then the difference of the correction fluxes; fac0 is
+    # minus the left-going factor: the bits of (-fac0) wm + fac1 wp
+    rho_m, vel_m, mom = p.mom
+    np.multiply(rho_m, vel_m, mom)
+    flux_r, flux_l, b_m, fac0, fac1 = p.flux
+    for q, wp_in, wm_in, wp, wm in p.rows:
+        np.subtract(q, np.multiply(np.add(wp_in, wm_in, b_m), coef, b_m), q)
+        np.subtract(np.multiply(fac1, wp, a), np.multiply(fac0, wm, b), a)
+        np.subtract(q, np.multiply(np.subtract(flux_r, flux_l, b_m), coef, b_m), q)
+    np.divide(mom, rho_m, vel_m)
 
-    np.divide(mom, grid.rho[:m], out=state.velocity[:m])
     state.time += dt
-    if window:
-        lo = state.front  # scan the at most 4 newly updated cells in Python
-        new = zip(state.gamma[lo:m].tolist(), state.velocity[lo:m].tolist())
-        live = [i for i, gv in enumerate(new) if any(gv)]
-        state.front += live[-1] + 1 if live else 0
+    if window:  # scan the at most 4 newly updated cells in Python, last first
+        lo = state.front
+        state.front = next((i + 1 for i in range(lo + 3, lo - 1, -1) if gam[i] or vel[i]), lo)
     else:
         state.front = n
     return dt
@@ -351,17 +358,11 @@ def simulate(
 ) -> SimResult:
     """March a quiescent grid under a prescribed boundary velocity, recording probes."""
     state = SimState.quiescent(grid)
-    cells = [grid.cell_at(y) for y in probe_positions]
-    times, samples = [0.0], [state.velocity[cells]]
+    cells = np.array([grid.cell_at(y) for y in probe_positions], dtype=np.intp)
+    times, samples, left = [0.0], [state.velocity[cells]], ("velocity", left_velocity)
     t0 = _time.perf_counter()
     while state.time < t_final - 1e-15:
-        step(
-            state,
-            grid,
-            limiter=limiter,
-            left=("velocity", left_velocity),
-            dt_max=t_final - state.time,
-        )
+        step(state, grid, limiter=limiter, left=left, dt_max=t_final - state.time)
         times.append(state.time)
         samples.append(state.velocity[cells])
     elapsed = _time.perf_counter() - t0

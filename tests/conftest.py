@@ -129,26 +129,43 @@ def columns(states) -> Cell:
     return Cell(*np.array([(s.t1, s.t2, s.z1, s.z2) for s in states], dtype=float).reshape(-1, 4).T)
 
 
+def excess(cell, w):
+    """|F| - 1 of the Bloch cosine F = cos(kappa ell), to full relative precision near F = +-1.
+
+    With a = w t1, b = w t2 and d = (z1 - z2)^2 / (2 z1 z2) sin a sin b,
+    F = cos(a + b) - d, so F + 1 = 2 cos^2((a + b)/2) - d and F - 1 =
+    -2 sin^2((a + b)/2) - d.  Both terms are small where F is near -1 or 1, while
+    cos a cos b - (z1/z2 + z2/z1)/2 sin a sin b loses them in one rounding of F.
+    """
+    a, b = w * cell.t1, w * cell.t2
+    d = (cell.z1 - cell.z2) ** 2 / (2.0 * cell.z1 * cell.z2) * np.sin(a) * np.sin(b)
+    half = 0.5 * (a + b)
+    return np.where(np.cos(a + b) - d > 0.0, -2.0 * np.sin(half) ** 2 - d, d - 2.0 * np.cos(half) ** 2)
+
+
 def oracle_gaps(cell, omega_max: float, n_scan: int) -> list[tuple[int, float, float]]:
     """Every exact gap below ``omega_max`` by an independent route, as (n, lo, hi).
 
     Scans |F| = |cos(kappa ell)| > 1 on ``n_scan + 1`` frequencies and refines each
-    edge by Brent on |F| - 1 between its two scan samples; a gap running past the
-    ceiling keeps it as its upper edge.  The gap number n is the unfolded wave
-    number kappa ell / pi at the gap: the total variation of arccos F below it,
-    in units of pi, which also counts a closed gap (F touching +-1).  A gap
-    narrower than a scan step may be missed, and a run of evanescent samples in
-    which F changes sign (a pass band inside one step) is left out.
+    edge by Brent on |F| - 1 (:func:`excess`) between its two scan samples; a gap
+    running past the ceiling keeps it as its upper edge.  The gap number n is the
+    unfolded wave number kappa ell / pi at the gap: the total variation of
+    arccos F below it, in units of pi, which also counts a closed gap (F touching
+    +-1).  A gap narrower than a scan step may be missed, and a run of evanescent
+    samples in which F changes sign (a pass band inside one step) is left out.  So
+    is a gap no wider than EDGE_TOL, cut at the ceiling or not: the float round-off
+    of F can open or close a gap a few ulp wide, so it cannot be told from a closed
+    one.
     """
     w = np.linspace(0.0, omega_max, n_scan + 1)
     w[0] = 1e-12 * w[-1]
     f = dispersion.bloch_cosine(cell, w)
     kappa = np.concatenate([[0.0], np.cumsum(np.abs(np.diff(np.arccos(np.clip(f, -1.0, 1.0)))))])
-    padded = np.concatenate([[False], np.abs(f) > 1.0, [False]])
+    padded = np.concatenate([[False], excess(cell, w) > 0.0, [False]])
     flips = np.flatnonzero(padded[1:] != padded[:-1])
 
     def edge(a: float, b: float) -> float:
-        return brentq(lambda x: abs(dispersion.bloch_cosine(cell, x)) - 1.0, a, b, xtol=EDGE_TOL)
+        return brentq(lambda x: excess(cell, x), a, b, xtol=EDGE_TOL)
 
     gaps = []
     for i, j in zip(flips[::2], flips[1::2]):  # first evanescent and next propagating sample
@@ -156,7 +173,8 @@ def oracle_gaps(cell, omega_max: float, n_scan: int) -> list[tuple[int, float, f
             continue
         lo = edge(w[i - 1], w[i]) if i else w[0]
         hi = edge(w[j - 1], w[j]) if j < len(w) else w[-1]
-        gaps.append((round(kappa[i] / math.pi), lo, hi))
+        if hi - lo > EDGE_TOL:
+            gaps.append((round(kappa[i] / math.pi), lo, hi))
     return gaps
 
 

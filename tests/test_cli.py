@@ -195,6 +195,8 @@ class TestValidation:
         assert status == 2
         assert "numerical failure" in err
         assert "Traceback" not in err
+        if command.startswith("simulate"):  # each simulate case sets the param at fault first
+            assert f"params.{next(iter(params))}" in err
 
     @pytest.mark.parametrize("case", ["out-is-a-file", "manifest-list", "manifest-malformed"])
     def test_unusable_out_exits_1(self, tmp_path, case):

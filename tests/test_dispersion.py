@@ -6,7 +6,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import lamwave as lw
@@ -161,6 +161,8 @@ class TestBandGaps:
         shrink=st.floats(0.8, 1.0),
         log_r=st.floats(math.log(1e-3), math.log(1e3)),
     )
+    # equal travel times and impedances 6e-8 apart: gap 3 is 1.2e-7 wide around 3 pi
+    @example(t1=0.5, shrink=1.0, log_r=5.960464477539063e-08)
     def test_all_gaps_match_oracle(self, t1, shrink, log_r):
         """Every gap the scan oracle resolves up to 6 pi is found, with its Bloch gap
         number and its edges within EDGE_TOL."""

@@ -1,5 +1,6 @@
 """Finite-volume solver: grid geometry, conservation, convergence, impact physics."""
 
+import copy
 import dataclasses
 import math
 import tracemalloc
@@ -82,9 +83,23 @@ class TestGrid:
             fv.build_grid(cell_state(lam, 1.0), 10, 2)
 
 
+def flux_and_speed(coeffs: lw.ShearCoefficients, rho: float, gamma):
+    """Shear stress and local signal speed at strain gamma, the pointwise law ``step`` applies.
+
+    ``sigma = g gamma + (h/3) gamma^3`` and ``c = sqrt((g + h gamma^2)/rho)``.
+    Vectorised over gamma.
+    """
+    gam = np.asarray(gamma, dtype=float)
+    sigma = (coeffs.g + coeffs.h * gam * gam / 3.0) * gam
+    speed = np.sqrt((coeffs.g + coeffs.h * gam * gam) / rho)
+    if sigma.ndim:
+        return sigma, speed
+    return float(sigma), float(speed)
+
+
 class TestFluxAndSpeed:
     def test_unstrained(self):
-        sigma, c = fv.flux_and_speed(lw.ShearCoefficients(4.7e6, 0.0), 930.0, 0.0)
+        sigma, c = flux_and_speed(lw.ShearCoefficients(4.7e6, 0.0), 930.0, 0.0)
         assert sigma == 0.0
         assert c == pytest.approx(math.sqrt(4.7e6 / 930.0), rel=1e-14)
 
@@ -92,18 +107,18 @@ class TestFluxAndSpeed:
         from lamwave.materials import shear_coefficients
 
         sc = shear_coefficients(bilam.phase1.model, 1.0)
-        _, c = fv.flux_and_speed(sc, 930.0, 0.0)
+        _, c = flux_and_speed(sc, 930.0, 0.0)
         assert c == pytest.approx(71.1, abs=0.05)
 
     def test_stiffening(self):
         coeffs = lw.ShearCoefficients(1e6, 3e4)
-        _, c0 = fv.flux_and_speed(coeffs, 1000.0, 0.0)
-        _, c1 = fv.flux_and_speed(coeffs, 1000.0, 0.8)
+        _, c0 = flux_and_speed(coeffs, 1000.0, 0.0)
+        _, c1 = flux_and_speed(coeffs, 1000.0, 0.8)
         assert c1 > c0
 
     def test_cubic_stress(self):
         coeffs = lw.ShearCoefficients(2e6, 6e4)
-        sigma, _ = fv.flux_and_speed(coeffs, 1000.0, 0.5)
+        sigma, _ = flux_and_speed(coeffs, 1000.0, 0.5)
         assert sigma == pytest.approx(2e6 * 0.5 + 6e4 / 3.0 * 0.125, rel=1e-14)
 
 
@@ -272,6 +287,83 @@ class TestActiveWindow:
         assert (front < grid.n_cells) == (crossings < 0.5)
         assert np.all(res.state.gamma[front:] == 0.0)
         assert np.all(res.state.velocity[front:] == 0.0)
+
+    @staticmethod
+    def pulse_states(bilam, left):
+        """A grid of 192 cells, a left boundary and two equal states on it: one that
+        steps its active window, from a strain pulse on the first cells or from rest
+        under a velocity boundary, and one that steps the whole grid."""
+        eff = effective_model(bilam, 1.0)
+        grid = fv.build_grid(cell_state(bilam, 1.0), 8, 12)
+        gamma = np.zeros(grid.n_cells)
+        if left == "velocity":
+            left = ("velocity", fv.impact_signal(0.5 * eff.c, 2.0 * math.pi / eff.ell, eff.c))
+        else:
+            gamma[:24] = 0.05 * np.sin(math.pi * (np.arange(24) + 0.5) / 24) ** 2
+        window = fv.SimState(gamma.copy(), np.zeros(grid.n_cells))
+        window.front = int(np.count_nonzero(gamma))
+        return grid, left, window, fv.SimState(gamma.copy(), np.zeros(grid.n_cells))
+
+    @pytest.mark.parametrize("limiter", ["minmod", "mc"])
+    @pytest.mark.parametrize(
+        "left, right",
+        [("velocity", "outflow"), ("velocity", "wall"), ("wall", "outflow"), ("outflow", "wall")],
+    )
+    def test_block_window_matches_whole_grid(self, bilam, limiter, left, right):
+        """Step by step, the block-rounded window has the bits of whole-grid stepping:
+        while the front crosses a block edge (64 to 128 cells updated), while the
+        window is held at n_cells - 2 = 190 cells, and after the switch to all 192."""
+        grid, left, window, full = self.pulse_states(bilam, left)
+        kw = {"limiter": limiter, "left": left, "right": right}
+        updated = []
+        while updated.count(grid.n_cells) < 20:
+            assert fv.step(window, grid, **kw) == fv.step(full, grid, **kw)
+            assert window.gamma.tobytes() == full.gamma.tobytes()
+            assert window.velocity.tobytes() == full.velocity.tobytes()
+            assert np.all(window.gamma[window.front :] == 0.0)
+            updated.append(window._plan.key[0])
+        assert {64, 128, 190, 192} <= set(updated)
+
+    def test_plan_is_built_once_per_block(self, bilam, monkeypatch):
+        """Over an impact run the views are built once for each window size, in
+        order, and each size is a whole number of blocks or the clamp."""
+        built = []
+        plan = fv._Plan
+
+        def counted(state, grid, key, k):
+            built.append(key[0])
+            return plan(state, grid, key, k)
+
+        monkeypatch.setattr(fv, "_Plan", counted)
+        eff = effective_model(bilam, 1.0)
+        grid = fv.build_grid(cell_state(bilam, 1.0), 8, 40)
+        res = fv.simulate(
+            grid, left_velocity=fv.impact_signal(eff.c, 2.0 * math.pi / (8.0 * eff.ell), eff.c),
+            t_final=0.5 * grid.domain_length / eff.c, probe_positions=[0.05],
+        )
+        assert built == sorted(set(built))
+        assert all(m % fv._BLOCK == 0 or m == grid.n_cells - 2 for m in built)
+        assert len(built) <= -(-res.state.front // fv._BLOCK) + 1 < res.steps / 10
+
+    @pytest.mark.parametrize("replaced", ["gamma", "velocity", "grid", "state"])
+    def test_replaced_arrays_get_new_views(self, bilam, low_disp_bilam, replaced):
+        """A state whose field array is swapped for an equal copy between steps, that
+        goes on to step on another grid, or a deep copy of it, keeps the bits of a
+        fresh state."""
+        grid, left, window, _ = self.pulse_states(bilam, "velocity")
+        other = fv.build_grid(cell_state(low_disp_bilam, 1.0), 8, 12)
+        for i in range(150):
+            if i == 60 and replaced == "grid":
+                grid = other
+            elif i == 60 and replaced == "state":
+                window = copy.deepcopy(window)
+            elif i == 60:
+                setattr(window, replaced, getattr(window, replaced).copy())
+            fresh = fv.SimState(window.gamma.copy(), window.velocity.copy())
+            fresh.front, fresh.time = window.front, window.time
+            assert fv.step(window, grid, left=left) == fv.step(fresh, grid, left=left)
+            assert window.gamma.tobytes() == fresh.gamma.tobytes()
+            assert window.velocity.tobytes() == fresh.velocity.tobytes()
 
     @pytest.mark.parametrize("quiescent", [True, False])
     def test_step_allocates_no_field_copies(self, bilam, quiescent):

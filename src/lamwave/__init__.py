@@ -16,16 +16,14 @@ from .errors import (
     GentLocking,
     GeometryError,
     Instability,
-    InversionFailure,
     LamwaveError,
     NoBound,
     NoGap,
     NoRoot,
     NoSoliton,
     NotReached,
-    SingularDeformation,
 )
-from .homogenize import CellCorrectors, EffectiveEnergyCoeffs, EffectiveModel, effective_model
+from .homogenize import EffectiveModel, effective_model
 from .materials import (
     MU0,
     HyperelasticModel,
@@ -39,18 +37,15 @@ from .soliton import SolitonSolution, WaveModel
 
 __all__ = [
     "MU0",
-    "CellCorrectors",
     "CFLViolation",
     "ConfigError",
     "DispersionTooStrong",
     "DomainError",
-    "EffectiveEnergyCoeffs",
     "EffectiveModel",
     "GentLocking",
     "GeometryError",
     "HyperelasticModel",
     "Instability",
-    "InversionFailure",
     "Laminate",
     "LamwaveError",
     "MagneticLoad",
@@ -61,7 +56,6 @@ __all__ = [
     "NotReached",
     "Phase",
     "ShearCoefficients",
-    "SingularDeformation",
     "SolitonSolution",
     "WaveModel",
     "effective_model",

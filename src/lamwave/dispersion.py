@@ -131,55 +131,6 @@ def bloch_band_gaps(st: CellState, omega_max: float = 3.0 * math.pi) -> list[Ban
     ]
 
 
-def exact_acoustic_frequency(st: CellState, kappa_ell: float) -> float:
-    """Invert the exact relation on the acoustic branch: omega*ell/c at given kappa*ell."""
-    if not 0.0 <= kappa_ell <= math.pi:
-        raise DomainError("acoustic-branch inversion needs kappa*ell in [0, pi]")
-    if kappa_ell == 0.0:
-        return 0.0
-    target = math.sin(0.5 * kappa_ell) ** 2
-    r = st.z1 / st.z2
-    q = np.array([r, 1.0 / r])
-
-    def below(w):  # (1 - cos(kappa ell)) / 2 = S(R) S(1/R) rises with omega on the acoustic branch
-        a, b = _rytov_factors(st.t1, st.t2, w, turn=(0.0, -1.0))
-        s, s_inv = a - q * b
-        return s * s_inv < target
-
-    # it reads 0 at omega = 0 and > 1 at the first gap's lower edge; unlike F - cos(kappa ell),
-    # it keeps the relative precision of a small kappa ell
-    lo, _ = band_gap_edges(st, 1)
-    hi = float(lo[0]) if math.isfinite(lo[0]) else math.pi
-    return float(bisect(below, 0.0, hi))
-
-
-def homogenized_branch_frequencies(eff: EffectiveModel, kappa_ell) -> np.ndarray:
-    """Real non-negative omega*ell/c roots of the optimised homogenised relation.
-
-    Solves ``eta_t chi^2 - (1 - eta_m k^2) chi + k^2 - eta_y k^4 = 0`` for
-    ``chi = (omega ell / c)^2`` and returns the real branch frequencies sorted
-    ascending (acoustic first).  May return fewer than two values where roots
-    are complex or negative.
-    """
-    k = float(kappa_ell)
-    k2 = k * k
-    a = eff.eta_t
-    b = -(1.0 - eff.eta_m * k2)
-    c = k2 - eff.eta_y * k2 * k2
-    if a == 0.0:
-        if b == 0.0:
-            return np.array([])
-        chi = [-c / b]
-    else:
-        disc = b * b - 4.0 * a * c
-        if disc < 0.0:
-            return np.array([])
-        s = math.sqrt(disc)
-        chi = [(-b - s) / (2.0 * a), (-b + s) / (2.0 * a)]
-    out = sorted(x for x in chi if x >= -1e-14)
-    return np.sqrt(np.clip(np.asarray(out), 0.0, None))
-
-
 def homogenized_band_gap(eff: EffectiveModel) -> BandGap:
     """First band gap predicted by the optimised homogenised model."""
     if eff.eta <= 0.0:
@@ -241,7 +192,8 @@ def dispersion_table(
         rows.extend(
             (ki, wi, br.index, "exact") for ki, wi in zip(k.tolist(), br.omega_norm.tolist())
         )
-    # homogenized_branch_frequencies at every node at once, by the same operations;
+    # the real roots chi = (omega ell / c)^2 of
+    # eta_t chi^2 - (1 - eta_m k^2) chi + k^2 - eta_y k^4 = 0 at every node at once;
     # eta_t > 0, so each node's pair of roots comes out ascending
     kgrid = np.linspace(0.0, 2.0 * math.pi, n // 2)
     k2 = kgrid * kgrid

@@ -13,10 +13,6 @@ class GentLocking(DomainError):
     """A Gent material was evaluated at or beyond its extensibility limit."""
 
 
-class InversionFailure(DomainError):
-    """Coefficient calibration hit a singular inverse formula."""
-
-
 class NoRoot(LamwaveError):
     """The stretch equation has no root inside the admissible domain.
 
@@ -47,10 +43,6 @@ class NoBound(LamwaveError):
 
 class NotReached(LamwaveError):
     """A bisection target was not reached on the admissible interval."""
-
-
-class SingularDeformation(DomainError):
-    """A deformation gradient produced a degenerate lamination-direction image."""
 
 
 class GeometryError(LamwaveError, ValueError):

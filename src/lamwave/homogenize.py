@@ -19,9 +19,8 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from . import materials
-from .errors import DispersionTooStrong, DomainError, SingularDeformation
-from .materials import Laminate, ShearCoefficients, shear_coefficients, uniaxial_first_invariant
+from .errors import DispersionTooStrong
+from .materials import Laminate, ShearCoefficients, shear_coefficients
 
 #: zone-edge value of eta_y forced by the zero-group-velocity condition
 ETA_Y_OPT = 1.0 / (2.0 * math.pi**2)
@@ -138,191 +137,3 @@ def effective_model(lam: Laminate, stretch: float = 1.0) -> EffectiveModel:
     """Homogenised wave model of the laminate at the given axial stretch."""
     return cell_state(lam, stretch).eff
 
-
-def eta_dimensional(lam: Laminate, stretch: float = 1.0) -> float:
-    """Dispersion weight computed from dimensional quantities and the c^4 prefactor.
-
-    Alternate accessor; agrees with :func:`effective_model` by construction.
-    """
-    st = cell_state(lam, stretch)
-    p1, p2 = lam.phases
-    n1, n2 = p1.volume_fraction, p2.volume_fraction
-    c2 = st.eff.g_eff / st.eff.rho_eff
-    return (
-        c2**2
-        / 12.0
-        * (n1 * n2) ** 2
-        / (st.sc1.g * st.sc2.g) ** 2
-        * (p1.density * st.sc1.g - p2.density * st.sc2.g) ** 2
-    )
-
-
-@dataclass(frozen=True)
-class CellCorrectors:
-    """Slopes of the first-order cell corrections (linear P, cubic Q)."""
-
-    P: float
-    Q: float
-
-
-def cell_correctors(st: CellState) -> CellCorrectors:
-    """First-order corrector slopes over the unit cell, in normalised variables."""
-    n1, n2 = st.nu1, st.nu2
-    g_eff = st.eff.g_eff
-    g1, g2 = st.sc1.g / g_eff, st.sc2.g / g_eff
-    h1, h2 = st.sc1.h / g_eff, st.sc2.h / g_eff
-    mix = n1 * g2 + n2 * g1
-    P = (g2 - g1) / mix
-    Q = (h2 * g1**3 - h1 * g2**3) / (3.0 * mix**4)
-    return CellCorrectors(P=P, Q=Q)
-
-
-def unit_cell_profiles(st: CellState, y_fast: np.ndarray) -> dict[str, np.ndarray]:
-    """Piecewise material and corrector data sampled on the fast coordinate.
-
-    ``y_fast`` lives on the unit cell [-1/2, 1/2] with phase 2 occupying the
-    centred band |y| <= nu2/2.  Returns normalised ``g``, ``h``, ``rho`` plus
-    the corrector slope factor ``tau`` and offset ``phi``.
-    """
-    n1, n2 = st.nu1, st.nu2
-    g_eff, rho_eff = st.eff.g_eff, st.eff.rho_eff
-
-    y = np.asarray(y_fast, dtype=float)
-    if np.any(np.abs(y) > 0.5 + 1e-12):
-        raise DomainError("fast coordinate must lie in [-1/2, 1/2]")
-    in2 = np.abs(y) <= 0.5 * n2
-    g = np.where(in2, st.sc2.g, st.sc1.g) / g_eff
-    h = np.where(in2, st.sc2.h, st.sc1.h) / g_eff
-    rho = np.where(in2, st.rho2, st.rho1) / rho_eff
-    tau = np.where(in2, -n1, n2)
-    phi = np.where(in2, 0.0, np.where(y < 0.0, 0.5, -0.5))
-    return {"g": g, "h": h, "rho": rho, "tau": tau, "phi": phi}
-
-
-@dataclass(frozen=True)
-class EffectiveEnergyCoeffs:
-    """Mixture moduli entering the laminate's effective strain energy."""
-
-    G_bar: float  # arithmetic mean of ground-state moduli, Pa
-    G_breve: float  # harmonic mean, Pa
-    gb1: float  # <G^1 beta>, Pa
-    gbm1: float  # <G^-1 beta>, 1/Pa
-    gbm3: float  # <G^-3 beta>, 1/Pa^3
-
-
-def effective_energy_coeffs(lam: Laminate) -> EffectiveEnergyCoeffs:
-    p1, p2 = lam.phases
-    n1, n2 = p1.volume_fraction, p2.volume_fraction
-    G1, G2 = p1.model.shear_modulus, p2.model.shear_modulus
-    b1, b2 = p1.model.beta, p2.model.beta
-
-    def mix(power: int) -> float:
-        return n1 * G1**power * b1 + n2 * G2**power * b2
-
-    return EffectiveEnergyCoeffs(
-        G_bar=n1 * G1 + n2 * G2,
-        G_breve=1.0 / (n1 / G1 + n2 / G2),
-        gb1=mix(1),
-        gbm1=mix(-1),
-        gbm3=mix(-3),
-    )
-
-
-def effective_energy(coeffs: EffectiveEnergyCoeffs, I1: float, K: float) -> float:
-    """Effective strain energy density (Pa) at invariants (I1, K).
-
-    ``K`` measures the deformation transmitted across the layer normal;
-    ``D = I1 - 3 - K`` is the complementary in-plane part.  Valid to leading
-    order in the phase nonlinearities.
-    """
-    if I1 < 3.0 - 1e-12:
-        raise DomainError(f"first invariant must satisfy I1 >= 3, got {I1}")
-    D = I1 - 3.0 - K
-    return (
-        0.5 * coeffs.G_bar * D
-        + 0.5 * coeffs.G_breve * K
-        + 0.25 * coeffs.gb1 * D * D
-        + 0.5 * coeffs.G_breve**2 * coeffs.gbm1 * D * K
-        + 0.25 * coeffs.G_breve**4 * coeffs.gbm3 * K * K
-    )
-
-
-def shear_kinematics(stretch: float, gamma: float) -> np.ndarray:
-    """Deformation gradient of a simple shear superposed on an axial stretch.
-
-    ``gamma`` is the shear strain measured per unit deformed length; the
-    gradient entry is ``stretch * gamma``.
-    """
-    if not stretch > 0.0:
-        raise DomainError(f"stretch must be positive, got {stretch}")
-    s = 1.0 / math.sqrt(stretch)
-    F = np.diag([s, stretch, s])
-    F[0, 1] = stretch * gamma
-    return F
-
-
-def shear_invariants(stretch: float, gamma: float) -> tuple[float, float]:
-    """(I1, K) of the sheared-and-stretched state with the layer normal along y."""
-    I1 = uniaxial_first_invariant(stretch) + (stretch * gamma) ** 2
-    K = (stretch * gamma) ** 2
-    return I1, K
-
-
-def _normal_images(F: np.ndarray, n: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
-    """The unit lamination direction n, F n, F^-T n and |F^-T n|^2."""
-    n = np.asarray(n, dtype=float)
-    n = n / np.linalg.norm(n)
-    Fn = F @ n
-    FinvTn = np.linalg.solve(F.T, n)
-    norm2 = float(FinvTn @ FinvTn)
-    if norm2 == 0.0:
-        raise SingularDeformation("F^-T n vanished; lamination direction degenerate")
-    return n, Fn, FinvTn, norm2
-
-
-def _rank_one_jump(lam: Laminate, I1: float) -> tuple[float, float, float]:
-    """Jump factor P = G_breve (G1 - G2)/(G1 G2) of the phase moduli at the macroscopic
-    invariant, and the phase weights (tau1, tau2) = (-nu2, nu1) of the jump."""
-    p1, p2 = lam.phases
-    G1 = materials.generalized_shear_modulus(p1.model, I1)
-    G2 = materials.generalized_shear_modulus(p2.model, I1)
-    G_breve = 1.0 / (p1.volume_fraction / G1 + p2.volume_fraction / G2)
-    return G_breve * (G1 - G2) / (G1 * G2), -p2.volume_fraction, p1.volume_fraction
-
-
-def invariant_K(F: np.ndarray, n: np.ndarray) -> float:
-    """K = |F n|^2 - |F^-T n|^-2 for a unit lamination direction n."""
-    _, Fn, _, norm2 = _normal_images(F, n)
-    return float(Fn @ Fn) - 1.0 / norm2
-
-
-def per_phase_deformation(
-    lam: Laminate, F: np.ndarray, n: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-phase deformation gradients compatible with a macroscopic gradient.
-
-    The phases share the macroscopic ``F`` up to a rank-one jump along the
-    lamination direction ``n``; traction continuity fixes the jump vector.
-    Per-phase moduli are evaluated at the macroscopic invariant (leading order
-    in the phase nonlinearities).  Both returned gradients are isochoric
-    whenever ``F`` is.
-    """
-    F = np.asarray(F, dtype=float)
-    det = np.linalg.det(F)
-    if abs(det - 1.0) > 1e-8:
-        raise DomainError(f"macroscopic deformation must be isochoric, det F = {det:.6g}")
-    P, tau1, tau2 = _rank_one_jump(lam, float(np.tensordot(F, F)))
-    n, Fn, FinvTn, norm2 = _normal_images(F, n)
-    theta = P * (Fn - FinvTn / norm2)
-    return F + tau1 * np.outer(theta, n), F + tau2 * np.outer(theta, n), theta
-
-
-def per_phase_invariants(lam: Laminate, F: np.ndarray, n: np.ndarray) -> tuple[float, float]:
-    """Closed-form per-phase first invariants implied by the rank-one jump."""
-    F = np.asarray(F, dtype=float)
-    I1 = float(np.tensordot(F, F))
-    K = invariant_K(F, n)
-    P, tau1, tau2 = _rank_one_jump(lam, I1)
-    i1 = I1 + tau1 * P * (2.0 + tau1 * P) * K
-    i2 = I1 + tau2 * P * (2.0 + tau2 * P) * K
-    return i1, i2

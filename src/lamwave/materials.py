@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._roots import bisect
-from .errors import DomainError, GentLocking, InversionFailure, NoRoot
+from .errors import DomainError, GentLocking, NoRoot
 
 MU0 = 4.0e-7 * math.pi  # vacuum permeability, N/A^2
 
@@ -101,25 +101,6 @@ def _gent_denominator(model: HyperelasticModel, d):
     return denom
 
 
-def _check_invariant(I1: float) -> None:
-    if I1 < 3.0 - 1e-12:
-        raise DomainError(f"first invariant must satisfy I1 >= 3, got {I1}")
-
-
-def strain_energy(model: HyperelasticModel, I1: float) -> float:
-    """Strain energy density W(I1) in Pa."""
-    _check_invariant(I1)
-    G, b, d = model.shear_modulus, model.beta, I1 - 3.0
-    if model.kind == NEO_HOOKEAN or b == 0.0:
-        return 0.5 * G * d
-    if model.kind == YEOH:
-        return 0.5 * G * (d + 0.5 * b * d * d)
-    if model.kind == FUNG_DEMIRAY:
-        return 0.5 * G / b * math.expm1(b * d)
-    denom = _gent_denominator(model, d)
-    return -0.5 * G / b * math.log(denom)
-
-
 def _modulus(model: HyperelasticModel, d):
     """G at the invariant excess d = I1 - 3."""
     G, b = model.shear_modulus, model.beta
@@ -142,19 +123,6 @@ def _modulus_slope(model: HyperelasticModel, d):
     if model.kind == FUNG_DEMIRAY:
         return G * b * _exp(b * d)
     return G * b / _gent_denominator(model, d) ** 2
-
-
-def generalized_shear_modulus(model: HyperelasticModel, I1: float) -> float:
-    """Generalised shear modulus G(I1) = 2 dW/dI1 in Pa."""
-    _check_invariant(I1)
-    return _modulus(model, I1 - 3.0)
-
-
-def uniaxial_first_invariant(stretch: float) -> float:
-    """First invariant of an isochoric uniaxial stretch along the layer normal."""
-    if not stretch > 0.0:
-        raise DomainError(f"stretch must be positive, got {stretch}")
-    return stretch * stretch + 2.0 / stretch
 
 
 def uniaxial_invariant_excess(stretch):
@@ -196,59 +164,6 @@ def shear_coefficients(model: HyperelasticModel, stretch) -> ShearCoefficients:
     return ShearCoefficients(g=g, h=h)
 
 
-def calibrate_from_gh(kind: str, g: float, h: float, stretch: float) -> HyperelasticModel:
-    """Recover model parameters from shear coefficients measured at a given stretch.
-
-    Inverts :func:`shear_coefficients` for the requested model kind.  The
-    intermediate ``beta_u = h / (3 stretch^2 g)`` is the exact Fung-Demiray
-    nonlinearity; the Yeoh and Gent inverses follow from it.
-    """
-    kind = canonical_kind(kind)
-    if not g > 0.0:
-        raise DomainError(f"g must be positive, got {g}")
-    if h < 0.0:
-        raise DomainError(f"h must be non-negative, got {h}")
-    d = uniaxial_invariant_excess(stretch)
-    l2 = stretch * stretch
-    beta_u = h / (3.0 * l2 * g)
-    if h == 0.0:
-        if kind == NEO_HOOKEAN:
-            return HyperelasticModel(kind, g / l2)
-        return HyperelasticModel(kind, g / l2, 0.0)
-    if kind == NEO_HOOKEAN:
-        raise InversionFailure("neo-Hookean model cannot produce h != 0")
-    if kind == FUNG_DEMIRAY:
-        return HyperelasticModel(kind, g / l2 * math.exp(-beta_u * d), beta_u)
-    if kind == YEOH:
-        scale = 1.0 - beta_u * d
-        if scale <= 0.0:
-            raise InversionFailure(
-                f"Yeoh inverse singular: 1/beta_u = {1.0 / beta_u:.6g} <= I1 - 3 = {d:.6g}"
-            )
-        return HyperelasticModel(kind, g / l2 * scale, beta_u / scale)
-    scale = 1.0 + beta_u * d
-    return HyperelasticModel(kind, g / l2 / scale, beta_u / scale)
-
-
-def stiffness_ratio_curve(kind: str, r: float) -> float:
-    """Tangent shear stiffness over g as a function of the normalised strain r.
-
-    ``r^2 = gamma^2 h / g`` collapses all stretches onto a single curve per
-    model family.
-    """
-    kind = canonical_kind(kind)
-    x = r * r / 3.0
-    if kind == NEO_HOOKEAN:
-        return 1.0
-    if kind == YEOH:
-        return 1.0 + x
-    if kind == FUNG_DEMIRAY:
-        return math.exp(x)
-    if x >= 1.0 - GENT_MARGIN:
-        raise GentLocking(f"Gent stiffness ratio diverges at r^2 = 3, got r^2 = {r * r:.6g}")
-    return 1.0 / (1.0 - x)
-
-
 @dataclass(frozen=True)
 class Phase:
     """One material layer of the laminate."""
@@ -288,28 +203,23 @@ class Laminate:
     def phases(self) -> tuple[Phase, Phase]:
         return (self.phase1, self.phase2)
 
-    def swapped(self) -> "Laminate":
-        """The same laminate with phase labels exchanged."""
-        return Laminate(self.phase2, self.phase1, self.period)
-
 
 @dataclass(frozen=True)
 class MagneticLoad:
     """Applied axial magnetic induction, physical or dimensionless.
 
-    Exactly one of ``b`` (T), ``bn`` (induction over sqrt(mu0 * mean modulus))
-    or ``bn_br_product`` may be given.  The product form only determines the
-    equilibrium when the effective permeability equals the vacuum value.
+    Exactly one of ``b`` (T) or ``bn_br_product`` (the dimensionless load) may
+    be given.  The product form only determines the equilibrium when the
+    effective permeability equals the vacuum value.
     """
 
     b: float | None = None
-    bn: float | None = None
     bn_br_product: float | None = None
 
     def __post_init__(self):
-        given = [v for v in (self.b, self.bn, self.bn_br_product) if v is not None]
+        given = [v for v in (self.b, self.bn_br_product) if v is not None]
         if len(given) != 1:
-            raise DomainError("specify exactly one of b, bn, bn_br_product")
+            raise DomainError("specify exactly one of b, bn_br_product")
         if not math.isfinite(given[0]):
             raise DomainError("magnetic load must be finite")
 
@@ -373,7 +283,7 @@ def dimensionless_load_rhs(lam: Laminate, load: MagneticLoad) -> float:
                 "equals the vacuum value"
             )
         return load.bn_br_product
-    bn = load.bn if load.bn is not None else load.b / norm.b_scale
+    bn = load.b / norm.b_scale
     return vac_term * bn * bn + bn * norm.br_n
 
 

@@ -243,15 +243,14 @@ def waveform_table(
     return ["xi", "strain", "displacement", "variant"], rows
 
 
-def amplitude_table(
-    eff: EffectiveModel, s_max: float | None = None, n: int = 200
-) -> tuple[list[str], list[tuple]]:
-    """Rows (speed_ratio, delta, L_over_ell, variant) along the speed axis."""
+def amplitude_table(eff: EffectiveModel, n: int = 200) -> tuple[list[str], list[tuple]]:
+    """Rows (speed_ratio, delta, L_over_ell, variant) along the speed axis, up to the
+    existence bound (1.5 where there is none)."""
     bound = existence_bound(eff)
-    top = s_max if s_max is not None else (bound if math.isfinite(bound) else 1.5)
+    top = bound if math.isfinite(bound) else 1.5
     rows: list[tuple] = []
     for variant in WaveModel:
-        hi = min(top, bound - 1e-9) if variant is WaveModel.FULL and math.isfinite(bound) else top
+        hi = bound - 1e-9 if variant is WaveModel.FULL and math.isfinite(bound) else top
         for s in np.linspace(1.0 + 1e-9, hi, n).tolist():
             try:
                 sol = solve_soliton(eff, variant, s * eff.c)

@@ -26,7 +26,6 @@ import numpy as np
 from .errors import DomainError, Instability
 from .fv_sim import impact_signal
 from .homogenize import EffectiveModel
-from .soliton import SolitonSolution, WaveModel, solve_soliton
 
 #: default numerical viscosity, s^2/m
 DEFAULT_VISCOSITY = 1e-8
@@ -104,7 +103,7 @@ class MarchResult:
     ``grad_y`` holds the distance of every step, starting at 0.  Only a march
     run with ``gradient=True`` samples the trace: ``grad_max`` holds max|v_t|
     per step; ``char_v`` and ``char_vt`` the signed field value and gradient at
-    the steepest point, which drive the shock-distance extrapolation.  Without
+    the steepest point, from which a shock distance can be extrapolated.  Without
     it the three are empty.
     """
 
@@ -135,9 +134,8 @@ def mkdv_march(
     of ``cfg.dy``, one record per entry of ``y_stops``.
     The scheme is chosen once, from ``cfg.viscosity`` and the signal's peak
     (:data:`MULTISTEP_DAMPING`).
-    ``gradient=True`` also samples the gradient trace after every step (for
-    :func:`gradient_blowup_distance`), at the cost of a 2-row inverse transform
-    a step.  Raises :class:`Instability` on spectral blow-up.
+    ``gradient=True`` also samples the gradient trace after every step, at the
+    cost of a 2-row inverse transform a step.  Raises :class:`Instability` on spectral blow-up.
     """
     t = cfg.times()
     v0 = np.asarray(signal(t) if callable(signal) else signal, dtype=float)
@@ -308,33 +306,6 @@ def mkdv_march(
     )
 
 
-def gradient_blowup_distance(result: MarchResult, eff: EffectiveModel) -> float:
-    """Shock-formation distance extrapolated from the steepening characteristic.
-
-    Along a characteristic carrying field value v, the reciprocal gradient
-    decays linearly at the exact rate zeta*v/c^3, so the point of maximum
-    gradient predicts its own blow-up distance; the minimum of those
-    predictions over the march approaches the first-crossing distance from
-    above (viscosity only inflates it).  Requires appreciable growth of
-    max|v_t| over the trace, so the march must have run with ``gradient=True``.
-    """
-    if eff.zeta <= 0.0:
-        raise DomainError("a medium with zeta <= 0 does not steepen")
-    if not result.grad_max.size:
-        raise DomainError("march has no gradient trace; run it with gradient=True")
-    g0 = result.grad_max[0]
-    if g0 <= 0.0:
-        raise DomainError("gradient trace starts at zero; nothing steepens")
-    if float(result.grad_max.max()) < 4.0 * g0:
-        raise DomainError("gradient never grew enough; no blow-up detected in range")
-    drive = result.char_v * result.char_vt
-    mask = drive > 0.0
-    if not np.any(mask):
-        raise DomainError("no steepening characteristic found")
-    estimates = result.grad_y[mask] + eff.c**3 / (eff.zeta * drive[mask])
-    return float(np.min(estimates))
-
-
 def impact_march(
     eff: EffectiveModel,
     velocity: float,
@@ -364,60 +335,4 @@ def impact_march(
     return mkdv_march(
         eff, impact_signal(velocity, kappa, eff.c), cfg, y_stops, gradient=gradient
     )
-
-
-@dataclass(frozen=True)
-class TransportError:
-    """Drift and shape error after propagating an exact sech solution."""
-
-    amplitude_drift: float
-    shape_error: float
-    distance: float
-
-
-def soliton_boundary_signal(
-    sol: SolitonSolution, speed: float, t_peak: float
-) -> Callable[[np.ndarray], np.ndarray]:
-    """Boundary velocity trace of a sech soliton passing y = 0 at ``t_peak``."""
-
-    def fn(t: np.ndarray) -> np.ndarray:
-        return -speed * sol.strain_amplitude / np.cosh(speed * (t - t_peak) / sol.length)
-
-    return fn
-
-
-def soliton_transport_test(
-    eff: EffectiveModel,
-    speed: float,
-    n_lengths: float = 100.0,
-    cfg: SpectralConfig | None = None,
-) -> TransportError:
-    """Propagate the slow-space sech soliton and measure drift and shape error.
-
-    The sech pulse solves the marched equation exactly, so the recorded field
-    at the target distance is compared against the boundary trace delayed by
-    distance/speed (circularly on the periodic window).
-    """
-    sol = solve_soliton(eff, WaveModel.SLOW_SPACE, speed)
-    width_t = sol.length / speed
-    if cfg is None:
-        window = 44.0 * width_t
-        cfg = SpectralConfig(n_points=4096, window=window, dy=DEFAULT_DY, viscosity=0.0)
-    t_peak = 0.5 * cfg.window
-    y_target = n_lengths * sol.length
-    signal = soliton_boundary_signal(sol, speed, t_peak)
-    result = mkdv_march(eff, signal, cfg, [y_target])
-    y_snap = result.y_final
-    (got,) = result.records
-    t = result.t
-    # exact solution, delayed and wrapped onto the periodic window
-    shift = (t - y_snap / speed - t_peak) % cfg.window
-    shift = np.where(shift > 0.5 * cfg.window, shift - cfg.window, shift)
-    exact = -speed * sol.strain_amplitude / np.cosh(speed * shift / sol.length)
-    ref = float(np.linalg.norm(exact))
-    shape = float(np.linalg.norm(got - exact)) / ref
-    drift = abs(float(np.max(np.abs(got))) - speed * sol.strain_amplitude) / (
-        speed * sol.strain_amplitude
-    )
-    return TransportError(amplitude_drift=drift, shape_error=shape, distance=y_snap)
 

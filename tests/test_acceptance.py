@@ -18,9 +18,10 @@ import pytest
 
 import lamwave as lw
 from lamwave import dispersion as dsp
-from lamwave import materials, soliton, spectral_sim, sweeps
+from lamwave import materials, soliton, sweeps
 from lamwave.homogenize import cell_state, effective_model
 
+from conftest import gradient_blowup_distance
 from test_dispersion import monodromy_half_trace, random_laminate
 
 #: criterion 9: frozen regression bound for the raw probe-trace difference,
@@ -176,7 +177,7 @@ def test_criterion_06_shock_distance_and_runtime(fv_matched_run):
 def test_criterion_07_spectral_blowup(mkdv_blowup_run):
     eff = mkdv_blowup_run["eff"]
     y_star = mkdv_blowup_run["y_star"]
-    estimate = spectral_sim.gradient_blowup_distance(mkdv_blowup_run["result"], eff)
+    estimate = gradient_blowup_distance(mkdv_blowup_run["result"], eff)
     ok = abs(estimate / y_star - 1.0) <= 0.05
     report(
         "criterion 7 (spectral gradient blow-up)",

@@ -13,10 +13,60 @@ import lamwave as lw
 from lamwave import dispersion as dsp
 from lamwave import materials as m
 from lamwave._roots import bisect
-from lamwave.errors import NoGap
-from lamwave.homogenize import cell_state, effective_model
+from lamwave.errors import DomainError, NoGap
+from lamwave.homogenize import CellState, EffectiveModel, cell_state, effective_model
 
-from conftest import EDGE_TOL, Cell, columns, oracle_gaps
+from conftest import EDGE_TOL, Cell, columns, oracle_gaps, swapped
+
+
+def exact_acoustic_frequency(st: CellState, kappa_ell: float) -> float:
+    """Invert the exact relation on the acoustic branch: omega*ell/c at given kappa*ell."""
+    if not 0.0 <= kappa_ell <= math.pi:
+        raise DomainError("acoustic-branch inversion needs kappa*ell in [0, pi]")
+    if kappa_ell == 0.0:
+        return 0.0
+    target = math.sin(0.5 * kappa_ell) ** 2
+    r = st.z1 / st.z2
+    q = np.array([r, 1.0 / r])
+
+    def below(w):  # (1 - cos(kappa ell)) / 2 = S(R) S(1/R) rises with omega on the acoustic branch
+        a, b = dsp._rytov_factors(st.t1, st.t2, w, turn=(0.0, -1.0))
+        s, s_inv = a - q * b
+        return s * s_inv < target
+
+    # it reads 0 at omega = 0 and > 1 at the first gap's lower edge; unlike F - cos(kappa ell),
+    # it keeps the relative precision of a small kappa ell
+    lo, _ = dsp.band_gap_edges(st, 1)
+    hi = float(lo[0]) if math.isfinite(lo[0]) else math.pi
+    return float(bisect(below, 0.0, hi))
+
+
+def homogenized_branch_frequencies(eff: EffectiveModel, kappa_ell) -> np.ndarray:
+    """Real non-negative omega*ell/c roots of the optimised homogenised relation: the
+    scalar oracle of the homogenised rows of ``dispersion.dispersion_table``.
+
+    Solves ``eta_t chi^2 - (1 - eta_m k^2) chi + k^2 - eta_y k^4 = 0`` for
+    ``chi = (omega ell / c)^2`` and returns the real branch frequencies sorted
+    ascending (acoustic first).  May return fewer than two values where roots
+    are complex or negative.
+    """
+    k = float(kappa_ell)
+    k2 = k * k
+    a = eff.eta_t
+    b = -(1.0 - eff.eta_m * k2)
+    c = k2 - eff.eta_y * k2 * k2
+    if a == 0.0:
+        if b == 0.0:
+            return np.array([])
+        chi = [-c / b]
+    else:
+        disc = b * b - 4.0 * a * c
+        if disc < 0.0:
+            return np.array([])
+        s = math.sqrt(disc)
+        chi = [(-b - s) / (2.0 * a), (-b + s) / (2.0 * a)]
+    out = sorted(x for x in chi if x >= -1e-14)
+    return np.sqrt(np.clip(np.asarray(out), 0.0, None))
 
 
 def monodromy_half_trace(lam: lw.Laminate, stretch: float, omega_norm: float) -> float:
@@ -77,7 +127,7 @@ class TestBlochCosine:
         w = np.linspace(0.1, 6.0, 17)
         assert np.allclose(
             dsp.bloch_cosine(cell_state(bilam, 1.0), w),
-            dsp.bloch_cosine(cell_state(bilam.swapped(), 1.0), w),
+            dsp.bloch_cosine(cell_state(swapped(bilam), 1.0), w),
             atol=1e-13,
         )
 
@@ -289,7 +339,7 @@ class TestClosedFormFirstGap:
     def test_acoustic_inversion_at_small_kappa(self, bilam, kappa_ell):
         """omega ell / c = kappa ell (1 + O(kappa ell^2)) on the long-wave end, and the
         inversion keeps it to 1e-12 relative."""
-        w = dsp.exact_acoustic_frequency(cell_state(bilam, 1.0), kappa_ell)
+        w = exact_acoustic_frequency(cell_state(bilam, 1.0), kappa_ell)
         assert w == pytest.approx(kappa_ell, rel=1e-12)
 
     def test_acoustic_branch_ends_at_lower_edge(self, bilam, low_disp_bilam):
@@ -297,32 +347,32 @@ class TestClosedFormFirstGap:
         for lam in (bilam, low_disp_bilam):
             st = cell_state(lam, 1.0)
             (lo,), _ = dsp.band_gap_edges(st, 1)
-            assert dsp.exact_acoustic_frequency(st, math.pi) == pytest.approx(lo, rel=1e-14)
+            assert exact_acoustic_frequency(st, math.pi) == pytest.approx(lo, rel=1e-14)
 
 
 class TestHomogenizedBranches:
     def test_zero_wavenumber_roots(self, eff):
-        freqs = dsp.homogenized_branch_frequencies(eff, 0.0)
+        freqs = homogenized_branch_frequencies(eff, 0.0)
         assert freqs[0] == pytest.approx(0.0, abs=1e-12)
         assert freqs[1] == pytest.approx(1.0 / math.sqrt(eff.eta_t), rel=1e-12)
 
     def test_degenerate_relation(self, eff):
         bare = dataclasses.replace(eff, eta_y=eff.eta, eta_m=0.0, eta_t=0.0)
         for k in (0.3, 1.0, 2.0):
-            freqs = dsp.homogenized_branch_frequencies(bare, k)
+            freqs = homogenized_branch_frequencies(bare, k)
             assert len(freqs) == 1
             assert freqs[0] == pytest.approx(math.sqrt(k**2 - eff.eta * k**4), rel=1e-12)
 
     def test_acoustic_long_wave(self, eff):
         k = 1e-3
-        freqs = dsp.homogenized_branch_frequencies(eff, k)
+        freqs = homogenized_branch_frequencies(eff, k)
         assert freqs[0] == pytest.approx(k, rel=1e-5)
 
     def test_zero_group_velocity_at_zone_edge(self, eff):
         dk = 1e-4
         for branch in (0, 1):
-            w_m = dsp.homogenized_branch_frequencies(eff, math.pi - dk)[branch]
-            w_p = dsp.homogenized_branch_frequencies(eff, math.pi + dk)[branch]
+            w_m = homogenized_branch_frequencies(eff, math.pi - dk)[branch]
+            w_p = homogenized_branch_frequencies(eff, math.pi + dk)[branch]
             assert abs(w_p - w_m) / (2.0 * dk) < 1e-5
 
     def test_gap_formula(self, eff):
@@ -379,8 +429,8 @@ class TestLongWaveAgreement:
         ks = np.array([0.03, 0.06, 0.12, 0.24])
         errs = []
         for k in ks:
-            w_exact = dsp.exact_acoustic_frequency(cell_state(bilam, 1.0), float(k))
-            w_h = dsp.homogenized_branch_frequencies(eff, float(k))[0]
+            w_exact = exact_acoustic_frequency(cell_state(bilam, 1.0), float(k))
+            w_h = homogenized_branch_frequencies(eff, float(k))[0]
             errs.append(abs(w_h - w_exact) / w_exact)
         slope = np.polyfit(np.log(ks), np.log(errs), 1)[0]
         assert slope == pytest.approx(4.0, abs=0.4)
@@ -495,7 +545,7 @@ class TestSampling:
         for k in np.linspace(0.0, 2.0 * math.pi, n // 2):
             kk = k if not folded or k <= math.pi else 2.0 * math.pi - k
             want += [(float(kk), float(w), b, "homogenized")
-                     for b, w in enumerate(dsp.homogenized_branch_frequencies(eff, k))]
+                     for b, w in enumerate(homogenized_branch_frequencies(eff, k))]
         assert [r for r in rows if r[3] == "homogenized"] == want
 
     def test_gap_records(self, bilam):

@@ -10,11 +10,68 @@ from hypothesis import strategies as st
 
 import lamwave as lw
 from lamwave import materials as m
-from lamwave.errors import DomainError, GentLocking, InversionFailure, NoRoot
+from lamwave.errors import DomainError, GentLocking, NoRoot
 
-from conftest import gent_bilaminate
+from conftest import generalized_shear_modulus, gent_bilaminate, strain_energy, uniaxial_first_invariant
 
 KINDS_NL = ("yeoh", "fung-demiray", "gent")
+
+
+class InversionFailure(DomainError):
+    """Coefficient calibration hit a singular inverse formula."""
+
+
+def calibrate_from_gh(kind: str, g: float, h: float, stretch: float) -> lw.HyperelasticModel:
+    """Recover model parameters from shear coefficients measured at a given stretch.
+
+    Inverts :func:`lamwave.materials.shear_coefficients` for the requested model
+    kind.  The intermediate ``beta_u = h / (3 stretch^2 g)`` is the exact
+    Fung-Demiray nonlinearity; the Yeoh and Gent inverses follow from it.
+    """
+    kind = m.canonical_kind(kind)
+    if not g > 0.0:
+        raise DomainError(f"g must be positive, got {g}")
+    if h < 0.0:
+        raise DomainError(f"h must be non-negative, got {h}")
+    d = m.uniaxial_invariant_excess(stretch)
+    l2 = stretch * stretch
+    beta_u = h / (3.0 * l2 * g)
+    if h == 0.0:
+        if kind == m.NEO_HOOKEAN:
+            return lw.HyperelasticModel(kind, g / l2)
+        return lw.HyperelasticModel(kind, g / l2, 0.0)
+    if kind == m.NEO_HOOKEAN:
+        raise InversionFailure("neo-Hookean model cannot produce h != 0")
+    if kind == m.FUNG_DEMIRAY:
+        return lw.HyperelasticModel(kind, g / l2 * math.exp(-beta_u * d), beta_u)
+    if kind == m.YEOH:
+        scale = 1.0 - beta_u * d
+        if scale <= 0.0:
+            raise InversionFailure(
+                f"Yeoh inverse singular: 1/beta_u = {1.0 / beta_u:.6g} <= I1 - 3 = {d:.6g}"
+            )
+        return lw.HyperelasticModel(kind, g / l2 * scale, beta_u / scale)
+    scale = 1.0 + beta_u * d
+    return lw.HyperelasticModel(kind, g / l2 / scale, beta_u / scale)
+
+
+def stiffness_ratio_curve(kind: str, r: float) -> float:
+    """Tangent shear stiffness over g as a function of the normalised strain r.
+
+    ``r^2 = gamma^2 h / g`` collapses all stretches onto a single curve per
+    model family.
+    """
+    kind = m.canonical_kind(kind)
+    x = r * r / 3.0
+    if kind == m.NEO_HOOKEAN:
+        return 1.0
+    if kind == m.YEOH:
+        return 1.0 + x
+    if kind == m.FUNG_DEMIRAY:
+        return math.exp(x)
+    if x >= 1.0 - m.GENT_MARGIN:
+        raise GentLocking(f"Gent stiffness ratio diverges at r^2 = 3, got r^2 = {r * r:.6g}")
+    return 1.0 / (1.0 - x)
 
 
 def is_gent_equal_beta(lam):
@@ -39,7 +96,7 @@ def gent_equal_beta_stretch_roots(lam, rhs_norm):
         x = float(z.real)
         if x <= 0.0:
             continue
-        if 1.0 - beta * (m.uniaxial_first_invariant(x) - 3.0) <= m.GENT_MARGIN:
+        if 1.0 - beta * (uniaxial_first_invariant(x) - 3.0) <= m.GENT_MARGIN:
             continue
         # reject spurious roots introduced by clearing denominators
         if abs(m._stretch_residual(lam, x, rhs_norm)) > 1e-6 * max(1.0, abs(rhs_norm)):
@@ -50,22 +107,22 @@ def gent_equal_beta_stretch_roots(lam, rhs_norm):
 
 def finite_difference_modulus(model, I1, step=1e-6):
     """Independent oracle: G = 2 dW/dI1 by central difference."""
-    wp = m.strain_energy(model, I1 + step)
-    wm = m.strain_energy(model, I1 - step)
+    wp = strain_energy(model, I1 + step)
+    wm = strain_energy(model, I1 - step)
     return (wp - wm) / step
 
 
 class TestGeneralizedModulus:
     def test_neo_hookean_identity(self):
-        assert m.generalized_shear_modulus(lw.HyperelasticModel("neo-hookean", 1e6), 3.0) == 1e6
+        assert generalized_shear_modulus(lw.HyperelasticModel("neo-hookean", 1e6), 3.0) == 1e6
 
     def test_gent_undeformed(self):
         gent = lw.HyperelasticModel("gent", 4.7e6, 0.0132)
-        assert m.generalized_shear_modulus(gent, 3.0) == pytest.approx(4.7e6, rel=1e-14)
+        assert generalized_shear_modulus(gent, 3.0) == pytest.approx(4.7e6, rel=1e-14)
 
     def test_yeoh_value_and_energy_consistency(self):
         yeoh = lw.HyperelasticModel("yeoh", 2e6, 0.1)
-        g = m.generalized_shear_modulus(yeoh, 4.0)
+        g = generalized_shear_modulus(yeoh, 4.0)
         assert g == pytest.approx(2.2e6, rel=1e-12)
         assert g == pytest.approx(finite_difference_modulus(yeoh, 4.0), rel=1e-7)
 
@@ -73,18 +130,18 @@ class TestGeneralizedModulus:
     def test_modulus_matches_energy_derivative(self, kind, beta):
         model = lw.HyperelasticModel(kind, 3.3e6, beta)
         for I1 in (3.001, 3.7, 5.2):
-            assert m.generalized_shear_modulus(model, I1) == pytest.approx(
+            assert generalized_shear_modulus(model, I1) == pytest.approx(
                 finite_difference_modulus(model, I1), rel=1e-6
             )
 
     def test_gent_locking_raises(self):
         gent = lw.HyperelasticModel("gent", 1e6, 0.1)
         with pytest.raises(GentLocking):
-            m.generalized_shear_modulus(gent, 3.0 + 10.0)
+            generalized_shear_modulus(gent, 3.0 + 10.0)
 
     def test_invariant_domain(self):
         with pytest.raises(DomainError):
-            m.generalized_shear_modulus(lw.HyperelasticModel("yeoh", 1e6, 0.1), 2.5)
+            generalized_shear_modulus(lw.HyperelasticModel("yeoh", 1e6, 0.1), 2.5)
 
 
 class TestShearCoefficients:
@@ -107,8 +164,8 @@ class TestShearCoefficients:
         assert sc.h == pytest.approx(3.0 * lam**4 * 1e6 * 0.05 / denom**2, rel=1e-13)
         # derivative route as an independent check on h
         step = 1e-7
-        gp = m.generalized_shear_modulus(model, I1 + step)
-        gm = m.generalized_shear_modulus(model, I1 - step)
+        gp = generalized_shear_modulus(model, I1 + step)
+        gm = generalized_shear_modulus(model, I1 - step)
         assert sc.h == pytest.approx(3.0 * lam**4 * (gp - gm) / (2 * step), rel=1e-6)
 
     @pytest.mark.parametrize("kind, beta", [("neo-hookean", 0.0), ("yeoh", 0.0), ("gent", 0.0)])
@@ -132,12 +189,12 @@ class TestShearCoefficients:
 class TestCalibration:
     def test_zero_h_gives_neo_hookean_parameters(self):
         for kind in ("neo-hookean",) + KINDS_NL:
-            model = m.calibrate_from_gh(kind, 3e6, 0.0, 1.3)
+            model = calibrate_from_gh(kind, 3e6, 0.0, 1.3)
             assert model.beta == 0.0
             assert model.shear_modulus == pytest.approx(3e6 / 1.3**2, rel=1e-14)
 
     def test_fung_demiray_undeformed(self):
-        model = m.calibrate_from_gh("fung-demiray", 4.7e6, 0.18612e6, 1.0)
+        model = calibrate_from_gh("fung-demiray", 4.7e6, 0.18612e6, 1.0)
         assert model.beta == pytest.approx(0.0132, rel=1e-12)
         assert model.shear_modulus == pytest.approx(4.7e6, rel=1e-12)
 
@@ -150,11 +207,11 @@ class TestCalibration:
     )
     def test_round_trip(self, kind, modulus, beta, stretch):
         model = lw.HyperelasticModel(kind, modulus, beta)
-        I1 = m.uniaxial_first_invariant(stretch)
+        I1 = uniaxial_first_invariant(stretch)
         if kind == "gent" and beta * (I1 - 3.0) > 0.9:
             return  # too close to locking for a meaningful round trip
         sc = m.shear_coefficients(model, stretch)
-        back = m.calibrate_from_gh(kind, sc.g, sc.h, stretch)
+        back = calibrate_from_gh(kind, sc.g, sc.h, stretch)
         assert back.shear_modulus == pytest.approx(modulus, rel=1e-12)
         assert back.beta == pytest.approx(beta, rel=1e-12, abs=1e-15)
 
@@ -173,36 +230,36 @@ class TestCalibration:
     def test_yeoh_singular_inverse(self):
         # beta_u * (I1 - 3) = 1 makes the Yeoh inverse blow up
         stretch = 1.5
-        I1 = m.uniaxial_first_invariant(stretch)
+        I1 = uniaxial_first_invariant(stretch)
         g = 2e6
         h = 3.0 * stretch**2 * g / (I1 - 3.0)
         with pytest.raises(InversionFailure):
-            m.calibrate_from_gh("yeoh", g, h, stretch)
+            calibrate_from_gh("yeoh", g, h, stretch)
 
     def test_neo_hookean_cannot_fit_h(self):
         with pytest.raises(InversionFailure):
-            m.calibrate_from_gh("neo-hookean", 1e6, 1e4, 1.0)
+            calibrate_from_gh("neo-hookean", 1e6, 1e4, 1.0)
 
 
 class TestStiffnessRatio:
     def test_unit_at_zero(self):
         for kind in ("neo-hookean",) + KINDS_NL:
-            assert m.stiffness_ratio_curve(kind, 0.0) == 1.0
+            assert stiffness_ratio_curve(kind, 0.0) == 1.0
 
     def test_yeoh_value(self):
-        assert m.stiffness_ratio_curve("yeoh", 1.0) == pytest.approx(4.0 / 3.0, rel=1e-15)
+        assert stiffness_ratio_curve("yeoh", 1.0) == pytest.approx(4.0 / 3.0, rel=1e-15)
 
     def test_small_strain_agreement_is_quartic(self):
         for r in (1e-1, 1e-2, 1e-3):
-            yeoh = m.stiffness_ratio_curve("yeoh", r)
-            fd = m.stiffness_ratio_curve("fung-demiray", r)
-            gent = m.stiffness_ratio_curve("gent", r)
+            yeoh = stiffness_ratio_curve("yeoh", r)
+            fd = stiffness_ratio_curve("fung-demiray", r)
+            gent = stiffness_ratio_curve("gent", r)
             assert abs(yeoh - fd) <= 0.2 * r**4 + 1e-14
             assert abs(yeoh - gent) <= 0.2 * r**4 + 1e-14
 
     def test_gent_locking(self):
         with pytest.raises(GentLocking):
-            m.stiffness_ratio_curve("gent", math.sqrt(3.0))
+            stiffness_ratio_curve("gent", math.sqrt(3.0))
 
 
 class TestMagnetoCoefficients:
@@ -300,7 +357,7 @@ class TestStretchFromField:
             m.stretch_from_field(lam, lw.MagneticLoad(bn_br_product=1e14))
         lock = err.value.locking_stretch
         assert lock is not None
-        I1 = m.uniaxial_first_invariant(lock)
+        I1 = uniaxial_first_invariant(lock)
         assert 1.0 - 0.0132 * (I1 - 3.0) == pytest.approx(0.0, abs=1e-9)
 
     def test_extreme_compression_reports_locking_stretch(self):
@@ -309,7 +366,7 @@ class TestStretchFromField:
             m.stretch_from_field(lam, lw.MagneticLoad(bn_br_product=-1e14))
         lock = err.value.locking_stretch
         assert lock is not None and lock < 1.0
-        I1 = m.uniaxial_first_invariant(lock)
+        I1 = uniaxial_first_invariant(lock)
         assert 1.0 - 0.0132 * (I1 - 3.0) == pytest.approx(0.0, abs=1e-9)
 
     @pytest.mark.parametrize("margin", [0.0, 2.0 * m.GENT_MARGIN])
@@ -341,9 +398,9 @@ class TestStretchFromField:
         lam = lw.Laminate(
             lw.Phase(base.phase1.model, 930.0, 0.5, permeability=2.0 * m.MU0), base.phase2, base.period
         )
-        assert m.dimensionless_load_rhs(lam, lw.MagneticLoad(bn=1e300)) == math.inf
+        assert m.dimensionless_load_rhs(lam, lw.MagneticLoad(b=1e300)) == math.inf
         with pytest.raises(NoRoot) as err:
-            m.stretch_from_field(lam, lw.MagneticLoad(bn=1e300))
+            m.stretch_from_field(lam, lw.MagneticLoad(b=1e300))
         assert err.value.locking_stretch > 1.0
 
     def test_overflowing_tension_locks(self):
@@ -387,7 +444,7 @@ class TestStretchFromField:
             0.01,
         )
         stretch = m.stretch_from_field(lam, lw.MagneticLoad(bn_br_product=rhs))
-        assert 0.0 < 1.0 - 1e-6 * (m.uniaxial_first_invariant(stretch) - 3.0) < 1e-6
+        assert 0.0 < 1.0 - 1e-6 * (uniaxial_first_invariant(stretch) - 3.0) < 1e-6
         # the residual is too steep here to vanish in floats; it changes sign within 8 eps
         eps8 = 8.0 * 2.0**-52
         assert m._stretch_residual(lam, stretch * (1.0 - eps8), rhs) < 0.0
@@ -467,13 +524,19 @@ class TestStretchFromField:
             assert abs(roots[0] - stretch) <= 1e-12 * stretch
 
     def test_normalization_scales(self):
-        lam = gent_bilaminate()
+        """At b = 0.5 b_scale the load is the closed form (1 - mu0/mu_breve) bn^2 + bn br_n
+        at bn = 0.5; a phase of twice the vacuum permeability gives mu_breve = 4/3 mu0."""
+        base = gent_bilaminate()
+        lam = lw.Laminate(
+            lw.Phase(base.phase1.model, 930.0, 0.5, permeability=2.0 * m.MU0),
+            lw.Phase(base.phase2.model, 930.0, 0.5, remnant_induction=0.1),
+            base.period,
+        )
         norm = m.load_normalization(lam)
         assert norm.b_scale == pytest.approx(math.sqrt(m.MU0 * 2.82e6), rel=1e-12)
-        b = 0.5 * norm.b_scale
-        rhs_b = m.dimensionless_load_rhs(lam, lw.MagneticLoad(b=b))
-        rhs_bn = m.dimensionless_load_rhs(lam, lw.MagneticLoad(bn=0.5))
-        assert rhs_b == pytest.approx(rhs_bn, rel=1e-12)
+        assert norm.br_n != 0.0
+        rhs = m.dimensionless_load_rhs(lam, lw.MagneticLoad(b=0.5 * norm.b_scale))
+        assert rhs == pytest.approx((1.0 - 0.75) * 0.5**2 + 0.5 * norm.br_n, rel=1e-12)
 
 
 def uniform_stack(kind: str, beta: float = 0.0) -> lw.Laminate:
@@ -579,7 +642,7 @@ class TestValidation:
 
     def test_load_needs_exactly_one_field(self):
         with pytest.raises(DomainError):
-            lw.MagneticLoad(b=1.0, bn=1.0)
+            lw.MagneticLoad(b=1.0, bn_br_product=1.0)
         with pytest.raises(DomainError):
             lw.MagneticLoad()
 

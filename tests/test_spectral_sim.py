@@ -12,6 +12,8 @@ from lamwave import spectral_sim as sp
 from lamwave.errors import DomainError, Instability
 from lamwave.homogenize import effective_model
 
+from conftest import gradient_blowup_distance, soliton_boundary_signal, soliton_transport_test
+
 
 def neo_hookean_stack():
     """Linear (zeta = 0) variant of the benchmark stack; eta is unchanged."""
@@ -206,7 +208,7 @@ class TestSolitonTransport:
     def test_shape_preserved_far(self, eff):
         """An inviscid window marches RK4, so transport holds far past the default
         100 lengths (the multistep scheme there grows round-off past 1e-3 by 150)."""
-        res = sp.soliton_transport_test(eff, 1.02 * eff.c, n_lengths=200.0)
+        res = soliton_transport_test(eff, 1.02 * eff.c, n_lengths=200.0)
         assert res.distance >= 199.0 * 0.0049
         assert res.shape_error < 1e-3
         assert res.amplitude_drift < 1e-3
@@ -225,7 +227,7 @@ class TestSolitonTransport:
         from lamwave.errors import NoSoliton
 
         with pytest.raises(NoSoliton):
-            sp.soliton_transport_test(eff, eff.c)
+            soliton_transport_test(eff, eff.c)
 
 
 class TestBlowup:
@@ -234,7 +236,7 @@ class TestBlowup:
         res = mkdv_blowup_run["result"]
         eff = mkdv_blowup_run["eff"]
         y_star = mkdv_blowup_run["y_star"]
-        y_est = sp.gradient_blowup_distance(res, eff)
+        y_est = gradient_blowup_distance(res, eff)
         assert y_est == pytest.approx(y_star, rel=0.05)
 
     def test_blowup_insensitive_to_window_doubling(self, mkdv_blowup_run, matched_bilam):
@@ -245,8 +247,8 @@ class TestBlowup:
             eff, 2.0 * eff.c, kappa, [1.3 * y_star], sp.config_for_impact(kappa, eff.c, 16.0),
             gradient=True,
         )
-        base = sp.gradient_blowup_distance(mkdv_blowup_run["result"], eff)
-        doubled = sp.gradient_blowup_distance(wide, eff)
+        base = gradient_blowup_distance(mkdv_blowup_run["result"], eff)
+        doubled = gradient_blowup_distance(wide, eff)
         assert doubled == pytest.approx(base, rel=0.01)
 
     def test_no_blowup_without_steepening(self):
@@ -256,7 +258,7 @@ class TestBlowup:
             eff, lambda t: np.sin(2.0 * math.pi * 8 * t / 2e-2), cfg, [0.02], gradient=True
         )
         with pytest.raises(DomainError, match="does not steepen"):
-            sp.gradient_blowup_distance(res, eff)
+            gradient_blowup_distance(res, eff)
 
     def test_no_blowup_before_growth(self, eff):
         """A steepening medium whose gradient has not yet grown 4x gives no estimate."""
@@ -267,7 +269,7 @@ class TestBlowup:
             gradient=True,
         )
         with pytest.raises(DomainError, match="never grew enough"):
-            sp.gradient_blowup_distance(res, eff)
+            gradient_blowup_distance(res, eff)
 
     def test_untraced_march_has_no_estimate(self, eff):
         """A march run without the gradient trace says so, rather than failing on an index."""
@@ -275,7 +277,7 @@ class TestBlowup:
         res = sp.impact_march(eff, 2.0 * eff.c, kappa, [0.01])
         assert res.grad_max.size == res.char_v.size == res.char_vt.size == 0
         with pytest.raises(DomainError, match="no gradient trace; run it with gradient=True"):
-            sp.gradient_blowup_distance(res, eff)
+            gradient_blowup_distance(res, eff)
 
 
 class TestEmission:
@@ -304,7 +306,7 @@ class TestEmission:
             cfg = sp.SpectralConfig(
                 n_points=4096, window=44.0 * sol.length / speed, viscosity=0.0
             )
-            signal = sp.soliton_boundary_signal(sol, speed, 0.5 * cfg.window)
+            signal = soliton_boundary_signal(sol, speed, 0.5 * cfg.window)
         stops = [0.0, 60 * cfg.dy, 150 * cfg.dy]
         plain = sp.mkdv_march(eff, signal, cfg, stops)
         traced = sp.mkdv_march(eff, signal, cfg, stops, gradient=True)

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import lamwave as lw
 from lamwave import output, soliton
@@ -192,6 +194,33 @@ class TestInvariants:
         with pytest.raises(Instability, match="past the periodic window"):
             sp.impact_march(eff, 0.1 * eff.c, kappa, [], cfg)
 
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_blowup_check_matches_exact_moduli(self, data):
+        """The component shortcut never changes the blow-up decision, on 45-degree
+        entries (where it is loosest), zeros, subnormals, +-inf and NaN."""
+        tiny = [0.0, -0.0, 5e-324, -5e-324, 2.0**-1022]
+        special = st.sampled_from(tiny + [math.inf, -math.inf, math.nan])
+        part = st.one_of(special, st.floats())
+        diagonal = st.one_of(special, st.floats(min_value=0.0)).flatmap(
+            lambda r: st.sampled_from([complex(r, r), complex(-r, r), complex(r, -r)])
+        )
+        # |inf + nan j| is inf, while the component maximum is NaN
+        mixed = st.sampled_from([complex(math.inf, math.nan), complex(math.nan, -math.inf)])
+        entry = st.one_of(diagonal, st.builds(complex, part, part), mixed)
+        z = np.array(data.draw(st.lists(entry, min_size=1, max_size=8)), dtype=complex)
+        exact = float(np.max(np.abs(z)))
+        # bounds at and beside the exact maximum, and where the shortcut gives way
+        near = [0.0, 5e-324]
+        if math.isfinite(exact):
+            near += [exact * f for f in (1.0 / 1.5, 1.0 / math.sqrt(2.0), 0.75, 0.995, 1.0)]
+        beside = st.sampled_from(near).flatmap(
+            lambda b: st.sampled_from([b, *(float(np.nextafter(b, d)) for d in (0.0, math.inf))])
+        )
+        bound = data.draw(st.one_of(st.floats(min_value=0.0, allow_nan=False), beside))
+        with np.errstate(over="ignore"):
+            assert sp._exceeds(z, bound, np.empty(2 * z.size)) == (exact > bound)
+
     def test_window_overrun_rejected(self, eff):
         kappa = 2.0 * math.pi / (16.0 * eff.ell)
         with pytest.raises(Instability):
@@ -330,6 +359,39 @@ class TestEmission:
         assert np.array_equal(res.grad_max, trace[:, 0])
         assert np.array_equal(res.char_vt, trace[:, 1])
         assert np.array_equal(res.char_v, trace[:, 2])
+
+    @pytest.mark.parametrize(
+        "scale, viscosity, below",
+        [(1.0, 1e-5, 2.0**-1022), (1e-290, 0.0, 2.0**-960)],
+        ids=["viscous", "tiny-inviscid"],
+    )
+    def test_upper_mode_flush_keeps_every_bit(self, eff, scale, viscosity, below):
+        """Modes above the cutoff that decay below the floor are zeroed, and a field so
+        small that they start below it keeps them; the reference multiplies the full
+        spectrum every step and keeps its subnormals, and every record and the whole
+        gradient trace still have the same bits."""
+        cfg, v0 = small_impact(eff)
+        # at viscosity 1e-5 |e_full| goes down to 2^-12 above the cutoff
+        cfg = dataclasses.replace(cfg, viscosity=viscosity)
+        v0 = scale * v0
+        n_steps = 150
+        stops = [k * cfg.dy for k in range(0, n_steps + 1, 25)]
+        res = sp.mkdv_march(eff, v0, cfg, stops, gradient=True)
+        fields, trace = reference_march(eff, v0, cfg, n_steps, multistep=True)
+        assert res.scheme == "abm4"
+        for y, v in zip(stops, res.records):
+            assert v.tobytes() == fields[round(y / cfg.dy)].tobytes()
+        assert np.column_stack([res.grad_max, res.char_vt, res.char_v]).tobytes() == trace.tobytes()
+        # not vacuous: above the cutoff the reference multiplies by e_full alone, and some
+        # non-zero mode |v0_hat| |e_full|^k is below `below` before the last stop: the
+        # subnormals on the viscous march, the floor from the start on the tiny one
+        omega = 2.0 * math.pi * np.fft.rfftfreq(cfg.n_points, d=cfg.dt)
+        upper = omega > 0.5 * omega[-1]
+        start = np.abs(np.fft.rfft(v0)[upper])
+        log_decay = -cfg.viscosity * omega[upper] ** 2 * cfg.dy / math.log(2.0)
+        k = n_steps - 25
+        nz = start > 0.0
+        assert np.any(np.log2(start[nz]) + k * log_decay[nz] < math.log2(below))
 
     def test_startup_steps_are_rk4(self, eff):
         """Stops at steps 0-4 are recorded; steps 1-3 give RK4's bits, step 4 the first

@@ -2,9 +2,10 @@
 
 A run is described by one JSON config file (schema documented in the README):
 the laminate, a magnetic load, a ``command`` and command-specific ``params``.
-Outputs land in the chosen directory as ``<command>_<hash>.csv`` tables plus a
-JSON summary, and a manifest records which reference figure each artifact
-corresponds to.  Identical configs produce byte-identical CSV bodies.
+Each command's runner returns its tables and its summary; :func:`run` alone writes
+them to the chosen directory, as ``<stem>_<hash>.csv`` tables and one
+``<command>_<hash>.json`` summary, and a manifest records which reference figure
+each artifact corresponds to.  Identical configs produce byte-identical CSV bodies.
 """
 
 from __future__ import annotations
@@ -78,7 +79,7 @@ PARAMS = {
     "simulate-fv": _SIMULATE,
     "simulate-mkdv": _SIMULATE,
     "sweep": {
-        "variable": Param("choice", choices=sweeps.VARIABLES),
+        "variable": Param("choice", choices=tuple(sweeps.SWEEPS)),
         "lo": Param("float"),
         "hi": Param("float"),
         "n": Param("int", 201, ge=2),
@@ -252,21 +253,15 @@ def _cell(cfg: dict) -> CellState:
     return cell_state(lam, materials.stretch_from_field(lam, cfg["load"]))
 
 
-def _artifact(out: Path, command: str, tag: str, suffix: str) -> Path:
-    return out / f"{command.replace('-', '_')}_{tag}.{suffix}"
+def _run_effective(cfg):
+    return [], _cell(cfg).eff.as_record()
 
 
-def _run_effective(cfg, out: Path, tag: str) -> list[Path]:
-    path = _artifact(out, "effective", tag, "json")
-    write_json(path, _cell(cfg).eff.as_record())
-    return [path]
-
-
-def _run_magnetostatic(cfg, out: Path, tag: str) -> list[Path]:
+def _run_magnetostatic(cfg):
     lam = cfg["laminate"]
     stretch = materials.stretch_from_field(lam, cfg["load"])
     norm = materials.load_normalization(lam)
-    payload = {
+    return [], {
         "stretch": stretch,
         "mu_breve": materials.effective_permeability(lam),
         "br_check_t": materials.effective_remnant_induction(lam),
@@ -275,45 +270,33 @@ def _run_magnetostatic(cfg, out: Path, tag: str) -> list[Path]:
         "br_n": norm.br_n,
         "rhs_norm": materials.dimensionless_load_rhs(lam, cfg["load"]),
     }
-    path = _artifact(out, "magnetostatic", tag, "json")
-    write_json(path, payload)
-    return [path]
 
 
-def _run_dispersion(cfg, out: Path, tag: str) -> list[Path]:
+def _run_dispersion(cfg):
     st = _cell(cfg)
     p = cfg["params"]
     omega_max = p["omega_max_over_pi"] * math.pi
-    written = []
-    for folded, name in ((False, "dispersion"), (True, "dispersion_folded")):
-        header, rows = disp.dispersion_table(st, omega_max, p["n"], folded=folded)
-        path = out / f"{name}_{tag}.csv"
+    tables = []
+    for folded, stem in ((False, "dispersion"), (True, "dispersion_folded")):
         view = "folded [0,pi]" if folded else "unfolded [0,2pi]"
-        write_csv(path, [f"stretch = {st.eff.stretch!r}", f"kappa_ell view: {view}"], header, rows)
-        written.append(path)
-    gaps = disp.band_gap_records(st)
-    path = _artifact(out, "dispersion", tag, "json")
-    write_json(path, gaps)
-    written.append(path)
-    return written
+        comments = [f"stretch = {st.eff.stretch!r}", f"kappa_ell view: {view}"]
+        tables.append((stem, comments, *disp.dispersion_table(st, omega_max, p["n"], folded=folded)))
+    return tables, disp.band_gap_records(st)
 
 
-def _run_bandgap(cfg, out: Path, tag: str) -> list[Path]:
-    path = _artifact(out, "bandgap", tag, "json")
-    write_json(path, disp.band_gap_records(_cell(cfg), cfg["params"]["omega_max_over_pi"] * math.pi))
-    return [path]
+def _run_bandgap(cfg):
+    return [], disp.band_gap_records(_cell(cfg), cfg["params"]["omega_max_over_pi"] * math.pi)
 
 
-def _run_soliton(cfg, out: Path, tag: str) -> list[Path]:
+def _run_soliton(cfg):
     eff = _cell(cfg).eff
     p = cfg["params"]
     speed_ratio = p["speed_ratio"]
-    header, rows = soliton.waveform_table(eff, speed_ratio * eff.c, p["xi_max"], p["n"])
-    wpath = out / f"soliton_waveform_{tag}.csv"
-    write_csv(wpath, [f"speed_ratio = {speed_ratio!r}"], header, rows)
-    header, rows = soliton.amplitude_table(eff)
-    apath = out / f"soliton_amplitude_{tag}.csv"
-    write_csv(apath, ["speed sweep up to the existence bound"], header, rows)
+    tables = [
+        ("soliton_waveform", [f"speed_ratio = {speed_ratio!r}"],
+         *soliton.waveform_table(eff, speed_ratio * eff.c, p["xi_max"], p["n"])),
+        ("soliton_amplitude", ["speed sweep up to the existence bound"], *soliton.amplitude_table(eff)),
+    ]
     summary = {"speed_ratio": speed_ratio}
     try:
         bound = soliton.existence_bound(eff)
@@ -328,9 +311,7 @@ def _run_soliton(cfg, out: Path, tag: str) -> list[Path]:
         )
     except LamwaveError as exc:
         summary["note"] = str(exc)
-    spath = _artifact(out, "soliton", tag, "json")
-    write_json(spath, summary)
-    return [wpath, apath, spath]
+    return tables, summary
 
 
 #: the most cells, window points or march steps a simulate run may ask for
@@ -343,7 +324,7 @@ def _check_size(size: float, key: str, what: str) -> None:
         raise DomainError(f"params.{key} asks for {size:.3g} {what}, more than {MAX_RUN_SIZE}")
 
 
-def _run_simulate(cfg, out: Path, tag: str) -> list[Path]:
+def _run_simulate(cfg):
     """Impact run of simulate-fv (finite volume) or simulate-mkdv (spectral march)."""
     command, p = cfg["command"], cfg["params"]
     st = _cell(cfg)
@@ -384,25 +365,14 @@ def _run_simulate(cfg, out: Path, tag: str) -> list[Path]:
     summary["steps"] = result.steps
     summary["peak_v_over_c"] = max(float(abs(v).max()) for _, _, v in traces)
     theory = "fv" if command == "simulate-fv" else "mkdv"
-    header, rows = probe_table(traces, kappa * eff.c / (2.0 * math.pi), theory)
-    path = _artifact(out, command, tag, "csv")
-    write_csv(path, [f"y_star_m = {y_star!r}", f"V_m_per_s = {velocity!r}"], header, rows)
-    spath = _artifact(out, command, tag, "json")
-    write_json(spath, summary)
-    return [path, spath]
+    comments = [f"y_star_m = {y_star!r}", f"V_m_per_s = {velocity!r}"]
+    table = probe_table(traces, kappa * eff.c / (2.0 * math.pi), theory)
+    return [(command.replace("-", "_"), comments, *table)], summary
 
 
-def _run_sweep(cfg, out: Path, tag: str) -> list[Path]:
+def _run_sweep(cfg):
     spec = cfg["sweep"]
-    lam = cfg["laminate"]
-    if spec.variable == "magnetic_load_product":
-        result = sweeps.sweep_magnetic(lam, spec)
-    elif spec.variable == "volume_fraction_2":
-        result = sweeps.sweep_volume_fraction(lam, spec)
-    else:
-        result = sweeps.sweep_contrast(lam, spec)
-    header, rows = sweeps.sweep_table(result)
-    path = _artifact(out, "sweep", tag, "csv")
+    result = sweeps.SWEEPS[spec.variable](cfg["laminate"], spec)
     freq_unit = (
         "omega*L/c0 (undeformed period and speed)"
         if spec.variable == "magnetic_load_product"
@@ -413,12 +383,12 @@ def _run_sweep(cfg, out: Path, tag: str) -> list[Path]:
         + [f"fixed {k} = {v!r}" for k, v in sorted(result.fixed.items())]
         + [f"units: gap edges in {freq_unit}; speeds as ratios to c; strains dimensionless"]
     )
-    write_csv(path, comments, header, rows)
-    spath = _artifact(out, "sweep", tag, "json")
-    write_json(spath, result.summary)
-    return [path, spath]
+    return [("sweep", comments, *sweeps.sweep_table(result))], result.summary
 
 
+#: The runner of each command: ``cfg -> (tables, summary)``, with each table a
+#: ``(stem, comments, header, rows)``.  Runners compute and return; :func:`run`
+#: names and writes every artifact.
 _RUNNERS = {
     "effective": _run_effective,
     "magnetostatic": _run_magnetostatic,
@@ -467,14 +437,18 @@ def run(config_path: str | Path, out_dir: str | Path, threads: int = 1) -> int:
     except (OSError, ValueError) as exc:
         print(f"error: cannot read {manifest_path}: {exc}", file=sys.stderr)
         return 1
-    tag = config_hash(raw)
     command = cfg["command"]
     try:
-        written = _RUNNERS[command](cfg, out, tag)
+        tables, summary = _RUNNERS[command](cfg)
     except (LamwaveError, ArithmeticError, ValueError, MemoryError) as exc:
         print(f"numerical failure in {command}: {exc}", file=sys.stderr)
         return 2
 
+    # each table, then the summary, then the manifest entry: a run whose writes
+    # stop part way never enters the manifest
+    tag = config_hash(raw)
+    writes = [(out / f"{stem}_{tag}.csv", write_csv, table) for stem, *table in tables]
+    writes.append((out / f"{command.replace('-', '_')}_{tag}.json", write_json, (summary,)))
     p = cfg["params"]
     figure = _FIGURES.get(command, "")
     if command == "sweep":
@@ -484,11 +458,17 @@ def run(config_path: str | Path, out_dir: str | Path, threads: int = 1) -> int:
     manifest[f"{command}_{tag}"] = {
         "command": command,
         "figure": figure,
-        "files": [p.name for p in written],
+        "files": [path.name for path, _, _ in writes],
     }
-    write_json(manifest_path, manifest)
-    for p in written:
-        print(p)
+    writes.append((manifest_path, write_json, (manifest,)))
+    for path, write, args in writes:
+        try:
+            write(path, *args)
+        except OSError as exc:
+            print(f"error: cannot write {path}: {exc}", file=sys.stderr)
+            return 1
+    for path, _, _ in writes[:-1]:
+        print(path)
     return 0
 
 

@@ -43,7 +43,6 @@ class Grid1D:
     g: np.ndarray
     h: np.ndarray
     rho: np.ndarray
-    ell: float
     domain_length: float
     c_tail: np.ndarray  # [i]: max linear speed sqrt(g/rho) over cells i.., 0 at n_cells
 
@@ -92,7 +91,6 @@ def build_grid(st: CellState, cells_per_layer: int, n_periods: int) -> Grid1D:
         g=g,
         h=h,
         rho=rho,
-        ell=st.eff.ell,
         domain_length=n_cells * dy,
         c_tail=np.append(np.maximum.accumulate(np.sqrt(g / rho)[::-1])[::-1], 0.0),
     )
@@ -324,7 +322,6 @@ class SimResult:
 
     t: np.ndarray
     records: list[np.ndarray]
-    grid: Grid1D
     state: SimState
     steps: int
     elapsed_s: float
@@ -369,7 +366,6 @@ def simulate(
     return SimResult(
         t=np.asarray(times),
         records=list(np.array(samples).T),
-        grid=grid,
         state=state,
         steps=len(times) - 1,
         elapsed_s=elapsed,

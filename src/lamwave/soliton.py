@@ -117,24 +117,6 @@ def soliton_waveform(sol: SolitonSolution, xi) -> tuple[np.ndarray, np.ndarray]:
     return strain, displacement
 
 
-def strain_amplitude(eff: EffectiveModel, variant: WaveModel, speed: float) -> float:
-    """Peak strain of the sech pulse as a function of speed (amplitude-velocity law)."""
-    if eff.zeta <= 0.0:
-        raise NoSoliton("solitary waves need a stiffening laminate (zeta > 0)")
-    s = speed / eff.c
-    if variant is WaveModel.FULL:
-        ratio = s * s - 1.0
-    elif variant is WaveModel.SLOW_SPACE:
-        if s == 0.0:
-            raise NoSoliton("the slow-space model has no travelling wave at zero speed")
-        ratio = 2.0 * (s - 1.0) / s**3
-    else:
-        ratio = 2.0 * (s - 1.0)
-    if ratio < 0.0:
-        raise NoSoliton(f"subsonic speed s/c = {s:.6g}")
-    return math.sqrt(6.0 * ratio / eff.zeta)
-
-
 def existence_bound(eff: EffectiveModel) -> float:
     """Largest admissible s/c for the full model, ``inf`` when unbounded.
 

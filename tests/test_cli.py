@@ -218,6 +218,28 @@ class TestValidation:
         assert line.startswith("error: ") and str(named) in line
         assert sorted(p.name for p in tmp_path.rglob("*")) == before
 
+    @pytest.mark.parametrize("command, stem, suffix", [
+        ("effective", "effective", "json"),
+        ("dispersion", "dispersion_folded", "csv"),
+    ])
+    def test_unwritable_artifact_exits_1(self, tmp_path, command, stem, suffix):
+        """A write that fails, here on a directory standing at an artifact's path,
+        exits 1 with one error line naming that path, and the manifest keeps the
+        bytes it had: a run enters it only once all its files are written."""
+        out = run_ok(tmp_path, VALID_CONFIGS["bandgap"])
+        manifest = (out / "manifest.json").read_bytes()
+        payload = VALID_CONFIGS[command]
+        cfg = write_config(tmp_path, payload, "blocked.json")
+        blocked = out / f"{stem}_{cli.config_hash(payload)}.{suffix}"
+        blocked.mkdir()
+        done = run_child(cfg, out)
+        assert done.returncode == 1
+        assert "Traceback" not in done.stderr
+        (line,) = done.stderr.splitlines()
+        assert line.startswith(f"error: cannot write {blocked}: ")
+        assert done.stdout == ""
+        assert (out / "manifest.json").read_bytes() == manifest
+
 
 class TestEffective:
     def test_benchmark_record(self, tmp_path):
@@ -361,14 +383,51 @@ class TestArtifacts:
         (summary_path,) = run_ok(tmp_path, VALID_CONFIGS["sweep"], "free").glob("sweep_*.json")
         assert json.loads(summary_path.read_text())["locked_notes"] == []
 
-    def test_sweep_artifacts_and_manifest(self, tmp_path):
-        payload = {"command": "sweep", "laminate": BENCH_LAMINATE,
-                   "params": {"variable": "volume_fraction_2", "lo": 0.1, "hi": 0.9, "n": 9}}
-        out = run_ok(tmp_path, payload)
-        manifest = json.loads((out / "manifest.json").read_text())
-        (entry,) = manifest.values()
-        assert entry["figure"] == "fig7"
-        assert any(name.endswith(".csv") for name in entry["files"])
+    def test_failed_run_writes_nothing(self, tmp_path, capsys):
+        """A run that exits 2 after some of its tables are computed writes none of them:
+        two identical phases (eta = 0) have a waveform table but no existence bound."""
+        laminate = copy.deepcopy(BENCH_LAMINATE)
+        laminate["phases"][1] = laminate["phases"][0]
+        cfg = write_config(tmp_path, {"command": "soliton", "laminate": laminate})
+        out = tmp_path / "out"
+        assert cli.run(cfg, out) == 2
+        assert "numerical failure in soliton" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
+    def test_sweep_artifacts_and_manifest(self, tmp_path, capsys):
+        """Every command's manifest entry lists exactly the files its run wrote, its
+        CSV tables first in their stated order, then its JSON summary; stdout prints
+        the same paths."""
+        volume_sweep = {"command": "sweep", "laminate": BENCH_LAMINATE,
+                        "params": {"variable": "volume_fraction_2", "lo": 0.1, "hi": 0.9, "n": 9}}
+        cases = [
+            ("effective", [], ""),
+            ("magnetostatic", [], ""),
+            ("dispersion", ["dispersion", "dispersion_folded"], "fig3"),
+            ("bandgap", [], "fig3"),
+            ("soliton", ["soliton_waveform", "soliton_amplitude"], "fig4a+fig4b"),
+            ("sweep", ["sweep"], "fig6a+fig6b"),
+            ("simulate-fv", ["simulate_fv"], "fig5"),
+            ("simulate-mkdv", ["simulate_mkdv"], "fig5"),
+            ("sweep-volume_fraction_2", ["sweep"], "fig7"),
+        ]
+        assert {case for case, _, _ in cases} >= set(VALID_CONFIGS)
+        for case, stems, figure in cases:
+            payload = VALID_CONFIGS.get(case, volume_sweep)
+            command, tag = payload["command"], cli.config_hash(payload)
+            out = run_ok(tmp_path, payload, case)
+            manifest = json.loads((out / "manifest.json").read_text())
+            assert list(manifest) == [f"{command}_{tag}"]
+            entry = manifest[f"{command}_{tag}"]
+            assert entry == {
+                "command": command,
+                "figure": figure,
+                "files": [f"{stem}_{tag}.csv" for stem in stems]
+                + [f"{command.replace('-', '_')}_{tag}.json"],
+            }
+            assert sorted(entry["files"] + ["manifest.json"]) == sorted(p.name for p in out.iterdir())
+            printed = capsys.readouterr().out.splitlines()
+            assert printed == [str(out / name) for name in entry["files"]]
 
     def test_csv_header_comments(self, tmp_path):
         payload = {"command": "sweep", "laminate": BENCH_LAMINATE,

@@ -4,7 +4,8 @@
 The walk follows name and attribute references through the AST of each module,
 from a definition to the top-level bindings it names, across the package's
 relative imports.  A docstring mention is no reference, and neither is a
-re-export from ``__init__``, which no module walks.  Analysis that only tests
+re-export from ``__init__``, which no module walks, nor the name of an annotated
+field in a class body (``strain_amplitude: float`` names a field, not the function).  Analysis that only tests
 call belongs beside those tests.
 """
 
@@ -68,7 +69,12 @@ def unreached() -> list[str]:
             continue
         seen.add(key)
         mod, name = key
-        for node in ast.walk(binds[mod][name]):
+        stmt = binds[mod][name]
+        fields = {field.target for cls in ast.walk(stmt) if isinstance(cls, ast.ClassDef)
+                  for field in cls.body if isinstance(field, ast.AnnAssign)}
+        for node in ast.walk(stmt):
+            if node in fields:
+                continue
             if isinstance(node, ast.Name):
                 ref = resolve(mod, node.id)
             elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):

@@ -9,7 +9,6 @@ homogenised dispersion (:mod:`lamwave.dispersion`), solitary-wave analysis
 """
 
 from .errors import (
-    CFLViolation,
     ConfigError,
     DispersionTooStrong,
     DomainError,
@@ -37,7 +36,6 @@ from .soliton import SolitonSolution, WaveModel
 
 __all__ = [
     "MU0",
-    "CFLViolation",
     "ConfigError",
     "DispersionTooStrong",
     "DomainError",

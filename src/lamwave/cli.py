@@ -479,11 +479,10 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument("--config", required=True, help="path to the JSON run config")
     parser.add_argument("--out", default="out", help="output directory")
-    parser.add_argument(
-        "--threads", type=int, default=1, help="accepted and ignored; a sweep runs in one process"
-    )
-    parser.add_argument("--seed", type=int, default=0, help="accepted and ignored (no stochastic components)")
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:  # argparse exits 2 on a usage error; here 2 means a numerical failure
+        return 0 if exc.code == 0 else 1
     return run(args.config, args.out)
 
 

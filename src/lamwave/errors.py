@@ -49,10 +49,6 @@ class GeometryError(LamwaveError, ValueError):
     """Grid geometry cannot be realised with an integer number of cells."""
 
 
-class CFLViolation(LamwaveError):
-    """A wave crossed more than one cell in a single time step."""
-
-
 class Instability(LamwaveError):
     """A numerical run became unstable; ``position`` is the march coordinate."""
 

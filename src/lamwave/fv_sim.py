@@ -22,11 +22,13 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import CFLViolation, DomainError, GeometryError
+from .errors import DomainError, GeometryError, Instability
 from .homogenize import CellState
 
 #: margin of the front speed over the period-crossing speed in ``required_periods``
 SPEED_MARGIN = 1.35
+#: Courant number of every step against the global maximum signal speed
+CFL = 0.95
 
 
 @dataclass(frozen=True)
@@ -145,36 +147,6 @@ def _mc(theta: np.ndarray, scratch: np.ndarray) -> np.ndarray:
 #: limiter phi(theta, scratch), evaluated in place in ``theta``
 LIMITERS: dict[str, Callable[[np.ndarray, np.ndarray], np.ndarray]] = {"minmod": _minmod, "mc": _mc}
 
-BoundarySpec = str | tuple[str, Callable[[float], float]]
-
-
-def _extend(e: tuple[np.ndarray, ...], left: BoundarySpec, right: BoundarySpec) -> None:
-    """Fill the two ghost cells per side of an extended row, or a stack of them.
-
-    ``e`` holds the views of its columns 0, 1, 2, 3 and -4, -3, -2, -1: per side
-    two ghost cells and two edge cells.  ``outflow`` copies the edge cell,
-    ``periodic`` wraps around the domain, and ``wall`` and ``("velocity", fn)``
-    mirror the interior; velocity boundaries are accepted on the left only.
-    """
-    l0, l1, l2, l3, r4, r3, r2, r1 = e
-    if left == "outflow":
-        l0[...] = l1[...] = l2
-    elif left == "periodic":
-        l0[...], l1[...] = r4, r3
-    elif left == "wall" or (not isinstance(left, str) and left[0] == "velocity"):
-        l1[...], l0[...] = l2, l3
-    else:
-        raise DomainError(f"unknown boundary condition {left!r}")
-    if right == "outflow":
-        r2[...] = r1[...] = r3
-    elif right == "periodic":
-        r2[...], r1[...] = l2, l3
-    elif right == "wall":
-        r2[...], r1[...] = r3, r4
-    else:
-        raise DomainError(f"unknown boundary condition {right!r}")
-
-
 #: a window updates a whole number of blocks of cells, so that its views change
 #: only when the front crosses a block edge
 _BLOCK = 64
@@ -196,7 +168,7 @@ class _Plan:
         self.c_tail = float(grid.c_tail[m])
         self.cells = (state.gamma[:k], state.velocity[:k], grid.g[:k], grid.h[:k], grid.rho[:k],
                       t1[:k], c_e[cells], c_e[2 : m + 2], z_e[cells], s_e[cells], v_e[cells])
-        self.ghosts = tuple(rows[:4, j] for j in (0, 1, 2, 3, -4, -3, -2, -1)), v_e[:2], v_e[-2:]
+        self.ghosts = tuple(rows[:4, j] for j in (0, 1, 2, 3, -3, -2, -1)), v_e[:2]
         w1g, w2g, w1m, w2m = (w[: k + 3] for w in waves)
         self.faces = (v_e[:-1], v_e[1:], s_e[:-1], s_e[1:], z_e[:-1], z_e[1:],
                       t1[: k + 3], t2[: k + 3], v_e[: k + 3], w1g, w2g, w1m, w2m)
@@ -218,26 +190,29 @@ def step(
     state: SimState,
     grid: Grid1D,
     *,
-    cfl: float = 0.95,
     limiter: str = "minmod",
-    left: BoundarySpec = "outflow",
-    right: BoundarySpec = "outflow",
+    forcing: Callable[[float], float] | None = None,
     dt_max: float = math.inf,
 ) -> float:
     """Advance the state in place by one conservative update; returns the dt taken.
 
-    Only the active window is updated: cells ``[0, front + 4)`` rounded up to whole
-    ``_BLOCK``s, at most ``n_cells - 2``, with its real neighbours as right ghost
-    cells.  The stencil reaches two cells each way, so a cell with an all-zero
-    neighbourhood gets zero f-waves and theta = 0/(0 + 1e-300) = 0 and steps to
-    +0.0: skipping or stepping it changes no bit.  The whole grid is updated near
-    the right edge and with a periodic boundary (a window must not wrap).  dt
-    comes from the global maximum speed: the window's or, beyond it, the linear
-    ``grid.c_tail``.  Ghost strains mirror the interior, so interior speeds bound
-    the ghost speeds.  Every kernel writes into views built once per block (``_Plan``).
+    The right edge is outflow: its two ghost cells copy the edge cell.  The left
+    edge is outflow too with ``forcing`` None, else the prescribed velocity
+    ``forcing(t)``: its ghost cells mirror the interior, with the ghost velocities
+    reflected about ``forcing`` at the half step.  Only the active window is
+    updated: cells ``[0, front + 4)`` rounded up to whole ``_BLOCK``s, at most
+    ``n_cells - 2``, with its real neighbours as right ghost cells.  The stencil
+    reaches two cells each way, so a cell with an all-zero neighbourhood gets zero
+    f-waves and theta = 0/(0 + 1e-300) = 0 and steps to +0.0: skipping or stepping
+    it changes no bit.  The whole grid is updated near the right edge.  dt keeps
+    the Courant number ``CFL`` against the global maximum speed: the window's or,
+    beyond it, the linear ``grid.c_tail``; a speed that is not positive and finite
+    raises ``Instability``.  Ghost strains copy interior ones, so interior speeds
+    bound the ghost speeds.  Every kernel writes into views built once per block
+    (``_Plan``).
     """
     phi, n, dy = LIMITERS[limiter], grid.n_cells, grid.dy
-    window = "periodic" not in (left, right) and state.front + 6 <= n
+    window = state.front + 6 <= n
     m = min(-(-(state.front + 4) // _BLOCK) * _BLOCK, n - 2) if window else n  # cells updated
     key = (m, id(grid), id(state.gamma), id(state.velocity), id(state.work))
     p = state._plan
@@ -248,28 +223,23 @@ def step(
     np.multiply(np.multiply(gam, gam, hg), h, hg)
     np.sqrt(np.divide(np.add(g, hg, c), rho, c), c)
     c_max = max(float(np.maximum.reduce(c_m)), p.c_tail)
-    if c_max <= 0.0:
-        raise DomainError("non-positive signal speed")
-    dt = min(cfl * dy / c_max, dt_max)
-    if c_max * dt / dy > 1.0 + 1e-12:
-        raise CFLViolation(
-            f"wave speed {c_max:.6g} exceeds dy/dt = {dy / dt:.6g} at t = {state.time:.6g}"
-        )
+    if not 0.0 < c_max < math.inf:
+        raise Instability(f"signal speed {c_max:.6g} m/s at t = {state.time:.6g} s: the fields overflowed")
+    dt = min(CFL * dy / c_max, dt_max)
 
     # every ghost cell copies one interior cell, so speeds, impedances and
-    # stresses extend directly; only the ghost velocities carry boundary data.
+    # stresses extend directly; only the left ghost velocities carry boundary data.
     # A window reads its real neighbours past its right edge, never these ghosts.
     np.multiply(rho, c, z)
     np.multiply(np.add(g, np.divide(hg, _THREE, hg), sig), gam, sig)
     v[...] = vel
-    ghosts, v_lo, v_hi = p.ghosts
-    _extend(ghosts, left, right)
-    if left == "wall":
-        np.negative(v_lo, v_lo)
-    elif not isinstance(left, str):
-        np.subtract(2.0 * left[1](state.time + 0.5 * dt), v_lo, v_lo)
-    if right == "wall":
-        np.negative(v_hi, v_hi)
+    (l0, l1, l2, l3, r3, r2, r1), v_lo = p.ghosts
+    if forcing is None:
+        l0[...] = l1[...] = l2
+    else:
+        l1[...], l0[...] = l2, l3
+        np.subtract(2.0 * forcing(state.time + 0.5 * dt), v_lo, v_lo)
+    r2[...] = r1[...] = r3
 
     # f-wave decomposition of the interface differences of the flux (-v, -sigma)
     v_l, v_r, s_l, s_r, zl, zr, df1, df2, den, w1g, w2g, w1m, w2m = p.faces
@@ -356,10 +326,10 @@ def simulate(
     """March a quiescent grid under a prescribed boundary velocity, recording probes."""
     state = SimState.quiescent(grid)
     cells = np.array([grid.cell_at(y) for y in probe_positions], dtype=np.intp)
-    times, samples, left = [0.0], [state.velocity[cells]], ("velocity", left_velocity)
+    times, samples = [0.0], [state.velocity[cells]]
     t0 = _time.perf_counter()
     while state.time < t_final - 1e-15:
-        step(state, grid, limiter=limiter, left=left, dt_max=t_final - state.time)
+        step(state, grid, limiter=limiter, forcing=left_velocity, dt_max=t_final - state.time)
         times.append(state.time)
         samples.append(state.velocity[cells])
     elapsed = _time.perf_counter() - t0

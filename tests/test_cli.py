@@ -394,6 +394,22 @@ class TestArtifacts:
         assert "numerical failure in soliton" in capsys.readouterr().err
         assert list(out.iterdir()) == []
 
+    @pytest.mark.parametrize("limiter", ["minmod", "mc"])
+    def test_overflowing_fv_speed_exits_2(self, tmp_path, capsys, limiter):
+        """An impact at V_over_c 1e150 overflows the FV fields within a few steps: the
+        speed check stops the run with exit 2 and one line naming the speed, and
+        nothing is written."""
+        payload = {"command": "simulate-fv", "laminate": BENCH_LAMINATE,
+                   "params": {"V_over_c": 1e150, "limiter": limiter}}
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # numpy's overflow warnings
+            assert cli.run(write_config(tmp_path, payload), out) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("numerical failure in simulate-fv: signal speed ")
+        assert "Traceback" not in line
+        assert list(out.iterdir()) == []
+
     def test_sweep_artifacts_and_manifest(self, tmp_path, capsys):
         """Every command's manifest entry lists exactly the files its run wrote, its
         CSV tables first in their stated order, then its JSON summary; stdout prints
@@ -592,10 +608,24 @@ class TestDeterminism:
         names2 = {p.name for p in out2.glob("bandgap_*.json")}
         assert names1.isdisjoint(names2)
 
-    def test_main_entry_point(self, tmp_path):
+    def test_main_entry_point(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"command": "effective", "laminate": BENCH_LAMINATE})
-        status = cli.main(["--config", str(cfg), "--out", str(tmp_path / "m"), "--seed", "7"])
-        assert status == 0
+        assert cli.main(["--config", str(cfg), "--out", str(tmp_path / "m")]) == 0
+        assert cli.main(["--help"]) == 0
+        assert capsys.readouterr().out.count("usage: lamwave") == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["--out", "o"], ["--config", "c.json", "--verbose"], ["--config", "c.json", "--threads", "abc"],
+         ["--config", "c.json", "--seed", "7"]],
+        ids=["missing-config", "unknown-flag", "threads-abc", "seed-7"],
+    )
+    def test_usage_error_exits_1(self, tmp_path, capsys, argv):
+        """A usage error exits 1, the code of a bad config, not 2, the code of a numerical
+        failure; argparse's usage line still goes to stderr, and nothing runs."""
+        assert cli.main([a.replace("c.json", str(tmp_path / "c.json")) for a in argv]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage: lamwave") and "error:" in err
 
 
 SMALL_SIM = {"cells_per_layer": 8, "V_over_c": 1.0, "wavelengths_per_period": 8,

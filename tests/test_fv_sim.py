@@ -157,6 +157,22 @@ class TestStep:
         assert state.gamma.sum() == pytest.approx(s_gamma, rel=1e-12)
         assert (grid.rho * state.velocity).sum() == pytest.approx(s_mom, rel=1e-12)
 
+    def test_conservation_walls(self, bilam):
+        """A wall (the zero-forced left edge) passes no strain flux: a pulse that
+        reflects off it, stopped before it reaches the right edge, keeps its strain sum."""
+        grid = fv.build_grid(cell_state(bilam, 1.0), 8, 40)
+        bump = np.zeros(grid.n_cells)
+        bump[4:28] = np.sin(math.pi * (np.arange(24) + 0.5) / 24) ** 2
+        state = fv.SimState(0.2 * bump, np.zeros(grid.n_cells))
+        s_gamma = state.gamma.sum()
+        touched = False
+        for _ in range(100):  # the stencil reaches 2 cells a step, 28 + 200 < n_cells - 2
+            fv.step(state, grid, forcing=lambda t: 0.0)
+            touched |= state.gamma[0] != 0.0
+        assert touched  # the pulse reached the wall
+        assert np.all(state.gamma[-2:] == 0.0) and np.all(state.velocity[-2:] == 0.0)
+        assert state.gamma.sum() == pytest.approx(s_gamma, rel=1e-12)
+
     @pytest.mark.parametrize("strain", [math.inf, math.nan, 1e160], ids=["inf", "nan", "1e160"])
     def test_speed_check_fires(self, bilam, strain):
         """A strain whose signal speed is not finite stops the step before it writes."""

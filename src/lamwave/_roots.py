@@ -1,9 +1,9 @@
 """Root finding and maximisation for the one-dimensional solves.
 
-``bisect`` is the library's one zero finder: it halves many brackets at once,
-or one 0-d bracket, down to adjacent floats, reading only which side of the
-zero each midpoint lies on.  ``golden_max`` is the golden-section search for a
-maximum (Brent, *Algorithms for Minimization without Derivatives*, 1973, ch. 5).
+``bisect`` halves many brackets at once, or one 0-d bracket, down to adjacent
+floats, reading only which side of the zero each midpoint lies on; ``newton``
+narrows them first by a residual's slope.  ``golden_max`` is the golden-section
+search for a maximum (Brent, *Algorithms for Minimization without Derivatives*, 1973, ch. 5).
 """
 
 from __future__ import annotations
@@ -51,3 +51,40 @@ def bisect(inside, inn, out) -> np.ndarray:
         side = inside(mid)
         inn = np.where(side, mid, inn)
         out = np.where(side, out, mid)
+
+
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")  # a step of inf or NaN bisects
+def newton(probe, inn, out) -> tuple[np.ndarray, np.ndarray]:
+    """Narrow the brackets (inn, out) of :func:`bisect` by safeguarded Newton steps.
+
+    ``probe(x)`` gives ``(inside(x), f, df)``: the caller's predicate, which alone moves
+    the ends, and a residual monotone across its flip with its slope.  A step that leaves
+    the bracket, or exceeds half the step before the last, bisects instead (Press et al.,
+    *Numerical Recipes*, 3rd ed., 2007, section 9.4 ``rtsafe``); a row freezes once its
+    step is within 2 ulp or its iterate leaves the open bracket.  A last call reads the
+    floats within 4 ulp of each iterate and pulls the ends in, so that ``bisect`` finishes
+    in a few rounds on the float where a monotone predicate flips.  ``probe`` may be
+    called at an end, but its answer there is never read.
+    """
+    inn, out = np.asarray(inn, dtype=float), np.asarray(out, dtype=float)
+    up, lo, hi = out > inn, np.minimum(inn, out), np.maximum(inn, out)  # up: inn is the lower end
+    x = 0.5 * (lo + hi)
+    last = before = 0.5 * (hi - lo)  # half the last step, and half the one before it
+    for _ in range(32):  # bisect finishes whatever has not converged by then
+        live = (x > lo) & (x < hi)
+        if not live.any():
+            break
+        side, f, df = probe(x)
+        low = side == up  # x becomes the lower end
+        lo, hi = np.where(live & low, x, lo), np.where(live & ~low, x, hi)
+        step = f / df
+        nxt, step = x - step, np.abs(step)
+        nxt = np.where((nxt > lo) & (nxt < hi) & (step <= before), nxt, 0.5 * (lo + hi))
+        frozen = step <= 2.0 * np.abs(np.spacing(x))
+        x, last, before = np.where(frozen, x, nxt), 0.5 * np.abs(nxt - x), last
+    mid = 0.5 * (lo + hi)
+    if ((mid != lo) & (mid != hi)).any():  # some bracket holds a float
+        near = np.clip(x + np.multiply.outer(np.arange(-4.0, 5.0), np.spacing(x)), lo, hi)
+        low, seen = probe(near)[0] == up, (near > lo) & (near < hi)
+        lo, hi = np.where(seen & low, near, lo).max(axis=0), np.where(seen & ~low, near, hi).min(axis=0)
+    return np.where(up, lo, hi), np.where(up, hi, lo)

@@ -19,7 +19,7 @@ from pathlib import Path
 
 from . import dispersion as disp
 from . import fv_sim, materials, soliton, spectral_sim, sweeps
-from .errors import ConfigError, DomainError, LamwaveError
+from .errors import ConfigError, DomainError, Instability, LamwaveError
 from .homogenize import CellState, cell_state
 from .materials import HyperelasticModel, Laminate, MagneticLoad, Phase
 from .output import config_hash, probe_table, write_csv, write_json
@@ -314,7 +314,8 @@ def _run_soliton(cfg):
     return tables, summary
 
 
-#: the most cells, window points or march steps a simulate run may ask for
+#: the most cells, window points or march steps a simulate run may ask for, and the
+#: most cell-steps simulate-fv may take
 MAX_RUN_SIZE = 2**31
 
 
@@ -346,8 +347,11 @@ def _run_simulate(cfg):
         _check_size(scale * p["cells_per_layer"], "cells_per_layer", "cells")
         result = fv_sim.impact_run(
             st, velocity, kappa, probes, t_final,
-            cells_per_layer=p["cells_per_layer"], limiter=p["limiter"],
+            cells_per_layer=p["cells_per_layer"], limiter=p["limiter"], max_cell_steps=MAX_RUN_SIZE,
         )
+        if result.state.time < t_final - 1e-15:  # the steps grow with the nonlinear speed
+            raise Instability(f"params.V_over_c: {MAX_RUN_SIZE} cell-steps end at t = "
+                              f"{result.state.time:.6g} s of {t_final:.6g} s ({result.steps} steps)")
         summary["t_final_s"] = t_final
     else:
         scfg = spectral_sim.config_for_impact(

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._roots import bisect
+from ._roots import bisect, newton
 from .errors import DomainError, NoGap
 from .homogenize import CellState, EffectiveModel
 
@@ -58,16 +58,17 @@ def bloch_cosine(st: CellState, omega_norm) -> np.ndarray | float:
     return out if out.ndim else float(out)
 
 
-def _rytov_factors(t1, t2, w, turn=(1.0, 0.0)) -> tuple[np.ndarray, np.ndarray]:
-    """(a, b) with sin(k) P(q) - cos(k) S(q) = a - q b at x = w t1 / 2, y = w t2 / 2, for
-    ``turn`` = (sin k, cos k), k a multiple of pi/2: a = cos y sin(k - x) and
-    b = sin y cos(k - x).  k = pi/2 gives P(q) = cos x cos y - q sin x sin y, and
+def _rytov_factors(t1, t2, w, turn=(1.0, 0.0)) -> tuple[np.ndarray, ...]:
+    """(a, b, da/dw, db/dw) with sin(k) P(q) - cos(k) S(q) = a - q b at x = w t1 / 2,
+    y = w t2 / 2, for ``turn`` = (sin k, cos k), k a multiple of pi/2: a = cos y sin(k - x)
+    and b = sin y cos(k - x).  k = pi/2 gives P(q) = cos x cos y - q sin x sin y, and
     k = pi gives S(q) = sin x cos y + q cos x sin y."""
     half = 0.5 * w
     x, y = half * t1, half * t2
-    cx, sx = np.cos(x), np.sin(x)
+    cx, sx, cy, sy = np.cos(x), np.sin(x), np.cos(y), np.sin(y)
     sk, ck = turn
-    return np.cos(y) * (sk * cx - ck * sx), np.sin(y) * (ck * cx + sk * sx)
+    s, c = sk * cx - ck * sx, ck * cx + sk * sx  # sin(k - x), cos(k - x)
+    return cy * s, sy * c, -0.5 * (t2 * sy * s + t1 * cy * c), 0.5 * (t2 * cy * c + t1 * sy * s)
 
 
 def band_gap_edges(cells, n) -> tuple[np.ndarray, np.ndarray]:
@@ -79,15 +80,16 @@ def band_gap_edges(cells, n) -> tuple[np.ndarray, np.ndarray]:
     phi_{1/R} reach n pi/2, R = max(z1/z2, z2/z1).  Each is the one zero of
     sin(n pi/2) P(q) - cos(n pi/2) S(q) on [(n - 1) pi, (n + 1) pi] / (t1 + t2),
     which is positive below it.  The lower edge is where the first of the two
-    falls below 0, the upper where the last does; both are bisected at once, for
-    every cell and gap, to adjacent floats, keeping the end inside the gap.
+    falls below 0, the upper where the last does; Newton steps on that factor and a
+    bisection find both, for every cell and gap at once, to adjacent floats, keeping
+    the end inside the gap.
     R = 1, or a gap holding no float, gives NaN.  ``cells`` is anything with the
     fields t1, t2, z1, z2, each a float or a column (a :class:`CellState` of
     many cells), and ``n`` a gap number or an array of them; they broadcast.
     """
     columns = (np.asarray(v, dtype=float) for v in (cells.t1, cells.t2, cells.z1, cells.z2))
     # every operand is stacked to the shape (2, cells) of the brackets, the lower edges
-    # in row 0, so that the bisection broadcasts nothing
+    # in row 0, so that the solve broadcasts nothing
     t1, t2, z1, z2, n = (np.stack([v, v]) for v in np.broadcast_arrays(*np.atleast_1d(*columns, n)))
     r = z1 / z2
     big = np.maximum(r, 1.0 / r)
@@ -102,11 +104,13 @@ def band_gap_edges(cells, n) -> tuple[np.ndarray, np.ndarray]:
     # below 0 (above the lower edge) and the other above 0 (below the upper one)
     turn = np.array([[0.0, 1.0, 0.0, -1.0], [1.0, 0.0, -1.0, 0.0]])[:, n % 4] * np.array([[1.0], [-1.0]])
 
-    def past_edge(mid):  # the smaller of the factors a - R b and a - b/R is below 0
-        a, b = _rytov_factors(t1, t2, mid, turn)
-        return a < np.maximum(big * b, small * b)
+    def past_edge(w):  # the smaller of the factors a - R b and a - b/R is below 0, with that
+        a, b, da, db = _rytov_factors(t1, t2, w, turn)  # factor a - q b and its slope
+        qb = np.maximum(big * b, small * b)  # q b, q = R where b >= 0 and 1/R elsewhere
+        return a < qb, a - qb, da - np.where(b >= 0.0, big, small) * db
 
-    lo, hi = bisect(past_edge, np.stack([top[0], low[1]]), np.stack([low[0], top[1]]))
+    brackets = newton(past_edge, np.stack([top[0], low[1]]), np.stack([low[0], top[1]]))
+    lo, hi = bisect(lambda w: past_edge(w)[0], *brackets)
     gap = gap[0] & (lo <= hi)  # r within a few ulp of 1, or a closed gap: no float inside
     return np.where(gap, lo, math.nan), np.where(gap, hi, math.nan)
 

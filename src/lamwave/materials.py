@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._roots import bisect
+from ._roots import bisect, newton
 from .errors import DomainError, GentLocking, NoRoot
 
 MU0 = 4.0e-7 * math.pi  # vacuum permeability, N/A^2
@@ -233,11 +233,12 @@ def arithmetic_modulus(lam: Laminate) -> float:
     )
 
 
-def average_shear_modulus(lam: Laminate, stretch):
-    """Volume-weighted average of the generalised moduli at the stretched state."""
+def average_shear_modulus(lam: Laminate, stretch, of=_modulus):
+    """Volume-weighted average of the generalised moduli at the stretched state (of their
+    slopes dG/dI1 with ``of=_modulus_slope``)."""
     d = uniaxial_invariant_excess(stretch)
     p1, p2 = lam.phases
-    return p1.volume_fraction * _modulus(p1.model, d) + p2.volume_fraction * _modulus(p2.model, d)
+    return p1.volume_fraction * of(p1.model, d) + p2.volume_fraction * of(p2.model, d)
 
 
 def effective_permeability(lam: Laminate) -> float:
@@ -287,9 +288,17 @@ def dimensionless_load_rhs(lam: Laminate, load: MagneticLoad) -> float:
     return vac_term * bn * bn + bn * norm.br_n
 
 
-def _stretch_residual(lam: Laminate, stretch, rhs_norm):
+def _stretch_residual(lam: Laminate, stretch, rhs_norm, probe=False):
+    """gbar (x^2 - 1/x) - r, gbar = Gbar(x) / Gbar(1); with ``probe``, the probe of
+    :func:`~lamwave._roots.newton`: (residual <= 0, residual, its slope
+    gbar' (x^2 - 1/x) + gbar (2x + 1/x^2)), with dI1/dx = 2x - 2/x^2."""
     gbar = average_shear_modulus(lam, stretch) / arithmetic_modulus(lam)
-    return gbar * (stretch * stretch - 1.0 / stretch) - rhs_norm
+    f = gbar * (stretch * stretch - 1.0 / stretch) - rhs_norm
+    if not probe:
+        return f
+    inv2, mean = 1.0 / (stretch * stretch), arithmetic_modulus(lam)
+    slope = average_shear_modulus(lam, stretch, _modulus_slope) / mean * 2.0 * (stretch - inv2)
+    return f <= 0.0, f, slope * (stretch * stretch - 1.0 / stretch) + gbar * (2.0 * stretch + inv2)
 
 
 def _locking_stretch(beta: float, side: float, margin: float = 0.0) -> float:
@@ -315,9 +324,9 @@ def stretch_roots(lam: Laminate, loads) -> tuple[np.ndarray, dict[int, NoRoot]]:
     has one root.  Gbar(x) >= Gbar(1) brackets it in closed form, with a margin of
     at least |r|/2 against rounding: [1, sqrt(1 + 2r)] under tension,
     [1/(1 - 2r), 1] under compression; where the Gent validity limit cuts a
-    bracket, its end moves to just inside it.  All brackets are bisected at once
-    on the residual's sign down to adjacent floats, and the lower float (residual
-    <= 0) is returned.
+    bracket, its end moves to just inside it.  All brackets are solved at once, by
+    Newton steps on the residual (:func:`~lamwave._roots.newton`) and a bisection on
+    its sign that ends on adjacent floats; the lower float (residual <= 0) is returned.
 
     Returns the stretches, NaN where a load has no root, and the :class:`NoRoot`
     of each such load by index: its root lies beyond the Gent limit (the error
@@ -351,7 +360,8 @@ def stretch_roots(lam: Laminate, loads) -> tuple[np.ndarray, dict[int, NoRoot]]:
         live[list(errors)] = False
         target, end = np.where(live, r, 0.0), np.where(live, end, 1.0)
         top = np.maximum(1.0, end)
-        x = bisect(lambda mid: _stretch_residual(lam, mid, target) <= 0.0, np.minimum(1.0, end), top)
+        brackets = newton(lambda x: _stretch_residual(lam, x, target, True), np.minimum(1.0, end), top)
+        x = bisect(lambda mid: _stretch_residual(lam, mid, target) <= 0.0, *brackets)
         # a sign flip to or from an infinite residual is an overflow, not a root; the final
         # pair is x and its next float toward the top, x alone where the bracket was empty
         pair = _stretch_residual(lam, np.stack([x, np.nextafter(x, top)]), target)

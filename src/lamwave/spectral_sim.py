@@ -123,6 +123,7 @@ class MarchResult:
     scheme: str
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a field that overflows fails the blow-up check
 def mkdv_march(
     eff: EffectiveModel,
     signal: Callable[[np.ndarray], np.ndarray] | np.ndarray,
@@ -139,7 +140,7 @@ def mkdv_march(
     The scheme is chosen once, from ``cfg.viscosity`` and the signal's peak
     (:data:`MULTISTEP_DAMPING`).
     ``gradient=True`` also samples the gradient trace after every step, at the
-    cost of a 2-row inverse transform a step.  Raises :class:`Instability` on spectral blow-up.
+    cost of a 2-row inverse transform a step.  Raises :class:`Instability` on spectral blow-up or NaN.
     """
     t = cfg.times()
     v0 = np.asarray(signal(t) if callable(signal) else signal, dtype=float)
@@ -315,7 +316,7 @@ def mkdv_march(
         # viscosity >= 0, so they never exceed amp0: the kept modes decide blow-up
         if amp0 > 0.0 and _exceeds(vk, limit, amp):
             raise Instability(
-                f"spectral amplitude exceeded {BLOWUP_FACTOR:.0e} x initial at y = {k * h:.6g} m",
+                f"spectral amplitude exceeded {BLOWUP_FACTOR:.0e} x initial or not finite at y = {k * h:.6g} m",
                 position=k * h,
             )
         if gradient:
@@ -337,16 +338,16 @@ def mkdv_march(
 
 
 def _exceeds(z: np.ndarray, bound: float, scratch: np.ndarray) -> bool:
-    """``float(np.max(np.abs(z))) > bound``, settled from the components where they can.
+    """``not float(np.max(np.abs(z))) <= bound``, settled from the components where they can.
 
     max|z| <= sqrt(2) max(|Re z|, |Im z|), and 1.5 > sqrt(2), so a component
     maximum of at most ``bound / 1.5`` answers no; anything else, NaN included,
-    takes the exact moduli.  ``scratch`` holds ``2 * z.size`` floats.
+    takes the exact moduli, where NaN answers yes.  ``scratch`` holds ``2 * z.size`` floats.
     """
     parts = np.abs(z.view(float), out=scratch)
     if np.maximum.reduce(parts) * 1.5 <= bound:
         return False
-    return float(np.max(np.abs(z, out=scratch[: z.size]))) > bound
+    return not float(np.max(np.abs(z, out=scratch[: z.size]))) <= bound
 
 
 def impact_march(

@@ -397,18 +397,56 @@ class TestArtifacts:
     @pytest.mark.parametrize("limiter", ["minmod", "mc"])
     def test_overflowing_fv_speed_exits_2(self, tmp_path, capsys, limiter):
         """An impact at V_over_c 1e150 overflows the FV fields within a few steps: the
-        speed check stops the run with exit 2 and one line naming the speed, and
-        nothing is written."""
+        speed check stops the run with exit 2 and one line naming the speed, no numpy
+        warning is raised, and nothing is written."""
         payload = {"command": "simulate-fv", "laminate": BENCH_LAMINATE,
                    "params": {"V_over_c": 1e150, "limiter": limiter}}
         out = tmp_path / "out"
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)  # numpy's overflow warnings
+            warnings.simplefilter("error", RuntimeWarning)  # a numpy warning fails the run
             assert cli.run(write_config(tmp_path, payload), out) == 2
         (line,) = capsys.readouterr().err.splitlines()
         assert line.startswith("numerical failure in simulate-fv: signal speed ")
         assert "Traceback" not in line
         assert list(out.iterdir()) == []
+
+    def test_non_finite_march_exits_2(self, tmp_path, capsys):
+        """At V_over_c 1e110 and dy_m 1e-222 the cube of the spectral field overflows and
+        its transform turns NaN: the blow-up check stops the march with exit 2 and one
+        line, no numpy warning is raised, and nothing is written."""
+        payload = {"command": "simulate-mkdv", "laminate": BENCH_LAMINATE,
+                   "params": {"V_over_c": 1e110, "window_factor": 8, "dy_m": 1e-222}}
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert cli.run(write_config(tmp_path, payload), out) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("numerical failure in simulate-mkdv: spectral amplitude ")
+        assert "not finite" in line
+        assert list(out.iterdir()) == []
+
+    def test_fv_step_budget_exits_2(self, tmp_path, capsys, monkeypatch):
+        """simulate-fv takes no step that would bring its steps times cells past
+        MAX_RUN_SIZE: one cell-step short of a small run's need it exits 2 naming
+        params.V_over_c and writes nothing; at exactly its need it writes the bytes of
+        the unbounded run."""
+        from lamwave import fv_sim
+
+        simulate, grids = fv_sim.simulate, []
+        monkeypatch.setattr(fv_sim, "simulate", lambda grid, **kw: grids.append(grid) or simulate(grid, **kw))
+        payload = {"command": "simulate-fv", "laminate": BENCH_LAMINATE, "params": SMALL_SIM}
+        free = run_ok(tmp_path, payload, "free")
+        (summary,) = free.glob("simulate_fv_*.json")
+        need = json.loads(summary.read_text())["steps"] * grids[0].n_cells
+        monkeypatch.setattr(cli, "MAX_RUN_SIZE", need - 1)
+        out = tmp_path / "out"
+        assert cli.run(write_config(tmp_path, payload), out) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("numerical failure in simulate-fv: params.V_over_c: ")
+        assert list(out.iterdir()) == []
+        monkeypatch.setattr(cli, "MAX_RUN_SIZE", need)
+        exact = run_ok(tmp_path, payload, "exact")
+        assert {p.name: p.read_bytes() for p in exact.iterdir()} == {p.name: p.read_bytes() for p in free.iterdir()}
 
     def test_sweep_artifacts_and_manifest(self, tmp_path, capsys):
         """Every command's manifest entry lists exactly the files its run wrote, its

@@ -30,7 +30,7 @@ def exact_acoustic_frequency(st: CellState, kappa_ell: float) -> float:
     q = np.array([r, 1.0 / r])
 
     def below(w):  # (1 - cos(kappa ell)) / 2 = S(R) S(1/R) rises with omega on the acoustic branch
-        a, b = dsp._rytov_factors(st.t1, st.t2, w, turn=(0.0, -1.0))
+        a, b, _, _ = dsp._rytov_factors(st.t1, st.t2, w, turn=(0.0, -1.0))
         s, s_inv = a - q * b
         return s * s_inv < target
 

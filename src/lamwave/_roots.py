@@ -55,16 +55,15 @@ def bisect(inside, inn, out) -> np.ndarray:
 
 @np.errstate(over="ignore", divide="ignore", invalid="ignore")  # a step of inf or NaN bisects
 def newton(probe, inn, out) -> tuple[np.ndarray, np.ndarray]:
-    """Narrow the brackets (inn, out) of :func:`bisect` by safeguarded Newton steps.
+    """Narrow the brackets (inn, out) of :func:`bisect` by safeguarded Newton steps (Press et
+    al., *Numerical Recipes*, 3rd ed., 2007, section 9.4 ``rtsafe``).
 
-    ``probe(x)`` gives ``(inside(x), f, df)``: the caller's predicate, which alone moves
-    the ends, and a residual monotone across its flip with its slope.  A step that leaves
-    the bracket, or exceeds half the step before the last, bisects instead (Press et al.,
-    *Numerical Recipes*, 3rd ed., 2007, section 9.4 ``rtsafe``); a row freezes once its
-    step is within 2 ulp or its iterate leaves the open bracket.  A last call reads the
-    floats within 4 ulp of each iterate and pulls the ends in, so that ``bisect`` finishes
-    in a few rounds on the float where a monotone predicate flips.  ``probe`` may be
-    called at an end, but its answer there is never read.
+    ``probe(x)`` gives ``(inside(x), f, df)``: the predicate, which alone moves the ends, and a
+    residual monotone across its flip with its slope.  A step that leaves the bracket or exceeds
+    half the step before the last bisects instead; a row freezes once its step is within 2 ulp
+    or its iterate leaves the open bracket.  A last call reads the floats within 4 ulp of each
+    iterate and pulls the ends in, so that ``bisect`` finishes in a few rounds.  ``probe`` may
+    be called at an end, but its answer there is never read.
     """
     inn, out = np.asarray(inn, dtype=float), np.asarray(out, dtype=float)
     up, lo, hi = out > inn, np.minimum(inn, out), np.maximum(inn, out)  # up: inn is the lower end

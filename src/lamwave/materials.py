@@ -233,12 +233,11 @@ def arithmetic_modulus(lam: Laminate) -> float:
     )
 
 
-def average_shear_modulus(lam: Laminate, stretch, of=_modulus):
-    """Volume-weighted average of the generalised moduli at the stretched state (of their
-    slopes dG/dI1 with ``of=_modulus_slope``)."""
+def average_shear_modulus(lam: Laminate, stretch):
+    """Volume-weighted average of the generalised moduli at the stretched state."""
     d = uniaxial_invariant_excess(stretch)
     p1, p2 = lam.phases
-    return p1.volume_fraction * of(p1.model, d) + p2.volume_fraction * of(p2.model, d)
+    return p1.volume_fraction * _modulus(p1.model, d) + p2.volume_fraction * _modulus(p2.model, d)
 
 
 def effective_permeability(lam: Laminate) -> float:
@@ -288,17 +287,19 @@ def dimensionless_load_rhs(lam: Laminate, load: MagneticLoad) -> float:
     return vac_term * bn * bn + bn * norm.br_n
 
 
-def _stretch_residual(lam: Laminate, stretch, rhs_norm, probe=False):
-    """gbar (x^2 - 1/x) - r, gbar = Gbar(x) / Gbar(1); with ``probe``, the probe of
-    :func:`~lamwave._roots.newton`: (residual <= 0, residual, its slope
-    gbar' (x^2 - 1/x) + gbar (2x + 1/x^2)), with dI1/dx = 2x - 2/x^2."""
+def _stretch_residual(lam: Laminate, stretch, rhs_norm):
     gbar = average_shear_modulus(lam, stretch) / arithmetic_modulus(lam)
-    f = gbar * (stretch * stretch - 1.0 / stretch) - rhs_norm
-    if not probe:
-        return f
-    inv2, mean = 1.0 / (stretch * stretch), arithmetic_modulus(lam)
-    slope = average_shear_modulus(lam, stretch, _modulus_slope) / mean * 2.0 * (stretch - inv2)
-    return f <= 0.0, f, slope * (stretch * stretch - 1.0 / stretch) + gbar * (2.0 * stretch + inv2)
+    return gbar * (stretch * stretch - 1.0 / stretch) - rhs_norm
+
+
+def _stretch_probe(lam: Laminate, x, r):
+    """(residual <= 0, residual, its slope) of :func:`_stretch_residual`, for
+    :func:`~lamwave._roots.newton`: gbar' (x^2 - 1/x) + gbar (2x + 1/x^2), dI1/dx = 2x - 2/x^2."""
+    (p1, p2), mean, d, w = lam.phases, arithmetic_modulus(lam), uniaxial_invariant_excess(x), x * x - 1.0 / x
+    gbar, inv2 = average_shear_modulus(lam, x) / mean, 1.0 / (x * x)
+    dg = p1.volume_fraction * _modulus_slope(p1.model, d) + p2.volume_fraction * _modulus_slope(p2.model, d)
+    f = gbar * w - r
+    return f <= 0.0, f, dg / mean * 2.0 * (x - inv2) * w + gbar * (2.0 * x + inv2)
 
 
 def _locking_stretch(beta: float, side: float, margin: float = 0.0) -> float:
@@ -360,7 +361,7 @@ def stretch_roots(lam: Laminate, loads) -> tuple[np.ndarray, dict[int, NoRoot]]:
         live[list(errors)] = False
         target, end = np.where(live, r, 0.0), np.where(live, end, 1.0)
         top = np.maximum(1.0, end)
-        brackets = newton(lambda x: _stretch_residual(lam, x, target, True), np.minimum(1.0, end), top)
+        brackets = newton(lambda x: _stretch_probe(lam, x, target), np.minimum(1.0, end), top)
         x = bisect(lambda mid: _stretch_residual(lam, mid, target) <= 0.0, *brackets)
         # a sign flip to or from an infinite residual is an overflow, not a root; the final
         # pair is x and its next float toward the top, x alone where the bracket was empty

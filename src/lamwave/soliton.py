@@ -18,7 +18,7 @@ from enum import Enum
 
 import numpy as np
 
-from ._roots import bisect, newton
+from ._roots import bisect
 from .errors import NoBound, NoSoliton, NotReached
 from .homogenize import EffectiveModel
 
@@ -173,10 +173,10 @@ def _amplitude_ratio(variant: WaveModel, s: float) -> float:
 def mkdv_validity_speed(eff: EffectiveModel, variant: WaveModel, rel_err: float = 0.1) -> float:
     """Smallest s/c > 1 at which the variant's amplitude departs from the full model.
 
-    Solves |delta_variant/delta_full - 1| < ``rel_err`` to adjacent floats (Newton
-    steps, then bisection) and returns the last s/c at which it holds.  The comparison
-    uses the closed amplitude-velocity laws, which remain defined past the full
-    model's existence bound.  The amplitude error stays below 1 at every speed, so
+    Bisects |delta_variant/delta_full - 1| < ``rel_err`` to adjacent floats and
+    returns the last s/c at which it holds.  The comparison uses the closed
+    amplitude-velocity laws, which remain defined past the full model's
+    existence bound.  The amplitude error stays below 1 at every speed, so
     ``rel_err >= 1`` (or NaN) raises :class:`NotReached`.
     """
     if rel_err < 0.0:
@@ -191,16 +191,7 @@ def mkdv_validity_speed(eff: EffectiveModel, variant: WaveModel, rel_err: float 
     # the slow-space amplitude ratio is smaller by s^(3/2) >= 1, so its error gets there
     # no later; the bracket end 2/(1 - rel_err)^2 lies past both by more than rounding
     hi = 2.0 / (1.0 - rel_err) ** 2
-    # the scalar laws at each point: an array power can round differently
-    ratio = np.vectorize(lambda v: _amplitude_ratio(variant, v), otypes=[float])
-    space = 3.0 if variant is WaveModel.SLOW_SPACE else 0.0
-
-    def probe(s):  # the predicate, 1 - r - rel_err and its slope r (space/s + 1/(s + 1)) / 2
-        r = ratio(s)
-        return abs(r - 1.0) < rel_err, 1.0 - r - rel_err, 0.5 * r * (space / s + 1.0 / (s + 1.0))
-
-    brackets = newton(probe, 1.0, hi)
-    return float(bisect(lambda s: abs(_amplitude_ratio(variant, s) - 1.0) < rel_err, *brackets))
+    return float(bisect(lambda s: abs(_amplitude_ratio(variant, s) - 1.0) < rel_err, 1.0, hi))
 
 
 def shock_distance(eff: EffectiveModel, velocity: float, kappa: float) -> float:

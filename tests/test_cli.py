@@ -425,28 +425,55 @@ class TestArtifacts:
         assert "not finite" in line
         assert list(out.iterdir()) == []
 
-    def test_fv_step_budget_exits_2(self, tmp_path, capsys, monkeypatch):
-        """simulate-fv takes no step that would bring its steps times cells past
-        MAX_RUN_SIZE: one cell-step short of a small run's need it exits 2 naming
-        params.V_over_c and writes nothing; at exactly its need it writes the bytes of
-        the unbounded run."""
+    @pytest.mark.parametrize("cells_per_layer", [4, 32])
+    def test_runaway_fv_speed_exits_2(self, tmp_path, capsys, monkeypatch, cells_per_layer):
+        """At V_over_c 1e20 the nonlinear speed, and with it the step count, grows without
+        bound long before the fields overflow: on a coarse and on the default grid the
+        speed bound stops the run within a few steps, with exit 2 and one line naming
+        params.V_over_c, and nothing is written."""
         from lamwave import fv_sim
 
-        simulate, grids = fv_sim.simulate, []
-        monkeypatch.setattr(fv_sim, "simulate", lambda grid, **kw: grids.append(grid) or simulate(grid, **kw))
+        step, steps = fv_sim.step, []
+        monkeypatch.setattr(fv_sim, "step", lambda *a, **kw: steps.append(1) or step(*a, **kw))
+        payload = {"command": "simulate-fv", "laminate": BENCH_LAMINATE,
+                   "params": {"V_over_c": 1e20, "cells_per_layer": cells_per_layer}}
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert cli.run(write_config(tmp_path, payload), out) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("numerical failure in simulate-fv: signal speed ")
+        assert "times the fastest linear speed" in line and line.endswith("(params.V_over_c)")
+        assert len(steps) < 100
+        assert list(out.iterdir()) == []
+
+    def test_fv_speed_bound(self, tmp_path, capsys, monkeypatch):
+        """fv_sim.MAX_SPEEDUP just below a small run's own peak ratio of signal speed to
+        fastest linear speed stops it with exit 2 naming params.V_over_c, and nothing is
+        written; just above, the run writes the bytes of the run at the default bound."""
+        from lamwave import fv_sim
+
+        step, ratios = fv_sim.step, []
+
+        def traced(state, grid, dt_max, **kw):  # c_max from the dt of every step dt_max did not cut
+            dt = step(state, grid, dt_max=dt_max, **kw)
+            ratios.append(fv_sim.CFL * grid.dy / dt / grid.c_tail[0] if dt < dt_max else 0.0)
+            return dt
+
+        monkeypatch.setattr(fv_sim, "step", traced)
         payload = {"command": "simulate-fv", "laminate": BENCH_LAMINATE, "params": SMALL_SIM}
         free = run_ok(tmp_path, payload, "free")
-        (summary,) = free.glob("simulate_fv_*.json")
-        need = json.loads(summary.read_text())["steps"] * grids[0].n_cells
-        monkeypatch.setattr(cli, "MAX_RUN_SIZE", need - 1)
+        peak = max(ratios)
+        assert peak > 1.0
+        monkeypatch.setattr(fv_sim, "MAX_SPEEDUP", peak * (1.0 - 1e-9))
         out = tmp_path / "out"
         assert cli.run(write_config(tmp_path, payload), out) == 2
         (line,) = capsys.readouterr().err.splitlines()
-        assert line.startswith("numerical failure in simulate-fv: params.V_over_c: ")
+        assert line.startswith("numerical failure in simulate-fv: signal speed ") and line.endswith("(params.V_over_c)")
         assert list(out.iterdir()) == []
-        monkeypatch.setattr(cli, "MAX_RUN_SIZE", need)
-        exact = run_ok(tmp_path, payload, "exact")
-        assert {p.name: p.read_bytes() for p in exact.iterdir()} == {p.name: p.read_bytes() for p in free.iterdir()}
+        monkeypatch.setattr(fv_sim, "MAX_SPEEDUP", peak * (1.0 + 1e-9))
+        near = run_ok(tmp_path, payload, "near")
+        assert {p.name: p.read_bytes() for p in near.iterdir()} == {p.name: p.read_bytes() for p in free.iterdir()}
 
     def test_sweep_artifacts_and_manifest(self, tmp_path, capsys):
         """Every command's manifest entry lists exactly the files its run wrote, its

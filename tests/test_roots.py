@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 import lamwave
 import lamwave as lw
-from lamwave import dispersion, materials, soliton, sweeps
+from lamwave import dispersion, materials, sweeps
 from lamwave._roots import bisect, golden_max, newton
 from lamwave.homogenize import cell_state, effective_model
 
@@ -276,14 +276,6 @@ def test_stretch_roots_match_plain_bisection(kind, beta, loads, near_lock):
     assert {i: (str(e), e.locking_stretch) for i, e in errors.items()} == {
         i: (str(e), e.locking_stretch) for i, e in plain_errors.items()
     }
-
-
-@pytest.mark.parametrize("variant", [soliton.WaveModel.SLOW_SPACE, soliton.WaveModel.SLOW_TIME])
-@pytest.mark.parametrize("rel_err", [0.1, 1e-3, 1e-12, 0.5, 0.999999, 5e-324])
-def test_validity_speeds_match_plain_bisection(eff, variant, rel_err):
-    want = soliton.mkdv_validity_speed(eff, variant, rel_err)
-    with bisection_only(soliton):
-        assert soliton.mkdv_validity_speed(eff, variant, rel_err) == want
 
 
 def counted(monkeypatch, module) -> list:

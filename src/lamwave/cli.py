@@ -351,7 +351,7 @@ def _run_simulate(cfg):
             )
         except Instability as exc:  # the signal speed grows with the impact velocity alone
             raise Instability(f"{exc} (params.V_over_c)") from None
-        summary["t_final_s"] = t_final
+        summary.update(t_final_s=t_final, cell_steps=result.cell_steps)
     else:
         scfg = spectral_sim.config_for_impact(
             kappa, eff.c, window_factor=p["window_factor"], points_per_period=p["n_points"],

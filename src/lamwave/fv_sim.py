@@ -10,7 +10,10 @@ scheme: interface flux differences are decomposed exactly into two acoustic
 f-waves using the adjacent cells' nonlinear impedances, plus limited
 second-order correction waves.  The time step keeps a fixed Courant number
 against the instantaneous global maximum signal speed; a step updates only the
-active prefix of a state that started quiescent, in preallocated buffers.
+active prefix of a state that started quiescent, in preallocated buffers.  The
+scheme carries values ahead of the wave faster than any physical speed, down to
+subnormals; with a ``floor`` a cell joins the prefix only once a field rises
+above it, and the numerical precursor below it is flushed to 0.
 """
 
 from __future__ import annotations
@@ -32,6 +35,10 @@ CFL = 0.95
 #: the most a signal speed may exceed the fastest linear speed; past it the cubic part of
 #: the stress is over (32^2 - 1)/3, about 340 times the linear part
 MAX_SPEEDUP = 32.0
+#: the floor of an impact run, relative to the impact velocity: the precursor below it is
+#: flushed, which moves the probes by about an ulp of V; the default impact run then
+#: updates about 23% fewer cells
+PRECURSOR_FLOOR = 2.0**-64
 
 
 @dataclass(frozen=True)
@@ -184,9 +191,14 @@ class _Plan:
             (w2g[sl], w2g[: m + 1], w2m[sl], w2m[: m + 1], self.half_c[1:], v_e[: m + 1]),
         )
         self.mom = grid.rho[:m], state.velocity[:m], s_e[:m]
-        self.rows = ((state.gamma[:m], w2g[1 : m + 1], w1g[2 : m + 2], w2g[sl], w1g[sl]),
-                     (s_e[:m], w2m[1 : m + 1], w1m[2 : m + 2], w2m[sl], w1m[sl]))
-        self.flux = self.a[1:], self.a[:-1], self.b[:m], z_e[: m + 1], v_e[: m + 1]
+        # w2m holds minus the right-going momentum f-wave, so the momentum row adds
+        # w1m - w2m, forms minus its correction fluxes and differences them in reverse
+        a = self.a
+        self.rows = ((state.gamma[:m], w2g[1 : m + 1], w1g[2 : m + 2], np.add,
+                      w2g[sl], w1g[sl], np.subtract, a[1:], a[:-1]),
+                     (s_e[:m], w1m[2 : m + 2], w2m[1 : m + 1], np.subtract,
+                      w2m[sl], w1m[sl], np.add, a[:-1], a[1:]))
+        self.flux = self.b[:m], z_e[: m + 1], v_e[: m + 1]
 
 
 def step(
@@ -196,6 +208,7 @@ def step(
     limiter: str = "minmod",
     forcing: Callable[[float], float] | None = None,
     dt_max: float = math.inf,
+    floor: float = 0.0,
 ) -> float:
     """Advance the state in place by one conservative update; returns the dt taken.
 
@@ -207,7 +220,12 @@ def step(
     ``n_cells - 2``, with its real neighbours as right ghost cells.  The stencil
     reaches two cells each way, so a cell with an all-zero neighbourhood gets zero
     f-waves and theta = 0/(0 + 1e-300) = 0 and steps to +0.0: skipping or stepping
-    it changes no bit.  The whole grid is updated near the right edge.  dt keeps
+    it changes no bit.  The whole grid is updated near the right edge.  The front
+    moves to just past the last newly updated cell with a field above ``floor``
+    (a velocity; the strain floor is ``floor / grid.c_tail[0]``) or not finite, and
+    never recedes; with ``floor`` > 0 the cells past it are flushed to 0.0, so the
+    window stops growing with the scheme's numerical precursor.  At ``floor`` 0
+    nothing is flushed and every bit is that of whole-grid stepping.  dt keeps
     the Courant number ``CFL`` against the global maximum speed: the window's or,
     beyond it, the linear ``grid.c_tail``; a speed that is not positive and finite, or
     above ``MAX_SPEEDUP`` times the fastest linear speed (so that a run takes at most
@@ -256,7 +274,7 @@ def step(
     np.divide(np.add(np.multiply(df1, zr, w1g), df2, w1g), den, w1g)  # left-going, speed -c(left)
     np.divide(np.subtract(np.multiply(df1, zl, w2g), df2, w2g), den, w2g)  # right-going, +c(right)
     np.multiply(w1g, zl, w1m)
-    np.multiply(np.negative(w2g, w2m), zr, w2m)
+    np.multiply(w2g, zr, w2m)  # minus the right-going momentum wave, negated by the update
 
     # limited second-order corrections; (1 - c dt/dy)/2, in place of the speeds read
     # last above, serves the left-going family (negated below) and the right-going one
@@ -269,20 +287,26 @@ def step(
         np.multiply(scale, phi(np.divide(theta, a, theta), a), theta)
 
     # first-order update, then the difference of the correction fluxes; fac0 is
-    # minus the left-going factor: the bits of (-fac0) wm + fac1 wp
+    # minus the left-going factor: the bits of (-fac0) wm + fac1 wp.  In the momentum
+    # row every sign that w2m drops is an exact IEEE negation; only a flux that is an
+    # exact zero can change sign, which can move only a momentum that is -0.0
     rho_m, vel_m, mom = p.mom
     np.multiply(rho_m, vel_m, mom)
-    flux_r, flux_l, b_m, fac0, fac1 = p.flux
-    for q, wp_in, wm_in, wp, wm in p.rows:
-        np.subtract(q, np.multiply(np.add(wp_in, wm_in, b_m), coef, b_m), q)
-        np.subtract(np.multiply(fac1, wp, a), np.multiply(fac0, wm, b), a)
+    b_m, fac0, fac1 = p.flux
+    for q, in_1, in_2, combine, wp, wm, fold, flux_r, flux_l in p.rows:
+        np.subtract(q, np.multiply(combine(in_1, in_2, b_m), coef, b_m), q)
+        fold(np.multiply(fac1, wp, a), np.multiply(fac0, wm, b), a)
         np.subtract(q, np.multiply(np.subtract(flux_r, flux_l, b_m), coef, b_m), q)
     np.divide(mom, rho_m, vel_m)
 
     state.time += dt
     if window:  # scan the at most 4 newly updated cells in Python, last first
-        lo = state.front
-        state.front = next((i + 1 for i in range(lo + 3, lo - 1, -1) if gam[i] or vel[i]), lo)
+        lo, floor_g = state.front, floor / grid.c_tail[0]
+        # NaN and inf are not <= a floor, so they count and reach the speed check
+        state.front = next((i + 1 for i in range(lo + 3, lo - 1, -1)
+                            if not (abs(gam[i]) <= floor_g and abs(vel[i]) <= floor)), lo)
+        if floor:
+            gam[state.front : lo + 4] = vel[state.front : lo + 4] = 0.0
     else:
         state.front = n
     return dt
@@ -294,13 +318,15 @@ class SimResult:
 
     ``records`` holds one velocity array per requested probe, in request order
     with repeats kept, each sampled at the probe's nearest cell centre at the
-    times ``t`` (the start and the end of every step).
+    times ``t`` (the start and the end of every step).  ``cell_steps`` sums the
+    cells each step updated.
     """
 
     t: np.ndarray
     records: list[np.ndarray]
     state: SimState
     steps: int
+    cell_steps: int
     elapsed_s: float
 
 
@@ -313,6 +339,8 @@ def impact_signal(velocity: float, kappa: float, c_ref: float) -> Callable:
 
     def fn(t):
         phase = kappa * c_ref * t
+        if isinstance(t, float):  # the FV step's scalar time: np.where costs ~2.6 us here
+            return velocity * np.sin(0.5 * phase) ** 2 if 0.0 <= phase <= 2.0 * math.pi else 0.0
         return np.where(
             (phase >= 0.0) & (phase <= 2.0 * math.pi),
             velocity * np.sin(0.5 * phase) ** 2,
@@ -330,14 +358,21 @@ def simulate(
     t_final: float,
     probe_positions: list[float],
     limiter: str = "minmod",
+    floor: float = 0.0,
 ) -> SimResult:
-    """March a quiescent grid under a prescribed boundary velocity, recording probes."""
+    """March a quiescent grid under a prescribed boundary velocity, recording probes.
+
+    ``floor`` is the step's precursor floor (m/s); at 0 the run keeps the bits of
+    whole-grid stepping.
+    """
     state = SimState.quiescent(grid)
     cells = np.array([grid.cell_at(y) for y in probe_positions], dtype=np.intp)
-    times, samples = [0.0], [state.velocity[cells]]
+    times, samples, cell_steps = [0.0], [state.velocity[cells]], 0
     t0 = _time.perf_counter()
     while state.time < t_final - 1e-15:
-        step(state, grid, limiter=limiter, forcing=left_velocity, dt_max=t_final - state.time)
+        step(state, grid, limiter=limiter, forcing=left_velocity, dt_max=t_final - state.time,
+             floor=floor)
+        cell_steps += state._plan.key[0]
         times.append(state.time)
         samples.append(state.velocity[cells])
     elapsed = _time.perf_counter() - t0
@@ -346,6 +381,7 @@ def simulate(
         records=list(np.array(samples).T),
         state=state,
         steps=len(times) - 1,
+        cell_steps=cell_steps,
         elapsed_s=elapsed,
     )
 
@@ -384,7 +420,8 @@ def impact_run(
     The boundary velocity follows the smooth single-hump signal with the
     effective sound speed as clock; the right boundary is non-reflecting
     (zero-order extrapolation) and the domain is sized so it cannot contaminate
-    the probes within ``t_final``.
+    the probes within ``t_final``.  The precursor below ``PRECURSOR_FLOOR`` times
+    ``velocity`` is flushed (see ``step``).
     """
     if velocity < 0.0 or kappa <= 0.0:
         raise DomainError("impact needs velocity >= 0 and kappa > 0")
@@ -397,5 +434,6 @@ def impact_run(
         t_final=t_final,
         probe_positions=probe_positions,
         limiter=limiter,
+        floor=velocity * PRECURSOR_FLOOR,
     )
 

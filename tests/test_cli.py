@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lamwave import cli
+from lamwave import cli, fv_sim
 from lamwave.errors import ConfigError
 
 BENCH_LAMINATE = {
@@ -560,9 +560,18 @@ class TestSimulation:
         (json_path,) = out.glob("simulate_fv_*.json")
         digest = {p.suffix: hashlib.sha256(p.read_bytes()).hexdigest() for p in (csv_path, json_path)}
         assert digest == {
-            ".csv": "09bb27e16fd03998634791d9e415833a50fc74c4ff8820d1078b9961878fa1ac",
-            ".json": "6ddfecc803db087964928f010cc9ea51447237a8a8fce737470e5d1546124024",
+            ".csv": "a1b2b200c21dd6a582f4f0fb2e31e9bc50057897d6326b34b2cdb97f8e2dc28a",
+            ".json": "65183290e1448f7b88cedb6a92fc816076311a1969388227b6d0148ce37566b6",
         }
+
+    def test_simulate_fv_floor_zero_bytes(self, tmp_path, monkeypatch):
+        """At precursor floor 0 the small FV run's CSV is pinned to the digest it had
+        before the floor and the sign-folded momentum row: neither may move a bit."""
+        monkeypatch.setattr(fv_sim, "PRECURSOR_FLOOR", 0.0)
+        out = run_ok(tmp_path, VALID_CONFIGS["simulate-fv"])
+        (csv_path,) = out.glob("simulate_fv_*.csv")
+        assert (hashlib.sha256(csv_path.read_bytes()).hexdigest()
+                == "09bb27e16fd03998634791d9e415833a50fc74c4ff8820d1078b9961878fa1ac")
 
     def test_simulate_mkdv_golden_bytes(self, tmp_path):
         """CSV and JSON bytes of one small spectral march are pinned: no refactor may drift them."""
@@ -607,6 +616,23 @@ class TestSimulation:
         summary = json.loads(summary_path.read_text())
         assert summary["steps"] == results[0].steps == len(results[0].grad_y) - 1 > 0
         assert summary["scheme"] == results[0].scheme == "rk4"
+
+    def test_simulate_fv_summary_counters(self, tmp_path, monkeypatch):
+        """The summary carries the run's time steps and the cells they updated."""
+        run, results = fv_sim.impact_run, []
+
+        def spy(*args, **kwargs):
+            results.append(run(*args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(fv_sim, "impact_run", spy)
+        out = run_ok(tmp_path, self.small_sim_payload("simulate-fv"))
+        (summary_path,) = out.glob("simulate_fv_*.json")
+        summary = json.loads(summary_path.read_text())
+        (res,) = results
+        assert summary["steps"] == res.steps > 0
+        assert summary["cell_steps"] == res.cell_steps
+        assert res.steps * fv_sim._BLOCK <= res.cell_steps < res.steps * len(res.state.gamma)
 
     def test_simulate_mkdv_probe_csv(self, tmp_path):
         lines = self.probe_csv(tmp_path, "simulate-mkdv")

@@ -362,6 +362,56 @@ class TestActiveWindow:
         assert peak < 64 * 1024
 
 
+class TestPrecursorFloor:
+    def test_floor_moves_probes_by_round_off(self, bilam, monkeypatch):
+        """The floored impact run takes the same steps at the same times as the run at
+        floor 0, its probes move by round-off, and it steps a shorter window."""
+        eff = effective_model(bilam, 1.0)
+        args = (cell_state(bilam, 1.0), eff.c, 2.0 * math.pi / (8.0 * eff.ell), [0.02, 0.05], 0.3 / eff.c)
+        res = fv.impact_run(*args, cells_per_layer=8)
+        monkeypatch.setattr(fv, "PRECURSOR_FLOOR", 0.0)
+        ref = fv.impact_run(*args, cells_per_layer=8)
+        assert res.steps == ref.steps > 0
+        assert res.t.tobytes() == ref.t.tobytes()
+        for v, v_ref in zip(res.records, ref.records):
+            assert np.abs(v - v_ref).max() <= 1e-13 * eff.c
+        front = res.state.front
+        assert front < ref.state.front < len(res.state.gamma)
+        assert np.all(res.state.gamma[front:] == 0.0) and np.all(res.state.velocity[front:] == 0.0)
+        assert res.cell_steps < ref.cell_steps
+
+    def test_nan_at_leading_edge_is_not_flushed(self, bilam):
+        """Floored steps keep the front monotone with every cell past it exactly 0; a NaN
+        velocity planted just behind the front spreads past it, keeps its cells, and the
+        next step stops on the speed check."""
+        eff = effective_model(bilam, 1.0)
+        grid = fv.build_grid(cell_state(bilam, 1.0), 8, 12)
+        kw = {"forcing": fv.impact_signal(eff.c, 2.0 * math.pi / (8.0 * eff.ell), eff.c),
+              "floor": eff.c * fv.PRECURSOR_FLOOR}
+        state = fv.SimState.quiescent(grid)
+        for _ in range(100):
+            lo = state.front
+            fv.step(state, grid, **kw)
+            assert lo <= state.front < grid.n_cells - 6
+            assert np.all(state.gamma[state.front :] == 0.0)
+            assert np.all(state.velocity[state.front :] == 0.0)
+        lo = state.front
+        state.velocity[lo - 1] = math.nan
+        with np.errstate(all="ignore"):
+            fv.step(state, grid, **kw)
+            assert np.isnan(state.gamma[lo : lo + 4]).any() and state.front > lo
+            with pytest.raises(Instability, match="signal speed nan"):
+                fv.step(state, grid, **kw)
+
+    def test_cell_steps_sums_the_window(self, bilam):
+        """At rest the front stays at 0, and each step updates one block of cells."""
+        eff = effective_model(bilam, 1.0)
+        res = fv.impact_run(cell_state(bilam, 1.0), 0.0, 2.0 * math.pi / (16.0 * eff.ell), [0.05], 2e-3,
+                            cells_per_layer=8)
+        assert res.state.front == 0
+        assert res.cell_steps == fv._BLOCK * res.steps > 0
+
+
 class TestImpact:
     def test_impact_signal_scalar_matches_array(self):
         """One forcing serves the FV step (scalar t) and the spectral window (array t)."""

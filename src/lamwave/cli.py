@@ -276,11 +276,10 @@ def _run_dispersion(cfg):
     st = _cell(cfg)
     p = cfg["params"]
     omega_max = p["omega_max_over_pi"] * math.pi
-    tables = []
-    for folded, stem in ((False, "dispersion"), (True, "dispersion_folded")):
-        view = "folded [0,pi]" if folded else "unfolded [0,2pi]"
-        comments = [f"stretch = {st.eff.stretch!r}", f"kappa_ell view: {view}"]
-        tables.append((stem, comments, *disp.dispersion_table(st, omega_max, p["n"], folded=folded)))
+    header, unfolded, folded = disp.dispersion_table(st, omega_max, p["n"])
+    stretch = f"stretch = {st.eff.stretch!r}"
+    tables = [("dispersion", [stretch, "kappa_ell view: unfolded [0,2pi]"], header, unfolded),
+              ("dispersion_folded", [stretch, "kappa_ell view: folded [0,pi]"], header, folded)]
     return tables, disp.band_gap_records(st)
 
 
@@ -366,6 +365,9 @@ def _run_simulate(cfg):
         summary.update(window_s=scfg.window, scheme=result.scheme)
     traces = [(y, result.t, v / eff.c) for y, v in zip(probes, result.records)]
     summary["steps"] = result.steps
+    at = result.probe_cells if command == "simulate-fv" else result.stops
+    if unresolved := [m for m, i in zip(p["probes_y_star_multiples"], at) if i == 0]:
+        summary["unresolved_probes"] = unresolved  # in the first cell or step: the boundary signal
     summary["peak_v_over_c"] = max(float(abs(v).max()) for _, _, v in traces)
     theory = "fv" if command == "simulate-fv" else "mkdv"
     comments = [f"y_star_m = {y_star!r}", f"V_m_per_s = {velocity!r}"]
@@ -390,7 +392,7 @@ def _run_sweep(cfg):
 
 
 #: The runner of each command: ``cfg -> (tables, summary)``, with each table a
-#: ``(stem, comments, header, rows)``.  Runners compute and return; :func:`run`
+#: ``(stem, comments, header, columns)``.  Runners compute and return; :func:`run`
 #: names and writes every artifact.
 _RUNNERS = {
     "effective": _run_effective,

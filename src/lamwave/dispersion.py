@@ -19,7 +19,8 @@ import numpy as np
 
 from ._roots import bisect, newton
 from .errors import DomainError, NoGap
-from .homogenize import CellState, EffectiveModel
+from .homogenize import CellState, EffectiveModel, _fails, _nan_where, _sqrt
+from .output import join
 
 @dataclass(frozen=True)
 class BandGap:
@@ -83,7 +84,7 @@ def band_gap_edges(cells, n) -> tuple[np.ndarray, np.ndarray]:
     falls below 0, the upper where the last does; Newton steps on that factor and a
     bisection find both, for every cell and gap at once, to adjacent floats, keeping
     the end inside the gap.
-    R = 1, or a gap holding no float, gives NaN.  ``cells`` is anything with the
+    R = 1, or a gap holding fewer than two floats, gives NaN.  ``cells`` is anything with the
     fields t1, t2, z1, z2, each a float or a column (a :class:`CellState` of
     many cells), and ``n`` a gap number or an array of them; they broadcast.
     """
@@ -111,7 +112,8 @@ def band_gap_edges(cells, n) -> tuple[np.ndarray, np.ndarray]:
 
     brackets = newton(past_edge, np.stack([top[0], low[1]]), np.stack([low[0], top[1]]))
     lo, hi = bisect(lambda w: past_edge(w)[0], *brackets)
-    gap = gap[0] & (lo <= hi)  # r within a few ulp of 1, or a closed gap: no float inside
+    # r within a few ulp of 1, or a closed gap: no float inside, or one by rounding
+    gap = gap[0] & (lo < hi)
     return np.where(gap, lo, math.nan), np.where(gap, hi, math.nan)
 
 
@@ -136,15 +138,17 @@ def bloch_band_gaps(st: CellState, omega_max: float = 3.0 * math.pi) -> list[Ban
 
 
 def homogenized_band_gap(eff: EffectiveModel) -> BandGap:
-    """First band gap predicted by the optimised homogenised model."""
-    if eff.eta <= 0.0:
-        raise NoGap("a non-dispersive laminate (eta <= 0) has no band gap")
-    if eff.eta_t <= 0.0:
-        raise NoGap("homogenised gap formula requires eta_t > 0")
-    root = math.pi * math.sqrt(2.0 * eff.eta)
-    lo = math.sqrt((1.0 - root) / (2.0 * eff.eta_t))
-    hi = math.sqrt((1.0 + root) / (2.0 * eff.eta_t))
-    return BandGap(lo=lo, hi=hi, index=1)
+    """First band gap predicted by the optimised homogenised model; of a model of many
+    cells, its edges are columns, NaN where one cell raises."""
+    no_gap = _fails(eff.eta <= 0.0, lambda: NoGap("a non-dispersive laminate (eta <= 0) has no band gap"))
+    no_gap = no_gap | _fails(eff.eta_t <= 0.0, lambda: NoGap("homogenised gap formula requires eta_t > 0"))
+    with np.errstate(divide="ignore", invalid="ignore"):  # only in entries that become NaN
+        root = math.pi * _sqrt(2.0 * eff.eta)
+        lo2 = (1.0 - root) / (2.0 * eff.eta_t)
+        closed = _fails(lo2 < 0.0, lambda: NoGap(f"homogenised gap closed: pi sqrt(2 eta) = {root:.6g} > 1"))
+        lo, hi = _sqrt(lo2), _sqrt((1.0 + root) / (2.0 * eff.eta_t))
+    no_gap = no_gap | closed
+    return BandGap(lo=_nan_where(no_gap, lo), hi=_nan_where(no_gap, hi), index=1)
 
 
 def mkdv_wavenumber(eff: EffectiveModel, omega_norm) -> np.ndarray | float:
@@ -183,19 +187,14 @@ def sample_exact_branches(
 
 
 def dispersion_table(
-    st: CellState,
-    omega_max: float = 2.6 * math.pi,
-    n: int = 2000,
-    folded: bool = False,
-) -> tuple[list[str], list[tuple]]:
-    """Rows (kappa_ell, omega_norm, branch, theory) for all three theories."""
+    st: CellState, omega_max: float = 2.6 * math.pi, n: int = 2000
+) -> tuple[list[str], list[np.ndarray], list[np.ndarray]]:
+    """Columns (kappa_ell, omega_norm, branch, theory) for all three theories, from one
+    sample: the header, the columns with kappa*ell unfolded (in [0, 2 pi] and up the
+    exact branches) and the same columns with kappa*ell folded into [0, pi]."""
     eff = st.eff
-    rows: list[tuple] = []
-    for br in sample_exact_branches(st, omega_max, n):
-        k = br.kappa_ell_folded if folded else br.kappa_ell
-        rows.extend(
-            (ki, wi, br.index, "exact") for ki, wi in zip(k.tolist(), br.omega_norm.tolist())
-        )
+    blocks = [(br.kappa_ell, br.kappa_ell_folded, br.omega_norm, np.full(len(br.omega_norm), br.index),
+               np.full(len(br.omega_norm), "exact")) for br in sample_exact_branches(st, omega_max, n)]
     # the real roots chi = (omega ell / c)^2 of
     # eta_t chi^2 - (1 - eta_m k^2) chi + k^2 - eta_y k^4 = 0 at every node at once;
     # eta_t > 0, so each node's pair of roots comes out ascending
@@ -206,18 +205,18 @@ def dispersion_table(
     s = np.sqrt(b * b - 4.0 * eff.eta_t * c)  # real roots: eta_m = 0 and eta_t <= eta_y
     chi = np.stack([(-b - s) / (2.0 * eff.eta_t), (-b + s) / (2.0 * eff.eta_t)], 1)
     real = chi >= -1e-14
-    if folded:
-        kgrid = np.where(kgrid <= math.pi, kgrid, 2.0 * math.pi - kgrid)
-    kk = np.broadcast_to(kgrid[:, None], chi.shape)[real].tolist()
-    w = np.sqrt(np.clip(chi[real], 0.0, None)).tolist()
-    branch = (np.cumsum(real, axis=1) - 1)[real].tolist()
-    rows.extend((ki, wi, bi, "homogenized") for ki, wi, bi in zip(kk, w, branch))
+    kk = np.broadcast_to(kgrid[:, None], chi.shape)[real]
+    w = np.sqrt(np.clip(chi[real], 0.0, None))
+    branch = (np.cumsum(real, axis=1) - 1)[real]
+    kk_folded = np.where(kk <= math.pi, kk, 2.0 * math.pi - kk)
+    blocks.append((kk, kk_folded, w, branch, np.full(len(kk), "homogenized")))
     wgrid = np.linspace(0.0, omega_max, n // 2)
-    km = np.asarray(mkdv_wavenumber(eff, wgrid)).tolist()
-    if folded:
-        km = [math.acos(math.cos(ki)) for ki in km]
-    rows.extend((ki, wi, 0, "mkdv") for ki, wi in zip(km, wgrid.tolist()))
-    return ["kappa_ell", "omega_norm", "branch", "theory"], rows
+    km = mkdv_wavenumber(eff, wgrid)
+    # libm's acos(cos(k)), as numpy's own cos may round differently
+    blocks.append((km, np.array([math.acos(math.cos(k)) for k in km.tolist()]), wgrid,
+                   np.zeros(len(wgrid), dtype=int), np.full(len(wgrid), "mkdv")))
+    unfolded, folded, *rest = join(blocks, 5)
+    return ["kappa_ell", "omega_norm", "branch", "theory"], [unfolded, *rest], [folded, *rest]
 
 
 def band_gap_records(st: CellState, omega_max: float = 3.0 * math.pi) -> list[dict]:

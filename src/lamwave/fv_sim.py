@@ -317,13 +317,14 @@ class SimResult:
     """Probe velocities (m/s) of a run, its final state and its counters.
 
     ``records`` holds one velocity array per requested probe, in request order
-    with repeats kept, each sampled at the probe's nearest cell centre at the
-    times ``t`` (the start and the end of every step).  ``cell_steps`` sums the
-    cells each step updated.
+    with repeats kept, each sampled at the probe's nearest cell centre, the cell
+    ``probe_cells`` names, at the times ``t`` (the start and the end of every
+    step).  ``cell_steps`` sums the cells each step updated.
     """
 
     t: np.ndarray
     records: list[np.ndarray]
+    probe_cells: np.ndarray
     state: SimState
     steps: int
     cell_steps: int
@@ -379,6 +380,7 @@ def simulate(
     return SimResult(
         t=np.asarray(times),
         records=list(np.array(samples).T),
+        probe_cells=cells,
         state=state,
         steps=len(times) - 1,
         cell_steps=cell_steps,

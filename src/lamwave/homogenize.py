@@ -87,9 +87,29 @@ class CellState:
     eff: EffectiveModel
 
 
+#: Column arithmetic as on one cell's floats: an overflow gives inf and an invalid
+#: operation NaN, silently, and a division by zero raises (an ArithmeticError).
+FLOAT_ERRORS = {"over": "ignore", "invalid": "ignore", "divide": "raise"}
+
+
 def _sqrt(x):
     """Square root of a float as a float, of an array as an array."""
     return np.sqrt(x) if isinstance(x, np.ndarray) else math.sqrt(x)
+
+
+def _fails(bad, error):
+    """The mask ``bad`` of a column's entries that become NaN (:func:`_nan_where`); of
+    one cell, ``False``, after raising ``error()`` if ``bad`` holds."""
+    if isinstance(bad, np.ndarray):
+        return bad
+    if bad:
+        raise error()
+    return False
+
+
+def _nan_where(failed, value):
+    """A column ``value`` with NaN where ``failed``, or one cell's value as a float."""
+    return np.where(failed, math.nan, value) if isinstance(failed, np.ndarray) else float(value)
 
 
 def cell_columns(sc: tuple[ShearCoefficients, ShearCoefficients], rho: tuple, nu: tuple,

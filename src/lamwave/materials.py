@@ -296,7 +296,8 @@ def _stretch_probe(lam: Laminate, x, r):
     """(residual <= 0, residual, its slope) of :func:`_stretch_residual`, for
     :func:`~lamwave._roots.newton`: gbar' (x^2 - 1/x) + gbar (2x + 1/x^2), dI1/dx = 2x - 2/x^2."""
     (p1, p2), mean, d, w = lam.phases, arithmetic_modulus(lam), uniaxial_invariant_excess(x), x * x - 1.0 / x
-    gbar, inv2 = average_shear_modulus(lam, x) / mean, 1.0 / (x * x)
+    gbar = (p1.volume_fraction * _modulus(p1.model, d) + p2.volume_fraction * _modulus(p2.model, d)) / mean
+    inv2 = 1.0 / (x * x)
     dg = p1.volume_fraction * _modulus_slope(p1.model, d) + p2.volume_fraction * _modulus_slope(p2.model, d)
     f = gbar * w - r
     return f <= 0.0, f, dg / mean * 2.0 * (x - inv2) * w + gbar * (2.0 * x + inv2)

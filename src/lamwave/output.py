@@ -1,58 +1,62 @@
 """Deterministic CSV/JSON emission shared by the CLI.
 
-CSV dialect: comma-separated, '#'-prefixed header comments, LF line endings,
-floats printed with 17 significant digits so identical runs produce identical
-bytes.
+A table is a header and its columns, one 1-D array per header name, all of one
+length; a table made of blocks of rows (one per probe, branch or wave model) is
+put together by :func:`join`.  CSV dialect: comma-separated, '#'-prefixed header
+comments, LF line endings, floats printed with 17 significant digits so
+identical runs produce identical bytes.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Sequence
 
-
-def _row_format(n_columns: int, rows: Sequence[tuple]) -> str:
-    """One %-format line for all rows: '%s' for a text column, '%.17g' for one holding
-    a float (its integers print exactly up to 2**53), '%d' for integers and bools."""
-    specs = []
-    for i in range(n_columns):
-        kinds = set(map(type, map(itemgetter(i), rows)))
-        if all(issubclass(k, str) for k in kinds):
-            specs.append("%s")
-        elif any(issubclass(k, float) for k in kinds):
-            specs.append("%.17g")
-        else:
-            specs.append("%d")
-    return ",".join(specs) + "\n"
+import numpy as np
 
 
-def write_csv(path: Path, comments: list[str], header: list[str], rows: Sequence[tuple]) -> None:
-    line = _row_format(len(header), rows)
+def join(blocks: Sequence[tuple], width: int) -> list[np.ndarray]:
+    """The ``width`` columns of a table whose rows come in ``blocks``, each a tuple of
+    ``width`` equal-length columns; no block gives empty columns."""
+    if not blocks:
+        return [np.empty(0)] * width
+    return [np.concatenate(column) for column in zip(*blocks)]
+
+
+def _format(column: np.ndarray) -> str:
+    """'%s' for a text column, '%.17g' for a float one (its integers print exactly up
+    to 2**53), '%d' for integers and bools."""
+    kind = column.dtype.kind
+    return "%s" if kind in "US" else "%.17g" if kind == "f" else "%d"
+
+
+def write_csv(path: Path, comments: list[str], header: list[str], columns: Sequence) -> None:
+    """Write a table given as ``columns``, each an array or a list of one kind of value.
+
+    Rows are formatted 4096 at a time, so that only a slice of the table is ever held
+    as Python values."""
+    columns = [np.asarray(column) for column in columns]
+    line = ",".join(map(_format, columns)) + "\n"
     with open(path, "w", newline="\n") as fh:
         for comment in comments:
             fh.write(f"# {comment}\n")
         fh.write(",".join(header) + "\n")
-        fh.writelines(map(line.__mod__, rows))
+        for i in range(0, len(columns[0]) if columns else 0, 4096):
+            fh.writelines(map(line.__mod__, zip(*(column[i : i + 4096].tolist() for column in columns))))
 
 
-def probe_table(traces: Iterable[tuple], t_scale: float, theory: str) -> tuple[list[str], list[tuple]]:
-    """Rows (t_s, t_norm, v_over_c, probe_y_m, theory) of the simulators' probe CSVs.
+def probe_table(traces: Iterable[tuple], t_scale: float, theory: str) -> tuple[list[str], list[np.ndarray]]:
+    """Columns (t_s, t_norm, v_over_c, probe_y_m, theory) of the simulators' probe CSVs.
 
     ``traces`` yields ``(y, t, v_over_c)`` per probe, with ``t`` and ``v_over_c``
     arrays; ``t_norm`` is ``t * t_scale``.  Rows come in one block per probe, in
     the order of ``traces``.
     """
-    rows: list[tuple] = []
-    for y, t, v_over_c in traces:
-        y = float(y)
-        rows.extend(
-            (ti, tn, vi, y, theory)
-            for ti, tn, vi in zip(t.tolist(), (t * t_scale).tolist(), v_over_c.tolist())
-        )
-    return ["t_s", "t_norm", "v_over_c", "probe_y_m", "theory"], rows
+    blocks = [(t, t * t_scale, v_over_c, np.full(len(t), float(y)), np.full(len(t), theory))
+              for y, t, v_over_c in traces]
+    return ["t_s", "t_norm", "v_over_c", "probe_y_m", "theory"], join(blocks, 5)
 
 
 def write_json(path: Path, payload) -> None:

@@ -20,7 +20,8 @@ import numpy as np
 
 from ._roots import bisect
 from .errors import NoBound, NoSoliton, NotReached
-from .homogenize import EffectiveModel
+from .homogenize import FLOAT_ERRORS, EffectiveModel, _fails, _nan_where, _sqrt
+from .output import join
 
 
 class WaveModel(Enum):
@@ -31,7 +32,7 @@ class WaveModel(Enum):
 
 @dataclass(frozen=True)
 class SolitonSolution:
-    """A sech strain pulse travelling at constant speed."""
+    """A sech strain pulse travelling at constant speed, or a column of them."""
 
     speed: float  # m/s
     c1: float
@@ -43,27 +44,34 @@ class SolitonSolution:
     sign: int = 1
 
 
-def oscillator_coeffs(eff: EffectiveModel, variant: WaveModel, speed: float) -> tuple[float, float]:
+def _pow(x, p):
+    """x**p of a float, or of each float of a column, by Python's float power (libm pow):
+    numpy's ``**`` rounds some powers of arrays differently."""
+    return np.array([v**p for v in x.tolist()]) if isinstance(x, np.ndarray) else x**p
+
+
+def oscillator_coeffs(eff: EffectiveModel, variant: WaveModel, speed):
     """Oscillator coefficients (c1, c3) for a travelling wave of the given speed.
 
     ``speed`` is dimensional (m/s).  At exactly the sonic speed all variants
     return ``c1 = 0`` (zero-amplitude limit).  Raises :class:`NoSoliton` when
     the coefficients leave the sech-admissible quadrant (c1 < 0 or c3 <= 0).
+    A column of speeds gives columns, NaN where one speed raises.
     """
-    s = speed / eff.c
+    s, failed = speed / eff.c, False
     if variant is WaveModel.FULL:
-        denom = eff.eta_y - eff.eta_m * s**2 - eff.eta_t * s**4
-        if denom == 0.0:
-            raise NoSoliton(f"dispersion denominator vanishes at s/c = {s:.6g}")
-        c3 = 1.0 / denom
+        denom = eff.eta_y - eff.eta_m * _pow(s, 2) - eff.eta_t * _pow(s, 4)
+        failed = _fails(denom == 0.0, lambda: NoSoliton(f"dispersion denominator vanishes at s/c = {s:.6g}"))
+        c3 = 1.0 / _nan_where(failed, denom)
         c1 = (s * s - 1.0) * c3
     elif variant is WaveModel.SLOW_SPACE:
         if eff.eta <= 0.0:
             raise NoSoliton("unidirectional solitons need eta > 0")
-        if s == 0.0:
-            raise NoSoliton("the slow-space model has no travelling wave at zero speed")
+        failed = _fails(s == 0.0,
+                        lambda: NoSoliton("the slow-space model has no travelling wave at zero speed"))
+        s = _nan_where(failed, s)
         c3 = 1.0 / eff.eta
-        c1 = 2.0 * (s - 1.0) / s**3 * c3
+        c1 = 2.0 * (s - 1.0) / _pow(s, 3) * c3
     elif variant is WaveModel.SLOW_TIME:
         if eff.eta <= 0.0:
             raise NoSoliton("unidirectional solitons need eta > 0")
@@ -71,35 +79,25 @@ def oscillator_coeffs(eff: EffectiveModel, variant: WaveModel, speed: float) -> 
         c1 = 2.0 * (s - 1.0) * c3
     else:  # pragma: no cover
         raise ValueError(f"unknown variant {variant}")
-    if c1 < 0.0 or c3 <= 0.0:
-        raise NoSoliton(
-            f"no sech solution at s/c = {s:.6g} for {variant.value}: c1 = {c1:.6g}, c3 = {c3:.6g}"
-        )
-    return c1, c3
+    failed = failed | _fails((c1 < 0.0) | (c3 <= 0.0), lambda: NoSoliton(
+        f"no sech solution at s/c = {s:.6g} for {variant.value}: c1 = {c1:.6g}, c3 = {c3:.6g}"))
+    return _nan_where(failed, c1), _nan_where(failed, c3)
 
 
-def solve_soliton(
-    eff: EffectiveModel, variant: WaveModel, speed: float, sign: int = 1
-) -> SolitonSolution:
-    """Construct the sech solitary wave of the given variant and speed."""
+def solve_soliton(eff: EffectiveModel, variant: WaveModel, speed, sign: int = 1) -> SolitonSolution:
+    """Construct the sech solitary wave of the given variant and speed; a column of
+    speeds gives a solution of columns, NaN where one speed raises."""
     if eff.zeta <= 0.0:
         raise NoSoliton("solitary waves need a stiffening laminate (zeta > 0)")
     c1, c3 = oscillator_coeffs(eff, variant, speed)
-    if c1 == 0.0:
-        raise NoSoliton("zero-amplitude limit: speed equals the effective sound speed")
-    delta = math.sqrt(6.0 * c1 / (c3 * eff.zeta))
-    length = eff.ell / math.sqrt(c1)
-    amp = eff.ell * math.sqrt(6.0 / (c3 * eff.zeta))
-    return SolitonSolution(
-        speed=speed,
-        c1=c1,
-        c3=c3,
-        strain_amplitude=delta,
-        length=length,
-        displacement_amplitude=amp,
-        ell=eff.ell,
-        sign=1 if sign >= 0 else -1,
-    )
+    sonic = _fails(c1 == 0.0,
+                   lambda: NoSoliton("zero-amplitude limit: speed equals the effective sound speed"))
+    c1, c3 = _nan_where(sonic, c1), _nan_where(sonic, c3)
+    delta = _sqrt(6.0 * c1 / (c3 * eff.zeta))
+    length = eff.ell / _sqrt(c1)
+    amp = eff.ell * _sqrt(6.0 / (c3 * eff.zeta))
+    return SolitonSolution(speed=speed, c1=c1, c3=c3, strain_amplitude=delta, length=length,
+                           displacement_amplitude=amp, ell=eff.ell, sign=1 if sign >= 0 else -1)
 
 
 def soliton_waveform(sol: SolitonSolution, xi) -> tuple[np.ndarray, np.ndarray]:
@@ -123,34 +121,31 @@ def existence_bound(eff: EffectiveModel) -> float:
     Supersonic sech solutions exist while the dispersion denominator stays
     positive, i.e. while ``eta - (eta_m + 2 eta_t) x - eta_t x^2 > 0`` with
     ``x = s^2/c^2 - 1``.  The bound is the smallest positive root of that
-    polynomial; with no positive root the range is unbounded.
+    polynomial; with no positive root the range is unbounded.  Of a model of
+    many cells, a column, NaN where eta <= 0 (where one cell raises).
     """
-    if eff.eta <= 0.0:
-        raise NoSoliton("existence analysis needs eta > 0")
-    b = eff.eta_m + 2.0 * eff.eta_t
-    if eff.eta_t == 0.0:
-        if b <= 0.0:
-            return math.inf
-        return math.sqrt(1.0 + eff.eta / b)
-    disc = b * b + 4.0 * eff.eta_t * eff.eta
-    if disc < 0.0:
-        return math.inf
-    s = math.sqrt(disc)
-    roots = [(-b - s) / (2.0 * eff.eta_t), (-b + s) / (2.0 * eff.eta_t)]
-    positive = [x for x in roots if x > 0.0]
-    if not positive:
-        return math.inf
-    return math.sqrt(1.0 + min(positive))
+    failed = _fails(eff.eta <= 0.0, lambda: NoSoliton("existence analysis needs eta > 0"))
+    eta, eta_t = (np.asarray(v, dtype=float) for v in (eff.eta, eff.eta_t))
+    # both branches are evaluated: the quadratic's roots divide by eta_t, whose zero
+    # selects the linear root eta/b, and a negative discriminant gives NaN roots
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        b = eff.eta_m + 2.0 * eta_t
+        s = np.sqrt(b * b + 4.0 * eta_t * eta)
+        roots = np.stack([(-b - s) / (2.0 * eta_t), (-b + s) / (2.0 * eta_t)])
+        x = np.where(roots > 0.0, roots, math.inf).min(axis=0)
+        x = np.where(eta_t == 0.0, np.where(b <= 0.0, math.inf, eta / b), x)
+        return _nan_where(failed, np.sqrt(1.0 + x))
 
 
 def max_strain_amplitude(eff: EffectiveModel) -> float:
-    """Strain amplitude reached at the existence bound of the full model."""
-    if eff.zeta <= 0.0:
-        raise NoSoliton("solitary waves need a stiffening laminate (zeta > 0)")
+    """Strain amplitude reached at the existence bound of the full model; of a model of
+    many cells, a column, NaN where one cell raises."""
+    failed = _fails(eff.zeta <= 0.0, lambda: NoSoliton("solitary waves need a stiffening laminate (zeta > 0)"))
     bound = existence_bound(eff)
-    if math.isinf(bound):
-        raise NoBound("solitary-wave speeds are unbounded; no strain ceiling exists")
-    return math.sqrt(6.0 * (bound * bound - 1.0) / eff.zeta)
+    unbounded = _fails(np.isinf(bound),
+                       lambda: NoBound("solitary-wave speeds are unbounded; no strain ceiling exists"))
+    with np.errstate(divide="ignore", invalid="ignore"):  # only in entries that become NaN
+        return _nan_where(failed | unbounded, _sqrt(6.0 * (bound * bound - 1.0) / eff.zeta))
 
 
 def max_particle_velocity(eff: EffectiveModel) -> float:
@@ -207,38 +202,34 @@ def shock_distance(eff: EffectiveModel, velocity: float, kappa: float) -> float:
 
 def waveform_table(
     eff: EffectiveModel, speed: float, xi_max: float = 10.0, n: int = 801
-) -> tuple[list[str], list[tuple]]:
-    """Rows (xi, strain, displacement, variant) for all variants at one speed."""
+) -> tuple[list[str], list[np.ndarray]]:
+    """Columns (xi, strain, displacement, variant) for all variants at one speed."""
     xi = np.linspace(-xi_max, xi_max, n)
-    xs = xi.tolist()
-    rows: list[tuple] = []
+    blocks = []
     for variant in WaveModel:
         try:
             sol = solve_soliton(eff, variant, speed)
         except NoSoliton:
             continue
-        strain, disp = soliton_waveform(sol, xi)
-        rows.extend(
-            (x, s, u, variant.value)
-            for x, s, u in zip(xs, strain.tolist(), disp.tolist())
-        )
-    return ["xi", "strain", "displacement", "variant"], rows
+        blocks.append((xi, *soliton_waveform(sol, xi), np.full(n, variant.value)))
+    return ["xi", "strain", "displacement", "variant"], join(blocks, 4)
 
 
-def amplitude_table(eff: EffectiveModel, n: int = 200) -> tuple[list[str], list[tuple]]:
-    """Rows (speed_ratio, delta, L_over_ell, variant) along the speed axis, up to the
+def amplitude_table(eff: EffectiveModel, n: int = 200) -> tuple[list[str], list[np.ndarray]]:
+    """Columns (speed_ratio, delta, L_over_ell, variant) along the speed axis, up to the
     existence bound (1.5 where there is none)."""
     bound = existence_bound(eff)
     top = bound if math.isfinite(bound) else 1.5
-    rows: list[tuple] = []
+    blocks = []
     for variant in WaveModel:
         hi = bound - 1e-9 if variant is WaveModel.FULL and math.isfinite(bound) else top
-        for s in np.linspace(1.0 + 1e-9, hi, n).tolist():
-            try:
+        s = np.linspace(1.0 + 1e-9, hi, n)
+        try:
+            with np.errstate(**FLOAT_ERRORS):
                 sol = solve_soliton(eff, variant, s * eff.c)
-            except NoSoliton:
-                continue
-            rows.append(
-                (float(s), sol.strain_amplitude, sol.length / eff.ell, variant.value)
-            )
-    return ["speed_ratio", "delta", "L_over_ell", "variant"], rows
+        except NoSoliton:
+            continue
+        ok = ~np.isnan(sol.c1)  # the speeds that have a soliton
+        blocks.append((s[ok], sol.strain_amplitude[ok], sol.length[ok] / eff.ell,
+                       np.full(ok.sum(), variant.value)))
+    return ["speed_ratio", "delta", "L_over_ell", "variant"], join(blocks, 4)

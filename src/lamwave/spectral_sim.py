@@ -101,7 +101,8 @@ class MarchResult:
 
     ``records`` holds one field v(t) (m/s) per requested distance, in request
     order with repeats kept (a repeat is the same array), each at the distance's
-    nearest whole step of ``config.dy``; ``y_final`` is the farthest of those.
+    nearest whole step of ``config.dy``, the step ``stops`` names; ``y_final`` is
+    the farthest of those.
     ``steps`` is the number of march steps, and ``scheme`` the one that took
     them: ``"abm4"`` (three RK4 steps, then the multistep scheme) or ``"rk4"``.
     ``grad_y`` holds the distance of every step, starting at 0.  Only a march
@@ -113,6 +114,7 @@ class MarchResult:
 
     t: np.ndarray
     records: list[np.ndarray]
+    stops: list[int]
     y_final: float
     grad_y: np.ndarray
     grad_max: np.ndarray
@@ -326,6 +328,7 @@ def mkdv_march(
     return MarchResult(
         t=t,
         records=[fields[k] for k in stops],
+        stops=stops,
         y_final=n_steps * h,
         grad_y=grad_y,
         grad_max=np.asarray(grad_max),

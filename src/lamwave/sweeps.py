@@ -8,27 +8,23 @@ evaluation (:func:`lamwave.homogenize.cell_columns`) and one search for the
 first exact band gaps of all rows, from Rytov's closed-form bracket
 (:func:`lamwave.dispersion.band_gap_edges` at n = 1), with no frequency scan
 and no ceiling: a first gap reaching above 3 pi is reported with its true edges.
-The columns become row dicts at the end, where the homogenised gaps and the
-soliton bounds are read row by row.
+The homogenised gaps and the soliton bounds are read from the same column state,
+one call each, and the columns stay columns up to the CSV writer.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import dispersion, materials, soliton
 from ._roots import golden_max
 from .errors import DomainError, LamwaveError
-from .homogenize import CellState, EffectiveModel, cell_columns, cell_state, effective_model
+from .homogenize import FLOAT_ERRORS, CellState, EffectiveModel, cell_columns, cell_state, effective_model
 from .materials import HyperelasticModel, Laminate, MagneticLoad, shear_coefficients
-
-#: Column arithmetic as on one row's floats: an overflow gives inf and an invalid
-#: operation NaN, silently, and a division by zero raises (an ArithmeticError).
-_FLOAT_ERRORS = {"over": "ignore", "invalid": "ignore", "divide": "raise"}
 
 
 @dataclass(frozen=True)
@@ -63,40 +59,31 @@ class SweepSpec:
 
 @dataclass
 class SweepResult:
+    """A sweep's table as columns, one entry per grid value, in CSV column order."""
+
     variable: str
     values: np.ndarray
-    rows: list[dict]
+    columns: dict[str, np.ndarray]
     fixed: dict
     summary: dict
 
     def column(self, key: str) -> np.ndarray:
-        return np.asarray([row.get(key, math.nan) for row in self.rows], dtype=float)
+        return np.asarray(self.columns[key], dtype=float)
 
 
-def _rows(st: CellState, scale, speed_scale) -> list[dict]:
+def _columns(st: CellState, scale, speed_scale) -> dict[str, np.ndarray]:
     """eta, zeta, gap edges and soliton bounds of every cell of a column state, with gap
-    edges rescaled by ``scale`` and speed bounds by ``speed_scale`` (floats or columns)."""
+    edges rescaled by ``scale`` and speed bounds by ``speed_scale`` (floats or columns).
+    The soliton bounds are NaN where eta <= 0 or, with a finite speed bound, zeta <= 0;
+    an unbounded speed is inf and its strain NaN."""
+    eff = st.eff
     lo, hi = dispersion.band_gap_edges(st, 1)
-    n = len(lo)
-    effs = zip(*(np.broadcast_to(getattr(st.eff, f.name), n).tolist() for f in fields(EffectiveModel)))
-    scales = zip((lo * scale).tolist(), (hi * scale).tolist(), np.broadcast_to(scale, n).tolist(),
-                 np.broadcast_to(speed_scale, n).tolist())
-    rows = []
-    for eff, (a, b, s, v) in zip((EffectiveModel(*e) for e in effs), scales):
-        row = {"eta": eff.eta, "zeta": eff.zeta, "gap_exact_lo": a, "gap_exact_hi": b}
-        try:
-            hg = dispersion.homogenized_band_gap(eff)
-            row["gap_homog_lo"], row["gap_homog_hi"] = hg.lo * s, hg.hi * s
-        except LamwaveError:
-            row["gap_homog_lo"] = row["gap_homog_hi"] = math.nan
-        try:
-            bound = soliton.existence_bound(eff)
-            row["max_speed_ratio"] = bound * v if math.isfinite(bound) else math.inf
-            row["max_strain"] = soliton.max_strain_amplitude(eff) if math.isfinite(bound) else math.nan
-        except LamwaveError:
-            row["max_speed_ratio"] = row["max_strain"] = math.nan
-        rows.append(row)
-    return rows
+    homog = dispersion.homogenized_band_gap(eff)
+    bound = soliton.existence_bound(eff)
+    speed = np.where(np.isinf(bound), math.inf, np.where(eff.zeta <= 0.0, math.nan, bound * speed_scale))
+    return {"eta": eff.eta, "zeta": eff.zeta, "gap_exact_lo": lo * scale, "gap_exact_hi": hi * scale,
+            "gap_homog_lo": homog.lo * scale, "gap_homog_hi": homog.hi * scale,
+            "max_speed_ratio": speed, "max_strain": soliton.max_strain_amplitude(eff)}
 
 
 def sweep_magnetic(lam: Laminate, spec: SweepSpec) -> SweepResult:
@@ -126,21 +113,15 @@ def sweep_magnetic(lam: Laminate, spec: SweepSpec) -> SweepResult:
         notes[i] = f"stretch {stretch[i]:.6g} underflows: its fourth power is below the float range"
     locked = np.isin(np.arange(len(values)), list(notes))
     free = stretch[~locked]
-    with np.errstate(**_FLOAT_ERRORS):
+    with np.errstate(**FLOAT_ERRORS):
         st = cell_state(lam, free)
         # omega*L/c0 = (omega*ell/c) * c / (stretch * c0)
-        unlocked = iter(_rows(st, st.eff.c / (free * c0), st.eff.c / c0))
-    no_root = dict.fromkeys(("stretch", "eta", "zeta", "gap_exact_lo", "gap_exact_hi",
-                             "gap_homog_lo", "gap_homog_hi", "max_speed_ratio", "max_strain"),
-                            math.nan)
-    rows = []
-    for i, (p, x) in enumerate(zip(values.tolist(), stretch.tolist())):
-        row: dict = {"load_product": p, "locked": int(i in notes), "n_stretch_roots": 1}
-        if i in notes:
-            row.update(no_root, note=notes[i])
-        else:
-            row.update(stretch=x, **next(unlocked))
-        rows.append(row)
+        unlocked = {"stretch": free, **_columns(st, st.eff.c / (free * c0), st.eff.c / c0)}
+    columns = {"load_product": values, "locked": locked.astype(int),
+               "n_stretch_roots": np.ones(len(values), dtype=int)}
+    for key, column in unlocked.items():
+        columns[key] = np.full(len(values), math.nan)
+        columns[key][~locked] = column
     summary = {
         "n_locked": len(notes),
         "stretch_min": float(free.min()) if free.size else math.nan,
@@ -148,16 +129,15 @@ def sweep_magnetic(lam: Laminate, spec: SweepSpec) -> SweepResult:
         "multi_root_rows": 0,
         "locked_notes": [{"load_product": values[i].item(), "note": notes[i]} for i in sorted(notes)],
     }
-    return SweepResult(spec.variable, values, rows, {"period_m": lam.period}, summary)
+    return SweepResult(spec.variable, values, columns, {"period_m": lam.period}, summary)
 
 
-def _unit_stretch_rows(lam: Laminate, variable: str, values: np.ndarray, sc, nu) -> list[dict]:
-    """Rows at unit stretch from the phases' shear coefficients ``sc`` and volume
+def _unit_stretch_columns(lam: Laminate, variable: str, values: np.ndarray, sc, nu) -> dict[str, np.ndarray]:
+    """Columns at unit stretch from the phases' shear coefficients ``sc`` and volume
     fractions ``nu``, each a pair of floats or columns with one entry per row."""
-    with np.errstate(**_FLOAT_ERRORS):
+    with np.errstate(**FLOAT_ERRORS):
         st = cell_columns(sc, (lam.phase1.density, lam.phase2.density), nu, 1.0, lam.period)
-        rows = _rows(st, 1.0, 1.0)
-    return [{variable: x, **row} for x, row in zip(values.tolist(), rows)]
+        return {variable: values, **_columns(st, 1.0, 1.0)}
 
 
 def sweep_volume_fraction(lam: Laminate, spec: SweepSpec) -> SweepResult:
@@ -165,7 +145,7 @@ def sweep_volume_fraction(lam: Laminate, spec: SweepSpec) -> SweepResult:
     values = spec.grid()
     p1, p2 = lam.phases
     sc = (shear_coefficients(p1.model, 1.0), shear_coefficients(p2.model, 1.0))
-    rows = _unit_stretch_rows(lam, spec.variable, values, sc, (1.0 - values, values))
+    columns = _unit_stretch_columns(lam, spec.variable, values, sc, (1.0 - values, values))
 
     def eff_of(x: float) -> EffectiveModel:
         return cell_columns(sc, (p1.density, p2.density), (1.0 - x, x), 1.0, lam.period).eff
@@ -176,8 +156,6 @@ def sweep_volume_fraction(lam: Laminate, spec: SweepSpec) -> SweepResult:
         except LamwaveError:
             return -math.inf
 
-    eta_col = np.asarray([r["eta"] for r in rows])
-    strain_col = np.asarray([r["max_strain"] for r in rows])
     pad = max((values[-1] - values[0]) / (len(values) - 1), 1e-4)
 
     def bracket(col: np.ndarray) -> tuple[float, float]:
@@ -186,11 +164,11 @@ def sweep_volume_fraction(lam: Laminate, spec: SweepSpec) -> SweepResult:
 
     st = cell_state(lam, 1.0)
     summary = {
-        "argmax_eta": golden_max(lambda x: eff_of(x).eta, *bracket(eta_col), xatol=1e-10),
-        "argmax_max_strain": golden_max(strain_of, *bracket(strain_col), xatol=1e-10),
+        "argmax_eta": golden_max(lambda x: eff_of(x).eta, *bracket(columns["eta"]), xatol=1e-10),
+        "argmax_max_strain": golden_max(strain_of, *bracket(columns["max_strain"]), xatol=1e-10),
         "speed_ratio_prediction": st.c2 / (st.c1 + st.c2),
     }
-    return SweepResult(spec.variable, values, rows, {"stretch": 1.0, "period_m": lam.period}, summary)
+    return SweepResult(spec.variable, values, columns, {"stretch": 1.0, "period_m": lam.period}, summary)
 
 
 def sweep_contrast(lam: Laminate, spec: SweepSpec) -> SweepResult:
@@ -201,16 +179,16 @@ def sweep_contrast(lam: Laminate, spec: SweepSpec) -> SweepResult:
     """
     values = spec.grid()
     p1, p2 = lam.phases
-    with np.errstate(**_FLOAT_ERRORS):  # one model holding the column of phase-2 moduli
+    with np.errstate(**FLOAT_ERRORS):  # one model holding the column of phase-2 moduli
         model2 = HyperelasticModel(p2.model.kind, values * p1.model.shear_modulus, p2.model.beta)
         sc = (shear_coefficients(p1.model, 1.0), shear_coefficients(model2, 1.0))
-    rows = _unit_stretch_rows(lam, spec.variable, values, sc, (p1.volume_fraction, p2.volume_fraction))
-    widths = [r["gap_exact_hi"] - r["gap_exact_lo"] for r in rows]
+    columns = _unit_stretch_columns(lam, spec.variable, values, sc, (p1.volume_fraction, p2.volume_fraction))
+    widths = columns["gap_exact_hi"] - columns["gap_exact_lo"]
     summary = {
-        "max_gap_width": float(np.nanmax(widths)) if widths else math.nan,
-        "contrast_at_max_gap": float(values[int(np.nanargmax(widths))]) if widths else math.nan,
+        "max_gap_width": float(np.nanmax(widths)),
+        "contrast_at_max_gap": float(values[int(np.nanargmax(widths))]),
     }
-    return SweepResult(spec.variable, values, rows, {"stretch": 1.0, "period_m": lam.period}, summary)
+    return SweepResult(spec.variable, values, columns, {"stretch": 1.0, "period_m": lam.period}, summary)
 
 
 #: The sweep of each variable, as ``(laminate, spec) -> SweepResult``.  Each entry
@@ -223,8 +201,6 @@ SWEEPS = {
 }
 
 
-def sweep_table(result: SweepResult) -> tuple[list[str], list[tuple]]:
-    """Column names and rows for CSV emission (union of row keys, stable order)."""
-    keys = list(dict.fromkeys(k for row in result.rows for k in row if k != "note"))
-    missing = [math.nan] * len(keys)
-    return keys, [tuple(map(row.get, keys, missing)) for row in result.rows]
+def sweep_table(result: SweepResult) -> tuple[list[str], list[np.ndarray]]:
+    """Column names and columns for CSV emission."""
+    return list(result.columns), list(result.columns.values())

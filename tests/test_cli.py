@@ -634,6 +634,29 @@ class TestSimulation:
         assert summary["cell_steps"] == res.cell_steps
         assert res.steps * fv_sim._BLOCK <= res.cell_steps < res.steps * len(res.state.gamma)
 
+    def test_unresolved_probes_reported(self, tmp_path):
+        """At V_over_c 1e100, y* is 8.5e-201 m: both probes round to march step 0 and record
+        the boundary signal.  The run still exits 0, and the summary names them."""
+        payload = {"command": "simulate-mkdv", "laminate": BENCH_LAMINATE,
+                   "params": {"V_over_c": 1e100}}
+        out = run_ok(tmp_path, payload)
+        (summary_path,) = out.glob("simulate_mkdv_*.json")
+        summary = json.loads(summary_path.read_text())
+        assert summary["steps"] == 0
+        assert summary["unresolved_probes"] == [1.0, 2.0]
+
+    def test_unresolved_fv_probe_reported(self, tmp_path):
+        """A probe inside the first FV cell is named; one farther out, and every probe of
+        a run that resolves them all, is not."""
+        payload = self.small_sim_payload("simulate-fv")
+        payload["params"]["probes_y_star_multiples"] = [1e-6, 0.1]
+        out = run_ok(tmp_path, payload)
+        (summary_path,) = out.glob("simulate_fv_*.json")
+        assert json.loads(summary_path.read_text())["unresolved_probes"] == [1e-6]
+        out = run_ok(tmp_path, self.small_sim_payload("simulate-fv"), subdir="resolved")
+        (summary_path,) = out.glob("simulate_fv_*.json")
+        assert "unresolved_probes" not in json.loads(summary_path.read_text())
+
     def test_simulate_mkdv_probe_csv(self, tmp_path):
         lines = self.probe_csv(tmp_path, "simulate-mkdv")
         assert lines[0] == "t_s,t_norm,v_over_c,probe_y_m,theory"
@@ -660,7 +683,64 @@ class TestSimulation:
         assert [r[:3] for r in blocks[1]] == [r[:3] for r in blocks[2]]
 
 
+#: The eight runs of the tunability benchmark on the paper stack (the three sweeps over
+#: the paper's ranges and the five fast commands at their defaults, at zero load), as
+#: (command, params), with the sha256 of every file each writes.
+TUNABILITY_GOLDEN = {
+    "sweep-magnetic_load_product": (
+        "sweep", {"variable": "magnetic_load_product", "lo": -3.0, "hi": 3.0}, {
+            "manifest.json": "6f51eb5b855873b9f51baefa50c3652419254a199f51472e53dfc52bf91d6238",
+            "sweep_2dc9ce0c3260.csv": "51f27ed10149d9909c626aa3f6c4a148640ba568c53a89be6528c41c15ab7d32",
+            "sweep_2dc9ce0c3260.json": "5b71e8bae1042632c9a5bfae55465b081b0c5f14186abb959937327639339c7d",
+        }),
+    "sweep-volume_fraction_2": (
+        "sweep", {"variable": "volume_fraction_2", "lo": 0.05, "hi": 0.95}, {
+            "manifest.json": "e9c7367a2732ed1190b3dfbb45c404452021bb7b7cd47ec6d1b6ef946de6078d",
+            "sweep_29a447555128.csv": "c916a5d6ced30b70a5775cc924fc79f13d00b4ee6b3e74afe5a28e540bf22c0e",
+            "sweep_29a447555128.json": "649c3c7cb8de248ae638351668444cec79f679043c31d3a4bbd8a370348b1367",
+        }),
+    "sweep-modulus_contrast": (
+        "sweep", {"variable": "modulus_contrast", "lo": 0.1, "hi": 10.0}, {
+            "manifest.json": "ed9f9da2ce68a7687e2c0d689a647b03fc507cb4f21c27f73c5555658087a705",
+            "sweep_46ce193680db.csv": "93ce88327dfa57492f3ec7b32b82217df047213babd6b1f41310ba27fcecf0d9",
+            "sweep_46ce193680db.json": "ee7b6287af4f21a6cd2a8d1e7537347c671f032114252bed230dc8b8f5c67cd5",
+        }),
+    "effective": ("effective", {}, {
+        "effective_6e62957c9697.json": "94f2bfe689e96ee6baf6d0ace75a9766d6e8a5f32623ce476a7229a2c8c17ae4",
+        "manifest.json": "43138a41ed1fc80add49bd4ff3a8da1ba714bb46f83eb733bee3c2fd5a727616",
+    }),
+    "magnetostatic": ("magnetostatic", {}, {
+        "magnetostatic_7794e872b28a.json": "194fb8cba9910129c6b60ecd5b2316af5533e95d604fe798b0cc1d7ee6b6c422",
+        "manifest.json": "3f7f95482e0c0eacbda86ae5e210ef639f74be5d677d78c7342e097df445ec05",
+    }),
+    "soliton": ("soliton", {}, {
+        "manifest.json": "5033810d63346bc6a729bf307448819f90f0359b3d4078a6c0f4dc12fe80c4d9",
+        "soliton_8e5caf3d7687.json": "357aa13d1cf0f8abbc09582d2288e9505a184defefe74bce743ca85d5b6f9620",
+        "soliton_amplitude_8e5caf3d7687.csv": "3b913a4371a14d85cce0673272fa4f31f3def67ae34ee29f634d19536538ab8d",
+        "soliton_waveform_8e5caf3d7687.csv": "7192066cc4eea0f2299b6a35a3e27ffc469b4dc889304be69be6e518c5947901",
+    }),
+    "bandgap": ("bandgap", {}, {
+        "bandgap_5a746a515003.json": "4a64c2eaba844aa496effa69dc070366df19f23d247c7088a56dbe147ffd38fa",
+        "manifest.json": "dc9934cf836a1938130d242681b017860a840f109d44bf91a5b7841efae022e1",
+    }),
+    "dispersion": ("dispersion", {}, {
+        "dispersion_90e3dfc5b7ff.csv": "4d4127ebab5178e1b2ea2ce3dd4c552f8e041c017b3a6bd77dfa81c32a9b5a70",
+        "dispersion_90e3dfc5b7ff.json": "4a64c2eaba844aa496effa69dc070366df19f23d247c7088a56dbe147ffd38fa",
+        "dispersion_folded_90e3dfc5b7ff.csv": "3164a114b3366245f47f53610e4ec9996689c0f8156dc78dc268cc8ac8e52b3a",
+        "manifest.json": "465e28a1bada156bcc2d07b138c6b08d9983d3d21c397a677d7ea37617a82ffc",
+    }),
+}
+
+
 class TestDeterminism:
+    @pytest.mark.parametrize("name", TUNABILITY_GOLDEN)
+    def test_tunability_golden_bytes(self, tmp_path, name):
+        """Every file of each tunability run is pinned: no refactor may drift a bit."""
+        command, params, want = TUNABILITY_GOLDEN[name]
+        out = run_ok(tmp_path, {"command": command, "laminate": BENCH_LAMINATE,
+                                "load": {"b_t": 0.0}, "params": params})
+        assert {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()} == want
+
     def test_identical_configs_identical_bytes(self, tmp_path):
         payload = {"command": "dispersion", "laminate": BENCH_LAMINATE, "params": {"n": 300}}
         out1 = run_ok(tmp_path, payload, "out1")

@@ -519,15 +519,29 @@ class TestSampling:
         shrink=st.floats(0.8, 1.0),
         log_r=st.floats(math.log(1e-3), math.log(1e3)),
     )
+    @example(t1=1.0 / 3.0, shrink=1.0, log_r=2.0)  # gap 6 closes at the last node, 6 pi
     def test_branches_are_bloch_bands(self, t1, shrink, log_r):
         assert_bloch_bands(Cell(t1=t1, t2=(1.0 - t1) * shrink, z1=math.exp(log_r), z2=1.0),
                            6.0 * math.pi, 2000)
 
+    def test_gap_closed_to_one_float_reads_closed(self):
+        """Gap 6 of t1 = 1/3, t2 = 2/3 is closed (both layer phases are whole multiples
+        of pi at 6 pi); rounding leaves one float where both factors read inside it.
+        That gap is closed, as the exact branches, which keep the node at 6 pi, say."""
+        cell = Cell(t1=1.0 / 3.0, t2=1.0 - 1.0 / 3.0, z1=math.exp(2.0), z2=1.0)
+        lo, hi = dsp.band_gap_edges(cell, np.arange(5, 8))
+        assert np.isnan(lo[1]) and np.isnan(hi[1])
+        assert lo[0] < hi[0] < 6.0 * math.pi < lo[2] < hi[2]
+        branches = dsp.sample_exact_branches(cell, 6.0 * math.pi, 2000)
+        assert branches[-1].omega_norm[-1] == 6.0 * math.pi
+
     def test_tables(self, bilam):
-        header, rows = dsp.dispersion_table(cell_state(bilam, 1.0), 2.0 * math.pi, 400)
+        header, unfolded, folded = dsp.dispersion_table(cell_state(bilam, 1.0), 2.0 * math.pi, 400)
         assert header == ["kappa_ell", "omega_norm", "branch", "theory"]
-        theories = {r[3] for r in rows}
-        assert theories == {"exact", "homogenized", "mkdv"}
+        assert set(unfolded[3].tolist()) == {"exact", "homogenized", "mkdv"}
+        # one sample, two views: only kappa*ell differs, folded into [0, pi]
+        assert all(a is b for a, b in zip(unfolded[1:], folded[1:]))
+        assert folded[0].max() <= math.pi < unfolded[0].max()
 
     @pytest.mark.parametrize("folded", [False, True])
     @pytest.mark.parametrize("homogeneous", [False, True])
@@ -539,7 +553,8 @@ class TestSampling:
         p = lw.Phase(lw.HyperelasticModel("neo-hookean", 2e6), 1000.0, 0.5)
         lam = lw.Laminate(p, dataclasses.replace(p), 0.01) if homogeneous else bilam
         n = 2002
-        _, rows = dsp.dispersion_table(cell_state(lam, 1.0), 2.0 * math.pi, n, folded=folded)
+        _, *views = dsp.dispersion_table(cell_state(lam, 1.0), 2.0 * math.pi, n)
+        rows = list(zip(*(column.tolist() for column in views[folded])))
         want = []
         eff = effective_model(lam, 1.0)
         for k in np.linspace(0.0, 2.0 * math.pi, n // 2):

@@ -499,10 +499,10 @@ class TestImpact:
         kappa = 2.0 * math.pi / (16.0 * eff.ell)
         res = fv.impact_run(cell_state(bilam, 1.0), 0.1 * eff.c, kappa, [0.03], 1e-3, cells_per_layer=8)
         traces = [(y, res.t, v / eff.c) for y, v in zip([0.03], res.records)]
-        header, rows = output.probe_table(traces, kappa * eff.c / (2.0 * math.pi), "fv")
+        header, (t_s, _, _, probe_y, theory) = output.probe_table(traces, kappa * eff.c / (2.0 * math.pi), "fv")
         assert header == ["t_s", "t_norm", "v_over_c", "probe_y_m", "theory"]
-        assert len(rows) == len(res.t)
-        assert all(r[3] == 0.03 and r[4] == "fv" for r in rows)
+        assert len(t_s) == len(res.t)
+        assert (probe_y == 0.03).all() and set(theory.tolist()) == {"fv"}
 
 
 def crest_indices(v: np.ndarray, height: float, distance: int) -> np.ndarray:

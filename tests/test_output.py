@@ -14,17 +14,18 @@ def test_probe_table_schema():
         (0.2, t, np.array([0.0, -0.5, 1.25])),
         (np.float64(0.1), t, np.array([0.0, 0.25, 0.75])),
     ]
-    header, rows = output.probe_table(traces, scale, "mkdv")
+    header, columns = output.probe_table(traces, scale, "mkdv")
     assert header == ["t_s", "t_norm", "v_over_c", "probe_y_m", "theory"]
-    assert len(rows) == 6
+    assert [len(c) for c in columns] == [6] * 5
+    t_s, t_norm, v_over_c, probe_y, theory = (c.tolist() for c in columns)
     # one block per trace, in the order given
-    assert [r[3] for r in rows] == [0.2] * 3 + [0.1] * 3
-    assert all(type(r[3]) is float for r in rows)
-    assert [r[2] for r in rows] == [0.0, -0.5, 1.25, 0.0, 0.25, 0.75]
-    for i, r in enumerate(rows):
-        assert r[0] == t[i % 3]
-        assert r[1] == t[i % 3] * scale  # bit for bit
-    assert {r[4] for r in rows} == {"mkdv"}
+    assert probe_y == [0.2] * 3 + [0.1] * 3
+    assert all(type(y) is float for y in probe_y)
+    assert v_over_c == [0.0, -0.5, 1.25, 0.0, 0.25, 0.75]
+    for i in range(6):
+        assert t_s[i] == t[i % 3]
+        assert t_norm[i] == t[i % 3] * scale  # bit for bit
+    assert set(theory) == {"mkdv"}
 
 
 def reference_field(value) -> str:
@@ -37,7 +38,8 @@ def reference_field(value) -> str:
 
 
 def test_csv_rows_match_per_value_formatting(tmp_path):
-    """bool, int, NaN, inf, -0.0, text, numpy floats and a column mixing ints with floats."""
+    """bool, int, NaN, inf, -0.0, text, numpy floats and a column mixing ints with floats,
+    given as columns: lists and arrays."""
     rows = [
         (0.1, 1, True, "exact", 3, np.float64(2.0) / 3.0),
         (math.nan, 2**53 + 1, False, "mkdv", math.nan, 1e-320),
@@ -46,7 +48,9 @@ def test_csv_rows_match_per_value_formatting(tmp_path):
     ]
     header = ["a", "b", "c", "d", "e", "f"]
     path = tmp_path / "t.csv"
-    output.write_csv(path, ["note", "k = 1"], header, rows)
+    columns = [list(c) for c in zip(*rows)]
+    columns[1], columns[5] = np.array(columns[1]), np.array(columns[5])
+    output.write_csv(path, ["note", "k = 1"], header, columns)
     want = "# note\n# k = 1\na,b,c,d,e,f\n" + "".join(
         ",".join(reference_field(v) for v in row) + "\n" for row in rows
     )

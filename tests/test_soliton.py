@@ -10,10 +10,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import lamwave
 from lamwave import soliton as sol
 from lamwave.errors import NoBound, NoSoliton, NotReached
+from lamwave.homogenize import FLOAT_ERRORS
 from lamwave.soliton import WaveModel
 
 
@@ -303,13 +306,33 @@ class TestShockDistance:
 
 class TestTables:
     def test_waveform_table(self, eff):
-        header, rows = sol.waveform_table(eff, 1.026 * eff.c, xi_max=5.0, n=51)
+        header, columns = sol.waveform_table(eff, 1.026 * eff.c, xi_max=5.0, n=51)
         assert header == ["xi", "strain", "displacement", "variant"]
-        variants = {r[3] for r in rows}
-        assert variants == {"full", "slow_space", "slow_time"}
+        assert set(columns[3].tolist()) == {"full", "slow_space", "slow_time"}
+        assert all(len(c) == 3 * 51 for c in columns)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.one_of(st.sampled_from([0.0, 1.0]), st.floats(1e-3, 1.2)), max_size=20),
+           st.floats(0.5, 1.2), st.sampled_from(list(WaveModel)))
+    def test_column_of_speeds_matches_each_speed(self, eff, ratios, top, variant):
+        """A column of speeds (the amplitude table's) solves as each speed alone does, bit
+        for bit, and is NaN where one speed raises: at rest, sonic, subsonic or past the
+        existence bound.  Powers of the column must round as Python's float power does.
+        (Below 1e-103 c, s^3 underflows to 0, and both forms divide by zero.)"""
+        speeds = np.concatenate([ratios, np.linspace(1.0 + 1e-9, top, 50)]) * eff.c
+        with np.errstate(**FLOAT_ERRORS):
+            column = sol.solve_soliton(eff, variant, speeds)
+        fields = ("c1", "c3", "strain_amplitude", "length", "displacement_amplitude")
+        for i, speed in enumerate(speeds.tolist()):
+            try:
+                one = sol.solve_soliton(eff, variant, speed)
+            except NoSoliton:
+                assert all(math.isnan(getattr(column, f)[i]) for f in fields)
+                continue
+            for f in fields:
+                assert np.float64(getattr(column, f)[i]).tobytes() == np.float64(getattr(one, f)).tobytes(), f
 
     def test_amplitude_table_respects_bound(self, eff):
-        _, rows = sol.amplitude_table(eff, n=60)
+        _, (speeds, _, _, variants) = sol.amplitude_table(eff, n=60)
         bound = sol.existence_bound(eff)
-        full_speeds = [r[0] for r in rows if r[3] == "full"]
-        assert max(full_speeds) <= bound + 1e-9
+        assert max(speeds[variants == "full"]) <= bound + 1e-9

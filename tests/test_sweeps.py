@@ -1,6 +1,7 @@
 """Tunability sweeps: magnetic load, volume fraction, modulus contrast."""
 
 import contextlib
+import dataclasses
 import io
 import json
 import math
@@ -9,10 +10,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from lamwave import cli, dispersion, materials, soliton, sweeps
+from lamwave import cli, dispersion, homogenize, materials, soliton, sweeps
 from lamwave.errors import DomainError, LamwaveError
-from lamwave.homogenize import cell_state, effective_model
+from lamwave.homogenize import EffectiveModel, cell_state, effective_model
 
 from conftest import EDGE_TOL, Cell, columns, oracle_gaps, with_contrast, with_volume_fraction
 
@@ -64,8 +67,8 @@ class TestMagneticSweep:
     def test_zero_load_row_is_undeformed(self, result):
         i = int(np.argmin(np.abs(result.values)))
         assert result.values[i] == 0.0
-        assert result.rows[i]["stretch"] == pytest.approx(1.0, abs=1e-12)
-        assert result.rows[i]["gap_homog_lo"] == pytest.approx(0.84 * math.pi, abs=0.02)
+        assert result.column("stretch")[i] == pytest.approx(1.0, abs=1e-12)
+        assert result.column("gap_homog_lo")[i] == pytest.approx(0.84 * math.pi, abs=0.02)
 
     def test_eta_constant_for_equal_beta(self, result):
         eta = result.column("eta")
@@ -108,9 +111,8 @@ class TestMagneticSweep:
         spec = sweeps.SweepSpec("magnetic_load_product", -1e14, 1e14, 3)
         res = sweeps.sweep_magnetic(bilam, spec)
         assert res.summary["n_locked"] == 2
-        assert res.rows[0]["locked"] == 1 and res.rows[-1]["locked"] == 1
-        assert math.isnan(res.rows[0]["stretch"])
-        assert res.rows[1]["locked"] == 0  # the zero-load midpoint survives
+        assert res.column("locked").tolist() == [1, 0, 1]  # the zero-load midpoint survives
+        assert math.isnan(res.column("stretch")[0])
 
     @pytest.mark.parametrize("kind, beta", [("neo-hookean", None), ("yeoh", 0.0132)])
     def test_underflowing_stretch_flagged_not_fatal(self, tmp_path, kind, beta):
@@ -135,13 +137,14 @@ class TestMagneticSweep:
         unlocked = sweeps.sweep_magnetic(lam, sweeps.SweepSpec("magnetic_load_product", 0.0, 1.0, 3))
         assert header.split(",") == sweeps.sweep_table(unlocked)[0]
         result = sweeps.sweep_magnetic(lam, sweeps.SweepSpec(**payload["params"]))
-        assert "underflows" in result.rows[0]["note"]
-        free = [row for row in result.rows if not row["locked"]]
-        assert free and all(math.isfinite(row["zeta"]) for row in free)
+        assert result.summary["locked_notes"][0]["load_product"] == -1e300
+        assert "underflows" in result.summary["locked_notes"][0]["note"]
+        zeta = result.column("zeta")[result.column("locked") == 0]
+        assert zeta.size and np.isfinite(zeta).all()
         if kind == "neo-hookean":
-            assert all(row["zeta"] == 0.0 for row in free)
-        assert result.summary["n_locked"] == sum(row["locked"] for row in result.rows) < 5
-        for row, want in zip(result.rows, _per_row(lam, result)):
+            assert (zeta == 0.0).all()
+        assert result.summary["n_locked"] == result.column("locked").sum() < 5
+        for row, want in zip(rows_of(result), _per_row(lam, result)):
             for key, value in (want or {}).items():
                 assert row[key] == pytest.approx(value, rel=COLUMN_RTOL, abs=0.0, nan_ok=True), key
 
@@ -178,7 +181,7 @@ class TestContrastSweep:
 
     def test_unit_contrast_degenerates(self, result):
         i = int(np.argmin(np.abs(result.values - 1.0)))
-        row = result.rows[i]
+        row = rows_of(result)[i]
         assert row["eta"] < 1e-25
         assert row["max_speed_ratio"] == pytest.approx(1.0, abs=1e-9) or math.isnan(
             row["max_speed_ratio"]
@@ -186,7 +189,6 @@ class TestContrastSweep:
 
     def test_inversion_symmetry(self, result):
         """Dimensionless outputs coincide for contrast c and 1/c."""
-        n = len(result.rows)
         for key in ("eta", "zeta", "gap_exact_lo", "gap_exact_hi", "max_strain"):
             col = result.column(key)
             forward = col
@@ -198,8 +200,8 @@ class TestContrastSweep:
         spec = sweeps.SweepSpec("modulus_contrast", 0.02, 2.0, 3)  # middle node is 0.2
         result = sweeps.sweep_contrast(bilam, spec)
         assert result.values[1] == pytest.approx(0.2, rel=1e-12)
-        assert result.rows[1]["eta"] == pytest.approx(eff.eta, rel=1e-9)
-        assert result.rows[1]["zeta"] == pytest.approx(eff.zeta, rel=1e-9)
+        assert result.column("eta")[1] == pytest.approx(eff.eta, rel=1e-9)
+        assert result.column("zeta")[1] == pytest.approx(eff.zeta, rel=1e-9)
 
     def test_gap_widens_away_from_unity(self, result):
         width = result.column("gap_exact_hi") - result.column("gap_exact_lo")
@@ -212,10 +214,15 @@ class TestTableEmission:
     def test_sweep_table_round_trip(self, bilam):
         spec = sweeps.SweepSpec("volume_fraction_2", 0.2, 0.8, 5)
         result = sweeps.sweep_volume_fraction(bilam, spec)
-        header, rows = sweeps.sweep_table(result)
+        header, columns = sweeps.sweep_table(result)
         assert "volume_fraction_2" in header and "eta" in header
-        assert len(rows) == 5
-        assert all(len(r) == len(header) for r in rows)
+        assert len(columns) == len(header)
+        assert all(len(c) == 5 for c in columns)
+
+
+def rows_of(result) -> list[dict]:
+    """The sweep's rows, one dict of column values each."""
+    return [dict(zip(result.columns, row)) for row in zip(*(c.tolist() for c in result.columns.values()))]
 
 
 #: scan of the oracle below: its ceiling and frequency count (omega*ell/c)
@@ -234,7 +241,7 @@ def _row_states(lam, result) -> list:
     if result.variable == "magnetic_load_product":
         c0 = effective_model(lam, 1.0).c
         out = []
-        for row in result.rows:
+        for row in rows_of(result):
             if row["locked"]:
                 out.append(None)
                 continue
@@ -272,7 +279,7 @@ class TestBatchedFirstGaps:
         also where it runs past a ceiling that a fixed scan would have cut it at."""
         result = SWEEP_FUNCTIONS[variable](bilam, sweeps.SweepSpec(variable, lo, hi, n))
         seen = set()
-        for row, state in zip(result.rows, _row_states(bilam, result)):
+        for row, state in zip(rows_of(result), _row_states(bilam, result)):
             got = (row["gap_exact_lo"], row["gap_exact_hi"])
             if state is None:
                 assert all(math.isnan(x) for x in got)
@@ -365,7 +372,7 @@ def _per_row(lam, result) -> list[dict]:
     states = _row_states(lam, result)
     gaps = iter(zip(*dispersion.band_gap_edges(columns([s[0] for s in states if s]), 1)))
     out = []
-    for row, state in zip(result.rows, states):
+    for row, state in zip(rows_of(result), states):
         if state is None:
             out.append(None)
             continue
@@ -395,7 +402,7 @@ class TestColumns:
     @pytest.mark.parametrize("variable, lo, hi", BENCH_SWEEPS)
     def test_columns_match_per_row_cell_states(self, bilam, variable, lo, hi):
         result = SWEEP_FUNCTIONS[variable](bilam, sweeps.SweepSpec(variable, lo, hi))
-        for row, want in zip(result.rows, _per_row(bilam, result)):
+        for row, want in zip(rows_of(result), _per_row(bilam, result)):
             if want is None:
                 assert row["locked"]
                 continue
@@ -434,7 +441,7 @@ class TestColumns:
         for n in (11, 201):
             calls.clear()
             result = SWEEP_FUNCTIONS[variable](bilam, sweeps.SweepSpec(variable, lo, hi, n))
-            assert len(result.rows) == n
+            assert len(result.values) == n
             counts[n] = dict(calls)
         expected = {"column states": 1}
         if variable == "magnetic_load_product":
@@ -442,3 +449,45 @@ class TestColumns:
         if variable == "modulus_contrast":  # the one model holding the column of moduli
             expected["HyperelasticModel"] = 1
         assert counts[11] == counts[201] == expected
+
+
+
+def _coefficient(scale: float):
+    """A coefficient of either sign over many decades, exactly 0, or any finite float."""
+    magnitude = st.floats(-12.0, 2.0).map(lambda e: scale * 10.0**e)
+    return st.one_of(st.just(0.0), magnitude, magnitude.map(lambda x: -x),
+                     st.floats(allow_nan=False, allow_infinity=False))
+
+
+def _or_none(form, eff):
+    """``form(eff)`` of one cell's floats, None where it raises."""
+    try:
+        return form(eff)
+    except (LamwaveError, ValueError):
+        return None
+
+
+class TestColumnForms:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(*map(_coefficient, (1e-2, 1e-2, 1e-2, 1.0))), min_size=1, max_size=12))
+    def test_columns_equal_float_forms(self, models):
+        """On random effective models, the column forms of the homogenised gap, the existence
+        bound and the max strain equal the float forms bit for bit, and are NaN exactly where
+        the float form raises: eta <= 0; eta_t <= 0 or pi sqrt(2 eta) > 1 for the gap; an
+        unbounded speed (eta_t = 0 with b <= 0, a negative discriminant, no positive root)
+        or zeta <= 0 for the strain.  No column division by zero escapes."""
+        eta, eta_m, eta_t, zeta = (np.array(v) for v in zip(*models))
+        columns = EffectiveModel(1.0, 1.0, 1.0, zeta, eta, homogenize.ETA_Y_OPT, eta_m, eta_t, 0.01, 1.0)
+        with np.errstate(**homogenize.FLOAT_ERRORS):
+            gap = dispersion.homogenized_band_gap(columns)
+            got = [gap.lo, gap.hi, soliton.existence_bound(columns), soliton.max_strain_amplitude(columns)]
+        for i, cell in enumerate(models):
+            eff = dataclasses.replace(columns, eta=cell[0], eta_m=cell[1], eta_t=cell[2], zeta=cell[3])
+            one = _or_none(dispersion.homogenized_band_gap, eff)
+            want = [one and one.lo, one and one.hi, _or_none(soliton.existence_bound, eff),
+                    _or_none(soliton.max_strain_amplitude, eff)]
+            for column, value in zip(got, want):
+                if value is None:
+                    assert math.isnan(column[i])
+                else:
+                    assert type(value) is float and np.float64(column[i]).tobytes() == np.float64(value).tobytes()

@@ -50,18 +50,12 @@ class Param:
     choices: tuple = ()
 
 
-# simulate-fv accepts and ignores the four spectral keys
-_SIMULATE = {
-    "cells_per_layer": Param("int", 32, ge=4, even=True),
+# the impact keys of both simulate commands; each adds the keys of its discretisation
+_IMPACT = {
     "V_over_c": Param("float", 2.0, gt=0.0),
     "wavelengths_per_period": Param("float", 16.0, gt=0.0),
     "probes_y_star_multiples": Param("floats", [1.0, 2.0], gt=0.0),
     "t_final_factor": Param("float", 1.25, gt=0.0),
-    "limiter": Param("choice", "minmod", choices=tuple(fv_sim.LIMITERS)),
-    "window_factor": Param("float", 4.0, ge=4.0),
-    "n_points": Param("int", 1024, ge=64),  # per forcing period; 64 x 4 = 256, the grid floor
-    "dy_m": Param("float", spectral_sim.DEFAULT_DY, gt=0.0),
-    "viscosity": Param("float", spectral_sim.DEFAULT_VISCOSITY, ge=0.0),
 }
 
 #: The params table of every command; the resolved ``params`` of a config carry
@@ -76,8 +70,18 @@ PARAMS = {
         "n": Param("int", 801, ge=2),
     },
     "magnetostatic": {},
-    "simulate-fv": _SIMULATE,
-    "simulate-mkdv": _SIMULATE,
+    "simulate-fv": {
+        "cells_per_layer": Param("int", 32, ge=4, even=True),
+        **_IMPACT,
+        "limiter": Param("choice", "minmod", choices=tuple(fv_sim.LIMITERS)),
+    },
+    "simulate-mkdv": {
+        **_IMPACT,
+        "window_factor": Param("float", 4.0, ge=4.0),
+        "n_points": Param("int", 1024, ge=64),  # per forcing period; 64 x 4 = 256, the grid floor
+        "dy_m": Param("float", spectral_sim.DEFAULT_DY, gt=0.0),
+        "viscosity": Param("float", spectral_sim.DEFAULT_VISCOSITY, ge=0.0),
+    },
     "sweep": {
         "variable": Param("choice", choices=tuple(sweeps.SWEEPS)),
         "lo": Param("float"),
@@ -99,8 +103,8 @@ def _check_keys(mapping: dict, allowed: set[str], where: str) -> None:
     if not isinstance(mapping, dict):
         raise ConfigError(f"expected an object, got {type(mapping).__name__}", where)
     unknown = set(mapping) - allowed
-    if unknown:
-        raise ConfigError(f"unknown keys {sorted(unknown)}", where)
+    if unknown:  # the first by name, anchored at its own path
+        raise ConfigError(f"unknown key; expected one of {sorted(allowed)}", f"{where}.{min(unknown)}")
 
 
 def _number(value, where: str) -> float:
@@ -341,7 +345,7 @@ def _run_simulate(cfg):
             periods = math.inf
         # too large at the default cells_per_layer, the run is too long; else too fine
         scale = periods / st.nu2  # cells per unit of cells_per_layer
-        _check_size(scale * _SIMULATE["cells_per_layer"].default, "t_final_factor", "cells")
+        _check_size(scale * PARAMS[command]["cells_per_layer"].default, "t_final_factor", "cells")
         _check_size(scale * p["cells_per_layer"], "cells_per_layer", "cells")
         try:
             result = fv_sim.impact_run(
@@ -357,7 +361,7 @@ def _run_simulate(cfg):
             dy=p["dy_m"], viscosity=p["viscosity"],
         )
         # too many points at the default n_points, the window is too long; else too fine
-        wide = round(p["window_factor"]) * _SIMULATE["n_points"].default > MAX_RUN_SIZE
+        wide = round(p["window_factor"]) * PARAMS[command]["n_points"].default > MAX_RUN_SIZE
         _check_size(scfg.n_points, "window_factor" if wide else "n_points", "window points")
         # a march beyond the window's reach fails its own check in impact_march
         _check_size(min(max(probes), scfg.window * eff.c) / p["dy_m"], "dy_m", "march steps")

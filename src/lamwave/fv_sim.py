@@ -19,7 +19,6 @@ above it, and the numerical precursor below it is flushed to 0.
 from __future__ import annotations
 
 import math
-import time as _time
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -57,9 +56,6 @@ class Grid1D:
     rho: np.ndarray
     domain_length: float
     c_tail: np.ndarray  # [i]: max linear speed sqrt(g/rho) over cells i.., 0 at n_cells
-
-    def cell_centers(self) -> np.ndarray:
-        return (np.arange(self.n_cells) + 0.5) * self.dy
 
     def cell_at(self, y: float) -> int:
         i = int(round(y / self.dy - 0.5))
@@ -319,7 +315,8 @@ class SimResult:
     ``records`` holds one velocity array per requested probe, in request order
     with repeats kept, each sampled at the probe's nearest cell centre, the cell
     ``probe_cells`` names, at the times ``t`` (the start and the end of every
-    step).  ``cell_steps`` sums the cells each step updated.
+    step).  ``cell_steps`` sums the cells each step updated.  A run's wall time is
+    the caller's to measure.
     """
 
     t: np.ndarray
@@ -328,7 +325,6 @@ class SimResult:
     state: SimState
     steps: int
     cell_steps: int
-    elapsed_s: float
 
 
 def impact_signal(velocity: float, kappa: float, c_ref: float) -> Callable:
@@ -369,14 +365,12 @@ def simulate(
     state = SimState.quiescent(grid)
     cells = np.array([grid.cell_at(y) for y in probe_positions], dtype=np.intp)
     times, samples, cell_steps = [0.0], [state.velocity[cells]], 0
-    t0 = _time.perf_counter()
     while state.time < t_final - 1e-15:
         step(state, grid, limiter=limiter, forcing=left_velocity, dt_max=t_final - state.time,
              floor=floor)
         cell_steps += state._plan.key[0]
         times.append(state.time)
         samples.append(state.velocity[cells])
-    elapsed = _time.perf_counter() - t0
     return SimResult(
         t=np.asarray(times),
         records=list(np.array(samples).T),
@@ -384,7 +378,6 @@ def simulate(
         state=state,
         steps=len(times) - 1,
         cell_steps=cell_steps,
-        elapsed_s=elapsed,
     )
 
 

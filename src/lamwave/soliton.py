@@ -41,7 +41,6 @@ class SolitonSolution:
     length: float  # characteristic length, m
     displacement_amplitude: float  # m
     ell: float  # laminate period, m
-    sign: int = 1
 
 
 def _pow(x, p):
@@ -84,7 +83,7 @@ def oscillator_coeffs(eff: EffectiveModel, variant: WaveModel, speed):
     return _nan_where(failed, c1), _nan_where(failed, c3)
 
 
-def solve_soliton(eff: EffectiveModel, variant: WaveModel, speed, sign: int = 1) -> SolitonSolution:
+def solve_soliton(eff: EffectiveModel, variant: WaveModel, speed) -> SolitonSolution:
     """Construct the sech solitary wave of the given variant and speed; a column of
     speeds gives a solution of columns, NaN where one speed raises."""
     if eff.zeta <= 0.0:
@@ -97,21 +96,21 @@ def solve_soliton(eff: EffectiveModel, variant: WaveModel, speed, sign: int = 1)
     length = eff.ell / _sqrt(c1)
     amp = eff.ell * _sqrt(6.0 / (c3 * eff.zeta))
     return SolitonSolution(speed=speed, c1=c1, c3=c3, strain_amplitude=delta, length=length,
-                           displacement_amplitude=amp, ell=eff.ell, sign=1 if sign >= 0 else -1)
+                           displacement_amplitude=amp, ell=eff.ell)
 
 
 def soliton_waveform(sol: SolitonSolution, xi) -> tuple[np.ndarray, np.ndarray]:
     """Strain and displacement profiles on the phase grid xi = (y - s t)/ell.
 
     Strain is ``delta * sech``, displacement the Gudermannian ramp of height
-    ``pi * amplitude``; the sign picks the mirror-image branch.
+    ``pi * amplitude``.
     """
     x = np.asarray(xi, dtype=float) * sol.ell / sol.length
     # far tails overflow cosh and sinh to inf, whose limits 1/inf = 0 and
     # arctan(inf) = pi/2 are the right values
     with np.errstate(over="ignore"):
-        strain = sol.sign * sol.strain_amplitude / np.cosh(x)
-        displacement = sol.sign * sol.displacement_amplitude * np.arctan(np.sinh(x))
+        strain = sol.strain_amplitude / np.cosh(x)
+        displacement = sol.displacement_amplitude * np.arctan(np.sinh(x))
     return strain, displacement
 
 

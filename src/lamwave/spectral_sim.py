@@ -97,7 +97,7 @@ def config_for_impact(
 
 @dataclass
 class MarchResult:
-    """Fields recorded along the march, its counters and the gradient-growth trace.
+    """Fields recorded along the march and its counters.
 
     ``records`` holds one field v(t) (m/s) per requested distance, in request
     order with repeats kept (a repeat is the same array), each at the distance's
@@ -105,24 +105,23 @@ class MarchResult:
     the farthest of those.
     ``steps`` is the number of march steps, and ``scheme`` the one that took
     them: ``"abm4"`` (three RK4 steps, then the multistep scheme) or ``"rk4"``.
-    ``grad_y`` holds the distance of every step, starting at 0.  Only a march
-    run with ``gradient=True`` samples the trace: ``grad_max`` holds max|v_t|
-    per step; ``char_v`` and ``char_vt`` the signed field value and gradient at
-    the steepest point, from which a shock distance can be extrapolated.  Without
-    it the three are empty.
+    ``grad_y`` holds the distance of every step, starting at 0.
     """
 
     t: np.ndarray
     records: list[np.ndarray]
     stops: list[int]
-    y_final: float
-    grad_y: np.ndarray
-    grad_max: np.ndarray
-    char_v: np.ndarray
-    char_vt: np.ndarray
     config: SpectralConfig
     steps: int
     scheme: str
+
+    @property
+    def y_final(self) -> float:
+        return self.steps * self.config.dy
+
+    @property
+    def grad_y(self) -> np.ndarray:
+        return np.arange(self.steps + 1) * self.config.dy
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a field that overflows fails the blow-up check
@@ -132,7 +131,7 @@ def mkdv_march(
     cfg: SpectralConfig,
     y_stops: list[float],
     *,
-    gradient: bool = False,
+    observe: Callable[[int, np.ndarray], object] | None = None,
 ) -> MarchResult:
     """March the boundary signal v(0, t) to each requested distance.
 
@@ -141,8 +140,9 @@ def mkdv_march(
     of ``cfg.dy``, one record per entry of ``y_stops``.
     The scheme is chosen once, from ``cfg.viscosity`` and the signal's peak
     (:data:`MULTISTEP_DAMPING`).
-    ``gradient=True`` also samples the gradient trace after every step, at the
-    cost of a 2-row inverse transform a step.  Raises :class:`Instability` on spectral blow-up or NaN.
+    ``observe(k, vhat)``, if given, is called with the read-only spectrum (the
+    ``rfft`` of the field) at step 0 and after each step k.  Raises
+    :class:`Instability` on spectral blow-up or NaN.
     """
     t = cfg.times()
     v0 = np.asarray(signal(t) if callable(signal) else signal, dtype=float)
@@ -251,8 +251,6 @@ def mkdv_march(
 
     stops = [max(0, int(round(y / h))) for y in y_stops]
     n_steps = max(stops, default=0)
-    # sized before the march, so that a march too long to record fails at once
-    grad_y = np.arange(n_steps + 1) * h
     fields = dict.fromkeys(stops)  # step -> field there
 
     vhat = np.fft.rfft(v0)
@@ -262,12 +260,12 @@ def mkdv_march(
     # above the cutoff e_full alone advances the modes, once a step in the loop.
     # Where viscosity damps them they would decay through the subnormals, where
     # every multiply is slow, so every flush_every steps those below _FLOOR are
-    # zeroed.  They reach outputs only through a record's irfft and the gradient
-    # trace, where a term below _FLOOR is absorbed as long as the field stands well
-    # above it.  max|v| >= amp0 / n, so from amp0 >= _FLUSH_AMP = 2^110 _FLOOR the
-    # field clears _FLOOR by a mantissa and log2(n) bits more, up to 2^28 points, and
-    # no output moves; below _FLUSH_AMP nothing is zeroed (flush_every is past the
-    # last step).
+    # zeroed.  They reach outputs only through an inverse transform (a record's, or
+    # an observer's), where a term below _FLOOR is absorbed as long as the field
+    # stands well above it.  max|v| >= amp0 / n, so from amp0 >= _FLUSH_AMP = 2^110
+    # _FLOOR the field clears _FLOOR by a mantissa and log2(n) bits more, up to 2^28
+    # points, and no output moves; below _FLUSH_AMP nothing is zeroed (flush_every
+    # is past the last step).
     # flush_every is the most steps over which the strongest damping keeps a mode
     # at _FLOOR above 2^-1021, one bit clear of the subnormals, or 1 where one step
     # takes more; at most 16, which spreads a flush (about 17 us at 8,192 points) to
@@ -280,25 +278,10 @@ def mkdv_march(
         else n_steps + 1
     )
     amp = np.empty(2 * m)
-    grad_max: list[float] = []
-    char_v: list[float] = []
-    char_vt: list[float] = []
-    if gradient:
-        # rows [iw * vhat, vhat] go through one batched irfft: rows [v_t, v]
-        rec_in = np.empty((2, omega.size), dtype=complex)
-        rec = np.empty((2, n))
-        rec_abs = np.empty(n)
-
-        def record_gradient() -> None:
-            np.multiply(iw, vhat, out=rec_in[0])
-            rec_in[1] = vhat
-            np.fft.irfft(rec_in, n, out=rec)
-            i = int(np.argmax(np.abs(rec[0], out=rec_abs)))
-            grad_max.append(abs(float(rec[0, i])))
-            char_vt.append(float(rec[0, i]))
-            char_v.append(float(rec[1, i]))
-
-        record_gradient()
+    if observe is not None:
+        spectrum = vhat.view()
+        spectrum.flags.writeable = False
+        observe(0, spectrum)
     if 0 in fields:
         fields[0] = v0.copy()
     for k in range(1, n_steps + 1):
@@ -321,19 +304,14 @@ def mkdv_march(
                 f"spectral amplitude exceeded {BLOWUP_FACTOR:.0e} x initial or not finite at y = {k * h:.6g} m",
                 position=k * h,
             )
-        if gradient:
-            record_gradient()
+        if observe is not None:
+            observe(k, spectrum)
         if k in fields:
             fields[k] = np.fft.irfft(vhat, n)
     return MarchResult(
         t=t,
         records=[fields[k] for k in stops],
         stops=stops,
-        y_final=n_steps * h,
-        grad_y=grad_y,
-        grad_max=np.asarray(grad_max),
-        char_v=np.asarray(char_v),
-        char_vt=np.asarray(char_vt),
         config=cfg,
         steps=n_steps,
         scheme="abm4" if multistep else "rk4",
@@ -359,15 +337,12 @@ def impact_march(
     kappa: float,
     y_stops: list[float],
     cfg: SpectralConfig | None = None,
-    *,
-    gradient: bool = False,
 ) -> MarchResult:
     """Impact problem for the unidirectional model (same forcing as the FV run).
 
-    ``cfg`` defaults to :func:`config_for_impact` at its defaults; ``gradient``
-    is passed to :func:`mkdv_march`.  Raises :class:`Instability` unless the
-    window holds the forcing duration, its shift to the farthest stop and one
-    more duration of quiet zone.
+    ``cfg`` defaults to :func:`config_for_impact` at its defaults.  Raises
+    :class:`Instability` unless the window holds the forcing duration, its shift
+    to the farthest stop and one more duration of quiet zone.
     """
     if cfg is None:
         cfg = config_for_impact(kappa, eff.c)
@@ -379,7 +354,5 @@ def impact_march(
             "march distance would push the signal front past the periodic "
             f"window; need window > {2 * duration + shift:.6g} s"
         )
-    return mkdv_march(
-        eff, impact_signal(velocity, kappa, eff.c), cfg, y_stops, gradient=gradient
-    )
+    return mkdv_march(eff, impact_signal(velocity, kappa, eff.c), cfg, y_stops)
 

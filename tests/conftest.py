@@ -13,6 +13,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import sys
+import time
 from typing import NamedTuple
 
 import numpy as np
@@ -274,7 +275,45 @@ def soliton_transport_test(
     return TransportError(amplitude_drift=drift, shape_error=shape, distance=y_snap)
 
 
-def gradient_blowup_distance(result: spectral_sim.MarchResult, eff: EffectiveModel) -> float:
+class GradientTrace:
+    """Observer of ``spectral_sim.mkdv_march`` that samples the gradient trace.
+
+    At each step k it appends k to ``k`` and (max|v_t|, v_t, v) to ``samples``:
+    the steepest gradient, and the signed gradient and field value where it is,
+    read off the rows [v_t, v] of one batched 2-row ``irfft`` of
+    [i omega v-hat, v-hat].  ``y`` is the distance of each sampled step.
+    """
+
+    def __init__(self, cfg: spectral_sim.SpectralConfig):
+        self.n, self.dy = cfg.n_points, cfg.dy
+        omega = 2.0 * math.pi * np.fft.rfftfreq(self.n, d=cfg.dt)
+        self.iw = 1j * omega
+        self.iw[-1] = 0.0  # as the march: odd derivatives drop the Nyquist mode
+        self.rows_in = np.empty((2, omega.size), dtype=complex)
+        self.rows = np.empty((2, self.n))
+        self.abs_vt = np.empty(self.n)
+        self.k: list[int] = []
+        self.samples: list[tuple[float, float, float]] = []  # (max|v_t|, v_t, v)
+
+    def __call__(self, k: int, vhat: np.ndarray) -> None:
+        np.multiply(self.iw, vhat, out=self.rows_in[0])
+        self.rows_in[1] = vhat
+        np.fft.irfft(self.rows_in, self.n, out=self.rows)
+        i = int(np.argmax(np.abs(self.rows[0], out=self.abs_vt)))
+        vt = float(self.rows[0, i])
+        self.k.append(k)
+        self.samples.append((abs(vt), vt, float(self.rows[1, i])))
+
+    def table(self) -> np.ndarray:
+        """The trace as rows (max|v_t|, v_t, v), one per sampled step."""
+        return np.array(self.samples).reshape(-1, 3)
+
+    @property
+    def y(self) -> np.ndarray:
+        return np.asarray(self.k) * self.dy
+
+
+def gradient_blowup_distance(trace: GradientTrace, eff: EffectiveModel) -> float:
     """Shock-formation distance extrapolated from the steepening characteristic.
 
     Along a characteristic carrying field value v, the reciprocal gradient
@@ -282,23 +321,29 @@ def gradient_blowup_distance(result: spectral_sim.MarchResult, eff: EffectiveMod
     gradient predicts its own blow-up distance; the minimum of those
     predictions over the march approaches the first-crossing distance from
     above (viscosity only inflates it).  Requires appreciable growth of
-    max|v_t| over the trace, so the march must have run with ``gradient=True``.
+    max|v_t| over ``trace``, which must have observed the march.
     """
     if eff.zeta <= 0.0:
         raise DomainError("a medium with zeta <= 0 does not steepen")
-    if not result.grad_max.size:
-        raise DomainError("march has no gradient trace; run it with gradient=True")
-    g0 = result.grad_max[0]
+    if not trace.samples:
+        raise DomainError("empty gradient trace; pass it to mkdv_march as observe")
+    grad_max, char_vt, char_v = trace.table().T
+    g0 = grad_max[0]
     if g0 <= 0.0:
         raise DomainError("gradient trace starts at zero; nothing steepens")
-    if float(result.grad_max.max()) < 4.0 * g0:
+    if float(grad_max.max()) < 4.0 * g0:
         raise DomainError("gradient never grew enough; no blow-up detected in range")
-    drive = result.char_v * result.char_vt
+    drive = char_v * char_vt
     mask = drive > 0.0
     if not np.any(mask):
         raise DomainError("no steepening characteristic found")
-    estimates = result.grad_y[mask] + eff.c**3 / (eff.zeta * drive[mask])
+    estimates = trace.y[mask] + eff.c**3 / (eff.zeta * drive[mask])
     return float(np.min(estimates))
+
+
+def cell_centers(grid: fv_sim.Grid1D) -> np.ndarray:
+    """The centre of every cell of ``grid``."""
+    return (np.arange(grid.n_cells) + 0.5) * grid.dy
 
 
 @pytest.fixture(scope="session")
@@ -340,9 +385,11 @@ def fv_matched_run(matched_bilam):
     multiples = (0.3, 0.6, 0.9, 1.0, 1.1, 1.25, 1.4, 1.6, 1.8, 2.0)
     probes = [m * y_star for m in multiples]
     t_final = 2.0 * y_star / e.c + 3.0 * duration
+    start = time.perf_counter()
     result = fv_sim.impact_run(cell_state(matched_bilam, 1.0), velocity, kappa, probes, t_final)
+    elapsed_s = time.perf_counter() - start
     return {"result": result, "probes": probes, "eff": e, "y_star": y_star, "kappa": kappa,
-            "velocity": velocity}
+            "velocity": velocity, "elapsed_s": elapsed_s}
 
 
 @pytest.fixture(scope="session")
@@ -372,13 +419,15 @@ def mkdv_nonlinear_run(bilam):
 
 @pytest.fixture(scope="session")
 def mkdv_blowup_run(matched_bilam):
-    """Spectral march of the non-dispersive analogue, past the shock distance."""
+    """Spectral march of the non-dispersive analogue, past the shock distance, and
+    its gradient trace."""
     e, velocity, kappa, y_star, _ = impact_geometry(matched_bilam, 2.0, 16.0)
-    result = spectral_sim.impact_march(
-        e, velocity, kappa, [1.3 * y_star], spectral_sim.config_for_impact(kappa, e.c, 8.0),
-        gradient=True,
+    cfg = spectral_sim.config_for_impact(kappa, e.c, 8.0)
+    trace = GradientTrace(cfg)
+    result = spectral_sim.mkdv_march(
+        e, spectral_sim.impact_signal(velocity, kappa, e.c), cfg, [1.3 * y_star], observe=trace
     )
-    return {"result": result, "eff": e, "y_star": y_star}
+    return {"result": result, "trace": trace, "eff": e, "y_star": y_star}
 
 
 @pytest.fixture(scope="session")

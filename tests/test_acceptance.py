@@ -21,7 +21,7 @@ from lamwave import dispersion as dsp
 from lamwave import materials, soliton, sweeps
 from lamwave.homogenize import cell_state, effective_model
 
-from conftest import gradient_blowup_distance
+from conftest import cell_centers, gradient_blowup_distance
 from test_dispersion import monodromy_half_trace, random_laminate
 
 #: criterion 9: frozen regression bound for the raw probe-trace difference,
@@ -161,23 +161,23 @@ def test_criterion_06_shock_distance_and_runtime(fv_matched_run):
     ok = (
         abs(analytic - 0.212) <= 0.005 * 0.212
         and y_star <= steepest <= 2.0 * y_star
-        and result.elapsed_s < 60.0
+        and fv_matched_run["elapsed_s"] < 60.0
     )
     report(
         "criterion 6 (shock distance, FV steepening)",
         ok,
         f"y*={analytic * 100:.2f} cm, steepest probe at {steepest / y_star:.2f} y*, "
-        f"FV runtime={result.elapsed_s:.1f}s",
+        f"FV runtime={fv_matched_run['elapsed_s']:.1f}s",
     )
     assert analytic == pytest.approx(0.212, rel=0.005)
     assert y_star <= steepest <= 2.0 * y_star
-    assert result.elapsed_s < 60.0
+    assert fv_matched_run["elapsed_s"] < 60.0
 
 
 def test_criterion_07_spectral_blowup(mkdv_blowup_run):
     eff = mkdv_blowup_run["eff"]
     y_star = mkdv_blowup_run["y_star"]
-    estimate = gradient_blowup_distance(mkdv_blowup_run["result"], eff)
+    estimate = gradient_blowup_distance(mkdv_blowup_run["trace"], eff)
     ok = abs(estimate / y_star - 1.0) <= 0.05
     report(
         "criterion 7 (spectral gradient blow-up)",
@@ -287,7 +287,7 @@ def test_criterion_11a_fv_convergence():
 
     def l1_error(cells_per_layer):
         grid = fv_sim.build_grid(cell_state(lam, 1.0), cells_per_layer, 40)
-        y = grid.cell_centers()
+        y = cell_centers(grid)
         pulse = 1e-3 * np.exp(-(((y - 0.1) / 0.02) ** 2))
         state = fv_sim.SimState(pulse.copy(), -c * pulse)
         t_final = 0.15 / c

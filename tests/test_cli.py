@@ -461,7 +461,8 @@ class TestArtifacts:
             return dt
 
         monkeypatch.setattr(fv_sim, "step", traced)
-        payload = {"command": "simulate-fv", "laminate": BENCH_LAMINATE, "params": SMALL_SIM}
+        payload = {"command": "simulate-fv", "laminate": BENCH_LAMINATE,
+                   "params": SMALL_SIM["simulate-fv"]}
         free = run_ok(tmp_path, payload, "free")
         peak = max(ratios)
         assert peak > 1.0
@@ -523,18 +524,26 @@ class TestArtifacts:
 
 class TestSimulation:
     def small_sim_payload(self, command):
-        return {
-            "command": command,
-            "laminate": BENCH_LAMINATE,
-            "params": {
-                "cells_per_layer": 8,
-                "V_over_c": 1.0,
-                "wavelengths_per_period": 8,
-                "probes_y_star_multiples": [0.1],
-                "t_final_factor": 0.4,
-                "window_factor": 8,
-            },
-        }
+        return {"command": command, "laminate": BENCH_LAMINATE, "params": dict(SMALL_SIM[command])}
+
+    @pytest.mark.parametrize("command, key, value", [
+        ("simulate-fv", "window_factor", 8.0),
+        ("simulate-fv", "n_points", 1024),
+        ("simulate-fv", "dy_m", 7.81e-5),
+        ("simulate-fv", "viscosity", 1e-8),
+        ("simulate-mkdv", "cells_per_layer", 32),
+        ("simulate-mkdv", "limiter", "minmod"),
+    ])
+    def test_other_simulators_key_exits_1(self, tmp_path, capsys, command, key, value):
+        """A discretisation key of the other simulate command, even at its own default, is
+        a config error: exit 1, one stderr line naming params.<key>, and no artifact."""
+        payload = self.small_sim_payload(command)
+        payload["params"][key] = value
+        out = tmp_path / "out"
+        assert cli.run(write_config(tmp_path, payload), out) == 1
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith(f"error: params.{key}: unknown key")
+        assert not out.exists()
 
     def probe_csv(self, tmp_path, command):
         """Probe CSV lines (comments dropped) and the summary of one small run."""
@@ -585,20 +594,18 @@ class TestSimulation:
         }
 
     def test_simulate_mkdv_marches_untraced(self, tmp_path, monkeypatch):
-        """No command reads the gradient trace, so simulate-mkdv marches without one."""
+        """No command reads a per-step trace, so simulate-mkdv marches without an observer."""
         from lamwave import spectral_sim
 
-        march, results = spectral_sim.mkdv_march, []
+        march, calls = spectral_sim.mkdv_march, []
 
         def spy(*args, **kwargs):
-            results.append(march(*args, **kwargs))
-            return results[-1]
+            calls.append(kwargs)
+            return march(*args, **kwargs)
 
         monkeypatch.setattr(spectral_sim, "mkdv_march", spy)
         run_ok(tmp_path, VALID_CONFIGS["simulate-mkdv"])
-        assert len(results) == 1
-        assert results[0].grad_max.size == 0
-        assert len(results[0].grad_y) > 1
+        assert calls == [{}]
 
     def test_simulate_mkdv_summary_counters(self, tmp_path, monkeypatch):
         """The summary carries the march's step count and scheme (RK4: this run is inviscid)."""
@@ -799,8 +806,11 @@ class TestDeterminism:
         assert err.startswith("usage: lamwave") and "error:" in err
 
 
-SMALL_SIM = {"cells_per_layer": 8, "V_over_c": 1.0, "wavelengths_per_period": 8,
-             "probes_y_star_multiples": [0.1], "t_final_factor": 0.4, "window_factor": 8}
+_SMALL_IMPACT = {"V_over_c": 1.0, "wavelengths_per_period": 8, "probes_y_star_multiples": [0.1],
+                 "t_final_factor": 0.4}
+#: A small impact run of each simulate command, its own discretisation keys included.
+SMALL_SIM = {"simulate-fv": dict(_SMALL_IMPACT, cells_per_layer=8),
+             "simulate-mkdv": dict(_SMALL_IMPACT, window_factor=8)}
 #: One valid, quick config per command; the mutation test starts from these.
 VALID_CONFIGS = {
     "effective": {"command": "effective", "laminate": BENCH_LAMINATE, "load": {"b_t": 0.0}},
@@ -815,9 +825,9 @@ VALID_CONFIGS = {
     "sweep": {"command": "sweep", "laminate": BENCH_LAMINATE,
               "params": {"variable": "magnetic_load_product", "lo": -1.0, "hi": 1.0, "n": 3}},
     "simulate-fv": {"command": "simulate-fv", "laminate": BENCH_LAMINATE,
-                    "load": {"b_t": 0.0}, "params": dict(SMALL_SIM, limiter="mc")},
+                    "load": {"b_t": 0.0}, "params": dict(SMALL_SIM["simulate-fv"], limiter="mc")},
     "simulate-mkdv": {"command": "simulate-mkdv", "laminate": BENCH_LAMINATE,
-                      "params": dict(SMALL_SIM, n_points=64, dy_m=1e-4, viscosity=0.0)},
+                      "params": dict(SMALL_SIM["simulate-mkdv"], n_points=64, dy_m=1e-4, viscosity=0.0)},
 }
 @pytest.mark.parametrize("command, builds", [
     ("effective", 1), ("dispersion", 1), ("bandgap", 1), ("soliton", 1),

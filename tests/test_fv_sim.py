@@ -16,6 +16,8 @@ from lamwave import soliton
 from lamwave.errors import GeometryError, Instability
 from lamwave.homogenize import cell_state, effective_model
 
+from conftest import cell_centers
+
 
 def homogeneous_laminate(modulus=1e6, rho=1000.0):
     p = lw.Phase(lw.HyperelasticModel("neo-hookean", modulus), rho, 0.5)
@@ -192,7 +194,7 @@ class TestStep:
 
         def l1_error(cells_per_layer):
             grid = fv.build_grid(cell_state(lam, 1.0), cells_per_layer, 40)
-            y = grid.cell_centers()
+            y = cell_centers(grid)
             pulse = 1e-3 * np.exp(-(((y - 0.1) / 0.02) ** 2))
             state = fv.SimState(pulse.copy(), -c * pulse)
             t_final = 0.15 / c

@@ -66,14 +66,6 @@ class TestWaveform:
         assert disp[2] == pytest.approx(half_height, rel=1e-6)
         assert disp[0] == pytest.approx(-half_height, rel=1e-6)
 
-    def test_sign_branch(self, eff):
-        plus = sol.solve_soliton(eff, WaveModel.FULL, 1.03 * eff.c, sign=+1)
-        minus = sol.solve_soliton(eff, WaveModel.FULL, 1.03 * eff.c, sign=-1)
-        xi = np.linspace(-3, 3, 11)
-        sp, up = sol.soliton_waveform(plus, xi)
-        sm, um = sol.soliton_waveform(minus, xi)
-        assert np.allclose(sp, -sm) and np.allclose(up, -um)
-
     def test_oscillator_residual(self, eff):
         """The sech profile satisfies Phi'' - c1 Phi + c3 Phi^3 = 0 pointwise."""
         for variant in WaveModel:

@@ -14,7 +14,12 @@ from lamwave import spectral_sim as sp
 from lamwave.errors import DomainError, Instability
 from lamwave.homogenize import effective_model
 
-from conftest import gradient_blowup_distance, soliton_boundary_signal, soliton_transport_test
+from conftest import (
+    GradientTrace,
+    gradient_blowup_distance,
+    soliton_boundary_signal,
+    soliton_transport_test,
+)
 
 
 def neo_hookean_stack():
@@ -263,51 +268,56 @@ class TestSolitonTransport:
 class TestBlowup:
     def test_blowup_at_shock_distance(self, mkdv_blowup_run):
         """The non-dispersive march steepens into a shock at the analytic distance."""
-        res = mkdv_blowup_run["result"]
         eff = mkdv_blowup_run["eff"]
         y_star = mkdv_blowup_run["y_star"]
-        y_est = gradient_blowup_distance(res, eff)
+        y_est = gradient_blowup_distance(mkdv_blowup_run["trace"], eff)
         assert y_est == pytest.approx(y_star, rel=0.05)
 
     def test_blowup_insensitive_to_window_doubling(self, mkdv_blowup_run, matched_bilam):
         eff = mkdv_blowup_run["eff"]
         y_star = mkdv_blowup_run["y_star"]
         kappa = 2.0 * math.pi / (16.0 * eff.ell)
-        wide = sp.impact_march(
-            eff, 2.0 * eff.c, kappa, [1.3 * y_star], sp.config_for_impact(kappa, eff.c, 16.0),
-            gradient=True,
+        cfg = sp.config_for_impact(kappa, eff.c, 16.0)
+        wide = GradientTrace(cfg)
+        sp.mkdv_march(
+            eff, sp.impact_signal(2.0 * eff.c, kappa, eff.c), cfg, [1.3 * y_star], observe=wide
         )
-        base = gradient_blowup_distance(mkdv_blowup_run["result"], eff)
+        base = gradient_blowup_distance(mkdv_blowup_run["trace"], eff)
         doubled = gradient_blowup_distance(wide, eff)
         assert doubled == pytest.approx(base, rel=0.01)
 
     def test_no_blowup_without_steepening(self):
         eff = effective_model(neo_hookean_stack(), 1.0)
         cfg = sp.SpectralConfig(n_points=512, window=2e-2, )
-        res = sp.mkdv_march(
-            eff, lambda t: np.sin(2.0 * math.pi * 8 * t / 2e-2), cfg, [0.02], gradient=True
+        trace = GradientTrace(cfg)
+        sp.mkdv_march(
+            eff, lambda t: np.sin(2.0 * math.pi * 8 * t / 2e-2), cfg, [0.02], observe=trace
         )
         with pytest.raises(DomainError, match="does not steepen"):
-            gradient_blowup_distance(res, eff)
+            gradient_blowup_distance(trace, eff)
 
     def test_no_blowup_before_growth(self, eff):
         """A steepening medium whose gradient has not yet grown 4x gives no estimate."""
         assert eff.zeta > 0.0
         cfg = sp.SpectralConfig(n_points=512, window=2e-2, )
-        res = sp.mkdv_march(
+        trace = GradientTrace(cfg)
+        sp.mkdv_march(
             eff, lambda t: 1e-3 * eff.c * np.sin(2.0 * math.pi * 8 * t / 2e-2), cfg, [0.02],
-            gradient=True,
+            observe=trace,
         )
         with pytest.raises(DomainError, match="never grew enough"):
-            gradient_blowup_distance(res, eff)
+            gradient_blowup_distance(trace, eff)
 
     def test_untraced_march_has_no_estimate(self, eff):
-        """A march run without the gradient trace says so, rather than failing on an index."""
+        """A march run without the trace as its observer leaves the trace empty, and the
+        estimate says so rather than failing on an index."""
         kappa = 2.0 * math.pi / (16.0 * eff.ell)
-        res = sp.impact_march(eff, 2.0 * eff.c, kappa, [0.01])
-        assert res.grad_max.size == res.char_v.size == res.char_vt.size == 0
-        with pytest.raises(DomainError, match="no gradient trace; run it with gradient=True"):
-            gradient_blowup_distance(res, eff)
+        cfg = sp.config_for_impact(kappa, eff.c)
+        trace = GradientTrace(cfg)
+        sp.impact_march(eff, 2.0 * eff.c, kappa, [0.01], cfg)
+        assert trace.samples == [] and trace.k == []
+        with pytest.raises(DomainError, match="empty gradient trace; pass it to mkdv_march as observe"):
+            gradient_blowup_distance(trace, eff)
 
 
 class TestEmission:
@@ -323,7 +333,9 @@ class TestEmission:
 
     @pytest.mark.parametrize("case", ["impact", "soliton"])
     def test_untraced_march_is_bit_identical(self, eff, case):
-        """Skipping the gradient trace leaves the records, the distances and the steps unchanged."""
+        """An observer sees steps 0..steps in order, and a march without one has the same
+        records, distances, steps and scheme: the multistep one on the impact window,
+        RK4 on the inviscid soliton one."""
         if case == "impact":
             # the benchmark's window: 8 forcing durations, 8192 points
             kappa = 2.0 * math.pi / (16.0 * eff.ell)
@@ -339,27 +351,38 @@ class TestEmission:
             signal = soliton_boundary_signal(sol, speed, 0.5 * cfg.window)
         stops = [0.0, 60 * cfg.dy, 150 * cfg.dy]
         plain = sp.mkdv_march(eff, signal, cfg, stops)
-        traced = sp.mkdv_march(eff, signal, cfg, stops, gradient=True)
-        assert len(plain.records) == len(traced.records) == 3
-        for v, w in zip(plain.records, traced.records):
+        trace = GradientTrace(cfg)
+        observed = sp.mkdv_march(eff, signal, cfg, stops, observe=trace)
+        assert len(plain.records) == len(observed.records) == 3
+        for v, w in zip(plain.records, observed.records):
             assert v.tobytes() == w.tobytes()
-        assert plain.y_final == traced.y_final == 150 * cfg.dy
-        assert plain.grad_y.tobytes() == traced.grad_y.tobytes()
-        assert len(plain.grad_y) == len(traced.grad_max) == 150 + 1
-        assert plain.grad_max.size == plain.char_v.size == plain.char_vt.size == 0
+        assert plain.steps == observed.steps == 150
+        assert plain.scheme == observed.scheme == ("abm4" if case == "impact" else "rk4")
+        assert plain.y_final == observed.y_final == 150 * cfg.dy
+        assert trace.k == list(range(150 + 1))
+        assert trace.y.tobytes() == plain.grad_y.tobytes()
+
+    def test_observer_cannot_write_the_spectrum(self, eff):
+        """The spectrum an observer is handed is read-only."""
+        cfg, v0 = small_impact(eff)
+
+        def overwrite(k, vhat):
+            vhat[0] = 0.0
+
+        with pytest.raises(ValueError, match="read-only"):
+            sp.mkdv_march(eff, v0, cfg, [cfg.dy], observe=overwrite)
 
     def test_march_matches_full_spectrum_reference(self, eff):
         """Steps on the kept modes only give the bits of the masked full-spectrum scheme."""
         cfg, v0 = small_impact(eff)
         stops = [0.0, 50 * cfg.dy, 100 * cfg.dy]
-        res = sp.mkdv_march(eff, v0, cfg, stops, gradient=True)
-        fields, trace = reference_march(eff, v0, cfg, 100, multistep=True)
+        trace = GradientTrace(cfg)
+        res = sp.mkdv_march(eff, v0, cfg, stops, observe=trace)
+        fields, ref_trace = reference_march(eff, v0, cfg, 100, multistep=True)
         assert res.scheme == "abm4" and len(res.records) == 3
         for y, v in zip(stops, res.records):
             assert np.array_equal(v, fields[round(y / cfg.dy)])
-        assert np.array_equal(res.grad_max, trace[:, 0])
-        assert np.array_equal(res.char_vt, trace[:, 1])
-        assert np.array_equal(res.char_v, trace[:, 2])
+        assert trace.table().tobytes() == ref_trace.tobytes()
 
     @pytest.mark.parametrize(
         "scale, viscosity, below",
@@ -377,12 +400,13 @@ class TestEmission:
         v0 = scale * v0
         n_steps = 150
         stops = [k * cfg.dy for k in range(0, n_steps + 1, 25)]
-        res = sp.mkdv_march(eff, v0, cfg, stops, gradient=True)
-        fields, trace = reference_march(eff, v0, cfg, n_steps, multistep=True)
+        trace = GradientTrace(cfg)
+        res = sp.mkdv_march(eff, v0, cfg, stops, observe=trace)
+        fields, ref_trace = reference_march(eff, v0, cfg, n_steps, multistep=True)
         assert res.scheme == "abm4"
         for y, v in zip(stops, res.records):
             assert v.tobytes() == fields[round(y / cfg.dy)].tobytes()
-        assert np.column_stack([res.grad_max, res.char_vt, res.char_v]).tobytes() == trace.tobytes()
+        assert trace.table().tobytes() == ref_trace.tobytes()
         # not vacuous: above the cutoff the reference multiplies by e_full alone, and some
         # non-zero mode |v0_hat| |e_full|^k is below `below` before the last stop: the
         # subnormals on the viscous march, the floor from the start on the tiny one

@@ -14,6 +14,7 @@ import argparse
 import json
 import math
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -160,11 +161,22 @@ def _resolve_params(command: str, params) -> dict:
     return resolved
 
 
+@contextmanager
+def _at(where: str):
+    """A library error raised inside becomes a :class:`ConfigError` at the key path ``where``."""
+    try:
+        yield
+    except ConfigError:
+        raise
+    except LamwaveError as exc:
+        raise ConfigError(str(exc), where) from exc
+
+
 def phase_from_config(cfg: dict, where: str) -> Phase:
     _check_keys(cfg, {"model", "rho", "nu", "mu_rel", "br_t"}, where)
     model_cfg = _require(cfg, "model", where)
     _check_keys(model_cfg, {"kind", "G_pa", "beta"}, f"{where}.model")
-    try:
+    with _at(where):
         model = HyperelasticModel(
             kind=str(_require(model_cfg, "kind", f"{where}.model")),
             shear_modulus=_number(_require(model_cfg, "G_pa", f"{where}.model"), f"{where}.model.G_pa"),
@@ -177,10 +189,6 @@ def phase_from_config(cfg: dict, where: str) -> Phase:
             permeability=_number(cfg.get("mu_rel", 1.0), f"{where}.mu_rel") * materials.MU0,
             remnant_induction=_number(cfg.get("br_t", 0.0), f"{where}.br_t"),
         )
-    except LamwaveError as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError(str(exc), where) from exc
 
 
 def laminate_from_config(cfg: dict) -> Laminate:
@@ -189,12 +197,8 @@ def laminate_from_config(cfg: dict) -> Laminate:
         raise ConfigError("phases must be a list of exactly 2 entries", "laminate.phases")
     p1 = phase_from_config(phases[0], "laminate.phases[0]")
     p2 = phase_from_config(phases[1], "laminate.phases[1]")
-    try:
+    with _at("laminate"):
         return Laminate(p1, p2, _number(_require(cfg, "period_m", "laminate"), "laminate.period_m"))
-    except LamwaveError as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError(str(exc), "laminate") from exc
 
 
 def load_from_config(cfg: dict | None) -> MagneticLoad:
@@ -207,17 +211,15 @@ def load_from_config(cfg: dict | None) -> MagneticLoad:
         raise ConfigError("load needs b_t or bn_br_product", "load")
     key = "b_t" if "b_t" in cfg else "bn_br_product"
     value = _number(cfg[key], f"load.{key}")
-    try:
+    with _at(f"load.{key}"):
         return MagneticLoad(b=value) if key == "b_t" else MagneticLoad(bn_br_product=value)
-    except DomainError as exc:
-        raise ConfigError(str(exc), f"load.{key}") from exc
 
 
 def parse_config(raw: dict) -> dict:
     """Validate a raw config: every config error is raised here, before any computation.
 
     The returned ``params`` are resolved against :data:`PARAMS`, with every default
-    filled in; a ``sweep`` config also carries its :class:`~lamwave.sweeps.SweepSpec`.
+    filled in.
     """
     _check_keys(raw, {"command", "laminate", "load", "params"}, "config")
     command = _require(raw, "command", "config")
@@ -232,11 +234,10 @@ def parse_config(raw: dict) -> dict:
         "params": _resolve_params(command, raw.get("params")),
         "raw": raw,
     }
-    if command == "sweep":
-        try:
-            cfg["sweep"] = sweeps.SweepSpec(**cfg["params"])
-        except DomainError as exc:
-            raise ConfigError(str(exc), "params") from exc
+    if command == "sweep":  # the range rules on two points; the run builds the grid (too large: exit 2)
+        p = cfg["params"]
+        with _at("params"):
+            sweeps.grid(p["variable"], p["lo"], p["hi"], 2)
     if command in ("dispersion", "bandgap"):
         # the Bloch cosine oscillates in omega*ell/c at rates up to t1 + t2 <= 1 (the
         # layer travel fractions), so dispersion's node spacing of at most pi/4 keeps
@@ -380,11 +381,11 @@ def _run_simulate(cfg):
 
 
 def _run_sweep(cfg):
-    spec = cfg["sweep"]
-    result = sweeps.SWEEPS[spec.variable](cfg["laminate"], spec)
+    p = cfg["params"]
+    result = sweeps.SWEEPS[p["variable"]](cfg["laminate"], sweeps.grid(**p))
     freq_unit = (
         "omega*L/c0 (undeformed period and speed)"
-        if spec.variable == "magnetic_load_product"
+        if p["variable"] == "magnetic_load_product"
         else "omega*ell/c"
     )
     comments = (
@@ -392,7 +393,7 @@ def _run_sweep(cfg):
         + [f"fixed {k} = {v!r}" for k, v in sorted(result.fixed.items())]
         + [f"units: gap edges in {freq_unit}; speeds as ratios to c; strains dimensionless"]
     )
-    return [("sweep", comments, *sweeps.sweep_table(result))], result.summary
+    return [("sweep", comments, list(result.columns), list(result.columns.values()))], result.summary
 
 
 #: The runner of each command: ``cfg -> (tables, summary)``, with each table a

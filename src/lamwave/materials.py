@@ -287,14 +287,10 @@ def dimensionless_load_rhs(lam: Laminate, load: MagneticLoad) -> float:
     return vac_term * bn * bn + bn * norm.br_n
 
 
-def _stretch_residual(lam: Laminate, stretch, rhs_norm):
-    gbar = average_shear_modulus(lam, stretch) / arithmetic_modulus(lam)
-    return gbar * (stretch * stretch - 1.0 / stretch) - rhs_norm
-
-
 def _stretch_probe(lam: Laminate, x, r):
-    """(residual <= 0, residual, its slope) of :func:`_stretch_residual`, for
-    :func:`~lamwave._roots.newton`: gbar' (x^2 - 1/x) + gbar (2x + 1/x^2), dI1/dx = 2x - 2/x^2."""
+    """(residual <= 0, residual, its slope) of the stretch balance at x under the normalised
+    load r, for :func:`~lamwave._roots.newton`: the residual is gbar (x^2 - 1/x) - r with
+    gbar = Gbar(x) / Gbar(1), its slope gbar' (x^2 - 1/x) + gbar (2x + 1/x^2), dI1/dx = 2x - 2/x^2."""
     (p1, p2), mean, d, w = lam.phases, arithmetic_modulus(lam), uniaxial_invariant_excess(x), x * x - 1.0 / x
     gbar = (p1.volume_fraction * _modulus(p1.model, d) + p2.volume_fraction * _modulus(p2.model, d)) / mean
     inv2 = 1.0 / (x * x)
@@ -350,11 +346,12 @@ def stretch_roots(lam: Laminate, loads) -> tuple[np.ndarray, dict[int, NoRoot]]:
             if not rows.any():
                 continue
             end[rows] = _locking_stretch(beta, side, margin=2.0 * GENT_MARGIN)
-            short = np.flatnonzero(rows)[_stretch_residual(lam, end[rows], r[rows]) * side < 0.0]
-            lock = _locking_stretch(beta, side)
-            for i in short.tolist():
-                errors[i] = NoRoot(f"load {r[i]:.6g} needs a stretch beyond the Gent locking "
-                                   f"stretch {lock:.6g}", locking_stretch=lock)
+            short = np.flatnonzero(rows)[_stretch_probe(lam, end[rows], r[rows])[1] * side < 0.0]
+            if short.size:  # only their errors read the locking stretch itself
+                lock = _locking_stretch(beta, side)
+                for i in short.tolist():
+                    errors[i] = NoRoot(f"load {r[i]:.6g} needs a stretch beyond the Gent locking "
+                                       f"stretch {lock:.6g}", locking_stretch=lock)
         for i in np.flatnonzero(~((end > 0.0) & (end < np.inf))).tolist():
             message = f"load {r[i]:.6g} puts the stretch bracket beyond the float range"
             errors.setdefault(i, NoRoot(message))
@@ -363,10 +360,10 @@ def stretch_roots(lam: Laminate, loads) -> tuple[np.ndarray, dict[int, NoRoot]]:
         target, end = np.where(live, r, 0.0), np.where(live, end, 1.0)
         top = np.maximum(1.0, end)
         brackets = newton(lambda x: _stretch_probe(lam, x, target), np.minimum(1.0, end), top)
-        x = bisect(lambda mid: _stretch_residual(lam, mid, target) <= 0.0, *brackets)
+        x = bisect(lambda mid: _stretch_probe(lam, mid, target)[0], *brackets)
         # a sign flip to or from an infinite residual is an overflow, not a root; the final
         # pair is x and its next float toward the top, x alone where the bracket was empty
-        pair = _stretch_residual(lam, np.stack([x, np.nextafter(x, top)]), target)
+        pair = _stretch_probe(lam, np.stack([x, np.nextafter(x, top)]), target)[1]
         for i in np.flatnonzero(live & ~np.isfinite(pair).all(axis=0)).tolist():
             errors[i] = NoRoot(f"load {r[i]:.6g}: the stretch residual overflows near its root {x[i]:.6g}")
             live[i] = False

@@ -27,34 +27,20 @@ from .homogenize import FLOAT_ERRORS, CellState, EffectiveModel, cell_columns, c
 from .materials import HyperelasticModel, Laminate, MagneticLoad, shear_coefficients
 
 
-@dataclass(frozen=True)
-class SweepSpec:
-    """Grid specification for one sweep variable."""
-
-    variable: str
-    lo: float
-    hi: float
-    n: int = 201
-
-    def __post_init__(self):
-        if self.variable not in SWEEPS:
-            raise DomainError(f"unknown sweep variable {self.variable!r}")
-        if not self.lo < self.hi:
-            raise DomainError(f"sweep range needs lo < hi, got lo = {self.lo!r}, hi = {self.hi!r}")
-        if self.n < 2:
-            raise DomainError("sweep needs at least 2 points")
-        if self.variable == "volume_fraction_2" and not (0.0 < self.lo and self.hi < 1.0):
-            raise DomainError(
-                f"volume fractions must stay inside (0, 1), got lo = {self.lo!r}, hi = {self.hi!r}"
-            )
-        if self.variable == "modulus_contrast" and not self.lo > 0.0:
-            raise DomainError(f"modulus contrast must be positive, got lo = {self.lo!r}")
-
-    def grid(self) -> np.ndarray:
-        if self.variable == "modulus_contrast":
-            # exact reciprocal pairs keep the inversion symmetry testable
-            return np.exp(np.linspace(math.log(self.lo), math.log(self.hi), self.n))
-        return np.linspace(self.lo, self.hi, self.n)
+def grid(variable: str, lo: float, hi: float, n: int) -> np.ndarray:
+    """The ``n`` values of a sweep of ``variable`` from ``lo`` to ``hi``: log-spaced for the
+    modulus contrast, linear otherwise.  Raises :class:`DomainError` on a range the variable
+    cannot take."""
+    if not lo < hi:
+        raise DomainError(f"sweep range needs lo < hi, got lo = {lo!r}, hi = {hi!r}")
+    if variable == "volume_fraction_2" and not (0.0 < lo and hi < 1.0):
+        raise DomainError(f"volume fractions must stay inside (0, 1), got lo = {lo!r}, hi = {hi!r}")
+    if variable == "modulus_contrast":
+        if not lo > 0.0:
+            raise DomainError(f"modulus contrast must be positive, got lo = {lo!r}")
+        # exact reciprocal pairs keep the inversion symmetry testable
+        return np.exp(np.linspace(math.log(lo), math.log(hi), n))
+    return np.linspace(lo, hi, n)
 
 
 @dataclass
@@ -86,7 +72,7 @@ def _columns(st: CellState, scale, speed_scale) -> dict[str, np.ndarray]:
             "max_speed_ratio": speed, "max_strain": soliton.max_strain_amplitude(eff)}
 
 
-def sweep_magnetic(lam: Laminate, spec: SweepSpec) -> SweepResult:
+def sweep_magnetic(lam: Laminate, values: np.ndarray) -> SweepResult:
     """Stretch, band gaps and solitary-wave bounds versus the magnetic load product.
 
     Frequencies are reported as omega*L/c0 with c0 the undeformed effective
@@ -99,7 +85,6 @@ def sweep_magnetic(lam: Laminate, spec: SweepSpec) -> SweepResult:
     on every row and the ``multi_root_rows`` summary is 0.
     """
     c0 = effective_model(lam, 1.0).c
-    values = spec.grid()
     # every load passes the checks of a MagneticLoad: finite, and the product form
     # needs a vacuum-permeability stack
     if not np.isfinite(values).all():
@@ -129,7 +114,7 @@ def sweep_magnetic(lam: Laminate, spec: SweepSpec) -> SweepResult:
         "multi_root_rows": 0,
         "locked_notes": [{"load_product": values[i].item(), "note": notes[i]} for i in sorted(notes)],
     }
-    return SweepResult(spec.variable, values, columns, {"period_m": lam.period}, summary)
+    return SweepResult("magnetic_load_product", values, columns, {"period_m": lam.period}, summary)
 
 
 def _unit_stretch_columns(lam: Laminate, variable: str, values: np.ndarray, sc, nu) -> dict[str, np.ndarray]:
@@ -140,12 +125,11 @@ def _unit_stretch_columns(lam: Laminate, variable: str, values: np.ndarray, sc, 
         return {variable: values, **_columns(st, 1.0, 1.0)}
 
 
-def sweep_volume_fraction(lam: Laminate, spec: SweepSpec) -> SweepResult:
+def sweep_volume_fraction(lam: Laminate, values: np.ndarray) -> SweepResult:
     """Band gaps and solitary-wave bounds versus the phase-2 volume fraction (stretch 1)."""
-    values = spec.grid()
     p1, p2 = lam.phases
     sc = (shear_coefficients(p1.model, 1.0), shear_coefficients(p2.model, 1.0))
-    columns = _unit_stretch_columns(lam, spec.variable, values, sc, (1.0 - values, values))
+    columns = _unit_stretch_columns(lam, "volume_fraction_2", values, sc, (1.0 - values, values))
 
     def eff_of(x: float) -> EffectiveModel:
         return cell_columns(sc, (p1.density, p2.density), (1.0 - x, x), 1.0, lam.period).eff
@@ -168,39 +152,36 @@ def sweep_volume_fraction(lam: Laminate, spec: SweepSpec) -> SweepResult:
         "argmax_max_strain": golden_max(strain_of, *bracket(columns["max_strain"]), xatol=1e-10),
         "speed_ratio_prediction": st.c2 / (st.c1 + st.c2),
     }
-    return SweepResult(spec.variable, values, columns, {"stretch": 1.0, "period_m": lam.period}, summary)
+    fixed = {"stretch": 1.0, "period_m": lam.period}
+    return SweepResult("volume_fraction_2", values, columns, fixed, summary)
 
 
-def sweep_contrast(lam: Laminate, spec: SweepSpec) -> SweepResult:
+def sweep_contrast(lam: Laminate, values: np.ndarray) -> SweepResult:
     """Band gaps and solitary-wave bounds versus the shear-modulus contrast (stretch 1).
 
     The contrast multiplies the phase-1 modulus to give phase 2; the grid is
     logarithmic so reciprocal pairs are present exactly.
     """
-    values = spec.grid()
     p1, p2 = lam.phases
     with np.errstate(**FLOAT_ERRORS):  # one model holding the column of phase-2 moduli
         model2 = HyperelasticModel(p2.model.kind, values * p1.model.shear_modulus, p2.model.beta)
         sc = (shear_coefficients(p1.model, 1.0), shear_coefficients(model2, 1.0))
-    columns = _unit_stretch_columns(lam, spec.variable, values, sc, (p1.volume_fraction, p2.volume_fraction))
+    nu = (p1.volume_fraction, p2.volume_fraction)
+    columns = _unit_stretch_columns(lam, "modulus_contrast", values, sc, nu)
     widths = columns["gap_exact_hi"] - columns["gap_exact_lo"]
     summary = {
         "max_gap_width": float(np.nanmax(widths)),
         "contrast_at_max_gap": float(values[int(np.nanargmax(widths))]),
     }
-    return SweepResult(spec.variable, values, columns, {"stretch": 1.0, "period_m": lam.period}, summary)
+    fixed = {"stretch": 1.0, "period_m": lam.period}
+    return SweepResult("modulus_contrast", values, columns, fixed, summary)
 
 
-#: The sweep of each variable, as ``(laminate, spec) -> SweepResult``.  Each entry
+#: The sweep of each variable, as ``(laminate, grid values) -> SweepResult``.  Each entry
 #: calls its function by this module's name for it, so that a wrapper bound over
 #: that name (the benchmark's tracer binds one) is what runs.
 SWEEPS = {
-    "magnetic_load_product": lambda lam, spec: sweep_magnetic(lam, spec),
-    "volume_fraction_2": lambda lam, spec: sweep_volume_fraction(lam, spec),
-    "modulus_contrast": lambda lam, spec: sweep_contrast(lam, spec),
+    "magnetic_load_product": lambda lam, values: sweep_magnetic(lam, values),
+    "volume_fraction_2": lambda lam, values: sweep_volume_fraction(lam, values),
+    "modulus_contrast": lambda lam, values: sweep_contrast(lam, values),
 }
-
-
-def sweep_table(result: SweepResult) -> tuple[list[str], list[np.ndarray]]:
-    """Column names and columns for CSV emission."""
-    return list(result.columns), list(result.columns.values())

@@ -243,12 +243,8 @@ def test_criterion_09_low_dispersion_agreement(low_dispersion_pair):
 def test_criterion_10_tunability(bilam):
     lo = materials.stretch_from_field(bilam, lw.MagneticLoad(bn_br_product=-150.0))
     hi = materials.stretch_from_field(bilam, lw.MagneticLoad(bn_br_product=150.0))
-    vol = sweeps.sweep_volume_fraction(
-        bilam, sweeps.SweepSpec("volume_fraction_2", 0.02, 0.98, 97)
-    )
-    contrast = sweeps.sweep_contrast(
-        bilam, sweeps.SweepSpec("modulus_contrast", 0.05, 20.0, 41)
-    )
+    vol = sweeps.sweep_volume_fraction(bilam, sweeps.grid("volume_fraction_2", 0.02, 0.98, 97))
+    contrast = sweeps.sweep_contrast(bilam, sweeps.grid("modulus_contrast", 0.05, 20.0, 41))
     sym_dev = 0.0
     for key in ("eta", "zeta", "gap_exact_lo", "gap_exact_hi", "max_strain"):
         col = contrast.column(key)

@@ -3,6 +3,7 @@
 import contextlib
 import copy
 import hashlib
+import importlib.util
 import io
 import json
 import math
@@ -909,3 +910,94 @@ class TestMutatedConfigs:
                 status = cli.run(path, Path(tmp) / "out")
         assert status in (0, 1, 2)
         assert "Traceback" not in err.getvalue()
+
+
+#: Per command with params, a quick base config's params and, for each key of the
+#: command's table, a value other than its base one.  bandgap's base omega_max_over_pi
+#: of 1000 needs n_scan >= 4000: the default 10,000 runs it, and 1000 exits 1.
+KEY_VARIANTS = {
+    "dispersion": ({"omega_max_over_pi": 2.0, "n": 40}, {"omega_max_over_pi": 1.5, "n": 41}),
+    "bandgap": ({"omega_max_over_pi": 1000.0}, {"omega_max_over_pi": 999.0, "n_scan": 1000}),
+    "soliton": ({"speed_ratio": 1.026, "xi_max": 3.0, "n": 11},
+                {"speed_ratio": 1.03, "xi_max": 4.0, "n": 12}),
+    "simulate-fv": (SMALL_SIM["simulate-fv"],
+                    {"cells_per_layer": 10, "V_over_c": 1.1, "wavelengths_per_period": 9,
+                     "probes_y_star_multiples": [0.12], "t_final_factor": 0.45, "limiter": "mc"}),
+    "simulate-mkdv": (VALID_CONFIGS["simulate-mkdv"]["params"],
+                      {"V_over_c": 1.1, "wavelengths_per_period": 9, "probes_y_star_multiples": [0.12],
+                       "t_final_factor": 0.45, "window_factor": 9.0, "n_points": 128, "dy_m": 9e-5,
+                       "viscosity": 1e-8}),
+    "sweep": ({"variable": "volume_fraction_2", "lo": 0.2, "hi": 0.8, "n": 5},
+              {"variable": "modulus_contrast", "lo": 0.3, "hi": 0.7, "n": 6}),
+}
+#: (command, key) pairs whose key changes nothing, each with the reason
+IGNORED_KEYS = {
+    ("simulate-mkdv", "t_final_factor"): "the spectral march reads no end time: it stops at the "
+                                         "farthest probe, so the shared impact key is ignored",
+}
+
+
+def _outcome(tmp_path: Path, command: str, params: dict) -> tuple[int, dict]:
+    """Exit status of one run and its artifacts but the manifest, by name with the hash cut."""
+    payload = {"command": command, "laminate": BENCH_LAMINATE, "params": params}
+    tag = cli.config_hash(payload)
+    out = tmp_path / tag
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        status = cli.run(write_config(tmp_path, payload, f"{tag}.json"), out)
+    files = sorted(out.iterdir()) if out.exists() else []
+    return status, {p.name.replace(tag, ""): p.read_bytes() for p in files if p.name != "manifest.json"}
+
+
+@pytest.fixture(scope="module")
+def base_outcome(tmp_path_factory):
+    """The outcome of each command's base config of KEY_VARIANTS, run once."""
+    tmp, seen = tmp_path_factory.mktemp("base"), {}
+
+    def outcome(command: str):
+        if command not in seen:
+            seen[command] = _outcome(tmp, command, KEY_VARIANTS[command][0])
+        return seen[command]
+
+    return outcome
+
+
+def test_every_params_table_has_variants():
+    assert {c for c, table in cli.PARAMS.items() if table} == set(KEY_VARIANTS)
+    for command, (_, variants) in KEY_VARIANTS.items():
+        assert set(variants) == set(cli.PARAMS[command])
+
+
+@pytest.mark.parametrize("command, key", [
+    pytest.param(command, key, marks=[pytest.mark.xfail(strict=True, reason=IGNORED_KEYS[command, key])]
+                 if (command, key) in IGNORED_KEYS else [])
+    for command, (_, variants) in KEY_VARIANTS.items() for key in variants
+])
+def test_every_param_key_changes_the_run(tmp_path, base_outcome, command, key):
+    """Each key of each command's params table, moved off its base value, changes an
+    artifact or the exit status: no key is accepted and ignored.  Every variant runs, but
+    bandgap's n_scan, which acts only through its cap on omega_max_over_pi (exit 1)."""
+    base, variants = KEY_VARIANTS[command]
+    status, files = base_outcome(command)
+    assert status == 0
+    changed = _outcome(tmp_path, command, dict(base, **{key: variants[key]}))
+    assert changed[0] == (1 if key == "n_scan" else 0)
+    assert changed != (status, files)
+
+
+def test_parity_tool_lines(tmp_path):
+    """tools/parity.py lists the 50 benchmark configs, and its lines for one op name every
+    artifact and the status with digests that do not depend on the temporary directory."""
+    root = Path(__file__).resolve().parents[1]
+    spec = importlib.util.spec_from_file_location("parity", root / "tools" / "parity.py")
+    parity = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(parity)
+    assert len(parity.all_ops(parity._load_workloads(root))) == 50
+    src = Path(cli.__file__).resolve().parents[1]
+    config = VALID_CONFIGS["effective"]
+    lines = parity.op_lines(cli.run, "effective", config, src)
+    assert lines == parity.op_lines(cli.run, "effective", config, src)
+    tag = cli.config_hash(config)
+    assert [line.split()[1] for line in lines[:-1]] == [f"effective_{tag}.json", "manifest.json"]
+    assert lines[-1].startswith("effective exit=0 stdout=")
+    (bad,) = parity.op_lines(cli.run, "bad", {"command": "effective"}, src)
+    assert bad.startswith("bad exit=1 ")

@@ -249,7 +249,7 @@ LOADS = st.one_of(
 def gent_near_lock(beta: float, fraction: float, side: float) -> float:
     """The load whose root is where the Gent I1 - 3 is ``fraction`` of its lock."""
     x = materials._locking_stretch(beta, side, margin=1.0 - fraction)
-    return float(materials._stretch_residual(stack("gent", beta), np.array([x]), 0.0)[0])
+    return float(materials._stretch_probe(stack("gent", beta), np.array([x]), 0.0)[1][0])
 
 
 @settings(max_examples=40, deadline=None)
@@ -302,7 +302,7 @@ def test_root_solves_take_a_handful_of_rounds(monkeypatch):
     assert len(dispersion.band_gap_records(cell_state(lam, 1.0), 3.0 * math.pi)) == 3
     assert 0 < len(gaps) <= 12
     gaps.clear()
-    sweeps.sweep_magnetic(lam, sweeps.SweepSpec("magnetic_load_product", -3.0, 3.0, 201))
+    sweeps.sweep_magnetic(lam, sweeps.grid("magnetic_load_product", -3.0, 3.0, 201))
     assert 0 < len(gaps) <= 12 and 0 < len(stretches) <= 12
     assert all(shape[-1] == 201 for shape in gaps + stretches)
     stretches.clear()
@@ -311,3 +311,29 @@ def test_root_solves_take_a_handful_of_rounds(monkeypatch):
     stretches.clear()
     assert materials.stretch_from_field(lam, lw.MagneticLoad(b=0.0)) == 1.0
     assert stretches == []
+
+
+def test_locking_stretch_solved_only_where_read(monkeypatch):
+    """The Gent locking stretch is the last float from 1 on the unlocked side, on both
+    sides, for stiff and soft betas and both margins.  The stretch solve needs the margined
+    lock wherever a bracket crosses it, and the unmargined one only for the error of a row
+    short of its root: at r = 150 on the paper stack no row is short and the solve makes
+    one locking solve, where it made two."""
+    for beta in (1e-6, 0.0132, 0.3, 1e3):
+        for side in (1.0, -1.0):
+            for margin in (0.0, 2.0 * materials.GENT_MARGIN):
+                x = materials._locking_stretch(beta, side, margin)
+                d_lock = (1.0 - margin) / beta
+                assert materials.uniaxial_invariant_excess(x) <= d_lock
+                assert materials.uniaxial_invariant_excess(np.nextafter(x, side * np.inf)) > d_lock
+    solve, margins = materials._locking_stretch, []
+    monkeypatch.setattr(materials, "_locking_stretch",
+                        lambda beta, side, margin=0.0: margins.append(margin) or solve(beta, side, margin))
+    lock = solve(0.0132, 1.0)
+    (stretch,), errors = materials.stretch_roots(gent_bilaminate(), [150.0])
+    assert not errors and 1.0 < stretch < lock < np.sqrt(301.0)
+    assert margins == [2.0 * materials.GENT_MARGIN]
+    margins.clear()
+    (stretch,), errors = materials.stretch_roots(gent_bilaminate(), [1e14])
+    assert np.isnan(stretch) and errors[0].locking_stretch == lock
+    assert margins == [2.0 * materials.GENT_MARGIN, 0.0]

@@ -6,7 +6,10 @@ import io
 import json
 import math
 import sys
+import tempfile
 import tracemalloc
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,36 +25,33 @@ from conftest import EDGE_TOL, Cell, columns, oracle_gaps, with_contrast, with_v
 
 class TestSpec:
     def test_variable_validation(self):
+        """sweeps.grid keeps the range rules that the params table cannot state."""
         with pytest.raises(DomainError):
-            sweeps.SweepSpec("temperature", 0.0, 1.0)
+            sweeps.grid("volume_fraction_2", 0.0, 0.9, 201)
         with pytest.raises(DomainError):
-            sweeps.SweepSpec("volume_fraction_2", 0.0, 0.9)
+            sweeps.grid("magnetic_load_product", 2.0, 1.0, 201)
         with pytest.raises(DomainError):
-            sweeps.SweepSpec("magnetic_load_product", 2.0, 1.0)
+            sweeps.grid("modulus_contrast", 0.0, 2.0, 201)
 
     def test_contrast_grid_has_exact_reciprocals(self):
-        spec = sweeps.SweepSpec("modulus_contrast", 0.1, 10.0, 21)
-        grid = spec.grid()
+        grid = sweeps.grid("modulus_contrast", 0.1, 10.0, 21)
         assert grid[0] == pytest.approx(0.1, rel=1e-12)
         assert grid[-1] == pytest.approx(10.0, rel=1e-12)
 
 
 @pytest.fixture(scope="module")
 def magnetic_result(bilam):
-    spec = sweeps.SweepSpec("magnetic_load_product", -150.0, 150.0, 121)
-    return sweeps.sweep_magnetic(bilam, spec)
+    return sweeps.sweep_magnetic(bilam, sweeps.grid("magnetic_load_product", -150.0, 150.0, 121))
 
 
 @pytest.fixture(scope="module")
 def volume_result(bilam):
-    spec = sweeps.SweepSpec("volume_fraction_2", 0.02, 0.98, 97)
-    return sweeps.sweep_volume_fraction(bilam, spec)
+    return sweeps.sweep_volume_fraction(bilam, sweeps.grid("volume_fraction_2", 0.02, 0.98, 97))
 
 
 @pytest.fixture(scope="module")
 def contrast_result(bilam):
-    spec = sweeps.SweepSpec("modulus_contrast", 0.05, 20.0, 41)
-    return sweeps.sweep_contrast(bilam, spec)
+    return sweeps.sweep_contrast(bilam, sweeps.grid("modulus_contrast", 0.05, 20.0, 41))
 
 
 class TestMagneticSweep:
@@ -108,8 +108,7 @@ class TestMagneticSweep:
 
     def test_locking_rows_flagged_not_fatal(self, bilam):
         """Loads beyond the Gent validity limit flag the row instead of aborting."""
-        spec = sweeps.SweepSpec("magnetic_load_product", -1e14, 1e14, 3)
-        res = sweeps.sweep_magnetic(bilam, spec)
+        res = sweeps.sweep_magnetic(bilam, sweeps.grid("magnetic_load_product", -1e14, 1e14, 3))
         assert res.summary["n_locked"] == 2
         assert res.column("locked").tolist() == [1, 0, 1]  # the zero-load midpoint survives
         assert math.isnan(res.column("stretch")[0])
@@ -134,9 +133,9 @@ class TestMagneticSweep:
         assert dict(zip(header.split(","), row0.split(",")))["locked"] == "1"
 
         lam = cli.laminate_from_config(payload["laminate"])
-        unlocked = sweeps.sweep_magnetic(lam, sweeps.SweepSpec("magnetic_load_product", 0.0, 1.0, 3))
-        assert header.split(",") == sweeps.sweep_table(unlocked)[0]
-        result = sweeps.sweep_magnetic(lam, sweeps.SweepSpec(**payload["params"]))
+        unlocked = sweeps.sweep_magnetic(lam, sweeps.grid("magnetic_load_product", 0.0, 1.0, 3))
+        assert header.split(",") == list(unlocked.columns)
+        result = sweeps.sweep_magnetic(lam, sweeps.grid(**payload["params"]))
         assert result.summary["locked_notes"][0]["load_product"] == -1e300
         assert "underflows" in result.summary["locked_notes"][0]["note"]
         zeta = result.column("zeta")[result.column("locked") == 0]
@@ -167,8 +166,7 @@ class TestVolumeFractionSweep:
         eta = result.column("eta")
         assert eta[0] < 1e-3 and eta[-1] < 1e-3
         # the first gap closes monotonically toward the pure-phase limit
-        spec = sweeps.SweepSpec("volume_fraction_2", 0.002, 0.1, 4)
-        edge = sweeps.sweep_volume_fraction(bilam, spec)
+        edge = sweeps.sweep_volume_fraction(bilam, sweeps.grid("volume_fraction_2", 0.002, 0.1, 4))
         widths = edge.column("gap_exact_hi") - edge.column("gap_exact_lo")
         assert np.all(np.diff(widths) > 0)
         assert widths[0] < 0.05
@@ -197,8 +195,7 @@ class TestContrastSweep:
             assert np.allclose(forward[ok], backward[ok], rtol=0.0, atol=1e-10)
 
     def test_benchmark_contrast_row(self, bilam, eff):
-        spec = sweeps.SweepSpec("modulus_contrast", 0.02, 2.0, 3)  # middle node is 0.2
-        result = sweeps.sweep_contrast(bilam, spec)
+        result = sweeps.sweep_contrast(bilam, sweeps.grid("modulus_contrast", 0.02, 2.0, 3))  # middle node 0.2
         assert result.values[1] == pytest.approx(0.2, rel=1e-12)
         assert result.column("eta")[1] == pytest.approx(eff.eta, rel=1e-9)
         assert result.column("zeta")[1] == pytest.approx(eff.zeta, rel=1e-9)
@@ -212,12 +209,10 @@ class TestContrastSweep:
 
 class TestTableEmission:
     def test_sweep_table_round_trip(self, bilam):
-        spec = sweeps.SweepSpec("volume_fraction_2", 0.2, 0.8, 5)
-        result = sweeps.sweep_volume_fraction(bilam, spec)
-        header, columns = sweeps.sweep_table(result)
-        assert "volume_fraction_2" in header and "eta" in header
-        assert len(columns) == len(header)
-        assert all(len(c) == 5 for c in columns)
+        """The sweep's columns are the CSV table: one name and one full column per entry."""
+        result = sweeps.sweep_volume_fraction(bilam, sweeps.grid("volume_fraction_2", 0.2, 0.8, 5))
+        assert "volume_fraction_2" in result.columns and "eta" in result.columns
+        assert all(len(c) == 5 for c in result.columns.values())
 
 
 def rows_of(result) -> list[dict]:
@@ -277,7 +272,7 @@ class TestBatchedFirstGaps:
     def test_rows_match_brent_oracle(self, bilam, variable, lo, hi, n, ceiling, covers):
         """Every row's first exact gap matches the per-row Brent refinement to EDGE_TOL,
         also where it runs past a ceiling that a fixed scan would have cut it at."""
-        result = SWEEP_FUNCTIONS[variable](bilam, sweeps.SweepSpec(variable, lo, hi, n))
+        result = SWEEP_FUNCTIONS[variable](bilam, sweeps.grid(variable, lo, hi, n))
         seen = set()
         for row, state in zip(rows_of(result), _row_states(bilam, result)):
             got = (row["gap_exact_lo"], row["gap_exact_hi"])
@@ -336,7 +331,7 @@ class TestBatchedFirstGaps:
         counts = {}
         for n in (21, 201):
             calls.update(cosine=0, shear=0)
-            sweeps.sweep_contrast(bilam, sweeps.SweepSpec("modulus_contrast", 0.1, 10.0, n))
+            sweeps.sweep_contrast(bilam, sweeps.grid("modulus_contrast", 0.1, 10.0, n))
             counts[n] = dict(calls)
         assert 0 < counts[201]["cosine"] < 201
         assert counts[201]["cosine"] <= 2 * counts[21]["cosine"]
@@ -344,11 +339,11 @@ class TestBatchedFirstGaps:
 
     def test_search_memory_stays_in_slabs(self, bilam):
         """The search never holds a rows x frequencies matrix (201 x 4001 floats is 6.4 MB)."""
-        spec = sweeps.SweepSpec("modulus_contrast", 0.1, 10.0, 201)
-        sweeps.sweep_contrast(bilam, sweeps.SweepSpec("modulus_contrast", 0.1, 10.0, 3))
+        values = sweeps.grid("modulus_contrast", 0.1, 10.0, 201)
+        sweeps.sweep_contrast(bilam, sweeps.grid("modulus_contrast", 0.1, 10.0, 3))
         tracemalloc.start()
         try:
-            sweeps.sweep_contrast(bilam, spec)
+            sweeps.sweep_contrast(bilam, values)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -401,7 +396,7 @@ def _per_row(lam, result) -> list[dict]:
 class TestColumns:
     @pytest.mark.parametrize("variable, lo, hi", BENCH_SWEEPS)
     def test_columns_match_per_row_cell_states(self, bilam, variable, lo, hi):
-        result = SWEEP_FUNCTIONS[variable](bilam, sweeps.SweepSpec(variable, lo, hi))
+        result = SWEEP_FUNCTIONS[variable](bilam, sweeps.grid(variable, lo, hi, 201))
         for row, want in zip(rows_of(result), _per_row(bilam, result)):
             if want is None:
                 assert row["locked"]
@@ -440,7 +435,7 @@ class TestColumns:
         counts = {}
         for n in (11, 201):
             calls.clear()
-            result = SWEEP_FUNCTIONS[variable](bilam, sweeps.SweepSpec(variable, lo, hi, n))
+            result = SWEEP_FUNCTIONS[variable](bilam, sweeps.grid(variable, lo, hi, n))
             assert len(result.values) == n
             counts[n] = dict(calls)
         expected = {"column states": 1}
@@ -491,3 +486,65 @@ class TestColumnForms:
                     assert math.isnan(column[i])
                 else:
                     assert type(value) is float and np.float64(column[i]).tobytes() == np.float64(value).tobytes()
+
+
+def _decades(lo: float, hi: float):
+    """A positive float whose magnitude spans the decades lo to hi."""
+    return st.floats(lo, hi).map(lambda e: 10.0**e)
+
+
+#: ends of each sweep variable's range, mostly inside the range it can take
+SWEEP_ENDS = {
+    "magnetic_load_product": st.one_of(st.just(0.0), _decades(-3.0, 300.0), _decades(-3.0, 300.0).map(lambda x: -x)),
+    "volume_fraction_2": st.one_of(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True), _decades(-6.0, 1.0)),
+    "modulus_contrast": _decades(-6.0, 6.0),
+}
+
+
+@st.composite
+def cli_sweeps(draw):
+    """A sweep config on a stack of any model kind, moduli over 10^+-3 of 1 MPa, remnant
+    induction and permeability varied, a range across magnitudes and 2, 3 or 11 rows."""
+    phases = []
+    for _ in range(2):
+        kind = draw(st.sampled_from(materials.KINDS))
+        beta = 0.0 if kind == "neo-hookean" else draw(st.sampled_from([0.0132, 0.3, 1e-6, 5.0]))
+        phases.append({"model": {"kind": kind, "G_pa": 1e6 * 10.0 ** draw(st.floats(-3.0, 3.0)), "beta": beta},
+                       "rho": 930.0, "nu": 0.5, "mu_rel": draw(st.sampled_from([1.0, 1.0, 1.0, 1.5, 10.0])),
+                       "br_t": draw(st.sampled_from([0.0, 0.0, 0.1, -1.2]))})
+    variable = draw(st.sampled_from(sorted(SWEEP_ENDS)))
+    lo, hi = sorted(draw(st.lists(SWEEP_ENDS[variable], min_size=2, max_size=2, unique=True)))
+    return {"command": "sweep", "laminate": {"phases": phases, "period_m": 0.01},
+            "params": {"variable": variable, "lo": lo, "hi": hi, "n": draw(st.sampled_from([2, 3, 11]))}}
+
+
+@settings(max_examples=60, deadline=None)
+@given(cli_sweeps())
+def test_cli_sweeps_keep_the_exit_contract(config):
+    """Random sweeps through the CLI exit 0, 1 or 2 with at most one stderr line and no
+    traceback; a failed run writes nothing; a run that exits 0 gives every locked row
+    its note, and finite variable, stretch, eta and zeta on every other row.  A numpy
+    warning, which a CLI run would print as two more stderr lines, raises here."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out = Path(tmp) / "sweep.json", Path(tmp) / "out"
+        path.write_text(json.dumps(config))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()), warnings.catch_warnings():
+            warnings.simplefilter("error")
+            status = cli.run(path, out)
+        assert status in (0, 1, 2)
+        assert len(err.getvalue().splitlines()) <= 1 and "Traceback" not in err.getvalue()
+        if status:
+            assert not out.exists() or not any(out.iterdir())
+            return
+        (table,) = out.glob("sweep_*.csv")
+        (summary,) = out.glob("sweep_*.json")
+        header, *rows = [line.split(",") for line in table.read_text().splitlines() if line[0] != "#"]
+        rows = [dict(zip(header, map(float, row))) for row in rows]
+        locked = [row for row in rows if row.get("locked")]
+        notes = json.loads(summary.read_text()).get("locked_notes", [])
+        assert [note["load_product"] for note in notes] == [row["load_product"] for row in locked]
+        variable = config["params"]["variable"]
+        for row in rows:
+            if not row.get("locked"):
+                assert all(math.isfinite(row[key]) for key in (variable, "stretch", "eta", "zeta") if key in row)

@@ -30,17 +30,17 @@ _FIGURES = {"dispersion": "fig3", "bandgap": "fig3", "soliton": "fig4a+fig4b",
 _SWEEP_FIGURES = {"magnetic_load_product": "fig6a+fig6b", "volume_fraction_2": "fig7",
                   "modulus_contrast": "fig7"}
 
-REQUIRED = object()  # default of a param that must be given
+REQUIRED = object()  # default of a key that must be given
 
 
 @dataclass(frozen=True)
 class Param:
-    """One ``params`` key: its kind, its default and its bound.
+    """One config key: its kind, its default and its bound.
 
-    ``kind`` is ``"float"``, ``"int"``, ``"choice"`` (one of ``choices``) or
-    ``"floats"`` (a non-empty list, each entry bounded like a float).  A number
-    must exceed ``gt``, be at least ``ge`` and, if ``even``, be even; every
-    float must also be finite.
+    ``kind`` is ``"float"``, ``"int"``, ``"text"`` (its ``str``), ``"choice"`` (one of
+    ``choices``), ``"floats"`` (a non-empty list, each entry bounded like a float) or
+    ``"nested"`` (an object or list that its own reader checks).  A number must exceed
+    ``gt``, be at least ``ge`` and, if ``even``, be even; every float must also be finite.
     """
 
     kind: str
@@ -56,7 +56,6 @@ _IMPACT = {
     "V_over_c": Param("float", 2.0, gt=0.0),
     "wavelengths_per_period": Param("float", 16.0, gt=0.0),
     "probes_y_star_multiples": Param("floats", [1.0, 2.0], gt=0.0),
-    "t_final_factor": Param("float", 1.25, gt=0.0),
 }
 
 #: The params table of every command; the resolved ``params`` of a config carry
@@ -74,6 +73,7 @@ PARAMS = {
     "simulate-fv": {
         "cells_per_layer": Param("int", 32, ge=4, even=True),
         **_IMPACT,
+        "t_final_factor": Param("float", 1.25, gt=0.0),
         "limiter": Param("choice", "minmod", choices=tuple(fv_sim.LIMITERS)),
     },
     "simulate-mkdv": {
@@ -93,11 +93,14 @@ PARAMS = {
 
 COMMANDS = tuple(PARAMS)
 
-
-def _require(mapping: dict, key: str, where: str):
-    if key not in mapping:
-        raise ConfigError(f"missing required key {key!r}", where)
-    return mapping[key]
+# the tables of the other config objects: a top-level key is at ``config.<key>``,
+# and the content of each nested object at its own path (``laminate.phases[0].rho``)
+_CONFIG = {"command": Param("choice", choices=COMMANDS), "laminate": Param("nested"),
+           "load": Param("nested", None), "params": Param("nested", None)}
+_LAMINATE = {"phases": Param("nested"), "period_m": Param("float")}
+_PHASE = {"model": Param("nested"), "rho": Param("float"), "nu": Param("float"),
+          "mu_rel": Param("float", 1.0), "br_t": Param("float", 0.0)}
+_MODEL = {"kind": Param("text"), "G_pa": Param("float"), "beta": Param("float", 0.0)}
 
 
 def _check_keys(mapping: dict, allowed: set[str], where: str) -> None:
@@ -121,7 +124,11 @@ def _number(value, where: str) -> float:
 
 
 def _param(spec: Param, value, where: str):
-    """``value`` of one param, checked against its kind and bound."""
+    """``value`` of one key, checked against its kind and bound."""
+    if spec.kind == "nested":
+        return value
+    if spec.kind == "text":
+        return str(value)
     if spec.kind == "choice":
         if value not in spec.choices:
             raise ConfigError(f"expected one of {list(spec.choices)}, got {value!r}", where)
@@ -147,17 +154,15 @@ def _param(spec: Param, value, where: str):
     return value
 
 
-def _resolve_params(command: str, params) -> dict:
-    """``params`` checked against the command's table, with every default filled in."""
-    table = PARAMS[command]
-    params = params or {}
-    _check_keys(params, set(table), "params")
+def _resolve(table: dict, mapping, where: str) -> dict:
+    """The object ``mapping`` at ``where`` checked against ``table``, with every default filled in."""
+    _check_keys(mapping, set(table), where)
     resolved = {}
     for name, spec in table.items():
-        value = params.get(name, spec.default)
+        value = mapping.get(name, spec.default)
         if value is REQUIRED:
-            raise ConfigError(f"missing required key {name!r}", "params")
-        resolved[name] = _param(spec, value, f"params.{name}")
+            raise ConfigError(f"missing required key {name!r}", where)
+        resolved[name] = _param(spec, value, f"{where}.{name}")
     return resolved
 
 
@@ -173,32 +178,21 @@ def _at(where: str):
 
 
 def phase_from_config(cfg: dict, where: str) -> Phase:
-    _check_keys(cfg, {"model", "rho", "nu", "mu_rel", "br_t"}, where)
-    model_cfg = _require(cfg, "model", where)
-    _check_keys(model_cfg, {"kind", "G_pa", "beta"}, f"{where}.model")
+    p = _resolve(_PHASE, cfg, where)
+    m = _resolve(_MODEL, p["model"], f"{where}.model")
     with _at(where):
-        model = HyperelasticModel(
-            kind=str(_require(model_cfg, "kind", f"{where}.model")),
-            shear_modulus=_number(_require(model_cfg, "G_pa", f"{where}.model"), f"{where}.model.G_pa"),
-            beta=_number(model_cfg.get("beta", 0.0), f"{where}.model.beta"),
-        )
-        return Phase(
-            model=model,
-            density=_number(_require(cfg, "rho", where), f"{where}.rho"),
-            volume_fraction=_number(_require(cfg, "nu", where), f"{where}.nu"),
-            permeability=_number(cfg.get("mu_rel", 1.0), f"{where}.mu_rel") * materials.MU0,
-            remnant_induction=_number(cfg.get("br_t", 0.0), f"{where}.br_t"),
-        )
+        model = HyperelasticModel(kind=m["kind"], shear_modulus=m["G_pa"], beta=m["beta"])
+        return Phase(model=model, density=p["rho"], volume_fraction=p["nu"],
+                     permeability=p["mu_rel"] * materials.MU0, remnant_induction=p["br_t"])
 
 
 def laminate_from_config(cfg: dict) -> Laminate:
-    phases = _require(cfg, "phases", "laminate")
-    if not isinstance(phases, list) or len(phases) != 2:
+    lam = _resolve(_LAMINATE, cfg, "laminate")
+    if not isinstance(lam["phases"], list) or len(lam["phases"]) != 2:
         raise ConfigError("phases must be a list of exactly 2 entries", "laminate.phases")
-    p1 = phase_from_config(phases[0], "laminate.phases[0]")
-    p2 = phase_from_config(phases[1], "laminate.phases[1]")
+    p1, p2 = (phase_from_config(phase, f"laminate.phases[{i}]") for i, phase in enumerate(lam["phases"]))
     with _at("laminate"):
-        return Laminate(p1, p2, _number(_require(cfg, "period_m", "laminate"), "laminate.period_m"))
+        return Laminate(p1, p2, lam["period_m"])
 
 
 def load_from_config(cfg: dict | None) -> MagneticLoad:
@@ -221,17 +215,13 @@ def parse_config(raw: dict) -> dict:
     The returned ``params`` are resolved against :data:`PARAMS`, with every default
     filled in.
     """
-    _check_keys(raw, {"command", "laminate", "load", "params"}, "config")
-    command = _require(raw, "command", "config")
-    if command not in COMMANDS:
-        raise ConfigError(f"unknown command {command!r}; expected one of {COMMANDS}", "config.command")
-    laminate_cfg = _require(raw, "laminate", "config")
-    _check_keys(laminate_cfg, {"phases", "period_m"}, "config.laminate")
+    top = _resolve(_CONFIG, raw, "config")
+    command = top["command"]
     cfg = {
         "command": command,
-        "laminate": laminate_from_config(laminate_cfg),
-        "load": load_from_config(raw.get("load")),
-        "params": _resolve_params(command, raw.get("params")),
+        "laminate": laminate_from_config(top["laminate"]),
+        "load": load_from_config(top["load"]),
+        "params": _resolve(PARAMS[command], top["params"] or {}, "params"),
         "raw": raw,
     }
     if command == "sweep":  # the range rules on two points; the run builds the grid (too large: exit 2)
@@ -337,9 +327,9 @@ def _run_simulate(cfg):
     kappa = 2.0 * math.pi / (p["wavelengths_per_period"] * eff.ell)
     y_star = soliton.shock_distance(eff, velocity, kappa)
     probes = [m * y_star for m in p["probes_y_star_multiples"]]
-    t_final = p["t_final_factor"] * (max(probes) / eff.c + 3.0 * 2.0 * math.pi / (kappa * eff.c))
     summary = {"y_star_m": y_star, "c_eff": eff.c}
     if command == "simulate-fv":
+        t_final = p["t_final_factor"] * (max(probes) / eff.c + 3.0 * 2.0 * math.pi / (kappa * eff.c))
         try:
             periods = fv_sim.required_periods(st, t_final, max(probes), 2.0 * math.pi / kappa)
         except OverflowError:

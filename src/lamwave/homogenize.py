@@ -50,15 +50,12 @@ def optimized_dispersion_coeffs(eta) -> tuple[float, float, float]:
     """Split ``eta`` into the (eta_y, eta_m, eta_t) triple with zone-edge standing waves.
 
     Requires ``eta < 1/(2 pi^2)`` so that ``eta_t`` stays positive; of an array
-    of eta, the first entry too large is reported.
+    of eta, ``eta_t`` is NaN on each entry too large.
     """
-    too_strong = np.asarray(eta >= ETA_Y_OPT)
-    if too_strong.any():
-        raise DispersionTooStrong(
-            f"eta = {float(np.asarray(eta)[too_strong][0]):.6g} >= 1/(2 pi^2) = {ETA_Y_OPT:.6g}; "
-            "the optimised coefficient set does not exist for this laminate"
-        )
-    return (ETA_Y_OPT, 0.0, ETA_Y_OPT - eta)
+    too_strong = _fails(eta >= ETA_Y_OPT, lambda: DispersionTooStrong(
+        f"eta = {eta:.6g} >= 1/(2 pi^2) = {ETA_Y_OPT:.6g}; "
+        "the optimised coefficient set does not exist for this laminate"))
+    return (ETA_Y_OPT, 0.0, _nan_where(too_strong, ETA_Y_OPT - eta))
 
 
 @dataclass(frozen=True)
@@ -131,9 +128,16 @@ def cell_columns(sc: tuple[ShearCoefficients, ShearCoefficients], rho: tuple, nu
     r1, r2 = rho1 / rho_eff, rho2 / rho_eff
 
     mix = n1 * g2 + n2 * g1
-    with np.errstate(over="raise"):  # of arrays as of floats, a power that overflows raises
-        zeta = (n1 * h1 * g2**4 + n2 * h2 * g1**4) / mix**4
-        eta = (n1 * n2) ** 2 / (g1 * g2) ** 2 * (r1 * g1 - r2 * g2) ** 2 / 12.0
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is caught below
+        num, den = n1 * h1 * g2**4 + n2 * h2 * g1**4, mix**4
+        gg, dr = (g1 * g2) ** 2, (r1 * g1 - r2 * g2) ** 2
+        zeta, eta = num / den, (n1 * n2) ** 2 / gg * dr / 12.0
+    # a term that overflows from finite coefficients fails one cell, and makes a
+    # column's zeta and eta NaN on its entry
+    finite = np.isfinite((g1, g2, h1, h2)).all(axis=0)
+    overflow = _fails(finite & ~np.isfinite((num, den, gg, dr)).all(axis=0),
+                      lambda: FloatingPointError("zeta or eta overflows the float range"))
+    zeta, eta = _nan_where(overflow, zeta), _nan_where(overflow, eta)
 
     eta_y, eta_m, eta_t = optimized_dispersion_coeffs(eta)
     eff = EffectiveModel(g_eff, rho_eff, c, zeta, eta, eta_y, eta_m, eta_t, stretch * period, stretch)

@@ -121,7 +121,8 @@ def existence_bound(eff: EffectiveModel) -> float:
     positive, i.e. while ``eta - (eta_m + 2 eta_t) x - eta_t x^2 > 0`` with
     ``x = s^2/c^2 - 1``.  The bound is the smallest positive root of that
     polynomial; with no positive root the range is unbounded.  Of a model of
-    many cells, a column, NaN where eta <= 0 (where one cell raises).
+    many cells, a column, NaN where eta <= 0 (where one cell raises) or where
+    ``eta_t`` is NaN (too strong a dispersion for the optimised triple).
     """
     failed = _fails(eff.eta <= 0.0, lambda: NoSoliton("existence analysis needs eta > 0"))
     eta, eta_t = (np.asarray(v, dtype=float) for v in (eff.eta, eff.eta_t))
@@ -133,6 +134,7 @@ def existence_bound(eff: EffectiveModel) -> float:
         roots = np.stack([(-b - s) / (2.0 * eta_t), (-b + s) / (2.0 * eta_t)])
         x = np.where(roots > 0.0, roots, math.inf).min(axis=0)
         x = np.where(eta_t == 0.0, np.where(b <= 0.0, math.inf, eta / b), x)
+        x = np.where(np.isnan(eta_t), math.nan, x)  # its NaN roots read as unbounded above
         return _nan_where(failed, np.sqrt(1.0 + x))
 
 

@@ -33,6 +33,8 @@ def grid(variable: str, lo: float, hi: float, n: int) -> np.ndarray:
     cannot take."""
     if not lo < hi:
         raise DomainError(f"sweep range needs lo < hi, got lo = {lo!r}, hi = {hi!r}")
+    if not math.isfinite(hi - lo):
+        raise DomainError(f"sweep range width hi - lo overflows, got lo = {lo!r}, hi = {hi!r}")
     if variable == "volume_fraction_2" and not (0.0 < lo and hi < 1.0):
         raise DomainError(f"volume fractions must stay inside (0, 1), got lo = {lo!r}, hi = {hi!r}")
     if variable == "modulus_contrast":
@@ -97,16 +99,24 @@ def sweep_magnetic(lam: Laminate, values: np.ndarray) -> SweepResult:
     for i in np.flatnonzero(stretch < sys.float_info.min ** 0.25).tolist():
         notes[i] = f"stretch {stretch[i]:.6g} underflows: its fourth power is below the float range"
     locked = np.isin(np.arange(len(values)), list(notes))
-    free = stretch[~locked]
+    solved = ~locked
+    free = stretch[solved]
     with np.errstate(**FLOAT_ERRORS):
         st = cell_state(lam, free)
         # omega*L/c0 = (omega*ell/c) * c / (stretch * c0)
         unlocked = {"stretch": free, **_columns(st, st.eff.c / (free * c0), st.eff.c / c0)}
+    # zeta and eta are NaN where their terms overflow (cell_columns): such a row locks too
+    overflow = np.flatnonzero(solved)[np.isnan(st.eff.zeta)]
+    for i in overflow.tolist():
+        notes[i] = f"stretch {stretch[i]:.6g}: zeta or eta overflows the float range"
+    locked[overflow] = True
     columns = {"load_product": values, "locked": locked.astype(int),
                "n_stretch_roots": np.ones(len(values), dtype=int)}
     for key, column in unlocked.items():
         columns[key] = np.full(len(values), math.nan)
-        columns[key][~locked] = column
+        columns[key][solved] = column
+        columns[key][overflow] = math.nan
+    free = stretch[~locked]
     summary = {
         "n_locked": len(notes),
         "stretch_min": float(free.min()) if free.size else math.nan,
@@ -141,17 +151,24 @@ def sweep_volume_fraction(lam: Laminate, values: np.ndarray) -> SweepResult:
             return -math.inf
 
     pad = max((values[-1] - values[0]) / (len(values) - 1), 1e-4)
+    notes = []
 
-    def bracket(col: np.ndarray) -> tuple[float, float]:
-        i = int(np.nanargmax(col))
-        return max(values[0], values[i] - pad), min(values[-1], values[i] + pad)
+    def argmax(f, key: str) -> float | None:
+        """The maximiser of ``f`` near the row of the largest ``key``; None if no row has one."""
+        if np.isnan(columns[key]).all():
+            notes.append(f"argmax_{key} is null: no row has a finite {key}")
+            return None
+        i = int(np.nanargmax(columns[key]))
+        return golden_max(f, max(values[0], values[i] - pad), min(values[-1], values[i] + pad), xatol=1e-10)
 
     st = cell_state(lam, 1.0)
     summary = {
-        "argmax_eta": golden_max(lambda x: eff_of(x).eta, *bracket(columns["eta"]), xatol=1e-10),
-        "argmax_max_strain": golden_max(strain_of, *bracket(columns["max_strain"]), xatol=1e-10),
+        "argmax_eta": argmax(lambda x: eff_of(x).eta, "eta"),
+        "argmax_max_strain": argmax(strain_of, "max_strain"),
         "speed_ratio_prediction": st.c2 / (st.c1 + st.c2),
     }
+    if notes:
+        summary["note"] = "; ".join(notes)
     fixed = {"stretch": 1.0, "period_m": lam.period}
     return SweepResult("volume_fraction_2", values, columns, fixed, summary)
 

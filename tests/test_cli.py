@@ -8,6 +8,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -116,6 +117,9 @@ class TestValidation:
             ("simulate-fv", {"V_over_c": float("inf")}, None, "params.V_over_c"),
             ("effective", {"foo": 1}, None, "params"),
             ("magnetostatic", {"foo": 1}, None, "params"),
+            ("simulate-mkdv", {"t_final_factor": 1.25}, None, "params.t_final_factor: unknown key"),
+            ("sweep", {"variable": "magnetic_load_product", "lo": -1.7e308, "hi": 1.7e308}, None,
+             "params: sweep range"),
         ],
         ids=[
             "cells_per_layer-str", "n_points-zero", "n_points-2", "n_points-16",
@@ -126,6 +130,7 @@ class TestValidation:
             "t_final_factor-negative", "dy-zero", "window_factor-small", "bandgap-omega-zero",
             "dispersion-omega-negative", "dispersion-omega-1e300", "bandgap-omega-1e300",
             "V-infinite", "effective-unknown-key", "magnetostatic-unknown-key",
+            "mkdv-t_final_factor", "sweep-range-overflow",
         ],
     )
     def test_bad_param_exits_1_with_key_path(self, tmp_path, capsys, command, params, load, key):
@@ -134,8 +139,7 @@ class TestValidation:
             payload["load"] = load
         cfg = write_config(tmp_path, payload)
         assert cli.run(cfg, tmp_path / "out") == 1
-        err = capsys.readouterr().err
-        assert "Traceback" not in err
+        (err,) = capsys.readouterr().err.splitlines()
         assert key in err
 
     @pytest.mark.parametrize("command", ["effective", "magnetostatic", "dispersion", "bandgap", "soliton"])
@@ -383,6 +387,57 @@ class TestArtifacts:
         assert all("overflows" in n["note"] for n in notes)
         (summary_path,) = run_ok(tmp_path, VALID_CONFIGS["sweep"], "free").glob("sweep_*.json")
         assert json.loads(summary_path.read_text())["locked_notes"] == []
+
+    def sweep_rows(self, out: Path) -> tuple[list[dict], dict]:
+        """The rows of a run's sweep CSV, as floats by column, and its summary."""
+        (csv_path,) = out.glob("sweep_*.csv")
+        (summary_path,) = out.glob("sweep_*.json")
+        header, *rows = [line.split(",") for line in csv_path.read_text().splitlines() if line[0] != "#"]
+        return [dict(zip(header, map(float, row))) for row in rows], json.loads(summary_path.read_text())
+
+    def test_too_strong_dispersion_loses_its_rows(self, tmp_path):
+        """At density contrast 10 the contrasts from 6.76 to 10 give eta >= 1/(2 pi^2), where
+        the optimised triple does not exist: those 18 rows read NaN homogenised gaps and soliton
+        bounds, with finite exact gaps, eta and zeta; every other row keeps its homogenised gap."""
+        payload = {"command": "sweep", "laminate": copy.deepcopy(BENCH_LAMINATE),
+                   "params": {"variable": "modulus_contrast", "lo": 0.1, "hi": 10.0, "n": 201}}
+        payload["laminate"]["phases"][1]["rho"] = 9300.0
+        rows, _ = self.sweep_rows(run_ok(tmp_path, payload))
+        strong = [row for row in rows if row["eta"] >= 1.0 / (2.0 * math.pi**2)]
+        assert len(strong) == 18 and strong[0]["modulus_contrast"] == pytest.approx(6.7608, rel=1e-4)
+        for row in strong:
+            assert all(math.isnan(row[key]) for key in ("gap_homog_lo", "gap_homog_hi", "max_speed_ratio",
+                                                        "max_strain"))
+            assert all(math.isfinite(row[key]) for key in ("gap_exact_lo", "gap_exact_hi", "eta", "zeta"))
+        assert all(math.isfinite(row["gap_homog_lo"]) for row in rows if row not in strong)
+
+    def test_overflowing_zeta_power_locks_its_row(self, tmp_path, capsys):
+        """On a neo-Hookean / Fung-Demiray stack the load 1e82 stretches to 116.8, where the
+        powers of zeta overflow: that row of a sweep is locked with its note, the load-0 row
+        stays, and the one cell at that load exits 2."""
+        laminate = {"phases": [{"model": {"kind": "neo-hookean", "G_pa": 1e6}, "rho": 930.0, "nu": 0.5},
+                               {"model": {"kind": "fung-demiray", "G_pa": 1e6, "beta": 0.0132},
+                                "rho": 930.0, "nu": 0.5}], "period_m": 0.01}
+        payload = {"command": "sweep", "laminate": laminate,
+                   "params": {"variable": "magnetic_load_product", "lo": 0.0, "hi": 1e82, "n": 2}}
+        rows, summary = self.sweep_rows(run_ok(tmp_path, payload))
+        assert [row["locked"] for row in rows] == [0, 1] and rows[0]["stretch"] == 1.0
+        (note,) = summary["locked_notes"]
+        assert note["load_product"] == 1e82 and "overflows" in note["note"]
+        payload = {"command": "effective", "laminate": laminate, "load": {"bn_br_product": 1e82}}
+        assert cli.run(write_config(tmp_path, payload), tmp_path / "one") == 2
+        assert "numerical failure" in capsys.readouterr().err
+
+    def test_argmax_without_finite_entry_is_null(self, tmp_path):
+        """Two identical phases have no soliton bound at any volume fraction: the summary's
+        argmax_max_strain is null, a note says why, and every other key is kept."""
+        payload = {"command": "sweep", "laminate": copy.deepcopy(BENCH_LAMINATE),
+                   "params": {"variable": "volume_fraction_2", "lo": 0.2, "hi": 0.8, "n": 5}}
+        payload["laminate"]["phases"][1] = payload["laminate"]["phases"][0]
+        rows, summary = self.sweep_rows(run_ok(tmp_path, payload))
+        assert all(math.isnan(row["max_strain"]) for row in rows)
+        assert set(summary) == {"argmax_eta", "argmax_max_strain", "speed_ratio_prediction", "note"}
+        assert summary["argmax_max_strain"] is None and "max_strain" in summary["note"]
 
     def test_failed_run_writes_nothing(self, tmp_path, capsys):
         """A run that exits 2 after some of its tables are computed writes none of them:
@@ -807,10 +862,9 @@ class TestDeterminism:
         assert err.startswith("usage: lamwave") and "error:" in err
 
 
-_SMALL_IMPACT = {"V_over_c": 1.0, "wavelengths_per_period": 8, "probes_y_star_multiples": [0.1],
-                 "t_final_factor": 0.4}
-#: A small impact run of each simulate command, its own discretisation keys included.
-SMALL_SIM = {"simulate-fv": dict(_SMALL_IMPACT, cells_per_layer=8),
+_SMALL_IMPACT = {"V_over_c": 1.0, "wavelengths_per_period": 8, "probes_y_star_multiples": [0.1]}
+#: A small impact run of each simulate command, its own keys included.
+SMALL_SIM = {"simulate-fv": dict(_SMALL_IMPACT, t_final_factor=0.4, cells_per_layer=8),
              "simulate-mkdv": dict(_SMALL_IMPACT, window_factor=8)}
 #: One valid, quick config per command; the mutation test starts from these.
 VALID_CONFIGS = {
@@ -925,15 +979,9 @@ KEY_VARIANTS = {
                      "probes_y_star_multiples": [0.12], "t_final_factor": 0.45, "limiter": "mc"}),
     "simulate-mkdv": (VALID_CONFIGS["simulate-mkdv"]["params"],
                       {"V_over_c": 1.1, "wavelengths_per_period": 9, "probes_y_star_multiples": [0.12],
-                       "t_final_factor": 0.45, "window_factor": 9.0, "n_points": 128, "dy_m": 9e-5,
-                       "viscosity": 1e-8}),
+                       "window_factor": 9.0, "n_points": 128, "dy_m": 9e-5, "viscosity": 1e-8}),
     "sweep": ({"variable": "volume_fraction_2", "lo": 0.2, "hi": 0.8, "n": 5},
               {"variable": "modulus_contrast", "lo": 0.3, "hi": 0.7, "n": 6}),
-}
-#: (command, key) pairs whose key changes nothing, each with the reason
-IGNORED_KEYS = {
-    ("simulate-mkdv", "t_final_factor"): "the spectral march reads no end time: it stops at the "
-                                         "farthest probe, so the shared impact key is ignored",
 }
 
 
@@ -961,6 +1009,17 @@ def base_outcome(tmp_path_factory):
     return outcome
 
 
+def test_readme_params_table_names_every_key():
+    """Each command's row of README's params table names, in backticks, exactly the keys
+    of its params table, besides the values of a choice; a span such as `lo < hi` is no name."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = readme.split("Commands and their `params`")[1].split("\n\n")[1].splitlines()
+    for command, params in cli.PARAMS.items():
+        (row,) = [line for line in table if line.startswith(f"| `{command}`")]
+        named = set(re.findall(r"`(\w+)`", row.split("|", 2)[2]))
+        assert named - {c for spec in params.values() for c in spec.choices} == set(params), command
+
+
 def test_every_params_table_has_variants():
     assert {c for c, table in cli.PARAMS.items() if table} == set(KEY_VARIANTS)
     for command, (_, variants) in KEY_VARIANTS.items():
@@ -968,9 +1027,7 @@ def test_every_params_table_has_variants():
 
 
 @pytest.mark.parametrize("command, key", [
-    pytest.param(command, key, marks=[pytest.mark.xfail(strict=True, reason=IGNORED_KEYS[command, key])]
-                 if (command, key) in IGNORED_KEYS else [])
-    for command, (_, variants) in KEY_VARIANTS.items() for key in variants
+    (command, key) for command, (_, variants) in KEY_VARIANTS.items() for key in variants
 ])
 def test_every_param_key_changes_the_run(tmp_path, base_outcome, command, key):
     """Each key of each command's params table, moved off its base value, changes an

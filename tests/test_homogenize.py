@@ -308,8 +308,11 @@ class TestOptimizedCoefficients:
         assert et == pytest.approx(0.010661, abs=1e-6)
 
     def test_too_strong(self):
+        """One cell too dispersive raises; a column gets NaN eta_t on those entries only."""
         with pytest.raises(DispersionTooStrong):
             hz.optimized_dispersion_coeffs(0.06)
+        _, _, et = hz.optimized_dispersion_coeffs(np.array([0.04, 0.06]))
+        assert et[0] == pytest.approx(0.010661, abs=1e-6) and math.isnan(et[1])
 
 
 class TestCellCorrectors:

@@ -493,9 +493,11 @@ def _decades(lo: float, hi: float):
     return st.floats(lo, hi).map(lambda e: 10.0**e)
 
 
-#: ends of each sweep variable's range, mostly inside the range it can take
+#: ends of each sweep variable's range, mostly inside the range it can take; the load
+#: products reach 1.7e308, so a range's width may overflow the float range
+LOAD_DECADES = _decades(-3.0, math.log10(1.7e308))
 SWEEP_ENDS = {
-    "magnetic_load_product": st.one_of(st.just(0.0), _decades(-3.0, 300.0), _decades(-3.0, 300.0).map(lambda x: -x)),
+    "magnetic_load_product": st.one_of(st.just(0.0), LOAD_DECADES, LOAD_DECADES.map(lambda x: -x)),
     "volume_fraction_2": st.one_of(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True), _decades(-6.0, 1.0)),
     "modulus_contrast": _decades(-6.0, 6.0),
 }
@@ -503,14 +505,16 @@ SWEEP_ENDS = {
 
 @st.composite
 def cli_sweeps(draw):
-    """A sweep config on a stack of any model kind, moduli over 10^+-3 of 1 MPa, remnant
-    induction and permeability varied, a range across magnitudes and 2, 3 or 11 rows."""
+    """A sweep config on a stack of any model kind, moduli over 10^+-3 of 1 MPa, densities
+    930, 1860 or 9300, remnant induction and permeability varied, a range across magnitudes
+    and 2, 3 or 11 rows."""
     phases = []
     for _ in range(2):
         kind = draw(st.sampled_from(materials.KINDS))
         beta = 0.0 if kind == "neo-hookean" else draw(st.sampled_from([0.0132, 0.3, 1e-6, 5.0]))
         phases.append({"model": {"kind": kind, "G_pa": 1e6 * 10.0 ** draw(st.floats(-3.0, 3.0)), "beta": beta},
-                       "rho": 930.0, "nu": 0.5, "mu_rel": draw(st.sampled_from([1.0, 1.0, 1.0, 1.5, 10.0])),
+                       "rho": 930.0 * draw(st.sampled_from([1, 2, 10])), "nu": 0.5,
+                       "mu_rel": draw(st.sampled_from([1.0, 1.0, 1.0, 1.5, 10.0])),
                        "br_t": draw(st.sampled_from([0.0, 0.0, 0.1, -1.2]))})
     variable = draw(st.sampled_from(sorted(SWEEP_ENDS)))
     lo, hi = sorted(draw(st.lists(SWEEP_ENDS[variable], min_size=2, max_size=2, unique=True)))

@@ -21,7 +21,7 @@ from pathlib import Path
 from . import dispersion as disp
 from . import fv_sim, materials, soliton, spectral_sim, sweeps
 from .errors import ConfigError, DomainError, Instability, LamwaveError
-from .homogenize import CellState, cell_state
+from .homogenize import CellState, cell_state, effective_model
 from .materials import HyperelasticModel, Laminate, MagneticLoad, Phase
 from .output import config_hash, probe_table, write_csv, write_json
 
@@ -221,19 +221,22 @@ def parse_config(raw: dict) -> dict:
         "command": command,
         "laminate": laminate_from_config(top["laminate"]),
         "load": load_from_config(top["load"]),
-        "params": _resolve(PARAMS[command], top["params"] or {}, "params"),
+        "params": _resolve(PARAMS[command], {} if top["params"] is None else top["params"], "params"),
         "raw": raw,
     }
+    p = cfg["params"]
     if command == "sweep":  # the range rules on two points; the run builds the grid (too large: exit 2)
-        p = cfg["params"]
         with _at("params"):
             sweeps.grid(p["variable"], p["lo"], p["hi"], 2)
+    swept = command == "sweep" and p["variable"] == "magnetic_load_product"
+    if swept or cfg["load"].bn_br_product is not None:  # a load product needs a vacuum-permeability stack
+        with _at("params.variable" if swept else "load.bn_br_product"):
+            materials.dimensionless_load_rhs(cfg["laminate"], MagneticLoad(bn_br_product=0.0))
     if command in ("dispersion", "bandgap"):
         # the Bloch cosine oscillates in omega*ell/c at rates up to t1 + t2 <= 1 (the
         # layer travel fractions), so dispersion's node spacing of at most pi/4 keeps
         # 8 nodes per oscillation; bandgap's n_scan caps omega_max_over_pi alike and
         # sizes nothing
-        p = cfg["params"]
         steps = p["n_scan"] if command == "bandgap" else p["n"] - 1
         if 4.0 * p["omega_max_over_pi"] > steps:
             raise ConfigError(
@@ -249,7 +252,8 @@ def _cell(cfg: dict) -> CellState:
 
 
 def _run_effective(cfg):
-    return [], _cell(cfg).eff.as_record()
+    lam = cfg["laminate"]
+    return [], effective_model(lam, materials.stretch_from_field(lam, cfg["load"])).as_record()
 
 
 def _run_magnetostatic(cfg):

@@ -23,7 +23,7 @@ import numpy as np
 from . import dispersion, materials, soliton
 from ._roots import golden_max
 from .errors import DomainError, LamwaveError
-from .homogenize import FLOAT_ERRORS, CellState, EffectiveModel, cell_columns, cell_state, effective_model
+from .homogenize import FLOAT_ERRORS, CellState, cell_columns, cell_state
 from .materials import HyperelasticModel, Laminate, MagneticLoad, shear_coefficients
 
 
@@ -77,16 +77,15 @@ def _columns(st: CellState, scale, speed_scale) -> dict[str, np.ndarray]:
 def sweep_magnetic(lam: Laminate, values: np.ndarray) -> SweepResult:
     """Stretch, band gaps and solitary-wave bounds versus the magnetic load product.
 
-    Frequencies are reported as omega*L/c0 with c0 the undeformed effective
-    speed, so rows are comparable across stretch states.  Rows where the
-    stretch solve hits the Gent validity limit, or whose stretch is so small that
-    its fourth power underflows, are flagged ``locked`` instead of aborting the
-    sweep; the summary's ``locked_notes`` says why, one ``{"load_product", "note"}``
-    per locked row.  The stretch balance has one root at every load
-    (:func:`lamwave.materials.stretch_roots`), so ``n_stretch_roots`` is 1
+    Frequencies are reported as omega*L/c0 with c0 the speed of the undeformed cell, the
+    last entry of the sweep's column state, so rows are comparable across stretch states.
+    A row whose stretch solve hits the Gent validity limit, whose stretch has a fourth
+    power below the float range, or whose zeta or eta overflows is flagged ``locked``
+    instead of aborting the sweep; the summary's ``locked_notes`` says why, one
+    ``{"load_product", "note"}`` per locked row.  The stretch balance has one root at
+    every load (:func:`lamwave.materials.stretch_roots`), so ``n_stretch_roots`` is 1
     on every row and the ``multi_root_rows`` summary is 0.
     """
-    c0 = effective_model(lam, 1.0).c
     # every load passes the checks of a MagneticLoad: finite, and the product form
     # needs a vacuum-permeability stack
     if not np.isfinite(values).all():
@@ -99,23 +98,20 @@ def sweep_magnetic(lam: Laminate, values: np.ndarray) -> SweepResult:
     for i in np.flatnonzero(stretch < sys.float_info.min ** 0.25).tolist():
         notes[i] = f"stretch {stretch[i]:.6g} underflows: its fourth power is below the float range"
     locked = np.isin(np.arange(len(values)), list(notes))
-    solved = ~locked
-    free = stretch[solved]
+    # one column state: a locked row at the placeholder stretch 1, then the undeformed cell
+    x = np.append(np.where(locked, 1.0, stretch), 1.0)
     with np.errstate(**FLOAT_ERRORS):
-        st = cell_state(lam, free)
+        st = cell_state(lam, x)
+        c0 = st.eff.c[-1]
         # omega*L/c0 = (omega*ell/c) * c / (stretch * c0)
-        unlocked = {"stretch": free, **_columns(st, st.eff.c / (free * c0), st.eff.c / c0)}
+        table = {"stretch": x, **_columns(st, st.eff.c / (x * c0), st.eff.c / c0)}
     # zeta and eta are NaN where their terms overflow (cell_columns): such a row locks too
-    overflow = np.flatnonzero(solved)[np.isnan(st.eff.zeta)]
-    for i in overflow.tolist():
-        notes[i] = f"stretch {stretch[i]:.6g}: zeta or eta overflows the float range"
-    locked[overflow] = True
+    for i in np.flatnonzero(np.isnan(st.eff.zeta[:-1])).tolist():
+        notes.setdefault(i, f"stretch {stretch[i]:.6g}: zeta or eta overflows the float range")
+    locked = np.isin(np.arange(len(values)), list(notes))
     columns = {"load_product": values, "locked": locked.astype(int),
                "n_stretch_roots": np.ones(len(values), dtype=int)}
-    for key, column in unlocked.items():
-        columns[key] = np.full(len(values), math.nan)
-        columns[key][solved] = column
-        columns[key][overflow] = math.nan
+    columns.update((key, np.where(locked, math.nan, column[:-1])) for key, column in table.items())
     free = stretch[~locked]
     summary = {
         "n_locked": len(notes),
@@ -127,50 +123,50 @@ def sweep_magnetic(lam: Laminate, values: np.ndarray) -> SweepResult:
     return SweepResult("magnetic_load_product", values, columns, {"period_m": lam.period}, summary)
 
 
-def _unit_stretch_columns(lam: Laminate, variable: str, values: np.ndarray, sc, nu) -> dict[str, np.ndarray]:
-    """Columns at unit stretch from the phases' shear coefficients ``sc`` and volume
-    fractions ``nu``, each a pair of floats or columns with one entry per row."""
+def _unit_stretch_columns(lam: Laminate, variable: str, values: np.ndarray, sc, nu):
+    """The column state at unit stretch from the phases' shear coefficients ``sc`` and volume
+    fractions ``nu``, each a pair of floats or columns with one entry per row, and its columns."""
     with np.errstate(**FLOAT_ERRORS):
         st = cell_columns(sc, (lam.phase1.density, lam.phase2.density), nu, 1.0, lam.period)
-        return {variable: values, **_columns(st, 1.0, 1.0)}
+        return st, {variable: values, **_columns(st, 1.0, 1.0)}
 
 
 def sweep_volume_fraction(lam: Laminate, values: np.ndarray) -> SweepResult:
-    """Band gaps and solitary-wave bounds versus the phase-2 volume fraction (stretch 1)."""
+    """Band gaps and solitary-wave bounds versus the phase-2 volume fraction (stretch 1).
+
+    An argmax of the summary is ``null``, with a ``note``, where no two finite entries of
+    its column differ or where the one cell of its largest row cannot be evaluated."""
     p1, p2 = lam.phases
     sc = (shear_coefficients(p1.model, 1.0), shear_coefficients(p2.model, 1.0))
-    columns = _unit_stretch_columns(lam, "volume_fraction_2", values, sc, (1.0 - values, values))
-
-    def eff_of(x: float) -> EffectiveModel:
-        return cell_columns(sc, (p1.density, p2.density), (1.0 - x, x), 1.0, lam.period).eff
-
-    def strain_of(x: float) -> float:
-        try:
-            return soliton.max_strain_amplitude(eff_of(x))
-        except LamwaveError:
-            return -math.inf
-
+    st, columns = _unit_stretch_columns(lam, "volume_fraction_2", values, sc, (1.0 - values, values))
     pad = max((values[-1] - values[0]) / (len(values) - 1), 1e-4)
     notes = []
 
-    def argmax(f, key: str) -> float | None:
-        """The maximiser of ``f`` near the row of the largest ``key``; None if no row has one."""
-        if np.isnan(columns[key]).all():
-            notes.append(f"argmax_{key} is null: no row has a finite {key}")
-            return None
-        i = int(np.nanargmax(columns[key]))
-        return golden_max(f, max(values[0], values[i] - pad), min(values[-1], values[i] + pad), xatol=1e-10)
+    def argmax(form, key: str) -> float | None:
+        def of(x: float) -> float:  # ``form`` of one cell's model; -inf where that cell fails
+            try:
+                return form(cell_columns(sc, (p1.density, p2.density), (1.0 - x, x), 1.0, lam.period).eff)
+            except (LamwaveError, ArithmeticError):
+                return -math.inf
 
-    st = cell_state(lam, 1.0)
+        finite = columns[key][np.isfinite(columns[key])]
+        if not finite.size or finite.min() == finite.max():
+            notes.append(f"argmax_{key} is null: no two rows differ in a finite {key}")
+            return None
+        x = values[int(np.nanargmax(columns[key]))]
+        if of(x) == -math.inf:
+            notes.append(f"argmax_{key} is null: its top row's one cell ({x:.6g}) fails")
+            return None
+        return golden_max(of, max(values[0], x - pad), min(values[-1], x + pad), xatol=1e-10)
+
     summary = {
-        "argmax_eta": argmax(lambda x: eff_of(x).eta, "eta"),
-        "argmax_max_strain": argmax(strain_of, "max_strain"),
+        "argmax_eta": argmax(lambda eff: eff.eta, "eta"),
+        "argmax_max_strain": argmax(soliton.max_strain_amplitude, "max_strain"),
         "speed_ratio_prediction": st.c2 / (st.c1 + st.c2),
     }
     if notes:
         summary["note"] = "; ".join(notes)
-    fixed = {"stretch": 1.0, "period_m": lam.period}
-    return SweepResult("volume_fraction_2", values, columns, fixed, summary)
+    return SweepResult("volume_fraction_2", values, columns, {"stretch": 1.0, "period_m": lam.period}, summary)
 
 
 def sweep_contrast(lam: Laminate, values: np.ndarray) -> SweepResult:
@@ -183,15 +179,14 @@ def sweep_contrast(lam: Laminate, values: np.ndarray) -> SweepResult:
     with np.errstate(**FLOAT_ERRORS):  # one model holding the column of phase-2 moduli
         model2 = HyperelasticModel(p2.model.kind, values * p1.model.shear_modulus, p2.model.beta)
         sc = (shear_coefficients(p1.model, 1.0), shear_coefficients(model2, 1.0))
-    nu = (p1.volume_fraction, p2.volume_fraction)
-    columns = _unit_stretch_columns(lam, "modulus_contrast", values, sc, nu)
+    _, columns = _unit_stretch_columns(lam, "modulus_contrast", values, sc, (p1.volume_fraction, p2.volume_fraction))
     widths = columns["gap_exact_hi"] - columns["gap_exact_lo"]
-    summary = {
-        "max_gap_width": float(np.nanmax(widths)),
-        "contrast_at_max_gap": float(values[int(np.nanargmax(widths))]),
-    }
-    fixed = {"stretch": 1.0, "period_m": lam.period}
-    return SweepResult("modulus_contrast", values, columns, fixed, summary)
+    if np.isnan(widths).all():
+        summary = {"max_gap_width": None, "contrast_at_max_gap": None, "note": "no row has a first gap"}
+    else:
+        i = int(np.nanargmax(widths))
+        summary = {"max_gap_width": float(widths[i]), "contrast_at_max_gap": float(values[i])}
+    return SweepResult("modulus_contrast", values, columns, {"stretch": 1.0, "period_m": lam.period}, summary)
 
 
 #: The sweep of each variable, as ``(laminate, grid values) -> SweepResult``.  Each entry

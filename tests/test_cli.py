@@ -33,6 +33,11 @@ BENCH_LAMINATE = {
 }
 
 
+#: the paper stack with a phase-1 permeability of 1.5 mu0, where a load product defines no load
+PERMEABLE_LAMINATE = {"phases": [{**BENCH_LAMINATE["phases"][0], "mu_rel": 1.5}, BENCH_LAMINATE["phases"][1]],
+                      "period_m": 0.01}
+
+
 def write_config(tmp_path: Path, payload: dict, name: str = "run.json") -> Path:
     path = tmp_path / name
     path.write_text(json.dumps(payload, indent=1))
@@ -84,7 +89,7 @@ class TestValidation:
         assert "phases[1]" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        ("command", "params", "load", "key"),
+        ("command", "params", "extra", "key"),
         [
             ("simulate-fv", {"cells_per_layer": "abc"}, None, "params.cells_per_layer"),
             ("simulate-mkdv", {"n_points": 0}, None, "params.n_points"),
@@ -103,7 +108,7 @@ class TestValidation:
             ("simulate-fv", {"limiter": "superbee"}, None, "params.limiter"),
             ("simulate-fv", {"probes_y_star_multiples": ["x"]}, None,
              "params.probes_y_star_multiples[0]"),
-            ("effective", {}, {"b_t": float("nan")}, "load.b_t"),
+            ("effective", {}, {"load": {"b_t": float("nan")}}, "load.b_t"),
             ("simulate-fv", {"wavelengths_per_period": 0}, None, "params.wavelengths_per_period"),
             ("simulate-mkdv", {"viscosity": -1.0, "window_factor": 8}, None, "params.viscosity"),
             ("simulate-fv", {"cells_per_layer": 5}, None, "params.cells_per_layer"),
@@ -120,6 +125,16 @@ class TestValidation:
             ("simulate-mkdv", {"t_final_factor": 1.25}, None, "params.t_final_factor: unknown key"),
             ("sweep", {"variable": "magnetic_load_product", "lo": -1.7e308, "hi": 1.7e308}, None,
              "params: sweep range"),
+            # only null or a missing key means the defaults
+            ("effective", [], None, "params: expected an object"),
+            ("effective", 0, None, "params: expected an object"),
+            ("effective", False, None, "params: expected an object"),
+            ("effective", "", None, "params: expected an object"),
+            # a load product, given or swept, needs the vacuum permeability
+            ("effective", {}, {"laminate": PERMEABLE_LAMINATE, "load": {"bn_br_product": 1.0}},
+             "load.bn_br_product: bn_br_product only defines the load"),
+            ("sweep", {"variable": "magnetic_load_product", "lo": -1.0, "hi": 1.0},
+             {"laminate": PERMEABLE_LAMINATE}, "params.variable: bn_br_product only defines the load"),
         ],
         ids=[
             "cells_per_layer-str", "n_points-zero", "n_points-2", "n_points-16",
@@ -130,13 +145,13 @@ class TestValidation:
             "t_final_factor-negative", "dy-zero", "window_factor-small", "bandgap-omega-zero",
             "dispersion-omega-negative", "dispersion-omega-1e300", "bandgap-omega-1e300",
             "V-infinite", "effective-unknown-key", "magnetostatic-unknown-key",
-            "mkdv-t_final_factor", "sweep-range-overflow",
+            "mkdv-t_final_factor", "sweep-range-overflow", "params-list", "params-zero",
+            "params-false", "params-empty-string", "load-product-permeable", "sweep-load-product-permeable",
         ],
     )
-    def test_bad_param_exits_1_with_key_path(self, tmp_path, capsys, command, params, load, key):
-        payload = {"command": command, "laminate": BENCH_LAMINATE, "params": params}
-        if load is not None:
-            payload["load"] = load
+    def test_bad_param_exits_1_with_key_path(self, tmp_path, capsys, command, params, extra, key):
+        """``extra`` holds top-level keys that replace or join those of the payload."""
+        payload = {"command": command, "laminate": BENCH_LAMINATE, "params": params, **(extra or {})}
         cfg = write_config(tmp_path, payload)
         assert cli.run(cfg, tmp_path / "out") == 1
         (err,) = capsys.readouterr().err.splitlines()
@@ -438,6 +453,29 @@ class TestArtifacts:
         assert all(math.isnan(row["max_strain"]) for row in rows)
         assert set(summary) == {"argmax_eta", "argmax_max_strain", "speed_ratio_prediction", "note"}
         assert summary["argmax_max_strain"] is None and "max_strain" in summary["note"]
+
+    def test_argmax_of_a_flat_column_is_null(self, tmp_path):
+        """Two identical phases have eta 0 at every volume fraction: no fraction maximises it,
+        so argmax_eta is null with a note, not a point of the search bracket."""
+        payload = {"command": "sweep", "laminate": copy.deepcopy(BENCH_LAMINATE),
+                   "params": {"variable": "volume_fraction_2", "lo": 0.2, "hi": 0.8, "n": 5}}
+        payload["laminate"]["phases"][1] = payload["laminate"]["phases"][0]
+        rows, summary = self.sweep_rows(run_ok(tmp_path, payload))
+        assert all(row["eta"] == 0.0 for row in rows)
+        assert summary["argmax_eta"] is None and "argmax_eta is null" in summary["note"]
+
+    def test_contrast_sweep_without_a_gap_is_null(self, tmp_path):
+        """Two identical phases swept over contrasts within an ulp of 1 have no first gap on
+        any row: the summary's maximum gap and its contrast are null with a note, and the
+        run exits 0 with no numpy warning."""
+        payload = {"command": "sweep", "laminate": copy.deepcopy(BENCH_LAMINATE),
+                   "params": {"variable": "modulus_contrast", "lo": 1.0, "hi": 1.0000000000000004, "n": 2}}
+        payload["laminate"]["phases"][1] = payload["laminate"]["phases"][0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            rows, summary = self.sweep_rows(run_ok(tmp_path, payload))
+        assert all(math.isnan(row["gap_exact_lo"]) for row in rows)
+        assert summary == {"max_gap_width": None, "contrast_at_max_gap": None, "note": "no row has a first gap"}
 
     def test_failed_run_writes_nothing(self, tmp_path, capsys):
         """A run that exits 2 after some of its tables are computed writes none of them:

@@ -304,7 +304,8 @@ def test_root_solves_take_a_handful_of_rounds(monkeypatch):
     gaps.clear()
     sweeps.sweep_magnetic(lam, sweeps.grid("magnetic_load_product", -3.0, 3.0, 201))
     assert 0 < len(gaps) <= 12 and 0 < len(stretches) <= 12
-    assert all(shape[-1] == 201 for shape in gaps + stretches)
+    # the gap batch holds the 201 rows and the undeformed cell that scales them
+    assert all(shape[-1] == 202 for shape in gaps) and all(shape[-1] == 201 for shape in stretches)
     stretches.clear()
     materials.stretch_from_field(lam, lw.MagneticLoad(bn_br_product=2.0))
     assert 0 < len(stretches) <= 12

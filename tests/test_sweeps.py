@@ -207,6 +207,37 @@ class TestContrastSweep:
         assert width[-1] > np.nan_to_num(width[i_mid])
 
 
+#: the paper stack with phase 1 a hundred times denser: its own eta, 0.0565, is at least
+#: 1/(2 pi^2), so the undeformed cell has no optimised dispersion triple
+DENSE_STACK = {"phases": [{"model": {"kind": "Gent", "G_pa": 4.7e6, "beta": 0.0132}, "rho": 93000.0, "nu": 0.5},
+                          {"model": {"kind": "Gent", "G_pa": 0.94e6, "beta": 0.0132}, "rho": 930.0, "nu": 0.5}],
+               "period_m": 0.01}
+
+
+class TestTooDispersiveStack:
+    @pytest.mark.parametrize("variable, lo, hi", [("magnetic_load_product", -1.0, 1.0),
+                                                  ("volume_fraction_2", 0.2, 0.8)])
+    def test_sweep_keeps_its_rows(self, tmp_path, variable, lo, hi):
+        """A sweep of a stack whose undeformed cell is too dispersive for the optimised triple
+        exits 0: it reads c0 and the speed-ratio prediction from its own column state.  Its
+        rows with eta >= 1/(2 pi^2) have NaN homogenised gaps and soliton bounds, and finite
+        exact gaps; the volume-fraction rows below that eta keep every column."""
+        path = tmp_path / "sweep.json"
+        path.write_text(json.dumps({"command": "sweep", "laminate": DENSE_STACK,
+                                    "params": {"variable": variable, "lo": lo, "hi": hi, "n": 13}}))
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.run(path, tmp_path / "out") == 0
+        result = SWEEP_FUNCTIONS[variable](cli.laminate_from_config(DENSE_STACK), sweeps.grid(variable, lo, hi, 13))
+        strong = result.column("eta") >= homogenize.ETA_Y_OPT
+        assert strong.any() and (variable == "magnetic_load_product") == strong.all()
+        for key in ("gap_homog_lo", "gap_homog_hi", "max_speed_ratio", "max_strain"):
+            assert np.isnan(result.column(key)[strong]).all() and np.isfinite(result.column(key)[~strong]).all()
+        for key in ("gap_exact_lo", "gap_exact_hi", "eta", "zeta"):
+            assert np.isfinite(result.column(key)).all()
+        if variable == "volume_fraction_2":  # eta peaks on the last row, whose one cell has no triple
+            assert result.summary["argmax_eta"] is None and "argmax_eta" in result.summary["note"]
+
+
 class TestTableEmission:
     def test_sweep_table_round_trip(self, bilam):
         """The sweep's columns are the CSV table: one name and one full column per entry."""

@@ -177,6 +177,15 @@ def _at(where: str):
         raise ConfigError(str(exc), where) from exc
 
 
+@contextmanager
+def _failing_at(where: str):
+    """A numerical failure raised inside names the key path ``where``; it still exits 2."""
+    try:
+        yield
+    except (Instability, ArithmeticError) as exc:
+        raise type(exc)(f"{exc} ({where})") from None
+
+
 def phase_from_config(cfg: dict, where: str) -> Phase:
     p = _resolve(_PHASE, cfg, where)
     m = _resolve(_MODEL, p["model"], f"{where}.model")
@@ -290,9 +299,10 @@ def _run_soliton(cfg):
     eff = _cell(cfg).eff
     p = cfg["params"]
     speed_ratio = p["speed_ratio"]
+    with _failing_at("params.speed_ratio"):  # Python's float powers of it overflow or vanish
+        waveform = soliton.waveform_table(eff, speed_ratio * eff.c, p["xi_max"], p["n"])
     tables = [
-        ("soliton_waveform", [f"speed_ratio = {speed_ratio!r}"],
-         *soliton.waveform_table(eff, speed_ratio * eff.c, p["xi_max"], p["n"])),
+        ("soliton_waveform", [f"speed_ratio = {speed_ratio!r}"], *waveform),
         ("soliton_amplitude", ["speed sweep up to the existence bound"], *soliton.amplitude_table(eff)),
     ]
     summary = {"speed_ratio": speed_ratio}
@@ -329,7 +339,8 @@ def _run_simulate(cfg):
     eff = st.eff
     velocity = p["V_over_c"] * eff.c
     kappa = 2.0 * math.pi / (p["wavelengths_per_period"] * eff.ell)
-    y_star = soliton.shock_distance(eff, velocity, kappa)
+    with _failing_at("params.V_over_c"):  # (c / velocity)**2 overflows
+        y_star = soliton.shock_distance(eff, velocity, kappa)
     probes = [m * y_star for m in p["probes_y_star_multiples"]]
     summary = {"y_star_m": y_star, "c_eff": eff.c}
     if command == "simulate-fv":
@@ -342,13 +353,11 @@ def _run_simulate(cfg):
         scale = periods / st.nu2  # cells per unit of cells_per_layer
         _check_size(scale * PARAMS[command]["cells_per_layer"].default, "t_final_factor", "cells")
         _check_size(scale * p["cells_per_layer"], "cells_per_layer", "cells")
-        try:
+        with _failing_at("params.V_over_c"):  # the signal speed grows with V alone
             result = fv_sim.impact_run(
                 st, velocity, kappa, probes, t_final,
                 cells_per_layer=p["cells_per_layer"], limiter=p["limiter"],
             )
-        except Instability as exc:  # the signal speed grows with the impact velocity alone
-            raise Instability(f"{exc} (params.V_over_c)") from None
         summary.update(t_final_s=t_final, cell_steps=result.cell_steps)
     else:
         scfg = spectral_sim.config_for_impact(
@@ -387,12 +396,12 @@ def _run_sweep(cfg):
         + [f"fixed {k} = {v!r}" for k, v in sorted(result.fixed.items())]
         + [f"units: gap edges in {freq_unit}; speeds as ratios to c; strains dimensionless"]
     )
-    return [("sweep", comments, list(result.columns), list(result.columns.values()))], result.summary
+    return [("sweep", comments, list(result.columns), [tuple(result.columns.values())])], result.summary
 
 
 #: The runner of each command: ``cfg -> (tables, summary)``, with each table a
-#: ``(stem, comments, header, columns)``.  Runners compute and return; :func:`run`
-#: names and writes every artifact.
+#: ``(stem, comments, header, blocks)`` (:func:`lamwave.output.write_csv`).  Runners
+#: compute and return; :func:`run` names and writes every artifact.
 _RUNNERS = {
     "effective": _run_effective,
     "magnetostatic": _run_magnetostatic,

@@ -20,7 +20,6 @@ import numpy as np
 from ._roots import bisect, newton
 from .errors import DomainError, NoGap
 from .homogenize import CellState, EffectiveModel, _fails, _nan_where, _sqrt
-from .output import join
 
 @dataclass(frozen=True)
 class BandGap:
@@ -188,13 +187,13 @@ def sample_exact_branches(
 
 def dispersion_table(
     st: CellState, omega_max: float = 2.6 * math.pi, n: int = 2000
-) -> tuple[list[str], list[np.ndarray], list[np.ndarray]]:
-    """Columns (kappa_ell, omega_norm, branch, theory) for all three theories, from one
-    sample: the header, the columns with kappa*ell unfolded (in [0, 2 pi] and up the
-    exact branches) and the same columns with kappa*ell folded into [0, pi]."""
+) -> tuple[list[str], list[tuple], list[tuple]]:
+    """Row blocks (kappa_ell, omega_norm, branch, theory), one per exact branch and model,
+    from one sample: the header, the blocks with kappa*ell unfolded (in [0, 2 pi] and up
+    the exact branches) and the same blocks with kappa*ell folded into [0, pi]."""
     eff = st.eff
-    blocks = [(br.kappa_ell, br.kappa_ell_folded, br.omega_norm, np.full(len(br.omega_norm), br.index),
-               np.full(len(br.omega_norm), "exact")) for br in sample_exact_branches(st, omega_max, n)]
+    blocks = [(br.kappa_ell, br.kappa_ell_folded, br.omega_norm, np.broadcast_to(br.index, len(br.omega_norm)),
+               np.broadcast_to("exact", len(br.omega_norm))) for br in sample_exact_branches(st, omega_max, n)]
     # the real roots chi = (omega ell / c)^2 of
     # eta_t chi^2 - (1 - eta_m k^2) chi + k^2 - eta_y k^4 = 0 at every node at once;
     # eta_t > 0, so each node's pair of roots comes out ascending
@@ -209,14 +208,14 @@ def dispersion_table(
     w = np.sqrt(np.clip(chi[real], 0.0, None))
     branch = (np.cumsum(real, axis=1) - 1)[real]
     kk_folded = np.where(kk <= math.pi, kk, 2.0 * math.pi - kk)
-    blocks.append((kk, kk_folded, w, branch, np.full(len(kk), "homogenized")))
+    blocks.append((kk, kk_folded, w, branch, np.broadcast_to("homogenized", kk.shape)))
     wgrid = np.linspace(0.0, omega_max, n // 2)
     km = mkdv_wavenumber(eff, wgrid)
     # libm's acos(cos(k)), as numpy's own cos may round differently
     blocks.append((km, np.array([math.acos(math.cos(k)) for k in km.tolist()]), wgrid,
-                   np.zeros(len(wgrid), dtype=int), np.full(len(wgrid), "mkdv")))
-    unfolded, folded, *rest = join(blocks, 5)
-    return ["kappa_ell", "omega_norm", "branch", "theory"], [unfolded, *rest], [folded, *rest]
+                   np.broadcast_to(0, wgrid.shape), np.broadcast_to("mkdv", wgrid.shape)))
+    return (["kappa_ell", "omega_norm", "branch", "theory"], [(k, *rest) for k, _, *rest in blocks],
+            [(k, *rest) for _, k, *rest in blocks])
 
 
 def band_gap_records(st: CellState, omega_max: float = 3.0 * math.pi) -> list[dict]:

@@ -19,6 +19,7 @@ above it, and the numerical precursor below it is flushed to 0.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -315,8 +316,9 @@ class SimResult:
     ``records`` holds one velocity array per requested probe, in request order
     with repeats kept, each sampled at the probe's nearest cell centre, the cell
     ``probe_cells`` names, at the times ``t`` (the start and the end of every
-    step).  ``cell_steps`` sums the cells each step updated.  A run's wall time is
-    the caller's to measure.
+    step).  ``t`` and each record are views of flat float64 buffers that grow by one
+    float a step.  ``cell_steps`` sums the cells each step updated.  A run's wall
+    time is the caller's to measure.
     """
 
     t: np.ndarray
@@ -364,16 +366,18 @@ def simulate(
     """
     state = SimState.quiescent(grid)
     cells = np.array([grid.cell_at(y) for y in probe_positions], dtype=np.intp)
-    times, samples, cell_steps = [0.0], [state.velocity[cells]], 0
+    times, cell_steps = array("d", [0.0]), 0
+    samples = [(array("d", [state.velocity[i]]), i) for i in cells.tolist()]
     while state.time < t_final - 1e-15:
         step(state, grid, limiter=limiter, forcing=left_velocity, dt_max=t_final - state.time,
              floor=floor)
         cell_steps += state._plan.key[0]
         times.append(state.time)
-        samples.append(state.velocity[cells])
+        for record, i in samples:
+            record.append(state.velocity[i])
     return SimResult(
-        t=np.asarray(times),
-        records=list(np.array(samples).T),
+        t=np.frombuffer(times),
+        records=[np.frombuffer(record) for record, _ in samples],
         probe_cells=cells,
         state=state,
         steps=len(times) - 1,

@@ -21,7 +21,6 @@ import numpy as np
 from ._roots import bisect
 from .errors import NoBound, NoSoliton, NotReached
 from .homogenize import FLOAT_ERRORS, EffectiveModel, _fails, _nan_where, _sqrt
-from .output import join
 
 
 class WaveModel(Enum):
@@ -203,8 +202,9 @@ def shock_distance(eff: EffectiveModel, velocity: float, kappa: float) -> float:
 
 def waveform_table(
     eff: EffectiveModel, speed: float, xi_max: float = 10.0, n: int = 801
-) -> tuple[list[str], list[np.ndarray]]:
-    """Columns (xi, strain, displacement, variant) for all variants at one speed."""
+) -> tuple[list[str], list[tuple]]:
+    """Row blocks (xi, strain, displacement, variant) at one speed, one per variant that
+    has a soliton there."""
     xi = np.linspace(-xi_max, xi_max, n)
     blocks = []
     for variant in WaveModel:
@@ -212,13 +212,13 @@ def waveform_table(
             sol = solve_soliton(eff, variant, speed)
         except NoSoliton:
             continue
-        blocks.append((xi, *soliton_waveform(sol, xi), np.full(n, variant.value)))
-    return ["xi", "strain", "displacement", "variant"], join(blocks, 4)
+        blocks.append((xi, *soliton_waveform(sol, xi), np.broadcast_to(variant.value, xi.shape)))
+    return ["xi", "strain", "displacement", "variant"], blocks
 
 
-def amplitude_table(eff: EffectiveModel, n: int = 200) -> tuple[list[str], list[np.ndarray]]:
-    """Columns (speed_ratio, delta, L_over_ell, variant) along the speed axis, up to the
-    existence bound (1.5 where there is none)."""
+def amplitude_table(eff: EffectiveModel, n: int = 200) -> tuple[list[str], list[tuple]]:
+    """Row blocks (speed_ratio, delta, L_over_ell, variant), one per variant, along the speed
+    axis up to the existence bound (1.5 where there is none)."""
     bound = existence_bound(eff)
     top = bound if math.isfinite(bound) else 1.5
     blocks = []
@@ -232,5 +232,5 @@ def amplitude_table(eff: EffectiveModel, n: int = 200) -> tuple[list[str], list[
             continue
         ok = ~np.isnan(sol.c1)  # the speeds that have a soliton
         blocks.append((s[ok], sol.strain_amplitude[ok], sol.length[ok] / eff.ell,
-                       np.full(ok.sum(), variant.value)))
-    return ["speed_ratio", "delta", "L_over_ell", "variant"], join(blocks, 4)
+                       np.broadcast_to(variant.value, ok.sum())))
+    return ["speed_ratio", "delta", "L_over_ell", "variant"], blocks

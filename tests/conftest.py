@@ -346,6 +346,12 @@ def cell_centers(grid: fv_sim.Grid1D) -> np.ndarray:
     return (np.arange(grid.n_cells) + 0.5) * grid.dy
 
 
+def joined(blocks) -> list[np.ndarray]:
+    """The columns of a table given as row blocks (``output.write_csv``), each block's
+    rows in turn."""
+    return [np.concatenate(column) for column in zip(*blocks)]
+
+
 @pytest.fixture(scope="session")
 def bilam() -> lw.Laminate:
     return gent_bilaminate()

@@ -185,6 +185,9 @@ class TestValidation:
             # runs too long to record: 4e298 march steps, 1e301 layer periods
             ("simulate-mkdv", {"dy_m": 1e-300, "window_factor": 8}, None, None),
             ("simulate-fv", {"t_final_factor": 1e300}, None, None),
+            # the shock distance (c / V)**2 overflows
+            ("simulate-fv", {"V_over_c": 1e-300}, None, None),
+            ("simulate-mkdv", {"V_over_c": 1e-300, "window_factor": 8}, None, None),
         ],
         ids=[
             "bn_br_product-1e14", "speed_ratio-1e300", "speed_ratio-minus-1e300",
@@ -192,6 +195,7 @@ class TestValidation:
             "dispersion-n-1e300", "n_scan-1e300", "soliton-n-1e300", "sweep-n-1e300",
             "dispersion-n-1e15", "n_scan-1e15", "soliton-n-1e15", "sweep-n-1e15",
             "n_points-1e15", "cells_per_layer-1e15", "dy_m-1e-300", "t_final_factor-1e300",
+            "fv-V_over_c-1e-300", "mkdv-V_over_c-1e-300",
         ],
     )
     def test_numerical_failure_exit_code(self, tmp_path, capsys, command, params, load, modulus):
@@ -215,7 +219,8 @@ class TestValidation:
         assert status == 2
         assert "numerical failure" in err
         assert "Traceback" not in err
-        if command.startswith("simulate"):  # each simulate case sets the param at fault first
+        # each simulate case, and each soliton speed_ratio case, sets the param at fault first
+        if command.startswith("simulate") or "speed_ratio" in (params or {}):
             assert f"params.{next(iter(params))}" in err
 
     @pytest.mark.parametrize("case", ["out-is-a-file", "manifest-list", "manifest-malformed"])

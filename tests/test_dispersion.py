@@ -16,7 +16,7 @@ from lamwave._roots import bisect
 from lamwave.errors import DomainError, NoGap
 from lamwave.homogenize import CellState, EffectiveModel, cell_state, effective_model
 
-from conftest import EDGE_TOL, Cell, columns, oracle_gaps, swapped
+from conftest import EDGE_TOL, Cell, columns, joined, oracle_gaps, swapped
 
 
 def exact_acoustic_frequency(st: CellState, kappa_ell: float) -> float:
@@ -536,11 +536,12 @@ class TestSampling:
         assert branches[-1].omega_norm[-1] == 6.0 * math.pi
 
     def test_tables(self, bilam):
-        header, unfolded, folded = dsp.dispersion_table(cell_state(bilam, 1.0), 2.0 * math.pi, 400)
+        header, *views = dsp.dispersion_table(cell_state(bilam, 1.0), 2.0 * math.pi, 400)
         assert header == ["kappa_ell", "omega_norm", "branch", "theory"]
+        unfolded, folded = map(joined, views)
         assert set(unfolded[3].tolist()) == {"exact", "homogenized", "mkdv"}
         # one sample, two views: only kappa*ell differs, folded into [0, pi]
-        assert all(a is b for a, b in zip(unfolded[1:], folded[1:]))
+        assert all(a is b for pair in zip(*views) for a, b in zip(*(block[1:] for block in pair)))
         assert folded[0].max() <= math.pi < unfolded[0].max()
 
     @pytest.mark.parametrize("folded", [False, True])
@@ -554,7 +555,7 @@ class TestSampling:
         lam = lw.Laminate(p, dataclasses.replace(p), 0.01) if homogeneous else bilam
         n = 2002
         _, *views = dsp.dispersion_table(cell_state(lam, 1.0), 2.0 * math.pi, n)
-        rows = list(zip(*(column.tolist() for column in views[folded])))
+        rows = list(zip(*(column.tolist() for column in joined(views[folded]))))
         want = []
         eff = effective_model(lam, 1.0)
         for k in np.linspace(0.0, 2.0 * math.pi, n // 2):

@@ -16,7 +16,7 @@ from lamwave import soliton
 from lamwave.errors import GeometryError, Instability
 from lamwave.homogenize import cell_state, effective_model
 
-from conftest import cell_centers
+from conftest import cell_centers, joined
 
 
 def homogeneous_laminate(modulus=1e6, rho=1000.0):
@@ -363,6 +363,27 @@ class TestActiveWindow:
             tracemalloc.stop()
         assert peak < 64 * 1024
 
+    def test_records_grow_by_their_floats_alone(self, bilam):
+        """A run records each step's time and two probe velocities in flat buffers: the
+        tracemalloc peak of ``simulate`` grows by at most 64 B a step between a run and
+        one twice as long (its three floats a step take 24 B; an array a step takes more)."""
+        eff = effective_model(bilam, 1.0)
+        grid = fv.build_grid(cell_state(bilam, 1.0), 8, 4)
+        forcing = fv.impact_signal(0.1 * eff.c, 2.0 * math.pi / (4.0 * eff.ell), eff.c)
+
+        def peak(t_final):
+            tracemalloc.start()
+            try:
+                res = fv.simulate(grid, left_velocity=forcing, t_final=t_final, probe_positions=[0.005, 0.02])
+                return tracemalloc.get_traced_memory()[1], res.steps
+            finally:
+                tracemalloc.stop()
+
+        peak(1e-4)
+        (short, n_short), (long, n_long) = peak(0.01), peak(0.02)
+        assert n_long - n_short > 1000
+        assert long - short <= 64 * (n_long - n_short)
+
 
 class TestPrecursorFloor:
     def test_floor_moves_probes_by_round_off(self, bilam, monkeypatch):
@@ -501,7 +522,8 @@ class TestImpact:
         kappa = 2.0 * math.pi / (16.0 * eff.ell)
         res = fv.impact_run(cell_state(bilam, 1.0), 0.1 * eff.c, kappa, [0.03], 1e-3, cells_per_layer=8)
         traces = [(y, res.t, v / eff.c) for y, v in zip([0.03], res.records)]
-        header, (t_s, _, _, probe_y, theory) = output.probe_table(traces, kappa * eff.c / (2.0 * math.pi), "fv")
+        header, blocks = output.probe_table(traces, kappa * eff.c / (2.0 * math.pi), "fv")
+        t_s, _, _, probe_y, theory = joined(blocks)
         assert header == ["t_s", "t_norm", "v_over_c", "probe_y_m", "theory"]
         assert len(t_s) == len(res.t)
         assert (probe_y == 0.03).all() and set(theory.tolist()) == {"fv"}

@@ -19,6 +19,8 @@ from lamwave.errors import NoBound, NoSoliton, NotReached
 from lamwave.homogenize import FLOAT_ERRORS
 from lamwave.soliton import WaveModel
 
+from conftest import joined
+
 
 def sech(x):
     return 1.0 / np.cosh(x)
@@ -298,7 +300,8 @@ class TestShockDistance:
 
 class TestTables:
     def test_waveform_table(self, eff):
-        header, columns = sol.waveform_table(eff, 1.026 * eff.c, xi_max=5.0, n=51)
+        header, blocks = sol.waveform_table(eff, 1.026 * eff.c, xi_max=5.0, n=51)
+        columns = joined(blocks)
         assert header == ["xi", "strain", "displacement", "variant"]
         assert set(columns[3].tolist()) == {"full", "slow_space", "slow_time"}
         assert all(len(c) == 3 * 51 for c in columns)
@@ -325,6 +328,7 @@ class TestTables:
                 assert np.float64(getattr(column, f)[i]).tobytes() == np.float64(getattr(one, f)).tobytes(), f
 
     def test_amplitude_table_respects_bound(self, eff):
-        _, (speeds, _, _, variants) = sol.amplitude_table(eff, n=60)
+        _, blocks = sol.amplitude_table(eff, n=60)
+        speeds, _, _, variants = joined(blocks)
         bound = sol.existence_bound(eff)
         assert max(speeds[variants == "full"]) <= bound + 1e-9

@@ -17,6 +17,7 @@ from lamwave.homogenize import effective_model
 from conftest import (
     GradientTrace,
     gradient_blowup_distance,
+    joined,
     soliton_boundary_signal,
     soliton_transport_test,
 )
@@ -487,7 +488,8 @@ class TestEmission:
         kappa = 2.0 * math.pi / (16.0 * eff.ell)
         res = sp.impact_march(eff, 0.1 * eff.c, kappa, [0.01])
         traces = [(y, res.t, v / eff.c) for y, v in zip([0.01], res.records)]
-        header, (t_s, *_, theory) = output.probe_table(traces, kappa * eff.c / (2.0 * math.pi), "mkdv")
+        header, blocks = output.probe_table(traces, kappa * eff.c / (2.0 * math.pi), "mkdv")
+        t_s, *_, theory = joined(blocks)
         assert header == ["t_s", "t_norm", "v_over_c", "probe_y_m", "theory"]
         assert len(t_s) == len(res.records) * len(res.t)
         assert set(theory.tolist()) == {"mkdv"}

@@ -14,6 +14,7 @@ import argparse
 import json
 import math
 import sys
+from collections.abc import Callable
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
@@ -241,6 +242,9 @@ def parse_config(raw: dict) -> dict:
     if swept or cfg["load"].bn_br_product is not None:  # a load product needs a vacuum-permeability stack
         with _at("params.variable" if swept else "load.bn_br_product"):
             materials.dimensionless_load_rhs(cfg["laminate"], MagneticLoad(bn_br_product=0.0))
+    if command == "soliton" and math.isinf(2.0 * p["xi_max"]):  # the xi grid spans 2 xi_max
+        raise ConfigError(f"must be at most {sys.float_info.max / 2:.6g} in magnitude, got {p['xi_max']!r}",
+                          "params.xi_max")
     if command in ("dispersion", "bandgap"):
         # the Bloch cosine oscillates in omega*ell/c at rates up to t1 + t2 <= 1 (the
         # layer travel fractions), so dispersion's node spacing of at most pi/4 keeps
@@ -300,7 +304,10 @@ def _run_soliton(cfg):
     p = cfg["params"]
     speed_ratio = p["speed_ratio"]
     with _failing_at("params.speed_ratio"):  # Python's float powers of it overflow or vanish
-        waveform = soliton.waveform_table(eff, speed_ratio * eff.c, p["xi_max"], p["n"])
+        speed = speed_ratio * eff.c
+        if math.isinf(speed):  # a float product overflows without raising
+            raise OverflowError(f"the speed speed_ratio * c = {speed_ratio!r} * {eff.c!r} overflows")
+        waveform = soliton.waveform_table(eff, speed, p["xi_max"], p["n"])
     tables = [
         ("soliton_waveform", [f"speed_ratio = {speed_ratio!r}"], *waveform),
         ("soliton_amplitude", ["speed sweep up to the existence bound"], *soliton.amplitude_table(eff)),
@@ -332,27 +339,51 @@ def _check_size(size: float, key: str, what: str) -> None:
         raise DomainError(f"params.{key} asks for {size:.3g} {what}, more than {MAX_RUN_SIZE}")
 
 
+def _check_sizes(size: Callable[[dict], float], p: dict, command: str, keys: tuple[str, ...],
+                 what: str) -> None:
+    """:func:`_check_size` of ``size(params)``, naming the first of ``keys`` that makes it
+    too large with the keys after it at their defaults; a size that overflows is too large."""
+    q = {**p, **{key: PARAMS[command][key].default for key in keys}}
+    for key in keys:
+        q[key] = p[key]
+        try:
+            value = size(q)
+        except OverflowError:
+            value = math.inf
+        _check_size(value, key, what)
+
+
+def _impact(eff, q: dict) -> tuple[float, float, float]:
+    """Boundary velocity (m/s), forcing wave number (rad/m) and shock distance y* (m)
+    of the impact params ``q``; y* grows as 1/V^2."""
+    velocity = q["V_over_c"] * eff.c
+    kappa = 2.0 * math.pi / (q["wavelengths_per_period"] * eff.ell)
+    return velocity, kappa, soliton.shock_distance(eff, velocity, kappa)
+
+
+def _fv_extent(st: CellState, q: dict) -> tuple[float, float]:
+    """End time (s) and cell count of the simulate-fv run at params ``q``."""
+    _, kappa, y_star = _impact(st.eff, q)
+    reach = max(q["probes_y_star_multiples"]) * y_star
+    t_final = q["t_final_factor"] * (reach / st.eff.c + 3.0 * 2.0 * math.pi / (kappa * st.eff.c))
+    periods = fv_sim.required_periods(st, t_final, reach, 2.0 * math.pi / kappa)
+    return t_final, periods / st.nu2 * q["cells_per_layer"]
+
+
 def _run_simulate(cfg):
     """Impact run of simulate-fv (finite volume) or simulate-mkdv (spectral march)."""
     command, p = cfg["command"], cfg["params"]
     st = _cell(cfg)
     eff = st.eff
-    velocity = p["V_over_c"] * eff.c
-    kappa = 2.0 * math.pi / (p["wavelengths_per_period"] * eff.ell)
     with _failing_at("params.V_over_c"):  # (c / velocity)**2 overflows
-        y_star = soliton.shock_distance(eff, velocity, kappa)
+        velocity, kappa, y_star = _impact(eff, p)
     probes = [m * y_star for m in p["probes_y_star_multiples"]]
     summary = {"y_star_m": y_star, "c_eff": eff.c}
     if command == "simulate-fv":
-        t_final = p["t_final_factor"] * (max(probes) / eff.c + 3.0 * 2.0 * math.pi / (kappa * eff.c))
-        try:
-            periods = fv_sim.required_periods(st, t_final, max(probes), 2.0 * math.pi / kappa)
-        except OverflowError:
-            periods = math.inf
-        # too large at the default cells_per_layer, the run is too long; else too fine
-        scale = periods / st.nu2  # cells per unit of cells_per_layer
-        _check_size(scale * PARAMS[command]["cells_per_layer"].default, "t_final_factor", "cells")
-        _check_size(scale * p["cells_per_layer"], "cells_per_layer", "cells")
+        keys = ("V_over_c", "wavelengths_per_period", "probes_y_star_multiples", "t_final_factor",
+                "cells_per_layer")
+        _check_sizes(lambda q: _fv_extent(st, q)[1], p, command, keys, "cells")
+        t_final = _fv_extent(st, p)[0]
         with _failing_at("params.V_over_c"):  # the signal speed grows with V alone
             result = fv_sim.impact_run(
                 st, velocity, kappa, probes, t_final,
@@ -360,14 +391,20 @@ def _run_simulate(cfg):
             )
         summary.update(t_final_s=t_final, cell_steps=result.cell_steps)
     else:
+        def needed_points(q):
+            """Points of the window impact_march needs: two forcing durations and the reach."""
+            reach = max(q["probes_y_star_multiples"]) * _impact(eff, q)[2]
+            return (2.0 + reach * kappa / (2.0 * math.pi)) * q["n_points"]
+
+        _check_sizes(lambda q: round(q["window_factor"]) * q["n_points"], p, command,
+                     ("window_factor", "n_points"), "window points")
+        # a march too far for any window that fits at its n_points fails here, a shorter
+        # one beyond its window's reach in impact_march
+        _check_sizes(needed_points, p, command, ("V_over_c", "probes_y_star_multiples"), "window points")
         scfg = spectral_sim.config_for_impact(
             kappa, eff.c, window_factor=p["window_factor"], points_per_period=p["n_points"],
             dy=p["dy_m"], viscosity=p["viscosity"],
         )
-        # too many points at the default n_points, the window is too long; else too fine
-        wide = round(p["window_factor"]) * PARAMS[command]["n_points"].default > MAX_RUN_SIZE
-        _check_size(scfg.n_points, "window_factor" if wide else "n_points", "window points")
-        # a march beyond the window's reach fails its own check in impact_march
         _check_size(min(max(probes), scfg.window * eff.c) / p["dy_m"], "dy_m", "march steps")
         result = spectral_sim.impact_march(eff, velocity, kappa, probes, cfg=scfg)
         summary.update(window_s=scfg.window, scheme=result.scheme)

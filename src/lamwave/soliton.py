@@ -104,10 +104,10 @@ def soliton_waveform(sol: SolitonSolution, xi) -> tuple[np.ndarray, np.ndarray]:
     Strain is ``delta * sech``, displacement the Gudermannian ramp of height
     ``pi * amplitude``.
     """
-    x = np.asarray(xi, dtype=float) * sol.ell / sol.length
-    # far tails overflow cosh and sinh to inf, whose limits 1/inf = 0 and
+    # far tails overflow x, cosh and sinh to inf, whose limits 1/inf = 0 and
     # arctan(inf) = pi/2 are the right values
     with np.errstate(over="ignore"):
+        x = np.asarray(xi, dtype=float) * sol.ell / sol.length
         strain = sol.strain_amplitude / np.cosh(x)
         displacement = sol.displacement_amplitude * np.arctan(np.sinh(x))
     return strain, displacement

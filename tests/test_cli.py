@@ -120,6 +120,9 @@ class TestValidation:
             ("dispersion", {"omega_max_over_pi": 1e300}, None, "params.omega_max_over_pi"),
             ("bandgap", {"omega_max_over_pi": 1e300}, None, "params.omega_max_over_pi"),
             ("simulate-fv", {"V_over_c": float("inf")}, None, "params.V_over_c"),
+            # the xi grid -xi_max..xi_max spans 2 xi_max
+            ("soliton", {"xi_max": 1e308}, None, "params.xi_max"),
+            ("soliton", {"xi_max": -1e308}, None, "params.xi_max"),
             ("effective", {"foo": 1}, None, "params"),
             ("magnetostatic", {"foo": 1}, None, "params"),
             ("simulate-mkdv", {"t_final_factor": 1.25}, None, "params.t_final_factor: unknown key"),
@@ -144,7 +147,8 @@ class TestValidation:
             "b_t-nan", "wavelengths-zero", "viscosity-negative", "cells_per_layer-odd",
             "t_final_factor-negative", "dy-zero", "window_factor-small", "bandgap-omega-zero",
             "dispersion-omega-negative", "dispersion-omega-1e300", "bandgap-omega-1e300",
-            "V-infinite", "effective-unknown-key", "magnetostatic-unknown-key",
+            "V-infinite", "xi_max-1e308", "xi_max-minus-1e308", "effective-unknown-key",
+            "magnetostatic-unknown-key",
             "mkdv-t_final_factor", "sweep-range-overflow", "params-list", "params-zero",
             "params-false", "params-empty-string", "load-product-permeable", "sweep-load-product-permeable",
         ],
@@ -188,6 +192,14 @@ class TestValidation:
             # the shock distance (c / V)**2 overflows
             ("simulate-fv", {"V_over_c": 1e-300}, None, None),
             ("simulate-mkdv", {"V_over_c": 1e-300, "window_factor": 8}, None, None),
+            # y* (c / V)**2 is finite, and the run or the window it needs is too large
+            ("simulate-fv", {"V_over_c": 1e-150}, None, None),
+            ("simulate-mkdv", {"V_over_c": 1e-150, "window_factor": 8}, None, None),
+            ("simulate-fv", {"probes_y_star_multiples": [1e300]}, None, None),
+            ("simulate-mkdv", {"probes_y_star_multiples": [1e300], "window_factor": 8}, None, None),
+            ("simulate-fv", {"wavelengths_per_period": 1e300}, None, None),
+            # speed_ratio * c overflows to inf
+            ("soliton", {"speed_ratio": 1e308}, None, None),
         ],
         ids=[
             "bn_br_product-1e14", "speed_ratio-1e300", "speed_ratio-minus-1e300",
@@ -195,11 +207,14 @@ class TestValidation:
             "dispersion-n-1e300", "n_scan-1e300", "soliton-n-1e300", "sweep-n-1e300",
             "dispersion-n-1e15", "n_scan-1e15", "soliton-n-1e15", "sweep-n-1e15",
             "n_points-1e15", "cells_per_layer-1e15", "dy_m-1e-300", "t_final_factor-1e300",
-            "fv-V_over_c-1e-300", "mkdv-V_over_c-1e-300",
+            "fv-V_over_c-1e-300", "mkdv-V_over_c-1e-300", "fv-V_over_c-1e-150",
+            "mkdv-V_over_c-1e-150", "fv-probes-1e300", "mkdv-probes-1e300",
+            "fv-wavelengths-1e300", "speed_ratio-1e308",
         ],
     )
     def test_numerical_failure_exit_code(self, tmp_path, capsys, command, params, load, modulus):
-        """Library failures, extreme finite values among them, exit 2 without a traceback.
+        """Library failures, extreme finite values among them, exit 2 with one stderr line
+        and no artifact.
 
         The simulators march in a loop, so they run in a child process: one that
         starts marching instead of failing fails the test instead of hanging it."""
@@ -218,7 +233,8 @@ class TestValidation:
             status, err = cli.run(cfg, tmp_path / "out"), capsys.readouterr().err
         assert status == 2
         assert "numerical failure" in err
-        assert "Traceback" not in err
+        assert len(err.splitlines()) == 1  # no traceback, no numpy warning
+        assert not any((tmp_path / "out").iterdir())  # no artifact
         # each simulate case, and each soliton speed_ratio case, sets the param at fault first
         if command.startswith("simulate") or "speed_ratio" in (params or {}):
             assert f"params.{next(iter(params))}" in err
@@ -325,10 +341,11 @@ class TestArtifacts:
         "command, params, beta",
         [
             ("soliton", {"xi_max": 1000}, None),
+            ("soliton", {"xi_max": 8e307}, None),
             ("soliton", {"speed_ratio": 1.026, "xi_max": 3.0, "n": 11}, 1e300),
             ("sweep", {"variable": "magnetic_load_product", "lo": -1.0, "hi": 1e300, "n": 3}, None),
         ],
-        ids=["xi_max-1000", "gent-beta-1e300", "sweep-hi-1e300"],
+        ids=["xi_max-1000", "xi_max-8e307", "gent-beta-1e300", "sweep-hi-1e300"],
     )
     def test_soliton_far_tail_is_silent(self, tmp_path, capsys, command, params, beta):
         """An exit-0 run whose arithmetic overflows inside numpy prints nothing.
@@ -688,7 +705,7 @@ class TestSimulation:
         (json_path,) = out.glob("simulate_mkdv_*.json")
         digest = {p.suffix: hashlib.sha256(p.read_bytes()).hexdigest() for p in (csv_path, json_path)}
         assert digest == {
-            ".csv": "d9dc6a262c813640af7ab8ca0f8c82a951d181d93d85088c66b9cd09e6967eb5",
+            ".csv": "4c6dcbe635b53de1efc6ec19a9e7c831ed1e6dba02432ab82c98bda41c3ea10e",
             ".json": "a952e8ff40365ed1f1d9fb11f05e0d925100d10ba31d3a748f9a9801b3931ae1",
         }
 

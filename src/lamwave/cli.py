@@ -14,7 +14,6 @@ import argparse
 import json
 import math
 import sys
-from collections.abc import Callable
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
@@ -329,28 +328,35 @@ def _run_soliton(cfg):
     return tables, summary
 
 
-#: the most cells, window points or march steps a simulate run may ask for
-MAX_RUN_SIZE = 2**31
+#: the most bytes a simulate run may hold: its cells or window points and probe samples
+MAX_HELD = 3 * 2**30
+#: the most cell-steps or point-steps a simulate run may compute, FV steps at the linear speeds
+MAX_WORK = 2**40
+#: the params each simulate command sizes its run by, in the order _check_sizes tries them
+_SIZE_KEYS = {"simulate-fv": (*_IMPACT, "t_final_factor", "cells_per_layer"),
+              "simulate-mkdv": (*_IMPACT, "window_factor", "n_points", "dy_m")}
 
 
-def _check_size(size: float, key: str, what: str) -> None:
-    """A run too large to hold fails here, before it allocates, naming ``params.<key>``."""
-    if not size <= MAX_RUN_SIZE:
-        raise DomainError(f"params.{key} asks for {size:.3g} {what}, more than {MAX_RUN_SIZE}")
-
-
-def _check_sizes(size: Callable[[dict], float], p: dict, command: str, keys: tuple[str, ...],
-                 what: str) -> None:
-    """:func:`_check_size` of ``size(params)``, naming the first of ``keys`` that makes it
-    too large with the keys after it at their defaults; a size that overflows is too large."""
-    q = {**p, **{key: PARAMS[command][key].default for key in keys}}
-    for key in keys:
-        q[key] = p[key]
+def _check_sizes(st: CellState, command: str, p: dict) -> None:
+    """A run whose :func:`run_size` passes :data:`MAX_HELD` or :data:`MAX_WORK` fails here, before
+    it allocates, naming the first of its ``_SIZE_KEYS`` that makes it too large with the keys
+    after it at their defaults (the last key at the latest); a size that overflows is too large."""
+    def sized(q: dict) -> tuple[float, float]:
         try:
-            value = size(q)
-        except OverflowError:
-            value = math.inf
-        _check_size(value, key, what)
+            return tuple(map(float, run_size(st, command, q)))
+        except ArithmeticError:
+            return math.inf, math.inf
+
+    held, work = sized(p)
+    if held <= MAX_HELD and work <= MAX_WORK:
+        return
+    q = {**p, **{key: PARAMS[command][key].default for key in _SIZE_KEYS[command]}}
+    for key in _SIZE_KEYS[command]:
+        q[key] = p[key]
+        h, w = sized(q)
+        if not (h <= MAX_HELD and w <= MAX_WORK):
+            raise DomainError(f"params.{key} asks for a run that holds {held:.3g} B (at most {MAX_HELD}) "
+                              f"and computes {work:.3g} cell- or point-steps (at most {MAX_WORK})")
 
 
 def _impact(eff, q: dict) -> tuple[float, float, float]:
@@ -370,42 +376,39 @@ def _fv_extent(st: CellState, q: dict) -> tuple[float, float]:
     return t_final, periods / st.nu2 * q["cells_per_layer"]
 
 
+def run_size(st: CellState, command: str, q: dict) -> tuple[float, float]:
+    """(bytes held, cells or points x steps) of the simulate run of ``command`` at params ``q``:
+    simulate-fv holds its cells and a float a step for its clock and each probe; simulate-mkdv
+    holds its window points and one window of floats for each distinct probe step."""
+    probes = q["probes_y_star_multiples"]
+    if command == "simulate-fv":
+        t_final, cells = _fv_extent(st, q)
+        steps = fv_sim.linear_steps(st, t_final, q["cells_per_layer"])
+        return cells * fv_sim.BYTES_PER_CELL + 8.0 * steps * (1 + len(probes)), cells * steps
+    _, kappa, y_star = _impact(st.eff, q)
+    scfg = spectral_sim.config_for_impact(kappa, st.eff.c, q["window_factor"], q["n_points"], q["dy_m"])
+    points, steps = scfg.n_points, scfg.steps_to(max(probes) * y_star)
+    return points * (spectral_sim.BYTES_PER_POINT + 8.0 * min(len(probes), steps + 1)), points * steps
+
+
 def _run_simulate(cfg):
     """Impact run of simulate-fv (finite volume) or simulate-mkdv (spectral march)."""
     command, p = cfg["command"], cfg["params"]
     st = _cell(cfg)
     eff = st.eff
-    with _failing_at("params.V_over_c"):  # (c / velocity)**2 overflows
-        velocity, kappa, y_star = _impact(eff, p)
+    _check_sizes(st, command, p)
+    velocity, kappa, y_star = _impact(eff, p)
     probes = [m * y_star for m in p["probes_y_star_multiples"]]
     summary = {"y_star_m": y_star, "c_eff": eff.c}
     if command == "simulate-fv":
-        keys = ("V_over_c", "wavelengths_per_period", "probes_y_star_multiples", "t_final_factor",
-                "cells_per_layer")
-        _check_sizes(lambda q: _fv_extent(st, q)[1], p, command, keys, "cells")
         t_final = _fv_extent(st, p)[0]
         with _failing_at("params.V_over_c"):  # the signal speed grows with V alone
-            result = fv_sim.impact_run(
-                st, velocity, kappa, probes, t_final,
-                cells_per_layer=p["cells_per_layer"], limiter=p["limiter"],
-            )
+            result = fv_sim.impact_run(st, velocity, kappa, probes, t_final,
+                                       cells_per_layer=p["cells_per_layer"], limiter=p["limiter"])
         summary.update(t_final_s=t_final, cell_steps=result.cell_steps)
     else:
-        def needed_points(q):
-            """Points of the window impact_march needs: two forcing durations and the reach."""
-            reach = max(q["probes_y_star_multiples"]) * _impact(eff, q)[2]
-            return (2.0 + reach * kappa / (2.0 * math.pi)) * q["n_points"]
-
-        _check_sizes(lambda q: round(q["window_factor"]) * q["n_points"], p, command,
-                     ("window_factor", "n_points"), "window points")
-        # a march too far for any window that fits at its n_points fails here, a shorter
-        # one beyond its window's reach in impact_march
-        _check_sizes(needed_points, p, command, ("V_over_c", "probes_y_star_multiples"), "window points")
-        scfg = spectral_sim.config_for_impact(
-            kappa, eff.c, window_factor=p["window_factor"], points_per_period=p["n_points"],
-            dy=p["dy_m"], viscosity=p["viscosity"],
-        )
-        _check_size(min(max(probes), scfg.window * eff.c) / p["dy_m"], "dy_m", "march steps")
+        scfg = spectral_sim.config_for_impact(kappa, eff.c, p["window_factor"], p["n_points"], p["dy_m"],
+                                              p["viscosity"])
         result = spectral_sim.impact_march(eff, velocity, kappa, probes, cfg=scfg)
         summary.update(window_s=scfg.window, scheme=result.scheme)
     traces = [(y, result.t, v / eff.c) for y, v in zip(probes, result.records)]

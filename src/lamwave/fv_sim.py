@@ -39,6 +39,8 @@ MAX_SPEEDUP = 32.0
 #: flushed, which moves the probes by about an ulp of V; the default impact run then
 #: updates about 23% fewer cells
 PRECURSOR_FLOOR = 2.0**-64
+#: bytes an impact run holds a grid cell: the grid's and the state's arrays and the step's buffers
+BYTES_PER_CELL = 160
 
 
 @dataclass(frozen=True)
@@ -403,6 +405,12 @@ def required_periods(
     c_front = ell / crossing_time * SPEED_MARGIN
     length = c_front * t_final + probe_max + 2.0 * wavelength
     return int(math.ceil(length / ell))
+
+
+def linear_steps(st: CellState, t_final: float, cells_per_layer: int) -> float:
+    """Time steps to ``t_final`` on the grid of ``build_grid`` at signal speeds that stay at
+    the fastest linear one; ``step`` may take up to ``MAX_SPEEDUP`` times as many."""
+    return t_final * max(st.c1, st.c2) / (CFL * st.nu2 * st.eff.ell / cells_per_layer)
 
 
 def impact_run(

@@ -43,6 +43,8 @@ BLOWUP_FACTOR = 1e3
 #: between ratios 0.0086 and 0.02 on the soliton transport window, and between
 #: 0.02 and 0.05 on the paper stack's impact at 4096 points per period.
 MULTISTEP_DAMPING = 0.1
+#: bytes a march holds a window point: its field, spectra, tables and stage buffers
+BYTES_PER_POINT = 165
 #: modes above the cutoff are zeroed once their modulus is below this (see :func:`mkdv_march`)
 _FLOOR = 2.0**-960
 #: ... on a march whose largest initial mode modulus is at least this
@@ -74,6 +76,10 @@ class SpectralConfig:
 
     def times(self) -> np.ndarray:
         return np.arange(self.n_points) * self.dt
+
+    def steps_to(self, y: float) -> int:
+        """The march steps to distance ``y`` (m): the nearest whole number of ``dy``, at least 0."""
+        return max(0, int(round(y / self.dy)))
 
 
 def config_for_impact(
@@ -293,7 +299,7 @@ def mkdv_march(
         np.add(vk, tmp, out=vk)
         hist.insert(0, hist.pop())
 
-    stops = [max(0, int(round(y / h))) for y in y_stops]
+    stops = [cfg.steps_to(y) for y in y_stops]
     n_steps = max(stops, default=0)
     fields = dict.fromkeys(stops)  # step -> field there
 

@@ -19,8 +19,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lamwave import cli, fv_sim
-from lamwave.errors import ConfigError
+from lamwave import cli, fv_sim, spectral_sim
+from lamwave.errors import ConfigError, LamwaveError
 
 BENCH_LAMINATE = {
     "phases": [
@@ -60,6 +60,18 @@ def run_child(cfg: Path, out: Path) -> subprocess.CompletedProcess:
         [sys.executable, "-m", "lamwave.cli", "--config", str(cfg), "--out", str(out)],
         capture_output=True, text=True, timeout=60, env=dict(os.environ, PYTHONPATH=src),
     )
+
+
+def recorded(monkeypatch, module, name: str) -> list:
+    """The results of every later call of ``module.<name>``, in call order."""
+    fn, results = getattr(module, name), []
+
+    def spy(*args, **kwargs):
+        results.append(fn(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(module, name, spy)
+    return results
 
 
 class TestValidation:
@@ -198,6 +210,12 @@ class TestValidation:
             ("simulate-fv", {"probes_y_star_multiples": [1e300]}, None, None),
             ("simulate-mkdv", {"probes_y_star_multiples": [1e300], "window_factor": 8}, None, None),
             ("simulate-fv", {"wavelengths_per_period": 1e300}, None, None),
+            ("simulate-mkdv", {"wavelengths_per_period": 1e300}, None, None),
+            # runs too large to hold or to finish in hours: 9.5e8 cells (about 130 GB),
+            # 3.4e8 march steps, 1.7e9 probe samples of 2**17 probes
+            ("simulate-fv", {"wavelengths_per_period": 1e6}, None, None),
+            ("simulate-mkdv", {"wavelengths_per_period": 1e6, "window_factor": 8}, None, None),
+            ("simulate-fv", {"probes_y_star_multiples": [1.0 + i / 2**17 for i in range(2**17)]}, None, None),
             # speed_ratio * c overflows to inf
             ("soliton", {"speed_ratio": 1e308}, None, None),
         ],
@@ -209,7 +227,8 @@ class TestValidation:
             "n_points-1e15", "cells_per_layer-1e15", "dy_m-1e-300", "t_final_factor-1e300",
             "fv-V_over_c-1e-300", "mkdv-V_over_c-1e-300", "fv-V_over_c-1e-150",
             "mkdv-V_over_c-1e-150", "fv-probes-1e300", "mkdv-probes-1e300",
-            "fv-wavelengths-1e300", "speed_ratio-1e308",
+            "fv-wavelengths-1e300", "mkdv-wavelengths-1e300", "fv-wavelengths-1e6", "mkdv-wavelengths-1e6",
+            "fv-probes-many", "speed_ratio-1e308",
         ],
     )
     def test_numerical_failure_exit_code(self, tmp_path, capsys, command, params, load, modulus):
@@ -711,8 +730,6 @@ class TestSimulation:
 
     def test_simulate_mkdv_marches_untraced(self, tmp_path, monkeypatch):
         """No command reads a per-step trace, so simulate-mkdv marches without an observer."""
-        from lamwave import spectral_sim
-
         march, calls = spectral_sim.mkdv_march, []
 
         def spy(*args, **kwargs):
@@ -725,15 +742,7 @@ class TestSimulation:
 
     def test_simulate_mkdv_summary_counters(self, tmp_path, monkeypatch):
         """The summary carries the march's step count and scheme (RK4: this run is inviscid)."""
-        from lamwave import spectral_sim
-
-        march, results = spectral_sim.mkdv_march, []
-
-        def spy(*args, **kwargs):
-            results.append(march(*args, **kwargs))
-            return results[-1]
-
-        monkeypatch.setattr(spectral_sim, "mkdv_march", spy)
+        results = recorded(monkeypatch, spectral_sim, "mkdv_march")
         out = run_ok(tmp_path, VALID_CONFIGS["simulate-mkdv"])
         (summary_path,) = out.glob("simulate_mkdv_*.json")
         summary = json.loads(summary_path.read_text())
@@ -742,13 +751,7 @@ class TestSimulation:
 
     def test_simulate_fv_summary_counters(self, tmp_path, monkeypatch):
         """The summary carries the run's time steps and the cells they updated."""
-        run, results = fv_sim.impact_run, []
-
-        def spy(*args, **kwargs):
-            results.append(run(*args, **kwargs))
-            return results[-1]
-
-        monkeypatch.setattr(fv_sim, "impact_run", spy)
+        results = recorded(monkeypatch, fv_sim, "impact_run")
         out = run_ok(tmp_path, self.small_sim_payload("simulate-fv"))
         (summary_path,) = out.glob("simulate_fv_*.json")
         summary = json.loads(summary_path.read_text())
@@ -779,6 +782,58 @@ class TestSimulation:
         out = run_ok(tmp_path, self.small_sim_payload("simulate-fv"), subdir="resolved")
         (summary_path,) = out.glob("simulate_fv_*.json")
         assert "unresolved_probes" not in json.loads(summary_path.read_text())
+
+    @staticmethod
+    def sized(command, params):
+        """The cell state, the resolved params and the ``cli.run_size`` of one simulate config."""
+        cfg = cli.parse_config({"command": command, "laminate": BENCH_LAMINATE, "params": params})
+        st = cli._cell(cfg)
+        return st, cfg["params"], cli.run_size(st, command, cfg["params"])
+
+    def test_fv_size_matches_the_run(self, tmp_path, monkeypatch):
+        """run_size holds the cells of the grid the run builds and a float a step for its clock
+        and each probe, and its step estimate is within 3% of the steps of a low-amplitude
+        run, whose speeds stay near the linear ones."""
+        params = {"V_over_c": 0.3, "probes_y_star_multiples": [0.02, 0.01], "cells_per_layer": 4}
+        st, q, (held, work) = self.sized("simulate-fv", params)
+        grids = recorded(monkeypatch, fv_sim, "build_grid")
+        results = recorded(monkeypatch, fv_sim, "impact_run")
+        run_ok(tmp_path, {"command": "simulate-fv", "laminate": BENCH_LAMINATE, "params": params})
+        cells = cli._fv_extent(st, q)[1]
+        assert cells == pytest.approx(grids[0].n_cells, rel=1e-12)
+        steps = work / cells
+        assert steps == pytest.approx(results[0].steps, rel=0.03)
+        assert held == pytest.approx(cells * fv_sim.BYTES_PER_CELL + 8 * 3 * steps, rel=1e-12)
+
+    def test_mkdv_size_matches_the_run(self, tmp_path, monkeypatch):
+        """run_size holds the window's points and a window of floats for each of two probe
+        records, and computes points x the march's steps."""
+        results = recorded(monkeypatch, spectral_sim, "mkdv_march")
+        params = {**SMALL_SIM["simulate-mkdv"], "probes_y_star_multiples": [0.1, 0.05]}
+        _, _, (held, work) = self.sized("simulate-mkdv", params)
+        run_ok(tmp_path, {"command": "simulate-mkdv", "laminate": BENCH_LAMINATE, "params": params})
+        (res,) = results
+        assert res.steps > 2
+        assert held == res.config.n_points * (spectral_sim.BYTES_PER_POINT + 8 * 2)
+        assert work == res.config.n_points * res.steps
+
+    @pytest.mark.parametrize("command, params", [
+        ("simulate-fv", {}), ("simulate-mkdv", {}), ("simulate-mkdv", {"window_factor": 8}),
+    ])
+    def test_documented_runs_sit_far_under_the_caps(self, command, params):
+        """The documented defaults and the benchmark's window_factor 8 hold and compute at least
+        1000 times less than MAX_HELD and MAX_WORK."""
+        held, work = self.sized(command, params)[2]
+        assert 1000 * held <= cli.MAX_HELD and 1000 * work <= cli.MAX_WORK
+
+    def test_run_is_sized_as_given(self, tmp_path):
+        """V_over_c 0.1 is too large at the default probes and cells, but a run of its own near
+        probe and 4 cells a layer is small, and runs."""
+        params = {"V_over_c": 0.1, "probes_y_star_multiples": [0.02], "cells_per_layer": 4}
+        st, q, _ = self.sized("simulate-fv", {"V_over_c": 0.1})
+        with pytest.raises(LamwaveError, match="params.V_over_c"):
+            cli._check_sizes(st, "simulate-fv", q)
+        run_ok(tmp_path, {"command": "simulate-fv", "laminate": BENCH_LAMINATE, "params": params})
 
     def test_simulate_mkdv_probe_csv(self, tmp_path):
         lines = self.probe_csv(tmp_path, "simulate-mkdv")
@@ -1005,25 +1060,43 @@ def mutated_configs(draw):
     return command, root["config"]
 
 
+def marched_work(config: dict) -> float:
+    """``cli.run_size``'s work of a simulate config whose run gets to its march, else 0: a
+    run that fails to parse, to build its cell state or to size, or that is too large,
+    stops before it marches."""
+    try:
+        cfg = cli.parse_config(copy.deepcopy(config))
+        held, work = cli.run_size(cli._cell(cfg), cfg["command"], cfg["params"])
+    except (LamwaveError, ArithmeticError, ValueError):
+        return 0.0
+    return work if held <= cli.MAX_HELD and work <= cli.MAX_WORK else 0.0
+
+
 class TestMutatedConfigs:
     @settings(max_examples=150, deadline=None)
     @given(mutated_configs())
     def test_config_errors_never_crash(self, case):
+        """Every mutant parses or raises ConfigError.  Each run of a fast command, and of a
+        simulate command that stops before its march or marches at most 2**20 cell- or
+        point-steps, exits 0, 1 or 2, with one stderr line and no artifact unless 0."""
         command, config = case
         try:
             cli.parse_config(copy.deepcopy(config))
         except ConfigError:
             pass
-        if command not in FAST:
+        if command not in FAST and marched_work(config) > 2**20:
             return
         err = io.StringIO()
         with tempfile.TemporaryDirectory() as tmp:
-            path = Path(tmp) / "run.json"
+            path, out = Path(tmp) / "run.json", Path(tmp) / "out"
             path.write_text(json.dumps(config))
             with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
-                status = cli.run(path, Path(tmp) / "out")
-        assert status in (0, 1, 2)
-        assert "Traceback" not in err.getvalue()
+                status = cli.run(path, out)
+            assert status in (0, 1, 2)
+            assert "Traceback" not in err.getvalue()
+            if status:
+                assert len(err.getvalue().splitlines()) == 1
+                assert not out.exists() or not any(out.iterdir())
 
 
 #: Per command with params, a quick base config's params and, for each key of the

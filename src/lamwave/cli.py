@@ -20,7 +20,7 @@ from pathlib import Path
 
 from . import dispersion as disp
 from . import fv_sim, materials, soliton, spectral_sim, sweeps
-from .errors import ConfigError, DomainError, Instability, LamwaveError
+from .errors import ConfigError, DomainError, GeometryError, Instability, LamwaveError
 from .homogenize import CellState, cell_state, effective_model
 from .materials import HyperelasticModel, Laminate, MagneticLoad, Phase
 from .output import config_hash, probe_table, write_csv, write_json
@@ -182,7 +182,7 @@ def _failing_at(where: str):
     """A numerical failure raised inside names the key path ``where``; it still exits 2."""
     try:
         yield
-    except (Instability, ArithmeticError) as exc:
+    except (Instability, ArithmeticError, GeometryError) as exc:
         raise type(exc)(f"{exc} ({where})") from None
 
 
@@ -337,58 +337,48 @@ _SIZE_KEYS = {"simulate-fv": (*_IMPACT, "t_final_factor", "cells_per_layer"),
               "simulate-mkdv": (*_IMPACT, "window_factor", "n_points", "dy_m")}
 
 
-def _check_sizes(st: CellState, command: str, p: dict) -> None:
-    """A run whose :func:`run_size` passes :data:`MAX_HELD` or :data:`MAX_WORK` fails here, before
-    it allocates, naming the first of its ``_SIZE_KEYS`` that makes it too large with the keys
-    after it at their defaults (the last key at the latest); a size that overflows is too large."""
-    def sized(q: dict) -> tuple[float, float]:
-        try:
-            return tuple(map(float, run_size(st, command, q)))
-        except ArithmeticError:
-            return math.inf, math.inf
+def _plan(st: CellState, command: str, q: dict):
+    """(shock distance y* (m), impact plan) of the simulate run of ``command`` at params ``q``;
+    y* grows as 1/V^2.  A laminate whose layers are not whole cells fails, naming the key."""
+    eff = st.eff
+    velocity = q["V_over_c"] * eff.c
+    kappa = 2.0 * math.pi / (q["wavelengths_per_period"] * eff.ell)
+    y_star = soliton.shock_distance(eff, velocity, kappa)
+    probes = [m * y_star for m in q["probes_y_star_multiples"]]
+    if command == "simulate-mkdv":
+        cfg = spectral_sim.config_for_impact(kappa, eff.c, q["window_factor"], q["n_points"], q["dy_m"],
+                                             q["viscosity"])
+        return y_star, spectral_sim.plan_impact(eff, velocity, kappa, probes, cfg)
+    t_final = q["t_final_factor"] * (max(probes) / eff.c + 3.0 * 2.0 * math.pi / (kappa * eff.c))
+    with _failing_at("params.cells_per_layer"):
+        return y_star, fv_sim.plan_impact(st, velocity, kappa, probes, t_final, q["cells_per_layer"])
 
-    held, work = sized(p)
+
+def _check_sizes(st: CellState, command: str, p: dict):
+    """The :func:`_plan` of params ``p``.  A run whose plan passes :data:`MAX_HELD` or :data:`MAX_WORK`
+    fails here, before it allocates, naming the first of its ``_SIZE_KEYS`` that makes it too large
+    with the keys after it at their defaults (the last key at the latest); a size that overflows is
+    too large, and layers that the default ``cells_per_layer`` cannot grid make no run to size."""
+    def sized(q: dict):
+        try:
+            y_star, plan = _plan(st, command, q)
+            return (y_star, plan), float(plan.held), float(plan.work)
+        except ArithmeticError:
+            return None, math.inf, math.inf
+
+    planned, held, work = sized(p)
     if held <= MAX_HELD and work <= MAX_WORK:
-        return
+        return planned
     q = {**p, **{key: PARAMS[command][key].default for key in _SIZE_KEYS[command]}}
     for key in _SIZE_KEYS[command]:
         q[key] = p[key]
-        h, w = sized(q)
+        try:
+            _, h, w = sized(q)
+        except GeometryError:
+            continue
         if not (h <= MAX_HELD and w <= MAX_WORK):
             raise DomainError(f"params.{key} asks for a run that holds {held:.3g} B (at most {MAX_HELD}) "
                               f"and computes {work:.3g} cell- or point-steps (at most {MAX_WORK})")
-
-
-def _impact(eff, q: dict) -> tuple[float, float, float]:
-    """Boundary velocity (m/s), forcing wave number (rad/m) and shock distance y* (m)
-    of the impact params ``q``; y* grows as 1/V^2."""
-    velocity = q["V_over_c"] * eff.c
-    kappa = 2.0 * math.pi / (q["wavelengths_per_period"] * eff.ell)
-    return velocity, kappa, soliton.shock_distance(eff, velocity, kappa)
-
-
-def _fv_extent(st: CellState, q: dict) -> tuple[float, float]:
-    """End time (s) and cell count of the simulate-fv run at params ``q``."""
-    _, kappa, y_star = _impact(st.eff, q)
-    reach = max(q["probes_y_star_multiples"]) * y_star
-    t_final = q["t_final_factor"] * (reach / st.eff.c + 3.0 * 2.0 * math.pi / (kappa * st.eff.c))
-    periods = fv_sim.required_periods(st, t_final, reach, 2.0 * math.pi / kappa)
-    return t_final, periods / st.nu2 * q["cells_per_layer"]
-
-
-def run_size(st: CellState, command: str, q: dict) -> tuple[float, float]:
-    """(bytes held, cells or points x steps) of the simulate run of ``command`` at params ``q``:
-    simulate-fv holds its cells and a float a step for its clock and each probe; simulate-mkdv
-    holds its window points and one window of floats for each distinct probe step."""
-    probes = q["probes_y_star_multiples"]
-    if command == "simulate-fv":
-        t_final, cells = _fv_extent(st, q)
-        steps = fv_sim.linear_steps(st, t_final, q["cells_per_layer"])
-        return cells * fv_sim.BYTES_PER_CELL + 8.0 * steps * (1 + len(probes)), cells * steps
-    _, kappa, y_star = _impact(st.eff, q)
-    scfg = spectral_sim.config_for_impact(kappa, st.eff.c, q["window_factor"], q["n_points"], q["dy_m"])
-    points, steps = scfg.n_points, scfg.steps_to(max(probes) * y_star)
-    return points * (spectral_sim.BYTES_PER_POINT + 8.0 * min(len(probes), steps + 1)), points * steps
 
 
 def _run_simulate(cfg):
@@ -396,30 +386,24 @@ def _run_simulate(cfg):
     command, p = cfg["command"], cfg["params"]
     st = _cell(cfg)
     eff = st.eff
-    _check_sizes(st, command, p)
-    velocity, kappa, y_star = _impact(eff, p)
-    probes = [m * y_star for m in p["probes_y_star_multiples"]]
+    y_star, plan = _check_sizes(st, command, p)
     summary = {"y_star_m": y_star, "c_eff": eff.c}
     if command == "simulate-fv":
-        t_final = _fv_extent(st, p)[0]
         with _failing_at("params.V_over_c"):  # the signal speed grows with V alone
-            result = fv_sim.impact_run(st, velocity, kappa, probes, t_final,
-                                       cells_per_layer=p["cells_per_layer"], limiter=p["limiter"])
-        summary.update(t_final_s=t_final, cell_steps=result.cell_steps)
+            result = plan.run(p["limiter"])
+        summary.update(t_final_s=plan.t_final, cell_steps=result.cell_steps)
     else:
-        scfg = spectral_sim.config_for_impact(kappa, eff.c, p["window_factor"], p["n_points"], p["dy_m"],
-                                              p["viscosity"])
-        result = spectral_sim.impact_march(eff, velocity, kappa, probes, cfg=scfg)
-        summary.update(window_s=scfg.window, scheme=result.scheme)
-    traces = [(y, result.t, v / eff.c) for y, v in zip(probes, result.records)]
+        with _failing_at("params.window_factor"):
+            plan.check_window()
+        result = plan.run()
+        summary.update(window_s=plan.cfg.window, scheme=result.scheme)
+    traces = [(y, result.t, v / eff.c) for y, v in zip(plan.probes, result.records)]
     summary["steps"] = result.steps
-    at = result.probe_cells if command == "simulate-fv" else result.stops
-    if unresolved := [m for m, i in zip(p["probes_y_star_multiples"], at) if i == 0]:
+    if unresolved := [m for m, i in zip(p["probes_y_star_multiples"], plan.probe_index) if i == 0]:
         summary["unresolved_probes"] = unresolved  # in the first cell or step: the boundary signal
     summary["peak_v_over_c"] = max(float(abs(v).max()) for _, _, v in traces)
-    theory = "fv" if command == "simulate-fv" else "mkdv"
-    comments = [f"y_star_m = {y_star!r}", f"V_m_per_s = {velocity!r}"]
-    table = probe_table(traces, kappa * eff.c / (2.0 * math.pi), theory)
+    comments = [f"y_star_m = {y_star!r}", f"V_m_per_s = {plan.velocity!r}"]
+    table = probe_table(traces, plan.kappa * eff.c / (2.0 * math.pi), command.removeprefix("simulate-"))
     return [(command.replace("-", "_"), comments, *table)], summary
 
 

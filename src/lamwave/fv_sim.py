@@ -61,24 +61,20 @@ class Grid1D:
     c_tail: np.ndarray  # [i]: max linear speed sqrt(g/rho) over cells i.., 0 at n_cells
 
     def cell_at(self, y: float) -> int:
-        i = int(round(y / self.dy - 0.5))
-        if not 0 <= i < self.n_cells:
-            raise DomainError(f"position {y} lies outside the domain")
-        return i
+        return _cell_index(y, self.dy, self.n_cells)
 
 
-def build_grid(st: CellState, cells_per_layer: int, n_periods: int) -> Grid1D:
-    """Discretise ``n_periods`` spatial periods with ``cells_per_layer`` cells per layer.
+def _cell_index(y: float, dy: float, n_cells: int) -> int:
+    if not 0 <= (i := int(round(y / dy - 0.5))) < n_cells:
+        raise DomainError(f"position {y} lies outside the domain")
+    return i
 
-    ``cells_per_layer`` applies to the phase-2 layer (the one straddling the
-    origin) and must be even so the half layer at the origin is resolved by
-    whole cells; the phase-1 layer thickness must then also be an integer
-    number of cells.
-    """
+
+def _layer_cells(st: CellState, cells_per_layer: int) -> tuple[float, int]:
+    """(dy, cells in a phase-1 layer) of a grid of ``cells_per_layer`` cells in the phase-2 layer
+    straddling the origin: even, so that whole cells resolve its half there, as they must each layer."""
     if cells_per_layer < 4 or cells_per_layer % 2 != 0:
         raise GeometryError(f"cells_per_layer must be even and >= 4, got {cells_per_layer}")
-    if n_periods < 1:
-        raise GeometryError("n_periods must be at least 1")
     ell1, ell2 = st.nu1 * st.eff.ell, st.nu2 * st.eff.ell
     dy = ell2 / cells_per_layer
     n1_f = ell1 / dy
@@ -87,6 +83,15 @@ def build_grid(st: CellState, cells_per_layer: int, n_periods: int) -> Grid1D:
         raise GeometryError(
             f"phase-1 layer is not an integer number of cells: {ell1:.6g} / {dy:.6g}"
         )
+    return dy, n1
+
+
+def build_grid(st: CellState, cells_per_layer: int, n_periods: int) -> Grid1D:
+    """Discretise ``n_periods`` spatial periods with ``cells_per_layer`` cells per phase-2
+    layer and whole cells per phase-1 layer (``_layer_cells``)."""
+    dy, n1 = _layer_cells(st, cells_per_layer)
+    if n_periods < 1:
+        raise GeometryError("n_periods must be at least 1")
     # one period from the origin: half a phase-2 layer, a phase-1 layer, half a phase-2 layer
     half2 = cells_per_layer // 2
     phase = np.tile(np.repeat(np.array([2, 1, 2], dtype=np.int8), [half2, n1, half2]), n_periods)
@@ -316,16 +321,14 @@ class SimResult:
     """Probe velocities (m/s) of a run, its final state and its counters.
 
     ``records`` holds one velocity array per requested probe, in request order
-    with repeats kept, each sampled at the probe's nearest cell centre, the cell
-    ``probe_cells`` names, at the times ``t`` (the start and the end of every
-    step).  ``t`` and each record are views of flat float64 buffers that grow by one
-    float a step.  ``cell_steps`` sums the cells each step updated.  A run's wall
-    time is the caller's to measure.
+    with repeats kept, each sampled at the probe's nearest cell centre at the times
+    ``t`` (the start and the end of every step).  ``t`` and each record are views of
+    flat float64 buffers that grow by one float a step.  ``cell_steps`` sums the cells
+    each step updated.  A run's wall time is the caller's to measure.
     """
 
     t: np.ndarray
     records: list[np.ndarray]
-    probe_cells: np.ndarray
     state: SimState
     steps: int
     cell_steps: int
@@ -367,9 +370,8 @@ def simulate(
     whole-grid stepping.
     """
     state = SimState.quiescent(grid)
-    cells = np.array([grid.cell_at(y) for y in probe_positions], dtype=np.intp)
     times, cell_steps = array("d", [0.0]), 0
-    samples = [(array("d", [state.velocity[i]]), i) for i in cells.tolist()]
+    samples = [(array("d", [state.velocity[i]]), i) for i in map(grid.cell_at, probe_positions)]
     while state.time < t_final - 1e-15:
         step(state, grid, limiter=limiter, forcing=left_velocity, dt_max=t_final - state.time,
              floor=floor)
@@ -380,7 +382,6 @@ def simulate(
     return SimResult(
         t=np.frombuffer(times),
         records=[np.frombuffer(record) for record, _ in samples],
-        probe_cells=cells,
         state=state,
         steps=len(times) - 1,
         cell_steps=cell_steps,
@@ -407,40 +408,46 @@ def required_periods(
     return int(math.ceil(length / ell))
 
 
-def linear_steps(st: CellState, t_final: float, cells_per_layer: int) -> float:
-    """Time steps to ``t_final`` on the grid of ``build_grid`` at signal speeds that stay at
-    the fastest linear one; ``step`` may take up to ``MAX_SPEEDUP`` times as many."""
-    return t_final * max(st.c1, st.c2) / (CFL * st.nu2 * st.eff.ell / cells_per_layer)
+@dataclass(frozen=True)
+class ImpactPlan:
+    """An impact run on a quiescent half-space, resolved before it allocates: ``n_periods``
+    periods (``required_periods``) of ``n_cells`` cells, the cell each probe samples, and the
+    steps to ``t_final`` at the fastest linear speed (an estimate: a nonlinear run takes up to
+    ``MAX_SPEEDUP`` times as many).  It holds ``held`` bytes, its cells at ``BYTES_PER_CELL``
+    and a float a step for its clock and each probe, and computes ``work``, cells x steps."""
+
+    st: CellState
+    velocity: float
+    kappa: float
+    probes: tuple[float, ...]
+    t_final: float
+    cells_per_layer: int
+    n_periods: int
+    n_cells: int
+    probe_index: tuple[int, ...]
+    steps: float
+    held: float
+    work: float
+
+    def run(self, limiter: str = "minmod") -> SimResult:
+        """The left edge follows ``impact_signal``; the precursor below ``PRECURSOR_FLOOR`` x V is flushed."""
+        return simulate(build_grid(self.st, self.cells_per_layer, self.n_periods),
+                        left_velocity=impact_signal(self.velocity, self.kappa, self.st.eff.c),
+                        t_final=self.t_final, probe_positions=self.probes, limiter=limiter,
+                        floor=self.velocity * PRECURSOR_FLOOR)
 
 
-def impact_run(
-    st: CellState,
-    velocity: float,
-    kappa: float,
-    probe_positions: list[float],
-    t_final: float,
-    cells_per_layer: int = 32,
-    limiter: str = "minmod",
-) -> SimResult:
-    """Impact problem on an initially quiescent half-space of the layered medium.
-
-    The boundary velocity follows the smooth single-hump signal with the
-    effective sound speed as clock; the right boundary is non-reflecting
-    (zero-order extrapolation) and the domain is sized so it cannot contaminate
-    the probes within ``t_final``.  The precursor below ``PRECURSOR_FLOOR`` times
-    ``velocity`` is flushed (see ``step``).
-    """
+def plan_impact(st: CellState, velocity: float, kappa: float, probes: list[float], t_final: float,
+                cells_per_layer: int) -> ImpactPlan:
+    """The impact run at boundary velocity ``velocity`` (m/s) and forcing wave number ``kappa``
+    (rad/m), probed at ``probes`` (m) until ``t_final`` (s); a laminate whose layers are not
+    whole cells raises ``GeometryError`` first."""
     if velocity < 0.0 or kappa <= 0.0:
         raise DomainError("impact needs velocity >= 0 and kappa > 0")
-    wavelength = 2.0 * math.pi / kappa
-    n_periods = required_periods(st, t_final, max(probe_positions, default=0.0), wavelength)
-    grid = build_grid(st, cells_per_layer, n_periods)
-    return simulate(
-        grid,
-        left_velocity=impact_signal(velocity, kappa, st.eff.c),
-        t_final=t_final,
-        probe_positions=probe_positions,
-        limiter=limiter,
-        floor=velocity * PRECURSOR_FLOOR,
-    )
-
+    dy, n1 = _layer_cells(st, cells_per_layer)
+    n_periods = required_periods(st, t_final, max(probes, default=0.0), 2.0 * math.pi / kappa)
+    n_cells = n_periods * (cells_per_layer + n1)
+    steps = t_final * max(st.c1, st.c2) / (CFL * st.nu2 * st.eff.ell / cells_per_layer)
+    return ImpactPlan(st, velocity, kappa, tuple(probes), t_final, cells_per_layer, n_periods, n_cells,
+                      tuple(_cell_index(y, dy, n_cells) for y in probes), steps,
+                      n_cells * BYTES_PER_CELL + 8.0 * steps * (1 + len(probes)), n_cells * steps)

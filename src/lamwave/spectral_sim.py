@@ -381,28 +381,43 @@ def _exceeds(z: np.ndarray, bound: float, scratch: np.ndarray) -> bool:
     return not float(np.max(np.abs(z, out=scratch[: z.size]))) <= bound
 
 
-def impact_march(
-    eff: EffectiveModel,
-    velocity: float,
-    kappa: float,
-    y_stops: list[float],
-    cfg: SpectralConfig | None = None,
-) -> MarchResult:
-    """Impact problem for the unidirectional model (same forcing as the FV run).
+@dataclass(frozen=True)
+class ImpactPlan:
+    """An impact march (the FV run's forcing), resolved before it allocates: the march step of
+    each probe (``MarchResult.stops``) and the largest.  It holds ``held`` bytes, its window points
+    at ``BYTES_PER_POINT`` and a window of floats a distinct stop, and computes ``work``, points x steps."""
 
-    ``cfg`` defaults to :func:`config_for_impact` at its defaults.  Raises
-    :class:`Instability` unless the window holds the forcing duration, its shift
-    to the farthest stop and one more duration of quiet zone.
-    """
-    if cfg is None:
-        cfg = config_for_impact(kappa, eff.c)
-    # signal content can shift by at most y/c in t; keep one duration of slack
-    duration = 2.0 * math.pi / (kappa * eff.c)
-    shift = max(y_stops, default=0.0) / eff.c
-    if duration + shift + duration > cfg.window:
-        raise Instability(
-            "march distance would push the signal front past the periodic "
-            f"window; need window > {2 * duration + shift:.6g} s"
-        )
-    return mkdv_march(eff, impact_signal(velocity, kappa, eff.c), cfg, y_stops)
+    eff: EffectiveModel
+    velocity: float
+    kappa: float
+    probes: tuple[float, ...]
+    cfg: SpectralConfig
+    probe_index: tuple[int, ...]
+    steps: int
+    held: int
+    work: int
 
+    def check_window(self) -> None:
+        """Raises :class:`Instability` unless the window holds the forcing, its shift (at most y/c) to the
+        farthest probe and a quiet duration, naming the least window in durations, rounded up at 1e-4."""
+        duration = 2.0 * math.pi / (self.kappa * self.eff.c)
+        need = duration + max(self.probes, default=0.0) / self.eff.c + duration
+        if need > self.cfg.window:
+            raise Instability("march distance would push the signal front past the periodic window: it holds "
+                              f"{self.cfg.window / duration:.5g} forcing durations and needs "
+                              f"{math.ceil(need / duration * 1e4) / 1e4}")
+
+    def run(self) -> MarchResult:
+        self.check_window()
+        signal = impact_signal(self.velocity, self.kappa, self.eff.c)
+        return mkdv_march(self.eff, signal, self.cfg, self.probes)
+
+
+def plan_impact(eff: EffectiveModel, velocity: float, kappa: float, probes: list[float],
+                cfg: SpectralConfig) -> ImpactPlan:
+    """The impact march at boundary velocity ``velocity`` (m/s) and forcing wave number
+    ``kappa`` (rad/m) on the window ``cfg``, recorded at ``probes`` (m)."""
+    stops = tuple(cfg.steps_to(y) for y in probes)
+    steps = max(stops, default=0)
+    return ImpactPlan(eff, velocity, kappa, tuple(probes), cfg, stops, steps,
+                      cfg.n_points * (BYTES_PER_POINT + 8 * len(set(stops))), cfg.n_points * steps)

@@ -392,7 +392,7 @@ def fv_matched_run(matched_bilam):
     probes = [m * y_star for m in multiples]
     t_final = 2.0 * y_star / e.c + 3.0 * duration
     start = time.perf_counter()
-    result = fv_sim.impact_run(cell_state(matched_bilam, 1.0), velocity, kappa, probes, t_final)
+    result = fv_sim.plan_impact(cell_state(matched_bilam, 1.0), velocity, kappa, probes, t_final, 32).run()
     elapsed_s = time.perf_counter() - start
     return {"result": result, "probes": probes, "eff": e, "y_star": y_star, "kappa": kappa,
             "velocity": velocity, "elapsed_s": elapsed_s}
@@ -408,7 +408,7 @@ def fv_nonlinear_run(bilam):
     e, velocity, kappa, y_star, duration = impact_geometry(bilam, 2.0, 16.0)
     probes = [y_star, 2.0 * y_star, 3.0 * y_star]
     t_final = 3.0 * y_star / e.c + 4.0 * duration
-    result = fv_sim.impact_run(cell_state(bilam, 1.0), velocity, kappa, probes, t_final)
+    result = fv_sim.plan_impact(cell_state(bilam, 1.0), velocity, kappa, probes, t_final, 32).run()
     return {"result": result, "probes": probes, "eff": e, "y_star": y_star, "kappa": kappa,
             "velocity": velocity}
 
@@ -417,9 +417,9 @@ def fv_nonlinear_run(bilam):
 def mkdv_nonlinear_run(bilam):
     """Spectral march of the same nonlinear dispersive impact problem."""
     e, velocity, kappa, y_star, _ = impact_geometry(bilam, 2.0, 16.0)
-    result = spectral_sim.impact_march(
+    result = spectral_sim.plan_impact(
         e, velocity, kappa, [y_star, 2.0 * y_star], spectral_sim.config_for_impact(kappa, e.c, 8.0)
-    )
+    ).run()
     return {"result": result, "eff": e, "y_star": y_star, "kappa": kappa, "velocity": velocity}
 
 
@@ -442,10 +442,11 @@ def low_dispersion_pair(low_disp_bilam):
     e, velocity, kappa, y_star, duration = impact_geometry(low_disp_bilam, math.sqrt(2.0), 8.0)
     probes = [y_star, 2.0 * y_star]
     t_final = 2.0 * y_star / e.c + 3.0 * duration
-    fv_result = fv_sim.impact_run(cell_state(low_disp_bilam, 1.0), velocity, kappa, probes, t_final)
-    mk_result = spectral_sim.impact_march(
+    st = cell_state(low_disp_bilam, 1.0)
+    fv_result = fv_sim.plan_impact(st, velocity, kappa, probes, t_final, 32).run()
+    mk_result = spectral_sim.plan_impact(
         e, velocity, kappa, probes, spectral_sim.config_for_impact(kappa, e.c, 8.0)
-    )
+    ).run()
     return {
         "fv": fv_result,
         "mkdv": mk_result,
@@ -481,7 +482,7 @@ def march_refinement(bilam):
     fields = {}
     for divisor in (16, 32, 64, 512):
         cfg = dataclasses.replace(base, dy=y_target / divisor)
-        res = spectral_sim.impact_march(e, velocity, kappa, [y_target], cfg=cfg)
+        res = spectral_sim.plan_impact(e, velocity, kappa, [y_target], cfg).run()
         fields[divisor] = res.records[-1]
     ref = fields[512]
     scale = float(np.linalg.norm(ref))

@@ -216,6 +216,9 @@ class TestValidation:
             ("simulate-fv", {"wavelengths_per_period": 1e6}, None, None),
             ("simulate-mkdv", {"wavelengths_per_period": 1e6, "window_factor": 8}, None, None),
             ("simulate-fv", {"probes_y_star_multiples": [1.0 + i / 2**17 for i in range(2**17)]}, None, None),
+            # windows too short for the farthest probe: the documented defaults, and a slow impact
+            ("simulate-mkdv", {"window_factor": 4.0}, None, None),
+            ("simulate-mkdv", {"window_factor": 8, "V_over_c": 0.1}, None, None),
             # speed_ratio * c overflows to inf
             ("soliton", {"speed_ratio": 1e308}, None, None),
         ],
@@ -228,7 +231,7 @@ class TestValidation:
             "fv-V_over_c-1e-300", "mkdv-V_over_c-1e-300", "fv-V_over_c-1e-150",
             "mkdv-V_over_c-1e-150", "fv-probes-1e300", "mkdv-probes-1e300",
             "fv-wavelengths-1e300", "mkdv-wavelengths-1e300", "fv-wavelengths-1e6", "mkdv-wavelengths-1e6",
-            "fv-probes-many", "speed_ratio-1e308",
+            "fv-probes-many", "mkdv-window-defaults", "mkdv-window-V-0.1", "speed_ratio-1e308",
         ],
     )
     def test_numerical_failure_exit_code(self, tmp_path, capsys, command, params, load, modulus):
@@ -751,7 +754,7 @@ class TestSimulation:
 
     def test_simulate_fv_summary_counters(self, tmp_path, monkeypatch):
         """The summary carries the run's time steps and the cells they updated."""
-        results = recorded(monkeypatch, fv_sim, "impact_run")
+        results = recorded(monkeypatch, fv_sim, "simulate")
         out = run_ok(tmp_path, self.small_sim_payload("simulate-fv"))
         (summary_path,) = out.glob("simulate_fv_*.json")
         summary = json.loads(summary_path.read_text())
@@ -785,37 +788,37 @@ class TestSimulation:
 
     @staticmethod
     def sized(command, params):
-        """The cell state, the resolved params and the ``cli.run_size`` of one simulate config."""
+        """The cell state, the resolved params and the impact plan of one simulate config."""
         cfg = cli.parse_config({"command": command, "laminate": BENCH_LAMINATE, "params": params})
         st = cli._cell(cfg)
-        return st, cfg["params"], cli.run_size(st, command, cfg["params"])
+        return st, cfg["params"], cli._plan(st, command, cfg["params"])[1]
 
     def test_fv_size_matches_the_run(self, tmp_path, monkeypatch):
-        """run_size holds the cells of the grid the run builds and a float a step for its clock
+        """The plan holds the cells of the grid the run builds and a float a step for its clock
         and each probe, and its step estimate is within 3% of the steps of a low-amplitude
         run, whose speeds stay near the linear ones."""
         params = {"V_over_c": 0.3, "probes_y_star_multiples": [0.02, 0.01], "cells_per_layer": 4}
-        st, q, (held, work) = self.sized("simulate-fv", params)
+        plan = self.sized("simulate-fv", params)[2]
         grids = recorded(monkeypatch, fv_sim, "build_grid")
-        results = recorded(monkeypatch, fv_sim, "impact_run")
+        results = recorded(monkeypatch, fv_sim, "simulate")
         run_ok(tmp_path, {"command": "simulate-fv", "laminate": BENCH_LAMINATE, "params": params})
-        cells = cli._fv_extent(st, q)[1]
-        assert cells == pytest.approx(grids[0].n_cells, rel=1e-12)
-        steps = work / cells
-        assert steps == pytest.approx(results[0].steps, rel=0.03)
-        assert held == pytest.approx(cells * fv_sim.BYTES_PER_CELL + 8 * 3 * steps, rel=1e-12)
+        assert plan.n_cells == grids[0].n_cells
+        assert plan.steps == pytest.approx(results[0].steps, rel=0.03)
+        assert plan.work == plan.n_cells * plan.steps
+        assert plan.held == pytest.approx(plan.n_cells * fv_sim.BYTES_PER_CELL + 8 * 3 * plan.steps, rel=1e-12)
 
     def test_mkdv_size_matches_the_run(self, tmp_path, monkeypatch):
-        """run_size holds the window's points and a window of floats for each of two probe
-        records, and computes points x the march's steps."""
+        """The plan holds the window's points and a window of floats for each of two probe
+        records, computes points x the march's steps, and stops where the march stops."""
         results = recorded(monkeypatch, spectral_sim, "mkdv_march")
         params = {**SMALL_SIM["simulate-mkdv"], "probes_y_star_multiples": [0.1, 0.05]}
-        _, _, (held, work) = self.sized("simulate-mkdv", params)
+        plan = self.sized("simulate-mkdv", params)[2]
         run_ok(tmp_path, {"command": "simulate-mkdv", "laminate": BENCH_LAMINATE, "params": params})
         (res,) = results
         assert res.steps > 2
-        assert held == res.config.n_points * (spectral_sim.BYTES_PER_POINT + 8 * 2)
-        assert work == res.config.n_points * res.steps
+        assert list(plan.probe_index) == res.stops and plan.steps == res.steps
+        assert plan.held == res.config.n_points * (spectral_sim.BYTES_PER_POINT + 8 * 2)
+        assert plan.work == res.config.n_points * res.steps
 
     @pytest.mark.parametrize("command, params", [
         ("simulate-fv", {}), ("simulate-mkdv", {}), ("simulate-mkdv", {"window_factor": 8}),
@@ -823,8 +826,8 @@ class TestSimulation:
     def test_documented_runs_sit_far_under_the_caps(self, command, params):
         """The documented defaults and the benchmark's window_factor 8 hold and compute at least
         1000 times less than MAX_HELD and MAX_WORK."""
-        held, work = self.sized(command, params)[2]
-        assert 1000 * held <= cli.MAX_HELD and 1000 * work <= cli.MAX_WORK
+        plan = self.sized(command, params)[2]
+        assert 1000 * plan.held <= cli.MAX_HELD and 1000 * plan.work <= cli.MAX_WORK
 
     def test_run_is_sized_as_given(self, tmp_path):
         """V_over_c 0.1 is too large at the default probes and cells, but a run of its own near
@@ -834,6 +837,36 @@ class TestSimulation:
         with pytest.raises(LamwaveError, match="params.V_over_c"):
             cli._check_sizes(st, "simulate-fv", q)
         run_ok(tmp_path, {"command": "simulate-fv", "laminate": BENCH_LAMINATE, "params": params})
+
+    @pytest.mark.parametrize("params, least", [({}, "4.6519"), ({"V_over_c": 0.1, "window_factor": 8}, "1062.7579")])
+    def test_window_rule_names_its_key(self, tmp_path, capsys, params, least):
+        """A window too short for the farthest probe exits 2, before the march allocates, with
+        one line naming params.window_factor and the least factor that holds the probe,
+        rounded up to 4 decimals: 4.651894... at the documented defaults, 1062.75785... at
+        V_over_c 0.1."""
+        out = tmp_path / "out"
+        payload = {"command": "simulate-mkdv", "laminate": BENCH_LAMINATE, "params": params}
+        assert cli.run(write_config(tmp_path, payload), out) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.endswith(f" forcing durations and needs {least} (params.window_factor)")
+        assert list(out.iterdir()) == []
+
+    def test_layers_not_whole_cells_name_their_key(self, tmp_path, capsys):
+        """A laminate whose phase-1 layer is not whole cells at the given cells_per_layer exits 2
+        with one line naming params.cells_per_layer, before it is sized; at 14 cells a layer
+        both layers are whole cells, and the same impact runs."""
+        laminate = copy.deepcopy(BENCH_LAMINATE)
+        laminate["phases"][0]["nu"], laminate["phases"][1]["nu"] = 0.3, 0.7
+        payload = {"command": "simulate-fv", "laminate": laminate,
+                   "params": dict(SMALL_SIM["simulate-fv"], cells_per_layer=4)}
+        out = tmp_path / "out"
+        assert cli.run(write_config(tmp_path, payload), out) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line == ("numerical failure in simulate-fv: phase-1 layer is not an integer number of cells: "
+                        "0.003 / 0.00175 (params.cells_per_layer)")
+        assert list(out.iterdir()) == []
+        payload["params"]["cells_per_layer"] = 14
+        run_ok(tmp_path, payload, "whole")
 
     def test_simulate_mkdv_probe_csv(self, tmp_path):
         lines = self.probe_csv(tmp_path, "simulate-mkdv")
@@ -1060,16 +1093,16 @@ def mutated_configs(draw):
     return command, root["config"]
 
 
-def marched_work(config: dict) -> float:
-    """``cli.run_size``'s work of a simulate config whose run gets to its march, else 0: a
-    run that fails to parse, to build its cell state or to size, or that is too large,
-    stops before it marches."""
+def marched_plan(config: dict):
+    """The impact plan of a simulate config whose run gets to its march, else None: a run
+    that fails to parse, to build its cell state or to plan, or that is too large, stops
+    before it marches."""
     try:
         cfg = cli.parse_config(copy.deepcopy(config))
-        held, work = cli.run_size(cli._cell(cfg), cfg["command"], cfg["params"])
+        _, plan = cli._plan(cli._cell(cfg), cfg["command"], cfg["params"])
     except (LamwaveError, ArithmeticError, ValueError):
-        return 0.0
-    return work if held <= cli.MAX_HELD and work <= cli.MAX_WORK else 0.0
+        return None
+    return plan if plan.held <= cli.MAX_HELD and plan.work <= cli.MAX_WORK else None
 
 
 class TestMutatedConfigs:
@@ -1084,7 +1117,7 @@ class TestMutatedConfigs:
             cli.parse_config(copy.deepcopy(config))
         except ConfigError:
             pass
-        if command not in FAST and marched_work(config) > 2**20:
+        if command not in FAST and (plan := marched_plan(config)) and plan.work > 2**20:
             return
         err = io.StringIO()
         with tempfile.TemporaryDirectory() as tmp:
@@ -1097,6 +1130,66 @@ class TestMutatedConfigs:
             if status:
                 assert len(err.getvalue().splitlines()) == 1
                 assert not out.exists() or not any(out.iterdir())
+
+
+#: The small simulate params scaled_configs starts from, each numeric one non-zero.
+SCALED_BASE = {"simulate-fv": SMALL_SIM["simulate-fv"],
+               "simulate-mkdv": dict(VALID_CONFIGS["simulate-mkdv"]["params"], viscosity=1e-8)}
+
+
+@st.composite
+def scaled_configs(draw):
+    """A small valid simulate config with one to three numeric params scaled by 10^k, k in
+    [-6, 6]: a probe list as a whole, an integer rounded (to an even one where it must be),
+    and each held to its lower bound, so that every draw parses."""
+    command = draw(st.sampled_from(sorted(SCALED_BASE)))
+    params, table = dict(SCALED_BASE[command]), cli.PARAMS[command]
+    numeric = [key for key in params if table[key].kind in ("float", "int", "floats")]
+    for key in draw(st.lists(st.sampled_from(numeric), min_size=1, max_size=3, unique=True)):
+        spec, factor = table[key], 10.0 ** draw(st.integers(-6, 6))
+        if spec.kind == "floats":
+            params[key] = [v * factor for v in params[key]]
+        elif spec.kind == "int":
+            unit = 2 if spec.even else 1
+            params[key] = max(unit * round(params[key] * factor / unit), spec.ge)
+        else:
+            params[key] = max(params[key] * factor, spec.ge or 0.0)
+    return {"command": command, "laminate": BENCH_LAMINATE, "params": params}
+
+
+class TestScaledConfigs:
+    @settings(max_examples=100, deadline=None)
+    @given(scaled_configs())
+    def test_scaled_runs_keep_the_contract(self, config):
+        """Every scaled config parses; each whose plan marches at most 2**20 cell- or
+        point-steps and holds at most 2**24 B (which bounds the rows it writes: a window of
+        2**23 points at 0 steps holds 1.4 GB and writes as many rows) exits 0 or 2.  Exit 2
+        prints one line, naming a params key unless the march itself failed, and writes
+        nothing; exit 0 writes, per probe, steps + 1 FV samples or one window of mKdV
+        samples, and a peak_v_over_c that is the largest |v_over_c| written."""
+        cli.parse_config(config)
+        if (plan := marched_plan(config)) and (plan.work > 2**20 or plan.held > 2**24):
+            return
+        err = io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp:
+            path, out = Path(tmp) / "run.json", Path(tmp) / "out"
+            path.write_text(json.dumps(config))
+            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                status = cli.run(path, out)
+            assert status in (0, 2), err.getvalue()
+            if status:
+                (line,) = err.getvalue().splitlines()
+                assert "params." in line or "spectral amplitude" in line, line
+                assert not any(out.iterdir())
+                return
+            stem = config["command"].replace("-", "_")
+            (csv_path,) = out.glob(f"{stem}_*.csv")
+            summary = json.loads(next(out.glob(f"{stem}_*.json")).read_text())
+            rows = [l.split(",") for l in csv_path.read_text().splitlines() if not l.startswith("#")][1:]
+        per_probe = summary["steps"] + 1 if stem == "simulate_fv" else plan.cfg.n_points
+        assert len(rows) == len(plan.probes) * per_probe
+        assert [float(r[3]) for r in rows[::per_probe]] == list(plan.probes)
+        assert summary["peak_v_over_c"] == max(abs(float(r[2])) for r in rows)
 
 
 #: Per command with params, a quick base config's params and, for each key of the

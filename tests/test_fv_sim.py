@@ -391,9 +391,9 @@ class TestPrecursorFloor:
         floor 0, its probes move by round-off, and it steps a shorter window."""
         eff = effective_model(bilam, 1.0)
         args = (cell_state(bilam, 1.0), eff.c, 2.0 * math.pi / (8.0 * eff.ell), [0.02, 0.05], 0.3 / eff.c)
-        res = fv.impact_run(*args, cells_per_layer=8)
+        res = fv.plan_impact(*args, 8).run()
         monkeypatch.setattr(fv, "PRECURSOR_FLOOR", 0.0)
-        ref = fv.impact_run(*args, cells_per_layer=8)
+        ref = fv.plan_impact(*args, 8).run()
         assert res.steps == ref.steps > 0
         assert res.t.tobytes() == ref.t.tobytes()
         for v, v_ref in zip(res.records, ref.records):
@@ -429,8 +429,8 @@ class TestPrecursorFloor:
     def test_cell_steps_sums_the_window(self, bilam):
         """At rest the front stays at 0, and each step updates one block of cells."""
         eff = effective_model(bilam, 1.0)
-        res = fv.impact_run(cell_state(bilam, 1.0), 0.0, 2.0 * math.pi / (16.0 * eff.ell), [0.05], 2e-3,
-                            cells_per_layer=8)
+        res = fv.plan_impact(cell_state(bilam, 1.0), 0.0, 2.0 * math.pi / (16.0 * eff.ell), [0.05], 2e-3,
+                             8).run()
         assert res.state.front == 0
         assert res.cell_steps == fv._BLOCK * res.steps > 0
 
@@ -451,7 +451,7 @@ class TestImpact:
     def test_zero_velocity_gives_zero_probes(self, bilam):
         eff = effective_model(bilam, 1.0)
         kappa = 2.0 * math.pi / (16.0 * eff.ell)
-        res = fv.impact_run(cell_state(bilam, 1.0), 0.0, kappa, [0.05], 2e-3, cells_per_layer=8)
+        res = fv.plan_impact(cell_state(bilam, 1.0), 0.0, kappa, [0.05], 2e-3, 8).run()
         assert np.all(res.records[0] / eff.c == 0.0)
 
     def test_matched_impedance_preserves_amplitude(self):
@@ -467,10 +467,9 @@ class TestImpact:
         velocity = 1e-3 * eff.c
         probe = 0.15
         duration = 2.0 * math.pi / (kappa * eff.c)
-        res = fv.impact_run(
-            cell_state(lam, 1.0), velocity, kappa, [probe], probe / eff.c + 2.0 * duration,
-            cells_per_layer=32,
-        )
+        res = fv.plan_impact(
+            cell_state(lam, 1.0), velocity, kappa, [probe], probe / eff.c + 2.0 * duration, 32
+        ).run()
         peak = float(np.max(res.records[0] / eff.c))
         assert peak == pytest.approx(velocity / eff.c, rel=5e-3)
 
@@ -485,9 +484,7 @@ class TestImpact:
         probe = 10.5 * eff.ell
         duration = 2.0 * math.pi / (kappa * eff.c)
         t_final = probe / eff.c + 14.0 * duration
-        res = fv.impact_run(
-            cell_state(bilam, 1.0), velocity, kappa, [probe], t_final, cells_per_layer=16
-        )
+        res = fv.plan_impact(cell_state(bilam, 1.0), velocity, kappa, [probe], t_final, 16).run()
         t = np.linspace(res.t[0], res.t[-1], 4096)
         v = np.interp(t, res.t, res.records[0] / eff.c)
         spec = np.abs(np.fft.rfft(v))
@@ -520,7 +517,7 @@ class TestImpact:
     def test_probe_table_schema(self, bilam):
         eff = effective_model(bilam, 1.0)
         kappa = 2.0 * math.pi / (16.0 * eff.ell)
-        res = fv.impact_run(cell_state(bilam, 1.0), 0.1 * eff.c, kappa, [0.03], 1e-3, cells_per_layer=8)
+        res = fv.plan_impact(cell_state(bilam, 1.0), 0.1 * eff.c, kappa, [0.03], 1e-3, 8).run()
         traces = [(y, res.t, v / eff.c) for y, v in zip([0.03], res.records)]
         header, blocks = output.probe_table(traces, kappa * eff.c / (2.0 * math.pi), "fv")
         t_s, _, _, probe_y, theory = joined(blocks)

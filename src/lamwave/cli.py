@@ -236,7 +236,13 @@ def parse_config(raw: dict) -> dict:
     p = cfg["params"]
     if command == "sweep":  # the range rules on two points; the run builds the grid (too large: exit 2)
         with _at("params"):
-            sweeps.grid(p["variable"], p["lo"], p["hi"], 2)
+            ends = sweeps.grid(p["variable"], p["lo"], p["hi"], 2)
+        if p["variable"] == "modulus_contrast":  # one model holds every phase-2 modulus
+            g1 = cfg["laminate"].phase1.model.shear_modulus
+            for key, end in zip(("lo", "hi"), ends.tolist()):
+                if not sys.float_info.min <= end * g1 <= sys.float_info.max:
+                    raise ConfigError(f"the contrast {p[key]!r} times phase 1's G_pa {g1!r} leaves the "
+                                      "normal float range", f"params.{key}")
     swept = command == "sweep" and p["variable"] == "magnetic_load_product"
     if swept or cfg["load"].bn_br_product is not None:  # a load product needs a vacuum-permeability stack
         with _at("params.variable" if swept else "load.bn_br_product"):
@@ -317,12 +323,8 @@ def _run_soliton(cfg):
         summary["max_speed_ratio"] = bound
         summary["max_strain"] = soliton.max_strain_amplitude(eff)
         summary["max_particle_velocity_ratio"] = soliton.max_particle_velocity(eff)
-        summary["validity_speed_slow_space"] = soliton.mkdv_validity_speed(
-            eff, soliton.WaveModel.SLOW_SPACE
-        )
-        summary["validity_speed_slow_time"] = soliton.mkdv_validity_speed(
-            eff, soliton.WaveModel.SLOW_TIME
-        )
+        summary["validity_speed_slow_space"] = soliton.mkdv_validity_speed(soliton.WaveModel.SLOW_SPACE)
+        summary["validity_speed_slow_time"] = soliton.mkdv_validity_speed(soliton.WaveModel.SLOW_TIME)
     except LamwaveError as exc:
         summary["note"] = str(exc)
     return tables, summary

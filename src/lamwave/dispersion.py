@@ -29,10 +29,6 @@ class BandGap:
     hi: float
     index: int
 
-    @property
-    def width(self) -> float:
-        return self.hi - self.lo
-
 
 @dataclass(frozen=True)
 class DispersionBranch:

@@ -45,7 +45,7 @@ BYTES_PER_CELL = 160
 
 @dataclass(frozen=True)
 class Grid1D:
-    """Uniform cell grid over [0, domain_length] with a per-cell phase map.
+    """Uniform cell grid over [0, n_cells * dy] with per-cell material coefficients.
 
     The origin sits in the middle of a phase-2 layer, so the leftmost half
     layer is phase 2 and layers alternate from there.
@@ -53,12 +53,10 @@ class Grid1D:
 
     dy: float
     n_cells: int
-    phase_index: np.ndarray  # 1 or 2 per cell
     g: np.ndarray
     h_third: np.ndarray  # h/3
     rho: np.ndarray
     rho_inv: np.ndarray  # 1/rho
-    domain_length: float
     c_tail: np.ndarray  # [i]: max linear speed sqrt(g (1/rho)) over cells i.., 0 at n_cells
 
     def cell_at(self, y: float) -> int:
@@ -100,16 +98,13 @@ def build_grid(st: CellState, cells_per_layer: int, n_periods: int) -> Grid1D:
     g = np.where(is2, st.sc2.g, st.sc1.g)
     rho = np.where(is2, st.rho2, st.rho1)
     rho_inv = 1.0 / rho
-    n_cells = len(phase)
     return Grid1D(
         dy=dy,
-        n_cells=n_cells,
-        phase_index=phase,
+        n_cells=len(phase),
         g=g,
         h_third=np.where(is2, st.sc2.h, st.sc1.h) / 3.0,
         rho=rho,
         rho_inv=rho_inv,
-        domain_length=n_cells * dy,
         # the step's speed at gamma = 0, sqrt((g + 3 (h/3) 0^2) (1/rho)), to the bit
         c_tail=np.append(np.maximum.accumulate(np.sqrt(g * rho_inv)[::-1])[::-1], 0.0),
     )
@@ -149,7 +144,7 @@ class SimState:
 _ZERO, _HALF, _ONE, _TWO, _THREE, _TINY = map(np.array, (0.0, 0.5, 1.0, 2.0, 3.0, 1e-300))
 
 
-def _minmod(theta: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+def _minmod(theta: np.ndarray, _scratch: np.ndarray) -> np.ndarray:
     # np.clip(theta, 0, 1) to the bit, -0.0 and NaN included, without its Python
     # wrapper; the bound goes first so that -0.0 stays -0.0 (out= by keyword, as numpy asks)
     return np.minimum(_ONE, np.maximum(_ZERO, theta, out=theta), out=theta)

@@ -101,28 +101,18 @@ def _gent_denominator(model: HyperelasticModel, d):
     return denom
 
 
-def _modulus(model: HyperelasticModel, d):
-    """G at the invariant excess d = I1 - 3."""
+def _law(model: HyperelasticModel, d):
+    """(G, dG/dI1) at the invariant excess d = I1 - 3."""
     G, b = model.shear_modulus, model.beta
     if model.kind == NEO_HOOKEAN or b == 0.0:
-        return G
+        return G, 0.0
     if model.kind == YEOH:
-        return G * (1.0 + b * d)
+        return G * (1.0 + b * d), G * b
     if model.kind == FUNG_DEMIRAY:
-        return G * _exp(b * d)
-    return G / _gent_denominator(model, d)
-
-
-def _modulus_slope(model: HyperelasticModel, d):
-    """dG/dI1 at the invariant excess d = I1 - 3."""
-    G, b = model.shear_modulus, model.beta
-    if model.kind == NEO_HOOKEAN or b == 0.0:
-        return 0.0
-    if model.kind == YEOH:
-        return G * b
-    if model.kind == FUNG_DEMIRAY:
-        return G * b * _exp(b * d)
-    return G * b / _gent_denominator(model, d) ** 2
+        e = _exp(b * d)
+        return G * e, G * b * e
+    denom = _gent_denominator(model, d)
+    return G / denom, G * b / denom**2
 
 
 def uniaxial_invariant_excess(stretch):
@@ -155,8 +145,8 @@ def shear_coefficients(model: HyperelasticModel, stretch) -> ShearCoefficients:
     """
     d = uniaxial_invariant_excess(stretch)
     l2 = stretch * stretch
-    g = l2 * _modulus(model, d)
-    slope = _modulus_slope(model, d)
+    G, slope = _law(model, d)
+    g = l2 * G
     if np.any(slope):
         h = 3.0 * l2 * l2 * slope
     else:  # G' = 0 (neo-Hookean, or beta = 0): h is 0, also where x^4 overflows
@@ -237,7 +227,7 @@ def average_shear_modulus(lam: Laminate, stretch):
     """Volume-weighted average of the generalised moduli at the stretched state."""
     d = uniaxial_invariant_excess(stretch)
     p1, p2 = lam.phases
-    return p1.volume_fraction * _modulus(p1.model, d) + p2.volume_fraction * _modulus(p2.model, d)
+    return p1.volume_fraction * _law(p1.model, d)[0] + p2.volume_fraction * _law(p2.model, d)[0]
 
 
 def effective_permeability(lam: Laminate) -> float:
@@ -292,9 +282,10 @@ def _stretch_probe(lam: Laminate, x, r):
     load r, for :func:`~lamwave._roots.newton`: the residual is gbar (x^2 - 1/x) - r with
     gbar = Gbar(x) / Gbar(1), its slope gbar' (x^2 - 1/x) + gbar (2x + 1/x^2), dI1/dx = 2x - 2/x^2."""
     (p1, p2), mean, d, w = lam.phases, arithmetic_modulus(lam), uniaxial_invariant_excess(x), x * x - 1.0 / x
-    gbar = (p1.volume_fraction * _modulus(p1.model, d) + p2.volume_fraction * _modulus(p2.model, d)) / mean
+    (G1, slope1), (G2, slope2) = _law(p1.model, d), _law(p2.model, d)
+    gbar = (p1.volume_fraction * G1 + p2.volume_fraction * G2) / mean
     inv2 = 1.0 / (x * x)
-    dg = p1.volume_fraction * _modulus_slope(p1.model, d) + p2.volume_fraction * _modulus_slope(p2.model, d)
+    dg = p1.volume_fraction * slope1 + p2.volume_fraction * slope2
     f = gbar * w - r
     return f <= 0.0, f, dg / mean * 2.0 * (x - inv2) * w + gbar * (2.0 * x + inv2)
 

@@ -42,10 +42,14 @@ class SolitonSolution:
     ell: float  # laminate period, m
 
 
-def _pow(x, p):
-    """x**p of a float, or of each float of a column, by Python's float power (libm pow):
-    numpy's ``**`` rounds some powers of arrays differently."""
-    return np.array([v**p for v in x.tolist()]) if isinstance(x, np.ndarray) else x**p
+def _pow(s, p):
+    """s**p of a speed ratio s/c, or of each of a column, by Python's float power (libm pow):
+    numpy's ``**`` rounds some powers of arrays differently.  An overflow raises an
+    :class:`OverflowError` that names the power."""
+    try:
+        return np.array([v**p for v in s.tolist()]) if isinstance(s, np.ndarray) else s**p
+    except OverflowError:  # Python's own message is an errno tuple
+        raise OverflowError(f"(s/c)**{p} overflows the float range") from None
 
 
 def oscillator_coeffs(eff: EffectiveModel, variant: WaveModel, speed):
@@ -165,13 +169,14 @@ def _amplitude_ratio(variant: WaveModel, s: float) -> float:
     return math.sqrt(2.0 / (s + 1.0))
 
 
-def mkdv_validity_speed(eff: EffectiveModel, variant: WaveModel, rel_err: float = 0.1) -> float:
+def mkdv_validity_speed(variant: WaveModel, rel_err: float = 0.1) -> float:
     """Smallest s/c > 1 at which the variant's amplitude departs from the full model.
 
     Bisects |delta_variant/delta_full - 1| < ``rel_err`` to adjacent floats and
     returns the last s/c at which it holds.  The comparison uses the closed
     amplitude-velocity laws, which remain defined past the full model's
-    existence bound.  The amplitude error stays below 1 at every speed, so
+    existence bound and hold for every laminate: the speed depends on the
+    variant alone.  The amplitude error stays below 1 at every speed, so
     ``rel_err >= 1`` (or NaN) raises :class:`NotReached`.
     """
     if rel_err < 0.0:

@@ -110,8 +110,7 @@ class MarchResult:
 
     ``records`` holds one field v(t) (m/s) per requested distance, in request
     order with repeats kept (a repeat is the same array), each at the distance's
-    nearest whole step of ``config.dy``, the step ``stops`` names; ``y_final`` is
-    the farthest of those.
+    nearest whole step of ``config.dy``, the step ``stops`` names.
     ``steps`` is the number of march steps, and ``scheme`` the one that took
     them: ``"abm4"`` (three RK4 steps, then the multistep scheme) or ``"rk4"``.
     ``grad_y`` holds the distance of every step, starting at 0.
@@ -123,10 +122,6 @@ class MarchResult:
     config: SpectralConfig
     steps: int
     scheme: str
-
-    @property
-    def y_final(self) -> float:
-        return self.steps * self.config.dy
 
     @property
     def grad_y(self) -> np.ndarray:

@@ -50,13 +50,9 @@ class SweepResult:
     """A sweep's table as columns, one entry per grid value, in CSV column order."""
 
     variable: str
-    values: np.ndarray
     columns: dict[str, np.ndarray]
     fixed: dict
     summary: dict
-
-    def column(self, key: str) -> np.ndarray:
-        return np.asarray(self.columns[key], dtype=float)
 
 
 def _columns(st: CellState, scale, speed_scale) -> dict[str, np.ndarray]:
@@ -120,7 +116,7 @@ def sweep_magnetic(lam: Laminate, values: np.ndarray) -> SweepResult:
         "multi_root_rows": 0,
         "locked_notes": [{"load_product": values[i].item(), "note": notes[i]} for i in sorted(notes)],
     }
-    return SweepResult("magnetic_load_product", values, columns, {"period_m": lam.period}, summary)
+    return SweepResult("magnetic_load_product", columns, {"period_m": lam.period}, summary)
 
 
 def _unit_stretch_columns(lam: Laminate, variable: str, values: np.ndarray, sc, nu):
@@ -166,7 +162,7 @@ def sweep_volume_fraction(lam: Laminate, values: np.ndarray) -> SweepResult:
     }
     if notes:
         summary["note"] = "; ".join(notes)
-    return SweepResult("volume_fraction_2", values, columns, {"stretch": 1.0, "period_m": lam.period}, summary)
+    return SweepResult("volume_fraction_2", columns, {"stretch": 1.0, "period_m": lam.period}, summary)
 
 
 def sweep_contrast(lam: Laminate, values: np.ndarray) -> SweepResult:
@@ -186,7 +182,7 @@ def sweep_contrast(lam: Laminate, values: np.ndarray) -> SweepResult:
     else:
         i = int(np.nanargmax(widths))
         summary = {"max_gap_width": float(widths[i]), "contrast_at_max_gap": float(values[i])}
-    return SweepResult("modulus_contrast", values, columns, {"stretch": 1.0, "period_m": lam.period}, summary)
+    return SweepResult("modulus_contrast", columns, {"stretch": 1.0, "period_m": lam.period}, summary)
 
 
 #: The sweep of each variable, as ``(laminate, grid values) -> SweepResult``.  Each entry

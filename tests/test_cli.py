@@ -140,6 +140,9 @@ class TestValidation:
             ("simulate-mkdv", {"t_final_factor": 1.25}, None, "params.t_final_factor: unknown key"),
             ("sweep", {"variable": "magnetic_load_product", "lo": -1.7e308, "hi": 1.7e308}, None,
              "params: sweep range"),
+            # a contrast end whose phase-2 modulus leaves the normal float range
+            ("sweep", {"variable": "modulus_contrast", "lo": 1.0, "hi": 1e308}, None, "params.hi"),
+            ("sweep", {"variable": "modulus_contrast", "lo": 1e-320, "hi": 1.0}, None, "params.lo"),
             # only null or a missing key means the defaults
             ("effective", [], None, "params: expected an object"),
             ("effective", 0, None, "params: expected an object"),
@@ -161,7 +164,8 @@ class TestValidation:
             "dispersion-omega-negative", "dispersion-omega-1e300", "bandgap-omega-1e300",
             "V-infinite", "xi_max-1e308", "xi_max-minus-1e308", "effective-unknown-key",
             "magnetostatic-unknown-key",
-            "mkdv-t_final_factor", "sweep-range-overflow", "params-list", "params-zero",
+            "mkdv-t_final_factor", "sweep-range-overflow", "contrast-modulus-overflow",
+            "contrast-modulus-subnormal", "params-list", "params-zero",
             "params-false", "params-empty-string", "load-product-permeable", "sweep-load-product-permeable",
         ],
     )
@@ -260,6 +264,8 @@ class TestValidation:
         # each simulate case, and each soliton speed_ratio case, sets the param at fault first
         if command.startswith("simulate") or "speed_ratio" in (params or {}):
             assert f"params.{next(iter(params))}" in err
+        if "speed_ratio" in (params or {}):
+            assert "(34," not in err  # Python's errno tuple names no power of s/c
 
     @pytest.mark.parametrize("case", ["out-is-a-file", "manifest-list", "manifest-malformed"])
     def test_unusable_out_exits_1(self, tmp_path, case):

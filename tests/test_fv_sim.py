@@ -24,19 +24,26 @@ def homogeneous_laminate(modulus=1e6, rho=1000.0):
     return lw.Laminate(p, dataclasses.replace(p), 0.01)
 
 
+def phase_map(grid, st) -> np.ndarray:
+    """1 or 2 per cell, read off the grid's moduli (the two phases' g must differ); 0 where
+    a cell holds neither phase's g."""
+    return np.where(grid.g == st.sc2.g, 2, np.where(grid.g == st.sc1.g, 1, 0)).astype(np.int8)
+
+
 class TestGrid:
     def test_cell_size(self, bilam):
         grid = fv.build_grid(cell_state(bilam, 1.0), 32, 4)
         assert grid.dy == pytest.approx(0.005 / 32, rel=1e-14)
-        assert grid.domain_length == pytest.approx(4 * 0.01, rel=1e-12)
+        assert grid.n_cells * grid.dy == pytest.approx(4 * 0.01, rel=1e-12)
 
     def test_material_map_layout(self, bilam):
-        grid = fv.build_grid(cell_state(bilam, 1.0), 8, 3)
+        st = cell_state(bilam, 1.0)
+        phase = phase_map(fv.build_grid(st, 8, 3), st)
         # half layer of phase 2 at the origin, then alternation
-        assert list(grid.phase_index[:4]) == [2, 2, 2, 2]
-        assert list(grid.phase_index[4:12]) == [1] * 8
-        assert list(grid.phase_index[12:20]) == [2] * 8
-        assert list(grid.phase_index[-4:]) == [2, 2, 2, 2]
+        assert list(phase[:4]) == [2, 2, 2, 2]
+        assert list(phase[4:12]) == [1] * 8
+        assert list(phase[12:20]) == [2] * 8
+        assert list(phase[-4:]) == [2, 2, 2, 2]
 
     @pytest.mark.parametrize(
         "nu1, nu2, cells_per_layer, n1, n_periods",
@@ -49,13 +56,14 @@ class TestGrid:
             lw.Phase(lw.HyperelasticModel("neo-hookean", 1e6), 1000.0, nu2),
             0.01,
         )
-        grid = fv.build_grid(cell_state(lam, 1.0), cells_per_layer, n_periods)
+        st = cell_state(lam, 1.0)
+        grid = fv.build_grid(st, cells_per_layer, n_periods)
         half2 = cells_per_layer // 2
         layers = [[2] * half2]
         for k in range(n_periods):
             layers += [[1] * n1, [2] * (half2 if k == n_periods - 1 else cells_per_layer)]
         reference = np.array(sum(layers, []), dtype=np.int8)
-        assert grid.phase_index.tobytes() == reference.tobytes()
+        assert phase_map(grid, st).tobytes() == reference.tobytes()
         assert grid.n_cells == len(reference)
 
     def test_homogeneous_map_is_constant(self):
@@ -254,7 +262,7 @@ class TestActiveWindow:
         eff = effective_model(lam, 1.0)
         forcing = fv.impact_signal(eff.c, 2.0 * math.pi / (8.0 * eff.ell), eff.c)
         grid = fv.build_grid(cell_state(lam, 1.0), 8, 12)
-        t_final = crossings * grid.domain_length / eff.c
+        t_final = crossings * grid.n_cells * grid.dy / eff.c
         probes = [0.02, 0.05]
         res = fv.simulate(
             grid, left_velocity=forcing, t_final=t_final, probe_positions=probes,
@@ -333,7 +341,7 @@ class TestActiveWindow:
         grid = fv.build_grid(cell_state(bilam, 1.0), 8, 40)
         res = fv.simulate(
             grid, left_velocity=fv.impact_signal(eff.c, 2.0 * math.pi / (8.0 * eff.ell), eff.c),
-            t_final=0.5 * grid.domain_length / eff.c, probe_positions=[0.05],
+            t_final=0.5 * grid.n_cells * grid.dy / eff.c, probe_positions=[0.05],
         )
         assert built == sorted(set(built))
         assert all(m % fv._BLOCK == 0 or m == grid.n_cells - 2 for m in built)

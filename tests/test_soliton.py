@@ -206,28 +206,28 @@ class TestAmplitudeVelocityLaws:
 
 
 class TestValiditySpeeds:
-    def test_slow_space(self, eff):
-        assert sol.mkdv_validity_speed(eff, WaveModel.SLOW_SPACE) == pytest.approx(
+    def test_slow_space(self):
+        assert sol.mkdv_validity_speed(WaveModel.SLOW_SPACE) == pytest.approx(
             1.06, abs=5e-3
         )
 
-    def test_slow_time(self, eff):
-        assert sol.mkdv_validity_speed(eff, WaveModel.SLOW_TIME) == pytest.approx(
+    def test_slow_time(self):
+        assert sol.mkdv_validity_speed(WaveModel.SLOW_TIME) == pytest.approx(
             1.46, abs=1e-2
         )
 
-    def test_degenerate_tolerance(self, eff):
-        assert sol.mkdv_validity_speed(eff, WaveModel.SLOW_SPACE, rel_err=0.0) == 1.0
+    def test_degenerate_tolerance(self):
+        assert sol.mkdv_validity_speed(WaveModel.SLOW_SPACE, rel_err=0.0) == 1.0
 
-    def test_full_not_reached(self, eff):
+    def test_full_not_reached(self):
         with pytest.raises(NotReached):
-            sol.mkdv_validity_speed(eff, WaveModel.FULL)
+            sol.mkdv_validity_speed(WaveModel.FULL)
 
     @pytest.mark.parametrize("variant", [WaveModel.SLOW_SPACE, WaveModel.SLOW_TIME])
     @pytest.mark.parametrize("rel_err", [1e-300, 1e-12, 0.01, 0.1, 0.5, 0.9])
-    def test_speed_is_the_last_float_inside(self, eff, variant, rel_err):
+    def test_speed_is_the_last_float_inside(self, variant, rel_err):
         """The amplitude error is below rel_err at the speed and reaches it one float higher."""
-        s = sol.mkdv_validity_speed(eff, variant, rel_err)
+        s = sol.mkdv_validity_speed(variant, rel_err)
         assert _amplitude_error(variant, s) < rel_err <= _amplitude_error(variant, np.nextafter(s, 2.0 * s))
 
     def test_large_speeds_end_and_unreachable_errors_raise(self):
@@ -238,18 +238,13 @@ class TestValiditySpeeds:
             "import json, math\n"
             "from lamwave import soliton as sol\n"
             "from lamwave.errors import NotReached\n"
-            "from lamwave.homogenize import effective_model\n"
-            "from lamwave.materials import HyperelasticModel, Laminate, Phase\n"
-            "lam = Laminate(*(Phase(HyperelasticModel('gent', g, 0.0132), 930.0, 0.5)\n"
-            "                 for g in (4.7e6, 0.94e6)), 0.01)\n"
-            "eff = effective_model(lam, 1.0)\n"
-            "speeds = {v: sol.mkdv_validity_speed(eff, sol.WaveModel[v], e)\n"
+            "speeds = {v: sol.mkdv_validity_speed(sol.WaveModel[v], e)\n"
             "          for v, e in (('SLOW_TIME', 0.9999), ('SLOW_SPACE', 1.0 - 2.0**-53))}\n"
             "raised = 0\n"
             "for v in ('SLOW_SPACE', 'SLOW_TIME'):\n"
             "    for e in (1.0, math.nan):\n"
             "        try:\n"
-            "            sol.mkdv_validity_speed(eff, sol.WaveModel[v], e)\n"
+            "            sol.mkdv_validity_speed(sol.WaveModel[v], e)\n"
             "        except NotReached:\n"
             "            raised += 1\n"
             "print(json.dumps({'speeds': speeds, 'raised': raised}))\n"

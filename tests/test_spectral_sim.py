@@ -176,7 +176,7 @@ class TestLinear:
         m_mode = 12
         omega = 2.0 * math.pi * m_mode / window
         res = sp.mkdv_march(eff, lambda t: np.sin(omega * t), cfg, [0.05])
-        y = res.y_final
+        y = res.steps * cfg.dy
         kappa = omega / eff.c + eff.eta * eff.ell**2 * omega**3 / (2.0 * eff.c**3)
         exact = np.sin(omega * res.t - kappa * y)
         assert np.max(np.abs(res.records[-1] - exact)) < 1e-10
@@ -200,7 +200,7 @@ class TestLinear:
         omega = 2.0 * math.pi * m_mode / window
         res = sp.mkdv_march(eff, lambda t: np.sin(omega * t), cfg, [0.05])
         amp = float(np.max(np.abs(res.records[-1])))
-        assert amp == pytest.approx(math.exp(-1e-6 * omega**2 * res.y_final), rel=1e-3)
+        assert amp == pytest.approx(math.exp(-1e-6 * omega**2 * res.steps * cfg.dy), rel=1e-3)
 
 
 class TestInvariants:
@@ -398,7 +398,7 @@ class TestEmission:
             assert v.tobytes() == w.tobytes()
         assert plain.steps == observed.steps == 150
         assert plain.scheme == observed.scheme == ("abm4" if case == "impact" else "rk4")
-        assert plain.y_final == observed.y_final == 150 * cfg.dy
+        assert plain.stops == observed.stops == [0, 60, 150]
         assert trace.k == list(range(150 + 1))
         assert trace.y.tobytes() == plain.grad_y.tobytes()
 
@@ -478,7 +478,7 @@ class TestEmission:
         res = sp.mkdv_march(eff, v0, cfg, [n_steps * cfg.dy])
         rk4, _ = reference_march(eff, v0, cfg, n_steps)
         assert res.steps == n_steps and len(res.grad_y) == n_steps + 1
-        assert res.y_final == n_steps * cfg.dy
+        assert res.stops == [n_steps]
         assert res.records[-1].tobytes() == rk4[n_steps].tobytes()
 
     def test_march_within_rk4_oracle(self, eff):

@@ -60,24 +60,24 @@ class TestMagneticSweep:
         return magnetic_result
 
     def test_stretch_endpoints(self, result):
-        stretch = result.column("stretch")
+        stretch = result.columns["stretch"]
         assert stretch[0] == pytest.approx(0.032, rel=0.05)
         assert stretch[-1] == pytest.approx(7.2, rel=0.05)
 
     def test_zero_load_row_is_undeformed(self, result):
-        i = int(np.argmin(np.abs(result.values)))
-        assert result.values[i] == 0.0
-        assert result.column("stretch")[i] == pytest.approx(1.0, abs=1e-12)
-        assert result.column("gap_homog_lo")[i] == pytest.approx(0.84 * math.pi, abs=0.02)
+        i = int(np.argmin(np.abs(result.columns["load_product"])))
+        assert result.columns["load_product"][i] == 0.0
+        assert result.columns["stretch"][i] == pytest.approx(1.0, abs=1e-12)
+        assert result.columns["gap_homog_lo"][i] == pytest.approx(0.84 * math.pi, abs=0.02)
 
     def test_eta_constant_for_equal_beta(self, result):
-        eta = result.column("eta")
+        eta = result.columns["eta"]
         ok = eta[np.isfinite(eta)]
         assert ok.max() - ok.min() < 1e-12
 
     def test_gap_center_smooth(self, result):
-        lo = result.column("gap_exact_lo")
-        hi = result.column("gap_exact_hi")
+        lo = result.columns["gap_exact_lo"]
+        hi = result.columns["gap_exact_hi"]
         center = 0.5 * (lo + hi)
         assert np.all(np.isfinite(center))
         # smooth: second differences stay small relative to the range
@@ -86,17 +86,17 @@ class TestMagneticSweep:
 
     def test_speed_bound_monotone_in_stretch(self, result):
         """max speed rises with stretch above the analytic turning point ~0.038."""
-        stretch = result.column("stretch")
-        bound = result.column("max_speed_ratio")
+        stretch = result.columns["stretch"]
+        bound = result.columns["max_speed_ratio"]
         sel = stretch > 0.05
         s, b = stretch[sel], bound[sel]
         order = np.argsort(s)
         assert np.all(np.diff(b[order]) > 0)
 
     def test_speed_and_strain_bounds_trend_inversely(self, result):
-        stretch = result.column("stretch")
-        speed = result.column("max_speed_ratio")
-        strain = result.column("max_strain")
+        stretch = result.columns["stretch"]
+        speed = result.columns["max_speed_ratio"]
+        strain = result.columns["max_strain"]
         order = np.argsort(stretch)
         ds = np.diff(speed[order])
         da = np.diff(strain[order])
@@ -110,8 +110,8 @@ class TestMagneticSweep:
         """Loads beyond the Gent validity limit flag the row instead of aborting."""
         res = sweeps.sweep_magnetic(bilam, sweeps.grid("magnetic_load_product", -1e14, 1e14, 3))
         assert res.summary["n_locked"] == 2
-        assert res.column("locked").tolist() == [1, 0, 1]  # the zero-load midpoint survives
-        assert math.isnan(res.column("stretch")[0])
+        assert res.columns["locked"].tolist() == [1, 0, 1]  # the zero-load midpoint survives
+        assert math.isnan(res.columns["stretch"][0])
 
     @pytest.mark.parametrize("kind, beta", [("neo-hookean", None), ("yeoh", 0.0132)])
     def test_underflowing_stretch_flagged_not_fatal(self, tmp_path, kind, beta):
@@ -138,11 +138,11 @@ class TestMagneticSweep:
         result = sweeps.sweep_magnetic(lam, sweeps.grid(**payload["params"]))
         assert result.summary["locked_notes"][0]["load_product"] == -1e300
         assert "underflows" in result.summary["locked_notes"][0]["note"]
-        zeta = result.column("zeta")[result.column("locked") == 0]
+        zeta = result.columns["zeta"][result.columns["locked"] == 0]
         assert zeta.size and np.isfinite(zeta).all()
         if kind == "neo-hookean":
             assert (zeta == 0.0).all()
-        assert result.summary["n_locked"] == result.column("locked").sum() < 5
+        assert result.summary["n_locked"] == result.columns["locked"].sum() < 5
         for row, want in zip(rows_of(result), _per_row(lam, result)):
             for key, value in (want or {}).items():
                 assert row[key] == pytest.approx(value, rel=COLUMN_RTOL, abs=0.0, nan_ok=True), key
@@ -163,11 +163,11 @@ class TestVolumeFractionSweep:
         assert result.summary["argmax_max_strain"] == pytest.approx(0.42, abs=0.02)
 
     def test_homogeneous_limits(self, result, bilam):
-        eta = result.column("eta")
+        eta = result.columns["eta"]
         assert eta[0] < 1e-3 and eta[-1] < 1e-3
         # the first gap closes monotonically toward the pure-phase limit
         edge = sweeps.sweep_volume_fraction(bilam, sweeps.grid("volume_fraction_2", 0.002, 0.1, 4))
-        widths = edge.column("gap_exact_hi") - edge.column("gap_exact_lo")
+        widths = edge.columns["gap_exact_hi"] - edge.columns["gap_exact_lo"]
         assert np.all(np.diff(widths) > 0)
         assert widths[0] < 0.05
 
@@ -178,7 +178,7 @@ class TestContrastSweep:
         return contrast_result
 
     def test_unit_contrast_degenerates(self, result):
-        i = int(np.argmin(np.abs(result.values - 1.0)))
+        i = int(np.argmin(np.abs(result.columns["modulus_contrast"] - 1.0)))
         row = rows_of(result)[i]
         assert row["eta"] < 1e-25
         assert row["max_speed_ratio"] == pytest.approx(1.0, abs=1e-9) or math.isnan(
@@ -188,7 +188,7 @@ class TestContrastSweep:
     def test_inversion_symmetry(self, result):
         """Dimensionless outputs coincide for contrast c and 1/c."""
         for key in ("eta", "zeta", "gap_exact_lo", "gap_exact_hi", "max_strain"):
-            col = result.column(key)
+            col = result.columns[key]
             forward = col
             backward = col[::-1]
             ok = np.isfinite(forward) & np.isfinite(backward)
@@ -196,13 +196,13 @@ class TestContrastSweep:
 
     def test_benchmark_contrast_row(self, bilam, eff):
         result = sweeps.sweep_contrast(bilam, sweeps.grid("modulus_contrast", 0.02, 2.0, 3))  # middle node 0.2
-        assert result.values[1] == pytest.approx(0.2, rel=1e-12)
-        assert result.column("eta")[1] == pytest.approx(eff.eta, rel=1e-9)
-        assert result.column("zeta")[1] == pytest.approx(eff.zeta, rel=1e-9)
+        assert result.columns["modulus_contrast"][1] == pytest.approx(0.2, rel=1e-12)
+        assert result.columns["eta"][1] == pytest.approx(eff.eta, rel=1e-9)
+        assert result.columns["zeta"][1] == pytest.approx(eff.zeta, rel=1e-9)
 
     def test_gap_widens_away_from_unity(self, result):
-        width = result.column("gap_exact_hi") - result.column("gap_exact_lo")
-        i_mid = int(np.argmin(np.abs(result.values - 1.0)))
+        width = result.columns["gap_exact_hi"] - result.columns["gap_exact_lo"]
+        i_mid = int(np.argmin(np.abs(result.columns["modulus_contrast"] - 1.0)))
         assert width[0] > width[i_mid] or not np.isfinite(width[i_mid])
         assert width[-1] > np.nan_to_num(width[i_mid])
 
@@ -228,12 +228,12 @@ class TestTooDispersiveStack:
         with contextlib.redirect_stdout(io.StringIO()):
             assert cli.run(path, tmp_path / "out") == 0
         result = SWEEP_FUNCTIONS[variable](cli.laminate_from_config(DENSE_STACK), sweeps.grid(variable, lo, hi, 13))
-        strong = result.column("eta") >= homogenize.ETA_Y_OPT
+        strong = result.columns["eta"] >= homogenize.ETA_Y_OPT
         assert strong.any() and (variable == "magnetic_load_product") == strong.all()
         for key in ("gap_homog_lo", "gap_homog_hi", "max_speed_ratio", "max_strain"):
-            assert np.isnan(result.column(key)[strong]).all() and np.isfinite(result.column(key)[~strong]).all()
+            assert np.isnan(result.columns[key][strong]).all() and np.isfinite(result.columns[key][~strong]).all()
         for key in ("gap_exact_lo", "gap_exact_hi", "eta", "zeta"):
-            assert np.isfinite(result.column(key)).all()
+            assert np.isfinite(result.columns[key]).all()
         if variable == "volume_fraction_2":  # eta peaks on the last row, whose one cell has no triple
             assert result.summary["argmax_eta"] is None and "argmax_eta" in result.summary["note"]
 
@@ -276,7 +276,7 @@ def _row_states(lam, result) -> list:
         return out
     variant = {"volume_fraction_2": with_volume_fraction,
                "modulus_contrast": with_contrast}[result.variable]
-    return [(cell_state(variant(lam, float(x)), 1.0), 1.0) for x in result.values]
+    return [(cell_state(variant(lam, float(x)), 1.0), 1.0) for x in result.columns[result.variable]]
 
 
 SWEEP_FUNCTIONS = {
@@ -467,7 +467,7 @@ class TestColumns:
         for n in (11, 201):
             calls.clear()
             result = SWEEP_FUNCTIONS[variable](bilam, sweeps.grid(variable, lo, hi, n))
-            assert len(result.values) == n
+            assert all(len(c) == n for c in result.columns.values())
             counts[n] = dict(calls)
         expected = {"column states": 1}
         if variable == "magnetic_load_product":

@@ -5,14 +5,14 @@ First-order system for shear strain gamma and velocity v,
     gamma_t - v_y = 0,        (rho v)_t - sigma_y = 0,
     sigma = g gamma + (h/3) gamma^3,
 
-with piecewise-constant (g, h, rho) per cell.  The update is a wave-propagation
-scheme: interface flux differences are decomposed exactly into two acoustic
-f-waves using the adjacent cells' nonlinear impedances, plus limited
-second-order correction waves.  The time step keeps a fixed Courant number
-against the instantaneous global maximum signal speed; a step updates only the
-active prefix of a state that started quiescent, in preallocated buffers.  The
-scheme carries values ahead of the wave faster than any physical speed, down to
-subnormals; with a ``floor`` a cell joins the prefix only once a field rises
+with piecewise-constant (g, h, rho) per cell.  The update is a wave-propagation scheme:
+interface flux differences are decomposed exactly into two acoustic f-waves using the
+adjacent cells' nonlinear impedances, plus second-order correction waves limited by a
+unit-free ratio, the upwind neighbour's stress jump over each f-wave's.  The time step
+keeps a fixed Courant number against the instantaneous global maximum signal speed; a
+step updates only the active prefix of a state that started quiescent, in preallocated
+buffers.  The scheme carries values ahead of the wave faster than any physical speed,
+down to subnormals; with a ``floor`` a cell joins the prefix only once a field rises
 above it, and the numerical precursor below it is flushed to 0.
 """
 
@@ -167,9 +167,10 @@ _BLOCK = 64
 class _Plan:
     """Every view a step reads or writes, for ``key[0]`` cells updated and ``k`` read.
 
-    ``state.work`` rows: speed, impedance, velocity and stress, each with two ghost
-    cells a side, then two scratch rows and the f-waves w1g, w2g, w1m, w2m.  The speed
-    row then holds 1/2 - c dt/(2 dy), and the stress row each update row's increment.
+    ``state.work`` rows: speed, impedance, velocity and stress, each with two ghost cells
+    a side, then two scratch rows and the f-waves w1g, w2g, w1m, w2m (the limiters read
+    w1m, w2m alone).  The speed row then holds 1/2 - c dt/(2 dy), and the stress row each
+    update row's increment.
     """
 
     def __init__(self, state: SimState, grid: Grid1D, key: tuple[int, ...], k: int):
@@ -190,10 +191,8 @@ class _Plan:
         # the left-going family reads upwind interfaces 2 .. m+2, the right-going 0 .. m
         self.half_c, self.a, self.b = c_e[1 : m + 3], t1[: m + 1], t2[: m + 1]
         self.coef, self.half_coef = np.empty(()), np.empty(())  # dt/dy and dt/(2 dy), 0-d operands
-        self.families = (
-            (w1g[sl], w1g[2 : m + 3], w1m[sl], w1m[2 : m + 3], self.half_c[: m + 1], z_e[: m + 1]),
-            (w2g[sl], w2g[: m + 1], w2m[sl], w2m[: m + 1], self.half_c[1:], v_e[: m + 1]),
-        )
+        self.families = ((w1m[sl], w1m[2 : m + 3], self.half_c[: m + 1], z_e[: m + 1]),
+                         (w2m[sl], w2m[: m + 1], self.half_c[1:], v_e[: m + 1]))
         # w2m holds minus the right-going momentum f-wave, so the momentum row adds
         # w1m - w2m, forms minus its correction fluxes and differences them in reverse;
         # its update reaches the velocity through 1/rho
@@ -236,8 +235,9 @@ def step(
     bit; a speed that is not positive and finite, or above ``MAX_SPEEDUP`` times the
     fastest linear speed (so that a run takes at most that many times the steps of a
     linear one), raises ``Instability``.  Ghost strains copy interior ones, so interior
-    speeds bound the ghost speeds.  The velocity is updated directly, its momentum row
-    times 1/rho.  Every kernel writes into views built once per block (``_Plan``).
+    speeds bound the ghost speeds.  The limiter ratio wm wm_up / (wm^2 + 1e-300) reads the
+    momentum f-waves wm = z wg alone, so it has no units.  The velocity is updated directly,
+    its momentum row times 1/rho.  Every kernel writes into views built once per block (``_Plan``).
     """
     phi, n, dy = LIMITERS[limiter], grid.n_cells, grid.dy
     window = state.front + 6 <= n
@@ -288,9 +288,9 @@ def step(
     p.coef[()] = coef = dt / dy
     p.half_coef[()] = 0.5 * coef
     np.subtract(_HALF, np.multiply(half_c, p.half_coef, half_c), half_c)
-    for wg, wg_up, wm, wm_up, scale, theta in p.families:
-        np.add(np.multiply(wg, wg_up, theta), np.multiply(wm, wm_up, a), theta)
-        np.add(np.add(np.multiply(wg, wg, a), np.multiply(wm, wm, b), a), _TINY, a)
+    for wm, wm_up, scale, theta in p.families:
+        np.multiply(wm, wm_up, theta)
+        np.add(np.multiply(wm, wm, a), _TINY, a)
         np.multiply(scale, phi(np.divide(theta, a, theta), a), theta)
 
     # each row adds its first-order term to the difference of its correction fluxes and

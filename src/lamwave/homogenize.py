@@ -123,7 +123,7 @@ def cell_columns(sc: tuple[ShearCoefficients, ShearCoefficients], rho: tuple, nu
     rho_eff = n1 * rho1 + n2 * rho2
     c = _sqrt(g_eff / rho_eff)
 
-    g1, g2 = sc1.g / g_eff, sc2.g / g_eff
+    g1, g2 = np.divide(sc1.g, g_eff), np.divide(sc2.g, g_eff)  # numpy floats: powers overflow to inf
     h1, h2 = sc1.h / g_eff, sc2.h / g_eff
     r1, r2 = rho1 / rho_eff, rho2 / rho_eff
 

@@ -234,6 +234,25 @@ class TestStep:
         assert np.array_equal(a.velocity, -b.velocity)
         assert np.array_equal(a.gamma, -b.gamma)
 
+    @pytest.mark.parametrize("limiter", ["minmod", "mc"])
+    def test_run_is_unit_invariant(self, bilam, limiter):
+        """The limiter ratio has no units: with g, h/3 and rho scaled by 2^20 and 1/rho by
+        2^-20, every speed, strain f-wave and dt keeps its bits and every stress and momentum
+        f-wave is scaled exactly, so the impact run's times and probe velocities keep theirs."""
+        eff = effective_model(bilam, 1.0)
+        grid = fv.build_grid(cell_state(bilam, 1.0), 8, 12)
+        s = 2.0**20
+        scaled = dataclasses.replace(grid, g=grid.g * s, h_third=grid.h_third * s, rho=grid.rho * s,
+                                     rho_inv=grid.rho_inv / s)
+        kw = {"left_velocity": fv.impact_signal(eff.c, 2.0 * math.pi / (8.0 * eff.ell), eff.c),
+              "t_final": 0.3 * grid.n_cells * grid.dy / eff.c, "probe_positions": [0.02, 0.05],
+              "limiter": limiter}
+        res, ref = fv.simulate(scaled, **kw), fv.simulate(grid, **kw)
+        assert res.steps == ref.steps > 0
+        assert res.t.tobytes() == ref.t.tobytes()
+        for v, v_ref in zip(res.records, ref.records):
+            assert v.tobytes() == v_ref.tobytes()
+
 
 class TestActiveWindow:
     @pytest.mark.parametrize("limiter", ["minmod", "mc"])
